@@ -14,7 +14,7 @@ fn bench_update(c: &mut Criterion) {
     for d in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("d", d), &d, |b, &d| {
             b.iter_batched(
-                || HashRegisters::new(16_384, d, 32),
+                || HashRegisters::new(16_384, d, 32, 1),
                 |mut regs| {
                     for k in 0..N {
                         std::hint::black_box(regs.update(&[k % 4_096], Agg::Sum, 1));
@@ -37,7 +37,7 @@ fn bench_update_under_pressure(c: &mut Criterion) {
     for d in [1usize, 4] {
         group.bench_with_input(BenchmarkId::new("d", d), &d, |b, &d| {
             b.iter_batched(
-                || HashRegisters::new(2_048, d, 32),
+                || HashRegisters::new(2_048, d, 32, 1),
                 |mut regs| {
                     for k in 0..N {
                         std::hint::black_box(regs.update(&[k], Agg::Sum, 1));
@@ -54,7 +54,7 @@ fn bench_update_under_pressure(c: &mut Criterion) {
 fn bench_dump_reset(c: &mut Criterion) {
     let mut group = c.benchmark_group("register_window_boundary");
     group.bench_function("dump_8k_keys", |b| {
-        let mut regs = HashRegisters::new(16_384, 2, 32);
+        let mut regs = HashRegisters::new(16_384, 2, 32, 1);
         for k in 0..8_192u64 {
             regs.update(&[k], Agg::Sum, 1);
         }
@@ -63,7 +63,7 @@ fn bench_dump_reset(c: &mut Criterion) {
     group.bench_function("reset_8k_keys", |b| {
         b.iter_batched(
             || {
-                let mut regs = HashRegisters::new(16_384, 2, 32);
+                let mut regs = HashRegisters::new(16_384, 2, 32, 1);
                 for k in 0..8_192u64 {
                     regs.update(&[k], Agg::Sum, 1);
                 }

@@ -62,7 +62,7 @@ impl SwitchEndpoint {
         transport.send(
             TraceContext::NONE,
             epoch,
-            &Frame::Hello {
+            Frame::Hello {
                 node: node.to_string(),
                 plan_digest,
             },
@@ -113,10 +113,10 @@ impl SwitchEndpoint {
             node: self.node.clone(),
             plan_digest: self.plan_digest,
         };
-        self.send(&frame)
+        self.send(frame)
     }
 
-    fn send(&mut self, frame: &Frame) -> Result<(), NetError> {
+    fn send(&mut self, frame: Frame) -> Result<(), NetError> {
         self.t.send(self.ctx, self.epoch, frame)?;
         self.metrics.frames_tx.inc();
         Ok(())
@@ -139,7 +139,7 @@ impl SwitchEndpoint {
 
     /// Announce a window.
     pub fn open_window(&mut self, window: u64, packets: u64) -> Result<(), NetError> {
-        self.send(&Frame::WindowOpen { window, packets })
+        self.send(Frame::WindowOpen { window, packets })
     }
 
     /// Ship one packet's freshly mirrored reports through the egress
@@ -150,7 +150,7 @@ impl SwitchEndpoint {
     pub fn send_packet_reports(&mut self, fresh: Vec<Report>) -> Result<(), NetError> {
         if !self.faults.is_enabled() {
             for r in fresh {
-                self.send(&Frame::Report(r))?;
+                self.send(Frame::Report(r))?;
             }
             return Ok(());
         }
@@ -160,7 +160,7 @@ impl SwitchEndpoint {
             let mut pending = Vec::new();
             for (due, r) in std::mem::take(&mut self.delayed) {
                 if due <= now {
-                    self.send(&Frame::Report(r))?;
+                    self.send(Frame::Report(r))?;
                 } else {
                     pending.push((due, r));
                 }
@@ -169,11 +169,11 @@ impl SwitchEndpoint {
         }
         for r in fresh {
             match self.faults.egress(r.task.query.0) {
-                ReportVerdict::Deliver => self.send(&Frame::Report(r))?,
+                ReportVerdict::Deliver => self.send(Frame::Report(r))?,
                 ReportVerdict::Drop => {}
                 ReportVerdict::Duplicate => {
-                    self.send(&Frame::Report(r.clone()))?;
-                    self.send(&Frame::Report(r))?;
+                    self.send(Frame::Report(r.clone()))?;
+                    self.send(Frame::Report(r))?;
                 }
                 ReportVerdict::Delay { packets } => {
                     self.delayed.push((now + packets, r));
@@ -217,7 +217,7 @@ impl SwitchEndpoint {
     /// so it bypasses the report-fault seam (matching the pre-wire
     /// runtime, where dump tuples went straight to the emitter).
     pub fn send_dump(&mut self, window: u64, dump: WindowDump) -> Result<(), NetError> {
-        self.send(&Frame::WindowDump { window, dump })
+        self.send(Frame::WindowDump { window, dump })
     }
 
     /// Close the window, carrying the switch's own stage latencies
@@ -237,7 +237,7 @@ impl SwitchEndpoint {
             self.delayed.clear();
             self.window_packets = 0;
         }
-        self.send(&Frame::WindowClose {
+        self.send(Frame::WindowClose {
             window,
             packet_loop_ns,
             dump_ns,
@@ -263,7 +263,7 @@ impl SwitchEndpoint {
         entries_written: u64,
         latency_ns: u64,
     ) -> Result<(), NetError> {
-        self.send(&Frame::ControlAck {
+        self.send(Frame::ControlAck {
             window,
             entries_written,
             latency_ns,
@@ -455,7 +455,7 @@ impl CollectorEndpoint {
                 bytes: crate::codec::encode_frame(&frame).len() as u64,
             });
         }
-        self.t.send(self.ctx, self.epoch, &frame)?;
+        self.t.send(self.ctx, self.epoch, frame)?;
         self.metrics.frames_tx.inc();
         Ok(())
     }
@@ -479,7 +479,7 @@ impl CollectorEndpoint {
     /// Grant the credit that lets the switch open the next window.
     pub fn send_credit(&mut self, window: u64) -> Result<(), NetError> {
         self.t
-            .send(self.ctx, self.epoch, &Frame::Credit { window })?;
+            .send(self.ctx, self.epoch, Frame::Credit { window })?;
         self.metrics.frames_tx.inc();
         Ok(())
     }

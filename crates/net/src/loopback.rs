@@ -43,8 +43,8 @@ pub fn loopback_pair(
 }
 
 impl Transport for LoopbackTransport {
-    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: &Frame) -> Result<(), NetError> {
-        self.tx.push(ctx, epoch, frame.clone())
+    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: Frame) -> Result<(), NetError> {
+        self.tx.push(ctx, epoch, frame)
     }
 
     fn try_recv(&mut self) -> Result<Option<(TraceContext, u64, Frame)>, NetError> {
@@ -80,7 +80,7 @@ mod tests {
         sw.send(
             ctx,
             2,
-            &Frame::WindowOpen {
+            Frame::WindowOpen {
                 window: 0,
                 packets: 2,
             },
@@ -89,7 +89,7 @@ mod tests {
         sw.send(
             ctx,
             2,
-            &Frame::WindowClose {
+            Frame::WindowClose {
                 window: 0,
                 packet_loop_ns: 0,
                 dump_ns: 0,
@@ -107,7 +107,7 @@ mod tests {
             (c, 2, Frame::WindowClose { window: 0, .. }) if c == ctx
         ));
         assert!(sp.try_recv().unwrap().is_none());
-        sp.send(TraceContext::NONE, 0, &Frame::Credit { window: 0 })
+        sp.send(TraceContext::NONE, 0, Frame::Credit { window: 0 })
             .unwrap();
         assert!(matches!(
             sw.recv_timeout(Duration::from_millis(50)).unwrap(),

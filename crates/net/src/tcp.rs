@@ -183,8 +183,8 @@ impl TcpClientTransport {
 }
 
 impl Transport for TcpClientTransport {
-    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: &Frame) -> Result<(), NetError> {
-        let bytes = encode_frame_ctx(self.opts.switch_id, ctx, epoch, frame);
+    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: Frame) -> Result<(), NetError> {
+        let bytes = encode_frame_ctx(self.opts.switch_id, ctx, epoch, &frame);
         if matches!(frame, Frame::Hello { .. }) {
             self.hello = Some(bytes.clone());
         }
@@ -434,12 +434,12 @@ fn pop_locked(
 }
 
 impl Transport for TcpCollectorTransport {
-    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: &Frame) -> Result<(), NetError> {
+    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: Frame) -> Result<(), NetError> {
         // An untargeted send replies to the switch whose frame the
         // collector popped last — in the lockstep protocol that is
         // always the peer awaiting this reply.
         let peer = self.last_peer;
-        self.send_to(peer, ctx, epoch, frame)
+        self.send_to(peer, ctx, epoch, &frame)
     }
 
     fn try_recv(&mut self) -> Result<Option<(TraceContext, u64, Frame)>, NetError> {
@@ -565,7 +565,7 @@ mod tests {
                 .send(
                     TraceContext::root(w, 0),
                     w,
-                    &Frame::WindowOpen {
+                    Frame::WindowOpen {
                         window: w,
                         packets: w,
                     },
@@ -586,7 +586,7 @@ mod tests {
             );
         }
         // Control direction.
-        coll.send(TraceContext::NONE, 0, &Frame::Credit { window: 4 })
+        coll.send(TraceContext::NONE, 0, Frame::Credit { window: 4 })
             .unwrap();
         let (ctx, epoch, f) = client.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(ctx, TraceContext::NONE);
@@ -612,7 +612,7 @@ mod tests {
             node: "sw".into(),
             plan_digest: 42,
         };
-        client.send(TraceContext::NONE, 0, &hello).unwrap();
+        client.send(TraceContext::NONE, 0, hello.clone()).unwrap();
         assert_eq!(coll.recv_timeout(Duration::from_secs(5)).unwrap().2, hello);
         coll.drop_connections();
         // Writes into a severed socket fail after the RST lands; the
@@ -622,7 +622,7 @@ mod tests {
         let mut w = 0u64;
         while Instant::now() < deadline {
             client
-                .send(TraceContext::NONE, 0, &Frame::Credit { window: w })
+                .send(TraceContext::NONE, 0, Frame::Credit { window: w })
                 .unwrap();
             w += 1;
             if metrics
@@ -681,8 +681,8 @@ mod tests {
             node: format!("switch-{sw}"),
             plan_digest: 40 + sw as u64,
         };
-        a.send(TraceContext::NONE, 0, &hello(1)).unwrap();
-        b.send(TraceContext::NONE, 0, &hello(2)).unwrap();
+        a.send(TraceContext::NONE, 0, hello(1)).unwrap();
+        b.send(TraceContext::NONE, 0, hello(2)).unwrap();
         let mut seen = std::collections::BTreeMap::new();
         while seen.len() < 2 {
             let (sw, _, _, f) = coll.recv_timeout_tagged(Duration::from_secs(5)).unwrap();
@@ -701,7 +701,7 @@ mod tests {
                 .snapshot()
                 .counter_sum("sonata_net_reconnects_total");
             while Instant::now() < deadline {
-                c.send(TraceContext::NONE, 0, &Frame::Credit { window: w })
+                c.send(TraceContext::NONE, 0, Frame::Credit { window: w })
                     .unwrap();
                 w += 1;
                 let now = metrics

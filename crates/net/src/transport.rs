@@ -113,7 +113,11 @@ pub trait Transport: Send {
     /// Send one frame under `ctx`, stamped with the sender's committed
     /// plan `epoch`. Blocks under backpressure (bounded queue full,
     /// socket buffer full); errors only when the peer is unreachable.
-    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: &Frame) -> Result<(), NetError>;
+    ///
+    /// Takes the frame by value: every caller builds it for the call,
+    /// and an in-process backend enqueues that very value instead of
+    /// deep-cloning a whole window dump.
+    fn send(&mut self, ctx: TraceContext, epoch: u64, frame: Frame) -> Result<(), NetError>;
 
     /// Ship one borrowed batch report. The default materializes an
     /// owned [`Frame::Report`] (in-process transports must own the
@@ -127,7 +131,7 @@ pub trait Transport: Send {
         epoch: u64,
         r: &sonata_pisa::ReportRef<'_, '_>,
     ) -> Result<(), NetError> {
-        self.send(ctx, epoch, &Frame::Report(r.to_report()))
+        self.send(ctx, epoch, Frame::Report(r.to_report()))
     }
 
     /// Receive the next frame with its trace context and plan epoch if
@@ -215,6 +219,11 @@ struct QueueInner {
 struct QueueState {
     frames: std::collections::VecDeque<(TraceContext, u64, Frame)>,
     closed: bool,
+    /// Threads parked on `not_empty` / `not_full`. A notify is a
+    /// `futex_wake` syscall even with nobody waiting, so `push` and the
+    /// pops only signal when one of these is non-zero.
+    pop_waiters: usize,
+    push_waiters: usize,
 }
 
 impl FrameQueue {
@@ -238,7 +247,9 @@ impl FrameQueue {
     pub fn push(&self, ctx: TraceContext, epoch: u64, frame: Frame) -> Result<(), NetError> {
         let mut st = self.inner.state.lock().unwrap();
         while st.frames.len() >= self.inner.capacity && !st.closed {
+            st.push_waiters += 1;
             st = self.inner.not_full.wait(st).unwrap();
+            st.push_waiters -= 1;
         }
         if st.closed {
             return Err(NetError::Closed);
@@ -247,21 +258,29 @@ impl FrameQueue {
         if let Some(g) = &self.inner.depth {
             g.set(st.frames.len() as u64);
         }
-        self.inner.not_empty.notify_one();
+        if st.pop_waiters > 0 {
+            self.inner.not_empty.notify_one();
+        }
         Ok(())
+    }
+
+    /// Pop the front frame under the lock, waking one parked pusher.
+    fn take(&self, st: &mut QueueState) -> Option<(TraceContext, u64, Frame)> {
+        let f = st.frames.pop_front()?;
+        if let Some(g) = &self.inner.depth {
+            g.set(st.frames.len() as u64);
+        }
+        if st.push_waiters > 0 {
+            self.inner.not_full.notify_one();
+        }
+        Some(f)
     }
 
     /// Dequeue without blocking.
     pub fn try_pop(&self) -> Result<Option<(TraceContext, u64, Frame)>, NetError> {
         let mut st = self.inner.state.lock().unwrap();
-        match st.frames.pop_front() {
-            Some(f) => {
-                if let Some(g) = &self.inner.depth {
-                    g.set(st.frames.len() as u64);
-                }
-                self.inner.not_full.notify_one();
-                Ok(Some(f))
-            }
+        match self.take(&mut st) {
+            Some(f) => Ok(Some(f)),
             None if st.closed => Err(NetError::Closed),
             None => Ok(None),
         }
@@ -272,11 +291,7 @@ impl FrameQueue {
         let deadline = std::time::Instant::now() + timeout;
         let mut st = self.inner.state.lock().unwrap();
         loop {
-            if let Some(f) = st.frames.pop_front() {
-                if let Some(g) = &self.inner.depth {
-                    g.set(st.frames.len() as u64);
-                }
-                self.inner.not_full.notify_one();
+            if let Some(f) = self.take(&mut st) {
                 return Ok(f);
             }
             if st.closed {
@@ -286,12 +301,14 @@ impl FrameQueue {
             if now >= deadline {
                 return Err(NetError::Timeout);
             }
+            st.pop_waiters += 1;
             let (guard, res) = self
                 .inner
                 .not_empty
                 .wait_timeout(st, deadline - now)
                 .unwrap();
             st = guard;
+            st.pop_waiters -= 1;
             if res.timed_out() && st.frames.is_empty() {
                 return Err(NetError::Timeout);
             }
@@ -348,6 +365,48 @@ mod tests {
             (ctx, 5, Frame::Credit { window: 2 })
         );
         assert!(q.try_pop().unwrap().is_none());
+    }
+
+    /// Spin until `parked(state)` holds: the waiter counts move under
+    /// the queue lock, so once one is visible the thread is inside (or
+    /// about to atomically enter) its condvar wait and can only make
+    /// progress through a notify.
+    fn until_parked(q: &FrameQueue, parked: impl Fn(&QueueState) -> bool) {
+        while !parked(&q.inner.state.lock().unwrap()) {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_waiters_are_still_woken() {
+        // Notifies are skipped when nobody waits; a thread that *is*
+        // parked must still be woken, in both directions.
+        let q = FrameQueue::new(1, None);
+        let q2 = q.clone();
+        let popper = std::thread::spawn(move || q2.pop_timeout(Duration::from_secs(30)));
+        until_parked(&q, |st| st.pop_waiters == 1);
+        q.push(TraceContext::NONE, 1, Frame::Credit { window: 7 })
+            .unwrap();
+        assert_eq!(
+            popper.join().unwrap().unwrap(),
+            (TraceContext::NONE, 1, Frame::Credit { window: 7 })
+        );
+
+        q.push(TraceContext::NONE, 2, Frame::Credit { window: 8 })
+            .unwrap();
+        let q2 = q.clone();
+        let pusher =
+            std::thread::spawn(move || q2.push(TraceContext::NONE, 3, Frame::Credit { window: 9 }));
+        until_parked(&q, |st| st.push_waiters == 1);
+        assert_eq!(q.len(), 1, "the second push is parked on the full queue");
+        assert!(q.try_pop().unwrap().is_some());
+        pusher.join().unwrap().unwrap();
+        assert_eq!(
+            q.try_pop().unwrap(),
+            Some((TraceContext::NONE, 3, Frame::Credit { window: 9 }))
+        );
+        let st = q.inner.state.lock().unwrap();
+        assert_eq!((st.pop_waiters, st.push_waiters), (0, 0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Reusable report arena for batch execution.
 //!
-//! [`crate::switch::Switch::process_batch`] appends every report a
+//! [`crate::switch::Switch::process_batch`] collects every report a
 //! window's packets produce into one [`ReportBatch`] instead of a
 //! fresh `Vec<Report>` per packet: entries are fixed-width records
 //! whose columns live in one shared pool, and mirrored packets are
@@ -18,29 +18,50 @@ use sonata_packet::{ArenaBatch, PacketView};
 use sonata_query::ColName;
 
 /// One report record: a slice of the shared column pool plus the
-/// source packet's index in the arena batch (when mirrored).
+/// source packet's index in the arena batch.
 #[derive(Debug, Clone, Copy)]
-struct BatchEntry {
-    task: TaskId,
-    kind: ReportKind,
-    col_start: u32,
-    col_end: u32,
-    pkt_idx: Option<u32>,
-    entry_op: Option<usize>,
-    seq: u64,
+pub(crate) struct BatchEntry {
+    pub task: TaskId,
+    /// Dense task index (which sequence counter numbers the report).
+    pub task_idx: u32,
+    pub kind: ReportKind,
+    pub col_start: u32,
+    pub col_end: u32,
+    /// Batch index of the packet that produced the report.
+    pub pkt: u32,
+    /// Step index of the `Update` that shunted (orders one packet's
+    /// shunts as the per-packet path emits them); unused for mirrors.
+    pub rank: u32,
+    /// Whether the report carries the packet itself.
+    pub mirrored: bool,
+    pub entry_op: Option<usize>,
+    /// Assigned by [`ReportBatch::emit`].
+    pub seq: u64,
 }
 
 /// A window's worth of reports in struct-of-arrays form, reused
 /// across windows (`reset` retains all allocations, so the
 /// steady-state batch loop performs no heap allocation).
+///
+/// Batch execution runs task-major kernels, then a packet-major
+/// deparser. Kernels [`stage`](Self::stage) the (rare) shunts they
+/// produce; the deparser walks packets in order, first
+/// [`flush`](Self::flush_through)ing each packet's staged shunts, then
+/// [`emit`](Self::emit)ting its mirrors — so `entries` is built
+/// directly in the order the per-packet path reports.
 #[derive(Debug, Default)]
 pub struct ReportBatch {
+    /// Shunts in kernel (task-major) order, sorted before deparsing.
+    staged: Vec<BatchEntry>,
+    /// How many of `staged` the deparser has flushed.
+    flushed: usize,
+    /// Reports in final, packet-major order.
     entries: Vec<BatchEntry>,
     /// Shared column pool all entries slice into.
     cols: Vec<(ColName, u64)>,
-    /// Per-packet entry range, in packet order — one per batch packet,
-    /// empty for packets that emitted nothing.
-    ranges: Vec<(u32, u32)>,
+    /// `ends[i]` is one past packet `i`'s last entry; its first is
+    /// `ends[i - 1]` (0 for the first packet).
+    ends: Vec<u32>,
 }
 
 impl ReportBatch {
@@ -51,22 +72,16 @@ impl ReportBatch {
 
     /// Clear for a new batch of `n` packets, retaining capacity.
     pub(crate) fn reset(&mut self, n: usize) {
+        self.staged.clear();
+        self.flushed = 0;
         self.entries.clear();
         self.cols.clear();
-        self.ranges.clear();
-        self.ranges.reserve(n);
+        self.ends.clear();
+        self.ends.resize(n, 0);
     }
 
-    /// Start recording packet `ranges.len()`; pair with `end_packet`.
-    pub(crate) fn begin_packet(&mut self) -> u32 {
-        self.entries.len() as u32
-    }
-
-    pub(crate) fn end_packet(&mut self, start: u32) {
-        self.ranges.push((start, self.entries.len() as u32));
-    }
-
-    /// Start a report's column run in the shared pool.
+    /// Start a report's column run in the shared pool; the run ends
+    /// where the pool does when the entry is staged or emitted.
     pub(crate) fn begin_report(&mut self) -> u32 {
         self.cols.len() as u32
     }
@@ -75,30 +90,60 @@ impl ReportBatch {
         self.cols.push((name.clone(), v));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn finish_report(
-        &mut self,
-        task: TaskId,
-        kind: ReportKind,
-        col_start: u32,
-        pkt_idx: Option<u32>,
-        entry_op: Option<usize>,
-        seq: u64,
-    ) {
-        self.entries.push(BatchEntry {
-            task,
-            kind,
-            col_start,
-            col_end: self.cols.len() as u32,
-            pkt_idx,
-            entry_op,
-            seq,
-        });
+    /// Hold a kernel's shunt for the deparser.
+    pub(crate) fn stage(&mut self, mut entry: BatchEntry) {
+        entry.col_end = self.cols.len() as u32;
+        self.staged.push(entry);
+    }
+
+    /// Put the staged shunts in deparser order: by packet, then by
+    /// the step that shunted. (A packet has at most one per step, so
+    /// the unstable sort is deterministic.)
+    pub(crate) fn sort_staged(&mut self) {
+        self.staged.sort_unstable_by_key(|e| (e.pkt, e.rank));
+    }
+
+    /// Emit the staged shunts of every packet up to and including
+    /// `pkt`.
+    pub(crate) fn flush_through(&mut self, pkt: u32, task_seq: &mut [u64]) {
+        while let Some(&e) = self.staged.get(self.flushed).filter(|e| e.pkt <= pkt) {
+            self.flushed += 1;
+            self.number_and_push(e, task_seq);
+        }
+    }
+
+    /// Append a freshly built report (a mirror) in final order.
+    pub(crate) fn emit(&mut self, mut entry: BatchEntry, task_seq: &mut [u64]) {
+        entry.col_end = self.cols.len() as u32;
+        self.number_and_push(entry, task_seq);
+    }
+
+    /// Numbering a report only as it enters the final order — not when
+    /// a kernel produces it — is what makes `seq` follow packet order:
+    /// a kernel stages all of one `Update`'s shunts before the next
+    /// step's, and every mirror comes later still.
+    fn number_and_push(&mut self, mut entry: BatchEntry, task_seq: &mut [u64]) {
+        let seq = &mut task_seq[entry.task_idx as usize];
+        entry.seq = *seq;
+        *seq += 1;
+        self.entries.push(entry);
+        self.ends[entry.pkt as usize] = self.entries.len() as u32;
+    }
+
+    /// Flush what is still staged and close every packet's range.
+    pub(crate) fn finish(&mut self, task_seq: &mut [u64]) {
+        self.flush_through(u32::MAX, task_seq);
+        // Packets that reported nothing end where their predecessor did.
+        let mut last = 0;
+        for end in &mut self.ends {
+            last = last.max(*end);
+            *end = last;
+        }
     }
 
     /// Number of packets recorded so far.
     pub fn packets(&self) -> usize {
-        self.ranges.len()
+        self.ends.len()
     }
 
     /// Total reports across all packets.
@@ -119,14 +164,14 @@ impl ReportBatch {
         i: usize,
         batch: ArenaBatch<'a>,
     ) -> impl Iterator<Item = ReportRef<'s, 'a>> + 's {
-        let (start, end) = self.ranges[i];
-        self.entries[start as usize..end as usize]
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        self.entries[start as usize..self.ends[i] as usize]
             .iter()
             .map(move |e| ReportRef {
                 task: e.task,
                 kind: e.kind,
                 columns: &self.cols[e.col_start as usize..e.col_end as usize],
-                packet: e.pkt_idx.map(|p| batch.view(p as usize)),
+                packet: e.mirrored.then(|| batch.view(e.pkt as usize)),
                 entry_op: e.entry_op,
                 seq: e.seq,
             })

@@ -16,25 +16,63 @@
 //! * report column names interned as [`ColName`]s so emitting a tuple
 //!   clones `Arc`s instead of formatting strings.
 //!
+//! The same lowering produces the **task-major batch plan**
+//! ([`TaskKernel`]s over a shared column block, see [`GatePlan`]) that
+//! [`crate::switch::Switch::process_batch`] executes.
+//!
+//! # Why task-major execution is sound
+//!
+//! The per-packet oracle walks every step of every task for packet
+//! `i` before touching packet `i + 1`; the batch kernels run *all*
+//! packets through task 0, then all through task 1, and so on. The
+//! two orders are indistinguishable because tasks are independent:
+//!
+//! * a step reads header fields (immutable), its own task's liveness
+//!   bit, its own task's metadata, and its own task's registers —
+//!   [`ExecPlan::lower`] asserts that no register and no written
+//!   metadata slot is touched by two tasks;
+//! * within one task the kernels still visit packets in arrival
+//!   order, so every register sees the exact key sequence the oracle
+//!   feeds it. Which packet is a `distinct` key's first touch, which
+//!   key wins a contended slot and which later keys shunt are
+//!   functions of that per-register sequence alone — the relative
+//!   order of *different* tasks' updates never enters;
+//! * metadata is a pure function of the packet (only `Map` steps
+//!   write it, from fields, constants and earlier metadata — a
+//!   register never writes back), so lowering forwards every metadata
+//!   read to the field expression that defines it and the kernels
+//!   carry no per-packet metadata at all;
+//! * a task emits at most one report per packet (a shunt kills it
+//!   before its mirror), so a task's `seq` numbers follow packet
+//!   order. Kernels do not produce reports in that order — all of one
+//!   `Update`'s shunts come before the next step's — so they only
+//!   *stage* shunts and hand their survivors back as a bitmap; a final
+//!   packet-major deparser pass emits each packet's shunts (by step
+//!   index) and then its mirrors (by report-spec index), exactly the
+//!   per-packet order, and numbers reports as it goes
+//!   ([`crate::batch::ReportBatch`]).
+//!
 //! The tree-walking interpreter in `Switch` remains the reference
 //! oracle: `force_reference_path` routes execution through it, and
 //! the differential suite asserts bit-identical outputs.
 
 use crate::ir::{MatchRel, PhvExpr, PisaProgram, RegId, ReportMode, TableKind, TaskId};
-use crate::phv::{field_slot, Phv};
+use crate::phv::{field_slot, Phv, FIELD_SLOTS};
 use crate::registers::StateLayout;
 use sonata_packet::Field;
 use sonata_query::{Agg, ColName};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// One postfix micro-op of a flattened [`PhvExpr`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum FlatOp {
     /// Push a constant.
     Const(u64),
-    /// Push a header field by pre-resolved PHV slot.
+    /// Push a header field: by pre-resolved PHV slot in per-packet
+    /// expressions, by column of the batch block in kernel ones.
     Field(usize),
-    /// Push a metadata container by raw slot.
+    /// Push a metadata container by raw slot (per-packet expressions
+    /// only; kernel expressions have metadata forwarded away).
     Meta(usize),
     /// Apply a precomputed 32-bit prefix mask to the top of stack.
     Mask(u32),
@@ -53,6 +91,43 @@ pub(crate) enum FlatOp {
 pub(crate) struct ExprRef {
     start: u32,
     len: u32,
+}
+
+/// What a compiled expression reads its leaves from: the per-packet
+/// PHV, or one lane of the batch column block.
+pub(crate) trait Source {
+    fn field(&self, idx: usize) -> u64;
+    fn meta(&self, slot: usize) -> u64;
+}
+
+impl Source for Phv {
+    #[inline]
+    fn field(&self, idx: usize) -> u64 {
+        self.field_by_slot(idx)
+    }
+    #[inline]
+    fn meta(&self, slot: usize) -> u64 {
+        self.meta_by_slot(slot)
+    }
+}
+
+/// Packet `i` of an `n`-packet column block (`cols[c * n + i]` is
+/// column `c`).
+#[derive(Clone, Copy)]
+pub(crate) struct Lane<'a> {
+    pub cols: &'a [u64],
+    pub n: usize,
+    pub i: usize,
+}
+
+impl Source for Lane<'_> {
+    #[inline]
+    fn field(&self, idx: usize) -> u64 {
+        self.cols[idx * self.n + self.i]
+    }
+    fn meta(&self, _: usize) -> u64 {
+        unreachable!("kernel expressions are metadata-free")
+    }
 }
 
 /// One lowered filter clause: `a rel b`.
@@ -76,9 +151,10 @@ pub(crate) struct FlatShunt {
 pub(crate) enum StepKind {
     /// Static filter: kill the task unless some rule matches.
     Filter { rules: Vec<Vec<FlatClause>> },
-    /// Dynamic filter: entries are read live from the program table so
+    /// Dynamic filter against the switch's lowered entry set
+    /// `dyn_idx` ([`DynSet`]), which `set_dyn_filter` rebuilds so
     /// control-plane updates between packets are observed.
-    DynFilter { table_idx: usize, key: ExprRef },
+    DynFilter { dyn_idx: usize, key: ExprRef },
     /// Metadata assignments (evaluate all, then write — parallel ALU).
     Map { assigns: Vec<(usize, ExprRef)> },
     /// Stateful read-modify-write against a dense register index.
@@ -138,6 +214,62 @@ pub(crate) struct FlatDump {
     pub distinct: Option<(usize, usize, Vec<ColName>)>,
 }
 
+/// The lowered entry set of one `DynFilter` table: the IR keeps a
+/// `BTreeSet` (what the control plane writes and `program()` clones
+/// carry); the data path probes this sorted copy, rebuilt whenever
+/// the table is written.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DynSet {
+    sorted: Vec<u64>,
+    pass_when_empty: bool,
+}
+
+impl DynSet {
+    pub(crate) fn new(entries: &BTreeSet<u64>, pass_when_empty: bool) -> Self {
+        DynSet {
+            sorted: entries.iter().copied().collect(),
+            pass_when_empty,
+        }
+    }
+
+    /// Whether a task whose key evaluates to `k` survives the filter.
+    #[inline]
+    pub(crate) fn admits(&self, k: u64) -> bool {
+        if self.sorted.is_empty() {
+            self.pass_when_empty
+        } else {
+            self.sorted.binary_search(&k).is_ok()
+        }
+    }
+}
+
+/// One leading filter of a task, as indices into the shared
+/// predicate cache of the [`GatePlan`].
+#[derive(Debug, Clone)]
+pub(crate) enum LeadFilter {
+    /// Pass iff some rule has all of its (cached) clauses true.
+    Static { rules: Vec<Vec<usize>> },
+    /// Pass iff dyn table `dyn_idx` admits cached key column `key`.
+    Dyn { dyn_idx: usize, key: usize },
+}
+
+/// One task's batch program. `lead` filters run before any state is
+/// touched, so they evaluate once per *distinct* predicate for the
+/// whole batch; `steps` then run as loops over the task's surviving
+/// lanes. All expressions are metadata-free and index columns.
+#[derive(Debug, Clone)]
+pub(crate) struct TaskKernel {
+    pub task: TaskId,
+    pub task_idx: usize,
+    pub lead: Vec<LeadFilter>,
+    /// `Filter`/`DynFilter`/`Update` steps that follow the task's
+    /// first `Update`, plus that `Update`, each with its index in
+    /// [`ExecPlan::steps`] — which orders one packet's shunts.
+    pub steps: Vec<(u32, StepKind)>,
+    /// The per-packet report of the task's survivors, if it has one.
+    pub mirror: Option<FlatReport>,
+}
+
 /// The compiled program: everything the per-packet loop needs,
 /// pre-resolved.
 #[derive(Debug, Clone, Default)]
@@ -156,8 +288,51 @@ pub(crate) struct ExecPlan {
     /// layouts never produce `RegOutcome::Shunted`, which the fast
     /// path's update step relies on (debug-asserted).
     pub reg_layouts: Vec<StateLayout>,
-    /// Hoisted leading filters for columnar batch gating.
+    /// `program.tables` index of each `DynFilter`, dense (`dyn_idx`).
+    pub dyn_tables: Vec<usize>,
+    /// Column layout and shared leading-predicate cache of the batch
+    /// path.
     pub gates: GatePlan,
+    /// One batch program per task, in dense task order.
+    pub kernels: Vec<TaskKernel>,
+    /// Dense indices of the tasks with a mirror, in report-spec order
+    /// (the order the deparser emits one packet's mirrors in).
+    pub mirrors: Vec<usize>,
+}
+
+/// What the batch path shares between tasks: one column per header
+/// field any kernel reads, and every *distinct* leading predicate
+/// evaluated once per batch however many tasks filter on it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct GatePlan {
+    /// Header field of each column of the block.
+    pub fields: Vec<Field>,
+    /// Column of each field, indexed by `Field as usize` (only read
+    /// for fields in one of the masks below).
+    pub col_of: [u8; FIELD_SLOTS],
+    /// [`crate::parser::field_mask`] of the fields the leading filters
+    /// read, extracted for every packet (all fields when `all_pass`).
+    pub lead_mask: u32,
+    /// The remaining fields, gathered only for packets that survive
+    /// some task's leading filters.
+    pub rest_mask: u32,
+    /// Distinct leading static clauses (the predicate cache's keys).
+    pub clauses: Vec<FlatClause>,
+    /// Distinct leading dyn-filter key expressions.
+    pub dyn_keys: Vec<ExprRef>,
+    /// True when some task has no leading filter: every packet then
+    /// survives, so nothing is gathered lazily.
+    pub all_pass: bool,
+}
+
+impl GatePlan {
+    /// Column of `f`, allocated on first use.
+    fn col(&mut self, f: Field) -> usize {
+        self.fields.iter().position(|x| *x == f).unwrap_or_else(|| {
+            self.fields.push(f);
+            self.fields.len() - 1
+        })
+    }
 }
 
 /// Reusable per-switch scratch: with this, the steady-state packet
@@ -175,10 +350,52 @@ pub(crate) struct Scratch {
     pub key: Vec<u64>,
 }
 
+/// Metadata forwarding state of one task during kernel lowering:
+/// what each metadata slot currently holds, as a metadata-free tree.
+type MetaEnv = HashMap<usize, PhvExpr>;
+
+/// How lowering resolves a header field to the index `FlatOp::Field`
+/// carries: [`phv_slot`] for per-packet steps, [`GatePlan::col`] for
+/// kernel steps.
+type FieldIndex = fn(&mut GatePlan, Field) -> usize;
+
+fn phv_slot(_: &mut GatePlan, f: Field) -> usize {
+    field_slot(f)
+}
+
+/// Program-wide lookups and the independence bookkeeping of one
+/// [`ExecPlan::lower`] run.
+struct Lowering<'a> {
+    program: &'a PisaProgram,
+    reg_index: &'a HashMap<RegId, usize>,
+    reg_layouts: &'a [StateLayout],
+    reg_keys: HashMap<RegId, &'a Vec<PhvExpr>>,
+    /// Which task writes each metadata slot.
+    meta_writer: HashMap<usize, TaskId>,
+}
+
+impl Lowering<'_> {
+    fn forward<'e>(&'e self, task: TaskId, env: &'e MetaEnv) -> MetaFwd<'e> {
+        MetaFwd {
+            task,
+            env,
+            writer: &self.meta_writer,
+            parse_fields: &self.program.parse_fields,
+        }
+    }
+}
+
 impl ExecPlan {
     /// Lower `program` given its execution order and the dense
     /// register index (`RegId` → index into the switch's register
     /// vector).
+    ///
+    /// # Panics
+    ///
+    /// If two tasks touch the same register, or one task touches a
+    /// metadata slot another task writes: task-major batch execution
+    /// (see the module docs) is only sound when tasks are independent,
+    /// and the compiler gives every task its own slots and registers.
     pub(crate) fn lower(
         program: &PisaProgram,
         exec_order: &[usize],
@@ -191,89 +408,108 @@ impl ExecPlan {
         };
         let task_index =
             |t: TaskId| -> Option<usize> { program.tasks.iter().position(|x| *x == t) };
-        // Hash-table key expressions, resolved once (the reference
-        // path re-looks these up per packet).
-        let mut reg_keys: HashMap<RegId, &Vec<PhvExpr>> = HashMap::new();
+        let mut cx = Lowering {
+            program,
+            reg_index,
+            reg_layouts,
+            reg_keys: HashMap::new(),
+            meta_writer: HashMap::new(),
+        };
+        let mut reg_owner: HashMap<usize, TaskId> = HashMap::new();
         for t in &program.tables {
-            if let TableKind::Hash { reg, key } = &t.kind {
-                reg_keys.insert(*reg, key);
+            match &t.kind {
+                // Hash-table key expressions, resolved once (the
+                // reference path re-looks these up per packet).
+                TableKind::Hash { reg, key } => {
+                    cx.reg_keys.insert(*reg, key);
+                }
+                TableKind::Map { assigns } => {
+                    for (slot, _) in assigns {
+                        let owner = *cx.meta_writer.entry(slot.0).or_insert(t.task);
+                        assert!(
+                            owner == t.task,
+                            "tasks {owner} and {} both write metadata slot m{}",
+                            t.task,
+                            slot.0
+                        );
+                    }
+                }
+                TableKind::Update { reg, .. } => {
+                    let owner = *reg_owner.entry(reg_index[reg]).or_insert(t.task);
+                    assert!(
+                        owner == t.task,
+                        "tasks {owner} and {} both update register r{}",
+                        t.task,
+                        reg.0
+                    );
+                }
+                _ => {}
             }
         }
+        plan.kernels = program
+            .tasks
+            .iter()
+            .enumerate()
+            .map(|(task_idx, &task)| TaskKernel {
+                task,
+                task_idx,
+                lead: Vec::new(),
+                steps: Vec::new(),
+                mirror: None,
+            })
+            .collect();
+        // Per-task kernel lowering state: what each metadata slot
+        // holds, and whether the task is still in its stateless prefix.
+        let mut envs: Vec<MetaEnv> = vec![MetaEnv::new(); program.tasks.len()];
+        let mut leading = vec![true; program.tasks.len()];
         for &ti in exec_order {
             let table = &program.tables[ti];
             let Some(task_idx) = task_index(table.task) else {
                 continue;
             };
-            let kind = match &table.kind {
-                TableKind::Filter { rules } => StepKind::Filter {
-                    rules: rules
-                        .iter()
-                        .map(|r| {
-                            r.clauses
-                                .iter()
-                                .map(|(a, rel, b)| FlatClause {
-                                    a: plan.flatten(a),
-                                    rel: *rel,
-                                    b: plan.flatten(b),
-                                })
-                                .collect()
-                        })
-                        .collect(),
-                },
-                TableKind::DynFilter { key, .. } => StepKind::DynFilter {
-                    table_idx: ti,
-                    key: plan.flatten(key),
-                },
-                TableKind::Map { assigns } => StepKind::Map {
-                    assigns: assigns
-                        .iter()
-                        .map(|(slot, e)| (slot.0, plan.flatten(e)))
-                        .collect(),
-                },
-                TableKind::Hash { .. } => continue,
-                TableKind::Update {
-                    reg,
-                    agg,
-                    operand,
-                    distinct,
-                    ..
-                } => {
-                    let spec = program
-                        .reports
-                        .iter()
-                        .find(|r| r.task == table.task)
-                        .expect("report spec per task");
-                    let shunt = spec
-                        .shunts
-                        .iter()
-                        .find(|sh| sh.reg == *reg)
-                        .expect("shunt spec per register");
-                    let keys = reg_keys.get(reg).expect("hash table precedes update");
-                    let key_refs: Vec<ExprRef> = keys.iter().map(|e| plan.flatten(e)).collect();
-                    StepKind::Update {
-                        reg_idx: reg_index[reg],
-                        layout: reg_layouts.get(reg_index[reg]).copied().unwrap_or_default(),
-                        agg: *agg,
-                        operand: plan.flatten(operand),
-                        distinct: *distinct,
-                        keys: key_refs,
-                        shunt: FlatShunt {
-                            entry_op: shunt.entry_op,
-                            include_packet: spec.include_packet,
-                            columns: shunt
-                                .columns
-                                .iter()
-                                .map(|(n, e)| (n.clone(), plan.flatten(e)))
-                                .collect(),
-                        },
-                    }
-                }
+            if matches!(table.kind, TableKind::DynFilter { .. }) {
+                plan.dyn_tables.push(ti);
+            }
+            // Every table lowers twice: as the per-packet step (PHV
+            // slots, metadata read live) and as the kernel step (batch
+            // columns, metadata forwarded to its defining expression).
+            let Some(kind) = plan.lower_table(&cx, table, &PhvExpr::clone, phv_slot) else {
+                continue;
             };
+            let rank = plan.steps.len() as u32;
             plan.steps.push(Step {
                 task: table.task,
                 task_idx,
                 kind,
             });
+            let fwd = cx.forward(table.task, &envs[task_idx]);
+            if let TableKind::Map { assigns } = &table.kind {
+                // Parallel ALU: every source reads the old state.
+                let vals: Vec<_> = assigns.iter().map(|(s, e)| (s.0, fwd.expr(e))).collect();
+                envs[task_idx].extend(vals);
+                continue;
+            }
+            let step = plan
+                .lower_table(&cx, table, &|e| fwd.expr(e), GatePlan::col)
+                .expect("not a Hash table");
+            leading[task_idx] &= !matches!(step, StepKind::Update { .. });
+            let lead = match &step {
+                StepKind::Filter { rules } if leading[task_idx] => LeadFilter::Static {
+                    rules: rules
+                        .iter()
+                        .map(|cs| cs.iter().map(|c| plan.intern_clause(*c)).collect())
+                        .collect(),
+                },
+                StepKind::DynFilter { dyn_idx, key } if leading[task_idx] => LeadFilter::Dyn {
+                    dyn_idx: *dyn_idx,
+                    key: plan.intern_key(*key),
+                },
+                _ => {
+                    plan.kernels[task_idx].steps.push((rank, step));
+                    continue;
+                }
+            };
+            plan.kernels[task_idx].lead.push(lead);
         }
         for spec in &program.reports {
             match &spec.mode {
@@ -281,17 +517,12 @@ impl ExecPlan {
                     let Some(task_idx) = task_index(spec.task) else {
                         continue;
                     };
-                    let columns = spec
-                        .columns
-                        .iter()
-                        .map(|(n, e)| (n.clone(), plan.flatten(e)))
-                        .collect();
-                    plan.reports.push(FlatReport {
-                        task: spec.task,
-                        task_idx,
-                        include_packet: spec.include_packet,
-                        columns,
-                    });
+                    let fwd = cx.forward(spec.task, &envs[task_idx]);
+                    let mirror = plan.lower_report(spec, task_idx, &|e| fwd.expr(e), GatePlan::col);
+                    plan.kernels[task_idx].mirror = Some(mirror);
+                    plan.mirrors.push(task_idx);
+                    let report = plan.lower_report(spec, task_idx, &PhvExpr::clone, phv_slot);
+                    plan.reports.push(report);
                 }
                 ReportMode::WindowDump {
                     reg,
@@ -334,36 +565,173 @@ impl ExecPlan {
             }
         }
         plan.needs_packet = program.reports.iter().any(|r| r.include_packet);
-        plan.gates = GatePlan::extract(&plan, program.tasks.len());
+        // Split the columns: what the predicate cache reads is loaded
+        // for every packet, the rest only for survivors.
+        let gates = &plan.gates;
+        let lead_cols: BTreeSet<usize> = (gates.clauses.iter().flat_map(|c| [c.a, c.b]))
+            .chain(gates.dyn_keys.iter().copied())
+            .flat_map(|e| plan.ops(e))
+            .filter_map(|op| match op {
+                FlatOp::Field(c) => Some(*c),
+                _ => None,
+            })
+            .collect();
+        let g = &mut plan.gates;
+        g.all_pass = plan.kernels.iter().any(|k| k.lead.is_empty());
+        for (c, &f) in g.fields.iter().enumerate() {
+            g.col_of[f as usize] = c as u8;
+            if g.all_pass || lead_cols.contains(&c) {
+                g.lead_mask |= 1 << f as u32;
+            } else {
+                g.rest_mask |= 1 << f as u32;
+            }
+        }
         plan
     }
 
-    /// Whether an expression reads only header fields and constants —
-    /// i.e. it can be hoisted into the pre-parse gate, which runs
-    /// before any `Map` step has populated metadata slots.
-    fn expr_hoistable(&self, e: ExprRef) -> bool {
-        self.flat[e.start as usize..(e.start + e.len) as usize]
-            .iter()
-            .all(|op| !matches!(op, FlatOp::Meta(_)))
+    /// Lower one table to a step (`None` for a `Hash` table, whose
+    /// keys fold into its `Update`). Every expression passes through
+    /// `xf` and resolves header fields through `index`.
+    fn lower_table(
+        &mut self,
+        cx: &Lowering<'_>,
+        table: &crate::ir::Table,
+        xf: &dyn Fn(&PhvExpr) -> PhvExpr,
+        index: FieldIndex,
+    ) -> Option<StepKind> {
+        // `lower` registered a DynFilter table just before lowering it.
+        let dyn_idx = self.dyn_tables.len().saturating_sub(1);
+        let mut flat = |e: &PhvExpr| self.flatten(&xf(e), index);
+        Some(match &table.kind {
+            TableKind::Filter { rules } => StepKind::Filter {
+                rules: rules
+                    .iter()
+                    .map(|r| {
+                        r.clauses
+                            .iter()
+                            .map(|(a, rel, b)| FlatClause {
+                                a: flat(a),
+                                rel: *rel,
+                                b: flat(b),
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            },
+            TableKind::DynFilter { key, .. } => StepKind::DynFilter {
+                dyn_idx,
+                key: flat(key),
+            },
+            TableKind::Map { assigns } => StepKind::Map {
+                assigns: assigns.iter().map(|(slot, e)| (slot.0, flat(e))).collect(),
+            },
+            TableKind::Hash { .. } => return None,
+            TableKind::Update {
+                reg,
+                agg,
+                operand,
+                distinct,
+                ..
+            } => {
+                let spec = cx
+                    .program
+                    .reports
+                    .iter()
+                    .find(|r| r.task == table.task)
+                    .expect("report spec per task");
+                let shunt = spec
+                    .shunts
+                    .iter()
+                    .find(|sh| sh.reg == *reg)
+                    .expect("shunt spec per register");
+                let reg_idx = cx.reg_index[reg];
+                StepKind::Update {
+                    reg_idx,
+                    layout: cx.reg_layouts.get(reg_idx).copied().unwrap_or_default(),
+                    agg: *agg,
+                    operand: flat(operand),
+                    distinct: *distinct,
+                    keys: cx.reg_keys[reg].iter().map(&mut flat).collect(),
+                    shunt: FlatShunt {
+                        entry_op: shunt.entry_op,
+                        include_packet: spec.include_packet,
+                        columns: shunt
+                            .columns
+                            .iter()
+                            .map(|(n, e)| (n.clone(), flat(e)))
+                            .collect(),
+                    },
+                }
+            }
+        })
     }
 
-    /// Flatten one expression tree into the shared postfix pool.
-    fn flatten(&mut self, e: &PhvExpr) -> ExprRef {
+    fn lower_report(
+        &mut self,
+        spec: &crate::ir::ReportSpec,
+        task_idx: usize,
+        xf: &dyn Fn(&PhvExpr) -> PhvExpr,
+        index: FieldIndex,
+    ) -> FlatReport {
+        FlatReport {
+            task: spec.task,
+            task_idx,
+            include_packet: spec.include_packet,
+            columns: spec
+                .columns
+                .iter()
+                .map(|(n, e)| (n.clone(), self.flatten(&xf(e), index)))
+                .collect(),
+        }
+    }
+
+    /// Index of `c` in the predicate cache, appended when no cached
+    /// clause has the same relation over the same postfix ops.
+    fn intern_clause(&mut self, c: FlatClause) -> usize {
+        let same = |x: &FlatClause| {
+            x.rel == c.rel && self.ops(x.a) == self.ops(c.a) && self.ops(x.b) == self.ops(c.b)
+        };
+        self.gates.clauses.iter().position(same).unwrap_or_else(|| {
+            self.gates.clauses.push(c);
+            self.gates.clauses.len() - 1
+        })
+    }
+
+    /// Index of `k` among the cached dyn-filter key columns.
+    fn intern_key(&mut self, k: ExprRef) -> usize {
+        let same = |x: &ExprRef| self.ops(*x) == self.ops(k);
+        self.gates
+            .dyn_keys
+            .iter()
+            .position(same)
+            .unwrap_or_else(|| {
+                self.gates.dyn_keys.push(k);
+                self.gates.dyn_keys.len() - 1
+            })
+    }
+
+    /// Flatten one expression tree into the shared postfix pool,
+    /// resolving each header field through `index` (PHV slot or batch
+    /// column).
+    fn flatten(&mut self, e: &PhvExpr, index: FieldIndex) -> ExprRef {
         let start = self.flat.len() as u32;
-        self.push_flat(e);
+        self.push_flat(e, index);
         ExprRef {
             start,
             len: self.flat.len() as u32 - start,
         }
     }
 
-    fn push_flat(&mut self, e: &PhvExpr) {
+    fn push_flat(&mut self, e: &PhvExpr, index: FieldIndex) {
         match e {
             PhvExpr::Const(v) => self.flat.push(FlatOp::Const(*v)),
-            PhvExpr::Field(f) => self.flat.push(FlatOp::Field(field_slot(*f))),
+            PhvExpr::Field(f) => {
+                let idx = index(&mut self.gates, *f);
+                self.flat.push(FlatOp::Field(idx));
+            }
             PhvExpr::Meta(m) => self.flat.push(FlatOp::Meta(m.0)),
             PhvExpr::Mask(inner, level) => {
-                self.push_flat(inner);
+                self.push_flat(inner, index);
                 let mask = if *level == 0 {
                     0
                 } else if *level >= 32 {
@@ -374,45 +742,49 @@ impl ExecPlan {
                 self.flat.push(FlatOp::Mask(mask));
             }
             PhvExpr::Shr(inner, k) => {
-                self.push_flat(inner);
+                self.push_flat(inner, index);
                 self.flat.push(FlatOp::Shr((*k).min(63)));
             }
             PhvExpr::Shl(inner, k) => {
-                self.push_flat(inner);
+                self.push_flat(inner, index);
                 self.flat.push(FlatOp::Shl((*k).min(63)));
             }
             PhvExpr::Add(a, b) => {
-                self.push_flat(a);
-                self.push_flat(b);
+                self.push_flat(a, index);
+                self.push_flat(b, index);
                 self.flat.push(FlatOp::Add);
             }
             PhvExpr::Sub(a, b) => {
-                self.push_flat(a);
-                self.push_flat(b);
+                self.push_flat(a, index);
+                self.push_flat(b, index);
                 self.flat.push(FlatOp::Sub);
             }
         }
+    }
+
+    fn ops(&self, e: ExprRef) -> &[FlatOp] {
+        &self.flat[e.start as usize..(e.start + e.len) as usize]
     }
 
     /// Evaluate a flattened expression. Semantics are bit-for-bit
     /// those of [`PhvExpr::eval`]: wrapping add, saturating sub,
     /// 32-bit prefix masks, shifts clamped to 63.
     #[inline]
-    pub(crate) fn eval(&self, e: ExprRef, phv: &Phv, stack: &mut Vec<u64>) -> u64 {
-        let ops = &self.flat[e.start as usize..(e.start + e.len) as usize];
+    pub(crate) fn eval<S: Source>(&self, e: ExprRef, src: &S, stack: &mut Vec<u64>) -> u64 {
+        let ops = self.ops(e);
         // Leaf expressions (the common case) skip the stack entirely.
         match ops {
             [FlatOp::Const(v)] => return *v,
-            [FlatOp::Field(s)] => return phv.field_by_slot(*s),
-            [FlatOp::Meta(s)] => return phv.meta_by_slot(*s),
+            [FlatOp::Field(s)] => return src.field(*s),
+            [FlatOp::Meta(s)] => return src.meta(*s),
             _ => {}
         }
         stack.clear();
         for op in ops {
             match *op {
                 FlatOp::Const(v) => stack.push(v),
-                FlatOp::Field(s) => stack.push(phv.field_by_slot(s)),
-                FlatOp::Meta(s) => stack.push(phv.meta_by_slot(s)),
+                FlatOp::Field(s) => stack.push(src.field(s)),
+                FlatOp::Meta(s) => stack.push(src.meta(s)),
                 FlatOp::Mask(m) => {
                     let v = stack.last_mut().expect("postfix arity");
                     *v = ((*v as u32) & m) as u64;
@@ -442,365 +814,115 @@ impl ExecPlan {
 
     /// Whether any rule of a lowered filter matches.
     #[inline]
-    pub(crate) fn rules_match(
+    pub(crate) fn rules_match<S: Source>(
         &self,
         rules: &[Vec<FlatClause>],
-        phv: &Phv,
+        src: &S,
         stack: &mut Vec<u64>,
     ) -> bool {
         rules.iter().any(|clauses| {
             clauses.iter().all(|c| {
                 c.rel
-                    .eval(self.eval(c.a, phv, stack), self.eval(c.b, phv, stack))
+                    .eval(self.eval(c.a, src, stack), self.eval(c.b, src, stack))
             })
         })
     }
-}
 
-/// One hoisted gate predicate of a task.
-#[derive(Debug, Clone)]
-pub(crate) enum GateFilter {
-    /// A static `Filter` step: pass iff some rule matches.
-    Static { rules: Vec<Vec<FlatClause>> },
-    /// A `DynFilter` step; entries are read live from the program
-    /// table at gate time. Sound to hoist because dyn-filter tables
-    /// are only mutated between windows (`set_dyn_filter` needs
-    /// `&mut Switch`, which batch execution holds for the whole
-    /// window).
-    Dyn { table_idx: usize, key: ExprRef },
-}
-
-/// The columnar pre-parse gate of an [`ExecPlan`].
-///
-/// Batch execution parses only `fields` (the union of header fields
-/// the hoisted filters read) into a struct-of-arrays column block and
-/// evaluates each task's *leading* `Filter`/`DynFilter` steps over it.
-/// A packet that fails every task's gate is dead before any `Map`,
-/// `Update`, or report step could observe it — the full parse and the
-/// step loop are skipped entirely. Leading pure filters cannot change
-/// state or emit, so skipping gated-out packets is bit-identical to
-/// running them through [`crate::switch::Switch::process`].
-#[derive(Debug, Clone, Default)]
-pub(crate) struct GatePlan {
-    /// Header fields the partial gate parse extracts, one per column.
-    pub fields: Vec<Field>,
-    /// PHV slot per column, parallel to `fields`.
-    pub slots: Vec<usize>,
-    /// Column-remapped postfix pool: here `FlatOp::Field(c)` denotes
-    /// *column* `c` of the batch scratch, not a PHV slot.
-    ops: Vec<FlatOp>,
-    /// Hoisted leading filters per dense task index, in step order. A
-    /// task passes the gate iff **all** of its entries pass.
-    pub tasks: Vec<Vec<GateFilter>>,
-    /// True when some task hoists nothing (its first step is a `Map`
-    /// or `Update`, or it has no steps at all): every packet then
-    /// passes the gate and batching degenerates to a full-parse loop.
-    pub all_pass: bool,
-    /// True when every gate field is a fixed-offset L3/L4 scalar, so
-    /// columns load through [`crate::parser::parse_gate_columns`]
-    /// (straight bytes → column block) instead of the PHV parse.
-    pub fast_extract: bool,
-}
-
-/// Reusable scratch for the columnar gate evaluation. All buffers are
-/// retained across batches — the steady-state gate never allocates.
-#[derive(Debug, Default)]
-pub(crate) struct GateScratch {
-    /// Per-packet "all of this task's filters pass" accumulator.
-    pub pass: Vec<bool>,
-    /// Per-packet "some rule of this filter matches" accumulator.
-    rule_or: Vec<bool>,
-    /// Per-packet "all clauses of this rule match" accumulator.
-    rule_and: Vec<bool>,
-    /// Materialized left/right operand columns for clauses whose
-    /// expression is not a bare column or constant.
-    buf_a: Vec<u64>,
-    buf_b: Vec<u64>,
-    /// Scalar fallback evaluation stack.
-    stack: Vec<u64>,
-}
-
-/// One gate expression evaluated over a whole batch: either the same
-/// value in every lane or a per-packet column.
-pub(crate) enum GateOperand<'c> {
-    Splat(u64),
-    Col(&'c [u64]),
-}
-
-/// AND `rel(a, b)` into `acc`, element-wise. The operand-kind match
-/// sits outside the lane loop so each arm is a tight branch-free pass
-/// the compiler can vectorize.
-fn clause_and(rel: MatchRel, a: &GateOperand<'_>, b: &GateOperand<'_>, acc: &mut [bool]) {
-    use GateOperand::*;
-    match (a, b) {
-        (Splat(x), Splat(y)) => {
-            if !rel.eval(*x, *y) {
-                acc.fill(false);
-            }
-        }
-        (Splat(x), Col(ys)) => {
-            for (m, &y) in acc.iter_mut().zip(ys.iter()) {
-                *m = *m && rel.eval(*x, y);
-            }
-        }
-        (Col(xs), Splat(y)) => {
-            for (m, &x) in acc.iter_mut().zip(xs.iter()) {
-                *m = *m && rel.eval(x, *y);
-            }
-        }
-        (Col(xs), Col(ys)) => {
-            for ((m, &x), &y) in acc.iter_mut().zip(xs.iter()).zip(ys.iter()) {
-                *m = *m && rel.eval(x, y);
-            }
-        }
-    }
-}
-
-impl GatePlan {
-    /// Hoist each task's leading `Filter`/`DynFilter` steps whose
-    /// expressions read no metadata, remapping PHV slots to dense
-    /// column indices.
-    fn extract(plan: &ExecPlan, n_tasks: usize) -> GatePlan {
-        let mut g = GatePlan {
-            tasks: vec![Vec::new(); n_tasks],
-            ..GatePlan::default()
-        };
-        let mut done = vec![false; n_tasks];
-        let mut col_of_slot: HashMap<usize, usize> = HashMap::new();
-        for step in &plan.steps {
-            if done[step.task_idx] {
-                continue;
-            }
-            let hoisted = match &step.kind {
-                StepKind::Filter { rules } => rules
-                    .iter()
-                    .flatten()
-                    .all(|c| plan.expr_hoistable(c.a) && plan.expr_hoistable(c.b))
-                    .then(|| GateFilter::Static {
-                        rules: rules
-                            .iter()
-                            .map(|clauses| {
-                                clauses
-                                    .iter()
-                                    .map(|c| FlatClause {
-                                        a: g.remap(plan, c.a, &mut col_of_slot),
-                                        rel: c.rel,
-                                        b: g.remap(plan, c.b, &mut col_of_slot),
-                                    })
-                                    .collect()
-                            })
-                            .collect(),
-                    }),
-                StepKind::DynFilter { table_idx, key } => {
-                    plan.expr_hoistable(*key).then(|| GateFilter::Dyn {
-                        table_idx: *table_idx,
-                        key: g.remap(plan, *key, &mut col_of_slot),
-                    })
-                }
-                _ => None,
-            };
-            match hoisted {
-                Some(f) => g.tasks[step.task_idx].push(f),
-                None => done[step.task_idx] = true,
-            }
-        }
-        g.all_pass = g.tasks.iter().any(|t| t.is_empty());
-        g.fast_extract = crate::parser::gate_specializable(&g.fields);
-        g
-    }
-
-    /// Copy one expression from the plan pool into the gate pool,
-    /// rewriting `Field(slot)` to `Field(column)`.
-    fn remap(
-        &mut self,
-        plan: &ExecPlan,
-        e: ExprRef,
-        col_of_slot: &mut HashMap<usize, usize>,
-    ) -> ExprRef {
-        let start = self.ops.len() as u32;
-        for op in &plan.flat[e.start as usize..(e.start + e.len) as usize] {
-            let op = match *op {
-                FlatOp::Field(slot) => {
-                    let col = match col_of_slot.get(&slot) {
-                        Some(&c) => c,
-                        None => {
-                            let c = self.fields.len();
-                            self.fields.push(Field::ALL[slot]);
-                            self.slots.push(slot);
-                            col_of_slot.insert(slot, c);
-                            c
-                        }
-                    };
-                    FlatOp::Field(col)
-                }
-                FlatOp::Meta(_) => unreachable!("hoisted exprs are metadata-free"),
-                other => other,
-            };
-            self.ops.push(op);
-        }
-        ExprRef {
-            start,
-            len: self.ops.len() as u32 - start,
-        }
-    }
-
-    /// Evaluate a gate expression for packet `i` of an `n`-packet
-    /// batch over the column block (`cols[c * n + i]`). Semantics are
-    /// bit-for-bit those of [`ExecPlan::eval`].
-    #[inline]
-    pub(crate) fn eval(
+    /// Materialize a kernel expression for the given lanes into `out`,
+    /// with the expression-shape dispatch outside the lane loop: a
+    /// constant fills, a bare or prefix-masked column (the refinement
+    /// shape) gathers, anything else runs the scalar evaluator per
+    /// lane.
+    pub(crate) fn fill(
         &self,
         e: ExprRef,
         cols: &[u64],
         n: usize,
-        i: usize,
+        lanes: impl ExactSizeIterator<Item = usize>,
+        out: &mut Vec<u64>,
         stack: &mut Vec<u64>,
-    ) -> u64 {
-        let ops = &self.ops[e.start as usize..(e.start + e.len) as usize];
-        match ops {
-            [FlatOp::Const(v)] => return *v,
-            [FlatOp::Field(c)] => return cols[c * n + i],
-            _ => {}
-        }
-        stack.clear();
-        for op in ops {
-            match *op {
-                FlatOp::Const(v) => stack.push(v),
-                FlatOp::Field(c) => stack.push(cols[c * n + i]),
-                FlatOp::Meta(_) => unreachable!("hoisted exprs are metadata-free"),
-                FlatOp::Mask(m) => {
-                    let v = stack.last_mut().expect("postfix arity");
-                    *v = ((*v as u32) & m) as u64;
-                }
-                FlatOp::Shr(k) => {
-                    let v = stack.last_mut().expect("postfix arity");
-                    *v >>= k;
-                }
-                FlatOp::Shl(k) => {
-                    let v = stack.last_mut().expect("postfix arity");
-                    *v <<= k;
-                }
-                FlatOp::Add => {
-                    let b = stack.pop().expect("postfix arity");
-                    let a = stack.last_mut().expect("postfix arity");
-                    *a = a.wrapping_add(b);
-                }
-                FlatOp::Sub => {
-                    let b = stack.pop().expect("postfix arity");
-                    let a = stack.last_mut().expect("postfix arity");
-                    *a = a.saturating_sub(b);
-                }
+    ) {
+        out.clear();
+        match *self.ops(e) {
+            [FlatOp::Const(v)] => out.resize(lanes.len(), v),
+            [FlatOp::Field(c)] => {
+                let col = &cols[c * n..(c + 1) * n];
+                out.extend(lanes.map(|i| col[i]));
             }
-        }
-        stack.pop().expect("postfix leaves one value")
-    }
-
-    /// Materialize one gate expression over the whole batch: a bare
-    /// constant splats, a bare column borrows the block in place, a
-    /// masked column (the refinement-prefix shape) fills `buf` in one
-    /// vectorizable pass, and anything else falls back to the scalar
-    /// evaluator per lane.
-    pub(crate) fn operand<'c>(
-        &self,
-        e: ExprRef,
-        cols: &'c [u64],
-        n: usize,
-        buf: &'c mut Vec<u64>,
-        stack: &mut Vec<u64>,
-    ) -> GateOperand<'c> {
-        let ops = &self.ops[e.start as usize..(e.start + e.len) as usize];
-        match ops {
-            [FlatOp::Const(v)] => GateOperand::Splat(*v),
-            [FlatOp::Field(c)] => GateOperand::Col(&cols[c * n..c * n + n]),
             [FlatOp::Field(c), FlatOp::Mask(m)] => {
-                buf.clear();
-                buf.extend(
-                    cols[c * n..c * n + n]
-                        .iter()
-                        .map(|&v| ((v as u32) & m) as u64),
-                );
-                GateOperand::Col(buf)
+                let col = &cols[c * n..(c + 1) * n];
+                out.extend(lanes.map(|i| (col[i] as u32 & m) as u64));
             }
-            _ => {
-                buf.clear();
-                for i in 0..n {
-                    let v = self.eval(e, cols, n, i, stack);
-                    buf.push(v);
-                }
-                GateOperand::Col(buf)
-            }
+            _ => out.extend(lanes.map(|i| self.eval(e, &Lane { cols, n, i }, stack))),
         }
     }
 
-    /// AND a hoisted static filter's verdict into `scratch.pass`,
-    /// column-wise: OR over rules, AND over each rule's clauses, with
-    /// every clause one element-wise pass over the batch. Semantics
-    /// per lane are bit-for-bit those of the scalar
-    /// [`ExecPlan::rules_match`].
-    pub(crate) fn rules_match_cols(
+    /// Evaluate cached clause `c` over the whole batch into the
+    /// bitmap `out` (bit `i` = packet `i` satisfies it): both sides
+    /// are [`Self::fill`]ed densely, then compared in one tight pass.
+    pub(crate) fn clause_bits(
         &self,
-        rules: &[Vec<FlatClause>],
+        c: &FlatClause,
         cols: &[u64],
         n: usize,
-        scratch: &mut GateScratch,
+        out: &mut [u64],
+        [xs, ys]: &mut [Vec<u64>; 2],
+        stack: &mut Vec<u64>,
     ) {
-        scratch.rule_or.clear();
-        scratch.rule_or.resize(n, false);
-        for clauses in rules {
-            scratch.rule_and.clear();
-            scratch.rule_and.resize(n, true);
-            for c in clauses {
-                let a = self.operand(c.a, cols, n, &mut scratch.buf_a, &mut scratch.stack);
-                let b = self.operand(c.b, cols, n, &mut scratch.buf_b, &mut scratch.stack);
-                clause_and(c.rel, &a, &b, &mut scratch.rule_and);
-            }
-            for (o, &r) in scratch.rule_or.iter_mut().zip(scratch.rule_and.iter()) {
-                *o = *o || r;
-            }
-        }
-        for (p, &o) in scratch.pass.iter_mut().zip(scratch.rule_or.iter()) {
-            *p = *p && o;
-        }
-    }
-
-    /// AND a hoisted dynamic filter's verdict into `scratch.pass`:
-    /// evaluate the key over the batch and test each lane against the
-    /// live entry set.
-    pub(crate) fn dyn_match_cols(
-        &self,
-        key: ExprRef,
-        entries: &std::collections::BTreeSet<u64>,
-        pass_when_empty: bool,
-        cols: &[u64],
-        n: usize,
-        scratch: &mut GateScratch,
-    ) {
-        if entries.is_empty() {
-            if !pass_when_empty {
-                scratch.pass.fill(false);
-            }
-            return;
-        }
-        match self.operand(key, cols, n, &mut scratch.buf_a, &mut scratch.stack) {
-            GateOperand::Splat(k) => {
-                if !entries.contains(&k) {
-                    scratch.pass.fill(false);
-                }
-            }
-            GateOperand::Col(ks) => {
-                for (m, k) in scratch.pass.iter_mut().zip(ks.iter()) {
-                    *m = *m && entries.contains(k);
-                }
-            }
+        self.fill(c.a, cols, n, 0..n, xs, stack);
+        self.fill(c.b, cols, n, 0..n, ys, stack);
+        for (w, word) in out.iter_mut().enumerate() {
+            let lo = w * 64;
+            let hi = n.min(lo + 64);
+            *word = (xs[lo..hi].iter().zip(&ys[lo..hi]).enumerate())
+                .fold(0, |bits, (j, (&x, &y))| {
+                    bits | (c.rel.eval(x, y) as u64) << j
+                });
         }
     }
 }
 
-impl GateScratch {
-    /// Start a task's gate: every lane passes until a filter vetoes.
-    pub(crate) fn begin_task(&mut self, n: usize) {
-        self.pass.clear();
-        self.pass.resize(n, true);
+/// Rewrites one task's expressions into metadata-free form.
+struct MetaFwd<'a> {
+    task: TaskId,
+    env: &'a MetaEnv,
+    writer: &'a HashMap<usize, TaskId>,
+    parse_fields: &'a [Field],
+}
+
+impl MetaFwd<'_> {
+    /// `e` with every metadata read replaced by what the slot holds at
+    /// this point of the task, and every field the parser does not
+    /// extract by the zero an unset PHV slot reads.
+    fn expr(&self, e: &PhvExpr) -> PhvExpr {
+        let bx = |x: &PhvExpr| Box::new(self.expr(x));
+        match e {
+            PhvExpr::Const(v) => PhvExpr::Const(*v),
+            PhvExpr::Field(f) => {
+                if f.switch_parseable() && self.parse_fields.contains(f) {
+                    PhvExpr::Field(*f)
+                } else {
+                    PhvExpr::Const(0)
+                }
+            }
+            PhvExpr::Meta(m) => {
+                if let Some(owner) = self.writer.get(&m.0) {
+                    assert!(
+                        *owner == self.task,
+                        "task {} reads metadata slot m{} written by task {owner}",
+                        self.task,
+                        m.0
+                    );
+                }
+                // A slot nothing has written yet reads the PHV's zero.
+                self.env.get(&m.0).cloned().unwrap_or(PhvExpr::Const(0))
+            }
+            PhvExpr::Mask(x, l) => PhvExpr::Mask(bx(x), *l),
+            PhvExpr::Shr(x, k) => PhvExpr::Shr(bx(x), *k),
+            PhvExpr::Shl(x, k) => PhvExpr::Shl(bx(x), *k),
+            PhvExpr::Add(a, b) => PhvExpr::Add(bx(a), bx(b)),
+            PhvExpr::Sub(a, b) => PhvExpr::Sub(bx(a), bx(b)),
+        }
     }
 }
 
@@ -810,9 +932,13 @@ mod tests {
     use crate::phv::MetaRef;
     use sonata_packet::Field;
 
+    fn phv_slot(_: &mut GatePlan, f: Field) -> usize {
+        field_slot(f)
+    }
+
     fn eval_both(e: &PhvExpr, phv: &Phv) -> (u64, u64) {
         let mut plan = ExecPlan::default();
-        let r = plan.flatten(e);
+        let r = plan.flatten(e, phv_slot);
         let mut stack = Vec::new();
         (e.eval(phv), plan.eval(r, phv, &mut stack))
     }
@@ -854,11 +980,11 @@ mod tests {
     #[test]
     fn shared_pool_keeps_refs_independent() {
         let mut plan = ExecPlan::default();
-        let a = plan.flatten(&PhvExpr::Const(1));
-        let b = plan.flatten(&PhvExpr::Add(
-            Box::new(PhvExpr::Const(2)),
-            Box::new(PhvExpr::Const(3)),
-        ));
+        let a = plan.flatten(&PhvExpr::Const(1), phv_slot);
+        let b = plan.flatten(
+            &PhvExpr::Add(Box::new(PhvExpr::Const(2)), Box::new(PhvExpr::Const(3))),
+            phv_slot,
+        );
         let phv = Phv::new(0, 1);
         let mut stack = Vec::new();
         assert_eq!(plan.eval(a, &phv, &mut stack), 1);

@@ -59,84 +59,66 @@ pub fn parse_bytes_into(
     tasks: usize,
 ) {
     phv.reset(meta_slots, tasks);
-    // `Field` has < 32 variants in `Field::ALL` declaration order, so
-    // membership checks collapse to one bit test instead of a linear
-    // scan per candidate field.
-    let mut mask = 0u32;
-    for &f in parse_fields {
-        mask |= 1 << f as u32;
-    }
-    let want = |f: Field| mask & (1 << f as u32) != 0;
+    extract_fields(bytes, field_mask(parse_fields), |f, v| phv.set_field(f, v));
+}
+
+/// Bit set of `fields` for [`extract_fields`]: `Field` has < 32
+/// variants, so membership is one bit test instead of a slice scan.
+pub fn field_mask(fields: &[Field]) -> u32 {
+    fields.iter().fold(0, |m, &f| m | 1 << f as u32)
+}
+
+/// Walk the parse graph over raw wire bytes — IPv4 → {TCP, UDP (→ DNS
+/// header bits), ICMP} — handing every field of `want` the packet
+/// actually carries to `sink`. A layer that fails to parse yields
+/// nothing, so its fields keep whatever "unset" means to the sink
+/// (an invalid zero slot in a PHV, a pre-zeroed lane in a column
+/// block). This is the only place header offsets are interpreted:
+/// the per-packet PHV parse and the batch column extraction are the
+/// same walk with two sinks, so they cannot disagree on a value.
+#[inline]
+pub fn extract_fields(bytes: &[u8], want: u32, mut sink: impl FnMut(Field, u64)) {
+    let mut put = |f: Field, v: u64| {
+        if want & (1 << f as u32) != 0 {
+            sink(f, v);
+        }
+    };
     let Ok(ip) = Ipv4View::new(bytes) else {
         return;
     };
-    if want(Field::Ipv4Src) {
-        phv.set_field(Field::Ipv4Src, ip.src() as u64);
-    }
-    if want(Field::Ipv4Dst) {
-        phv.set_field(Field::Ipv4Dst, ip.dst() as u64);
-    }
-    if want(Field::Ipv4Proto) {
-        phv.set_field(Field::Ipv4Proto, ip.protocol().to_wire() as u64);
-    }
-    if want(Field::Ipv4Len) {
-        phv.set_field(Field::Ipv4Len, ip.total_len() as u64);
-    }
-    if want(Field::Ipv4Ttl) {
-        phv.set_field(Field::Ipv4Ttl, ip.ttl() as u64);
-    }
-    if want(Field::PktLen) {
-        phv.set_field(Field::PktLen, bytes.len() as u64);
-    }
+    put(Field::Ipv4Src, ip.src() as u64);
+    put(Field::Ipv4Dst, ip.dst() as u64);
+    put(Field::Ipv4Proto, ip.protocol().to_wire() as u64);
+    put(Field::Ipv4Len, ip.total_len() as u64);
+    put(Field::Ipv4Ttl, ip.ttl() as u64);
+    put(Field::PktLen, bytes.len() as u64);
     let l4 = ip.payload();
     match ip.protocol() {
         sonata_packet::IpProtocol::Tcp => {
             if let Ok(tcp) = TcpView::new(l4) {
-                if want(Field::TcpSrcPort) {
-                    phv.set_field(Field::TcpSrcPort, tcp.src_port() as u64);
-                }
-                if want(Field::TcpDstPort) {
-                    phv.set_field(Field::TcpDstPort, tcp.dst_port() as u64);
-                }
-                if want(Field::TcpFlags) {
-                    phv.set_field(Field::TcpFlags, tcp.flags() as u64);
-                }
-                if want(Field::TcpSeq) {
-                    phv.set_field(Field::TcpSeq, tcp.seq() as u64);
-                }
-                if want(Field::TcpAck) {
-                    phv.set_field(Field::TcpAck, tcp.ack() as u64);
-                }
-                if want(Field::PayloadLen) {
-                    phv.set_field(Field::PayloadLen, tcp.payload().len() as u64);
-                }
+                put(Field::TcpSrcPort, tcp.src_port() as u64);
+                put(Field::TcpDstPort, tcp.dst_port() as u64);
+                put(Field::TcpFlags, tcp.flags() as u64);
+                put(Field::TcpSeq, tcp.seq() as u64);
+                put(Field::TcpAck, tcp.ack() as u64);
+                put(Field::PayloadLen, tcp.payload().len() as u64);
             }
         }
         sonata_packet::IpProtocol::Udp => {
             if let Ok(udp) = UdpView::new(l4) {
-                if want(Field::UdpSrcPort) {
-                    phv.set_field(Field::UdpSrcPort, udp.src_port() as u64);
-                }
-                if want(Field::UdpDstPort) {
-                    phv.set_field(Field::UdpDstPort, udp.dst_port() as u64);
-                }
-                if want(Field::PayloadLen) {
-                    phv.set_field(Field::PayloadLen, udp.payload().len() as u64);
-                }
+                put(Field::UdpSrcPort, udp.src_port() as u64);
+                put(Field::UdpDstPort, udp.dst_port() as u64);
+                put(Field::PayloadLen, udp.payload().len() as u64);
                 // Fixed-offset DNS header fields are parseable in the
                 // data plane (the variable-length name is not).
                 let dns = udp.payload();
                 if (udp.dst_port() == 53 || udp.src_port() == 53) && dns.len() >= 12 {
-                    if want(Field::DnsQr) {
-                        phv.set_field(Field::DnsQr, ((dns[2] >> 7) & 1) as u64);
-                    }
-                    if want(Field::DnsAnCount) {
-                        phv.set_field(
-                            Field::DnsAnCount,
-                            u16::from_be_bytes([dns[6], dns[7]]) as u64,
-                        );
-                    }
-                    if want(Field::DnsQType) {
+                    put(Field::DnsQr, ((dns[2] >> 7) & 1) as u64);
+                    put(
+                        Field::DnsAnCount,
+                        u16::from_be_bytes([dns[6], dns[7]]) as u64,
+                    );
+                    if want & (1 << Field::DnsQType as u32) != 0 {
                         // First question's qtype sits right after its
                         // name; walk labels (bounded).
                         let mut pos = 12usize;
@@ -146,7 +128,7 @@ pub fn parse_bytes_into(
                             hops += 1;
                         }
                         if pos + 2 < dns.len() && dns.get(pos) == Some(&0) {
-                            phv.set_field(
+                            put(
                                 Field::DnsQType,
                                 u16::from_be_bytes([dns[pos + 1], dns[pos + 2]]) as u64,
                             );
@@ -156,94 +138,14 @@ pub fn parse_bytes_into(
             }
         }
         sonata_packet::IpProtocol::Icmp => {
-            if want(Field::IcmpType) && !l4.is_empty() {
-                phv.set_field(Field::IcmpType, l4[0] as u64);
+            if !l4.is_empty() {
+                put(Field::IcmpType, l4[0] as u64);
             }
-            if want(Field::PayloadLen) && l4.len() >= 8 {
-                phv.set_field(Field::PayloadLen, (l4.len() - 8) as u64);
-            }
-        }
-        _ => {
-            if want(Field::PayloadLen) {
-                phv.set_field(Field::PayloadLen, l4.len() as u64);
+            if l4.len() >= 8 {
+                put(Field::PayloadLen, (l4.len() - 8) as u64);
             }
         }
-    }
-}
-
-/// Whether [`parse_gate_columns`] can extract every field in
-/// `fields`: the fixed-offset L3/L4 scalars. Protocol-conditional
-/// lengths (`PayloadLen`) and DNS header fields keep their logic in
-/// one place — [`parse_bytes_into`] — and gate extraction falls back
-/// to the PHV parse for them.
-pub fn gate_specializable(fields: &[Field]) -> bool {
-    fields.iter().all(|f| {
-        matches!(
-            f,
-            Field::Ipv4Src
-                | Field::Ipv4Dst
-                | Field::Ipv4Proto
-                | Field::Ipv4Len
-                | Field::Ipv4Ttl
-                | Field::PktLen
-                | Field::TcpSrcPort
-                | Field::TcpDstPort
-                | Field::TcpFlags
-                | Field::TcpSeq
-                | Field::TcpAck
-                | Field::UdpSrcPort
-                | Field::UdpDstPort
-                | Field::IcmpType
-        )
-    })
-}
-
-/// Extract gate fields of one packet straight into a column-major
-/// block (`cols[c * n + i]` is column `c` of packet `i`), bypassing
-/// the PHV entirely — no slot reset, no valid-bit bookkeeping. Values
-/// are bit-identical to what [`parse_bytes_into`] would put in the
-/// corresponding PHV slots for every field [`gate_specializable`]
-/// admits: an unparseable layer reads zero, exactly like an unset
-/// slot.
-#[inline]
-pub fn parse_gate_columns(bytes: &[u8], fields: &[Field], cols: &mut [u64], n: usize, i: usize) {
-    let Ok(ip) = Ipv4View::new(bytes) else {
-        for c in 0..fields.len() {
-            cols[c * n + i] = 0;
-        }
-        return;
-    };
-    let l4 = ip.payload();
-    let proto = ip.protocol();
-    let tcp = match proto {
-        sonata_packet::IpProtocol::Tcp => TcpView::new(l4).ok(),
-        _ => None,
-    };
-    let udp = match proto {
-        sonata_packet::IpProtocol::Udp => UdpView::new(l4).ok(),
-        _ => None,
-    };
-    for (c, &f) in fields.iter().enumerate() {
-        cols[c * n + i] = match f {
-            Field::Ipv4Src => ip.src() as u64,
-            Field::Ipv4Dst => ip.dst() as u64,
-            Field::Ipv4Proto => proto.to_wire() as u64,
-            Field::Ipv4Len => ip.total_len() as u64,
-            Field::Ipv4Ttl => ip.ttl() as u64,
-            Field::PktLen => bytes.len() as u64,
-            Field::TcpSrcPort => tcp.map_or(0, |t| t.src_port() as u64),
-            Field::TcpDstPort => tcp.map_or(0, |t| t.dst_port() as u64),
-            Field::TcpFlags => tcp.map_or(0, |t| t.flags() as u64),
-            Field::TcpSeq => tcp.map_or(0, |t| t.seq() as u64),
-            Field::TcpAck => tcp.map_or(0, |t| t.ack() as u64),
-            Field::UdpSrcPort => udp.map_or(0, |u| u.src_port() as u64),
-            Field::UdpDstPort => udp.map_or(0, |u| u.dst_port() as u64),
-            Field::IcmpType => match proto {
-                sonata_packet::IpProtocol::Icmp if !l4.is_empty() => l4[0] as u64,
-                _ => 0,
-            },
-            _ => unreachable!("gate_specializable admitted the field list"),
-        };
+        _ => put(Field::PayloadLen, l4.len() as u64),
     }
 }
 
@@ -336,48 +238,23 @@ mod tests {
     }
 
     #[test]
-    fn gate_columns_match_phv_parse() {
-        use sonata_packet::dns::DnsQType;
-        let fields: Vec<Field> = all_switch_fields()
-            .into_iter()
-            .filter(|f| gate_specializable(&[*f]))
-            .collect();
-        assert!(gate_specializable(&fields));
-        // Out-of-subset fields force the PHV fallback.
-        assert!(!gate_specializable(&[Field::Ipv4Dst, Field::PayloadLen]));
-        assert!(!gate_specializable(&[Field::DnsQr]));
-
-        let packets = [
-            PacketBuilder::tcp("10.0.0.1:1234", "192.168.1.5:80")
-                .unwrap()
-                .flags(TcpFlags::SYN)
-                .seq(7)
-                .payload(&b"hello"[..])
-                .build(),
-            PacketBuilder::udp_raw(0x0a000002, 5353, 0x0b000003, 53).build(),
-            PacketBuilder::icmp_raw(0x0a000004, 0x0b000005).build(),
-            PacketBuilder::dns(9, 10, DnsHeader::query(1, "x.example.com", DnsQType::A)).build(),
-        ];
-        let wires: Vec<Vec<u8>> = packets.iter().map(|p| p.encode()).collect();
-        // One garbage record: the specialized path must zero its lane
-        // like a failed parse zeroes the PHV.
-        let mut records: Vec<&[u8]> = wires.iter().map(Vec::as_slice).collect();
-        records.push(&[0xde, 0xad]);
-
-        let n = records.len();
-        let mut cols = vec![0xffu64; fields.len() * n];
-        for (i, bytes) in records.iter().enumerate() {
-            parse_gate_columns(bytes, &fields, &mut cols, n, i);
-        }
-        for (i, bytes) in records.iter().enumerate() {
-            let phv = parse_bytes(bytes, &fields, 0, 1);
-            for (c, &f) in fields.iter().enumerate() {
-                assert_eq!(
-                    cols[c * n + i],
-                    phv.field(f),
-                    "record {i}, field {f}: specialized gate extraction diverged"
-                );
-            }
-        }
+    fn extract_fields_honours_the_want_mask() {
+        let pkt = PacketBuilder::tcp("10.0.0.1:1234", "192.168.1.5:80")
+            .unwrap()
+            .flags(TcpFlags::SYN)
+            .build();
+        let mut got = Vec::new();
+        extract_fields(
+            &pkt.encode(),
+            field_mask(&[Field::TcpFlags, Field::Ipv4Dst, Field::UdpSrcPort]),
+            |f, v| got.push((f, v)),
+        );
+        // Only wanted fields the packet carries, in parse-graph order.
+        assert_eq!(
+            got,
+            vec![(Field::Ipv4Dst, 0xc0a8_0105), (Field::TcpFlags, 2)]
+        );
+        // Garbage yields nothing at all.
+        extract_fields(&[0xde, 0xad], u32::MAX, |f, _| panic!("parsed {f}"));
     }
 }

@@ -39,24 +39,47 @@ pub enum RegOutcome {
     Shunted,
 }
 
+/// Call `f` with the index of every set bit of a bitmap, ascending.
+pub(crate) fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
+    for (w, &word) in bits.iter().enumerate() {
+        let mut live = word;
+        while live != 0 {
+            f(w * 64 + live.trailing_zeros() as usize);
+            live &= live - 1;
+        }
+    }
+}
+
 /// A sequence of `d` hash-indexed register arrays.
+///
+/// Storage is flat and fixed at load: every slot is a record of
+/// `key_parts + 1` words (the stored key, then the value) in one
+/// `cells` vector, with occupancy in a bitmap beside it. Updating a
+/// key therefore allocates nothing, compares keys inline instead of
+/// through a heap pointer, and the end-of-window reset is one `fill`
+/// of the bitmap (stale cells are unreachable behind a clear bit).
 #[derive(Debug, Clone)]
 pub struct HashRegisters {
     slots_per_array: usize,
     seeds: Vec<u64>,
     value_mask: u64,
-    /// Flat storage: `arrays × slots`, each slot `Option<(key, value)>`.
-    slots: Vec<Option<(RegKey, u64)>>,
+    /// Key arity every update must carry (the Hash table's key list).
+    key_parts: usize,
+    /// `arrays × slots` records of `key_parts + 1` words.
+    cells: Vec<u64>,
+    /// One bit per slot, array-major like `cells`.
+    occupied_bits: Vec<u64>,
     shunted_packets: u64,
     /// Occupied-slot count maintained incrementally so `occupancy()`
-    /// and dump pre-sizing never scan the slot vector.
+    /// and dump pre-sizing never scan the bitmap.
     occupied: usize,
 }
 
 impl HashRegisters {
     /// Create with `slots_per_array` slots (`n`), `arrays` arrays
-    /// (`d`), and values truncated to `value_bits`.
-    pub fn new(slots_per_array: usize, arrays: usize, value_bits: u32) -> Self {
+    /// (`d`), values truncated to `value_bits`, and keys of
+    /// `key_parts` scalars.
+    pub fn new(slots_per_array: usize, arrays: usize, value_bits: u32, key_parts: usize) -> Self {
         assert!(slots_per_array >= 1, "register needs at least one slot");
         assert!((1..=8).contains(&arrays), "d must be in 1..=8");
         let value_mask = if value_bits >= 64 {
@@ -64,13 +87,16 @@ impl HashRegisters {
         } else {
             (1u64 << value_bits) - 1
         };
+        let total = slots_per_array * arrays;
         HashRegisters {
             slots_per_array,
             seeds: (0..arrays as u64)
                 .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i * 2 + 1))
                 .collect(),
             value_mask,
-            slots: vec![None; slots_per_array * arrays],
+            key_parts,
+            cells: vec![0; total * (key_parts + 1)],
+            occupied_bits: vec![0; total.div_ceil(64)],
             shunted_packets: 0,
             occupied: 0,
         }
@@ -86,6 +112,7 @@ impl HashRegisters {
         self.slots_per_array
     }
 
+    #[inline]
     fn index(&self, array: usize, key: &[u64]) -> usize {
         let mut h = self.seeds[array];
         for part in key {
@@ -96,32 +123,46 @@ impl HashRegisters {
         array * self.slots_per_array + (h as usize % self.slots_per_array)
     }
 
+    #[inline]
+    fn is_occupied(&self, idx: usize) -> bool {
+        self.occupied_bits[idx / 64] >> (idx % 64) & 1 != 0
+    }
+
     /// Apply `agg` with `operand` for `key`, probing the arrays in
     /// order. Mirrors a per-packet read-modify-write action.
+    ///
+    /// Always inlined: a caller that passes a fixed-size array (the
+    /// batch kernels dispatch on key width once per batch) gets the
+    /// hash rounds and the stored-key compare unrolled for that width.
+    #[inline(always)]
     pub fn update(&mut self, key: &[u64], agg: Agg, operand: u64) -> RegOutcome {
-        for array in 0..self.arrays() {
+        assert_eq!(key.len(), self.key_parts, "register key arity");
+        let stride = key.len() + 1;
+        for array in 0..self.seeds.len() {
             let idx = self.index(array, key);
-            match &mut self.slots[idx] {
-                slot @ None => {
-                    let v = agg.init(operand) & self.value_mask;
-                    *slot = Some((key.to_vec(), v));
-                    self.occupied += 1;
-                    return RegOutcome::Updated {
-                        first_touch: true,
-                        new_value: v,
-                        old_value: 0,
-                    };
-                }
-                Some((k, v)) if k.as_slice() == key => {
-                    let old = *v;
-                    *v = agg.fold(*v, operand) & self.value_mask;
-                    return RegOutcome::Updated {
-                        first_touch: false,
-                        new_value: *v,
-                        old_value: old,
-                    };
-                }
-                Some(_) => continue,
+            let vacant = !self.is_occupied(idx);
+            let cell = &mut self.cells[idx * stride..(idx + 1) * stride];
+            let (stored, value) = cell.split_at_mut(key.len());
+            if vacant {
+                let v = agg.init(operand) & self.value_mask;
+                stored.copy_from_slice(key);
+                value[0] = v;
+                self.occupied_bits[idx / 64] |= 1 << (idx % 64);
+                self.occupied += 1;
+                return RegOutcome::Updated {
+                    first_touch: true,
+                    new_value: v,
+                    old_value: 0,
+                };
+            }
+            if stored == key {
+                let old = value[0];
+                value[0] = agg.fold(old, operand) & self.value_mask;
+                return RegOutcome::Updated {
+                    first_touch: false,
+                    new_value: value[0],
+                    old_value: old,
+                };
             }
         }
         self.shunted_packets += 1;
@@ -130,15 +171,28 @@ impl HashRegisters {
 
     /// Read a key's current value without modifying it.
     pub fn read(&self, key: &[u64]) -> Option<u64> {
+        let stride = self.key_parts + 1;
         for array in 0..self.arrays() {
             let idx = self.index(array, key);
-            match &self.slots[idx] {
-                Some((k, v)) if k.as_slice() == key => return Some(*v),
-                Some(_) => continue,
-                None => return None,
+            if !self.is_occupied(idx) {
+                return None;
+            }
+            let cell = &self.cells[idx * stride..(idx + 1) * stride];
+            if &cell[..self.key_parts] == key {
+                return Some(cell[self.key_parts]);
             }
         }
         None
+    }
+
+    /// Visit every stored `(key, value)` pair in deterministic slot
+    /// order (array-major) without materializing owned keys.
+    pub fn for_each(&self, mut f: impl FnMut(&[u64], u64)) {
+        let stride = self.key_parts + 1;
+        for_each_bit(&self.occupied_bits, |idx| {
+            let cell = &self.cells[idx * stride..(idx + 1) * stride];
+            f(&cell[..self.key_parts], cell[self.key_parts]);
+        });
     }
 
     /// Dump all stored `(key, value)` pairs — the end-of-window
@@ -146,11 +200,7 @@ impl HashRegisters {
     /// tracked occupancy so the poll allocates exactly once.
     pub fn dump(&self) -> Vec<(RegKey, u64)> {
         let mut out = Vec::with_capacity(self.occupied);
-        out.extend(
-            self.slots
-                .iter()
-                .filter_map(|s| s.as_ref().map(|(k, v)| (k.clone(), *v))),
-        );
+        self.for_each(|k, v| out.push((k.to_vec(), v)));
         out
     }
 
@@ -166,9 +216,7 @@ impl HashRegisters {
 
     /// Clear all slots and counters (end-of-window reset).
     pub fn reset(&mut self) {
-        for s in &mut self.slots {
-            *s = None;
-        }
+        self.occupied_bits.fill(0);
         self.shunted_packets = 0;
         self.occupied = 0;
     }
@@ -381,10 +429,16 @@ impl CmRegisters {
     /// End-of-window poll: admitted keys in first-touch order with
     /// their (over-)estimates.
     pub fn dump(&self) -> Vec<(RegKey, u64)> {
-        self.keys
-            .iter()
-            .map(|k| (k.clone(), self.cm.estimate(k) & self.value_mask))
-            .collect()
+        let mut out = Vec::with_capacity(self.keys.len());
+        self.for_each(|k, v| out.push((k.to_vec(), v)));
+        out
+    }
+
+    /// Visit the pairs [`Self::dump`] returns, borrowed.
+    pub fn for_each(&self, mut f: impl FnMut(&[u64], u64)) {
+        for k in &self.keys {
+            f(k, self.cm.estimate(k) & self.value_mask);
+        }
     }
 
     /// Admitted keys this window.
@@ -508,6 +562,13 @@ impl BloomRegisters {
         self.keys.iter().map(|k| (k.clone(), 1)).collect()
     }
 
+    /// Visit the pairs [`Self::dump`] returns, borrowed.
+    pub fn for_each(&self, mut f: impl FnMut(&[u64], u64)) {
+        for k in &self.keys {
+            f(k, 1);
+        }
+    }
+
     /// Admitted keys this window.
     pub fn occupancy(&self) -> usize {
         self.keys.len()
@@ -620,6 +681,16 @@ impl RegisterState {
         }
     }
 
+    /// Visit the end-of-window poll's `(key, value)` pairs in
+    /// [`Self::dump`] order without materializing owned keys.
+    pub fn for_each(&self, f: impl FnMut(&[u64], u64)) {
+        match self {
+            RegisterState::Exact(r) => r.for_each(f),
+            RegisterState::CountMin(r) => r.for_each(f),
+            RegisterState::Bloom(r) => r.for_each(f),
+        }
+    }
+
     /// Occupied slots / admitted keys.
     pub fn occupancy(&self) -> usize {
         match self {
@@ -713,7 +784,7 @@ pub fn collision_rate(n: usize, d: usize, keys: usize, seed: u64) -> f64 {
     if keys == 0 {
         return 0.0;
     }
-    let mut regs = HashRegisters::new(n.max(1), d, 32);
+    let mut regs = HashRegisters::new(n.max(1), d, 32, 1);
     let mut shunted = 0usize;
     // Distinct synthetic keys; mix the seed in so repeated runs vary.
     for i in 0..keys {
@@ -732,7 +803,7 @@ mod tests {
 
     #[test]
     fn sum_aggregation_per_key() {
-        let mut r = HashRegisters::new(64, 2, 32);
+        let mut r = HashRegisters::new(64, 2, 32, 1);
         let k1 = vec![1u64];
         let k2 = vec![2u64];
         assert_eq!(
@@ -760,7 +831,7 @@ mod tests {
 
     #[test]
     fn value_width_truncates() {
-        let mut r = HashRegisters::new(4, 1, 8);
+        let mut r = HashRegisters::new(4, 1, 8, 1);
         let k = vec![1u64];
         r.update(&k, Agg::Sum, 250);
         let out = r.update(&k, Agg::Sum, 10);
@@ -780,7 +851,7 @@ mod tests {
         // One slot per array: the second distinct key must cascade,
         // the (d+1)-th must shunt.
         for d in 1..=4usize {
-            let mut r = HashRegisters::new(1, d, 32);
+            let mut r = HashRegisters::new(1, d, 32, 1);
             let mut shunts = 0;
             for key in 0..(d as u64 + 1) {
                 if r.update(&[key], Agg::Count, 1) == RegOutcome::Shunted {
@@ -795,7 +866,7 @@ mod tests {
 
     #[test]
     fn shunted_key_stays_shunted_within_window() {
-        let mut r = HashRegisters::new(1, 1, 32);
+        let mut r = HashRegisters::new(1, 1, 32, 1);
         assert!(matches!(
             r.update(&[1], Agg::Count, 1),
             RegOutcome::Updated { .. }
@@ -818,7 +889,7 @@ mod tests {
 
     #[test]
     fn dump_returns_all_pairs() {
-        let mut r = HashRegisters::new(128, 2, 32);
+        let mut r = HashRegisters::new(128, 2, 32, 1);
         for k in 0..50u64 {
             r.update(&[k], Agg::Sum, k);
         }
@@ -832,7 +903,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let mut r = HashRegisters::new(1, 1, 32);
+        let mut r = HashRegisters::new(1, 1, 32, 1);
         r.update(&[1], Agg::Count, 1);
         r.update(&[2], Agg::Count, 1); // shunt
         r.reset();
@@ -849,7 +920,7 @@ mod tests {
 
     #[test]
     fn distinct_via_bitor() {
-        let mut r = HashRegisters::new(64, 1, 1);
+        let mut r = HashRegisters::new(64, 1, 1, 1);
         let out1 = r.update(&[7], Agg::BitOr, 1);
         let out2 = r.update(&[7], Agg::BitOr, 1);
         assert!(matches!(
@@ -872,7 +943,7 @@ mod tests {
 
     #[test]
     fn multipart_keys_are_distinguished() {
-        let mut r = HashRegisters::new(256, 2, 32);
+        let mut r = HashRegisters::new(256, 2, 32, 2);
         r.update(&[1, 2], Agg::Count, 1);
         r.update(&[2, 1], Agg::Count, 1);
         r.update(&[1, 2], Agg::Count, 1);

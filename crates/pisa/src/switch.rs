@@ -15,19 +15,19 @@
 //! * register collisions that exhaust all `d` arrays shunt the packet
 //!   to the stream processor, which finishes the aggregation.
 
-use crate::batch::ReportBatch;
-use crate::exec::{ExecPlan, GateFilter, GateScratch, Scratch, StepKind};
+use crate::batch::{BatchEntry, ReportBatch};
+use crate::exec::{DynSet, ExecPlan, ExprRef, Lane, LeadFilter, Scratch, StepKind};
 use crate::ir::{PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
 use crate::parser;
 use crate::phv::{MetaRef, Phv};
 use crate::registers::{
-    BloomRegisters, CmRegisters, HashRegisters, RegOutcome, RegisterState, SketchConfig,
-    StateLayout,
+    for_each_bit, BloomRegisters, CmRegisters, HashRegisters, RegOutcome, RegisterState,
+    SketchConfig, StateLayout,
 };
 use crate::resources::{ResourceError, ResourceUsage, SwitchConstraints};
 use sonata_obs::{Counter, EventKind, Gauge, ObsHandle, Stage};
 use sonata_packet::{ArenaBatch, Packet};
-use sonata_query::ColName;
+use sonata_query::{Agg, ColName};
 use std::collections::{BTreeSet, HashMap};
 
 /// What kind of report a mirrored packet carries.
@@ -231,23 +231,34 @@ pub struct WindowDump {
     pub bounds: Vec<SketchBound>,
 }
 
-/// Reusable batch-execution scratch: the gate's partial-parse PHV,
-/// the struct-of-arrays column block, and per-packet liveness flags.
-/// All buffers are retained across windows, so the steady-state batch
-/// loop performs no heap allocation.
+/// Reusable batch-execution scratch. All buffers are retained across
+/// windows, so the steady-state batch loop performs no heap
+/// allocation.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// PHV reused by the gate's partial parse when a gate field is
-    /// outside the specialized extractor's subset.
-    gate_phv: Phv,
-    /// Column-major gate field values: `cols[c * n + i]` is column `c`
-    /// of packet `i`.
+    /// The shared column block: `cols[c * n + i]` is header field
+    /// `plan.gates.fields[c]` of packet `i`.
     cols: Vec<u64>,
-    /// Per-packet "some task's gate passes" flags.
-    alive: Vec<bool>,
-    /// Columnar gate evaluation scratch (per-task pass masks, operand
-    /// buffers, scalar fallback stack).
-    gate: GateScratch,
+    /// The predicate cache: one `words`-long bitmap per distinct
+    /// leading clause, bit `i` = packet `i` satisfies it.
+    clause_bits: Vec<u64>,
+    /// One `n`-long column per distinct leading dyn-filter key.
+    dyn_keys: Vec<Vec<u64>>,
+    /// One `words`-long survivor bitmap per task.
+    task_bits: Vec<u64>,
+    /// Bitmap accumulators (one rule's AND; one filter's OR, then the
+    /// union of all tasks' survivors).
+    rule_bits: Vec<u64>,
+    any_bits: Vec<u64>,
+    /// Selection vector of the task being run: batch indices of its
+    /// live packets, ascending.
+    sel: Vec<u32>,
+    /// Key parts and operand of the `Update` being run, one value per
+    /// selected lane.
+    key_lanes: Vec<Vec<u64>>,
+    operand_lanes: Vec<u64>,
+    /// Operand staging for clauses that are not a bare column.
+    bufs: [Vec<u64>; 2],
 }
 
 /// The behavioral model.
@@ -271,10 +282,13 @@ pub struct Switch {
     task_index: HashMap<TaskId, usize>,
     /// Compiled fast path, lowered once at load.
     plan: ExecPlan,
+    /// Lowered entry set per `DynFilter` table (`plan.dyn_tables`
+    /// order), rebuilt by [`Self::set_dyn_filter`].
+    dyn_sets: Vec<DynSet>,
     /// Reusable per-packet scratch (PHV + eval stack + staging).
     scratch: Scratch,
-    /// Reusable batch-execution scratch (gate PHV + column block +
-    /// liveness flags).
+    /// Reusable batch-execution scratch (column block, predicate
+    /// cache, selection vector).
     batch: BatchScratch,
     /// When set, execute through the tree-walking reference
     /// interpreter instead of the compiled plan (debug knob; the
@@ -339,6 +353,14 @@ impl Switch {
                 reg_mode.insert(*reg, (*agg, *distinct));
             }
         }
+        // Key arity per register, from its Hash table: exact registers
+        // lay their slots out flat at load.
+        let mut reg_keys = HashMap::new();
+        for t in &program.tables {
+            if let TableKind::Hash { reg, key } = &t.kind {
+                reg_keys.insert(*reg, key.clone());
+            }
+        }
         let mut registers = Vec::with_capacity(program.registers.len());
         let mut reg_index = HashMap::new();
         let mut obs_handle = SwitchObs::new(obs.clone(), &program.tasks);
@@ -352,9 +374,12 @@ impl Switch {
             let layout = sketch.effective_layout(r.layout, distinct, agg);
             let seed = sketch.reg_seed(idx);
             let state = match layout {
-                StateLayout::Exact => {
-                    RegisterState::Exact(HashRegisters::new(r.slots, r.arrays, r.value_bits))
-                }
+                StateLayout::Exact => RegisterState::Exact(HashRegisters::new(
+                    r.slots,
+                    r.arrays,
+                    r.value_bits,
+                    reg_keys.get(&r.id).map_or(0, Vec::len),
+                )),
                 StateLayout::CountMin => {
                     let width = if sketch.cm_width > 0 {
                         sketch.cm_width
@@ -390,12 +415,6 @@ impl Switch {
             obs_handle.sketch_error.push(err_gauge);
             registers.push(state);
         }
-        let mut reg_keys = HashMap::new();
-        for t in &program.tables {
-            if let TableKind::Hash { reg, key } = &t.kind {
-                reg_keys.insert(*reg, key.clone());
-            }
-        }
         let task_index: HashMap<TaskId, usize> = program
             .tasks
             .iter()
@@ -417,6 +436,18 @@ impl Switch {
             ..Default::default()
         };
         let task_seq = vec![0; program.tasks.len()];
+        let dyn_sets = plan
+            .dyn_tables
+            .iter()
+            .map(|&ti| match &program.tables[ti].kind {
+                TableKind::DynFilter {
+                    entries,
+                    pass_when_empty,
+                    ..
+                } => DynSet::new(entries, *pass_when_empty),
+                _ => unreachable!("lowered from a DynFilter table"),
+            })
+            .collect();
         Ok(Switch {
             program,
             usage,
@@ -426,6 +457,7 @@ impl Switch {
             reg_keys,
             task_index,
             plan,
+            dyn_sets,
             scratch: Scratch::default(),
             batch: BatchScratch::default(),
             force_reference: false,
@@ -717,21 +749,11 @@ impl Switch {
                         self.scratch.phv.kill(task_idx);
                     }
                 }
-                StepKind::DynFilter { table_idx, key } => {
+                StepKind::DynFilter { dyn_idx, key } => {
                     let k = self
                         .plan
                         .eval(*key, &self.scratch.phv, &mut self.scratch.stack);
-                    let TableKind::DynFilter {
-                        entries,
-                        pass_when_empty,
-                        ..
-                    } = &self.program.tables[*table_idx].kind
-                    else {
-                        unreachable!("lowered from a DynFilter table");
-                    };
-                    if entries.is_empty() && *pass_when_empty {
-                        // pass
-                    } else if !entries.contains(&k) {
+                    if !self.dyn_sets[*dyn_idx].admits(k) {
                         self.scratch.phv.kill(task_idx);
                     }
                 }
@@ -838,22 +860,28 @@ impl Switch {
     }
 
     /// Process a whole batch of arena packets through the compiled
-    /// plan, appending reports into `out` (reset in place).
+    /// plan, collecting reports into `out` (reset in place).
     ///
-    /// Two phases:
+    /// Execution is **task-major over one shared column block** (the
+    /// soundness argument is in [`crate::exec`]'s module docs):
     ///
-    /// 1. **Columnar gate** — a partial parse extracts only the header
-    ///    fields the hoisted leading filters read, into a
-    ///    struct-of-arrays column block; each task's gate is then
-    ///    evaluated in a tight column loop. Packets that fail every
-    ///    task's gate are dead before any `Map`/`Update`/report step
-    ///    could observe them, so skipping them is bit-identical to the
-    ///    per-packet path (leading pure filters change no state and
-    ///    emit nothing).
-    /// 2. **Full execution** — surviving packets get the full parse
-    ///    and the exact [`Self::run_fast`] step loop, with reports
-    ///    appended to the shared [`ReportBatch`] arena and mirrored
-    ///    packets recorded as arena indices instead of owned clones.
+    /// 1. **Columns** — every header field a leading filter reads is
+    ///    extracted once per packet into a struct-of-arrays block.
+    /// 2. **Predicate cache** — each *distinct* leading clause and
+    ///    dyn-filter key is evaluated once over the block, however
+    ///    many tasks filter on it; a task's survivors are the AND of
+    ///    its filters' cached bitmaps.
+    /// 3. **Lazy gather** — the remaining fields are extracted only
+    ///    for packets some task still wants.
+    /// 4. **Kernels** — each task runs its stateful steps as tight
+    ///    loops over its own selection vector, one register hot in
+    ///    cache at a time, with key-width and operand-shape dispatch
+    ///    outside the lane loop. Shunts are staged; what is left of
+    ///    the selection goes back into the task's bitmap.
+    /// 5. **Deparser** — one packet-major pass emits, per packet, its
+    ///    staged shunts and then a mirror for every task whose bitmap
+    ///    still has it: the report order (and numbering) of
+    ///    [`Self::process`].
     ///
     /// Batch execution always runs the compiled plan; the runtime
     /// routes through per-packet [`Self::process`] when the reference
@@ -867,226 +895,256 @@ impl Switch {
         out.reset(n);
         self.counters.packets_in += n as u64;
         self.obs.packets_in.add(n as u64);
-        // Phase 1: columnar gate over the hoisted leading filters.
-        self.batch.alive.clear();
-        if self.plan.gates.all_pass || n == 0 {
-            self.batch.alive.resize(n, true);
-        } else {
-            self.batch.alive.resize(n, false);
-            let ncols = self.plan.gates.fields.len();
-            self.batch.cols.clear();
-            self.batch.cols.resize(ncols * n, 0);
-            if self.plan.gates.fast_extract {
-                // Fixed-offset scalars: bytes → column block directly,
-                // no PHV reset or valid-bit bookkeeping per packet.
-                for i in 0..n {
-                    parser::parse_gate_columns(
-                        batch.view(i).bytes(),
-                        &self.plan.gates.fields,
-                        &mut self.batch.cols,
-                        n,
-                        i,
-                    );
-                }
-            } else {
-                for i in 0..n {
-                    parser::parse_bytes_into(
-                        &mut self.batch.gate_phv,
-                        batch.view(i).bytes(),
-                        &self.plan.gates.fields,
-                        0,
-                        0,
-                    );
-                    for (c, &slot) in self.plan.gates.slots.iter().enumerate() {
-                        self.batch.cols[c * n + i] = self.batch.gate_phv.field_by_slot(slot);
-                    }
-                }
+        let Switch {
+            plan,
+            dyn_sets,
+            registers,
+            scratch,
+            batch: sc,
+            counters,
+            obs,
+            task_seq,
+            ..
+        } = self;
+        let gates = &plan.gates;
+        let words = n.div_ceil(64);
+        let stack = &mut scratch.stack;
+
+        // 1. Leading-filter columns for every packet. The block starts
+        // zeroed: a layer that fails to parse leaves its lanes at the
+        // zero an unset PHV slot reads.
+        sc.cols.clear();
+        sc.cols.resize(gates.fields.len() * n, 0);
+        let load = |cols: &mut [u64], i: usize, want: u32| {
+            parser::extract_fields(batch.view(i).bytes(), want, |f, v| {
+                cols[gates.col_of[f as usize] as usize * n + i] = v;
+            });
+        };
+        if gates.lead_mask != 0 {
+            for i in 0..n {
+                load(&mut sc.cols, i, gates.lead_mask);
             }
-            for filters in &self.plan.gates.tasks {
-                self.batch.gate.begin_task(n);
-                for f in filters {
-                    match f {
-                        GateFilter::Static { rules } => self.plan.gates.rules_match_cols(
-                            rules,
-                            &self.batch.cols,
-                            n,
-                            &mut self.batch.gate,
-                        ),
-                        GateFilter::Dyn { table_idx, key } => {
-                            let TableKind::DynFilter {
-                                entries,
-                                pass_when_empty,
-                                ..
-                            } = &self.program.tables[*table_idx].kind
-                            else {
-                                unreachable!("lowered from a DynFilter table");
-                            };
-                            self.plan.gates.dyn_match_cols(
-                                *key,
-                                entries,
-                                *pass_when_empty,
-                                &self.batch.cols,
-                                n,
-                                &mut self.batch.gate,
-                            );
+        }
+
+        // 2. The predicate cache.
+        sc.clause_bits.resize(gates.clauses.len() * words, 0);
+        for (c, clause) in gates.clauses.iter().enumerate() {
+            let bits = &mut sc.clause_bits[c * words..(c + 1) * words];
+            plan.clause_bits(clause, &sc.cols, n, bits, &mut sc.bufs, stack);
+        }
+        sc.dyn_keys.resize_with(gates.dyn_keys.len(), Vec::new);
+        for (key, col) in gates.dyn_keys.iter().zip(&mut sc.dyn_keys) {
+            plan.fill(*key, &sc.cols, n, 0..n, col, stack);
+        }
+        sc.task_bits.clear();
+        sc.task_bits.resize(plan.kernels.len() * words, !0);
+        sc.rule_bits.resize(words, 0);
+        sc.any_bits.resize(words, 0);
+        for (kernel, mask) in plan
+            .kernels
+            .iter()
+            .zip(sc.task_bits.chunks_mut(words.max(1)))
+        {
+            // Lanes past `n` in the last word are nobody's packet.
+            let tail = n % 64;
+            if tail != 0 {
+                mask[words - 1] = (1 << tail) - 1;
+            }
+            // Static filters first: they are word-wise ANDs, and every
+            // lane they clear is a dyn-filter probe saved.
+            for f in &kernel.lead {
+                let LeadFilter::Static { rules } = f else {
+                    continue;
+                };
+                sc.any_bits.fill(0);
+                for rule in rules {
+                    sc.rule_bits.fill(!0);
+                    for &c in rule {
+                        let clause = &sc.clause_bits[c * words..(c + 1) * words];
+                        for (r, &b) in sc.rule_bits.iter_mut().zip(clause) {
+                            *r &= b;
                         }
                     }
+                    for (a, &r) in sc.any_bits.iter_mut().zip(&sc.rule_bits) {
+                        *a |= r;
+                    }
                 }
-                for (a, &p) in self.batch.alive.iter_mut().zip(self.batch.gate.pass.iter()) {
-                    *a = *a || p;
+                for (m, &a) in mask.iter_mut().zip(&sc.any_bits) {
+                    *m &= a;
+                }
+            }
+            for f in &kernel.lead {
+                let LeadFilter::Dyn { dyn_idx, key } = f else {
+                    continue;
+                };
+                let (set, keys) = (&dyn_sets[*dyn_idx], &sc.dyn_keys[*key]);
+                for (w, word) in mask.iter_mut().enumerate() {
+                    for_each_bit(&[*word], |bit| {
+                        if !set.admits(keys[w * 64 + bit]) {
+                            *word &= !(1 << bit);
+                        }
+                    });
                 }
             }
         }
-        // Phase 2: full parse + step loop for surviving packets only.
-        for i in 0..n {
-            let start = out.begin_packet();
-            if self.batch.alive[i] {
-                parser::parse_bytes_into(
-                    &mut self.scratch.phv,
-                    batch.view(i).bytes(),
-                    &self.program.parse_fields,
-                    self.program.meta_slots,
-                    self.program.tasks.len(),
-                );
-                self.run_fast_into(i as u32, out);
-            }
-            out.end_packet(start);
-        }
-    }
 
-    /// The [`Self::run_fast`] step loop, appending into a
-    /// [`ReportBatch`] instead of a per-packet `Vec` and recording
-    /// mirrored packets by arena index. Expects `self.scratch.phv` to
-    /// hold the parsed packet; does *not* bump `packets_in` (the batch
-    /// loop accounts for the whole batch up front).
-    fn run_fast_into(&mut self, pkt_idx: u32, out: &mut ReportBatch) {
-        for step in &self.plan.steps {
-            let task_idx = step.task_idx;
-            if !self.scratch.phv.is_alive(task_idx) {
+        // 3. Everything else, only for packets some task still wants.
+        if gates.rest_mask != 0 {
+            sc.any_bits.fill(0);
+            for mask in sc.task_bits.chunks(words.max(1)) {
+                for (a, &m) in sc.any_bits.iter_mut().zip(mask) {
+                    *a |= m;
+                }
+            }
+            for_each_bit(&sc.any_bits, |i| load(&mut sc.cols, i, gates.rest_mask));
+        }
+
+        // 4. Task-major kernels. A task's survivors start as its
+        // leading mask and, if it mirrors, end as a mask again — the
+        // deparser's input.
+        let cols = sc.cols.as_slice();
+        let lane = |i: u32| Lane {
+            cols,
+            n,
+            i: i as usize,
+        };
+        for (kernel, mask) in plan
+            .kernels
+            .iter()
+            .zip(sc.task_bits.chunks_mut(words.max(1)))
+        {
+            if kernel.steps.is_empty() {
                 continue;
             }
-            match &step.kind {
-                StepKind::Filter { rules } => {
-                    if !self
-                        .plan
-                        .rules_match(rules, &self.scratch.phv, &mut self.scratch.stack)
-                    {
-                        self.scratch.phv.kill(task_idx);
-                    }
+            let t = kernel.task_idx;
+            sc.sel.clear();
+            for_each_bit(mask, |i| sc.sel.push(i as u32));
+            for (rank, step) in &kernel.steps {
+                if sc.sel.is_empty() {
+                    break;
                 }
-                StepKind::DynFilter { table_idx, key } => {
-                    let k = self
-                        .plan
-                        .eval(*key, &self.scratch.phv, &mut self.scratch.stack);
-                    let TableKind::DynFilter {
-                        entries,
-                        pass_when_empty,
-                        ..
-                    } = &self.program.tables[*table_idx].kind
-                    else {
-                        unreachable!("lowered from a DynFilter table");
-                    };
-                    if entries.is_empty() && *pass_when_empty {
-                        // pass
-                    } else if !entries.contains(&k) {
-                        self.scratch.phv.kill(task_idx);
+                match step {
+                    StepKind::Filter { rules } => {
+                        sc.sel.retain(|&i| plan.rules_match(rules, &lane(i), stack))
                     }
-                }
-                StepKind::Map { assigns } => {
-                    self.scratch.vals.clear();
-                    for &(_, e) in assigns {
-                        let v = self
-                            .plan
-                            .eval(e, &self.scratch.phv, &mut self.scratch.stack);
-                        self.scratch.vals.push(v);
-                    }
-                    for (&(slot, _), &v) in assigns.iter().zip(&self.scratch.vals) {
-                        self.scratch.phv.set_meta(MetaRef(slot), v);
-                    }
-                }
-                StepKind::Update {
-                    reg_idx,
-                    layout,
-                    agg,
-                    operand,
-                    distinct,
-                    keys,
-                    shunt,
-                } => {
-                    self.scratch.key.clear();
-                    for &k in keys {
-                        let v = self
-                            .plan
-                            .eval(k, &self.scratch.phv, &mut self.scratch.stack);
-                        self.scratch.key.push(v);
-                    }
-                    let operand_v =
-                        self.plan
-                            .eval(*operand, &self.scratch.phv, &mut self.scratch.stack);
-                    match self.registers[*reg_idx].update(&self.scratch.key, *agg, operand_v) {
-                        RegOutcome::Shunted => {
+                    StepKind::DynFilter { dyn_idx, key } => sc
+                        .sel
+                        .retain(|&i| dyn_sets[*dyn_idx].admits(plan.eval(*key, &lane(i), stack))),
+                    StepKind::Map { .. } => unreachable!("kernels forward metadata at lowering"),
+                    StepKind::Update {
+                        reg_idx,
+                        layout,
+                        agg,
+                        operand,
+                        distinct,
+                        keys,
+                        shunt,
+                    } => {
+                        if sc.key_lanes.len() < keys.len() {
+                            sc.key_lanes.resize_with(keys.len(), Vec::new);
+                        }
+                        let sel = sc.sel.iter().map(|&i| i as usize);
+                        for (k, lanes) in keys.iter().zip(&mut sc.key_lanes) {
+                            plan.fill(*k, cols, n, sel.clone(), lanes, stack);
+                        }
+                        plan.fill(*operand, cols, n, sel, &mut sc.operand_lanes, stack);
+                        let (parts, op) = (&sc.key_lanes[..keys.len()], &sc.operand_lanes[..]);
+                        let mut shunted = 0u64;
+                        let report = ReportShape {
+                            task: (kernel.task, t),
+                            kind: ReportKind::Shunt,
+                            entry_op: Some(shunt.entry_op),
+                            columns: &shunt.columns,
+                            include_packet: shunt.include_packet,
+                            rank: *rank,
+                        };
+                        let on_shunt = |pkt: u32| {
                             debug_assert_eq!(
                                 *layout,
                                 StateLayout::Exact,
                                 "sketch layouts never shunt"
                             );
-                            let cs = out.begin_report();
-                            for (nme, e) in &shunt.columns {
-                                let v =
-                                    self.plan
-                                        .eval(*e, &self.scratch.phv, &mut self.scratch.stack);
-                                out.push_col(nme, v);
+                            let entry = report.entry(plan, lane(pkt), stack, out);
+                            out.stage(entry);
+                            shunted += 1;
+                        };
+                        let sel = &mut sc.sel;
+                        match (&mut registers[*reg_idx], keys.len()) {
+                            (RegisterState::Exact(r), 1) => {
+                                exact_lanes::<1>(r, parts, op, *agg, sel, *distinct, on_shunt)
                             }
-                            let seq = self.task_seq[task_idx];
-                            self.task_seq[task_idx] += 1;
-                            out.finish_report(
-                                step.task,
-                                ReportKind::Shunt,
-                                cs,
-                                shunt.include_packet.then_some(pkt_idx),
-                                Some(shunt.entry_op),
-                                seq,
-                            );
-                            self.counters.shunt_reports += 1;
-                            self.counters.per_task[task_idx].1.shunt_reports += 1;
-                            self.obs.per_task[task_idx][1].inc();
-                            self.scratch.phv.kill(task_idx);
-                        }
-                        RegOutcome::Updated { first_touch, .. } => {
-                            if *distinct && !first_touch {
-                                self.scratch.phv.kill(task_idx);
+                            (RegisterState::Exact(r), 2) => {
+                                exact_lanes::<2>(r, parts, op, *agg, sel, *distinct, on_shunt)
+                            }
+                            (RegisterState::Exact(r), 3) => {
+                                exact_lanes::<3>(r, parts, op, *agg, sel, *distinct, on_shunt)
+                            }
+                            (RegisterState::Exact(r), 4) => {
+                                exact_lanes::<4>(r, parts, op, *agg, sel, *distinct, on_shunt)
+                            }
+                            (state, _) => {
+                                let key = &mut scratch.key;
+                                update_lanes(
+                                    sel,
+                                    *distinct,
+                                    |k| {
+                                        key.clear();
+                                        key.extend(parts.iter().map(|p| p[k]));
+                                        state.update(key, *agg, op[k])
+                                    },
+                                    on_shunt,
+                                )
                             }
                         }
+                        counters.shunt_reports += shunted;
+                        counters.per_task[t].1.shunt_reports += shunted;
+                        obs.per_task[t][1].add(shunted);
                     }
                 }
             }
-        }
-        // Deparser: mirror per-packet reports for tasks still alive.
-        for spec in &self.plan.reports {
-            if !self.scratch.phv.is_alive(spec.task_idx) {
-                continue;
+            if kernel.mirror.is_some() {
+                mask.fill(0);
+                for &i in &sc.sel {
+                    mask[i as usize / 64] |= 1 << (i % 64);
+                }
             }
-            let cs = out.begin_report();
-            for (nme, e) in &spec.columns {
-                let v = self
-                    .plan
-                    .eval(*e, &self.scratch.phv, &mut self.scratch.stack);
-                out.push_col(nme, v);
-            }
-            let seq = self.task_seq[spec.task_idx];
-            self.task_seq[spec.task_idx] += 1;
-            out.finish_report(
-                spec.task,
-                ReportKind::Tuple,
-                cs,
-                spec.include_packet.then_some(pkt_idx),
-                None,
-                seq,
-            );
-            self.counters.tuple_reports += 1;
-            self.counters.per_task[spec.task_idx].1.tuple_reports += 1;
-            self.obs.per_task[spec.task_idx][0].inc();
         }
+
+        // 5. Packet-major deparser: each packet's shunts (in step
+        // order), then its mirrors (in report-spec order) — the order,
+        // and so the per-task numbering, of the per-packet path.
+        out.sort_staged();
+        let survivors = |k: usize| &sc.task_bits[k * words..(k + 1) * words];
+        sc.any_bits.fill(0);
+        for &k in &plan.mirrors {
+            for (a, &m) in sc.any_bits.iter_mut().zip(survivors(k)) {
+                *a |= m;
+            }
+            let mirrored = survivors(k).iter().map(|w| w.count_ones() as u64).sum();
+            counters.tuple_reports += mirrored;
+            counters.per_task[k].1.tuple_reports += mirrored;
+            obs.per_task[k][0].add(mirrored);
+        }
+        for_each_bit(&sc.any_bits, |i| {
+            out.flush_through(i as u32, task_seq);
+            for &k in &plan.mirrors {
+                if survivors(k)[i / 64] >> (i % 64) & 1 == 0 {
+                    continue;
+                }
+                let spec = plan.kernels[k].mirror.as_ref().expect("listed in mirrors");
+                let report = ReportShape {
+                    task: (spec.task, k),
+                    kind: ReportKind::Tuple,
+                    entry_op: None,
+                    columns: &spec.columns,
+                    include_packet: spec.include_packet,
+                    rank: 0,
+                };
+                let entry = report.entry(plan, lane(i as u32), stack, out);
+                out.emit(entry, task_seq);
+            }
+        });
+        out.finish(task_seq);
     }
 
     /// End the window: dump `WindowDump` registers into tuples, apply
@@ -1119,7 +1177,7 @@ impl Switch {
                     // register's admitted-key set instead (entering at
                     // the distinct op) and let the collector recount
                     // after the cross-switch dedup.
-                    for (key, _seen) in self.registers[*reg_idx].dump() {
+                    self.registers[*reg_idx].for_each(|key, _seen| {
                         let columns: Vec<(ColName, u64)> =
                             key_names.iter().cloned().zip(key.iter().copied()).collect();
                         let seq = match d.task_idx {
@@ -1138,17 +1196,17 @@ impl Switch {
                             entry_op: Some(*entry_op),
                             seq,
                         });
-                    }
+                    });
                     continue;
                 }
             }
             let raw = task_shunts > 0 || self.defer_dump_thresholds;
-            for (key, value) in regs.dump() {
+            regs.for_each(|key, value| {
                 if !raw {
                     if let Some(th) = d.threshold {
                         if value <= th {
                             dump.suppressed += 1;
-                            continue;
+                            return;
                         }
                     }
                 }
@@ -1186,7 +1244,7 @@ impl Switch {
                         self.obs.per_task[i][2].inc();
                     }
                 }
-            }
+            });
         }
         dump.occupancy = self.registers.iter().map(|r| r.occupancy()).sum();
         self.obs.occupancy.set(dump.occupancy as u64);
@@ -1240,11 +1298,19 @@ impl Switch {
         table_name: &str,
         new_entries: BTreeSet<u64>,
     ) -> Result<usize, String> {
-        for t in &mut self.program.tables {
+        for (ti, t) in self.program.tables.iter_mut().enumerate() {
             if t.name == table_name {
-                if let TableKind::DynFilter { entries, .. } = &mut t.kind {
+                if let TableKind::DynFilter {
+                    entries,
+                    pass_when_empty,
+                    ..
+                } = &mut t.kind
+                {
                     let n = new_entries.len();
                     *entries = new_entries;
+                    if let Some(d) = self.plan.dyn_tables.iter().position(|&x| x == ti) {
+                        self.dyn_sets[d] = DynSet::new(entries, *pass_when_empty);
+                    }
                     // Control-plane path: the registry lookup per
                     // update is fine here.
                     self.obs
@@ -1286,6 +1352,95 @@ impl Switch {
     pub fn current_shunted(&self) -> u64 {
         self.registers.iter().map(|r| r.shunted_packets()).sum()
     }
+}
+
+/// Everything about a batch kernel's report that is the same for
+/// every lane that emits it.
+struct ReportShape<'p> {
+    /// The reporting task and its dense index.
+    task: (TaskId, usize),
+    kind: ReportKind,
+    entry_op: Option<usize>,
+    columns: &'p [(ColName, ExprRef)],
+    include_packet: bool,
+    /// For shunts: the step that shunted (see [`BatchEntry::rank`]).
+    rank: u32,
+}
+
+impl ReportShape<'_> {
+    /// Evaluate the report's columns for `lane`'s packet into `out`'s
+    /// pool and describe the report (to stage or emit).
+    fn entry(
+        &self,
+        plan: &ExecPlan,
+        lane: Lane<'_>,
+        stack: &mut Vec<u64>,
+        out: &mut ReportBatch,
+    ) -> BatchEntry {
+        let col_start = out.begin_report();
+        for (name, e) in self.columns {
+            out.push_col(name, plan.eval(*e, &lane, stack));
+        }
+        BatchEntry {
+            task: self.task.0,
+            task_idx: self.task.1 as u32,
+            kind: self.kind,
+            col_start,
+            col_end: col_start,
+            pkt: lane.i as u32,
+            rank: self.rank,
+            mirrored: self.include_packet,
+            entry_op: self.entry_op,
+            seq: 0,
+        }
+    }
+}
+
+/// One `Update` step over a task's selected lanes, in packet order:
+/// `update(k)` applies lane `k`, a shunted lane is reported through
+/// `on_shunt` and dies, a `distinct` repeat dies silently, and the
+/// survivors are compacted in place.
+#[inline]
+fn update_lanes(
+    sel: &mut Vec<u32>,
+    distinct: bool,
+    mut update: impl FnMut(usize) -> RegOutcome,
+    mut on_shunt: impl FnMut(u32),
+) {
+    let mut kept = 0;
+    for k in 0..sel.len() {
+        let pkt = sel[k];
+        let alive = match update(k) {
+            RegOutcome::Shunted => {
+                on_shunt(pkt);
+                false
+            }
+            RegOutcome::Updated { first_touch, .. } => !distinct || first_touch,
+        };
+        sel[kept] = pkt;
+        kept += alive as usize;
+    }
+    sel.truncate(kept);
+}
+
+/// [`update_lanes`] against an exact register whose key width `K` is
+/// a compile-time constant: hashing and the stored-key compare unroll.
+fn exact_lanes<const K: usize>(
+    r: &mut HashRegisters,
+    parts: &[Vec<u64>],
+    op: &[u64],
+    agg: Agg,
+    sel: &mut Vec<u32>,
+    distinct: bool,
+    on_shunt: impl FnMut(u32),
+) {
+    let parts: [&[u64]; K] = std::array::from_fn(|p| parts[p].as_slice());
+    update_lanes(
+        sel,
+        distinct,
+        |k| r.update(&std::array::from_fn::<_, K, _>(|p| parts[p][k]), agg, op[k]),
+        on_shunt,
+    );
 }
 
 #[cfg(test)]
@@ -1602,6 +1757,49 @@ mod tests {
         assert_eq!(q1_tuples[0].columns[1].1, 4);
         assert_eq!(q5_tuples.len(), 1);
         assert_eq!(q5_tuples[0].columns[1].1, 4);
+    }
+
+    /// q1 and q5 compiled at the given metadata/register bases and
+    /// merged — with clashing bases, two tasks that are not
+    /// independent.
+    fn load_two_tasks(meta_base: usize, reg_base: u32) -> Switch {
+        let sizing = RegisterSizing {
+            slots: 16,
+            arrays: 1,
+            ..Default::default()
+        };
+        let q1 = catalog::newly_opened_tcp_conns(&Thresholds::default());
+        let q5 = catalog::ddos(&Thresholds::default());
+        let cp1 = compile_pipeline(&q1.pipeline, t(1), &[0, 1, 2], &[sizing], 0, 0).unwrap();
+        let cp5 = compile_pipeline(
+            &q5.pipeline,
+            t(5),
+            &[0, 1, 3, 5],
+            &[sizing, sizing],
+            meta_base,
+            reg_base,
+        )
+        .unwrap();
+        let mut program = cp1.fragment;
+        program.merge(cp5.fragment);
+        Switch::load(program, &SwitchConstraints::default()).unwrap()
+    }
+
+    #[test]
+    fn lowering_accepts_independent_tasks() {
+        load_two_tasks(8, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "both write metadata slot m0")]
+    fn lowering_rejects_tasks_sharing_a_metadata_slot() {
+        load_two_tasks(0, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "both update register r0")]
+    fn lowering_rejects_tasks_sharing_a_register() {
+        load_two_tasks(8, 0);
     }
 
     fn load_filter_only() -> Switch {

@@ -3,15 +3,20 @@
 //! * the raw-bytes path (wire parsing, as hardware) and the decoded
 //!   fast path must produce identical reports and dumps;
 //! * garbage bytes never panic the pipeline;
-//! * register invariants hold under arbitrary key streams.
+//! * register invariants hold under arbitrary key streams, and the
+//!   flat register layout replays a slot-map model step for step;
+//! * task-major batch execution of random merged multi-task programs
+//!   is indistinguishable from the per-packet loop.
 
 use proptest::prelude::*;
-use sonata_packet::{Packet, PacketBuilder, TcpFlags};
+use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::registers::{HashRegisters, RegOutcome};
-use sonata_pisa::{Switch, SwitchConstraints, TaskId};
+use sonata_pisa::{PisaProgram, Report, ReportBatch, Switch, SwitchConstraints, TableKind, TaskId};
+use sonata_planner::refine::refine_query;
 use sonata_query::catalog::{self, Thresholds};
 use sonata_query::{Agg, QueryId};
+use std::collections::{BTreeSet, HashMap};
 
 fn load(q: &sonata_query::Query, slots: usize) -> Switch {
     let specs = table_specs(&q.pipeline);
@@ -64,6 +69,291 @@ fn arb_packet() -> impl Strategy<Value = Packet> {
                 .payload(payload)
                 .build()
         })
+}
+
+/// One task family of a merged program: a top-8 query refined to
+/// `LEVELS[level]`, optionally behind a dyn filter on the previous
+/// level, cut after at most `depth` switch units.
+#[derive(Debug, Clone)]
+struct Pick {
+    query: usize,
+    level: usize,
+    refined_from_prev: bool,
+    depth: usize,
+    pass_when_empty: bool,
+    /// Indices into `DSTS` whose prefixes the dyn filter admits.
+    admitted: Vec<usize>,
+}
+
+const LEVELS: [u8; 4] = [8, 16, 24, 32];
+const SRCS: [u32; 4] = [0x0a00_0001, 0x0a00_0002, 0x0a01_0003, 0x0b00_0004];
+const DSTS: [u32; 4] = [0xc0a8_0001, 0xc0a8_0002, 0xc0a8_0103, 0x0a00_0063];
+
+fn arb_pick() -> impl Strategy<Value = Pick> {
+    (
+        0usize..8,
+        0usize..4,
+        any::<bool>(),
+        0usize..8,
+        any::<bool>(),
+        proptest::collection::vec(0usize..4, 0..4),
+    )
+        .prop_map(
+            |(query, level, refined_from_prev, depth, pass_when_empty, admitted)| Pick {
+                query,
+                level,
+                refined_from_prev,
+                depth,
+                pass_when_empty,
+                admitted,
+            },
+        )
+}
+
+/// Compile and merge the picked fragments, each task with its own
+/// metadata slots and (tiny, so keys collide and shunt) registers.
+fn merged_program(picks: &[Pick], slots: usize, arrays: usize) -> PisaProgram {
+    let queries = catalog::top8(&Thresholds::default());
+    let mut program = PisaProgram::default();
+    let (mut meta_base, mut reg_base) = (0, 0);
+    let mut seen = BTreeSet::new();
+    for pick in picks {
+        if !seen.insert((pick.query, pick.level)) {
+            continue; // one task per (query, level, branch)
+        }
+        let level = LEVELS[pick.level];
+        let prev = (pick.refined_from_prev && pick.level > 0)
+            .then(|| (LEVELS[pick.level - 1], BTreeSet::new()));
+        let q = refine_query(&queries[pick.query], level, prev);
+        let mut branches = vec![&q.pipeline];
+        if let Some(j) = &q.join {
+            branches.push(&j.right);
+        }
+        for (b, pipeline) in branches.into_iter().enumerate() {
+            let specs = table_specs(pipeline);
+            let k = max_switch_units(&specs).min(pick.depth);
+            let stateful = specs.iter().take(k).filter(|s| s.stateful).count();
+            let mut stages = Vec::new();
+            let mut cur = 0;
+            for s in specs.iter().take(k) {
+                stages.push(cur);
+                cur += s.stage_cost;
+            }
+            let sizing = RegisterSizing {
+                slots,
+                arrays,
+                ..Default::default()
+            };
+            let mut fragment = compile_pipeline(
+                pipeline,
+                TaskId {
+                    query: q.id,
+                    level,
+                    branch: b as u8,
+                },
+                &stages,
+                &vec![sizing; stateful],
+                meta_base,
+                reg_base,
+            )
+            .unwrap()
+            .fragment;
+            for t in &mut fragment.tables {
+                if let TableKind::DynFilter {
+                    pass_when_empty, ..
+                } = &mut t.kind
+                {
+                    *pass_when_empty = pick.pass_when_empty;
+                }
+            }
+            meta_base = fragment.meta_slots.max(meta_base);
+            reg_base += fragment.registers.len() as u32;
+            program.merge(fragment);
+        }
+    }
+    program
+}
+
+/// Wire records: mostly well-formed TCP/UDP/ICMP over small address
+/// pools (so keys repeat), plus truncated and garbage byte strings.
+fn arb_record() -> impl Strategy<Value = Vec<u8>> {
+    let flags = prop_oneof![
+        Just(TcpFlags::SYN),
+        Just(TcpFlags::ACK),
+        Just(TcpFlags(TcpFlags::FIN.0 | TcpFlags::ACK.0)),
+        Just(TcpFlags::SYN_ACK),
+    ];
+    let ports = prop_oneof![Just(22u16), Just(23u16), Just(53u16), Just(80u16)];
+    (
+        0u32..8,
+        (0usize..4, 0usize..4),
+        (ports, flags),
+        proptest::collection::vec(any::<u8>(), 0..40),
+    )
+        .prop_map(|(kind, (s, d), (port, flags), noise)| {
+            let (src, dst) = (SRCS[s], DSTS[d]);
+            let pkt = match kind {
+                0..=3 => PacketBuilder::tcp_raw(src, 1024 + s as u16, dst, port)
+                    .flags(flags)
+                    .payload(noise)
+                    .build(),
+                4 => PacketBuilder::udp_raw(src, port, dst, 53).build(),
+                5 => PacketBuilder::icmp_raw(src, dst).build(),
+                6 => {
+                    // Cut anywhere, including inside the IPv4 header.
+                    let wire = PacketBuilder::tcp_raw(src, 9, dst, port).build().encode();
+                    return wire[..noise.len().min(wire.len())].to_vec();
+                }
+                _ => return noise,
+            };
+            pkt.encode()
+        })
+}
+
+fn hash_slot(seed_idx: usize, key: &[u64], slots: usize) -> usize {
+    // The register hash as documented in `registers.rs`, with the
+    // slot picked by a plain remainder.
+    let mut h = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(seed_idx as u64 * 2 + 1);
+    for part in key {
+        h ^= part.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h = h.rotate_left(31).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    }
+    h ^= h >> 33;
+    seed_idx * slots + (h as usize % slots)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn batch_kernels_match_the_per_packet_loop(
+        picks in proptest::collection::vec(arb_pick(), 1..5),
+        (slots, arrays) in (1usize..6, 1usize..3),
+        windows in proptest::collection::vec(
+            proptest::collection::vec(arb_record(), 0..160),
+            2..4,
+        ),
+    ) {
+        let program = merged_program(&picks, slots, arrays);
+        // `process_bytes` leaves a packet it must mirror but cannot
+        // decode unmonitored; the arena contract rules such records
+        // out, so only mirror-free programs see malformed bytes.
+        let mirrors = program.reports.iter().any(|r| r.include_packet);
+        let constraints = SwitchConstraints {
+            stateful_per_stage: 64,
+            ..SwitchConstraints::default()
+        };
+        let mut oracle = Switch::load(program.clone(), &constraints).unwrap();
+        let mut batched = Switch::load(program, &constraints).unwrap();
+        let mut out = ReportBatch::new();
+        let queries = catalog::top8(&Thresholds::default());
+        for (w, records) in windows.iter().enumerate() {
+            // Window 0 runs on the deploy-time (empty) dyn filters;
+            // later windows on control-plane written ones.
+            if w > 0 {
+                for (table, task) in oracle.dyn_filter_tables() {
+                    let pick = picks
+                        .iter()
+                        .find(|p| {
+                            queries[p.query].id == task.query
+                                && LEVELS[p.level] == task.level
+                        })
+                        .unwrap();
+                    let prev = LEVELS[pick.level - 1] as u32;
+                    let entries: BTreeSet<u64> = pick
+                        .admitted
+                        .iter()
+                        .map(|&d| (DSTS[d] & (u32::MAX << (32 - prev))) as u64)
+                        .collect();
+                    oracle.set_dyn_filter(&table, entries.clone()).unwrap();
+                    batched.set_dyn_filter(&table, entries).unwrap();
+                }
+            }
+            let mut arena = PacketArena::new();
+            for (i, r) in records.iter().enumerate() {
+                if !mirrors || Packet::decode(r).is_ok() {
+                    arena.push_record(i as u64, r);
+                }
+            }
+            batched.process_batch(&arena.batch(), &mut out);
+            prop_assert_eq!(out.packets(), arena.len());
+            for i in 0..arena.len() {
+                let view = arena.view(i);
+                let want = oracle.process_bytes(view.bytes(), view.ts_nanos());
+                let got: Vec<Report> = out
+                    .packet_reports(i, arena.batch())
+                    .map(|r| r.to_report())
+                    .collect();
+                prop_assert!(
+                    got == want,
+                    "window {w} packet {i}\n batch: {got:?}\n loop: {want:?}"
+                );
+            }
+            let (a, b) = (batched.counters(), oracle.counters());
+            prop_assert_eq!(
+                (a.packets_in, a.tuple_reports, a.shunt_reports, &a.per_task),
+                (b.packets_in, b.tuple_reports, b.shunt_reports, &b.per_task)
+            );
+            prop_assert_eq!(batched.register_occupancy(), oracle.register_occupancy());
+            prop_assert_eq!(batched.end_window(), oracle.end_window());
+            prop_assert_eq!(batched.counters().dump_tuples, oracle.counters().dump_tuples);
+        }
+    }
+
+    #[test]
+    fn flat_registers_replay_the_slot_map_model(
+        (width, d, slots) in (1usize..5, 1usize..9, 1usize..24),
+        ops in proptest::collection::vec((proptest::collection::vec(0u64..6, 4), 0u64..9), 0..300),
+    ) {
+        // Model: slot index → (key, value), probed through the same
+        // hash in array order. Every outcome, the dump order (slot
+        // order) and the occupancy must match.
+        let mut regs = HashRegisters::new(slots, d, 8, width);
+        let mut model: HashMap<usize, (Vec<u64>, u64)> = HashMap::new();
+        let mut shunted = 0u64;
+        for (parts, operand) in &ops {
+            let key = &parts[..width];
+            let mut want = RegOutcome::Shunted;
+            for a in 0..d {
+                let slot = hash_slot(a, key, slots);
+                match model.get_mut(&slot) {
+                    None => {
+                        model.insert(slot, (key.to_vec(), *operand));
+                        want = RegOutcome::Updated {
+                            first_touch: true,
+                            new_value: *operand,
+                            old_value: 0,
+                        };
+                        break;
+                    }
+                    Some((k, v)) if k == key => {
+                        let old = *v;
+                        *v = old.wrapping_add(*operand) & 0xff;
+                        want = RegOutcome::Updated {
+                            first_touch: false,
+                            new_value: *v,
+                            old_value: old,
+                        };
+                        break;
+                    }
+                    Some(_) => {}
+                }
+            }
+            shunted += (want == RegOutcome::Shunted) as u64;
+            prop_assert_eq!(regs.update(key, Agg::Sum, *operand), want);
+            prop_assert_eq!(regs.read(key), model.values().find(|(k, _)| k == key).map(|e| e.1));
+        }
+        let mut want: Vec<(usize, (Vec<u64>, u64))> = model.into_iter().collect();
+        want.sort();
+        let want: Vec<(Vec<u64>, u64)> = want.into_iter().map(|(_, e)| e).collect();
+        prop_assert_eq!(regs.occupancy(), want.len());
+        prop_assert_eq!(regs.dump(), want);
+        prop_assert_eq!(regs.shunted_packets(), shunted);
+        regs.reset();
+        prop_assert_eq!(regs.occupancy(), 0);
+        prop_assert!(regs.dump().is_empty());
+    }
+
 }
 
 proptest! {
@@ -124,7 +414,7 @@ proptest! {
     ) {
         // Model check: for every key, register count + shunt count
         // equals its true frequency.
-        let mut regs = HashRegisters::new(slots, d, 32);
+        let mut regs = HashRegisters::new(slots, d, 32, 1);
         let mut truth: std::collections::HashMap<u64, u64> = Default::default();
         let mut shunted: std::collections::HashMap<u64, u64> = Default::default();
         for &k in &keys {

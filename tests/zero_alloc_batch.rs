@@ -1,8 +1,9 @@
 //! Counting-allocator proof of the batched ingest contract: once a
-//! window's working set is warm (report arena capacity grown, state
-//! keys registered, scratch columns sized), `Switch::process_batch`
-//! performs **zero** heap allocations per packet — the whole point of
-//! the arena + borrowed-view redesign.
+//! window's working set is warm (report arena capacity grown, scratch
+//! columns sized), `Switch::process_batch` performs **zero** heap
+//! allocations per packet — the whole point of the arena +
+//! borrowed-view redesign. Register state is laid out flat at load,
+//! so that holds even for a window whose every key is new.
 //!
 //! The file holds exactly one `#[test]` so no sibling test allocates
 //! on another thread while the counter is armed.
@@ -55,7 +56,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn build_switch(n_queries: usize) -> Switch {
+fn build_switch(n_queries: usize, sizing: RegisterSizing) -> Switch {
     let queries = catalog::top8(&Thresholds::default());
     let mut program = PisaProgram::default();
     let mut meta_base = 0;
@@ -83,18 +84,7 @@ fn build_switch(n_queries: usize) -> Switch {
                     branch: b as u8,
                 },
                 &stages,
-                // Deliberately tight registers: hash collisions shunt
-                // packets to the emitter, so the measured pass emits
-                // per-packet reports (not just end-of-window dumps)
-                // and the report-arena reuse is actually exercised.
-                &vec![
-                    RegisterSizing {
-                        slots: 64,
-                        arrays: 1,
-                        ..Default::default()
-                    };
-                    stateful
-                ],
+                &vec![sizing; stateful],
                 meta_base,
                 reg_base,
             )
@@ -118,7 +108,18 @@ fn build_switch(n_queries: usize) -> Switch {
 fn process_batch_is_allocation_free_once_warm() {
     let pkts = seeded_packets(7, 1_000);
     let arena = PacketArena::from_packets(&pkts);
-    let mut sw = build_switch(4);
+    // Deliberately tight registers: hash collisions shunt packets to
+    // the emitter, so the measured pass emits per-packet reports (not
+    // just end-of-window dumps) and the report-arena reuse is actually
+    // exercised.
+    let mut sw = build_switch(
+        4,
+        RegisterSizing {
+            slots: 64,
+            arrays: 1,
+            ..Default::default()
+        },
+    );
     let mut out = ReportBatch::new();
 
     // Warm pass: grows the report arena, registers every state key
@@ -142,5 +143,31 @@ fn process_batch_is_allocation_free_once_warm() {
         0,
         "process_batch allocated {allocs} times over {} warm packets",
         arena.len()
+    );
+
+    // Max-DP shape: all eight queries with every stateful operator in
+    // a roomy register, so nearly every packet updates several keys
+    // and almost nothing shunts. Closing the window empties the
+    // registers, which makes every key of the measured pass a first
+    // touch — storing a new key must not allocate either.
+    let background = Trace::background(&BackgroundConfig::small(), 7);
+    let arena = PacketArena::from_packets(background.packets());
+    let mut sw = build_switch(8, RegisterSizing::default());
+    sw.process_batch(&arena.batch(), &mut out);
+    let resident = sw.register_occupancy();
+    assert!(resident > 500, "workload must actually fill registers");
+    sw.end_window();
+    assert_eq!(sw.register_occupancy(), 0);
+
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    sw.process_batch(&arena.batch(), &mut out);
+    ARMED.store(false, Ordering::SeqCst);
+
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(sw.register_occupancy(), resident);
+    assert_eq!(
+        allocs, 0,
+        "process_batch allocated {allocs} times re-keying {resident} register slots"
     );
 }

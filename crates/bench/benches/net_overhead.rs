@@ -16,7 +16,7 @@ use sonata_bench::BenchJson;
 use sonata_core::{Runtime, RuntimeConfig};
 use sonata_net::{decode_frame, encode_frame, Frame, TransportKind};
 use sonata_packet::{Packet, PacketBuilder, TcpFlags};
-use sonata_pisa::{Report, ReportKind, TaskId, WindowDump};
+use sonata_pisa::{DumpBlock, Report, ReportKind, TaskId, WindowDump};
 use sonata_planner::costs::CostConfig;
 use sonata_planner::{plan_queries, PlanMode, PlannerConfig};
 use sonata_query::catalog::{self, Thresholds};
@@ -49,17 +49,19 @@ fn sample_report(seq: u64) -> Report {
 /// A representative end-of-window dump: 256 register tuples in one
 /// batch frame (batch coalescing is the whole point of this frame).
 fn sample_dump() -> Frame {
-    let tuples = (0..256)
-        .map(|i| Report {
-            packet: None,
-            kind: ReportKind::WindowDump,
-            ..sample_report(i)
-        })
-        .collect();
+    let t = sample_report(0);
+    let block = DumpBlock {
+        task: t.task,
+        kind: ReportKind::WindowDump,
+        entry_op: None,
+        first_seq: 0,
+        names: t.columns.iter().map(|(n, _)| n.clone()).collect(),
+        cells: (0..256).flat_map(|i| [0x0a00_0001 + i, 1]).collect(),
+    };
     Frame::WindowDump {
         window: 3,
         dump: WindowDump {
-            tuples,
+            tuples: [block].into_iter().collect(),
             suppressed: 17,
             occupancy: 256,
             shunted_packets: 4,

@@ -14,44 +14,95 @@
 //! a local key-value data store \[and\] reads the aggregated value for
 //! each key … from the data-plane registers before sending the output
 //! tuples to the stream processor."
+//!
+//! Everything is per-task state built once from the deployed plan. A
+//! register dump arrives as column blocks; a block — or a single
+//! report, a block of one row — is resolved once: one task lookup, one
+//! column permutation, one destination, then a loop over its rows.
 
 use crate::driver::Deployment;
 use sonata_faults::FaultInjector;
-use sonata_packet::Value;
+use sonata_packet::{Packet, Value};
 use sonata_pisa::{Report, ReportKind, TaskId, WindowDump};
 use sonata_query::{ColName, QueryId, Schema, Tuple};
-use sonata_stream::{run_entries, StreamError, WindowBatch};
+use sonata_stream::{BoundEntries, StreamError, WindowBatch};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// Converts switch reports into per-job window batches.
+/// A task's tuples awaiting the end-of-window merge, keyed by the
+/// pipeline op they enter at.
+pub(crate) type LocalStore = BTreeMap<usize, Vec<Tuple>>;
+
+/// One task's share of the emitter.
 #[derive(Debug)]
+struct TaskState {
+    dep: Deployment,
+    /// `dep.local_ops`, bound once: the end-of-window merge.
+    merge: BoundEntries,
+    /// The local key-value store.
+    store: LocalStore,
+    /// Report seqs seen this window (filled only under dedup).
+    seen: HashSet<u64>,
+}
+
+/// A count kept for the window in progress, for the last window
+/// closed, and in total.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Tally {
+    /// In the current window so far.
+    pub window: u64,
+    /// In the most recently closed window.
+    pub last: u64,
+    /// Cumulative over closed windows.
+    pub total: u64,
+}
+
+impl Tally {
+    fn roll(&mut self) {
+        self.total += self.window;
+        self.last = std::mem::take(&mut self.window);
+    }
+}
+
+/// Converts switch reports into per-job window batches.
+#[derive(Debug, Default)]
 pub struct Emitter {
-    by_task: HashMap<TaskId, Deployment>,
+    tasks: BTreeMap<TaskId, TaskState>,
     /// Accumulating batches, keyed by stream job.
     batches: HashMap<QueryId, WindowBatch>,
-    /// Local key-value store: per task, tuples awaiting the
-    /// end-of-window merge, keyed by their pipeline entry op.
-    local: HashMap<TaskId, BTreeMap<usize, Vec<Tuple>>>,
-    /// Tuples already forwarded this window (per-packet reports and
-    /// finalized dumps).
-    forwarded_this_window: u64,
-    /// Reports received from the switch this window (includes shunts
-    /// and raw dumps that the local store absorbs).
-    received_this_window: u64,
-    /// Cumulative tuples forwarded to the stream processor.
-    pub total_tuples: u64,
-    /// Cumulative switch→emitter reports.
-    pub total_received: u64,
+    /// Scratch: for each column of the schema being laid out, where it
+    /// sits among the report's columns ([`ABSENT`] if it does not).
+    perm: Vec<usize>,
     /// Duplicate suppression, active only when fault injection is on:
     /// per-task `(window, seq)` sets keyed on the switch-assigned
     /// report sequence number — an injected duplicate repeats a seq, a
     /// legitimately identical tuple never does, so fault-free
     /// behaviour is untouched.
-    dedup: Option<HashMap<TaskId, HashSet<u64>>>,
-    suppressed_this_window: u64,
-    suppressed_last_window: u64,
-    /// Cumulative duplicate reports suppressed.
-    pub total_suppressed: u64,
+    dedup: bool,
+    /// Switch→emitter reports (includes shunts and raw dumps that the
+    /// local store absorbs).
+    pub received: Tally,
+    /// Tuples forwarded toward the stream processor (per-packet
+    /// reports, finalized dumps, and at close the merge's survivors).
+    pub forwarded: Tally,
+    /// Duplicate reports suppressed.
+    pub suppressed: Tally,
+    /// Reports that decode but cannot be placed (see [`Self::ingest`]).
+    /// The wire is a trust boundary: they are counted and dropped.
+    pub malformed: Tally,
+}
+
+/// Marks a schema column the report lacks; it reads as zero, mirroring
+/// uninitialized metadata.
+const ABSENT: usize = usize::MAX;
+
+/// The job-batch entry a task's forwarded tuples and merge survivors
+/// land in.
+fn resume_entry<'a>(
+    dep: &Deployment,
+    batches: &'a mut HashMap<QueryId, WindowBatch>,
+) -> &'a mut Vec<Tuple> {
+    let side = batches.entry(dep.job).or_default().branch_mut(dep.branch);
+    side.entry(dep.resume_op).or_default()
 }
 
 impl Emitter {
@@ -64,120 +115,130 @@ impl Emitter {
     /// on duplicate-report suppression (the graceful-degradation
     /// response to injected report duplication).
     pub fn with_faults(deployments: &[Deployment], faults: &FaultInjector) -> Self {
+        let state = |d: &Deployment| TaskState {
+            dep: d.clone(),
+            merge: BoundEntries::bind(&d.local_ops),
+            store: LocalStore::new(),
+            seen: HashSet::new(),
+        };
         Emitter {
-            by_task: deployments.iter().map(|d| (d.task, d.clone())).collect(),
-            batches: HashMap::new(),
-            local: HashMap::new(),
-            forwarded_this_window: 0,
-            received_this_window: 0,
-            total_tuples: 0,
-            total_received: 0,
-            dedup: faults.is_enabled().then(HashMap::new),
-            suppressed_this_window: 0,
-            suppressed_last_window: 0,
-            total_suppressed: 0,
+            tasks: deployments.iter().map(|d| (d.task, state(d))).collect(),
+            dedup: faults.is_enabled(),
+            ..Emitter::default()
         }
     }
 
-    /// Convert a report's named columns into a tuple laid out by
-    /// `schema` (columns the report lacks read as zero, mirroring
-    /// uninitialized metadata).
-    fn tuple_for(schema: &Schema, columns: &[(ColName, u64)]) -> Tuple {
-        let values = schema
-            .columns()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                // Switch reports lay columns out in schema order, so
-                // the positional probe almost always hits; fall back
-                // to a scan for partial or reordered reports.
-                match columns.get(i) {
-                    Some((n, v)) if n == c => Value::U64(*v),
-                    _ => columns
-                        .iter()
-                        .find(|(n, _)| n == c)
-                        .map(|(_, v)| Value::U64(*v))
-                        .unwrap_or(Value::U64(0)),
+    /// Ingest one mirrored report. A report of a task the plan does
+    /// not deploy is stale (a plan change) and ignored. One that names
+    /// a deployed task but cannot be placed — a shunt or raw row with
+    /// no entry op or one the task has no schema for, a packet-report
+    /// task's report without its packet — is counted malformed and
+    /// dropped.
+    pub fn ingest(&mut self, report: &Report) {
+        let cols = &report.columns;
+        self.place(
+            (report.task, report.kind, report.entry_op, report.seq),
+            report.packet.as_ref(),
+            (1, cols.len()),
+            |j| &cols[j].0,
+            |_, j| cols[j].1,
+        );
+    }
+
+    /// Ingest the end-of-window register dump, block by block. A block
+    /// whose cells are not whole rows is dropped as one malformed
+    /// report; one that cannot be placed (blocks carry no packets), as
+    /// one per row.
+    pub fn ingest_dump(&mut self, dump: &WindowDump) {
+        for b in dump.tuples.blocks() {
+            let width = b.width();
+            if !b.is_well_formed() {
+                self.received.window += 1;
+                self.malformed.window += 1;
+                continue;
+            }
+            self.place(
+                (b.task, b.kind, b.entry_op, b.first_seq),
+                None,
+                (b.rows(), width),
+                |j| &b.names[j],
+                |r, j| b.cells[r * width + j],
+            );
+        }
+    }
+
+    /// Place `rows` reports that share a header `(task, kind, entry op,
+    /// first seq)` and `width` column names `name(j)`; row `r` holds
+    /// `cell(r, j)` and carries seq `first seq + r`.
+    fn place<'a>(
+        &mut self,
+        (task, kind, entry_op, first_seq): (TaskId, ReportKind, Option<usize>, u64),
+        packet: Option<&Packet>,
+        (rows, width): (usize, usize),
+        name: impl Fn(usize) -> &'a ColName,
+        cell: impl Fn(usize, usize) -> u64,
+    ) {
+        let Some(TaskState {
+            dep, store, seen, ..
+        }) = self.tasks.get_mut(&task)
+        else {
+            return;
+        };
+        self.received.window += rows as u64;
+        // Shunts and raw dump rows wait in the local store, laid out by
+        // their entry op's schema; the rest goes straight to the job.
+        let local = matches!(kind, ReportKind::Shunt | ReportKind::WindowDumpRaw);
+        let schema: Option<&Schema> = match (local, dep.report_packet) {
+            (true, _) => entry_op.and_then(|op| dep.entry_schemas.get(&op)),
+            (false, true) => packet.map(|_| &dep.resume_schema),
+            (false, false) => Some(&dep.resume_schema),
+        };
+        let Some(schema) = schema else {
+            self.malformed.window += rows as u64;
+            return;
+        };
+        let packet = packet.filter(|_| !local && dep.report_packet);
+        // Switch reports lay columns out in schema order, so the
+        // positional probe almost always hits; the scan covers partial
+        // or reordered reports.
+        self.perm.clear();
+        let cols = schema.columns().iter().enumerate();
+        self.perm
+            .extend(cols.filter(|_| packet.is_none()).map(|(i, c)| {
+                if i < width && name(i) == c {
+                    i
+                } else {
+                    (0..width).find(|&j| name(j) == c).unwrap_or(ABSENT)
+                }
+            }));
+        let (perm, dedup) = (&self.perm, self.dedup);
+        // `(task, window, seq)` identifies one logical report (seqs
+        // are per-task, per-window); a repeat is an injected duplicate
+        // and is suppressed, not re-applied.
+        let mut fresh = (0..rows)
+            .filter(|&r| !dedup || seen.insert(first_seq.wrapping_add(r as u64)))
+            .map(|r| match packet {
+                Some(pkt) => Tuple::from_packet(pkt),
+                None => {
+                    let value = |&j: &usize| if j == ABSENT { 0 } else { cell(r, j) };
+                    Tuple::new(perm.iter().map(|j| Value::U64(value(j))).collect())
                 }
             })
-            .collect();
-        Tuple::new(values)
-    }
-
-    fn forward(&mut self, dep_job: QueryId, branch: u8, entry_op: usize, tuple: Tuple) {
-        let batch = self.batches.entry(dep_job).or_default();
-        if branch == 0 {
-            batch.push_left(entry_op, [tuple]);
-        } else {
-            batch.push_right(entry_op, [tuple]);
+            .peekable();
+        // Rows that are all repeats leave no trace.
+        let mut pushed = 0;
+        if fresh.peek().is_some() {
+            let out = match entry_op.filter(|_| local) {
+                Some(op) => store.entry(op).or_default(),
+                None => resume_entry(dep, &mut self.batches),
+            };
+            let before = out.len();
+            out.reserve(rows);
+            out.extend(fresh);
+            pushed = out.len() - before;
         }
-        self.forwarded_this_window += 1;
-    }
-
-    /// Bulk hand-off: one `WindowBatch` append per (job, entry) —
-    /// used by the end-of-window drain so the merged survivors move
-    /// into the batch as a whole vector instead of tuple by tuple.
-    fn forward_many(&mut self, dep_job: QueryId, branch: u8, entry_op: usize, tuples: Vec<Tuple>) {
-        self.forwarded_this_window += tuples.len() as u64;
-        let batch = self.batches.entry(dep_job).or_default();
-        if branch == 0 {
-            batch.append_left(entry_op, tuples);
-        } else {
-            batch.append_right(entry_op, tuples);
-        }
-    }
-
-    /// Ingest one mirrored report.
-    pub fn ingest(&mut self, report: &Report) {
-        let Some(dep) = self.by_task.get(&report.task).cloned() else {
-            return; // stale task after a plan change
-        };
-        self.received_this_window += 1;
-        if let Some(dedup) = &mut self.dedup {
-            // `(task, window, seq)` identifies one logical report
-            // (seqs are per-task, per-window); a repeat is an
-            // injected duplicate and is suppressed, not re-applied.
-            if !dedup.entry(report.task).or_default().insert(report.seq) {
-                self.suppressed_this_window += 1;
-                return;
-            }
-        }
-        match report.kind {
-            ReportKind::Shunt | ReportKind::WindowDumpRaw => {
-                // Into the local store for the end-of-window merge.
-                let entry = report.entry_op.expect("shunt/raw reports carry entry op");
-                let schema = dep
-                    .entry_schemas
-                    .get(&entry)
-                    .expect("entry schema recorded at deploy time");
-                let tuple = Self::tuple_for(schema, &report.columns);
-                self.local
-                    .entry(report.task)
-                    .or_default()
-                    .entry(entry)
-                    .or_default()
-                    .push(tuple);
-            }
-            ReportKind::Tuple | ReportKind::WindowDump => {
-                let tuple = if dep.report_packet {
-                    let pkt = report
-                        .packet
-                        .as_ref()
-                        .expect("packet report carries the packet");
-                    Tuple::from_packet(pkt)
-                } else {
-                    Self::tuple_for(&dep.resume_schema, &report.columns)
-                };
-                self.forward(dep.job, dep.branch, dep.resume_op, tuple);
-            }
-        }
-    }
-
-    /// Ingest the end-of-window register dump.
-    pub fn ingest_dump(&mut self, dump: &WindowDump) {
-        for report in &dump.tuples {
-            self.ingest(report);
-        }
+        self.suppressed.window += (rows - pushed) as u64;
+        self.forwarded.window += if local { 0 } else { pushed as u64 };
     }
 
     /// Close the window: merge the local store (replaying each task's
@@ -185,11 +246,10 @@ impl Emitter {
     /// the thresholds the switch had to skip), forward survivors, and
     /// hand out the accumulated batches.
     pub fn close_window(&mut self) -> Result<Vec<(QueryId, WindowBatch)>, StreamError> {
-        let pending: Vec<(TaskId, BTreeMap<usize, Vec<Tuple>>)> = self.local.drain().collect();
-        for (task, entries) in pending {
-            let dep = self.by_task.get(&task).cloned().expect("local store task");
-            let (_, survivors) = run_entries(&dep.local_ops, &entries)?;
-            self.forward_many(dep.job, dep.branch, dep.resume_op, survivors);
+        for t in self.tasks.values_mut().filter(|t| !t.store.is_empty()) {
+            let mut survivors = t.merge.run(std::mem::take(&mut t.store))?;
+            self.forwarded.window += survivors.len() as u64;
+            resume_entry(&t.dep, &mut self.batches).append(&mut survivors);
         }
         Ok(self.roll_window())
     }
@@ -203,49 +263,25 @@ impl Emitter {
     /// per-switch aggregates and drop keys whose fabric-wide sum
     /// crosses the threshold.
     #[allow(clippy::type_complexity)]
-    pub fn take_partial(
-        &mut self,
-    ) -> (
-        Vec<(QueryId, WindowBatch)>,
-        Vec<(TaskId, BTreeMap<usize, Vec<Tuple>>)>,
-    ) {
-        let mut local: Vec<(TaskId, BTreeMap<usize, Vec<Tuple>>)> = self.local.drain().collect();
-        local.sort_by_key(|(task, _)| *task);
+    pub fn take_partial(&mut self) -> (Vec<(QueryId, WindowBatch)>, Vec<(TaskId, LocalStore)>) {
+        let local = (self.tasks.iter_mut())
+            .filter(|(_, t)| !t.store.is_empty())
+            .map(|(task, t)| (*task, std::mem::take(&mut t.store)))
+            .collect();
         (self.roll_window(), local)
     }
 
     /// End-of-window counter roll shared by both close paths.
     fn roll_window(&mut self) -> Vec<(QueryId, WindowBatch)> {
-        self.total_tuples += self.forwarded_this_window;
-        self.total_received += self.received_this_window;
-        self.forwarded_this_window = 0;
-        self.received_this_window = 0;
-        if let Some(dedup) = &mut self.dedup {
-            dedup.clear(); // seqs restart next window
-        }
-        self.total_suppressed += self.suppressed_this_window;
-        self.suppressed_last_window = self.suppressed_this_window;
-        self.suppressed_this_window = 0;
+        self.received.roll();
+        self.forwarded.roll();
+        self.suppressed.roll();
+        self.malformed.roll();
+        // Seqs restart next window.
+        self.tasks.values_mut().for_each(|t| t.seen.clear());
         let mut out: Vec<(QueryId, WindowBatch)> = self.batches.drain().collect();
         out.sort_by_key(|(job, _)| *job);
         out
-    }
-
-    /// Tuples forwarded toward the stream processor in the current
-    /// window so far (pre-merge).
-    pub fn window_tuples(&self) -> u64 {
-        self.forwarded_this_window
-    }
-
-    /// Switch→emitter reports in the current window so far.
-    pub fn window_received(&self) -> u64 {
-        self.received_this_window
-    }
-
-    /// Duplicate reports suppressed in the most recently closed
-    /// window.
-    pub fn suppressed_last_window(&self) -> u64 {
-        self.suppressed_last_window
     }
 }
 
@@ -254,6 +290,7 @@ mod tests {
     use super::*;
     use sonata_packet::Field;
     use sonata_packet::PacketBuilder;
+    use sonata_pisa::DumpBlock;
     use sonata_query::expr::{col, field, lit};
     use sonata_query::{Agg, QueryId};
 
@@ -329,7 +366,7 @@ mod tests {
             vec![("count".into(), 7), ("dIP".into(), 42)],
             None,
         ));
-        assert_eq!(e.window_tuples(), 1);
+        assert_eq!(e.forwarded.window, 1);
         let batches = e.close_window().unwrap();
         let t = &batches[0].1.left[&4][0];
         // Columns reordered into the resume schema.
@@ -363,16 +400,16 @@ mod tests {
             vec![("dIP".into(), 0xbb), ("count".into(), 1)],
             Some(2),
         ));
-        assert_eq!(e.window_tuples(), 0); // nothing forwarded yet
-        assert_eq!(e.window_received(), 4);
+        assert_eq!(e.forwarded.window, 0); // nothing forwarded yet
+        assert_eq!(e.received.window, 4);
         let batches = e.close_window().unwrap();
         let tuples = &batches[0].1.left[&4];
         assert_eq!(tuples.len(), 1, "{tuples:?}");
         assert_eq!(tuples[0].get(0), &Value::U64(0xaa));
         assert_eq!(tuples[0].get(1), &Value::U64(4));
         // Accounting: 4 received, 1 forwarded.
-        assert_eq!(e.total_received, 4);
-        assert_eq!(e.total_tuples, 1);
+        assert_eq!(e.received.total, 4);
+        assert_eq!(e.forwarded.total, 1);
     }
 
     #[test]
@@ -456,12 +493,12 @@ mod tests {
         );
         e.ingest(&r);
         e.ingest(&r); // injected duplicate: same (task, window, seq)
-        assert_eq!(e.window_tuples(), 1);
-        assert_eq!(e.window_received(), 2);
+        assert_eq!(e.forwarded.window, 1);
+        assert_eq!(e.received.window, 2);
         let batches = e.close_window().unwrap();
         assert_eq!(batches[0].1.tuple_count(), 1);
-        assert_eq!(e.suppressed_last_window(), 1);
-        assert_eq!(e.total_suppressed, 1);
+        assert_eq!(e.suppressed.last, 1);
+        assert_eq!(e.suppressed.total, 1);
         // Seqs restart per window: the same seq next window is fresh.
         e.ingest(&report_seq(
             task(1, 0),
@@ -470,10 +507,10 @@ mod tests {
             None,
             5,
         ));
-        assert_eq!(e.window_tuples(), 1);
+        assert_eq!(e.forwarded.window, 1);
         let batches = e.close_window().unwrap();
         assert_eq!(batches[0].1.tuple_count(), 1);
-        assert_eq!(e.suppressed_last_window(), 0);
+        assert_eq!(e.suppressed.last, 0);
     }
 
     #[test]
@@ -488,15 +525,134 @@ mod tests {
                 seq,
             ));
         }
-        assert_eq!(e.window_received(), 2);
-        assert_eq!(e.suppressed_this_window, 0);
+        assert_eq!(e.received.window, 2);
+        assert_eq!(e.suppressed.window, 0);
     }
 
     #[test]
     fn stale_tasks_are_dropped() {
         let mut e = Emitter::new(&[deployment(task(1, 0), 10)]);
         e.ingest(&report(task(99, 0), ReportKind::Tuple, vec![], None));
-        assert_eq!(e.window_received(), 0);
+        assert_eq!(e.received.window, 0);
         assert!(e.close_window().unwrap().is_empty());
+    }
+
+    fn packet_deployment(task: TaskId, job: u32) -> Deployment {
+        Deployment {
+            report_packet: true,
+            resume_op: 0,
+            resume_schema: Schema::packet(),
+            ..deployment(task, job)
+        }
+    }
+
+    /// The reports and dump blocks the codec accepts but a switch
+    /// running the plan never sends.
+    fn malformed_traffic() -> (Vec<Report>, WindowDump) {
+        let cols = || vec![("dIP".into(), 1), ("count".into(), 1)];
+        let reports = vec![
+            // A shunt and a raw row with no entry op.
+            report(task(1, 0), ReportKind::Shunt, cols(), None),
+            report(task(1, 0), ReportKind::WindowDumpRaw, cols(), None),
+            // An entry op the task has no schema for.
+            report(task(1, 0), ReportKind::Shunt, cols(), Some(9)),
+            // A packet-report task's report without its packet.
+            report(task(2, 0), ReportKind::Tuple, cols(), None),
+        ];
+        let block = |task, kind, entry_op, cells| DumpBlock {
+            task,
+            kind,
+            entry_op,
+            first_seq: 0,
+            names: ["dIP".into(), "count".into()].into(),
+            cells,
+        };
+        let blocks = [
+            // Three cells are not rows of two.
+            block(task(1, 0), ReportKind::WindowDump, None, vec![1, 2, 3]),
+            // Two rows at an unknown entry op, one with none.
+            block(task(1, 0), ReportKind::WindowDumpRaw, Some(9), vec![1; 4]),
+            block(task(1, 0), ReportKind::WindowDumpRaw, None, vec![1; 2]),
+            // Two rows for a task whose tuples are packets.
+            block(task(2, 0), ReportKind::WindowDump, None, vec![1; 4]),
+        ];
+        let dump = WindowDump {
+            tuples: blocks.into_iter().collect(),
+            ..WindowDump::default()
+        };
+        (reports, dump)
+    }
+
+    fn assert_all_dropped_as_malformed(mut e: Emitter) {
+        // 4 reports, 1 ill-formed block, 2 + 1 + 2 unplaceable rows.
+        assert_eq!((e.received.window, e.forwarded.window), (10, 0));
+        assert!(e.close_window().unwrap().is_empty());
+        assert_eq!((e.malformed.last, e.malformed.total), (10, 10));
+        // A good report afterwards still lands.
+        let cols = vec![("dIP".into(), 1), ("count".into(), 1)];
+        e.ingest(&report(task(1, 0), ReportKind::WindowDump, cols, None));
+        assert_eq!(e.close_window().unwrap()[0].1.tuple_count(), 1);
+        assert_eq!((e.malformed.last, e.malformed.total), (0, 10));
+    }
+
+    #[test]
+    fn malformed_frames_decode_and_are_dropped_by_the_emitter() {
+        use sonata_net::{decode_frame, encode_frame, Frame};
+        let (reports, dump) = malformed_traffic();
+        let mut e = Emitter::new(&[
+            deployment(task(1, 0), 10),
+            packet_deployment(task(2, 0), 20),
+        ]);
+        // The ill-formed block cannot be encoded (the codec writes
+        // whole rows); it reaches an emitter only in process.
+        let wire_dump = WindowDump {
+            tuples: dump.tuples.blocks()[1..].iter().cloned().collect(),
+            ..WindowDump::default()
+        };
+        e.ingest_dump(&WindowDump {
+            tuples: dump.tuples.blocks()[..1].iter().cloned().collect(),
+            ..WindowDump::default()
+        });
+        let frames = (reports.into_iter().map(Frame::Report)).chain([Frame::WindowDump {
+            window: 0,
+            dump: wire_dump,
+        }]);
+        for frame in frames {
+            match decode_frame(&encode_frame(&frame)).unwrap().0 {
+                Frame::Report(r) => e.ingest(&r),
+                Frame::WindowDump { dump, .. } => e.ingest_dump(&dump),
+                other => panic!("decoded as {other:?}"),
+            }
+        }
+        assert_all_dropped_as_malformed(e);
+    }
+
+    #[test]
+    fn malformed_reports_over_loopback_are_dropped_by_the_emitter() {
+        use sonata_net::{loopback_pair, CollectorEndpoint, Frame, NetMetrics, SwitchEndpoint};
+        use sonata_obs::ObsHandle;
+        let (reports, dump) = malformed_traffic();
+        let metrics = NetMetrics::new(&ObsHandle::disabled());
+        let (sw_t, sp_t) = loopback_pair(64, &metrics);
+        let faults = FaultInjector::disabled();
+        let sw = SwitchEndpoint::new(Box::new(sw_t), faults, metrics.clone(), "sw", 7, 0);
+        let mut sw = sw.unwrap();
+        let mut sp = CollectorEndpoint::new(Box::new(sp_t), metrics, 7, 0);
+        sw.open_window(0, 4).unwrap();
+        sw.send_packet_reports(reports).unwrap();
+        sw.send_dump(0, dump).unwrap();
+        sw.close_window(0, 0, 0, 0).unwrap();
+        let mut e = Emitter::new(&[
+            deployment(task(1, 0), 10),
+            packet_deployment(task(2, 0), 20),
+        ]);
+        while let Some(frame) = sp.try_recv_frame().unwrap() {
+            match frame {
+                Frame::Report(r) => e.ingest(&r),
+                Frame::WindowDump { dump, .. } => e.ingest_dump(&dump),
+                _ => {}
+            }
+        }
+        assert_all_dropped_as_malformed(e);
     }
 }

@@ -38,7 +38,7 @@
 
 use crate::drift::DriftMonitor;
 use crate::driver::{deploy, plan_digest, DeployedPlan, Deployment, QueryInstance};
-use crate::emitter::Emitter;
+use crate::emitter::{Emitter, LocalStore};
 use crate::runtime::{
     attribute_tuples, boundary_backoff_loop, build_feed_forward, collect_alerts,
     feed_forward_control, submit_with_recovery, DegradedWindow, FeedForward, ReplanState,
@@ -57,10 +57,10 @@ use sonata_pisa::{ControlOp, ReportBatch, ReportKind, Switch, TaskId, UpdateCost
 use sonata_planner::{GlobalPlan, ReplanOutcome};
 use sonata_query::{Operator, QueryId, Tuple};
 use sonata_stream::{
-    merge_window_batches, run_entries, MicroBatchEngine, ShardedEngine, SwitchPartial, WindowBatch,
+    merge_window_batches, BoundEntries, MicroBatchEngine, ShardedEngine, SwitchPartial, WindowBatch,
 };
 use sonata_traffic::{Trace, TracePartitioner};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::time::Duration;
 
 /// Shape of a telemetry fabric: how many switches split the tap, how
@@ -214,11 +214,18 @@ struct FabricSwitch {
 impl FabricSwitch {
     /// Batch ingest for this switch's share of the window: lay
     /// `packets` out in the arena and run the whole batch. Ship with
-    /// [`Self::ship_batch`] once per packet index, in order.
+    /// [`Self::ship_batch`] for each index [`Self::next_to_ship`]
+    /// yields, in order.
     fn feed_batch(&mut self, packets: &[Packet]) {
         self.arena.rebuild_from_packets(packets);
         self.switch
             .process_batch(&self.arena.batch(), &mut self.report_batch);
+    }
+
+    /// The next batch packet at or after `from` with anything to ship
+    /// (see [`SwitchEndpoint::next_to_ship`]).
+    fn next_to_ship(&self, from: usize) -> Option<usize> {
+        self.link.next_to_ship(&self.report_batch, from)
     }
 
     /// Ship batch packet `i`'s reports — borrowed slices straight from
@@ -289,7 +296,9 @@ pub struct Fabric {
     switches: Vec<FabricSwitch>,
     links: Vec<FabricLink>,
     shards: Vec<Shard>,
-    by_task: BTreeMap<TaskId, Deployment>,
+    /// Each task's deployment and its local merge, run once per window
+    /// over the union of every switch's local store.
+    by_task: BTreeMap<TaskId, (Deployment, BoundEntries)>,
     instances: Vec<QueryInstance>,
     feed_forward: Vec<FeedForward>,
     /// Fabric-level injector: worker and boundary seams (per-switch
@@ -418,7 +427,7 @@ impl Fabric {
             .unwrap_or(3_000);
         let obs = FabricObs::new(&cfg.obs, topo.switches, topo.shards);
         let partitioner = topo.partitioner();
-        let by_task = deployments.iter().map(|d| (d.task, d.clone())).collect();
+        let by_task = bind_tasks(&deployments);
         let replan = ReplanState::from_config(&cfg.replan, plan);
         Ok(Fabric {
             partitioner,
@@ -613,9 +622,11 @@ impl Fabric {
             let slice = &parts[s][..limit];
             if self.switches[s].ingest_batch {
                 self.switches[s].feed_batch(slice);
-                for i in 0..slice.len() {
+                let mut next = 0;
+                while let Some(i) = self.switches[s].next_to_ship(next) {
                     self.switches[s].ship_batch(i)?;
                     pump_link(&mut self.links[s], &mut rxs[s], &handle)?;
+                    next = i + 1;
                 }
             } else {
                 for pkt in slice {
@@ -711,7 +722,7 @@ impl Fabric {
         let mut shunts_per_task: BTreeMap<QueryId, u64> = BTreeMap::new();
         let mut duplicates_suppressed = 0u64;
         let mut partials: Vec<SwitchPartial> = Vec::with_capacity(live_ids.len());
-        let mut local_union: BTreeMap<TaskId, BTreeMap<usize, Vec<Tuple>>> = BTreeMap::new();
+        let mut local_union: BTreeMap<TaskId, LocalStore> = BTreeMap::new();
         // Sketch bounds from every switch, folded once after the loop:
         // the fabric merge of a sketch register is the sketch of the
         // union stream, so per-switch relative guarantees survive the
@@ -731,7 +742,8 @@ impl Fabric {
                     *shunts_per_task.entry(*job).or_default() += n;
                 }
                 let (direct, local) = self.links[s].emitter.take_partial();
-                duplicates_suppressed += self.links[s].emitter.suppressed_last_window();
+                duplicates_suppressed += self.links[s].emitter.suppressed.last;
+                (self.obs.rt.malformed_reports).add(self.links[s].emitter.malformed.last);
                 let forwarded: u64 = direct.iter().map(|(_, b)| b.tuple_count() as u64).sum();
                 self.obs.switch_packets[s].add(rxs[s].packets);
                 self.obs.switch_tuples[s].add(forwarded);
@@ -753,35 +765,19 @@ impl Fabric {
             // switch-resident operators once over the union of every
             // switch's local store, summing partial aggregates before
             // the deferred threshold applies.
-            for (task, entries) in &local_union {
-                let dep = self.by_task.get(task).expect("local store task");
-                let distinct_at = dep
-                    .local_ops
-                    .iter()
-                    .position(|op| matches!(op, Operator::Distinct));
-                let filtered;
-                let entries = if let Some(d) = distinct_at {
-                    // The distinct-set dump recomputes every admitted
-                    // key's downstream contribution, so shunt tuples
-                    // that entered past the distinct (reduce-register
-                    // collisions) are already represented: keep only
-                    // entries at or before the distinct op.
-                    filtered = entries
-                        .iter()
-                        .filter(|(op, _)| **op <= d)
-                        .map(|(op, tuples)| (*op, tuples.clone()))
-                        .collect::<BTreeMap<usize, Vec<Tuple>>>();
-                    &filtered
-                } else {
-                    entries
-                };
-                let (_, survivors) = run_entries(&dep.local_ops, entries)?;
-                let batch = merged.entry(dep.job).or_default();
-                if dep.branch == 0 {
-                    batch.push_left(dep.resume_op, survivors);
-                } else {
-                    batch.push_right(dep.resume_op, survivors);
+            for (task, mut entries) in local_union {
+                let (dep, merge) = self.by_task.get_mut(&task).expect("local store task");
+                // The distinct-set dump recomputes every admitted
+                // key's downstream contribution, so shunt tuples that
+                // entered past the distinct (reduce-register
+                // collisions) are already represented: keep only
+                // entries at or before the distinct op.
+                if let Some(d) = (dep.local_ops.iter()).position(|op| *op == Operator::Distinct) {
+                    entries.retain(|op, _| *op <= d);
                 }
+                let survivors = merge.run(entries)?;
+                let side = merged.entry(dep.job).or_default().branch_mut(dep.branch);
+                side.entry(dep.resume_op).or_default().extend(survivors);
             }
             // A partition that *ends* in a distinct forwards first
             // occurrences per packet; across switches the same key can
@@ -790,27 +786,13 @@ impl Fabric {
             // entries at its resume op. Post-distinct tuples are
             // unique within a window by definition, making exact-tuple
             // dedup lossless.
-            for dep in self.by_task.values() {
-                if !matches!(dep.local_ops.last(), Some(Operator::Distinct)) {
+            for (dep, _) in self.by_task.values() {
+                if dep.local_ops.last() != Some(&Operator::Distinct) {
                     continue;
                 }
-                if let Some(batch) = merged.get_mut(&dep.job) {
-                    let side = if dep.branch == 0 {
-                        &mut batch.left
-                    } else {
-                        &mut batch.right
-                    };
-                    if let Some(tuples) = side.get_mut(&dep.resume_op) {
-                        let mut seen: Vec<Tuple> = Vec::with_capacity(tuples.len());
-                        tuples.retain(|t| {
-                            if seen.contains(t) {
-                                false
-                            } else {
-                                seen.push(t.clone());
-                                true
-                            }
-                        });
-                    }
+                let side = merged.get_mut(&dep.job).map(|b| b.branch_mut(dep.branch));
+                if let Some(tuples) = side.and_then(|side| side.get_mut(&dep.resume_op)) {
+                    keep_first_occurrences(tuples);
                 }
             }
             let batches = merged.into_iter().collect::<Vec<(QueryId, WindowBatch)>>();
@@ -1137,7 +1119,7 @@ impl Fabric {
             self.shards[j] = Shard { engine, fallback };
         }
         self.feed_forward = build_feed_forward(&deployments, &instances);
-        self.by_task = deployments.iter().map(|d| (d.task, d.clone())).collect();
+        self.by_task = bind_tasks(&deployments);
         self.instances = instances;
         // The old plan's dynamic filters are meaningless under the new
         // deployment; a rejoin before the next boundary replays only
@@ -1184,6 +1166,19 @@ fn feed_switch(sw: &mut FabricSwitch, pkt: &Packet) -> Result<(), RuntimeError> 
     };
     sw.link.send_packet_reports(reports)?;
     Ok(())
+}
+
+/// Each deployed task with its local merge bound.
+fn bind_tasks(deployments: &[Deployment]) -> BTreeMap<TaskId, (Deployment, BoundEntries)> {
+    (deployments.iter())
+        .map(|d| (d.task, (d.clone(), BoundEntries::bind(&d.local_ops))))
+        .collect()
+}
+
+/// Drop every tuple equal to an earlier one, keeping order.
+fn keep_first_occurrences(tuples: &mut Vec<Tuple>) {
+    let mut seen = HashSet::with_capacity(tuples.len());
+    tuples.retain(|t| seen.insert(t.clone()));
 }
 
 /// Drain every frame already buffered on one switch's collector link.
@@ -1251,6 +1246,22 @@ mod tests {
     use sonata_packet::{PacketBuilder, TcpFlags};
     use sonata_planner::{plan_queries, PlanMode, PlannerConfig};
     use sonata_query::catalog::{self, Thresholds};
+
+    #[test]
+    fn cross_switch_dedup_keeps_first_occurrences_in_linear_time() {
+        use sonata_packet::Value;
+        // 10 k distinct post-`distinct` tuples, each "first" on four
+        // switches. Scanning the kept tuples for every tuple (2 × 10⁸
+        // tuple compares, ~4 s in a debug build) does not fit the
+        // budget below; hashing them takes ~20 ms.
+        let tuple = |k: u64| Tuple::new(vec![Value::U64(k % 10_000), Value::U64(k % 10_000 % 7)]);
+        let mut tuples: Vec<Tuple> = (0..40_000u64).map(tuple).collect();
+        tuples.insert(1, tuple(0));
+        let started = std::time::Instant::now();
+        keep_first_occurrences(&mut tuples);
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(tuples, (0..10_000u64).map(tuple).collect::<Vec<_>>());
+    }
 
     #[test]
     fn topology_validation_and_mappings() {

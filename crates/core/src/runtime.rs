@@ -686,6 +686,9 @@ pub(crate) struct RuntimeObs {
     pub(crate) filter_entries: Gauge,
     pub(crate) update_latency: Histogram,
     pub(crate) degraded_windows: Counter,
+    /// Reports the emitter dropped as malformed (decodable, but not
+    /// something the deployed plan's switch sends).
+    pub(crate) malformed_reports: Counter,
     /// One counter per [`FaultKind`], in [`FaultKind::ALL`] order —
     /// registered eagerly so every kind appears in snapshots (at zero)
     /// even on runs that never injected it.
@@ -704,6 +707,7 @@ impl RuntimeObs {
             filter_entries: handle.gauge("sonata_runtime_filter_entries", &[]),
             update_latency: handle.histogram("sonata_runtime_update_latency_ns", &[]),
             degraded_windows: handle.counter("sonata_degraded_windows", &[]),
+            malformed_reports: handle.counter("sonata_emitter_malformed_reports_total", &[]),
             faults_injected: FaultKind::ALL
                 .iter()
                 .map(|k| handle.counter("sonata_faults_injected", &[("kind", k.name())]))
@@ -1283,8 +1287,10 @@ impl Runtime {
                             .trace_span(Stage::PacketLoop, w, root.ctx(), "switch-0");
                         if sw.ingest_batch {
                             sw.feed_batch(packets);
-                            for i in 0..packets.len() {
+                            let mut next = 0;
+                            while let Some(i) = sw.next_to_ship(next) {
                                 sw.ship_batch(i)?;
+                                next = i + 1;
                             }
                         } else {
                             for pkt in packets {
@@ -1326,8 +1332,9 @@ impl Runtime {
 
     /// Run one window of packets and close it, interleaving both
     /// halves on this thread. Frames are pumped from the collector
-    /// after every packet, so bounded queues and socket buffers never
-    /// fill without a consumer, whichever backend carries them.
+    /// after every packet that shipped any, so bounded queues and
+    /// socket buffers never fill without a consumer, whichever backend
+    /// carries them.
     pub fn process_window(
         &mut self,
         window: u64,
@@ -1357,9 +1364,11 @@ impl Runtime {
                 .trace_span(Stage::PacketLoop, window, root.ctx(), "switch-0");
             if self.sw.ingest_batch {
                 self.sw.feed_batch(packets);
-                for i in 0..packets.len() {
+                let mut next = 0;
+                while let Some(i) = self.sw.next_to_ship(next) {
                     self.sw.ship_batch(i)?;
                     self.sp.pump(&mut rx)?;
+                    next = i + 1;
                 }
             } else {
                 for pkt in packets {
@@ -1479,12 +1488,17 @@ impl SwitchHalf {
     /// Batch ingest: lay the window's packets out in the contiguous
     /// arena (in place, allocations retained) and execute the whole
     /// batch through the compiled plan. Ship with [`Self::ship_batch`]
-    /// once per packet index, in order — the egress fault seam
-    /// measures delay verdicts in packets.
+    /// for each index [`Self::next_to_ship`] yields, in order.
     fn feed_batch(&mut self, packets: &[Packet]) {
         self.arena.rebuild_from_packets(packets);
         self.switch
             .process_batch(&self.arena.batch(), &mut self.report_batch);
+    }
+
+    /// The next batch packet at or after `from` with anything to ship
+    /// (see [`SwitchEndpoint::next_to_ship`]).
+    fn next_to_ship(&self, from: usize) -> Option<usize> {
+        self.link.next_to_ship(&self.report_batch, from)
     }
 
     /// Ship batch packet `i`'s reports — borrowed slices straight from
@@ -1648,6 +1662,7 @@ impl SpHalf {
             }
             self.emitter.close_window()?
         };
+        (self.obs.malformed_reports).add(self.emitter.malformed.last);
         let tuples_to_sp: u64 = batches.iter().map(|(_, b)| b.tuple_count() as u64).sum();
         let tuples_per_query = attribute_tuples(&self.instances, &batches);
 
@@ -1810,7 +1825,7 @@ impl SpHalf {
             let injected = self.faults.take_window_record();
             let marker = DegradedWindow {
                 injected,
-                duplicates_suppressed: self.emitter.suppressed_last_window(),
+                duplicates_suppressed: self.emitter.suppressed.last,
                 worker_retries: p.worker_retries,
                 single_mode_fallbacks: p.single_mode_fallbacks,
                 boundary_retries: p.boundary_retries,

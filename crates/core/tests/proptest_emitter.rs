@@ -1,0 +1,361 @@
+//! Property tests for the emitter's column-block ingest.
+//!
+//! For random deployments and random windows — per-packet reports and
+//! shunts first, then a register dump of finalized, raw and
+//! deferred-`distinct` blocks, with natural, partial, reordered and
+//! junk column names, unknown entry ops, stale tasks, and (under
+//! dedup) colliding sequence numbers — three things must agree:
+//!
+//! 1. `ingest_dump(blocks)`;
+//! 2. `ingest` of the blocks' materialized `Report`s, one by one;
+//! 3. an oracle written the slow way: a name scan per cell into a
+//!    plain local store, merged by the reference interpreter
+//!    (`run_entries_owned`).
+//!
+//! Both through `close_window` and through a fabric switch's
+//! `take_partial`.
+
+use proptest::prelude::*;
+use sonata_core::driver::Deployment;
+use sonata_core::Emitter;
+use sonata_faults::{FaultInjector, FaultPlan, ReportFaults};
+use sonata_packet::{Field, PacketBuilder, Value};
+use sonata_pisa::{DumpBlock, Report, ReportKind, TaskId, WindowDump};
+use sonata_query::expr::{col, field, lit};
+use sonata_query::{Agg, ColName, Query, QueryId, Schema, Tuple};
+use sonata_stream::{run_entries_owned, WindowBatch};
+use std::collections::{BTreeMap, HashSet};
+
+type LocalStore = BTreeMap<usize, Vec<Tuple>>;
+type Batches = Vec<(QueryId, WindowBatch)>;
+
+const LEVEL: u8 = 32;
+
+fn task(q: u32, branch: u8) -> TaskId {
+    TaskId {
+        query: QueryId(q),
+        level: LEVEL,
+        branch,
+    }
+}
+
+/// Three deployment shapes: a reduce on the switch (Query 1), a
+/// `distinct` feeding a reduce (superspreader), and a packet-report
+/// task with nothing on the switch.
+fn deployment(shape: u8, q: u32, branch: u8, th: u64) -> Deployment {
+    let base = Deployment {
+        task: task(q, branch),
+        job: QueryId(q * 1000 + LEVEL as u32),
+        branch,
+        resume_op: 0,
+        report_packet: false,
+        resume_schema: Schema::packet(),
+        entry_schemas: BTreeMap::new(),
+        local_ops: Vec::new(),
+        dynfilter_table: None,
+    };
+    match shape % 3 {
+        0 => Deployment {
+            resume_op: 4,
+            resume_schema: Schema::new(["dIP", "count"]),
+            entry_schemas: [(2, Schema::new(["dIP", "count"]))].into(),
+            local_ops: Query::builder("reduce", q)
+                .filter(field(Field::TcpFlags).eq(lit(2)))
+                .map([("dIP", field(Field::Ipv4Dst)), ("count", lit(1))])
+                .reduce(&["dIP"], Agg::Sum, "count")
+                .filter(col("count").gt(lit(th)))
+                .build()
+                .unwrap()
+                .pipeline
+                .ops,
+            ..base
+        },
+        1 => Deployment {
+            resume_op: 5,
+            resume_schema: Schema::new(["sIP", "count"]),
+            entry_schemas: [
+                (1, Schema::new(["sIP", "dIP"])),
+                (3, Schema::new(["sIP", "count"])),
+            ]
+            .into(),
+            local_ops: Query::builder("distinct_reduce", q)
+                .map([
+                    ("sIP", field(Field::Ipv4Src)),
+                    ("dIP", field(Field::Ipv4Dst)),
+                ])
+                .distinct()
+                .map([("sIP", col("sIP")), ("count", lit(1))])
+                .reduce(&["sIP"], Agg::Sum, "count")
+                .filter(col("count").gt(lit(th)))
+                .build()
+                .unwrap()
+                .pipeline
+                .ops,
+            ..base
+        },
+        _ => Deployment {
+            report_packet: true,
+            ..base
+        },
+    }
+}
+
+/// `(kind, entry_op, names)` headers a switch running `shape` sends,
+/// the fabric's deferred-`distinct` dump among them.
+fn natural_headers(shape: u8) -> Vec<(ReportKind, Option<usize>, &'static [&'static str])> {
+    use ReportKind::*;
+    match shape % 3 {
+        0 => vec![
+            (WindowDump, None, &["dIP", "count"]),
+            (WindowDumpRaw, Some(2), &["dIP", "count"]),
+            (Shunt, Some(2), &["dIP", "count"]),
+        ],
+        1 => vec![
+            (WindowDump, None, &["sIP", "count"]),
+            (WindowDumpRaw, Some(3), &["sIP", "count"]),
+            (WindowDumpRaw, Some(1), &["sIP", "dIP"]),
+            (Shunt, Some(1), &["sIP", "dIP"]),
+            (Shunt, Some(3), &["sIP", "count"]),
+        ],
+        _ => vec![(Tuple, None, &[])],
+    }
+}
+
+const KINDS: [ReportKind; 4] = [
+    ReportKind::Tuple,
+    ReportKind::Shunt,
+    ReportKind::WindowDump,
+    ReportKind::WindowDumpRaw,
+];
+const ENTRY_OPS: [Option<usize>; 5] = [None, Some(1), Some(2), Some(3), Some(7)];
+/// Partial, reordered, duplicated and junk name lists.
+const NAME_LISTS: [&[&str]; 7] = [
+    &["count", "dIP"],
+    &["dIP"],
+    &["count", "sIP", "junk"],
+    &["dIP", "sIP"],
+    &["count", "count", "dIP"],
+    &["junk"],
+    &[],
+];
+
+/// One header choice: mostly what the task's switch would send,
+/// sometimes anything.
+fn header(
+    deps: &[(u8, Deployment)],
+    task_pick: u8,
+    pick: u8,
+) -> (TaskId, ReportKind, Option<usize>, Vec<ColName>) {
+    let names = |list: &[&str]| list.iter().map(|n| ColName::from(*n)).collect();
+    let slot = task_pick as usize % (deps.len() + 1);
+    let Some((shape, dep)) = deps.get(slot) else {
+        return (task(99, 0), KINDS[pick as usize % 4], None, names(&["dIP"]));
+    };
+    let p = pick as usize;
+    if pick < 170 {
+        let natural = natural_headers(*shape);
+        let (kind, entry_op, list) = natural[p % natural.len()];
+        (dep.task, kind, entry_op, names(list))
+    } else {
+        let list = NAME_LISTS[p % NAME_LISTS.len()];
+        (dep.task, KINDS[p % 4], ENTRY_OPS[p / 4 % 5], names(list))
+    }
+}
+
+/// What the test draws per report / per block; small values so keys,
+/// thresholds and sequence numbers collide.
+type Draw = (u8, u8, u8, bool, Vec<u64>);
+
+fn arb_draw(rows: usize) -> impl Strategy<Value = Draw> {
+    (
+        any::<u8>(),
+        any::<u8>(),
+        0u8..12,
+        any::<bool>(),
+        proptest::collection::vec(0u64..4, rows * 3),
+    )
+}
+
+fn report_of(deps: &[(u8, Deployment)], (task_pick, pick, seq, has_packet, vals): &Draw) -> Report {
+    let (task, kind, entry_op, names) = header(deps, *task_pick, *pick);
+    Report {
+        task,
+        kind,
+        columns: names.into_iter().zip(vals.iter().copied()).collect(),
+        packet: has_packet.then(|| PacketBuilder::tcp_raw(vals[0] as u32, 1, 9, 80).build()),
+        entry_op,
+        seq: *seq as u64,
+    }
+}
+
+fn block_of(deps: &[(u8, Deployment)], (task_pick, pick, seq, _, vals): &Draw) -> DumpBlock {
+    let (task, kind, entry_op, names) = header(deps, *task_pick, *pick);
+    let rows = vals.len() / 3 * usize::from(*seq % 4 != 0);
+    DumpBlock {
+        task,
+        kind,
+        entry_op,
+        first_seq: *seq as u64,
+        cells: vals[..rows.min(5) * names.len()].to_vec(),
+        names: names.into(),
+    }
+}
+
+/// The emitter written the slow way, one owned report at a time.
+struct Oracle<'d> {
+    deps: &'d [(u8, Deployment)],
+    dedup: bool,
+    seen: HashSet<(TaskId, u64)>,
+    store: BTreeMap<TaskId, LocalStore>,
+    direct: BTreeMap<QueryId, WindowBatch>,
+    /// `[received, forwarded, suppressed, malformed]`.
+    counts: [u64; 4],
+}
+
+/// Positional probe, then first match by name; absent reads as zero.
+fn tuple_for(schema: &Schema, columns: &[(ColName, u64)]) -> Tuple {
+    let cell = |(i, c): (usize, &ColName)| {
+        let hit = columns.get(i).filter(|(n, _)| n == c);
+        let hit = hit.or_else(|| columns.iter().find(|(n, _)| n == c));
+        Value::U64(hit.map_or(0, |(_, v)| *v))
+    };
+    Tuple::new(schema.columns().iter().enumerate().map(cell).collect())
+}
+
+fn side<'a>(batch: &'a mut WindowBatch, dep: &Deployment) -> &'a mut Vec<Tuple> {
+    let side = if dep.branch == 0 {
+        &mut batch.left
+    } else {
+        &mut batch.right
+    };
+    side.entry(dep.resume_op).or_default()
+}
+
+impl Oracle<'_> {
+    fn ingest(&mut self, r: &Report) {
+        let Some((_, dep)) = self.deps.iter().find(|(_, d)| d.task == r.task) else {
+            return;
+        };
+        self.counts[0] += 1;
+        let local = matches!(r.kind, ReportKind::Shunt | ReportKind::WindowDumpRaw);
+        let schema = if local {
+            r.entry_op.and_then(|op| dep.entry_schemas.get(&op))
+        } else {
+            Some(&dep.resume_schema).filter(|_| !dep.report_packet || r.packet.is_some())
+        };
+        let Some(schema) = schema else {
+            self.counts[3] += 1;
+            return;
+        };
+        if self.dedup && !self.seen.insert((r.task, r.seq)) {
+            self.counts[2] += 1;
+            return;
+        }
+        if local {
+            let entry = self.store.entry(r.task).or_default();
+            let tuples = entry.entry(r.entry_op.unwrap()).or_default();
+            tuples.push(tuple_for(schema, &r.columns));
+            return;
+        }
+        self.counts[1] += 1;
+        let tuple = match &r.packet {
+            Some(pkt) if dep.report_packet => Tuple::from_packet(pkt),
+            _ => tuple_for(schema, &r.columns),
+        };
+        side(self.direct.entry(dep.job).or_default(), dep).push(tuple);
+    }
+
+    fn partial(self) -> (Batches, Vec<(TaskId, LocalStore)>) {
+        (
+            self.direct.into_iter().collect(),
+            self.store.into_iter().collect(),
+        )
+    }
+
+    fn close(mut self) -> ([u64; 4], Batches) {
+        for (task, entries) in std::mem::take(&mut self.store) {
+            let (_, dep) = self.deps.iter().find(|(_, d)| d.task == task).unwrap();
+            let (_, survivors) = run_entries_owned(&dep.local_ops, entries).unwrap();
+            self.counts[1] += survivors.len() as u64;
+            side(self.direct.entry(dep.job).or_default(), dep).extend(survivors);
+        }
+        (self.counts, self.direct.into_iter().collect())
+    }
+}
+
+fn counts(e: &Emitter) -> [u64; 4] {
+    [e.received, e.forwarded, e.suppressed, e.malformed].map(|t| t.total)
+}
+
+proptest! {
+    #[test]
+    fn block_ingest_equals_report_ingest_equals_the_reference_merge(
+        shapes in proptest::collection::vec((0u8..3, 0u8..2, 0u64..3), 1..4),
+        reports in proptest::collection::vec(arb_draw(1), 0..24),
+        blocks in proptest::collection::vec(arb_draw(5), 0..8),
+        dedup in any::<bool>(),
+        partial in any::<bool>(),
+    ) {
+        // Distinct tasks; two branches of one query share a job.
+        let deps: Vec<(u8, Deployment)> = (shapes.iter().enumerate())
+            .map(|(i, &(shape, branch, th))| (shape, deployment(shape, 1 + i as u32 / 2, branch, th)))
+            .collect();
+        let deps: Vec<(u8, Deployment)> = (deps.iter().enumerate())
+            .filter(|(i, (_, d))| deps[..*i].iter().all(|(_, e)| e.task != d.task))
+            .map(|(_, d)| d.clone())
+            .collect();
+        let plain: Vec<Deployment> = deps.iter().map(|(_, d)| d.clone()).collect();
+        let faults = FaultInjector::from_plan(&FaultPlan {
+            seed: 1,
+            report: ReportFaults {
+                duplicate_per_mille: u32::from(dedup),
+                ..ReportFaults::default()
+            },
+            ..FaultPlan::default()
+        });
+        prop_assert_eq!(faults.is_enabled(), dedup);
+        let reports: Vec<Report> = reports.iter().map(|d| report_of(&deps, d)).collect();
+        let dump = WindowDump {
+            tuples: blocks.iter().map(|d| block_of(&deps, d)).collect(),
+            ..WindowDump::default()
+        };
+        let rows: Vec<Report> = dump.tuples.iter().collect();
+        prop_assert_eq!(rows.len(), dump.tuples.len());
+
+        let mut by_block = Emitter::with_faults(&plain, &faults);
+        let mut by_report = Emitter::with_faults(&plain, &faults);
+        let mut oracle = Oracle {
+            deps: &deps,
+            dedup,
+            seen: HashSet::new(),
+            store: BTreeMap::new(),
+            direct: BTreeMap::new(),
+            counts: [0; 4],
+        };
+        for r in &reports {
+            by_block.ingest(r);
+            by_report.ingest(r);
+            oracle.ingest(r);
+        }
+        by_block.ingest_dump(&dump);
+        for r in &rows {
+            by_report.ingest(r);
+            oracle.ingest(r);
+        }
+        prop_assert_eq!(
+            (by_block.received.window, by_block.forwarded.window),
+            (oracle.counts[0], oracle.counts[1])
+        );
+        if partial {
+            let want = oracle.partial();
+            prop_assert_eq!(&by_block.take_partial(), &want);
+            prop_assert_eq!(&by_report.take_partial(), &want);
+        } else {
+            let (want_counts, want) = oracle.close();
+            prop_assert_eq!(&by_block.close_window().unwrap(), &want);
+            prop_assert_eq!(&by_report.close_window().unwrap(), &want);
+            prop_assert_eq!(counts(&by_block), want_counts);
+        }
+        prop_assert_eq!(counts(&by_block), counts(&by_report));
+    }
+}

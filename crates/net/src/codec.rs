@@ -36,7 +36,13 @@
 //!
 //! All integers are little-endian. Strings are `u16` length-prefixed
 //! UTF-8; vectors are `u32` count-prefixed; options are a one-byte
-//! presence tag. Packets ride as their own wire encoding
+//! presence tag. A window dump's rows ride as column blocks (v6): per
+//! block the task, kind, entry op and first `seq`, a `u16`-counted name
+//! list, then `rows: u32`, `width: u16` and `rows × width` bare `u64`
+//! cells — `width` must equal the name count, and `rows × width × 8`
+//! is checked against the bytes left in the frame before the cells are
+//! touched, so a header can never size an allocation. Packets ride
+//! as their own wire encoding
 //! ([`sonata_packet::Packet::encode`]) plus the capture timestamp and
 //! an Ethernet-framing flag, and are re-parsed on decode — the codec
 //! canonicalizes a packet exactly like the capture path does.
@@ -47,7 +53,9 @@
 use crate::frame::Frame;
 use sonata_obs::TraceContext;
 use sonata_packet::Packet;
-use sonata_pisa::{ControlOp, Report, ReportKind, SketchBound, StateLayout, TaskId, WindowDump};
+use sonata_pisa::{
+    ControlOp, DumpBlock, Report, ReportKind, SketchBound, StateLayout, TaskId, WindowDump,
+};
 use sonata_query::QueryId;
 use std::collections::BTreeSet;
 
@@ -56,8 +64,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"SNTA");
 /// Current protocol version (v2 added the `switch` header field; v3
 /// added the in-band `trace`/`span` context fields; v4 added the plan
 /// `epoch` field for online replanning; v5 added declared sketch
-/// error bounds to the window-dump payload).
-pub const VERSION: u16 = 5;
+/// error bounds to the window-dump payload; v6 carries the dump's rows
+/// as column blocks — names once per block, not once per cell).
+pub const VERSION: u16 = 6;
 /// Fixed header size (magic + version + type + flags + switch +
 /// trace + span + epoch + len).
 pub const HEADER_LEN: usize = 38;
@@ -223,25 +232,24 @@ impl<'a> Reader<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::Malformed("non-UTF-8 string"))
     }
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     fn done(&self) -> bool {
-        self.pos == self.buf.len()
+        self.remaining() == 0
     }
 }
 
 // ------------------------------------------------------ field codecs
 
-/// Shared report payload writer: both the owned [`Report`] path and
-/// the borrowed [`ReportRef`](sonata_pisa::ReportRef) path feed it, so
-/// the two encodings are byte-identical by construction. The mirrored
-/// packet rides as `(ts_nanos, has_ethernet, wire_bytes)`.
-fn write_report_parts(
+/// What a report and a dump block both lead with: task, kind, (first)
+/// `seq`, entry op.
+fn write_report_head(
     w: &mut Writer,
     task: &TaskId,
     kind: ReportKind,
     seq: u64,
     entry_op: Option<usize>,
-    columns: &[(sonata_query::ColName, u64)],
-    packet: Option<(u64, bool, &[u8])>,
 ) {
     w.u32(task.query.0);
     w.u8(task.level);
@@ -260,6 +268,50 @@ fn write_report_parts(
         }
         None => w.u8(0),
     }
+}
+
+fn read_report_head(
+    r: &mut Reader<'_>,
+) -> Result<(TaskId, ReportKind, u64, Option<usize>), CodecError> {
+    let task = read_task(r)?;
+    let kind = match r.u8()? {
+        0 => ReportKind::Tuple,
+        1 => ReportKind::Shunt,
+        2 => ReportKind::WindowDump,
+        3 => ReportKind::WindowDumpRaw,
+        _ => return Err(CodecError::Malformed("report kind")),
+    };
+    let seq = r.u64()?;
+    let entry_op = match r.u8()? {
+        0 => None,
+        1 => Some(r.u64()? as usize),
+        _ => return Err(CodecError::Malformed("entry_op tag")),
+    };
+    Ok((task, kind, seq, entry_op))
+}
+
+fn read_task(r: &mut Reader<'_>) -> Result<TaskId, CodecError> {
+    Ok(TaskId {
+        query: QueryId(r.u32()?),
+        level: r.u8()?,
+        branch: r.u8()?,
+    })
+}
+
+/// Shared report payload writer: both the owned [`Report`] path and
+/// the borrowed [`ReportRef`](sonata_pisa::ReportRef) path feed it, so
+/// the two encodings are byte-identical by construction. The mirrored
+/// packet rides as `(ts_nanos, has_ethernet, wire_bytes)`.
+fn write_report_parts(
+    w: &mut Writer,
+    task: &TaskId,
+    kind: ReportKind,
+    seq: u64,
+    entry_op: Option<usize>,
+    columns: &[(sonata_query::ColName, u64)],
+    packet: Option<(u64, bool, &[u8])>,
+) {
+    write_report_head(w, task, kind, seq, entry_op);
     w.u32(columns.len() as u32);
     for (name, val) in columns {
         w.str(name);
@@ -291,22 +343,7 @@ fn write_report(w: &mut Writer, r: &Report) {
 }
 
 fn read_report(r: &mut Reader<'_>) -> Result<Report, CodecError> {
-    let query = r.u32()?;
-    let level = r.u8()?;
-    let branch = r.u8()?;
-    let kind = match r.u8()? {
-        0 => ReportKind::Tuple,
-        1 => ReportKind::Shunt,
-        2 => ReportKind::WindowDump,
-        3 => ReportKind::WindowDumpRaw,
-        _ => return Err(CodecError::Malformed("report kind")),
-    };
-    let seq = r.u64()?;
-    let entry_op = match r.u8()? {
-        0 => None,
-        1 => Some(r.u64()? as usize),
-        _ => return Err(CodecError::Malformed("entry_op tag")),
-    };
+    let (task, kind, seq, entry_op) = read_report_head(r)?;
     let ncols = r.u32()? as usize;
     if ncols > MAX_FRAME_LEN / 8 {
         return Err(CodecError::Malformed("column count"));
@@ -336,11 +373,7 @@ fn read_report(r: &mut Reader<'_>) -> Result<Report, CodecError> {
         _ => return Err(CodecError::Malformed("packet tag")),
     };
     Ok(Report {
-        task: TaskId {
-            query: QueryId(query),
-            level,
-            branch,
-        },
+        task,
         kind,
         columns,
         packet,
@@ -350,9 +383,20 @@ fn read_report(r: &mut Reader<'_>) -> Result<Report, CodecError> {
 }
 
 fn write_dump(w: &mut Writer, dump: &WindowDump) {
-    w.u32(dump.tuples.len() as u32);
-    for t in &dump.tuples {
-        write_report(w, t);
+    w.u32(dump.tuples.blocks().len() as u32);
+    for b in dump.tuples.blocks() {
+        write_report_head(w, &b.task, b.kind, b.first_seq, b.entry_op);
+        debug_assert!(b.is_well_formed() && b.width() <= u16::MAX as usize);
+        w.u16(b.width() as u16);
+        for name in b.names.iter() {
+            w.str(name);
+        }
+        w.u32(b.rows() as u32);
+        w.u16(b.width() as u16);
+        w.buf.reserve(b.cells.len() * 8);
+        for v in &b.cells {
+            w.u64(*v);
+        }
     }
     w.u64(dump.suppressed);
     w.u64(dump.occupancy as u64);
@@ -373,15 +417,59 @@ fn write_dump(w: &mut Writer, dump: &WindowDump) {
     }
 }
 
+/// Bytes of a dump block with no names and no rows: the report head
+/// without an entry op (6 + 1 + 8 + 1), the name count, rows, width.
+const DUMP_BLOCK_MIN_LEN: usize = 16 + 2 + 4 + 2;
+
+/// One column block. Every count is checked against the bytes the
+/// frame still holds before it sizes anything, so allocations are
+/// bounded by the frame, never by a header's claim.
+fn read_dump_block(r: &mut Reader<'_>) -> Result<DumpBlock, CodecError> {
+    let (task, kind, first_seq, entry_op) = read_report_head(r)?;
+    if !matches!(kind, ReportKind::WindowDump | ReportKind::WindowDumpRaw) {
+        return Err(CodecError::Malformed("dump block kind"));
+    }
+    let ncols = r.u16()? as usize;
+    if ncols > r.remaining() / 2 {
+        return Err(CodecError::Malformed("dump block name count"));
+    }
+    let names = (0..ncols)
+        .map(|_| r.str().map(Into::into))
+        .collect::<Result<_, _>>()?;
+    let rows = r.u32()? as usize;
+    if r.u16()? as usize != ncols {
+        return Err(CodecError::Malformed(
+            "dump block width differs from its name count",
+        ));
+    }
+    if ncols == 0 && rows != 0 {
+        return Err(CodecError::Malformed("dump block rows without columns"));
+    }
+    let bytes = rows
+        .checked_mul(ncols * 8)
+        .filter(|&b| b <= r.remaining())
+        .ok_or(CodecError::Malformed("dump block rows exceed the frame"))?;
+    let cells = (r.take(bytes)?.chunks_exact(8))
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
+        .collect();
+    Ok(DumpBlock {
+        task,
+        kind,
+        entry_op,
+        first_seq,
+        names,
+        cells,
+    })
+}
+
 fn read_dump(r: &mut Reader<'_>) -> Result<WindowDump, CodecError> {
     let n = r.u32()? as usize;
-    if n > MAX_FRAME_LEN / 16 {
-        return Err(CodecError::Malformed("dump tuple count"));
+    if n > r.remaining() / DUMP_BLOCK_MIN_LEN {
+        return Err(CodecError::Malformed("dump block count"));
     }
-    let mut tuples = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        tuples.push(read_report(r)?);
-    }
+    let tuples = (0..n)
+        .map(|_| read_dump_block(r))
+        .collect::<Result<_, _>>()?;
     let suppressed = r.u64()?;
     let occupancy = r.u64()? as usize;
     let shunted_packets = r.u64()?;
@@ -391,9 +479,7 @@ fn read_dump(r: &mut Reader<'_>) -> Result<WindowDump, CodecError> {
     }
     let mut bounds = Vec::with_capacity(nb.min(1024));
     for _ in 0..nb {
-        let query = r.u32()?;
-        let level = r.u8()?;
-        let branch = r.u8()?;
+        let task = read_task(r)?;
         let layout =
             StateLayout::from_tag(r.u8()?).ok_or(CodecError::Malformed("sketch layout tag"))?;
         let epsilon = f64::from_bits(r.u64()?);
@@ -402,11 +488,7 @@ fn read_dump(r: &mut Reader<'_>) -> Result<WindowDump, CodecError> {
             return Err(CodecError::Malformed("sketch bound value"));
         }
         bounds.push(SketchBound {
-            task: TaskId {
-                query: QueryId(query),
-                level,
-                branch,
-            },
+            task,
             layout,
             epsilon,
             delta,

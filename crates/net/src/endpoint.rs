@@ -183,11 +183,23 @@ impl SwitchEndpoint {
         Ok(())
     }
 
+    /// The next batch packet at or after `from` to call
+    /// [`Self::send_packet_reports_ref`] for. With the fault seam on
+    /// that is every packet, because delay verdicts are measured in
+    /// packets; without it, only packets that reported.
+    pub fn next_to_ship(&self, reports: &ReportBatch, from: usize) -> Option<usize> {
+        if self.faults.is_enabled() {
+            (from < reports.packets()).then_some(from)
+        } else {
+            reports.next_reporting(from)
+        }
+    }
+
     /// Batch-mode sibling of [`Self::send_packet_reports`]: ship
     /// packet `i`'s reports straight from the report batch and packet
-    /// arena. Must be called once per batch packet in order, exactly
-    /// like its per-packet sibling, so delay verdicts measured in
-    /// packets line up. Fault-free windows take the borrowed path
+    /// arena. Call it for each index [`Self::next_to_ship`] yields, in
+    /// order, so delay verdicts measured in packets line up with the
+    /// per-packet sibling. Fault-free windows take the borrowed path
     /// ([`Transport::send_report_ref`]) and materialize nothing;
     /// faulted windows materialize owned reports and run the
     /// identical per-packet verdict sequence.

@@ -10,7 +10,9 @@ use sonata_net::{
 };
 use sonata_obs::TraceContext;
 use sonata_packet::{Packet, PacketBuilder, TcpFlags};
-use sonata_pisa::{ControlOp, Report, ReportKind, SketchBound, StateLayout, TaskId, WindowDump};
+use sonata_pisa::{
+    ControlOp, DumpBlock, Report, ReportKind, SketchBound, StateLayout, TaskId, WindowDump,
+};
 use sonata_query::QueryId;
 use std::collections::BTreeSet;
 
@@ -126,17 +128,48 @@ fn arb_bound() -> impl Strategy<Value = SketchBound> {
         )
 }
 
+/// One column block: up to four names (a zero-width block holds no
+/// rows), up to five rows.
+fn arb_block() -> impl Strategy<Value = DumpBlock> {
+    (
+        (any::<u32>(), any::<u8>(), any::<u8>(), any::<bool>()),
+        any::<u64>(),
+        arb_entry_op(),
+        proptest::collection::vec(arb_name(), 0..5),
+        0usize..6,
+        proptest::collection::vec(any::<u64>(), 20),
+    )
+        .prop_map(
+            |((q, level, branch, raw), first_seq, entry_op, names, rows, vals)| DumpBlock {
+                task: TaskId {
+                    query: QueryId(q),
+                    level,
+                    branch,
+                },
+                kind: if raw {
+                    ReportKind::WindowDumpRaw
+                } else {
+                    ReportKind::WindowDump
+                },
+                entry_op,
+                first_seq,
+                cells: vals[..rows * names.len()].to_vec(),
+                names: names.into_iter().map(Into::into).collect(),
+            },
+        )
+}
+
 fn arb_dump() -> impl Strategy<Value = WindowDump> {
     (
-        proptest::collection::vec(arb_report(), 0..4),
+        proptest::collection::vec(arb_block(), 0..4),
         any::<u64>(),
         0usize..1_000_000,
         any::<u64>(),
         proptest::collection::vec(arb_bound(), 0..3),
     )
         .prop_map(
-            |(tuples, suppressed, occupancy, shunted_packets, bounds)| WindowDump {
-                tuples,
+            |(blocks, suppressed, occupancy, shunted_packets, bounds)| WindowDump {
+                tuples: blocks.into_iter().collect(),
                 suppressed,
                 occupancy,
                 shunted_packets,
@@ -174,7 +207,71 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// The bytes of a `WindowDump` frame whose payload is one block,
+/// written by hand so the header can claim any `rows` × `width` over
+/// any cells, wrapped in a valid frame header and CRC.
+fn hand_framed_block(names: &[String], rows: u32, width: u16, cell_bytes: &[u8]) -> Vec<u8> {
+    let mut p = Vec::new();
+    p.extend_from_slice(&7u64.to_le_bytes()); // window
+    p.extend_from_slice(&1u32.to_le_bytes()); // one block
+    p.extend_from_slice(&[1, 0, 0, 0, 32, 0, 3]); // task q1/32/0, raw kind
+    p.extend_from_slice(&0u64.to_le_bytes()); // first seq
+    p.push(0); // no entry op
+    p.extend_from_slice(&(names.len() as u16).to_le_bytes());
+    for n in names {
+        p.extend_from_slice(&(n.len() as u16).to_le_bytes());
+        p.extend_from_slice(n.as_bytes());
+    }
+    p.extend_from_slice(&rows.to_le_bytes());
+    p.extend_from_slice(&width.to_le_bytes());
+    p.extend_from_slice(cell_bytes);
+    p.extend_from_slice(&[0; 28]); // suppressed, occupancy, shunted, no bounds
+    let mut out = encode_frame(&Frame::Credit { window: 0 })[..HEADER_LEN].to_vec();
+    out[6] = 4; // WindowDump
+    out[34..38].copy_from_slice(&(p.len() as u32).to_le_bytes());
+    out.extend_from_slice(&p);
+    let crc = sonata_net::codec::crc32(&out[4..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
+}
+
 proptest! {
+    #[test]
+    fn dump_block_claims_are_checked_against_the_frame(
+        names in proptest::collection::vec(arb_name(), 1..5),
+        rows in 0u32..6,
+        vals in proptest::collection::vec(any::<u64>(), 20),
+        over in 1u32..,
+        skew in 1u16..,
+        short in 1usize..8,
+    ) {
+        let width = names.len() as u16;
+        let cells = &vals[..rows as usize * names.len()];
+        let bytes: Vec<u8> = cells.iter().flat_map(|v| v.to_le_bytes()).collect();
+        // The honest header decodes to exactly the block.
+        let (frame, _) = decode_frame(&hand_framed_block(&names, rows, width, &bytes)).unwrap();
+        let Frame::WindowDump { window: 7, dump } = frame else {
+            panic!("decoded as {frame:?}");
+        };
+        prop_assert_eq!(dump.tuples.len(), rows as usize);
+        prop_assert_eq!(&dump.tuples.blocks()[0].cells, cells);
+        let malformed = |r: Result<(Frame, usize), CodecError>| {
+            matches!(r, Err(CodecError::Malformed(_)))
+        };
+        // More rows than the frame holds — up to 2^32 × width cells —
+        // is an error, not an allocation.
+        let claim = rows.saturating_add(over.max(4));
+        prop_assert!(malformed(decode_frame(&hand_framed_block(&names, claim, width, &bytes))));
+        // A width that is not the name count.
+        let skewed = width.wrapping_add(skew);
+        prop_assert!(malformed(decode_frame(&hand_framed_block(&names, rows, skewed, &bytes))));
+        // A last row cut short.
+        if !bytes.is_empty() {
+            let cut = &bytes[..bytes.len() - short];
+            prop_assert!(malformed(decode_frame(&hand_framed_block(&names, rows, width, cut))));
+        }
+    }
+
     #[test]
     fn every_frame_type_round_trips(frame in arb_frame()) {
         let bytes = encode_frame(&frame);

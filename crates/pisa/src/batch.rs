@@ -156,6 +156,16 @@ impl ReportBatch {
         self.entries.is_empty()
     }
 
+    /// The first packet at or after `from` that produced a report —
+    /// shippers step through these instead of through every packet.
+    pub fn next_reporting(&self, from: usize) -> Option<usize> {
+        let first = match from {
+            0 => 0,
+            _ => *self.ends.get(from - 1)?,
+        };
+        self.entries.get(first as usize).map(|e| e.pkt as usize)
+    }
+
     /// The reports packet `i` produced, in emission order, borrowing
     /// mirrored packet bytes from `batch` — which must be the same
     /// [`ArenaBatch`] the reports were produced from.

@@ -62,6 +62,7 @@ use crate::registers::StateLayout;
 use sonata_packet::Field;
 use sonata_query::{Agg, ColName};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One postfix micro-op of a flattened [`PhvExpr`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,20 +199,22 @@ pub(crate) struct FlatDump {
     pub task_idx: Option<usize>,
     pub reg_idx: usize,
     pub threshold: Option<u64>,
-    pub key_names: Vec<ColName>,
-    pub value_name: ColName,
-    pub value_input_name: ColName,
+    /// Column names of a finalized dump row (keys, then the reduce's
+    /// output) and of a raw one (keys, then its *input* value column),
+    /// each bound once here and shared by every block the spec dumps.
+    pub final_names: Arc<[ColName]>,
+    pub raw_names: Arc<[ColName]>,
     pub reduce_op: usize,
     /// Dense indices of every shunt-capable register of the task (the
     /// raw-dump decision sums their shunt counts).
     pub shunt_reg_idxs: Vec<usize>,
     /// The task's earliest upstream `distinct` register, if any:
-    /// `(reg_idx, entry_op, key_names)`. In deferred-threshold mode
+    /// `(reg_idx, entry_op, key names)`. In deferred-threshold mode
     /// the admitted-key set of this register is dumped raw (entering
     /// at the distinct op) *instead of* the reduce partials, so a
     /// collector merging several switches can dedup keys across
     /// switches before recounting.
-    pub distinct: Option<(usize, usize, Vec<ColName>)>,
+    pub distinct: Option<(usize, usize, Arc<[ColName]>)>,
 }
 
 /// The lowered entry set of one `DynFilter` table: the IR keeps a
@@ -537,9 +540,8 @@ impl ExecPlan {
                         task_idx: task_index(spec.task),
                         reg_idx: reg_index[reg],
                         threshold: *threshold,
-                        key_names: key_names.clone(),
-                        value_name: value_name.clone(),
-                        value_input_name: value_input_name.clone(),
+                        final_names: key_names.iter().chain([value_name]).cloned().collect(),
+                        raw_names: (key_names.iter().chain([value_input_name]).cloned()).collect(),
                         reduce_op: *reduce_op,
                         shunt_reg_idxs: spec
                             .shunts

@@ -29,6 +29,7 @@ use sonata_obs::{Counter, EventKind, Gauge, ObsHandle, Stage};
 use sonata_packet::{ArenaBatch, Packet};
 use sonata_query::{Agg, ColName};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// What kind of report a mirrored packet carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,12 +213,111 @@ pub struct SketchBound {
     pub saturated: bool,
 }
 
-/// The end-of-window register dump: one tuple per stored key for every
+/// One run of end-of-window dump rows that share everything but their
+/// values: the header is stated once, the rows are flat `u64` cells.
+/// Row `r` is the report `(task, kind, entry_op, seq = first_seq + r)`
+/// whose columns pair `names` with `cells[r * width..][..width]`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DumpBlock {
+    /// The dumping task.
+    pub task: TaskId,
+    /// [`ReportKind::WindowDump`] (thresholded on the switch) or
+    /// [`ReportKind::WindowDumpRaw`] (the emitter merges and
+    /// thresholds).
+    pub kind: ReportKind,
+    /// Residual-pipeline operator the rows enter at (raw blocks);
+    /// `None` is the task's default resume point.
+    pub entry_op: Option<usize>,
+    /// Report sequence number of row 0; rows number consecutively.
+    pub first_seq: u64,
+    /// Column names, bound once at load and shared by every block the
+    /// dump spec ever emits.
+    pub names: Arc<[ColName]>,
+    /// `rows × names.len()` values, row-major.
+    pub cells: Vec<u64>,
+}
+
+impl DumpBlock {
+    /// Values per row.
+    pub fn width(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whole rows held (a zero-width block holds none).
+    pub fn rows(&self) -> usize {
+        self.cells.len().checked_div(self.width()).unwrap_or(0)
+    }
+
+    /// Whether `cells` is a whole number of rows. Blocks the switch
+    /// builds always are; one decoded from a peer or built by hand may
+    /// not be, and the emitter drops it.
+    pub fn is_well_formed(&self) -> bool {
+        self.rows() * self.width() == self.cells.len()
+    }
+
+    /// Materialize the rows as owned [`Report`]s — for tests and
+    /// oracles; the emitter reads the cells in place.
+    pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
+        let rows = self.cells.chunks_exact(self.width().max(1));
+        rows.take(self.rows()).zip(0u64..).map(|(row, r)| Report {
+            task: self.task,
+            kind: self.kind,
+            columns: (self.names.iter().cloned().zip(row.iter().copied())).collect(),
+            packet: None,
+            entry_op: self.entry_op,
+            seq: self.first_seq.wrapping_add(r),
+        })
+    }
+}
+
+/// A window dump's rows, as column blocks in dump-spec order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DumpColumns {
+    blocks: Vec<DumpBlock>,
+}
+
+impl DumpColumns {
+    /// Append a block (after every block already held).
+    pub fn push(&mut self, block: DumpBlock) {
+        self.blocks.push(block);
+    }
+
+    /// The blocks, in dump order.
+    pub fn blocks(&self) -> &[DumpBlock] {
+        &self.blocks
+    }
+
+    /// Dump rows across all blocks.
+    pub fn len(&self) -> usize {
+        self.blocks.iter().map(DumpBlock::rows).sum()
+    }
+
+    /// Whether no block holds a row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every row as an owned [`Report`], in dump order (see
+    /// [`DumpBlock::reports`]).
+    pub fn iter(&self) -> impl Iterator<Item = Report> + '_ {
+        self.blocks.iter().flat_map(DumpBlock::reports)
+    }
+}
+
+impl FromIterator<DumpBlock> for DumpColumns {
+    fn from_iter<I: IntoIterator<Item = DumpBlock>>(blocks: I) -> Self {
+        DumpColumns {
+            blocks: blocks.into_iter().collect(),
+        }
+    }
+}
+
+/// The end-of-window register dump: one row per stored key for every
 /// `WindowDump` task (thresholded), in deterministic order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowDump {
-    /// Dump tuples per task.
-    pub tuples: Vec<Report>,
+    /// Dump rows, one column block per dump spec that produced any.
+    pub tuples: DumpColumns,
     /// Keys whose aggregate was dropped by a merged threshold (counted
     /// for diagnostics; not delivered).
     pub suppressed: u64,
@@ -1147,8 +1247,9 @@ impl Switch {
         out.finish(task_seq);
     }
 
-    /// End the window: dump `WindowDump` registers into tuples, apply
-    /// merged thresholds, and reset all register state.
+    /// End the window: dump `WindowDump` registers into column blocks
+    /// (register cells copied straight into each block's flat rows),
+    /// apply merged thresholds, and reset all register state.
     ///
     /// Runs over the lowered dump specs (dense register indices,
     /// interned column names) on both execution paths: the window
@@ -1168,83 +1269,63 @@ impl Switch {
                 .map(|&i| self.registers[i].shunted_packets())
                 .sum();
             dump.shunted_packets += regs.shunted_packets();
-            if self.defer_dump_thresholds {
-                if let Some((reg_idx, entry_op, key_names)) = &d.distinct {
-                    // Deferred mode with an upstream `distinct`: the
-                    // reduce register holds counts of *this switch's*
-                    // first occurrences, which double-count keys that
-                    // also appear on other switches. Dump the distinct
-                    // register's admitted-key set instead (entering at
-                    // the distinct op) and let the collector recount
-                    // after the cross-switch dedup.
-                    self.registers[*reg_idx].for_each(|key, _seen| {
-                        let columns: Vec<(ColName, u64)> =
-                            key_names.iter().cloned().zip(key.iter().copied()).collect();
-                        let seq = match d.task_idx {
-                            Some(i) => {
-                                let s = self.task_seq[i];
-                                self.task_seq[i] += 1;
-                                s
-                            }
-                            None => 0,
-                        };
-                        dump.tuples.push(Report {
-                            task: d.task,
-                            kind: ReportKind::WindowDumpRaw,
-                            columns,
-                            packet: None,
-                            entry_op: Some(*entry_op),
-                            seq,
-                        });
-                    });
-                    continue;
-                }
-            }
             let raw = task_shunts > 0 || self.defer_dump_thresholds;
-            regs.for_each(|key, value| {
-                if !raw {
-                    if let Some(th) = d.threshold {
-                        if value <= th {
-                            dump.suppressed += 1;
-                            return;
-                        }
-                    }
+            // Deferred mode with an upstream `distinct`: the reduce
+            // register holds counts of *this switch's* first
+            // occurrences, which double-count keys that also appear on
+            // other switches. Dump the distinct register's admitted-key
+            // set instead (entering at the distinct op) and let the
+            // collector recount after the cross-switch dedup.
+            let (regs, names, entry_op, has_value) = match &d.distinct {
+                Some((reg_idx, entry_op, names)) if self.defer_dump_thresholds => {
+                    (&self.registers[*reg_idx], names, Some(*entry_op), false)
                 }
-                let mut columns: Vec<(ColName, u64)> = Vec::with_capacity(d.key_names.len() + 1);
-                columns.extend(d.key_names.iter().cloned().zip(key.iter().copied()));
-                if raw {
-                    columns.push((d.value_input_name.clone(), value));
+                _ if raw => (regs, &d.raw_names, Some(d.reduce_op), true),
+                _ => (regs, &d.final_names, None, true),
+            };
+            let threshold = d.threshold.filter(|_| !raw);
+            let key_width = names.len() - usize::from(has_value);
+            let mut block = DumpBlock {
+                task: d.task,
+                kind: if raw {
+                    ReportKind::WindowDumpRaw
                 } else {
-                    columns.push((d.value_name.clone(), value));
+                    ReportKind::WindowDump
+                },
+                entry_op,
+                first_seq: d.task_idx.map_or(0, |i| self.task_seq[i]),
+                names: Arc::clone(names),
+                cells: Vec::with_capacity(regs.occupancy() * names.len()),
+            };
+            regs.for_each(|key, value| {
+                if threshold.is_some_and(|th| value <= th) {
+                    dump.suppressed += 1;
+                    return;
                 }
-                let seq = match d.task_idx {
-                    Some(i) => {
-                        let s = self.task_seq[i];
-                        self.task_seq[i] += 1;
-                        s
-                    }
-                    None => 0,
-                };
-                dump.tuples.push(Report {
-                    task: d.task,
-                    kind: if raw {
-                        ReportKind::WindowDumpRaw
-                    } else {
-                        ReportKind::WindowDump
-                    },
-                    columns,
-                    packet: None,
-                    entry_op: raw.then_some(d.reduce_op),
-                    seq,
-                });
-                if !raw {
-                    self.counters.dump_tuples += 1;
-                    if let Some(i) = d.task_idx {
-                        self.counters.per_task[i].1.dump_tuples += 1;
-                        self.obs.per_task[i][2].inc();
-                    }
+                // A key narrower than its names reads as zero.
+                let row = block.cells.len();
+                block
+                    .cells
+                    .extend_from_slice(&key[..key.len().min(key_width)]);
+                block.cells.resize(row + key_width, 0);
+                if has_value {
+                    block.cells.push(value);
                 }
             });
+            let rows = block.rows() as u64;
+            if let Some(i) = d.task_idx {
+                self.task_seq[i] += rows;
+            }
+            if !raw {
+                self.counters.dump_tuples += rows;
+                if let Some(i) = d.task_idx {
+                    self.counters.per_task[i].1.dump_tuples += rows;
+                    self.obs.per_task[i][2].add(rows);
+                }
+            }
+            if rows > 0 {
+                dump.tuples.push(block);
+            }
         }
         dump.occupancy = self.registers.iter().map(|r| r.occupancy()).sum();
         self.obs.occupancy.set(dump.occupancy as u64);
@@ -1289,6 +1370,77 @@ impl Switch {
             *s = 0;
         }
         dump
+    }
+
+    /// Oracle for [`Self::end_window`]: the rows the next call will
+    /// emit, one owned [`Report`] per stored key, read from the IR's
+    /// report specs rather than the lowered dump plan. Changes no
+    /// state.
+    #[doc(hidden)]
+    pub fn peek_dump_reference(&self) -> Vec<Report> {
+        let mut out = Vec::new();
+        let mut seqs = self.task_seq.clone();
+        let state = |reg: &RegId| self.reg_index.get(reg).map(|&i| &self.registers[i]);
+        for spec in &self.program.reports {
+            let ReportMode::WindowDump {
+                reg,
+                threshold,
+                key_names,
+                value_name,
+                value_input_name,
+                reduce_op,
+            } = &spec.mode
+            else {
+                continue;
+            };
+            let shunts =
+                |sh: &crate::ir::ShuntSpec| state(&sh.reg).map_or(0, |r| r.shunted_packets());
+            let raw = self.defer_dump_thresholds || spec.shunts.iter().map(shunts).sum::<u64>() > 0;
+            let task_idx = self.task_index.get(&spec.task).copied();
+            let mut seq = task_idx.map_or(0, |i| seqs[i]);
+            let mut push = |kind, entry_op, columns| {
+                out.push(Report {
+                    task: spec.task,
+                    kind,
+                    columns,
+                    packet: None,
+                    entry_op,
+                    seq,
+                });
+                seq += 1;
+            };
+            let distinct = (spec.shunts.iter())
+                .filter(|sh| sh.reg != *reg)
+                .min_by_key(|sh| sh.entry_op)
+                .and_then(|sh| state(&sh.reg).map(|r| (sh, r)))
+                .filter(|_| self.defer_dump_thresholds);
+            if let Some((sh, regs)) = distinct {
+                regs.for_each(|key, _seen| {
+                    let names = sh.columns.iter().map(|(n, _)| n.clone());
+                    let columns = names.zip(key.iter().copied()).collect();
+                    push(ReportKind::WindowDumpRaw, Some(sh.entry_op), columns);
+                });
+            } else if let Some(regs) = state(reg) {
+                regs.for_each(|key, value| {
+                    if !raw && threshold.is_some_and(|th| value <= th) {
+                        return;
+                    }
+                    let mut columns: Vec<(ColName, u64)> =
+                        key_names.iter().cloned().zip(key.iter().copied()).collect();
+                    if raw {
+                        columns.push((value_input_name.clone(), value));
+                        push(ReportKind::WindowDumpRaw, Some(*reduce_op), columns);
+                    } else {
+                        columns.push((value_name.clone(), value));
+                        push(ReportKind::WindowDump, None, columns);
+                    }
+                });
+            }
+            if let Some(i) = task_idx {
+                seqs[i] = seq;
+            }
+        }
+        out
     }
 
     /// Control-plane: replace a dynamic filter table's entries.
@@ -1465,6 +1617,31 @@ mod tests {
             .build()
     }
 
+    /// `end_window` checked against its oracle: the blocks materialize
+    /// to exactly the reference's reports (order, `seq`, `entry_op`,
+    /// kind), and the dump counters grew by the finalized rows.
+    fn end_window_checked(sw: &mut Switch) -> (WindowDump, Vec<Report>) {
+        let want = sw.peek_dump_reference();
+        let before = sw.counters().clone();
+        let dump = sw.end_window();
+        let got: Vec<Report> = dump.tuples.iter().collect();
+        assert_eq!(got, want);
+        assert_eq!(dump.tuples.len(), want.len());
+        assert!(dump.tuples.blocks().iter().all(DumpBlock::is_well_formed));
+        let finalized = |of: &dyn Fn(TaskId) -> bool| {
+            want.iter()
+                .filter(|r| r.kind == ReportKind::WindowDump && of(r.task))
+                .count() as u64
+        };
+        let after = sw.counters();
+        assert_eq!(after.dump_tuples - before.dump_tuples, finalized(&|_| true));
+        for (task, c) in &after.per_task {
+            let grew = c.dump_tuples - before.task(task).dump_tuples;
+            assert_eq!(grew, finalized(&|t| t == *task), "{task}");
+        }
+        (dump, got)
+    }
+
     fn load_query1(th: u64) -> Switch {
         let q = catalog::newly_opened_tcp_conns(&Thresholds {
             new_tcp: th,
@@ -1499,15 +1676,63 @@ mod tests {
                 .flags(TcpFlags::PSH_ACK)
                 .build(),
         );
-        let dump = sw.end_window();
+        let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!(dump.tuples.len(), 1);
-        let r = &dump.tuples[0];
+        let r = &reports[0];
         assert_eq!(r.kind, ReportKind::WindowDump);
         assert_eq!(r.columns[0], ("dIP".into(), 0x0a0000aa));
         assert_eq!(r.columns[1], ("count".into(), 5));
         assert_eq!(dump.suppressed, 1); // the single-SYN host
         assert_eq!(sw.counters().packets_in, 7);
         assert_eq!(sw.counters().total_to_stream_processor(), 1);
+    }
+
+    #[test]
+    fn deferred_thresholds_dump_raw_partials_or_the_distinct_set() {
+        // No upstream `distinct`: the reduce partials leave raw —
+        // unthresholded, entering at the reduce, not counted as
+        // delivered.
+        let mut sw = load_query1(3);
+        sw.set_defer_dump_thresholds(true);
+        for i in 0..5 {
+            sw.process(&syn(100 + i, 0xaa));
+        }
+        sw.process(&syn(7, 0xbb));
+        let (dump, reports) = end_window_checked(&mut sw);
+        assert_eq!((dump.suppressed, reports.len()), (0, 2));
+        assert_eq!(dump.tuples.blocks().len(), 1);
+        for r in &reports {
+            assert_eq!((r.kind, r.entry_op), (ReportKind::WindowDumpRaw, Some(2)));
+        }
+        assert_eq!(sw.counters().dump_tuples, 0);
+
+        // Upstream `distinct`: its admitted-key set leaves instead,
+        // entering at the distinct.
+        let q = catalog::superspreader(&Thresholds::default());
+        let sizing = RegisterSizing {
+            slots: 64,
+            arrays: 2,
+            ..Default::default()
+        };
+        let cp = compile_pipeline(&q.pipeline, t(3), &[0, 1, 3, 4], &[sizing, sizing], 0, 0);
+        let mut sw = Switch::load(cp.unwrap().fragment, &SwitchConstraints::default()).unwrap();
+        sw.set_defer_dump_thresholds(true);
+        for (src, dst) in [(1, 10), (1, 11), (1, 10), (2, 10)] {
+            sw.process(&syn(src, dst));
+        }
+        let (dump, reports) = end_window_checked(&mut sw);
+        assert_eq!(dump.tuples.blocks().len(), 1);
+        let block = &dump.tuples.blocks()[0];
+        assert_eq!(block.entry_op, Some(1));
+        assert_eq!(
+            block.names.iter().map(|n| &**n).collect::<Vec<_>>(),
+            ["sIP", "dIP"]
+        );
+        let mut pairs: Vec<(u64, u64)> = (reports.iter())
+            .map(|r| (r.columns[0].1, r.columns[1].1))
+            .collect();
+        pairs.sort_unstable();
+        assert_eq!(pairs, [(1, 10), (1, 11), (2, 10)]);
     }
 
     #[test]
@@ -1587,9 +1812,14 @@ mod tests {
             }
         }
         assert_eq!(shunts, 19);
-        let dump = sw.end_window();
+        let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!(dump.tuples.len(), 1); // only the resident key
         assert_eq!(dump.shunted_packets, 19);
+        // Shunts make the dump raw: entered at the reduce, numbered
+        // after the window's 19 shunt reports.
+        assert_eq!(reports[0].kind, ReportKind::WindowDumpRaw);
+        assert_eq!(reports[0].entry_op, Some(2));
+        assert_eq!(reports[0].seq, 19);
     }
 
     #[test]
@@ -1661,9 +1891,9 @@ mod tests {
             .unwrap();
         sw.process(&syn(1, 0x0a000001));
         sw.process(&syn(1, 0x0b000001)); // other /8: filtered
-        let dump = sw.end_window();
+        let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!(dump.tuples.len(), 1);
-        assert_eq!(dump.tuples[0].columns[0].1, 0x0a000001);
+        assert_eq!(reports[0].columns[0].1, 0x0a000001);
     }
 
     #[test]
@@ -1687,10 +1917,7 @@ mod tests {
         }
         let d1 = sw1.end_window();
         let d2 = sw2.end_window();
-        assert_eq!(d1.tuples.len(), d2.tuples.len());
-        for (a, b) in d1.tuples.iter().zip(&d2.tuples) {
-            assert_eq!(a.columns, b.columns);
-        }
+        assert_eq!(d1.tuples, d2.tuples);
     }
 
     #[test]
@@ -1750,9 +1977,9 @@ mod tests {
         for i in 0..4 {
             sw.process(&syn(100 + i, 0xaa));
         }
-        let dump = sw.end_window();
-        let q1_tuples: Vec<_> = dump.tuples.iter().filter(|r| r.task == t1).collect();
-        let q5_tuples: Vec<_> = dump.tuples.iter().filter(|r| r.task == t5).collect();
+        let (_, reports) = end_window_checked(&mut sw);
+        let q1_tuples: Vec<_> = reports.iter().filter(|r| r.task == t1).collect();
+        let q5_tuples: Vec<_> = reports.iter().filter(|r| r.task == t5).collect();
         assert_eq!(q1_tuples.len(), 1);
         assert_eq!(q1_tuples[0].columns[1].1, 4);
         assert_eq!(q5_tuples.len(), 1);

@@ -233,6 +233,7 @@ proptest! {
             proptest::collection::vec(arb_record(), 0..160),
             2..4,
         ),
+        defer in any::<bool>(),
     ) {
         let program = merged_program(&picks, slots, arrays);
         // `process_bytes` leaves a packet it must mirror but cannot
@@ -245,6 +246,9 @@ proptest! {
         };
         let mut oracle = Switch::load(program.clone(), &constraints).unwrap();
         let mut batched = Switch::load(program, &constraints).unwrap();
+        // A fabric switch defers every threshold to the collector.
+        oracle.set_defer_dump_thresholds(defer);
+        batched.set_defer_dump_thresholds(defer);
         let mut out = ReportBatch::new();
         let queries = catalog::top8(&Thresholds::default());
         for (w, records) in windows.iter().enumerate() {
@@ -277,6 +281,15 @@ proptest! {
             }
             batched.process_batch(&arena.batch(), &mut out);
             prop_assert_eq!(out.packets(), arena.len());
+            // Stepping by `next_reporting` visits exactly the packets
+            // that reported.
+            let stepped: Vec<usize> =
+                std::iter::successors(out.next_reporting(0), |&p| out.next_reporting(p + 1))
+                    .collect();
+            let reporting: Vec<usize> = (0..arena.len())
+                .filter(|&i| out.packet_reports(i, arena.batch()).next().is_some())
+                .collect();
+            prop_assert_eq!(stepped, reporting);
             for i in 0..arena.len() {
                 let view = arena.view(i);
                 let want = oracle.process_bytes(view.bytes(), view.ts_nanos());
@@ -295,8 +308,14 @@ proptest! {
                 (b.packets_in, b.tuple_reports, b.shunt_reports, &b.per_task)
             );
             prop_assert_eq!(batched.register_occupancy(), oracle.register_occupancy());
-            prop_assert_eq!(batched.end_window(), oracle.end_window());
+            // The dump's column blocks materialize to the row-by-row
+            // reference: same reports, order, `seq`, `entry_op`, kind.
+            let want = batched.peek_dump_reference();
+            let dump = batched.end_window();
+            prop_assert_eq!(dump.tuples.iter().collect::<Vec<Report>>(), want);
+            prop_assert_eq!(&dump, &oracle.end_window());
             prop_assert_eq!(batched.counters().dump_tuples, oracle.counters().dump_tuples);
+            prop_assert_eq!(&batched.counters().per_task, &oracle.counters().per_task);
         }
     }
 
@@ -383,10 +402,7 @@ proptest! {
         }
         let da = a.end_window();
         let db = b.end_window();
-        prop_assert_eq!(da.tuples.len(), db.tuples.len());
-        for (x, y) in da.tuples.iter().zip(&db.tuples) {
-            prop_assert_eq!(&x.columns, &y.columns);
-        }
+        prop_assert_eq!(&da.tuples, &db.tuples);
         prop_assert_eq!(da.shunted_packets, db.shunted_packets);
     }
 

@@ -63,6 +63,7 @@ impl std::fmt::Display for BoundError {
 impl std::error::Error for BoundError {}
 
 /// One operator with every column reference resolved to an offset.
+#[derive(Debug)]
 enum BoundOp {
     Filter(BoundPred),
     Map(Vec<BoundExpr>),
@@ -135,12 +136,22 @@ impl ReduceState {
         }
     }
 
-    /// Emit `(key…, acc)` tuples sorted by key — the order a
-    /// `BTreeMap` would have produced.
-    fn emit(self) -> Vec<Tuple> {
+    /// Emit the `(key…, acc)` tuples that `keep` admits, sorted by key
+    /// — the order a `BTreeMap` would have produced. `keep` is the
+    /// run of filters that follows the reduce: a threshold drops most
+    /// groups, so it is asked before anything is sorted, and on the
+    /// scalar path before a tuple is even allocated.
+    fn emit(self, keep: impl Fn(&Tuple) -> bool) -> Vec<Tuple> {
         match self {
             ReduceState::Fast(map) => {
-                let mut pairs: Vec<(u64, u64)> = map.into_iter().collect();
+                let mut probe = Tuple::new(vec![Value::U64(0), Value::U64(0)]);
+                let mut pairs: Vec<(u64, u64)> = (map.into_iter())
+                    .filter(|&(k, acc)| {
+                        probe.set(0, Value::U64(k));
+                        probe.set(1, Value::U64(acc));
+                        keep(&probe)
+                    })
+                    .collect();
                 pairs.sort_unstable();
                 pairs
                     .into_iter()
@@ -148,18 +159,21 @@ impl ReduceState {
                     .collect()
             }
             ReduceState::Wide(map) => {
-                let mut pairs: Vec<(Tuple, u64)> = map.into_iter().collect();
-                pairs.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                pairs
-                    .into_iter()
+                // Group keys are unique, so whole-tuple order is key
+                // order.
+                let mut out: Vec<Tuple> = (map.into_iter())
                     .map(|(key, acc)| key.concat(&Tuple::new(vec![Value::U64(acc)])))
-                    .collect()
+                    .filter(keep)
+                    .collect();
+                out.sort_unstable();
+                out
             }
         }
     }
 }
 
 /// A pipeline bound to its input schema once, executed many times.
+#[derive(Debug)]
 pub struct BoundPipeline {
     ops: Vec<BoundOp>,
     /// Schema before each op; `schemas[ops.len()]` is the output.
@@ -250,11 +264,14 @@ impl BoundPipeline {
     ) -> Vec<Tuple> {
         let len = self.ops.len();
         let mut i = start;
+        // Where `seed` enters its segment: past the filters a reduce
+        // already applied while emitting it.
+        let mut seed_at = start;
         loop {
             let sink = (i..len).find(|&j| self.ops[j].is_stateful()).unwrap_or(len);
             // Drain this segment's sources in entry order: the
             // previous sink's output, then each entry batch.
-            let sources = std::iter::once((i, std::mem::take(&mut seed)))
+            let sources = std::iter::once((seed_at, std::mem::take(&mut seed)))
                 .chain((i..=sink).filter_map(|p| entries.remove(&p).map(|batch| (p, batch))));
             if sink == len {
                 let mut out = Vec::new();
@@ -282,7 +299,11 @@ impl BoundPipeline {
                         }
                     }
                     self.hints[sink] = state.len();
-                    state.emit()
+                    let tail = &self.ops[sink + 1..];
+                    let is_filter = |op: &&BoundOp| matches!(op, BoundOp::Filter(_));
+                    let filters = &tail[..tail.iter().take_while(is_filter).count()];
+                    seed_at = sink + 1 + filters.len();
+                    state.emit(|t| pipe_passes(filters, t))
                 }
                 BoundOp::Distinct => {
                     let mut set: HashSet<Tuple> = HashSet::with_capacity(self.hints[sink]);
@@ -296,6 +317,7 @@ impl BoundPipeline {
                     self.hints[sink] = set.len();
                     let mut out: Vec<Tuple> = set.into_iter().collect();
                     out.sort_unstable();
+                    seed_at = sink + 1;
                     out
                 }
                 _ => unreachable!("sink is stateful or the pipeline end"),
@@ -303,6 +325,11 @@ impl BoundPipeline {
             i = sink + 1;
         }
     }
+}
+
+/// Whether a tuple passes a run of filters.
+fn pipe_passes(filters: &[BoundOp], t: &Tuple) -> bool {
+    (filters.iter()).all(|op| matches!(op, BoundOp::Filter(pred) if pred.eval(t)))
 }
 
 /// Pipe one tuple through a run of stateless operators.

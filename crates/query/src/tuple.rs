@@ -143,6 +143,11 @@ impl Tuple {
         self.values.is_empty()
     }
 
+    /// Overwrite the value at an index (a reused probe tuple).
+    pub(crate) fn set(&mut self, idx: usize, value: Value) {
+        self.values[idx] = value;
+    }
+
     /// Project the tuple onto the given indices.
     pub fn project(&self, indices: &[usize]) -> Tuple {
         Tuple {

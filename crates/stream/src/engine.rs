@@ -74,19 +74,8 @@ pub struct JobResult {
 }
 
 /// Run a pipeline with tuples injected at arbitrary operator indices
-/// and fold the remaining operators over them. Public because the
-/// emitter uses the same machinery for its local key-value store
-/// (merging collision shunts into register dumps, Section 5).
-pub fn run_entries(
-    ops: &[sonata_query::Operator],
-    entries: &BTreeMap<usize, Vec<Tuple>>,
-) -> Result<(Schema, Vec<Tuple>), StreamError> {
-    run_entries_owned(ops, entries.clone())
-}
-
-/// [`run_entries`] taking ownership of the entry tuples, so callers
-/// that already hold an owned batch (the sharded worker pool, the
-/// runtime's per-window submit) skip a whole-window tuple clone.
+/// and fold the remaining operators over them, through the reference
+/// interpreter — the oracle [`BoundEntries`] is checked against.
 pub fn run_entries_owned(
     ops: &[sonata_query::Operator],
     mut entries: BTreeMap<usize, Vec<Tuple>>,
@@ -217,6 +206,38 @@ impl From<BoundError> for StreamError {
     fn from(e: BoundError) -> Self {
         match e {
             BoundError::BadEntry { op, len } => StreamError::BadEntry { op, len },
+        }
+    }
+}
+
+/// [`run_entries_owned`] on the compiled fast path: one branch
+/// pipeline bound to the packet schema once, then run over each
+/// window's entries. Public because the emitter uses the same
+/// machinery for its local key-value store (merging collision shunts
+/// into register dumps, Section 5). A pipeline that does not bind
+/// runs on the reference interpreter, so an authoring bug fails each
+/// window with the reference's own error.
+#[derive(Debug)]
+pub struct BoundEntries {
+    ops: Vec<sonata_query::Operator>,
+    bound: Option<BoundPipeline>,
+}
+
+impl BoundEntries {
+    /// Bind `ops`, whose input is [`Schema::packet`].
+    pub fn bind(ops: &[sonata_query::Operator]) -> Self {
+        BoundEntries {
+            ops: ops.to_vec(),
+            bound: BoundPipeline::bind(ops, &Schema::packet()).ok(),
+        }
+    }
+
+    /// Fold the operators over `entries` (op index → tuples entering
+    /// there), bit-identical to [`run_entries_owned`].
+    pub fn run(&mut self, entries: BTreeMap<usize, Vec<Tuple>>) -> Result<Vec<Tuple>, StreamError> {
+        match &mut self.bound {
+            Some(bound) => Ok(bound.run_entries(entries)?.1),
+            None => Ok(run_entries_owned(&self.ops, entries)?.1),
         }
     }
 }
@@ -465,6 +486,31 @@ mod tests {
         let reference = run_query(&q, &pkts).unwrap();
         assert_eq!(result.output, reference);
         assert_eq!(result.tuples_in, 6);
+    }
+
+    #[test]
+    fn bound_entries_match_the_reference_and_fall_back_when_unbound() {
+        use sonata_query::expr::{col, lit};
+        // Shunts enter at the reduce (op 2), a raw dump row with them.
+        let row = |k: u64, n: u64| Tuple::new(vec![Value::U64(k), Value::U64(n)]);
+        let entries: BTreeMap<usize, Vec<Tuple>> =
+            [(2, vec![row(0xaa, 2), row(0xaa, 1), row(0xbb, 1)])].into();
+        let mut ops = q1(2).pipeline.ops;
+        let (_, want) = run_entries_owned(&ops, entries.clone()).unwrap();
+        assert_eq!(want, [row(0xaa, 3)]);
+        let mut bound = BoundEntries::bind(&ops);
+        assert!(bound.bound.is_some());
+        assert_eq!(bound.run(entries.clone()).unwrap(), want);
+        // A pipeline that does not bind fails each run exactly as the
+        // reference does.
+        ops[0] = sonata_query::Operator::Filter(col("nope").eq(lit(1)));
+        let mut unbound = BoundEntries::bind(&ops);
+        assert!(unbound.bound.is_none());
+        let want = run_entries_owned(&ops, entries.clone()).unwrap_err();
+        assert_eq!(
+            unbound.run(entries).unwrap_err().to_string(),
+            want.to_string()
+        );
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod window;
 pub mod worker;
 
 pub use engine::{
-    execute_window, execute_window_owned, run_entries, run_entries_owned, EngineCounters,
+    execute_window, execute_window_owned, run_entries_owned, BoundEntries, EngineCounters,
     JobResult, MicroBatchEngine, StreamError,
 };
 pub use merge::{canonicalize_batch, canonicalize_batches, merge_window_batches, SwitchPartial};

@@ -25,6 +25,15 @@ impl WindowBatch {
         Self::default()
     }
 
+    /// The entries of one branch: 0 is the left/main one, anything
+    /// else the right.
+    pub fn branch_mut(&mut self, branch: u8) -> &mut BTreeMap<usize, Vec<Tuple>> {
+        match branch {
+            0 => &mut self.left,
+            _ => &mut self.right,
+        }
+    }
+
     /// Add tuples entering the left branch at `op`.
     pub fn push_left(&mut self, op: usize, tuples: impl IntoIterator<Item = Tuple>) {
         self.left.entry(op).or_default().extend(tuples);
@@ -33,31 +42,6 @@ impl WindowBatch {
     /// Add tuples entering the right branch at `op`.
     pub fn push_right(&mut self, op: usize, tuples: impl IntoIterator<Item = Tuple>) {
         self.right.entry(op).or_default().extend(tuples);
-    }
-
-    /// Bulk hand-off into the left branch: moves the whole vector in
-    /// when the entry is empty — the batched-ingest common case is one
-    /// hand-off per entry per window, so the emitter's accumulated
-    /// buffer becomes the batch storage with no per-tuple copy.
-    pub fn append_left(&mut self, op: usize, mut tuples: Vec<Tuple>) {
-        use std::collections::btree_map::Entry;
-        match self.left.entry(op) {
-            Entry::Vacant(e) => {
-                e.insert(tuples);
-            }
-            Entry::Occupied(mut e) => e.get_mut().append(&mut tuples),
-        }
-    }
-
-    /// Bulk hand-off into the right branch; see [`Self::append_left`].
-    pub fn append_right(&mut self, op: usize, mut tuples: Vec<Tuple>) {
-        use std::collections::btree_map::Entry;
-        match self.right.entry(op) {
-            Entry::Vacant(e) => {
-                e.insert(tuples);
-            }
-            Entry::Occupied(mut e) => e.get_mut().append(&mut tuples),
-        }
     }
 
     /// Total tuples in the batch (the stream processor's intake, the
@@ -175,26 +159,6 @@ mod tests {
         // Entries at the same op accumulate.
         b.push_left(0, vec![Tuple::new(vec![Value::U64(5)])]);
         assert_eq!(b.left[&0].len(), 2);
-    }
-
-    #[test]
-    fn append_moves_or_extends() {
-        let mut b = WindowBatch::new();
-        // Vacant entry: the vector moves in whole.
-        b.append_left(3, vec![Tuple::new(vec![Value::U64(1)])]);
-        assert_eq!(b.left[&3].len(), 1);
-        // Occupied entry: appended after the existing tuples.
-        b.append_left(
-            3,
-            vec![
-                Tuple::new(vec![Value::U64(2)]),
-                Tuple::new(vec![Value::U64(3)]),
-            ],
-        );
-        assert_eq!(b.left[&3].len(), 3);
-        assert_eq!(b.left[&3][0].get(0), &Value::U64(1));
-        b.append_right(0, vec![Tuple::new(vec![Value::U64(9)])]);
-        assert_eq!(b.tuple_count(), 4);
     }
 
     #[test]

@@ -7,7 +7,7 @@ use sonata_packet::{Packet, PacketBuilder, TcpFlags};
 use sonata_query::catalog::{self, Thresholds};
 use sonata_query::interpret::run_query;
 use sonata_query::Tuple;
-use sonata_stream::{execute_window, run_entries, WindowBatch};
+use sonata_stream::{execute_window, run_entries_owned, WindowBatch};
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
     (
@@ -98,15 +98,15 @@ proptest! {
         // Stage 1: the prefix.
         let mut prefix_entries = std::collections::BTreeMap::new();
         prefix_entries.insert(0usize, start.clone());
-        let (_, mid) = run_entries(&ops[..entry], &prefix_entries).unwrap();
+        let (_, mid) = run_entries_owned(&ops[..entry], prefix_entries).unwrap();
         // Stage 2: inject at `entry`.
         let mut tail_entries = std::collections::BTreeMap::new();
         tail_entries.insert(entry, mid);
-        let (_, via_split) = run_entries(ops, &tail_entries).unwrap();
+        let (_, via_split) = run_entries_owned(ops, tail_entries).unwrap();
         // Direct run.
         let mut direct_entries = std::collections::BTreeMap::new();
         direct_entries.insert(0usize, start);
-        let (_, direct) = run_entries(ops, &direct_entries).unwrap();
+        let (_, direct) = run_entries_owned(ops, direct_entries).unwrap();
         let mut a = via_split;
         let mut b = direct;
         a.sort();

@@ -15,15 +15,19 @@
 //! each key … from the data-plane registers before sending the output
 //! tuples to the stream processor."
 //!
-//! Everything is per-task state built once from the deployed plan. A
-//! register dump arrives as column blocks; a block — or a single
-//! report, a block of one row — is resolved once: one task lookup, one
-//! column permutation, one destination, then a loop over its rows.
+//! Everything is per-task state built once from the deployed plan.
+//! Mirrored reports and the register dump both arrive as column
+//! blocks; a block — or a single report, a block of one row — is
+//! resolved once: one task lookup, one column permutation, one
+//! destination, then a loop over its rows. A task whose tuples are the
+//! packets themselves gets each packet's row from the chunk's shared
+//! set: built once per packet per chunk, handed to every task that
+//! kept the packet as a clone of one immutable [`Tuple`].
 
 use crate::driver::Deployment;
 use sonata_faults::FaultInjector;
-use sonata_packet::{Packet, Value};
-use sonata_pisa::{Report, ReportKind, TaskId, WindowDump};
+use sonata_packet::Value;
+use sonata_pisa::{Report, ReportChunk, ReportKind, TaskId, WindowDump};
 use sonata_query::{ColName, QueryId, Schema, Tuple};
 use sonata_stream::{BoundEntries, StreamError, WindowBatch};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -72,6 +76,9 @@ pub struct Emitter {
     /// Scratch: for each column of the schema being laid out, where it
     /// sits among the report's columns ([`ABSENT`] if it does not).
     perm: Vec<usize>,
+    /// Scratch: the packet-schema row of each packet of the chunk
+    /// being ingested (`None` for an undecodable one).
+    packet_rows: Vec<Option<Tuple>>,
     /// Duplicate suppression, active only when fault injection is on:
     /// per-task `(window, seq)` sets keyed on the switch-assigned
     /// report sequence number — an injected duplicate repeats a seq, a
@@ -138,11 +145,40 @@ impl Emitter {
         let cols = &report.columns;
         self.place(
             (report.task, report.kind, report.entry_op, report.seq),
-            report.packet.as_ref(),
             (1, cols.len()),
             |j| &cols[j].0,
             |_, j| cols[j].1,
+            |_| report.packet.as_ref().map(Tuple::from_packet),
         );
+    }
+
+    /// Ingest a chunk of mirrored reports, block by block: the rows of
+    /// [`ReportChunk::reports`], placed as [`Self::ingest`] places
+    /// them one by one. A block whose cells or packet indices are not
+    /// whole rows is dropped as one malformed report; a packet-report
+    /// task's row whose packet index is absent, past the chunk's
+    /// packets or undecodable, as one each.
+    pub fn ingest_blocks(&mut self, chunk: &ReportChunk) {
+        let mut shared = std::mem::take(&mut self.packet_rows);
+        shared.clear();
+        let packets = chunk.packets.batch();
+        shared.extend((packets.iter()).map(|v| v.decode().ok().map(|p| Tuple::from_packet(&p))));
+        for b in &chunk.blocks {
+            let width = b.width();
+            if !b.is_well_formed() {
+                self.received.window += 1;
+                self.malformed.window += 1;
+                continue;
+            }
+            self.place(
+                (b.task, b.kind, b.entry_op, b.first_seq),
+                (b.rows, width),
+                |j| &b.names[j],
+                |r, j| b.cells[r * width + j],
+                |r| shared.get(*b.pkts.get(r)? as usize)?.clone(),
+            );
+        }
+        self.packet_rows = shared;
     }
 
     /// Ingest the end-of-window register dump, block by block. A block
@@ -159,24 +195,26 @@ impl Emitter {
             }
             self.place(
                 (b.task, b.kind, b.entry_op, b.first_seq),
-                None,
                 (b.rows(), width),
                 |j| &b.names[j],
                 |r, j| b.cells[r * width + j],
+                |_| None,
             );
         }
     }
 
     /// Place `rows` reports that share a header `(task, kind, entry op,
     /// first seq)` and `width` column names `name(j)`; row `r` holds
-    /// `cell(r, j)` and carries seq `first seq + r`.
+    /// `cell(r, j)`, carries seq `first seq + r`, and — read only for a
+    /// task whose tuples are packets — the packet whose row is
+    /// `packet(r)`.
     fn place<'a>(
         &mut self,
         (task, kind, entry_op, first_seq): (TaskId, ReportKind, Option<usize>, u64),
-        packet: Option<&Packet>,
         (rows, width): (usize, usize),
         name: impl Fn(usize) -> &'a ColName,
         cell: impl Fn(usize, usize) -> u64,
+        packet: impl Fn(usize) -> Option<Tuple>,
     ) {
         let Some(TaskState {
             dep, store, seen, ..
@@ -188,23 +226,23 @@ impl Emitter {
         // Shunts and raw dump rows wait in the local store, laid out by
         // their entry op's schema; the rest goes straight to the job.
         let local = matches!(kind, ReportKind::Shunt | ReportKind::WindowDumpRaw);
-        let schema: Option<&Schema> = match (local, dep.report_packet) {
-            (true, _) => entry_op.and_then(|op| dep.entry_schemas.get(&op)),
-            (false, true) => packet.map(|_| &dep.resume_schema),
-            (false, false) => Some(&dep.resume_schema),
+        let schema: Option<&Schema> = if local {
+            entry_op.and_then(|op| dep.entry_schemas.get(&op))
+        } else {
+            Some(&dep.resume_schema)
         };
         let Some(schema) = schema else {
             self.malformed.window += rows as u64;
             return;
         };
-        let packet = packet.filter(|_| !local && dep.report_packet);
+        let from_packet = !local && dep.report_packet;
         // Switch reports lay columns out in schema order, so the
         // positional probe almost always hits; the scan covers partial
         // or reordered reports.
         self.perm.clear();
         let cols = schema.columns().iter().enumerate();
         self.perm
-            .extend(cols.filter(|_| packet.is_none()).map(|(i, c)| {
+            .extend(cols.filter(|_| !from_packet).map(|(i, c)| {
                 if i < width && name(i) == c {
                     i
                 } else {
@@ -212,17 +250,29 @@ impl Emitter {
                 }
             }));
         let (perm, dedup) = (&self.perm, self.dedup);
-        // `(task, window, seq)` identifies one logical report (seqs
-        // are per-task, per-window); a repeat is an injected duplicate
-        // and is suppressed, not re-applied.
+        let unplaceable = std::cell::Cell::new(0);
         let mut fresh = (0..rows)
-            .filter(|&r| !dedup || seen.insert(first_seq.wrapping_add(r as u64)))
-            .map(|r| match packet {
-                Some(pkt) => Tuple::from_packet(pkt),
-                None => {
-                    let value = |&j: &usize| if j == ABSENT { 0 } else { cell(r, j) };
-                    Tuple::new(perm.iter().map(|j| Value::U64(value(j))).collect())
+            .filter_map(|r| {
+                // A row without its packet cannot be placed; it is
+                // turned away before its seq is noted.
+                let mut shared = None;
+                if from_packet {
+                    shared = packet(r);
+                    if shared.is_none() {
+                        unplaceable.set(unplaceable.get() + 1);
+                        return None;
+                    }
                 }
+                // `(task, window, seq)` identifies one logical report
+                // (seqs are per-task, per-window); a repeat is an
+                // injected duplicate and is suppressed, not re-applied.
+                if dedup && !seen.insert(first_seq.wrapping_add(r as u64)) {
+                    return None;
+                }
+                Some(shared.unwrap_or_else(|| {
+                    let value = |&j: &usize| if j == ABSENT { 0 } else { cell(r, j) };
+                    perm.iter().map(|j| Value::U64(value(j))).collect()
+                }))
             })
             .peekable();
         // Rows that are all repeats leave no trace.
@@ -237,7 +287,8 @@ impl Emitter {
             out.extend(fresh);
             pushed = out.len() - before;
         }
-        self.suppressed.window += (rows - pushed) as u64;
+        self.malformed.window += unplaceable.get();
+        self.suppressed.window += rows as u64 - pushed as u64 - unplaceable.get();
         self.forwarded.window += if local { 0 } else { pushed as u64 };
     }
 
@@ -466,6 +517,50 @@ mod tests {
         let batches = e.close_window().unwrap();
         let t = &batches[0].1.left[&0][0];
         assert_eq!(t.len(), Schema::packet().len());
+    }
+
+    #[test]
+    fn a_chunk_shares_each_packet_row_and_drops_what_it_cannot_place() {
+        use sonata_packet::PacketArena;
+        use sonata_pisa::{ReportBlock, ReportChunk};
+        let mut packets = PacketArena::new();
+        packets.push_record(0, &PacketBuilder::tcp_raw(5, 6, 7, 80).build().encode());
+        packets.push_record(1, &[0xff; 3]); // no parser accepts this one
+        let mirror = |q, pkts: Vec<u32>| ReportBlock {
+            task: task(q, 0),
+            kind: ReportKind::Tuple,
+            entry_op: None,
+            first_seq: 0,
+            names: [].into(),
+            rows: 3,
+            cells: vec![],
+            pkts,
+        };
+        let chunk = ReportChunk {
+            packets,
+            blocks: vec![
+                // Packet 0 twice, then the undecodable one.
+                mirror(1, vec![0, 0, 1]),
+                // Packet 0, one past the chunk's packets, packet 0.
+                mirror(2, vec![0, 2, 0]),
+                // Rows that name no packet at all.
+                mirror(1, vec![]),
+                // Two indices for three rows: not a block.
+                mirror(2, vec![0, 0]),
+            ],
+        };
+        let mut e = Emitter::new(&[
+            packet_deployment(task(1, 0), 10),
+            packet_deployment(task(2, 0), 20),
+        ]);
+        e.ingest_blocks(&chunk);
+        assert_eq!((e.received.window, e.forwarded.window), (10, 4));
+        assert_eq!((e.malformed.window, e.suppressed.window), (6, 0));
+        let batches = e.close_window().unwrap();
+        let rows = |job: usize| &batches[job].1.left[&0];
+        assert_eq!((rows(0).len(), rows(1).len()), (2, 2));
+        let row = Tuple::from_packet(&PacketBuilder::tcp_raw(5, 6, 7, 80).build());
+        assert!(rows(0).iter().chain(rows(1)).all(|t| *t == row));
     }
 
     fn dedup_emitter(deployments: &[Deployment]) -> Emitter {

@@ -53,7 +53,7 @@ use sonata_net::{
 };
 use sonata_obs::{Counter, EventKind, FabricSnapshot, ObsHandle, Stage, StageTimer, TraceContext};
 use sonata_packet::{Packet, PacketArena};
-use sonata_pisa::{ControlOp, ReportBatch, ReportKind, Switch, TaskId, UpdateCostModel};
+use sonata_pisa::{ControlOp, ReportBatch, Switch, TaskId, UpdateCostModel};
 use sonata_planner::{GlobalPlan, ReplanOutcome};
 use sonata_query::{Operator, QueryId, Tuple};
 use sonata_stream::{
@@ -213,27 +213,19 @@ struct FabricSwitch {
 
 impl FabricSwitch {
     /// Batch ingest for this switch's share of the window: lay
-    /// `packets` out in the arena and run the whole batch. Ship with
-    /// [`Self::ship_batch`] for each index [`Self::next_to_ship`]
-    /// yields, in order.
-    fn feed_batch(&mut self, packets: &[Packet]) {
+    /// `packets` out in the arena, run the whole batch, and ship its
+    /// reports, `pump`ing after every send (see
+    /// [`SwitchEndpoint::send_batch_reports`]).
+    fn feed_batch(
+        &mut self,
+        packets: &[Packet],
+        pump: impl FnMut() -> Result<(), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
         self.arena.rebuild_from_packets(packets);
-        self.switch
-            .process_batch(&self.arena.batch(), &mut self.report_batch);
-    }
-
-    /// The next batch packet at or after `from` with anything to ship
-    /// (see [`SwitchEndpoint::next_to_ship`]).
-    fn next_to_ship(&self, from: usize) -> Option<usize> {
-        self.link.next_to_ship(&self.report_batch, from)
-    }
-
-    /// Ship batch packet `i`'s reports — borrowed slices straight from
-    /// the report arena on fault-free windows.
-    fn ship_batch(&mut self, i: usize) -> Result<(), RuntimeError> {
+        let batch = self.arena.batch();
+        self.switch.process_batch(&batch, &mut self.report_batch);
         self.link
-            .send_packet_reports_ref(&self.report_batch, i, self.arena.batch())?;
-        Ok(())
+            .send_batch_reports(&self.report_batch, batch, pump)
     }
 }
 
@@ -621,13 +613,8 @@ impl Fabric {
             let t = handle.trace_span(Stage::PacketLoop, window, root.ctx(), &name);
             let slice = &parts[s][..limit];
             if self.switches[s].ingest_batch {
-                self.switches[s].feed_batch(slice);
-                let mut next = 0;
-                while let Some(i) = self.switches[s].next_to_ship(next) {
-                    self.switches[s].ship_batch(i)?;
-                    pump_link(&mut self.links[s], &mut rxs[s], &handle)?;
-                    next = i + 1;
-                }
+                let (link, rx) = (&mut self.links[s], &mut rxs[s]);
+                self.switches[s].feed_batch(slice, || pump_link(link, rx, &handle))?;
             } else {
                 for pkt in slice {
                     feed_switch(&mut self.switches[s], pkt)?;
@@ -1209,11 +1196,14 @@ fn absorb_frame(
             rx.epoch = link.link.last_epoch();
         }
         Frame::Report(r) => {
-            if r.kind == ReportKind::Shunt {
-                rx.shunts += 1;
-                *rx.shunts_per_task.entry(r.task.query).or_default() += 1;
-            }
+            rx.note_shunts(r.kind, r.task, 1);
             link.emitter.ingest(&r);
+        }
+        Frame::ReportBlocks(chunk) => {
+            for b in &chunk.blocks {
+                rx.note_shunts(b.kind, b.task, b.rows as u64);
+            }
+            link.emitter.ingest_blocks(&chunk);
         }
         Frame::WindowDump { dump, .. } => rx.dump = Some(dump),
         Frame::WindowClose {

@@ -22,8 +22,8 @@ use sonata_obs::{
 };
 use sonata_packet::{Packet, PacketArena, Value};
 use sonata_pisa::{
-    ControlOp, ReportBatch, SketchConfig, StateLayout, Switch, SwitchConstraints, UpdateCostModel,
-    WindowDump,
+    ControlOp, ReportBatch, ReportKind, SketchConfig, StateLayout, Switch, SwitchConstraints,
+    TaskId, UpdateCostModel, WindowDump,
 };
 use sonata_planner::{GlobalPlan, ReplanOutcome, Replanner, SolveOptions};
 use sonata_query::{QueryId, Tuple};
@@ -45,8 +45,8 @@ pub enum IngestMode {
     /// are laid out in a contiguous [`PacketArena`] and executed
     /// through [`Switch::process_batch`] — PHV slots resolved once per
     /// batch, hoisted leading filters evaluated columnar over the
-    /// whole window, reports appended to a reusable arena and shipped
-    /// as borrowed slices. Bit-identical to `Owned` (asserted by
+    /// whole window, reports appended to reusable per-task column
+    /// blocks and shipped as such. Bit-identical to `Owned` (asserted by
     /// `tests/differential_ingest.rs`). Wire mode and the
     /// reference-path knob override this: both force per-packet
     /// execution, since they exist to oracle exactly that path.
@@ -652,6 +652,17 @@ pub(crate) struct WindowRx {
     pub(crate) close_ns: u64,
     /// Wall time the collector spent blocking on the close marker.
     pub(crate) collector_drain_ns: u64,
+}
+
+impl WindowRx {
+    /// Count `n` received reports of `task` if they are collision
+    /// shunts.
+    pub(crate) fn note_shunts(&mut self, kind: ReportKind, task: TaskId, n: u64) {
+        if kind == ReportKind::Shunt && n > 0 {
+            self.shunts += n;
+            *self.shunts_per_task.entry(task.query).or_default() += n;
+        }
+    }
 }
 
 /// Everything the collector computed for a window between sending the
@@ -1286,12 +1297,7 @@ impl Runtime {
                             .obs
                             .trace_span(Stage::PacketLoop, w, root.ctx(), "switch-0");
                         if sw.ingest_batch {
-                            sw.feed_batch(packets);
-                            let mut next = 0;
-                            while let Some(i) = sw.next_to_ship(next) {
-                                sw.ship_batch(i)?;
-                                next = i + 1;
-                            }
+                            sw.feed_batch(packets, || Ok(()))?;
                         } else {
                             for pkt in packets {
                                 sw.feed(pkt)?;
@@ -1332,9 +1338,8 @@ impl Runtime {
 
     /// Run one window of packets and close it, interleaving both
     /// halves on this thread. Frames are pumped from the collector
-    /// after every packet that shipped any, so bounded queues and
-    /// socket buffers never fill without a consumer, whichever backend
-    /// carries them.
+    /// after every send, so bounded queues and socket buffers never
+    /// fill without a consumer, whichever backend carries them.
     pub fn process_window(
         &mut self,
         window: u64,
@@ -1363,13 +1368,8 @@ impl Runtime {
                 .obs
                 .trace_span(Stage::PacketLoop, window, root.ctx(), "switch-0");
             if self.sw.ingest_batch {
-                self.sw.feed_batch(packets);
-                let mut next = 0;
-                while let Some(i) = self.sw.next_to_ship(next) {
-                    self.sw.ship_batch(i)?;
-                    self.sp.pump(&mut rx)?;
-                    next = i + 1;
-                }
+                let sp = &mut self.sp;
+                self.sw.feed_batch(packets, || sp.pump(&mut rx))?;
             } else {
                 for pkt in packets {
                     self.sw.feed(pkt)?;
@@ -1486,27 +1486,19 @@ impl SwitchHalf {
     }
 
     /// Batch ingest: lay the window's packets out in the contiguous
-    /// arena (in place, allocations retained) and execute the whole
-    /// batch through the compiled plan. Ship with [`Self::ship_batch`]
-    /// for each index [`Self::next_to_ship`] yields, in order.
-    fn feed_batch(&mut self, packets: &[Packet]) {
+    /// arena (in place, allocations retained), execute the whole batch
+    /// through the compiled plan, and ship its reports, `pump`ing after
+    /// every send (see [`SwitchEndpoint::send_batch_reports`]).
+    fn feed_batch(
+        &mut self,
+        packets: &[Packet],
+        pump: impl FnMut() -> Result<(), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
         self.arena.rebuild_from_packets(packets);
-        self.switch
-            .process_batch(&self.arena.batch(), &mut self.report_batch);
-    }
-
-    /// The next batch packet at or after `from` with anything to ship
-    /// (see [`SwitchEndpoint::next_to_ship`]).
-    fn next_to_ship(&self, from: usize) -> Option<usize> {
-        self.link.next_to_ship(&self.report_batch, from)
-    }
-
-    /// Ship batch packet `i`'s reports — borrowed slices straight from
-    /// the report arena on fault-free windows.
-    fn ship_batch(&mut self, i: usize) -> Result<(), RuntimeError> {
+        let batch = self.arena.batch();
+        self.switch.process_batch(&batch, &mut self.report_batch);
         self.link
-            .send_packet_reports_ref(&self.report_batch, i, self.arena.batch())?;
-        Ok(())
+            .send_batch_reports(&self.report_batch, batch, pump)
     }
 
     /// Dump and reset the registers, ship the dump, then close the
@@ -1574,11 +1566,14 @@ impl SpHalf {
                     .event(EventKind::WindowOpen { window, packets });
             }
             Frame::Report(r) => {
-                if r.kind == sonata_pisa::ReportKind::Shunt {
-                    rx.shunts += 1;
-                    *rx.shunts_per_task.entry(r.task.query).or_default() += 1;
-                }
+                rx.note_shunts(r.kind, r.task, 1);
                 self.emitter.ingest(&r);
+            }
+            Frame::ReportBlocks(chunk) => {
+                for b in &chunk.blocks {
+                    rx.note_shunts(b.kind, b.task, b.rows as u64);
+                }
+                self.emitter.ingest_blocks(&chunk);
             }
             Frame::WindowDump { dump, .. } => rx.dump = Some(dump),
             Frame::WindowClose {

@@ -1,12 +1,14 @@
 //! Property tests for the emitter's column-block ingest.
 //!
-//! For random deployments and random windows — per-packet reports and
-//! shunts first, then a register dump of finalized, raw and
+//! For random deployments and random windows — single reports and
+//! shunts first, then chunks of mirrored report blocks over a few
+//! carried packets (some undecodable, some rows indexing past them or
+//! carrying none), then a register dump of finalized, raw and
 //! deferred-`distinct` blocks, with natural, partial, reordered and
 //! junk column names, unknown entry ops, stale tasks, and (under
 //! dedup) colliding sequence numbers — three things must agree:
 //!
-//! 1. `ingest_dump(blocks)`;
+//! 1. `ingest_blocks(chunk)` and `ingest_dump(blocks)`;
 //! 2. `ingest` of the blocks' materialized `Report`s, one by one;
 //! 3. an oracle written the slow way: a name scan per cell into a
 //!    plain local store, merged by the reference interpreter
@@ -19,8 +21,8 @@ use proptest::prelude::*;
 use sonata_core::driver::Deployment;
 use sonata_core::Emitter;
 use sonata_faults::{FaultInjector, FaultPlan, ReportFaults};
-use sonata_packet::{Field, PacketBuilder, Value};
-use sonata_pisa::{DumpBlock, Report, ReportKind, TaskId, WindowDump};
+use sonata_packet::{Field, PacketArena, PacketBuilder, Value};
+use sonata_pisa::{DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, TaskId, WindowDump};
 use sonata_query::expr::{col, field, lit};
 use sonata_query::{Agg, ColName, Query, QueryId, Schema, Tuple};
 use sonata_stream::{run_entries_owned, WindowBatch};
@@ -201,6 +203,59 @@ fn block_of(deps: &[(u8, Deployment)], (task_pick, pick, seq, _, vals): &Draw) -
     }
 }
 
+/// A chunk's packets — `None` is a record no parser accepts — and its
+/// blocks: a [`Draw`] each, whether the rows carry packets, and which.
+type ChunkDraw = (Vec<Option<u8>>, Vec<(Draw, bool, Vec<u8>)>);
+
+fn arb_chunk() -> impl Strategy<Value = ChunkDraw> {
+    let packet = prop_oneof![Just(None), (0u8..4).prop_map(Some)];
+    let block = (
+        arb_draw(5),
+        any::<bool>(),
+        proptest::collection::vec(any::<u8>(), 5),
+    );
+    (
+        proptest::collection::vec(packet, 0..4),
+        proptest::collection::vec(block, 0..4),
+    )
+}
+
+fn chunk_of(deps: &[(u8, Deployment)], (records, blocks): &ChunkDraw) -> ReportChunk {
+    let mut packets = PacketArena::new();
+    for (i, r) in records.iter().enumerate() {
+        match r {
+            Some(src) => {
+                let pkt = PacketBuilder::tcp_raw(*src as u32, 1, 9, 80).build();
+                packets.push_record(i as u64, &pkt.encode());
+            }
+            None => packets.push_record(i as u64, &[0xff; 7]),
+        }
+    }
+    let block = |((task_pick, pick, seq, _, vals), with_packets, picks): &(Draw, bool, Vec<u8>)| {
+        let (task, kind, entry_op, names) = header(deps, *task_pick, *pick);
+        let rows = (vals.len() / 3).min(5) * usize::from(*seq % 4 != 0);
+        // One index in `records.len() + 1` points past the packets.
+        let pkt = |p: &u8| *p as u32 % (records.len() as u32 + 1);
+        ReportBlock {
+            task,
+            kind,
+            entry_op,
+            first_seq: *seq as u64,
+            rows,
+            cells: vals[..rows * names.len()].to_vec(),
+            names: names.into(),
+            pkts: match with_packets {
+                true => picks[..rows].iter().map(pkt).collect(),
+                false => Vec::new(),
+            },
+        }
+    };
+    ReportChunk {
+        packets,
+        blocks: blocks.iter().map(block).collect(),
+    }
+}
+
 /// The emitter written the slow way, one owned report at a time.
 struct Oracle<'d> {
     deps: &'d [(u8, Deployment)],
@@ -292,6 +347,7 @@ proptest! {
     fn block_ingest_equals_report_ingest_equals_the_reference_merge(
         shapes in proptest::collection::vec((0u8..3, 0u8..2, 0u64..3), 1..4),
         reports in proptest::collection::vec(arb_draw(1), 0..24),
+        chunks in proptest::collection::vec(arb_chunk(), 0..4),
         blocks in proptest::collection::vec(arb_draw(5), 0..8),
         dedup in any::<bool>(),
         partial in any::<bool>(),
@@ -315,6 +371,7 @@ proptest! {
         });
         prop_assert_eq!(faults.is_enabled(), dedup);
         let reports: Vec<Report> = reports.iter().map(|d| report_of(&deps, d)).collect();
+        let chunks: Vec<ReportChunk> = chunks.iter().map(|d| chunk_of(&deps, d)).collect();
         let dump = WindowDump {
             tuples: blocks.iter().map(|d| block_of(&deps, d)).collect(),
             ..WindowDump::default()
@@ -336,6 +393,14 @@ proptest! {
             by_block.ingest(r);
             by_report.ingest(r);
             oracle.ingest(r);
+        }
+        for chunk in &chunks {
+            prop_assert!(chunk.blocks.iter().all(ReportBlock::is_well_formed));
+            by_block.ingest_blocks(chunk);
+            for r in chunk.reports() {
+                by_report.ingest(&r);
+                oracle.ingest(&r);
+            }
         }
         by_block.ingest_dump(&dump);
         for r in &rows {

@@ -41,23 +41,35 @@
 //! list, then `rows: u32`, `width: u16` and `rows × width` bare `u64`
 //! cells — `width` must equal the name count, and `rows × width × 8`
 //! is checked against the bytes left in the frame before the cells are
-//! touched, so a header can never size an allocation. Packets ride
-//! as their own wire encoding
-//! ([`sonata_packet::Packet::encode`]) plus the capture timestamp and
-//! an Ethernet-framing flag, and are re-parsed on decode — the codec
-//! canonicalizes a packet exactly like the capture path does.
+//! touched, so a header can never size an allocation. A batch's
+//! mirrored reports ride the same way (v7, `ReportBlocks`): first the
+//! packets some row carries, once each — `npackets: u32`, `nbytes:
+//! u32`, `npackets × (ts: u64, len: u32)`, then the `nbytes` of wire
+//! bytes back to back — then per block the head and names as above,
+//! `rows: u32`, `width: u16`, `rows × width` cells, a flag byte and,
+//! when it says the rows carry packets, `rows` frame-local `u32`
+//! packet indices. `npackets × 12`, `nbytes`, `rows × width × 8` and
+//! `rows × 4` are each checked against the bytes left before anything
+//! is sized, the lengths must sum to `nbytes`, and every index must be
+//! below `npackets`. In a single `Report` frame the packet rides as
+//! its own wire encoding ([`sonata_packet::Packet::encode`]) plus the
+//! capture timestamp and an Ethernet-framing flag, and is re-parsed on
+//! decode — the codec canonicalizes a packet exactly like the capture
+//! path does.
 //!
 //! The decode path returns typed [`CodecError`]s and never panics: a
 //! truncated, corrupted, or version-skewed frame is data, not a bug.
 
 use crate::frame::Frame;
 use sonata_obs::TraceContext;
-use sonata_packet::Packet;
+use sonata_packet::{Packet, PacketArena};
 use sonata_pisa::{
-    ControlOp, DumpBlock, Report, ReportKind, SketchBound, StateLayout, TaskId, WindowDump,
+    ControlOp, DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout,
+    TaskId, WindowDump,
 };
-use sonata_query::QueryId;
+use sonata_query::{ColName, QueryId};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Frame magic: `"SNTA"` as a little-endian u32.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"SNTA");
@@ -65,8 +77,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"SNTA");
 /// added the in-band `trace`/`span` context fields; v4 added the plan
 /// `epoch` field for online replanning; v5 added declared sketch
 /// error bounds to the window-dump payload; v6 carries the dump's rows
-/// as column blocks — names once per block, not once per cell).
-pub const VERSION: u16 = 6;
+/// as column blocks — names once per block, not once per cell; v7 adds
+/// the `ReportBlocks` frame, the same for mirrored reports).
+pub const VERSION: u16 = 7;
 /// Fixed header size (magic + version + type + flags + switch +
 /// trace + span + epoch + len).
 pub const HEADER_LEN: usize = 38;
@@ -298,48 +311,23 @@ fn read_task(r: &mut Reader<'_>) -> Result<TaskId, CodecError> {
     })
 }
 
-/// Shared report payload writer: both the owned [`Report`] path and
-/// the borrowed [`ReportRef`](sonata_pisa::ReportRef) path feed it, so
-/// the two encodings are byte-identical by construction. The mirrored
-/// packet rides as `(ts_nanos, has_ethernet, wire_bytes)`.
-fn write_report_parts(
-    w: &mut Writer,
-    task: &TaskId,
-    kind: ReportKind,
-    seq: u64,
-    entry_op: Option<usize>,
-    columns: &[(sonata_query::ColName, u64)],
-    packet: Option<(u64, bool, &[u8])>,
-) {
-    write_report_head(w, task, kind, seq, entry_op);
-    w.u32(columns.len() as u32);
-    for (name, val) in columns {
+/// The mirrored packet rides as `(ts_nanos, has_ethernet, wire_bytes)`.
+fn write_report(w: &mut Writer, r: &Report) {
+    write_report_head(w, &r.task, r.kind, r.seq, r.entry_op);
+    w.u32(r.columns.len() as u32);
+    for (name, val) in &r.columns {
         w.str(name);
         w.u64(*val);
     }
-    match packet {
-        Some((ts_nanos, eth, bytes)) => {
+    match &r.packet {
+        Some(pkt) => {
             w.u8(1);
-            w.u64(ts_nanos);
-            w.u8(u8::from(eth));
-            w.bytes(bytes);
+            w.u64(pkt.ts_nanos);
+            w.u8(u8::from(pkt.eth.is_some()));
+            w.bytes(pkt.encode_cached());
         }
         None => w.u8(0),
     }
-}
-
-fn write_report(w: &mut Writer, r: &Report) {
-    write_report_parts(
-        w,
-        &r.task,
-        r.kind,
-        r.seq,
-        r.entry_op,
-        &r.columns,
-        r.packet
-            .as_ref()
-            .map(|pkt| (pkt.ts_nanos, pkt.eth.is_some(), pkt.encode_cached())),
-    );
 }
 
 fn read_report(r: &mut Reader<'_>) -> Result<Report, CodecError> {
@@ -382,21 +370,58 @@ fn read_report(r: &mut Reader<'_>) -> Result<Report, CodecError> {
     })
 }
 
+/// What a dump block and a report block both hold after the head: the
+/// names, `rows`, `width`, the cells.
+fn write_block_body(w: &mut Writer, names: &[ColName], rows: usize, cells: &[u64]) {
+    debug_assert!(names.len() <= u16::MAX as usize && rows * names.len() == cells.len());
+    w.u16(names.len() as u16);
+    for name in names {
+        w.str(name);
+    }
+    w.u32(rows as u32);
+    w.u16(names.len() as u16);
+    w.buf.reserve(cells.len() * 8);
+    for v in cells {
+        w.u64(*v);
+    }
+}
+
+/// The names, `rows` and `width` of a block, with the byte length of
+/// its cells. Every count is checked against the bytes the frame still
+/// holds before it sizes anything, so allocations are bounded by the
+/// frame, never by a header's claim.
+fn read_block_shape(r: &mut Reader<'_>) -> Result<(Arc<[ColName]>, usize, usize), CodecError> {
+    let ncols = r.u16()? as usize;
+    if ncols > r.remaining() / 2 {
+        return Err(CodecError::Malformed("block name count"));
+    }
+    let names = (0..ncols)
+        .map(|_| r.str().map(Into::into))
+        .collect::<Result<_, _>>()?;
+    let rows = r.u32()? as usize;
+    if r.u16()? as usize != ncols {
+        return Err(CodecError::Malformed(
+            "block width differs from its name count",
+        ));
+    }
+    let bytes = rows
+        .checked_mul(ncols * 8)
+        .filter(|&b| b <= r.remaining())
+        .ok_or(CodecError::Malformed("block rows exceed the frame"))?;
+    Ok((names, rows, bytes))
+}
+
+fn read_cells(r: &mut Reader<'_>, bytes: usize) -> Result<Vec<u64>, CodecError> {
+    Ok((r.take(bytes)?.chunks_exact(8))
+        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
+        .collect())
+}
+
 fn write_dump(w: &mut Writer, dump: &WindowDump) {
     w.u32(dump.tuples.blocks().len() as u32);
     for b in dump.tuples.blocks() {
         write_report_head(w, &b.task, b.kind, b.first_seq, b.entry_op);
-        debug_assert!(b.is_well_formed() && b.width() <= u16::MAX as usize);
-        w.u16(b.width() as u16);
-        for name in b.names.iter() {
-            w.str(name);
-        }
-        w.u32(b.rows() as u32);
-        w.u16(b.width() as u16);
-        w.buf.reserve(b.cells.len() * 8);
-        for v in &b.cells {
-            w.u64(*v);
-        }
+        write_block_body(w, &b.names, b.rows(), &b.cells);
     }
     w.u64(dump.suppressed);
     w.u64(dump.occupancy as u64);
@@ -421,44 +446,122 @@ fn write_dump(w: &mut Writer, dump: &WindowDump) {
 /// without an entry op (6 + 1 + 8 + 1), the name count, rows, width.
 const DUMP_BLOCK_MIN_LEN: usize = 16 + 2 + 4 + 2;
 
-/// One column block. Every count is checked against the bytes the
-/// frame still holds before it sizes anything, so allocations are
-/// bounded by the frame, never by a header's claim.
 fn read_dump_block(r: &mut Reader<'_>) -> Result<DumpBlock, CodecError> {
     let (task, kind, first_seq, entry_op) = read_report_head(r)?;
     if !matches!(kind, ReportKind::WindowDump | ReportKind::WindowDumpRaw) {
         return Err(CodecError::Malformed("dump block kind"));
     }
-    let ncols = r.u16()? as usize;
-    if ncols > r.remaining() / 2 {
-        return Err(CodecError::Malformed("dump block name count"));
-    }
-    let names = (0..ncols)
-        .map(|_| r.str().map(Into::into))
-        .collect::<Result<_, _>>()?;
-    let rows = r.u32()? as usize;
-    if r.u16()? as usize != ncols {
-        return Err(CodecError::Malformed(
-            "dump block width differs from its name count",
-        ));
-    }
-    if ncols == 0 && rows != 0 {
+    let (names, rows, bytes) = read_block_shape(r)?;
+    if names.is_empty() && rows != 0 {
         return Err(CodecError::Malformed("dump block rows without columns"));
     }
-    let bytes = rows
-        .checked_mul(ncols * 8)
-        .filter(|&b| b <= r.remaining())
-        .ok_or(CodecError::Malformed("dump block rows exceed the frame"))?;
-    let cells = (r.take(bytes)?.chunks_exact(8))
-        .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
-        .collect();
     Ok(DumpBlock {
         task,
         kind,
         entry_op,
         first_seq,
         names,
+        cells: read_cells(r, bytes)?,
+    })
+}
+
+/// Bytes of a report block with no names and no rows: a dump block's,
+/// plus the flag byte.
+const REPORT_BLOCK_MIN_LEN: usize = DUMP_BLOCK_MIN_LEN + 1;
+
+fn write_chunk(w: &mut Writer, chunk: &ReportChunk) {
+    let packets = &chunk.packets;
+    w.u32(packets.len() as u32);
+    w.u32(packets.total_bytes() as u32);
+    for e in packets.index() {
+        w.u64(e.ts_nanos);
+        w.u32(e.len);
+    }
+    w.buf.extend_from_slice(packets.bytes());
+    w.u32(chunk.blocks.len() as u32);
+    for b in &chunk.blocks {
+        debug_assert!(b.is_well_formed());
+        write_report_head(w, &b.task, b.kind, b.first_seq, b.entry_op);
+        write_block_body(w, &b.names, b.rows, &b.cells);
+        w.u8(u8::from(!b.pkts.is_empty()));
+        for p in &b.pkts {
+            w.u32(*p);
+        }
+    }
+}
+
+fn read_chunk(r: &mut Reader<'_>) -> Result<ReportChunk, CodecError> {
+    let npackets = r.u32()? as usize;
+    let nbytes = r.u32()? as usize;
+    if npackets > r.remaining() / 12 || nbytes > r.remaining() - npackets * 12 {
+        return Err(CodecError::Malformed("packets exceed the frame"));
+    }
+    let index: Vec<(u64, usize)> = (0..npackets)
+        .map(|_| Ok((r.u64()?, r.u32()? as usize)))
+        .collect::<Result<_, CodecError>>()?;
+    // Each length is below 2³², so the sum cannot wrap.
+    if index.iter().map(|&(_, len)| len as u64).sum::<u64>() != nbytes as u64 {
+        return Err(CodecError::Malformed(
+            "packet lengths differ from the byte count",
+        ));
+    }
+    let mut bytes = r.take(nbytes)?;
+    let mut packets = PacketArena::with_capacity(npackets, nbytes);
+    for (ts_nanos, len) in index {
+        let (wire, rest) = bytes.split_at(len);
+        packets.push_record(ts_nanos, wire);
+        bytes = rest;
+    }
+    let nblocks = r.u32()? as usize;
+    if nblocks > r.remaining() / REPORT_BLOCK_MIN_LEN {
+        return Err(CodecError::Malformed("report block count"));
+    }
+    let blocks = (0..nblocks)
+        .map(|_| read_report_block(r, npackets))
+        .collect::<Result<_, _>>()?;
+    Ok(ReportChunk { packets, blocks })
+}
+
+fn read_report_block(r: &mut Reader<'_>, npackets: usize) -> Result<ReportBlock, CodecError> {
+    let (task, kind, first_seq, entry_op) = read_report_head(r)?;
+    if !matches!(kind, ReportKind::Tuple | ReportKind::Shunt) {
+        return Err(CodecError::Malformed("report block kind"));
+    }
+    let (names, rows, bytes) = read_block_shape(r)?;
+    let cells = read_cells(r, bytes)?;
+    let with_packets = match r.u8()? {
+        0 => false,
+        1 => true,
+        _ => return Err(CodecError::Malformed("report block flags")),
+    };
+    // Rows with neither columns nor packets take no bytes, so nothing
+    // would bound their count.
+    if names.is_empty() && !with_packets && rows != 0 {
+        return Err(CodecError::Malformed(
+            "report block rows without columns or packets",
+        ));
+    }
+    let pkts: Vec<u32> = if with_packets {
+        let bytes = (rows.checked_mul(4).filter(|&b| b <= r.remaining()))
+            .ok_or(CodecError::Malformed("report block rows exceed the frame"))?;
+        (r.take(bytes)?.chunks_exact(4))
+            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks of 4")))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    if pkts.iter().any(|&p| p as usize >= npackets) {
+        return Err(CodecError::Malformed("report block packet index"));
+    }
+    Ok(ReportBlock {
+        task,
+        kind,
+        entry_op,
+        first_seq,
+        names,
+        rows,
         cells,
+        pkts,
     })
 }
 
@@ -571,6 +674,7 @@ pub fn encode_frame_ctx(switch: u16, ctx: TraceContext, epoch: u64, frame: &Fram
             w.u64(*packets);
         }
         Frame::Report(r) => write_report(&mut w, r),
+        Frame::ReportBlocks(chunk) => write_chunk(&mut w, chunk),
         Frame::WindowDump { window, dump } => {
             w.u64(*window);
             write_dump(&mut w, dump);
@@ -628,32 +732,6 @@ fn finish_frame(
     out
 }
 
-/// Encode a borrowed batch report as a `Report` frame straight from
-/// the arena slices — byte-identical to
-/// `encode_frame_ctx(switch, ctx, epoch, &Frame::Report(r.to_report()))`
-/// without materializing the owned report: columns are borrowed from
-/// the report batch, mirrored packet bytes from the packet arena.
-/// (Arena records are IPv4-first, so the Ethernet flag is always
-/// clear, exactly as it is after the owned path's round-trip decode.)
-pub fn encode_report_ref(
-    switch: u16,
-    ctx: TraceContext,
-    epoch: u64,
-    r: &sonata_pisa::ReportRef<'_, '_>,
-) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_report_parts(
-        &mut w,
-        &r.task,
-        r.kind,
-        r.seq,
-        r.entry_op,
-        r.columns,
-        r.packet.as_ref().map(|v| (v.ts_nanos(), false, v.bytes())),
-    );
-    finish_frame(Frame::REPORT_TYPE_BYTE, switch, ctx, epoch, w.buf)
-}
-
 /// Encode one frame with an absent trace context and epoch 0.
 pub fn encode_frame_from(switch: u16, frame: &Frame) -> Vec<u8> {
     encode_frame_ctx(switch, TraceContext::NONE, 0, frame)
@@ -663,6 +741,15 @@ pub fn encode_frame_from(switch: u16, frame: &Frame) -> Vec<u8> {
 /// never-replanned deployments).
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     encode_frame_from(0, frame)
+}
+
+/// Length of the whole frame whose header starts `buf` — what a stream
+/// reader makes room for — once the header is complete; `None` until
+/// then, and for a length field past [`MAX_FRAME_LEN`], which
+/// [`decode_frame_tagged`] refuses and nobody should size a buffer by.
+pub fn frame_len(buf: &[u8]) -> Option<usize> {
+    let len = u32::from_le_bytes(buf.get(34..HEADER_LEN)?.try_into().ok()?) as usize;
+    (len <= MAX_FRAME_LEN).then_some(HEADER_LEN + len + 4)
 }
 
 /// Decode one frame from the front of `buf`, returning the sending
@@ -745,6 +832,7 @@ pub fn decode_frame_tagged(
             latency_ns: r.u64()?,
         },
         8 => Frame::Credit { window: r.u64()? },
+        9 => Frame::ReportBlocks(read_chunk(&mut r)?),
         other => return Err(CodecError::UnknownFrameType(other)),
     };
     if !r.done() {
@@ -762,45 +850,6 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn borrowed_report_encode_is_byte_identical_to_owned() {
-        use sonata_packet::{PacketArena, PacketBuilder, TcpFlags};
-        use sonata_pisa::ReportRef;
-        // The zero-copy encode path must produce the exact bytes the
-        // owned path does — with and without a mirrored packet — so
-        // receivers cannot tell which ingest mode a switch ran.
-        let pkt = PacketBuilder::tcp_raw(0x0a000001, 1234, 0x0a0000aa, 80)
-            .flags(TcpFlags::SYN)
-            .ts_nanos(42_000_000)
-            .build();
-        let arena = PacketArena::from_packets(std::slice::from_ref(&pkt));
-        let batch = arena.batch();
-        let cols: Vec<(sonata_query::ColName, u64)> = vec![("dIP".into(), 7), ("count".into(), 9)];
-        let task = TaskId {
-            query: QueryId(5),
-            level: 24,
-            branch: 1,
-        };
-        let ctx = TraceContext::root(0x1111, 0x2222);
-        for packet in [Some(batch.view(0)), None] {
-            let r = ReportRef {
-                task,
-                kind: ReportKind::Shunt,
-                columns: &cols,
-                packet,
-                entry_op: Some(4),
-                seq: 11,
-            };
-            let owned = encode_frame_ctx(3, ctx, 2, &Frame::Report(r.to_report()));
-            let borrowed = encode_report_ref(3, ctx, 2, &r);
-            assert_eq!(owned, borrowed, "packet={}", packet.is_some());
-            // And the borrowed bytes decode back to the owned report.
-            let (_, _, _, frame, used) = decode_frame_tagged(&borrowed).unwrap();
-            assert_eq!(used, borrowed.len());
-            assert_eq!(frame, Frame::Report(r.to_report()));
-        }
-    }
 
     #[test]
     fn crc32_known_vector() {

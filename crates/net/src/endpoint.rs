@@ -9,13 +9,15 @@
 //! delayed one re-emerges behind later packets' frames. The verdict
 //! sequence is identical to the old in-switch seam — the injector is
 //! consulted once per fresh report, in packet order, per packet.
+//! Without faults there is no per-report decision to make, and a
+//! batch's reports leave as [`Frame::ReportBlocks`] chunks.
 
 use crate::frame::Frame;
 use crate::transport::{NetError, NetMetrics, Transport};
 use sonata_faults::{FaultInjector, ReportVerdict};
 use sonata_obs::{EventKind, TraceContext};
 use sonata_packet::ArenaBatch;
-use sonata_pisa::{ControlOp, Report, ReportBatch, WindowDump};
+use sonata_pisa::{ControlOp, Report, ReportBatch, WindowDump, CHUNK_BYTES};
 use std::time::Duration;
 
 /// Default blocking-receive timeout for protocol turns. Generous: a
@@ -183,45 +185,35 @@ impl SwitchEndpoint {
         Ok(())
     }
 
-    /// The next batch packet at or after `from` to call
-    /// [`Self::send_packet_reports_ref`] for. With the fault seam on
-    /// that is every packet, because delay verdicts are measured in
-    /// packets; without it, only packets that reported.
-    pub fn next_to_ship(&self, reports: &ReportBatch, from: usize) -> Option<usize> {
-        if self.faults.is_enabled() {
-            (from < reports.packets()).then_some(from)
-        } else {
-            reports.next_reporting(from)
-        }
-    }
-
-    /// Batch-mode sibling of [`Self::send_packet_reports`]: ship
-    /// packet `i`'s reports straight from the report batch and packet
-    /// arena. Call it for each index [`Self::next_to_ship`] yields, in
-    /// order, so delay verdicts measured in packets line up with the
-    /// per-packet sibling. Fault-free windows take the borrowed path
-    /// ([`Transport::send_report_ref`]) and materialize nothing;
-    /// faulted windows materialize owned reports and run the
-    /// identical per-packet verdict sequence.
-    pub fn send_packet_reports_ref(
+    /// Ship a whole batch's reports, straight from the report batch
+    /// and the packet arena it was produced from, calling `pump` after
+    /// every send so a single-threaded driver's collector keeps
+    /// draining. Fault-free windows ship [`Frame::ReportBlocks`] chunks
+    /// of [`CHUNK_BYTES`]; with the fault seam on, every packet — even
+    /// one that reported nothing, because delay verdicts are measured
+    /// in packets — goes through [`Self::send_packet_reports`] as
+    /// owned reports, the identical per-packet verdict sequence.
+    pub fn send_batch_reports<E: From<NetError>>(
         &mut self,
         reports: &ReportBatch,
-        i: usize,
         arena: ArenaBatch<'_>,
-    ) -> Result<(), NetError> {
-        if !self.faults.is_enabled() {
-            for r in reports.packet_reports(i, arena) {
-                self.t.send_report_ref(self.ctx, self.epoch, &r)?;
-                self.metrics.frames_tx.inc();
+        mut pump: impl FnMut() -> Result<(), E>,
+    ) -> Result<(), E> {
+        if self.faults.is_enabled() {
+            for i in 0..reports.packets() {
+                let fresh = reports.packet_reports(i, arena);
+                self.send_packet_reports(fresh.map(|r| r.to_report()).collect())?;
+                pump()?;
             }
             return Ok(());
         }
-        self.send_packet_reports(
-            reports
-                .packet_reports(i, arena)
-                .map(|r| r.to_report())
-                .collect(),
-        )
+        let mut next = 0;
+        while let Some((chunk, after)) = reports.chunk(next, arena, CHUNK_BYTES) {
+            self.send(Frame::ReportBlocks(chunk))?;
+            pump()?;
+            next = after;
+        }
+        Ok(())
     }
 
     /// Ship the end-of-window register dump as one batch frame. The
@@ -314,6 +306,9 @@ pub struct CollectorEndpoint {
     /// fabric tags each switch's window contribution with this so a
     /// cross-epoch merge can be refused.
     last_epoch: u64,
+    /// The window the switch last opened (labels `NetFrame` events of
+    /// frames that do not name theirs).
+    window: u64,
     /// Trace context stamped on outgoing control frames.
     ctx: TraceContext,
 }
@@ -335,6 +330,7 @@ impl CollectorEndpoint {
             timeout: DEFAULT_TIMEOUT,
             last_ctx: TraceContext::NONE,
             last_epoch: epoch,
+            window: 0,
             ctx: TraceContext::NONE,
         }
     }
@@ -383,16 +379,21 @@ impl CollectorEndpoint {
         }
     }
 
-    fn note_rx(&self, frame: &Frame) {
+    /// Count a received data frame; the bulk ones (dump, report
+    /// blocks) also log the length the transport saw on the wire.
+    fn note_rx(&mut self, frame: &Frame) {
         self.metrics.frames_rx.inc();
-        if let Frame::WindowDump { window, .. } = frame {
-            if self.metrics.handle().is_enabled() {
-                self.metrics.handle().event(EventKind::NetFrame {
-                    window: *window,
-                    kind: frame.label().to_string(),
-                    bytes: crate::codec::encode_frame(frame).len() as u64,
-                });
-            }
+        if let Frame::WindowOpen { window, .. } = frame {
+            self.window = *window;
+        }
+        if matches!(frame, Frame::WindowDump { .. } | Frame::ReportBlocks(_))
+            && self.metrics.handle().is_enabled()
+        {
+            self.metrics.handle().event(EventKind::NetFrame {
+                window: self.window,
+                kind: frame.label().to_string(),
+                bytes: self.t.last_rx_len() as u64,
+            });
         }
     }
 

@@ -3,14 +3,15 @@
 //! collector, as one typed enum.
 //!
 //! The protocol is window-lockstep: per window the switch sends
-//! `WindowOpen`, a stream of `Report`s, one `WindowDump`, and
+//! `WindowOpen`, the mirrored reports (`ReportBlocks` chunks; single
+//! `Report`s when the fault seam is on), one `WindowDump`, and
 //! `WindowClose`; the collector replies with one `Control` batch,
 //! receives a `ControlAck`, and finally grants a `Credit` that lets
 //! the switch open the next window. `Hello` opens (and, after a
 //! reconnect, resumes) a session and carries the plan digest both
 //! sides must agree on.
 
-use sonata_pisa::{ControlOp, Report, WindowDump};
+use sonata_pisa::{ControlOp, Report, ReportChunk, WindowDump};
 
 /// One protocol frame.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,8 +32,13 @@ pub enum Frame {
         /// Packets the switch will process this window.
         packets: u64,
     },
-    /// One mirrored report (per-packet tuple or collision shunt).
+    /// One mirrored report (per-packet tuple or collision shunt): the
+    /// one-row form the egress fault seam and the per-packet oracle
+    /// path ship.
     Report(Report),
+    /// A chunk of a batch's mirrored reports as per-task column blocks,
+    /// each carried packet's bytes once (v7).
+    ReportBlocks(ReportChunk),
     /// The end-of-window register dump, sent as a single batch frame
     /// (batch coalescing: one frame instead of one per dump tuple).
     WindowDump {
@@ -83,22 +89,18 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// Wire type tag of `Report` frames — the one frame kind also
-    /// encodable from borrowed slices
-    /// ([`crate::codec::encode_report_ref`]), so its tag is named.
-    pub const REPORT_TYPE_BYTE: u8 = 3;
-
     /// Wire type tag.
     pub fn type_byte(&self) -> u8 {
         match self {
             Frame::Hello { .. } => 1,
             Frame::WindowOpen { .. } => 2,
-            Frame::Report(_) => Self::REPORT_TYPE_BYTE,
+            Frame::Report(_) => 3,
             Frame::WindowDump { .. } => 4,
             Frame::WindowClose { .. } => 5,
             Frame::Control { .. } => 6,
             Frame::ControlAck { .. } => 7,
             Frame::Credit { .. } => 8,
+            Frame::ReportBlocks(_) => 9,
         }
     }
 
@@ -108,6 +110,7 @@ impl Frame {
             Frame::Hello { .. } => "hello",
             Frame::WindowOpen { .. } => "window_open",
             Frame::Report(_) => "report",
+            Frame::ReportBlocks(_) => "report_blocks",
             Frame::WindowDump { .. } => "window_dump",
             Frame::WindowClose { .. } => "window_close",
             Frame::Control { .. } => "control",

@@ -6,8 +6,9 @@
 //! in-process function calls. This crate makes that boundary explicit:
 //!
 //! * [`frame`] — the boundary vocabulary as one typed [`Frame`] enum
-//!   (session hello, window open/close markers, reports, the batched
-//!   window dump, control batches, acks, and flow-control credits).
+//!   (session hello, window open/close markers, report-block chunks
+//!   and single reports, the batched window dump, control batches,
+//!   acks, and flow-control credits).
 //! * [`codec`] — a versioned binary wire format: length-prefixed
 //!   framing with a magic + version header and a per-frame CRC-32.
 //!   Decoding never panics; malformed input returns a typed

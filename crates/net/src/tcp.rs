@@ -11,7 +11,7 @@
 //! assigned at the switch deparser survive the codec, so the emitter's
 //! existing sequence-based duplicate suppression works unchanged.
 
-use crate::codec::{decode_frame_tagged, encode_frame_ctx, CodecError};
+use crate::codec::{decode_frame_tagged, encode_frame_ctx, frame_len, CodecError};
 use crate::frame::Frame;
 use crate::transport::{NetError, NetMetrics, Transport};
 use sonata_obs::{EventKind, TraceContext};
@@ -50,13 +50,75 @@ impl Default for TcpOptions {
     }
 }
 
+// ------------------------------------------------------- receive buffer
+
+/// Free space a read is offered at least.
+const READ_CHUNK: usize = 64 * 1024;
+
+/// A frame as a socket delivered it: switch id, trace context, plan
+/// epoch, the frame, and its encoded length.
+type Received = (u16, TraceContext, u64, Frame, usize);
+
+/// Bytes read from a socket and not yet decoded. `buf` is initialized
+/// to its whole length, so a read lands in `buf[tail..]` with nothing
+/// zeroed per read; `buf[head..tail]` is the unread data. Frames are
+/// consumed by advancing `head`, and the remainder moves to the front
+/// once per read, not once per frame.
+#[derive(Default)]
+struct RecvBuf {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl RecvBuf {
+    fn clear(&mut self) {
+        (self.head, self.tail) = (0, 0);
+    }
+
+    /// Decode and consume the frame at the front, if it is all there.
+    fn pop(&mut self) -> Result<Option<Received>, CodecError> {
+        match decode_frame_tagged(&self.buf[self.head..self.tail]) {
+            Ok((switch, ctx, epoch, frame, used)) => {
+                self.head += used;
+                Ok(Some((switch, ctx, epoch, frame, used)))
+            }
+            Err(CodecError::Truncated) => Ok(None),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// One `read` into the free space behind the data. Call it when
+    /// [`Self::pop`] found no whole frame: the header at the front, if
+    /// complete, has then passed `pop`'s checks, and the buffer grows
+    /// once to hold that frame whole ([`frame_len`] sizes nothing by a
+    /// length the codec refuses).
+    fn fill(&mut self, from: &mut impl Read) -> std::io::Result<usize> {
+        if self.head > 0 {
+            self.buf.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
+        }
+        let frame = frame_len(&self.buf[..self.tail]).unwrap_or(0);
+        let want = frame.max(self.tail) + READ_CHUNK;
+        if self.buf.len() < want {
+            self.buf.resize(want, 0);
+        }
+        let n = from.read(&mut self.buf[self.tail..])?;
+        self.tail += n;
+        Ok(n)
+    }
+}
+
 // ------------------------------------------------------------ client
 
 /// Switch-side TCP client.
 pub struct TcpClientTransport {
     addr: SocketAddr,
     stream: Option<TcpStream>,
-    rbuf: Vec<u8>,
+    rbuf: RecvBuf,
+    /// Encoded length of the frame last received.
+    last_rx_len: usize,
     /// Encoded `Hello` replayed after every reconnect so the collector
     /// can re-verify the plan digest mid-session.
     hello: Option<Vec<u8>>,
@@ -76,7 +138,8 @@ impl TcpClientTransport {
         Ok(TcpClientTransport {
             addr,
             stream: Some(stream),
-            rbuf: Vec::new(),
+            rbuf: RecvBuf::default(),
+            last_rx_len: 0,
             hello: None,
             metrics,
             opts,
@@ -114,21 +177,28 @@ impl TcpClientTransport {
         Err(NetError::Closed)
     }
 
-    fn fill_rbuf(&mut self, timeout: Option<Duration>) -> Result<usize, NetError> {
+    /// Read once into `rbuf`, waiting up to `wait` for bytes (`None`:
+    /// not at all). `Ok(false)` when none came in that time.
+    fn fill_rbuf(&mut self, wait: Option<Duration>) -> Result<bool, NetError> {
         let Some(stream) = self.stream.as_mut() else {
             return Err(NetError::Closed);
         };
-        stream.set_read_timeout(timeout)?;
-        let mut tmp = [0u8; 16 * 1024];
-        match stream.read(&mut tmp) {
+        match wait {
+            Some(_) => stream.set_read_timeout(wait)?,
+            None => stream.set_nonblocking(true)?,
+        }
+        let read = self.rbuf.fill(stream);
+        if wait.is_none() {
+            stream.set_nonblocking(false)?;
+        }
+        match read {
             Ok(0) => {
                 self.stream = None;
                 Err(NetError::Closed)
             }
             Ok(n) => {
-                self.rbuf.extend_from_slice(&tmp[..n]);
                 self.metrics.bytes_rx.add(n as u64);
-                Ok(n)
+                Ok(true)
             }
             Err(e)
                 if matches!(
@@ -136,7 +206,7 @@ impl TcpClientTransport {
                     std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                 ) =>
             {
-                Err(NetError::Timeout)
+                Ok(false)
             }
             Err(e) => {
                 self.stream = None;
@@ -146,18 +216,14 @@ impl TcpClientTransport {
     }
 
     fn pop_decoded(&mut self) -> Result<Option<(TraceContext, u64, Frame)>, NetError> {
-        match decode_frame_tagged(&self.rbuf) {
-            Ok((_switch, ctx, epoch, frame, used)) => {
-                self.rbuf.drain(..used);
-                Ok(Some((ctx, epoch, frame)))
-            }
-            Err(CodecError::Truncated) => Ok(None),
-            Err(e) => Err(NetError::Codec(e)),
-        }
+        let popped = self.rbuf.pop()?;
+        Ok(popped.map(|(_switch, ctx, epoch, frame, used)| {
+            self.last_rx_len = used;
+            (ctx, epoch, frame)
+        }))
     }
 
-    /// Write one pre-encoded frame, re-dialing on a dropped
-    /// connection (shared by the owned and borrowed send paths).
+    /// Write one encoded frame, re-dialing on a dropped connection.
     fn send_encoded(&mut self, bytes: &[u8]) -> Result<(), NetError> {
         let mut attempts = 0u32;
         loop {
@@ -191,45 +257,11 @@ impl Transport for TcpClientTransport {
         self.send_encoded(&bytes)
     }
 
-    /// Borrowed fast path: encode the report frame straight from the
-    /// batch/arena slices — no owned `Report`, no packet decode, no
-    /// intermediate `Frame`.
-    fn send_report_ref(
-        &mut self,
-        ctx: TraceContext,
-        epoch: u64,
-        r: &sonata_pisa::ReportRef<'_, '_>,
-    ) -> Result<(), NetError> {
-        let bytes = crate::codec::encode_report_ref(self.opts.switch_id, ctx, epoch, r);
-        self.send_encoded(&bytes)
-    }
-
     fn try_recv(&mut self) -> Result<Option<(TraceContext, u64, Frame)>, NetError> {
         if let Some(f) = self.pop_decoded()? {
             return Ok(Some(f));
         }
-        let Some(stream) = self.stream.as_mut() else {
-            return Err(NetError::Closed);
-        };
-        stream.set_nonblocking(true)?;
-        let mut tmp = [0u8; 16 * 1024];
-        let read = stream.read(&mut tmp);
-        stream.set_nonblocking(false)?;
-        match read {
-            Ok(0) => {
-                self.stream = None;
-                return Err(NetError::Closed);
-            }
-            Ok(n) => {
-                self.rbuf.extend_from_slice(&tmp[..n]);
-                self.metrics.bytes_rx.add(n as u64);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-            Err(e) => {
-                self.stream = None;
-                return Err(NetError::Io(e.to_string()));
-            }
-        }
+        self.fill_rbuf(None)?;
         self.pop_decoded()
     }
 
@@ -240,11 +272,14 @@ impl Transport for TcpClientTransport {
                 return Ok(f);
             }
             let now = Instant::now();
-            if now >= deadline {
+            if now >= deadline || !self.fill_rbuf(Some(deadline - now))? {
                 return Err(NetError::Timeout);
             }
-            self.fill_rbuf(Some(deadline - now))?;
         }
+    }
+
+    fn last_rx_len(&self) -> usize {
+        self.last_rx_len
     }
 
     fn kind(&self) -> &'static str {
@@ -256,7 +291,7 @@ impl Transport for TcpClientTransport {
 
 #[derive(Default)]
 struct ConnBuf {
-    frames: VecDeque<(u16, TraceContext, u64, Frame)>,
+    frames: VecDeque<Received>,
     alive: bool,
     /// Switch id this connection belongs to, learned from the first
     /// decoded frame header (the client's `Hello` tags it before any
@@ -295,6 +330,8 @@ pub struct TcpCollectorTransport {
     /// `Transport::send` replies go to this peer (the lockstep
     /// protocol always replies to the switch it just heard from).
     last_peer: u16,
+    /// Encoded length of the most recently popped frame.
+    last_rx_len: usize,
 }
 
 impl TcpCollectorTransport {
@@ -317,6 +354,7 @@ impl TcpCollectorTransport {
             addr,
             rr: 0,
             last_peer: 0,
+            last_rx_len: 0,
         })
     }
 
@@ -381,10 +419,10 @@ impl TcpCollectorTransport {
     pub fn try_recv_tagged(&mut self) -> Result<Option<(u16, TraceContext, u64, Frame)>, NetError> {
         let mut st = self.shared.state.lock().unwrap();
         let popped = pop_locked(&self.shared, &mut self.rr, &mut st);
-        if let Some((switch, _, _, _)) = &popped {
-            self.last_peer = *switch;
-        }
-        Ok(popped)
+        Ok(popped.map(|(switch, ctx, epoch, frame, len)| {
+            (self.last_peer, self.last_rx_len) = (switch, len);
+            (switch, ctx, epoch, frame)
+        }))
     }
 
     /// Receive the next frame, its sending switch id, trace context,
@@ -396,9 +434,11 @@ impl TcpCollectorTransport {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.state.lock().unwrap();
         loop {
-            if let Some((switch, ctx, epoch, f)) = pop_locked(&self.shared, &mut self.rr, &mut st) {
-                self.last_peer = switch;
-                return Ok((switch, ctx, epoch, f));
+            if let Some((switch, ctx, epoch, frame, len)) =
+                pop_locked(&self.shared, &mut self.rr, &mut st)
+            {
+                (self.last_peer, self.last_rx_len) = (switch, len);
+                return Ok((switch, ctx, epoch, frame));
             }
             let now = Instant::now();
             if now >= deadline {
@@ -414,11 +454,7 @@ impl TcpCollectorTransport {
     }
 }
 
-fn pop_locked(
-    shared: &CollShared,
-    rr: &mut usize,
-    st: &mut CollState,
-) -> Option<(u16, TraceContext, u64, Frame)> {
+fn pop_locked(shared: &CollShared, rr: &mut usize, st: &mut CollState) -> Option<Received> {
     let n = st.conns.len();
     for i in 0..n {
         let idx = (*rr + i) % n;
@@ -451,6 +487,10 @@ impl Transport for TcpCollectorTransport {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(TraceContext, u64, Frame), NetError> {
         self.recv_timeout_tagged(timeout)
             .map(|(_, ctx, epoch, f)| (ctx, epoch, f))
+    }
+
+    fn last_rx_len(&self) -> usize {
+        self.last_rx_len
     }
 
     fn kind(&self) -> &'static str {
@@ -494,21 +534,17 @@ fn accept_loop(listener: TcpListener, shared: Arc<CollShared>) {
 }
 
 fn reader_loop(mut stream: TcpStream, id: usize, shared: Arc<CollShared>) {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut tmp = [0u8; 16 * 1024];
+    let mut buf = RecvBuf::default();
     'conn: loop {
-        let n = match stream.read(&mut tmp) {
+        match buf.fill(&mut stream) {
             Ok(0) | Err(_) => break 'conn,
-            Ok(n) => n,
-        };
-        shared.metrics.bytes_rx.add(n as u64);
-        buf.extend_from_slice(&tmp[..n]);
+            Ok(n) => shared.metrics.bytes_rx.add(n as u64),
+        }
         // Batch-coalesced decode: drain every complete frame the read
         // delivered before touching the socket again.
         loop {
-            match decode_frame_tagged(&buf) {
-                Ok((switch, ctx, epoch, frame, used)) => {
-                    buf.drain(..used);
+            match buf.pop() {
+                Ok(Some(received)) => {
                     let mut st = shared.state.lock().unwrap();
                     while st.conns[id].frames.len() >= shared.opts.per_conn_capacity
                         && shared.open.load(Ordering::SeqCst)
@@ -518,13 +554,13 @@ fn reader_loop(mut stream: TcpStream, id: usize, shared: Arc<CollShared>) {
                     if !shared.open.load(Ordering::SeqCst) {
                         break 'conn;
                     }
-                    st.conns[id].switch = Some(switch);
-                    st.conns[id].frames.push_back((switch, ctx, epoch, frame));
+                    st.conns[id].switch = Some(received.0);
+                    st.conns[id].frames.push_back(received);
                     st.total += 1;
                     shared.metrics.queue_depth.set(st.total as u64);
                     shared.not_empty.notify_all();
                 }
-                Err(CodecError::Truncated) => break,
+                Ok(None) => break,
                 // A corrupt stream cannot be resynchronized safely:
                 // drop the connection and let the client re-dial.
                 Err(_) => break 'conn,
@@ -603,6 +639,104 @@ mod tests {
                 .unwrap()
                 > 0
         );
+    }
+
+    /// One block of `rows` one-column rows: `rows × 8` bytes of cells.
+    fn block_frame(rows: usize) -> Frame {
+        use sonata_pisa::{ReportBlock, ReportChunk, ReportKind, TaskId};
+        Frame::ReportBlocks(ReportChunk {
+            packets: Default::default(),
+            blocks: vec![ReportBlock {
+                task: TaskId {
+                    query: sonata_query::QueryId(1),
+                    level: 32,
+                    branch: 0,
+                },
+                kind: ReportKind::Tuple,
+                entry_op: None,
+                first_seq: 0,
+                names: ["v".into()].into(),
+                rows,
+                cells: (0..rows as u64).collect(),
+                pkts: Vec::new(),
+            }],
+        })
+    }
+
+    #[test]
+    fn a_4mb_block_frame_crosses_the_socket_intact() {
+        let (mut client, mut coll, _) = pair();
+        let frame = block_frame(512 * 1024);
+        let wire_len = crate::codec::encode_frame(&frame).len();
+        assert!(wire_len > 4 << 20);
+        let sent = frame.clone();
+        let sender = std::thread::spawn(move || {
+            client.send(TraceContext::NONE, 0, sent).unwrap();
+            // A small frame behind it: the cursor lands on its header.
+            client
+                .send(TraceContext::NONE, 0, Frame::Credit { window: 9 })
+                .unwrap();
+        });
+        let got = coll.recv_timeout(Duration::from_secs(30)).unwrap().2;
+        assert!(got == frame, "the block frame changed on the wire");
+        assert_eq!(coll.last_rx_len(), wire_len);
+        let next = coll.recv_timeout(Duration::from_secs(30)).unwrap().2;
+        assert_eq!(next, Frame::Credit { window: 9 });
+        sender.join().unwrap();
+    }
+
+    /// A reader that hands out at most `step` bytes per `read`.
+    struct Drip<'a>(&'a [u8], usize);
+
+    impl Read for Drip<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.0.len().min(self.1).min(out.len());
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn recv_buf_grows_once_for_a_large_frame_and_never_for_a_refused_one() {
+        use crate::codec::{encode_frame, HEADER_LEN, MAX_FRAME_LEN};
+        // A 1 MB frame dripping in 1 000 bytes at a time, a small frame
+        // glued behind it: both decode, and once the header is in, the
+        // buffer is sized for the whole frame and does not move again.
+        let big = block_frame(128 * 1024);
+        let mut wire = encode_frame(&big);
+        let big_len = wire.len();
+        wire.extend_from_slice(&encode_frame(&Frame::Credit { window: 3 }));
+        let mut src = Drip(&wire, 1_000);
+        let mut buf = RecvBuf::default();
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            match buf.pop().unwrap() {
+                Some((_, _, _, frame, used)) => got.push((frame, used)),
+                None => {
+                    let header_in = buf.tail - buf.head >= HEADER_LEN;
+                    assert!(buf.fill(&mut src).unwrap() > 0, "ran dry early");
+                    if header_in && got.is_empty() {
+                        assert_eq!(buf.buf.len(), big_len + READ_CHUNK);
+                    }
+                }
+            }
+        }
+        assert!(got[0].0 == big && got[0].1 == big_len);
+        assert_eq!(got[1].0, Frame::Credit { window: 3 });
+
+        // A header claiming one byte past the limit is refused as soon
+        // as it is whole, and sizes nothing even if read on regardless.
+        let mut bad = encode_frame(&Frame::Credit { window: 1 });
+        bad[34..38].copy_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_le_bytes());
+        let mut buf = RecvBuf::default();
+        buf.fill(&mut &bad[..]).unwrap();
+        assert_eq!(
+            buf.pop().unwrap_err(),
+            CodecError::FrameTooLarge(MAX_FRAME_LEN + 1)
+        );
+        buf.fill(&mut &[0u8; 64][..]).unwrap();
+        assert_eq!(buf.buf.len(), bad.len() + READ_CHUNK);
     }
 
     #[test]

@@ -119,21 +119,6 @@ pub trait Transport: Send {
     /// deep-cloning a whole window dump.
     fn send(&mut self, ctx: TraceContext, epoch: u64, frame: Frame) -> Result<(), NetError>;
 
-    /// Ship one borrowed batch report. The default materializes an
-    /// owned [`Frame::Report`] (in-process transports must own the
-    /// frame they enqueue); wire transports override this to encode
-    /// straight from the borrowed slices
-    /// ([`crate::codec::encode_report_ref`]) with no intermediate
-    /// owned copy.
-    fn send_report_ref(
-        &mut self,
-        ctx: TraceContext,
-        epoch: u64,
-        r: &sonata_pisa::ReportRef<'_, '_>,
-    ) -> Result<(), NetError> {
-        self.send(ctx, epoch, Frame::Report(r.to_report()))
-    }
-
     /// Receive the next frame with its trace context and plan epoch if
     /// one is already available.
     fn try_recv(&mut self) -> Result<Option<(TraceContext, u64, Frame)>, NetError>;
@@ -141,6 +126,13 @@ pub trait Transport: Send {
     /// Receive the next frame with its trace context and plan epoch,
     /// blocking up to `timeout`.
     fn recv_timeout(&mut self, timeout: Duration) -> Result<(TraceContext, u64, Frame), NetError>;
+
+    /// Encoded length of the frame the last successful receive
+    /// returned: what the wire carried, so nobody re-encodes a frame to
+    /// learn its size. 0 on a backend that never serializes.
+    fn last_rx_len(&self) -> usize {
+        0
+    }
 
     /// Backend label (for diagnostics).
     fn kind(&self) -> &'static str;

@@ -9,9 +9,10 @@ use sonata_net::{
     HEADER_LEN, VERSION,
 };
 use sonata_obs::TraceContext;
-use sonata_packet::{Packet, PacketBuilder, TcpFlags};
+use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_pisa::{
-    ControlOp, DumpBlock, Report, ReportKind, SketchBound, StateLayout, TaskId, WindowDump,
+    ControlOp, DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout,
+    TaskId, WindowDump,
 };
 use sonata_query::QueryId;
 use std::collections::BTreeSet;
@@ -178,9 +179,79 @@ fn arb_dump() -> impl Strategy<Value = WindowDump> {
         )
 }
 
+/// One report block: up to four names and five rows, with or without
+/// a packet index per row ([`arb_report_blocks`] brings the indices in
+/// range of its packets).
+fn arb_report_block() -> impl Strategy<Value = ReportBlock> {
+    (
+        (any::<u32>(), any::<u8>(), any::<u8>(), any::<bool>()),
+        any::<u64>(),
+        arb_entry_op(),
+        proptest::collection::vec(arb_name(), 0..5),
+        0usize..6,
+        proptest::collection::vec(any::<u64>(), 20),
+        (any::<bool>(), proptest::collection::vec(any::<u32>(), 5)),
+    )
+        .prop_map(
+            |((q, level, branch, shunt), first_seq, entry_op, names, rows, vals, pkts)| {
+                ReportBlock {
+                    task: TaskId {
+                        query: QueryId(q),
+                        level,
+                        branch,
+                    },
+                    kind: if shunt {
+                        ReportKind::Shunt
+                    } else {
+                        ReportKind::Tuple
+                    },
+                    entry_op,
+                    first_seq,
+                    rows,
+                    cells: vals[..rows * names.len()].to_vec(),
+                    names: names.into_iter().map(Into::into).collect(),
+                    pkts: match pkts.0 {
+                        true => pkts.1[..rows].to_vec(),
+                        false => Vec::new(),
+                    },
+                }
+            },
+        )
+}
+
+/// A chunk of mirrored reports: up to three carried packets (any
+/// bytes — the codec ships them, it does not parse them) and up to
+/// three blocks indexing them. With no packet to index, no block
+/// carries any; and no block has rows with neither columns nor
+/// packets, which take no bytes on the wire.
+fn arb_report_blocks() -> impl Strategy<Value = ReportChunk> {
+    let packet = (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..48));
+    (
+        proptest::collection::vec(packet, 0..4),
+        proptest::collection::vec(arb_report_block(), 0..4),
+    )
+        .prop_map(|(records, mut blocks)| {
+            let mut packets = PacketArena::new();
+            for (ts, wire) in &records {
+                packets.push_record(*ts, wire);
+            }
+            for b in &mut blocks {
+                match records.len() as u32 {
+                    0 => b.pkts.clear(),
+                    n => b.pkts.iter_mut().for_each(|p| *p %= n),
+                }
+                if b.names.is_empty() && b.pkts.is_empty() {
+                    b.rows = 0;
+                }
+            }
+            ReportChunk { packets, blocks }
+        })
+}
+
 /// Every frame type in the protocol vocabulary.
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
+        arb_report_blocks().prop_map(Frame::ReportBlocks),
         (arb_name(), any::<u64>())
             .prop_map(|(node, plan_digest)| Frame::Hello { node, plan_digest }),
         (any::<u64>(), any::<u64>())
@@ -226,13 +297,90 @@ fn hand_framed_block(names: &[String], rows: u32, width: u16, cell_bytes: &[u8])
     p.extend_from_slice(&width.to_le_bytes());
     p.extend_from_slice(cell_bytes);
     p.extend_from_slice(&[0; 28]); // suppressed, occupancy, shunted, no bounds
+    hand_framed(4, &p) // WindowDump
+}
+
+/// `payload` as the payload of a frame of type `type_byte`, under a
+/// valid header and CRC.
+fn hand_framed(type_byte: u8, payload: &[u8]) -> Vec<u8> {
     let mut out = encode_frame(&Frame::Credit { window: 0 })[..HEADER_LEN].to_vec();
-    out[6] = 4; // WindowDump
-    out[34..38].copy_from_slice(&(p.len() as u32).to_le_bytes());
-    out.extend_from_slice(&p);
+    out[6] = type_byte;
+    out[34..38].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
     let crc = sonata_net::codec::crc32(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
+}
+
+/// Everything a `ReportBlocks` payload of one block claims, each claim
+/// separately settable.
+#[derive(Debug, Clone)]
+struct ChunkClaims {
+    npackets: u32,
+    nbytes: u32,
+    lens: Vec<u32>,
+    wire: Vec<u8>,
+    kind: u8,
+    names: Vec<String>,
+    rows: u32,
+    width: u16,
+    cells: Vec<u64>,
+    flag: u8,
+    pkts: Vec<u32>,
+}
+
+impl ChunkClaims {
+    /// Two packets of 3 and 5 bytes, one block of `rows` rows over
+    /// `names`, every row carrying packet `r % 2`.
+    fn honest(names: &[String], rows: u32, vals: &[u64]) -> Self {
+        ChunkClaims {
+            npackets: 2,
+            nbytes: 8,
+            lens: vec![3, 5],
+            wire: (0..8).collect(),
+            kind: 0,
+            names: names.to_vec(),
+            rows,
+            width: names.len() as u16,
+            cells: vals[..rows as usize * names.len()].to_vec(),
+            flag: 1,
+            pkts: (0..rows).map(|r| r % 2).collect(),
+        }
+    }
+
+    fn payload(&self) -> Vec<u8> {
+        let mut p = Vec::new();
+        p.extend_from_slice(&self.npackets.to_le_bytes());
+        p.extend_from_slice(&self.nbytes.to_le_bytes());
+        for (i, len) in self.lens.iter().enumerate() {
+            p.extend_from_slice(&(100 + i as u64).to_le_bytes()); // ts
+            p.extend_from_slice(&len.to_le_bytes());
+        }
+        p.extend_from_slice(&self.wire);
+        p.extend_from_slice(&1u32.to_le_bytes()); // one block
+        p.extend_from_slice(&[1, 0, 0, 0, 32, 0, self.kind]); // task q1/32/0
+        p.extend_from_slice(&5u64.to_le_bytes()); // first seq
+        p.push(0); // no entry op
+        p.extend_from_slice(&(self.names.len() as u16).to_le_bytes());
+        for n in &self.names {
+            p.extend_from_slice(&(n.len() as u16).to_le_bytes());
+            p.extend_from_slice(n.as_bytes());
+        }
+        p.extend_from_slice(&self.rows.to_le_bytes());
+        p.extend_from_slice(&self.width.to_le_bytes());
+        for v in &self.cells {
+            p.extend_from_slice(&v.to_le_bytes());
+        }
+        p.push(self.flag);
+        for i in &self.pkts {
+            p.extend_from_slice(&i.to_le_bytes());
+        }
+        p
+    }
+
+    fn decode(&self) -> Result<(Frame, usize), CodecError> {
+        decode_frame(&hand_framed(9, &self.payload()))
+    }
 }
 
 proptest! {
@@ -270,6 +418,83 @@ proptest! {
             let cut = &bytes[..bytes.len() - short];
             prop_assert!(malformed(decode_frame(&hand_framed_block(&names, rows, width, cut))));
         }
+    }
+
+    #[test]
+    fn report_block_claims_are_checked_against_the_frame(
+        names in proptest::collection::vec(arb_name(), 0..5),
+        rows in 0u32..6,
+        vals in proptest::collection::vec(any::<u64>(), 20),
+        over in 1u32..,
+        skew in 1u16..,
+        stray in 2u32..,
+    ) {
+        let honest = ChunkClaims::honest(&names, rows, &vals);
+        // The honest payload decodes to exactly the chunk.
+        let (frame, _) = honest.decode().unwrap();
+        let Frame::ReportBlocks(chunk) = frame else {
+            panic!("decoded as {frame:?}");
+        };
+        prop_assert_eq!(chunk.packets.len(), 2);
+        prop_assert_eq!(chunk.packets.view(1).bytes(), &[3u8, 4, 5, 6, 7][..]);
+        prop_assert_eq!(chunk.packets.view(1).ts_nanos(), 101);
+        let block = &chunk.blocks[0];
+        prop_assert!(block.is_well_formed());
+        prop_assert_eq!((block.rows, block.first_seq), (rows as usize, 5));
+        prop_assert_eq!((&block.cells, &block.pkts), (&honest.cells, &honest.pkts));
+        let malformed = |c: ChunkClaims| matches!(c.decode(), Err(CodecError::Malformed(_)));
+        let h = || honest.clone();
+        // A packet count, a byte count or a row count past what the
+        // frame holds — up to 2^32 of each — is an error, not an
+        // allocation.
+        let claim = |n: u32| n.saturating_add(over.max(64));
+        let bad_npackets = ChunkClaims { npackets: claim(2), ..h() };
+        let bad_nbytes = ChunkClaims { nbytes: claim(8), ..h() };
+        let bad_rows = ChunkClaims { rows: claim(rows), ..h() };
+        prop_assert!(malformed(bad_npackets));
+        prop_assert!(malformed(bad_nbytes));
+        prop_assert!(malformed(bad_rows));
+        // Lengths that do not add up to the byte count.
+        let short_lens = ChunkClaims { lens: vec![3, 4], ..h() };
+        let long_lens = ChunkClaims { lens: vec![4, 5], ..h() };
+        prop_assert!(malformed(short_lens));
+        prop_assert!(malformed(long_lens));
+        // A width that is not the name count.
+        let bad_width = ChunkClaims { width: honest.width.wrapping_add(skew), ..h() };
+        prop_assert!(malformed(bad_width));
+        // A window-dump kind, an unknown flag.
+        let dump_kind = ChunkClaims { kind: 2, ..h() };
+        let raw_kind = ChunkClaims { kind: 3, ..h() };
+        let bad_flag = ChunkClaims { flag: 2, ..h() };
+        prop_assert!(malformed(dump_kind));
+        prop_assert!(malformed(raw_kind));
+        prop_assert!(malformed(bad_flag));
+        if rows > 0 {
+            // A packet index at or past the packet count.
+            let mut bad_index = h();
+            bad_index.pkts[rows as usize / 2] = stray;
+            prop_assert!(malformed(bad_index));
+        }
+        // Rows that claim neither columns nor packets.
+        let bare = ChunkClaims { rows: over, flag: 0, ..ChunkClaims::honest(&[], 0, &vals) };
+        prop_assert!(malformed(bare));
+        // Cut anywhere, the payload is malformed — never a shorter chunk.
+        let payload = honest.payload();
+        for cut in 0..payload.len() {
+            let r = decode_frame(&hand_framed(9, &payload[..cut]));
+            let is_malformed = matches!(r, Err(CodecError::Malformed(_)));
+            prop_assert!(is_malformed, "cut at {}: {:?}", cut, r);
+        }
+    }
+
+    #[test]
+    fn a_v6_peer_is_turned_away(chunk in arb_report_blocks()) {
+        let mut bytes = encode_frame(&Frame::ReportBlocks(chunk));
+        bytes[4..6].copy_from_slice(&6u16.to_le_bytes());
+        prop_assert_eq!(
+            decode_frame(&bytes).unwrap_err(),
+            CodecError::VersionMismatch { found: 6 }
+        );
     }
 
     #[test]

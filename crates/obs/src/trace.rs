@@ -142,8 +142,8 @@ pub enum EventKind {
         wall_ns: u64,
     },
     /// A notable transport frame crossed the switch↔collector wire
-    /// (window dumps and control batches; per-report frames are
-    /// counted, not traced).
+    /// (window dumps, report-block chunks and control batches; single
+    /// report frames are counted, not traced).
     NetFrame {
         /// Window index the frame belongs to.
         window: u64,

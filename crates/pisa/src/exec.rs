@@ -13,8 +13,8 @@
 //! * every [`PhvExpr`] tree flattened into a postfix op range of one
 //!   shared pool, evaluated with an explicit value stack — no
 //!   recursion and no allocation on the per-packet path;
-//! * report column names interned as [`ColName`]s so emitting a tuple
-//!   clones `Arc`s instead of formatting strings.
+//! * report column names interned as one `Arc<[ColName]>` per report
+//!   layout, so a batch states them once per block and never per cell.
 //!
 //! The same lowering produces the **task-major batch plan**
 //! ([`TaskKernel`]s over a shared column block, see [`GatePlan`]) that
@@ -56,9 +56,11 @@
 //! oracle: `force_reference_path` routes execution through it, and
 //! the differential suite asserts bit-identical outputs.
 
+use crate::batch::BlockShape;
 use crate::ir::{MatchRel, PhvExpr, PisaProgram, RegId, ReportMode, TableKind, TaskId};
 use crate::phv::{field_slot, Phv, FIELD_SLOTS};
 use crate::registers::StateLayout;
+use crate::switch::ReportKind;
 use sonata_packet::Field;
 use sonata_query::{Agg, ColName};
 use std::collections::{BTreeSet, HashMap};
@@ -139,12 +141,13 @@ pub(crate) struct FlatClause {
     pub b: ExprRef,
 }
 
-/// Lowered shunt layout for an `Update` step.
+/// A lowered report layout — a task's deparser mirror, or the shunt
+/// of one `Update` step: what its reports share, and `exprs[j]`
+/// evaluating column `shape.names[j]`.
 #[derive(Debug, Clone)]
-pub(crate) struct FlatShunt {
-    pub entry_op: usize,
-    pub include_packet: bool,
-    pub columns: Vec<(ColName, ExprRef)>,
+pub(crate) struct FlatReport {
+    pub shape: BlockShape,
+    pub exprs: Vec<ExprRef>,
 }
 
 /// The action of one step in the precomputed dispatch table.
@@ -171,7 +174,7 @@ pub(crate) enum StepKind {
         /// Register key parts (from the preceding Hash table),
         /// resolved at lowering instead of looked up per packet.
         keys: Vec<ExprRef>,
-        shunt: FlatShunt,
+        shunt: FlatReport,
     },
 }
 
@@ -181,15 +184,6 @@ pub(crate) struct Step {
     pub task: TaskId,
     pub task_idx: usize,
     pub kind: StepKind,
-}
-
-/// A lowered per-packet report spec (deparser mirror).
-#[derive(Debug, Clone)]
-pub(crate) struct FlatReport {
-    pub task: TaskId,
-    pub task_idx: usize,
-    pub include_packet: bool,
-    pub columns: Vec<(ColName, ExprRef)>,
 }
 
 /// A lowered window-dump spec.
@@ -262,7 +256,6 @@ pub(crate) enum LeadFilter {
 /// lanes. All expressions are metadata-free and index columns.
 #[derive(Debug, Clone)]
 pub(crate) struct TaskKernel {
-    pub task: TaskId,
     pub task_idx: usize,
     pub lead: Vec<LeadFilter>,
     /// `Filter`/`DynFilter`/`Update` steps that follow the task's
@@ -453,8 +446,7 @@ impl ExecPlan {
             .tasks
             .iter()
             .enumerate()
-            .map(|(task_idx, &task)| TaskKernel {
-                task,
+            .map(|(task_idx, _)| TaskKernel {
                 task_idx,
                 lead: Vec::new(),
                 steps: Vec::new(),
@@ -654,14 +646,18 @@ impl ExecPlan {
                     operand: flat(operand),
                     distinct: *distinct,
                     keys: cx.reg_keys[reg].iter().map(&mut flat).collect(),
-                    shunt: FlatShunt {
-                        entry_op: shunt.entry_op,
-                        include_packet: spec.include_packet,
-                        columns: shunt
-                            .columns
-                            .iter()
-                            .map(|(n, e)| (n.clone(), flat(e)))
-                            .collect(),
+                    shunt: FlatReport {
+                        shape: BlockShape {
+                            task: table.task,
+                            task_idx: (cx.program.tasks.iter())
+                                .position(|t| *t == table.task)
+                                .expect("lowered tables belong to a task"),
+                            kind: ReportKind::Shunt,
+                            entry_op: Some(shunt.entry_op),
+                            names: shunt.columns.iter().map(|(n, _)| n.clone()).collect(),
+                            with_packet: spec.include_packet,
+                        },
+                        exprs: shunt.columns.iter().map(|(_, e)| flat(e)).collect(),
                     },
                 }
             }
@@ -676,13 +672,16 @@ impl ExecPlan {
         index: FieldIndex,
     ) -> FlatReport {
         FlatReport {
-            task: spec.task,
-            task_idx,
-            include_packet: spec.include_packet,
-            columns: spec
-                .columns
-                .iter()
-                .map(|(n, e)| (n.clone(), self.flatten(&xf(e), index)))
+            shape: BlockShape {
+                task: spec.task,
+                task_idx,
+                kind: ReportKind::Tuple,
+                entry_op: None,
+                names: spec.columns.iter().map(|(n, _)| n.clone()).collect(),
+                with_packet: spec.include_packet,
+            },
+            exprs: (spec.columns.iter())
+                .map(|(_, e)| self.flatten(&xf(e), index))
                 .collect(),
         }
     }

@@ -47,7 +47,7 @@ pub mod registers;
 pub mod resources;
 pub mod switch;
 
-pub use batch::{ReportBatch, ReportRef};
+pub use batch::{ReportBatch, ReportBlock, ReportChunk, ReportRef, CHUNK_BYTES};
 pub use compile::{compile_pipeline, table_specs, CompileError, CompiledPipeline, TableSpec};
 pub use control::{AppliedUpdate, ControlOp, UpdateCostModel};
 pub use ir::{PisaProgram, RegisterDecl, Table, TableKind, TaskId};

@@ -15,8 +15,8 @@
 //! * register collisions that exhaust all `d` arrays shunt the packet
 //!   to the stream processor, which finishes the aggregation.
 
-use crate::batch::{BatchEntry, ReportBatch};
-use crate::exec::{DynSet, ExecPlan, ExprRef, Lane, LeadFilter, Scratch, StepKind};
+use crate::batch::ReportBatch;
+use crate::exec::{DynSet, ExecPlan, Lane, LeadFilter, Scratch, StepKind};
 use crate::ir::{PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
 use crate::parser;
 use crate::phv::{MetaRef, Phv};
@@ -897,8 +897,8 @@ impl Switch {
                                 StateLayout::Exact,
                                 "sketch layouts never shunt"
                             );
-                            let mut columns = Vec::with_capacity(shunt.columns.len());
-                            for (n, e) in &shunt.columns {
+                            let mut columns = Vec::with_capacity(shunt.exprs.len());
+                            for (n, e) in shunt.shape.names.iter().zip(&shunt.exprs) {
                                 columns.push((
                                     n.clone(),
                                     self.plan
@@ -911,8 +911,8 @@ impl Switch {
                                 task: step.task,
                                 kind: ReportKind::Shunt,
                                 columns,
-                                packet: shunt.include_packet.then(|| pkt.clone()),
-                                entry_op: Some(shunt.entry_op),
+                                packet: shunt.shape.with_packet.then(|| pkt.clone()),
+                                entry_op: shunt.shape.entry_op,
                                 seq,
                             });
                             self.counters.shunt_reports += 1;
@@ -931,30 +931,31 @@ impl Switch {
         }
         // Deparser: mirror per-packet reports for tasks still alive.
         for spec in &self.plan.reports {
-            if !self.scratch.phv.is_alive(spec.task_idx) {
+            let shape = &spec.shape;
+            if !self.scratch.phv.is_alive(shape.task_idx) {
                 continue;
             }
-            let mut columns = Vec::with_capacity(spec.columns.len());
-            for (n, e) in &spec.columns {
+            let mut columns = Vec::with_capacity(spec.exprs.len());
+            for (n, e) in shape.names.iter().zip(&spec.exprs) {
                 columns.push((
                     n.clone(),
                     self.plan
                         .eval(*e, &self.scratch.phv, &mut self.scratch.stack),
                 ));
             }
-            let seq = self.task_seq[spec.task_idx];
-            self.task_seq[spec.task_idx] += 1;
+            let seq = self.task_seq[shape.task_idx];
+            self.task_seq[shape.task_idx] += 1;
             reports.push(Report {
-                task: spec.task,
+                task: shape.task,
                 kind: ReportKind::Tuple,
                 columns,
-                packet: spec.include_packet.then(|| pkt.clone()),
+                packet: shape.with_packet.then(|| pkt.clone()),
                 entry_op: None,
                 seq,
             });
             self.counters.tuple_reports += 1;
-            self.counters.per_task[spec.task_idx].1.tuple_reports += 1;
-            self.obs.per_task[spec.task_idx][0].inc();
+            self.counters.per_task[shape.task_idx].1.tuple_reports += 1;
+            self.obs.per_task[shape.task_idx][0].inc();
         }
         reports
     }
@@ -978,10 +979,11 @@ impl Switch {
     ///    cache at a time, with key-width and operand-shape dispatch
     ///    outside the lane loop. Shunts are staged; what is left of
     ///    the selection goes back into the task's bitmap.
-    /// 5. **Deparser** — one packet-major pass emits, per packet, its
+    /// 5. **Deparser** — one packet-major pass appends, per packet, its
     ///    staged shunts and then a mirror for every task whose bitmap
-    ///    still has it: the report order (and numbering) of
-    ///    [`Self::process`].
+    ///    still has it, each as a row of its task's
+    ///    [`ReportBlock`](crate::batch::ReportBlock): the report order
+    ///    (and numbering) of [`Self::process`].
     ///
     /// Batch execution always runs the compiled plan; the runtime
     /// routes through per-packet [`Self::process`] when the reference
@@ -992,7 +994,7 @@ impl Switch {
             "batch execution has no reference interpreter; route per-packet instead"
         );
         let n = batch.len();
-        out.reset(n);
+        out.reset(n, self.program.tasks.len());
         self.counters.packets_in += n as u64;
         self.obs.packets_in.add(n as u64);
         let Switch {
@@ -1150,22 +1152,15 @@ impl Switch {
                         plan.fill(*operand, cols, n, sel, &mut sc.operand_lanes, stack);
                         let (parts, op) = (&sc.key_lanes[..keys.len()], &sc.operand_lanes[..]);
                         let mut shunted = 0u64;
-                        let report = ReportShape {
-                            task: (kernel.task, t),
-                            kind: ReportKind::Shunt,
-                            entry_op: Some(shunt.entry_op),
-                            columns: &shunt.columns,
-                            include_packet: shunt.include_packet,
-                            rank: *rank,
-                        };
                         let on_shunt = |pkt: u32| {
                             debug_assert_eq!(
                                 *layout,
                                 StateLayout::Exact,
                                 "sketch layouts never shunt"
                             );
-                            let entry = report.entry(plan, lane(pkt), stack, out);
-                            out.stage(entry);
+                            let cells = shunt.exprs.iter();
+                            let cells = cells.map(|e| plan.eval(*e, &lane(pkt), stack));
+                            out.stage(&shunt.shape, pkt, *rank, cells);
                             shunted += 1;
                         };
                         let sel = &mut sc.sel;
@@ -1232,16 +1227,9 @@ impl Switch {
                     continue;
                 }
                 let spec = plan.kernels[k].mirror.as_ref().expect("listed in mirrors");
-                let report = ReportShape {
-                    task: (spec.task, k),
-                    kind: ReportKind::Tuple,
-                    entry_op: None,
-                    columns: &spec.columns,
-                    include_packet: spec.include_packet,
-                    rank: 0,
-                };
-                let entry = report.entry(plan, lane(i as u32), stack, out);
-                out.emit(entry, task_seq);
+                let cells = spec.exprs.iter();
+                let cells = cells.map(|e| plan.eval(*e, &lane(i as u32), stack));
+                out.emit(&spec.shape, i as u32, cells, task_seq);
             }
         });
         out.finish(task_seq);
@@ -1503,48 +1491,6 @@ impl Switch {
     /// Shunted packets in the current window across registers.
     pub fn current_shunted(&self) -> u64 {
         self.registers.iter().map(|r| r.shunted_packets()).sum()
-    }
-}
-
-/// Everything about a batch kernel's report that is the same for
-/// every lane that emits it.
-struct ReportShape<'p> {
-    /// The reporting task and its dense index.
-    task: (TaskId, usize),
-    kind: ReportKind,
-    entry_op: Option<usize>,
-    columns: &'p [(ColName, ExprRef)],
-    include_packet: bool,
-    /// For shunts: the step that shunted (see [`BatchEntry::rank`]).
-    rank: u32,
-}
-
-impl ReportShape<'_> {
-    /// Evaluate the report's columns for `lane`'s packet into `out`'s
-    /// pool and describe the report (to stage or emit).
-    fn entry(
-        &self,
-        plan: &ExecPlan,
-        lane: Lane<'_>,
-        stack: &mut Vec<u64>,
-        out: &mut ReportBatch,
-    ) -> BatchEntry {
-        let col_start = out.begin_report();
-        for (name, e) in self.columns {
-            out.push_col(name, plan.eval(*e, &lane, stack));
-        }
-        BatchEntry {
-            task: self.task.0,
-            task_idx: self.task.1 as u32,
-            kind: self.kind,
-            col_start,
-            col_end: col_start,
-            pkt: lane.i as u32,
-            rank: self.rank,
-            mirrored: self.include_packet,
-            entry_op: self.entry_op,
-            seq: 0,
-        }
     }
 }
 

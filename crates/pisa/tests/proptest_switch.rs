@@ -12,7 +12,10 @@ use proptest::prelude::*;
 use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::registers::{HashRegisters, RegOutcome};
-use sonata_pisa::{PisaProgram, Report, ReportBatch, Switch, SwitchConstraints, TableKind, TaskId};
+use sonata_pisa::{
+    PisaProgram, Report, ReportBatch, ReportBlock, ReportKind, Switch, SwitchConstraints,
+    TableKind, TaskId,
+};
 use sonata_planner::refine::refine_query;
 use sonata_query::catalog::{self, Thresholds};
 use sonata_query::{Agg, QueryId};
@@ -234,6 +237,7 @@ proptest! {
             2..4,
         ),
         defer in any::<bool>(),
+        chunk_budget in 0usize..4_000,
     ) {
         let program = merged_program(&picks, slots, arrays);
         // `process_bytes` leaves a packet it must mirror but cannot
@@ -281,15 +285,7 @@ proptest! {
             }
             batched.process_batch(&arena.batch(), &mut out);
             prop_assert_eq!(out.packets(), arena.len());
-            // Stepping by `next_reporting` visits exactly the packets
-            // that reported.
-            let stepped: Vec<usize> =
-                std::iter::successors(out.next_reporting(0), |&p| out.next_reporting(p + 1))
-                    .collect();
-            let reporting: Vec<usize> = (0..arena.len())
-                .filter(|&i| out.packet_reports(i, arena.batch()).next().is_some())
-                .collect();
-            prop_assert_eq!(stepped, reporting);
+            let mut looped: Vec<Report> = Vec::new();
             for i in 0..arena.len() {
                 let view = arena.view(i);
                 let want = oracle.process_bytes(view.bytes(), view.ts_nanos());
@@ -301,7 +297,42 @@ proptest! {
                     got == want,
                     "window {w} packet {i}\n batch: {got:?}\n loop: {want:?}"
                 );
+                looped.extend(want);
             }
+            // Every block is a maximal run of one task's consecutive
+            // reports: rows number on from where the task's previous
+            // block stopped, and that block was of another shape.
+            let mut tail: HashMap<TaskId, (u64, &ReportBlock)> = HashMap::new();
+            for b in out.blocks() {
+                prop_assert!(b.is_well_formed() && b.rows > 0);
+                prop_assert!(matches!(b.kind, ReportKind::Tuple | ReportKind::Shunt));
+                if let Some((next_seq, prev)) = tail.insert(b.task, (b.first_seq + b.rows as u64, b)) {
+                    prop_assert_eq!(b.first_seq, next_seq);
+                    prop_assert_ne!((prev.kind, prev.entry_op), (b.kind, b.entry_op));
+                } else {
+                    prop_assert_eq!(b.first_seq, 0);
+                }
+            }
+            let rows: usize = out.blocks().iter().map(|b| b.rows).sum();
+            prop_assert_eq!(rows, out.total_reports());
+            // Cut into chunks, the blocks still hold the loop's reports:
+            // each task's in its order, each packet under its own index.
+            let by_task = |reports: Vec<Report>| {
+                let mut map: HashMap<TaskId, Vec<Report>> = HashMap::new();
+                for r in reports {
+                    map.entry(r.task).or_default().push(r);
+                }
+                map
+            };
+            let mut chunked: Vec<Report> = Vec::new();
+            let mut at = 0;
+            while let Some((chunk, next)) = out.chunk(at, arena.batch(), chunk_budget) {
+                prop_assert!(next > at);
+                chunked.extend(chunk.reports());
+                at = next;
+            }
+            prop_assert_eq!(at, out.total_reports());
+            prop_assert_eq!(by_task(chunked), by_task(looped));
             let (a, b) = (batched.counters(), oracle.counters());
             prop_assert_eq!(
                 (a.packets_in, a.tuple_reports, a.shunt_reports, &a.per_task),

@@ -343,7 +343,7 @@ fn pipe(ops: &[BoundOp], mut t: Tuple) -> Option<Tuple> {
                 }
             }
             BoundOp::Map(exprs) => {
-                t = Tuple::new(exprs.iter().map(|e| e.eval(&t)).collect());
+                t = exprs.iter().map(|e| e.eval(&t)).collect();
             }
             _ => unreachable!("stateful op inside a stateless segment"),
         }

@@ -99,15 +99,24 @@ impl fmt::Debug for Schema {
 }
 
 /// A positional tuple of values.
+///
+/// The values are shared and immutable: a clone is a reference-count
+/// increment, so one packet's row can sit in every query's batch at
+/// once, and dropping a tuple a filter rejected frees nothing unless it
+/// was the last holder. Equality, order and hash are those of the
+/// values, whoever else holds them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tuple {
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
-    /// Build a tuple from values.
+    /// Build a tuple from values. Collecting an iterator of known
+    /// length (`iter.collect::<Tuple>()`) skips the intermediate `Vec`.
     pub fn new(values: Vec<Value>) -> Self {
-        Tuple { values }
+        Tuple {
+            values: values.into(),
+        }
     }
 
     /// Materialize a packet into a tuple over [`Schema::packet`].
@@ -116,11 +125,10 @@ impl Tuple {
     /// `U64(0)` — the same behavior as a PISA parser leaving invalid
     /// PHV containers zeroed. Queries guard with protocol filters.
     pub fn from_packet(pkt: &Packet) -> Self {
-        let values = Field::ALL
+        Field::ALL
             .iter()
             .map(|f| pkt.get(*f).unwrap_or(Value::U64(0)))
-            .collect();
-        Tuple { values }
+            .collect()
     }
 
     /// The values in order.
@@ -143,29 +151,35 @@ impl Tuple {
         self.values.is_empty()
     }
 
-    /// Overwrite the value at an index (a reused probe tuple).
+    /// Overwrite the value at an index (a reused probe tuple). Copies
+    /// the values first if anyone else holds them, so a write never
+    /// shows through a clone.
     pub(crate) fn set(&mut self, idx: usize, value: Value) {
-        self.values[idx] = value;
+        Arc::make_mut(&mut self.values)[idx] = value;
     }
 
     /// Project the tuple onto the given indices.
     pub fn project(&self, indices: &[usize]) -> Tuple {
-        Tuple {
-            values: indices.iter().map(|&i| self.values[i].clone()).collect(),
-        }
+        indices.iter().map(|&i| self.values[i].clone()).collect()
     }
 
     /// Append values from another tuple.
     pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut values = self.values.clone();
-        values.extend(other.values.iter().cloned());
-        Tuple { values }
+        self.values.iter().chain(&*other.values).cloned().collect()
     }
 
     /// Total width in bits when carried as switch metadata or in a
     /// report packet.
     pub fn width_bits(&self) -> u32 {
         self.values.iter().map(Value::width_bits).sum()
+    }
+}
+
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Tuple {
+            values: values.into_iter().collect(),
+        }
     }
 }
 
@@ -233,6 +247,35 @@ mod tests {
         let c = p.concat(&Tuple::new(vec![Value::U64(9)]));
         assert_eq!(c.len(), 3);
         assert_eq!(c.get(2), &Value::U64(9));
+    }
+
+    #[test]
+    fn sharing_is_invisible_to_eq_ord_and_hash() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+        let values = || vec![Value::U64(7), Value::Text("a.example".into())];
+        let original = Tuple::new(values());
+        let shared = original.clone();
+        let rebuilt: Tuple = values().into_iter().collect();
+        let hash = |t: &Tuple| {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(shared, rebuilt);
+        assert_eq!(shared.cmp(&rebuilt), std::cmp::Ordering::Equal);
+        assert_eq!(hash(&shared), hash(&rebuilt));
+        // A different tuple still differs and orders by its values.
+        let bigger = Tuple::new(vec![Value::U64(8), Value::Text("a.example".into())]);
+        assert_ne!(shared, bigger);
+        assert!(shared < bigger);
+        // Writing to one holder copies: the other still reads the old
+        // values, and the writer compares as its new ones.
+        let mut probe = shared.clone();
+        probe.set(0, Value::U64(8));
+        assert_eq!(probe, bigger);
+        assert_eq!(shared, original);
+        assert_eq!(shared.get(0), &Value::U64(7));
     }
 
     #[test]

@@ -201,10 +201,10 @@ fn arena_ingest_matches_owned_at_every_shard_count() {
     }
 }
 
-/// The wire must not care how reports were materialized: the borrowed
-/// `encode_report_ref` TCP path (arena) must equal the owned
-/// `Frame::Report` TCP path byte-for-byte all the way to the
-/// collector's `WindowReport`s.
+/// The collector must not care how reports crossed the wire: the
+/// `ReportBlocks` TCP path (arena) must equal the one-`Frame::Report`-
+/// per-report TCP path (owned) all the way to the collector's
+/// `WindowReport`s.
 #[test]
 fn arena_ingest_matches_owned_over_tcp() {
     let seed = seeds()[0];

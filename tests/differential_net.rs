@@ -215,3 +215,107 @@ fn transport_seam_faults_are_identical_on_both_backends() {
         }
     }
 }
+
+/// One window of `300 × slots` mixed packets.
+fn wide_window(slots: u64) -> Trace {
+    let mut pkts = Vec::new();
+    for s in 0..slots {
+        let mut slot = seeded_packets(1_000 + s, 300);
+        for p in &mut slot {
+            p.ts_nanos += s * 300_000;
+        }
+        pkts.extend(slot);
+    }
+    Trace::new(pkts)
+}
+
+/// `(label, bytes)` of every traced data frame the collector received.
+fn rx_frames(rt: &Runtime) -> Vec<(String, u64)> {
+    let frames = rt.obs().events().into_iter().filter_map(|e| match e.kind {
+        sonata::obs::EventKind::NetFrame { kind, bytes, .. } if kind != "control" => {
+            Some((kind, bytes))
+        }
+        _ => None,
+    });
+    frames.collect()
+}
+
+#[test]
+fn an_oversized_window_ships_several_block_frames_and_the_same_report() {
+    // All-SP mirrors every packet for both queries: 30 k packets of
+    // ~60 bytes, plus their rows, is past the 1 MiB chunk budget.
+    let tr = wide_window(100);
+    assert_eq!(tr.windows(3_000).count(), 1);
+    let plan = net_plan_mode(&net_queries(), &tr, PlanMode::AllSp);
+    let one_by_one = run(
+        &plan,
+        &tr,
+        RuntimeConfig {
+            ingest: IngestMode::Owned,
+            ..config(TransportKind::Loopback, 1, FaultPlan::none())
+        },
+    );
+    for transport in [TransportKind::Loopback, TransportKind::Tcp] {
+        let chunked = run(&plan, &tr, config(transport, 1, FaultPlan::none()));
+        assert_eq!(chunked.windows, one_by_one.windows, "{transport:?}");
+        // The same run traced, to see the frames.
+        let cfg = RuntimeConfig {
+            obs: ObsHandle::enabled(),
+            ..config(transport, 1, FaultPlan::none())
+        };
+        let mut rt = Runtime::new(&plan, cfg).unwrap();
+        let traced = rt.process_trace(&tr).unwrap();
+        assert_eq!(traced.windows[0].alerts, one_by_one.windows[0].alerts);
+        let frames = rx_frames(&rt);
+        let blocks: Vec<u64> = (frames.iter())
+            .filter(|(kind, _)| kind == "report_blocks")
+            .map(|(_, bytes)| *bytes)
+            .collect();
+        assert!(blocks.len() >= 2, "{transport:?}: {frames:?}");
+        // What the transport saw on the wire: nothing on Loopback; on
+        // TCP every chunk but the last is just past the budget.
+        let budget = sonata::pisa::CHUNK_BYTES as u64;
+        match transport {
+            TransportKind::Loopback => assert!(frames.iter().all(|(_, bytes)| *bytes == 0)),
+            TransportKind::Tcp => {
+                let (last, full) = blocks.split_last().unwrap();
+                assert!(full
+                    .iter()
+                    .all(|b| (budget..budget + budget / 8).contains(b)));
+                assert!(*last > 0 && *last < budget + budget / 8);
+            }
+        }
+    }
+}
+
+#[test]
+fn block_frames_carry_a_third_of_the_per_report_bytes() {
+    // Filter-DP over the top-8 catalog: the switch filters, and a
+    // packet several queries keep crosses the socket. One frame per
+    // report states the task, the column names and the packet once per
+    // report; blocks state them once per chunk.
+    let tr = net_trace(3, net_seeds()[0]);
+    let plan = net_plan_mode(&catalog::top8(&low_thresholds()), &tr, PlanMode::FilterDp);
+    let bytes_tx = |ingest: IngestMode| {
+        let cfg = RuntimeConfig {
+            ingest,
+            obs: ObsHandle::enabled(),
+            ..config(TransportKind::Tcp, 1, FaultPlan::none())
+        };
+        let mut rt = Runtime::new(&plan, cfg).unwrap();
+        let report = rt.process_trace(&tr).unwrap();
+        assert!(report.windows.iter().all(|w| w.tuples_to_sp > 0));
+        let sent = rt.obs().snapshot();
+        let sent = sent.counter("sonata_net_bytes_total{dir=\"tx\",peer=\"switch-0\"}");
+        (report, sent.unwrap())
+    };
+    let (by_block, block_bytes) = bytes_tx(IngestMode::Arena);
+    let (by_report, report_bytes) = bytes_tx(IngestMode::Owned);
+    for (b, r) in by_block.windows.iter().zip(&by_report.windows) {
+        assert_eq!((b.tuples_to_sp, &b.alerts), (r.tuples_to_sp, &r.alerts));
+    }
+    assert!(
+        block_bytes * 3 <= report_bytes,
+        "blocks sent {block_bytes} bytes, single reports {report_bytes}"
+    );
+}

@@ -18,18 +18,23 @@
 
 use crate::refine::{refine_query, refinement_levels};
 use sonata_packet::{Field, Packet, Value};
-use sonata_pisa::compile::{max_switch_units, table_specs, RegisterSizing, TableSpec};
-use sonata_pisa::StateLayout;
-use sonata_query::interpret::{run_operator, run_query_with_schema, InterpretError};
-use sonata_query::query::{OpRef, PipelineRef};
-use sonata_query::{Operator, Pipeline, Query, QueryId, Schema, Tuple};
+use sonata_pisa::compile::{
+    compile_pipeline, max_switch_units, table_specs, RegisterSizing, TableSpec,
+};
+use sonata_pisa::{StateLayout, TaskId};
+use sonata_query::expr::BindError;
+use sonata_query::interpret::InterpretError;
+use sonata_query::query::{packet_origins, OpRef, PipelineRef};
+use sonata_query::{BoundJoin, BoundPipeline, Operator, Pipeline, Query, QueryId, Schema, Tuple};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the estimation pass.
 #[derive(Debug, Clone)]
 pub struct CostConfig {
     /// Candidate refinement levels; `None` uses
-    /// [`refinement_levels`] for the query's key field.
+    /// [`refinement_levels`] for the query's key field. The key field's
+    /// finest level is always a candidate; listed levels outside
+    /// `1..=finest` (0, or 40 for an IPv4 key) are dropped.
     pub levels: Option<Vec<u8>>,
     /// Cap on training windows consumed.
     pub max_windows: usize,
@@ -87,7 +92,7 @@ impl Default for SketchPolicy {
 }
 
 /// Per-branch costs of one refinement transition.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BranchCost {
     /// Table units of the refined branch pipeline.
     pub units: Vec<TableSpec>,
@@ -190,7 +195,7 @@ impl BranchCost {
 }
 
 /// Costs of one transition `(prev, level)`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransitionCost {
     /// Branch costs: index 0 = left, index 1 = right (join queries).
     pub branches: Vec<BranchCost>,
@@ -213,7 +218,7 @@ impl TransitionCost {
 }
 
 /// All estimated costs for one query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryCosts {
     /// The query.
     pub query: QueryId,
@@ -275,378 +280,493 @@ fn median(values: &mut [f64]) -> f64 {
     values[values.len() / 2]
 }
 
-/// Progressive evaluation of one branch pipeline over one window:
-/// `N(k)` for each partition point and keys per stateful unit.
-fn branch_pass(
-    pipeline: &Pipeline,
-    packets: &[Tuple],
-) -> Result<(Vec<f64>, Vec<f64>), InterpretError> {
-    let units = table_specs(pipeline);
-    let maxk = max_switch_units(&units);
-    let mut n = Vec::with_capacity(maxk + 1);
-    n.push(packets.len() as f64);
-    let mut keys = Vec::new();
-    let mut schema = Schema::packet();
-    let mut tuples: Vec<Tuple> = packets.to_vec();
-    for unit in units.iter().take(maxk) {
-        for oi in unit.ops.clone() {
-            let op = &pipeline.ops[oi];
-            if let Operator::Reduce { .. } = op {
-                // Count distinct keys entering the reduce before any
-                // merged threshold filter prunes them.
-                let (s, t) = run_operator(op, &schema, std::mem::take(&mut tuples))?;
-                keys.push(t.len() as f64);
-                schema = s;
-                tuples = t;
-            } else {
-                let before_distinct = matches!(op, Operator::Distinct);
-                let (s, t) = run_operator(op, &schema, std::mem::take(&mut tuples))?;
-                if before_distinct {
-                    keys.push(t.len() as f64);
-                }
-                schema = s;
-                tuples = t;
-            }
-        }
-        n.push(tuples.len() as f64);
-    }
-    Ok((n, keys))
+/// What a branch pipeline's costs hang on besides the traffic: its
+/// table units, how many of them the switch can run, and the register
+/// slot width of each stateful one. Refinement masks and threshold
+/// values change none of it, so one shape serves every level.
+struct BranchShape {
+    units: Vec<TableSpec>,
+    max_units: usize,
+    /// Key bits + value bits per stateful unit, from the compiled
+    /// register declarations.
+    slot_bits: Vec<u32>,
 }
 
-/// Stateful-unit slot widths (key bits + value bits), computed from
-/// the compiled register declarations.
-fn slot_bits(pipeline: &Pipeline) -> Vec<u32> {
-    let units = table_specs(pipeline);
-    let maxk = max_switch_units(&units);
-    let stateful = units.iter().take(maxk).filter(|u| u.stateful).count();
-    let sizings = vec![
-        sonata_pisa::compile::RegisterSizing {
+impl BranchShape {
+    fn of(pipeline: &Pipeline) -> Self {
+        let units = table_specs(pipeline);
+        let max_units = max_switch_units(&units);
+        let stateful = units[..max_units].iter().filter(|u| u.stateful).count();
+        let sizing = RegisterSizing {
             slots: 16,
             arrays: 1,
             ..Default::default()
         };
-        stateful
-    ];
-    let stages: Vec<usize> = (0..maxk).map(|i| i * 2).collect();
-    match sonata_pisa::compile::compile_pipeline(
-        pipeline,
-        sonata_pisa::TaskId {
+        let task = TaskId {
             query: QueryId(u32::MAX),
             level: 32,
             branch: 0,
-        },
-        &stages,
-        &sizings,
-        0,
-        0,
-    ) {
-        Ok(cp) => cp
-            .fragment
-            .registers
-            .iter()
-            .map(|r| r.key_bits + r.value_bits)
-            .collect(),
-        Err(_) => vec![64; stateful],
-    }
-}
-
-/// The key column (by refinement-field origin) of a schema, if any.
-fn key_col_index(q: &Query, schema: &Schema, field: Field) -> Option<usize> {
-    let origins = q.output_origins();
-    // Try output origins first, then a direct name scan.
-    for (i, c) in schema.columns().iter().enumerate() {
-        if origins.get(c) == Some(&field) {
-            return Some(i);
+        };
+        let stages: Vec<usize> = (0..max_units).map(|i| i * 2).collect();
+        let slot_bits =
+            match compile_pipeline(pipeline, task, &stages, &vec![sizing; stateful], 0, 0) {
+                Ok(cp) => (cp.fragment.registers.iter())
+                    .map(|r| r.key_bits + r.value_bits)
+                    .collect(),
+                Err(_) => vec![64; stateful],
+            };
+        BranchShape {
+            units,
+            max_units,
+            slot_bits,
         }
     }
-    schema
-        .columns()
-        .iter()
-        .position(|c| c.as_ref() == field.name())
 }
 
-/// Estimate relaxed thresholds for one level from training windows.
-fn relax_level(
-    query: &Query,
-    field: Field,
-    level: u8,
-    windows: &[Vec<Tuple>],
-    raw_windows: &[&[Packet]],
-    satisfying: &[BTreeSet<Value>],
-) -> Vec<(OpRef, u64)> {
-    let _ = windows;
-    let refined = refine_query(query, level, None);
-    let mut relaxed = Vec::new();
-    for (at, col, orig) in refined.threshold_filters() {
-        // Probe: the pipeline containing the filter, truncated before
-        // it, run standalone (Left/Right); post filters are skipped —
-        // they run at the stream processor anyway.
-        let pipeline = match at.pipeline {
-            PipelineRef::Left => refined.pipeline.clone(),
-            PipelineRef::Right => match &refined.join {
-                Some(j) => j.right.clone(),
-                None => continue,
-            },
-            PipelineRef::Post => continue,
-        };
-        let probe = Query {
-            id: refined.id,
-            name: format!("{}-probe", refined.name),
-            window_ms: refined.window_ms,
-            pipeline: Pipeline {
-                ops: pipeline.ops[..at.index].to_vec(),
-            },
-            join: None,
-            refinement: refined.refinement.clone(),
-            delay_budget: None,
-        };
-        let mut mins: Vec<f64> = Vec::new();
-        for (w, pkts) in raw_windows.iter().enumerate() {
-            let Ok((schema, tuples)) = run_query_with_schema(&probe, pkts) else {
-                continue;
-            };
-            let Some(key_idx) = key_col_index(&probe, &schema, field) else {
-                continue;
-            };
-            let Some(col_idx) = schema.index_of(&col) else {
-                continue;
-            };
-            let prefixes: BTreeSet<Value> = satisfying
-                .get(w)
-                .map(|s| s.iter().map(|v| v.mask_to_level(level)).collect())
-                .unwrap_or_default();
-            if prefixes.is_empty() {
-                continue;
+/// The pipelines that read the packet stream: left, then the join's
+/// right.
+fn branches(q: &Query) -> impl Iterator<Item = &Pipeline> {
+    std::iter::once(&q.pipeline).chain(q.join.as_ref().map(|j| &j.right))
+}
+
+/// The packet fields a training row carries: the ones the query reads
+/// plus its refinement key — unless a `distinct`, or the output, sees
+/// packet columns that no `map` or `reduce` has narrowed first. There
+/// a row's width is part of the answer, and every field stays.
+fn row_fields(query: &Query) -> Vec<Field> {
+    let post = query.join.as_ref().map(|j| &j.post);
+    let narrowed = |branch: &Pipeline| {
+        (branch.ops.iter().chain(post.iter().flat_map(|p| &p.ops)))
+            .find_map(|op| match op {
+                Operator::Map { .. } | Operator::Reduce { .. } => Some(true),
+                Operator::Distinct => Some(false),
+                Operator::Filter(_) => None,
+            })
+            .unwrap_or(false)
+    };
+    if !branches(query).all(narrowed) {
+        return Field::ALL.to_vec();
+    }
+    let mut fields = query.referenced_fields();
+    fields.extend(query.refinement.iter().map(|h| h.field));
+    fields.sort_unstable();
+    fields.dedup();
+    fields
+}
+
+/// One branch over one window: `N(k)` per partition point, and the
+/// keys entering each stateful unit.
+type Sample = (Vec<f64>, Vec<f64>);
+
+/// What one segment of a [`Staged`] pipeline left behind.
+#[derive(Clone, Copy)]
+struct Mark {
+    /// Tuples it emitted.
+    len: usize,
+    /// Keys its first stateful operator held.
+    keys: usize,
+}
+
+/// One window's tuples on their way through a [`Staged`] pipeline:
+/// about to enter segment `at`, with a mark per segment behind them.
+#[derive(Clone)]
+struct Cursor {
+    at: usize,
+    tuples: Vec<Tuple>,
+    marks: Vec<Mark>,
+}
+
+impl Cursor {
+    fn new(tuples: Vec<Tuple>) -> Self {
+        Cursor {
+            at: 0,
+            tuples,
+            marks: Vec::new(),
+        }
+    }
+}
+
+/// A branch pipeline bound once, in segments: cut after every unit the
+/// switch could run (where `N(k)` is read) and before every threshold
+/// filter (where relaxation reads the aggregates and a relaxed
+/// pipeline takes over).
+struct Staged {
+    /// The op index each segment ends at; the last is the pipeline's.
+    ends: Vec<usize>,
+    segs: Vec<BoundPipeline>,
+}
+
+impl Staged {
+    fn bind(ops: &[Operator], input: &Schema, cuts: &BTreeSet<usize>) -> Result<Self, BindError> {
+        let mut ends: Vec<usize> = cuts.iter().copied().filter(|&c| c < ops.len()).collect();
+        ends.push(ops.len());
+        let mut segs: Vec<BoundPipeline> = Vec::with_capacity(ends.len());
+        for (i, &end) in ends.iter().enumerate() {
+            let start = if i == 0 { 0 } else { ends[i - 1] };
+            let schema = segs.last().map_or(input, |s| s.output_schema());
+            segs.push(BoundPipeline::bind(&ops[start..end], schema)?);
+        }
+        Ok(Staged { ends, segs })
+    }
+
+    /// Index of the segment ending at op `end`, which must be a cut.
+    fn seg(&self, end: usize) -> usize {
+        let at = self.ends.iter().position(|&e| e == end);
+        at.expect("unit ends and threshold filters are cuts")
+    }
+
+    /// The schema of tuples about to enter op `end`.
+    fn schema_at(&self, end: usize) -> &Schema {
+        self.segs[self.seg(end)].output_schema()
+    }
+
+    fn output_schema(&self) -> &Schema {
+        self.segs.last().expect("never empty").output_schema()
+    }
+
+    /// Run the cursor through every segment ending at or before `end`.
+    fn advance(&mut self, c: &mut Cursor, end: usize) {
+        while c.at < self.segs.len() && self.ends[c.at] <= end {
+            let seg = &mut self.segs[c.at];
+            c.tuples = seg.run(std::mem::take(&mut c.tuples));
+            c.marks.push(Mark {
+                len: c.tuples.len(),
+                keys: seg.cardinalities().next().unwrap_or(0),
+            });
+            c.at += 1;
+        }
+    }
+
+    /// `N` after each of `units` and the keys of the stateful ones
+    /// among them, off a cursor that has passed them.
+    fn sample(&self, units: &[TableSpec], marks: &[Mark]) -> Sample {
+        let (mut n, mut keys, mut first) = (Vec::new(), Vec::new(), 0);
+        for unit in units {
+            let last = self.seg(unit.ops.end);
+            if unit.stateful {
+                keys.push(marks[first].keys as f64);
             }
-            let mut level_min: Option<u64> = None;
-            for t in &tuples {
-                if prefixes.contains(t.get(key_idx)) {
-                    if let Some(v) = t.get(col_idx).as_u64() {
-                        level_min = Some(level_min.map_or(v, |m| m.min(v)));
-                    }
+            n.push(marks[last].len as f64);
+            first = last + 1;
+        }
+        (n, keys)
+    }
+}
+
+/// One refined query bound for staged evaluation.
+struct BoundLevel {
+    branches: Vec<Staged>,
+    join: Option<BoundJoin>,
+}
+
+impl BoundLevel {
+    fn bind(q: &Query, rows: &Schema, cuts: &[BTreeSet<usize>]) -> Result<Self, InterpretError> {
+        let branches = (branches(q).zip(cuts))
+            .map(|(p, cuts)| Staged::bind(&p.ops, rows, cuts))
+            .collect::<Result<Vec<_>, _>>()?;
+        let join = match &q.join {
+            Some(j) => Some(BoundJoin::bind(
+                j,
+                branches[0].output_schema(),
+                branches[1].output_schema(),
+            )?),
+            None => None,
+        };
+        Ok(BoundLevel { branches, join })
+    }
+
+    /// The refinement keys one window's branch outputs amount to: the
+    /// key column of the query's final output and, when the post-join
+    /// pipeline hinges on a content predicate, of every branch that
+    /// thresholds itself (the runtime's matching rule). `level` masks
+    /// them; `None` keeps them whole.
+    fn output_keys(&mut self, q: &Query, outs: &[&[Tuple]], level: Option<u8>) -> BTreeSet<Value> {
+        let hint = q.refinement.as_ref();
+        let whole = |v: &Value| level.map_or_else(|| v.clone(), |l| v.mask_to_level(l));
+        let joined;
+        let (schema, tuples) = match &mut self.join {
+            None => (self.branches[0].output_schema(), outs[0]),
+            Some(j) => {
+                joined = j.run(outs[0], outs[1]);
+                (j.output_schema(), &joined[..])
+            }
+        };
+        let idx = hint.and_then(|h| schema.index_of(&h.out_col)).unwrap_or(0);
+        let mut keys: BTreeSet<Value> = tuples.iter().map(|t| whole(t.get(idx))).collect();
+        let confirms = q
+            .join
+            .as_ref()
+            .is_some_and(|j| j.post.has_content_predicate());
+        if let (Some(hint), Some(_), true) = (hint, level, confirms) {
+            for ((p, staged), out) in branches(q).zip(&self.branches).zip(outs) {
+                let schema = staged.output_schema();
+                let idx =
+                    (schema.index_of(&hint.out_col)).or_else(|| schema.index_of(hint.field.name()));
+                if let (true, Some(idx)) = (p.ends_with_threshold_filter(), idx) {
+                    keys.extend(out.iter().map(|t| whole(t.get(idx))));
                 }
             }
-            if let Some(m) = level_min {
-                mins.push(m as f64);
-            }
         }
-        if mins.is_empty() {
-            relaxed.push((at, orig));
-        } else {
-            // The filter is strict (`>`), so pass prefixes whose
-            // aggregate reaches the observed minimum.
-            let m = median(&mut mins) as u64;
-            relaxed.push((at, orig.max(m.saturating_sub(1))));
+        keys
+    }
+}
+
+/// The per-window samples of one transition, `[branch][window]`,
+/// reduced by median.
+fn transition(shapes: &[BranchShape], samples: &[Vec<Sample>]) -> TransitionCost {
+    let median_of = |vals: &mut dyn Iterator<Item = f64>| median(&mut vals.collect::<Vec<_>>());
+    let branches = (shapes.iter().zip(samples))
+        .filter(|(_, windows)| !windows.is_empty())
+        .map(|(shape, windows)| BranchCost {
+            units: shape.units.clone(),
+            max_units: shape.max_units,
+            n: (0..windows[0].0.len())
+                .map(|k| median_of(&mut windows.iter().map(|s| s.0[k])))
+                .collect(),
+            keys: (0..windows[0].1.len())
+                .map(|i| median_of(&mut windows.iter().map(|s| s.1[i])))
+                .collect(),
+            slot_bits: shape.slot_bits.clone(),
+        })
+        .collect();
+    TransitionCost { branches }
+}
+
+/// Relaxed thresholds of one coarse level (Section 4.1): per threshold
+/// filter of a packet-reading branch, the median over training windows
+/// of the smallest aggregate among the coarse keys that cover a key
+/// satisfying the original query. Leaves each window's cursor at the
+/// branch's first threshold filter, where the relaxed pipeline resumes;
+/// post-join filters run at the stream processor anyway and keep their
+/// values.
+fn relax_level(
+    plain: &Query,
+    bound: &mut BoundLevel,
+    cursors: &mut [Vec<Cursor>],
+    field: Field,
+    level: u8,
+    satisfying: &[BTreeSet<Value>],
+) -> Vec<(OpRef, u64)> {
+    let covering: Vec<BTreeSet<Value>> = (satisfying.iter())
+        .map(|keys| keys.iter().map(|v| v.mask_to_level(level)).collect())
+        .collect();
+    let mut relaxed = Vec::new();
+    let mut first_cut = [None; 2];
+    for (at, col, orig) in plain.threshold_filters() {
+        let b = match at.pipeline {
+            PipelineRef::Left => 0,
+            PipelineRef::Right => 1,
+            PipelineRef::Post => continue,
+        };
+        let (pipeline, staged) = (branches(plain).nth(b), &mut bound.branches[b]);
+        let before = Pipeline {
+            ops: pipeline.expect("a threshold sits in it").ops[..at.index].to_vec(),
+        };
+        let (_, origins) = before.lineage(&Schema::packet(), &packet_origins());
+        // The key column by refinement-field origin, else by name.
+        let columns = staged.schema_at(at.index).columns();
+        let key_idx = (columns.iter().position(|c| origins.get(c) == Some(&field)))
+            .or_else(|| columns.iter().position(|c| c.as_ref() == field.name()));
+        let col_idx = columns.iter().position(|c| *c == col);
+        let resume = *first_cut[b].get_or_insert(at.index);
+        let mut mins: Vec<f64> = Vec::new();
+        for (cursor, covering) in cursors[b].iter_mut().zip(&covering) {
+            staged.advance(cursor, resume);
+            // A later threshold of the same branch is probed past the
+            // original value of the first, on a copy.
+            let mut probe = (resume < at.index).then(|| cursor.clone());
+            let here = match &mut probe {
+                Some(copy) => {
+                    staged.advance(copy, at.index);
+                    &*copy
+                }
+                None => &*cursor,
+            };
+            let (Some(k), Some(v)) = (key_idx, col_idx) else {
+                continue;
+            };
+            let min = (here.tuples.iter())
+                .filter(|t| covering.contains(t.get(k)))
+                .filter_map(|t| t.get(v).as_u64())
+                .min();
+            mins.extend(min.map(|m| m as f64));
         }
+        // The filter is strict (`>`), so pass prefixes whose aggregate
+        // reaches the observed minimum.
+        relaxed.push(match mins.is_empty() {
+            true => (at, orig),
+            false => (at, orig.max((median(&mut mins) as u64).saturating_sub(1))),
+        });
     }
     relaxed
 }
 
 /// Estimate all costs for one query over training windows.
+///
+/// Each window becomes rows once (see [`row_fields`]); each level's
+/// refined query is bound once and every window runs through it once.
+/// That one run yields the aggregates relaxation reads, the level's
+/// output keys, and the unfiltered transition `(None, r)`. A filtered
+/// transition `(p, r)` is level `r`'s bound pipeline again, over the
+/// rows whose key masked to `p` level `p` reported — the filter
+/// [`refine_query`] prepends reads a raw packet field, so it selects
+/// rows and leaves the pipeline as it was.
 pub fn estimate_costs(
     query: &Query,
     training_windows: &[&[Packet]],
     cfg: &CostConfig,
 ) -> Result<QueryCosts, InterpretError> {
-    let windows: Vec<&[Packet]> = training_windows
-        .iter()
-        .take(cfg.max_windows.max(1))
-        .copied()
-        .collect();
+    let windows = &training_windows[..training_windows.len().min(cfg.max_windows.max(1))];
     let field = query.refinement.as_ref().map(|h| h.field);
     let finest = field
         .and_then(|f| f.finest_refinement_level())
         .unwrap_or(32);
     let mut levels: Vec<u8> = match (&cfg.levels, field) {
-        (Some(l), Some(_)) => l.clone(),
+        (Some(l), Some(_)) => l
+            .iter()
+            .copied()
+            .filter(|l| (1..finest).contains(l))
+            .collect(),
         (None, Some(f)) => refinement_levels(f),
-        (_, None) => vec![finest],
+        (_, None) => Vec::new(),
     };
-    if !levels.contains(&finest) {
-        levels.push(finest);
-    }
+    levels.push(finest);
     levels.sort_unstable();
     levels.dedup();
 
-    // Satisfying keys of the original query per window.
-    let out_col = query.refinement.as_ref().map(|h| h.out_col.clone());
-    let mut satisfying: Vec<BTreeSet<Value>> = Vec::new();
-    for pkts in &windows {
-        let (schema, tuples) = run_query_with_schema(query, pkts)?;
-        let idx = out_col
-            .as_ref()
-            .and_then(|c| schema.index_of(c))
-            .unwrap_or(0);
-        satisfying.push(tuples.iter().map(|t| t.get(idx).clone()).collect());
-    }
+    let fields = row_fields(query);
+    let row_schema = Schema::new(fields.iter().map(|f| f.name()));
+    let rows: Vec<Vec<Tuple>> = (windows.iter())
+        .map(|pkts| {
+            let value = |p: &Packet, f: &Field| p.get(*f).unwrap_or(Value::U64(0));
+            (pkts.iter())
+                .map(|p| fields.iter().map(|f| value(p, f)).collect())
+                .collect()
+        })
+        .collect();
 
-    // Relaxed thresholds per coarse level.
-    let mut relaxed = BTreeMap::new();
-    if let (Some(f), true) = (field, cfg.relax_thresholds) {
-        for &level in &levels {
-            if level == finest {
-                continue;
-            }
-            relaxed.insert(
-                level,
-                relax_level(query, f, level, &[], &windows, &satisfying),
-            );
-        }
-    }
-    let costs_shell = QueryCosts {
+    // Level-independent structure: unit shapes without and with the
+    // previous-level filter, and where each branch is cut.
+    let bare: Vec<BranchShape> = branches(query).map(BranchShape::of).collect();
+    let gated: Vec<BranchShape> = match field {
+        Some(_) => branches(&refine_query(
+            query,
+            finest,
+            Some((finest, BTreeSet::new())),
+        ))
+        .map(BranchShape::of)
+        .collect(),
+        None => Vec::new(),
+    };
+    let thresholds = query.threshold_filters();
+    let cuts: Vec<BTreeSet<usize>> = (bare.iter().zip([PipelineRef::Left, PipelineRef::Right]))
+        .map(|(shape, which)| {
+            let unit_ends = shape.units[..shape.max_units].iter().map(|u| u.ops.end);
+            let filters = thresholds.iter().filter(|t| t.0.pipeline == which);
+            unit_ends.chain(filters.map(|t| t.0.index)).collect()
+        })
+        .collect();
+
+    let mut costs = QueryCosts {
         query: query.id,
         field,
         finest,
         levels: levels.clone(),
-        relaxed,
-        satisfying: satisfying.clone(),
+        relaxed: BTreeMap::new(),
+        satisfying: Vec::new(),
         transitions: BTreeMap::new(),
     };
-
-    // Pre-materialize packet tuples per window once.
-    let tuple_windows: Vec<Vec<Tuple>> = windows
-        .iter()
-        .map(|pkts| pkts.iter().map(Tuple::from_packet).collect())
-        .collect();
-
-    // Satisfying prefixes per (window, level) under *relaxed* queries —
-    // the filter feed for transition estimation.
-    let mut level_outputs: BTreeMap<u8, Vec<BTreeSet<Value>>> = BTreeMap::new();
-    if field.is_some() {
-        for &level in &levels {
-            if level == finest {
-                continue;
-            }
-            let rq = costs_shell.refined_with_thresholds(query, level, None);
-            let hint_col = query.refinement.as_ref().unwrap().out_col.clone();
-            let field_name = query.refinement.as_ref().unwrap().field.name();
-            let mut per_window = Vec::new();
-            for pkts in &windows {
-                // Final output keys (matching the runtime's feed).
-                let (schema, tuples) = run_query_with_schema(&rq, pkts)?;
-                let idx = schema.index_of(&hint_col).unwrap_or(0);
-                let mut keys: BTreeSet<Value> = tuples
-                    .iter()
-                    .map(|t| t.get(idx).mask_to_level(level))
-                    .collect();
-                // Plus self-thresholded branch outputs — only when the
-                // post-join pipeline hinges on a content predicate
-                // (see the runtime's matching rule).
-                let post_confirms = rq
-                    .join
-                    .as_ref()
-                    .map(|j| j.post.has_content_predicate())
-                    .unwrap_or(false);
-                if post_confirms {
-                    let mut branch_probe = |pipeline: &Pipeline| -> Result<(), InterpretError> {
-                        if !pipeline.ends_with_threshold_filter() {
-                            return Ok(());
-                        }
-                        let probe = Query {
-                            id: rq.id,
-                            name: format!("{}-branch-probe", rq.name),
-                            window_ms: rq.window_ms,
-                            pipeline: pipeline.clone(),
-                            join: None,
-                            refinement: rq.refinement.clone(),
-                            delay_budget: None,
-                        };
-                        let (ps, pt) = run_query_with_schema(&probe, pkts)?;
-                        if let Some(pidx) =
-                            ps.index_of(&hint_col).or_else(|| ps.index_of(field_name))
-                        {
-                            keys.extend(pt.iter().map(|t| t.get(pidx).mask_to_level(level)));
-                        }
-                        Ok(())
-                    };
-                    branch_probe(&rq.pipeline)?;
-                    if let Some(j) = &rq.join {
-                        branch_probe(&j.right)?;
-                    }
-                }
-                per_window.push(keys);
-            }
-            level_outputs.insert(level, per_window);
+    // Per level, finest first (relaxation reads its output): the bound
+    // relaxed query and the keys it reported per window.
+    let mut evals: BTreeMap<u8, (BoundLevel, Vec<BTreeSet<Value>>)> = BTreeMap::new();
+    for &level in levels.iter().rev() {
+        let mut cursors: Vec<Vec<Cursor>> = (bare.iter())
+            .map(|_| rows.iter().map(|r| Cursor::new(r.clone())).collect())
+            .collect();
+        if let (Some(f), true, true) = (field, cfg.relax_thresholds, level != finest) {
+            let plain = refine_query(query, level, None);
+            let mut bound = BoundLevel::bind(&plain, &row_schema, &cuts)?;
+            let relaxed = relax_level(
+                &plain,
+                &mut bound,
+                &mut cursors,
+                f,
+                level,
+                &costs.satisfying,
+            );
+            costs.relaxed.insert(level, relaxed);
         }
+        let rq = costs.refined_with_thresholds(query, level, None);
+        let mut bound = BoundLevel::bind(&rq, &row_schema, &cuts)?;
+        let mut outputs = Vec::with_capacity(rows.len());
+        let mut samples: Vec<Vec<Sample>> = vec![Vec::new(); bare.len()];
+        for (w, window) in rows.iter().enumerate() {
+            for (b, staged) in bound.branches.iter_mut().enumerate() {
+                let cursor = &mut cursors[b][w];
+                staged.advance(cursor, usize::MAX);
+                let (mut n, keys) =
+                    staged.sample(&bare[b].units[..bare[b].max_units], &cursor.marks);
+                n.insert(0, window.len() as f64);
+                samples[b].push((n, keys));
+            }
+            let outs: Vec<&[Tuple]> = cursors.iter().map(|c| &c[w].tuples[..]).collect();
+            outputs.push(bound.output_keys(&rq, &outs, (level != finest).then_some(level)));
+        }
+        costs
+            .transitions
+            .insert((None, level), transition(&bare, &samples));
+        if level == finest {
+            costs.satisfying = outputs.clone();
+        }
+        evals.insert(level, (bound, outputs));
     }
 
-    // Transition enumeration.
-    let mut transitions = BTreeMap::new();
-    let mut pairs: Vec<(Option<u8>, u8)> = Vec::new();
-    if field.is_some() {
-        for (i, &r) in levels.iter().enumerate() {
-            pairs.push((None, r));
-            for &p in &levels[..i] {
-                pairs.push((Some(p), r));
-            }
+    // Filtered transitions; an unrefinable query has none. Rows carry
+    // the refinement key whenever there is one.
+    let Some(key) = field.and_then(|f| row_schema.index_of(f.name())) else {
+        return Ok(costs);
+    };
+    for (i, &p) in levels.iter().enumerate() {
+        // Transition filter: previous level's output from the preceding
+        // window (same window for the first transition sample — the
+        // training trace is stationary).
+        let passed = &evals[&p].1;
+        let picked: Vec<Vec<Tuple>> = (rows.iter().enumerate())
+            .map(|(w, window)| {
+                let set = &passed[w.saturating_sub(1)];
+                let pass = |t: &&Tuple| set.contains(&t.get(key).mask_to_level(p));
+                window.iter().filter(pass).cloned().collect()
+            })
+            .collect();
+        for &r in &levels[i + 1..] {
+            let bound = &mut evals.get_mut(&r).expect("every level was evaluated").0;
+            let samples: Vec<Vec<Sample>> = (bound.branches.iter_mut().enumerate())
+                .map(|(b, staged)| {
+                    // The gate is unit 0; the rest are the bare units.
+                    let units = &bare[b].units[..gated[b].max_units.saturating_sub(1)];
+                    (rows.iter().zip(&picked))
+                        .map(|(window, picked)| {
+                            let (rest, keys) = match units.last() {
+                                Some(last) => {
+                                    let mut cursor = Cursor::new(picked.clone());
+                                    staged.advance(&mut cursor, last.ops.end);
+                                    staged.sample(units, &cursor.marks)
+                                }
+                                None => Sample::default(),
+                            };
+                            let gate = [window.len() as f64, picked.len() as f64];
+                            let n = gate.into_iter().chain(rest);
+                            (n.take(gated[b].max_units + 1).collect(), keys)
+                        })
+                        .collect()
+                })
+                .collect();
+            costs
+                .transitions
+                .insert((Some(p), r), transition(&gated, &samples));
         }
-    } else {
-        pairs.push((None, finest));
     }
-
-    for (prev, r) in pairs {
-        let mut branch_n: Vec<Vec<Vec<f64>>> = Vec::new(); // branch → window → n-vec
-        let mut branch_keys: Vec<Vec<Vec<f64>>> = Vec::new();
-        let mut units_per_branch: Vec<Vec<TableSpec>> = Vec::new();
-        let mut slot_bits_per_branch: Vec<Vec<u32>> = Vec::new();
-        for (w, tuples) in tuple_windows.iter().enumerate() {
-            // Transition filter: previous level's output from the
-            // preceding window (same window for the first transition
-            // sample — the training trace is stationary).
-            let prev_arg = prev.map(|p| {
-                let outs = level_outputs.get(&p).expect("level output computed");
-                let src = if w > 0 { w - 1 } else { 0 };
-                (p, outs[src].clone())
-            });
-            let rq = costs_shell.refined_with_thresholds(query, r, prev_arg);
-            let mut branches: Vec<&Pipeline> = vec![&rq.pipeline];
-            if let Some(j) = &rq.join {
-                branches.push(&j.right);
-            }
-            for (bi, p) in branches.iter().enumerate() {
-                if branch_n.len() <= bi {
-                    branch_n.push(Vec::new());
-                    branch_keys.push(Vec::new());
-                    units_per_branch.push(table_specs(p));
-                    slot_bits_per_branch.push(slot_bits(p));
-                }
-                let (n, keys) = branch_pass(p, tuples)?;
-                branch_n[bi].push(n);
-                branch_keys[bi].push(keys);
-            }
-        }
-        let mut branches = Vec::new();
-        for bi in 0..branch_n.len() {
-            let units = units_per_branch[bi].clone();
-            let max_units = max_switch_units(&units);
-            let samples = &branch_n[bi];
-            let mut n = Vec::with_capacity(max_units + 1);
-            for k in 0..=max_units {
-                let mut vals: Vec<f64> = samples.iter().map(|s| s[k]).collect();
-                n.push(median(&mut vals));
-            }
-            let key_samples = &branch_keys[bi];
-            let stateful_count = key_samples.first().map(|s| s.len()).unwrap_or(0);
-            let mut keys = Vec::with_capacity(stateful_count);
-            for i in 0..stateful_count {
-                let mut vals: Vec<f64> = key_samples.iter().map(|s| s[i]).collect();
-                keys.push(median(&mut vals));
-            }
-            branches.push(BranchCost {
-                units,
-                max_units,
-                n,
-                keys,
-                slot_bits: slot_bits_per_branch[bi].clone(),
-            });
-        }
-        transitions.insert((prev, r), TransitionCost { branches });
-    }
-
-    Ok(QueryCosts {
-        transitions,
-        ..costs_shell
-    })
+    Ok(costs)
 }
 
 #[cfg(test)]
@@ -839,6 +959,21 @@ mod tests {
         let rq = costs.refined_with_thresholds(&q1(), 8, None);
         let th = rq.threshold_filters()[0].2;
         assert_eq!(th, 10);
+    }
+
+    #[test]
+    fn levels_outside_the_key_field_are_dropped() {
+        // 40 used to panic ("level output computed"): it became a
+        // `prev` level without ever being evaluated.
+        let w = window();
+        let cfg = CostConfig {
+            levels: Some(vec![0, 8, 40]),
+            ..Default::default()
+        };
+        let costs = estimate_costs(&q1(), &[&w], &cfg).unwrap();
+        assert_eq!(costs.levels, vec![8, 32]);
+        let transitions: Vec<_> = costs.transitions.keys().copied().collect();
+        assert_eq!(transitions, vec![(None, 8), (None, 32), (Some(8), 32)]);
     }
 
     #[test]

@@ -32,7 +32,9 @@
 //! interpreter.
 
 use crate::expr::{BindError, BoundExpr, BoundPred};
+use crate::interpret::InterpretError;
 use crate::ops::{Agg, Operator};
+use crate::query::{joined_schema, Join, QueryError};
 use crate::tuple::{Schema, Tuple};
 use sonata_packet::Value;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -232,6 +234,13 @@ impl BoundPipeline {
         self.schemas.last().expect("schemas is never empty")
     }
 
+    /// What each stateful op held at the end of the last run — a
+    /// reduce's groups, a distinct's set — in op order. This is the
+    /// planner's `B`: the keys a register for that op must fit.
+    pub fn cardinalities(&self) -> impl Iterator<Item = usize> + '_ {
+        (self.ops.iter().zip(&self.hints)).filter_map(|(op, &h)| op.is_stateful().then_some(h))
+    }
+
     /// Run the whole pipeline over a batch entering at op 0.
     pub fn run(&mut self, tuples: Vec<Tuple>) -> Vec<Tuple> {
         self.run_from(tuples, BTreeMap::new(), 0)
@@ -324,6 +333,68 @@ impl BoundPipeline {
             };
             i = sink + 1;
         }
+    }
+}
+
+/// A join bound to its two branch output schemas once: key offsets,
+/// key expressions, the right-side append projection and the post-join
+/// pipeline, as [`crate::interpret::run_query_with_schema`] resolves
+/// them per call.
+#[derive(Debug)]
+pub struct BoundJoin {
+    right_key_idx: Vec<usize>,
+    left_key_exprs: Vec<BoundExpr>,
+    append_idx: Vec<usize>,
+    post: BoundPipeline,
+}
+
+impl BoundJoin {
+    /// Bind `join` between branch outputs of the given schemas, with
+    /// the reference interpreter's error precedence.
+    pub fn bind(join: &Join, left: &Schema, right: &Schema) -> Result<Self, InterpretError> {
+        let right_key_idx = (join.keys.iter())
+            .map(|k| {
+                let missing = || QueryError::JoinKeyMissing { key: k.clone() };
+                right.index_of(k).ok_or_else(missing)
+            })
+            .collect::<Result<_, _>>()?;
+        let left_key_exprs = (join.left_keys.iter())
+            .map(|e| e.bind(left))
+            .collect::<Result<_, _>>()?;
+        let append_idx = (0..right.len())
+            .filter(|&i| !left.contains(&right.columns()[i]))
+            .collect();
+        let joined = joined_schema(left, right, &join.keys);
+        Ok(BoundJoin {
+            right_key_idx,
+            left_key_exprs,
+            append_idx,
+            post: BoundPipeline::bind(&join.post.ops, &joined)?,
+        })
+    }
+
+    /// The schema of [`BoundJoin::run`]'s output.
+    pub fn output_schema(&self) -> &Schema {
+        self.post.output_schema()
+    }
+
+    /// Hash-join the two branch outputs — left order, then right order
+    /// within a key, as the reference does — and run the post-join
+    /// pipeline over the result.
+    pub fn run(&mut self, left: &[Tuple], right: &[Tuple]) -> Vec<Tuple> {
+        let mut index: HashMap<Tuple, Vec<&Tuple>> = HashMap::with_capacity(right.len());
+        for t in right {
+            let key = t.project(&self.right_key_idx);
+            index.entry(key).or_default().push(t);
+        }
+        let mut joined = Vec::new();
+        for lt in left {
+            let key: Tuple = self.left_key_exprs.iter().map(|e| e.eval(lt)).collect();
+            for rt in index.get(&key).into_iter().flatten() {
+                joined.push(lt.concat(&rt.project(&self.append_idx)));
+            }
+        }
+        self.post.run(joined)
     }
 }
 

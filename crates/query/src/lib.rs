@@ -45,7 +45,7 @@ pub mod ops;
 pub mod query;
 pub mod tuple;
 
-pub use bound::{BoundError, BoundPipeline};
+pub use bound::{BoundError, BoundJoin, BoundPipeline};
 pub use expr::{col, field, lit, lit_text, CmpOp, Expr, Pred};
 pub use ops::{Agg, Operator};
 pub use query::{Join, Pipeline, Query, QueryBuilder, QueryError, QueryId, RefinementHint};

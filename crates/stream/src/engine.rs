@@ -5,7 +5,7 @@
 //! accumulates the tuple-intake counters the experiments report.
 
 use crate::window::WindowBatch;
-use sonata_query::bound::{BoundError, BoundPipeline};
+use sonata_query::bound::{BoundError, BoundJoin, BoundPipeline};
 use sonata_query::expr::BoundExpr;
 use sonata_query::interpret::{run_operator, InterpretError};
 use sonata_query::query::joined_schema;
@@ -242,23 +242,14 @@ impl BoundEntries {
     }
 }
 
-/// Pre-bound join machinery: key offsets, key expressions, and the
-/// right-side append projection, all resolved at registration.
-struct BoundJoin {
-    right: BoundPipeline,
-    post: BoundPipeline,
-    right_key_idx: Vec<usize>,
-    left_key_exprs: Vec<BoundExpr>,
-    append_idx: Vec<usize>,
-}
-
 /// A query's compiled fast path: fused pipelines with column offsets
 /// resolved once. `None` when binding failed (the reference
 /// interpreter then surfaces the identical error per window) or the
 /// engine is forced onto the reference path.
 struct BoundQuery {
     left: BoundPipeline,
-    join: Option<BoundJoin>,
+    /// The right branch and the join over both branches' outputs.
+    join: Option<(BoundPipeline, BoundJoin)>,
 }
 
 fn bind_query(q: &Query) -> Option<BoundQuery> {
@@ -268,34 +259,8 @@ fn bind_query(q: &Query) -> Option<BoundQuery> {
         None => None,
         Some(join) => {
             let right = BoundPipeline::bind(&join.right.ops, &packet).ok()?;
-            let left_schema = left.output_schema();
-            let right_schema = right.output_schema();
-            let right_key_idx: Vec<usize> = join
-                .keys
-                .iter()
-                .map(|k| right_schema.index_of(k))
-                .collect::<Option<_>>()?;
-            let left_key_exprs: Vec<BoundExpr> = join
-                .left_keys
-                .iter()
-                .map(|e| e.bind(left_schema).ok())
-                .collect::<Option<_>>()?;
-            let append_idx: Vec<usize> = right_schema
-                .columns()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !left_schema.contains(c))
-                .map(|(i, _)| i)
-                .collect();
-            let joined = joined_schema(left_schema, right_schema, &join.keys);
-            let post = BoundPipeline::bind(&join.post.ops, &joined).ok()?;
-            Some(BoundJoin {
-                right,
-                post,
-                right_key_idx,
-                left_key_exprs,
-                append_idx,
-            })
+            let bound = BoundJoin::bind(join, left.output_schema(), right.output_schema()).ok()?;
+            Some((right, bound))
         }
     };
     Some(BoundQuery { left, join })
@@ -320,26 +285,10 @@ fn execute_window_bound(
             }
             left
         }
-        (Some(_), Some(bj)) => {
-            let (right_schema, right) = bj.right.run_entries(batch.right)?;
-            branch_outputs.push((right_schema, right.clone()));
-            let mut index: HashMap<Tuple, Vec<&Tuple>> = HashMap::with_capacity(right.len());
-            for t in &right {
-                index
-                    .entry(t.project(&bj.right_key_idx))
-                    .or_default()
-                    .push(t);
-            }
-            let mut joined = Vec::new();
-            for lt in &branch_outputs[0].1 {
-                let key = Tuple::new(bj.left_key_exprs.iter().map(|e| e.eval(lt)).collect());
-                if let Some(matches) = index.get(&key) {
-                    for rt in matches {
-                        joined.push(lt.concat(&rt.project(&bj.append_idx)));
-                    }
-                }
-            }
-            bj.post.run(joined)
+        (Some(_), Some((right, join))) => {
+            let (right_schema, right) = right.run_entries(batch.right)?;
+            branch_outputs.push((right_schema, right));
+            join.run(&branch_outputs[0].1, &branch_outputs[1].1)
         }
         (Some(_), None) => unreachable!("bind_query binds the join when the query has one"),
     };

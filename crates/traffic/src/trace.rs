@@ -421,9 +421,15 @@ impl EvaluationTrace {
                 duration_ms: span,
             },
         ];
-        for (i, a) in attacks.iter().enumerate() {
-            trace.inject(a, seed.wrapping_add(100 + i as u64));
-        }
+        // One merge for all eight: `merge` breaks ties trace-first, so
+        // injecting them one by one leaves equal timestamps in attack
+        // order — which is what a stable sort of the streams laid end
+        // to end gives.
+        let mut needles: Vec<Packet> = (attacks.iter().enumerate())
+            .flat_map(|(i, a)| a.generate(seed.wrapping_add(100 + i as u64)))
+            .collect();
+        needles.sort_by_key(|p| p.ts_nanos);
+        trace.merge(needles);
         EvaluationTrace { trace, attacks }
     }
 }

@@ -19,22 +19,23 @@
 //! Mirrored reports and the register dump both arrive as column
 //! blocks; a block — or a single report, a block of one row — is
 //! resolved once: one task lookup, one column permutation, one
-//! destination, then a loop over its rows. A task whose tuples are the
-//! packets themselves gets each packet's row from the chunk's shared
-//! set: built once per packet per chunk, handed to every task that
-//! kept the packet as a clone of one immutable [`Tuple`].
+//! destination, then a loop over its rows, which go through the
+//! permutation as `u64`s and stay `u64`s. A task whose rows are the
+//! packets themselves gets no rows built at all: the chunk's packets
+//! become one shared, immutable [`PacketBlock`] of field columns, and
+//! the task keeps the packet numbers its block named.
 
 use crate::driver::Deployment;
 use sonata_faults::FaultInjector;
-use sonata_packet::Value;
 use sonata_pisa::{Report, ReportChunk, ReportKind, TaskId, WindowDump};
-use sonata_query::{ColName, QueryId, Schema, Tuple};
+use sonata_query::{ColName, Entries, PacketBlock, QueryId, RowRun, Rows, Schema};
 use sonata_stream::{BoundEntries, StreamError, WindowBatch};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::sync::Arc;
 
-/// A task's tuples awaiting the end-of-window merge, keyed by the
+/// A task's rows awaiting the end-of-window merge, keyed by the
 /// pipeline op they enter at.
-pub(crate) type LocalStore = BTreeMap<usize, Vec<Tuple>>;
+pub(crate) type LocalStore = Entries;
 
 /// One task's share of the emitter.
 #[derive(Debug)]
@@ -76,9 +77,6 @@ pub struct Emitter {
     /// Scratch: for each column of the schema being laid out, where it
     /// sits among the report's columns ([`ABSENT`] if it does not).
     perm: Vec<usize>,
-    /// Scratch: the packet-schema row of each packet of the chunk
-    /// being ingested (`None` for an undecodable one).
-    packet_rows: Vec<Option<Tuple>>,
     /// Duplicate suppression, active only when fault injection is on:
     /// per-task `(window, seq)` sets keyed on the switch-assigned
     /// report sequence number — an injected duplicate repeats a seq, a
@@ -102,15 +100,19 @@ pub struct Emitter {
 /// uninitialized metadata.
 const ABSENT: usize = usize::MAX;
 
-/// The job-batch entry a task's forwarded tuples and merge survivors
+/// The job-batch entry a task's forwarded rows and merge survivors
 /// land in.
 fn resume_entry<'a>(
     dep: &Deployment,
     batches: &'a mut HashMap<QueryId, WindowBatch>,
-) -> &'a mut Vec<Tuple> {
+) -> &'a mut Vec<RowRun> {
     let side = batches.entry(dep.job).or_default().branch_mut(dep.branch);
     side.entry(dep.resume_op).or_default()
 }
+
+/// The packets some rows carry, and per row the number of its packet
+/// among them (none at all when the rows name no packets).
+type Carried = (Arc<PacketBlock>, Vec<u32>);
 
 impl Emitter {
     /// Build from the deployed plan's per-task bookkeeping.
@@ -135,50 +137,56 @@ impl Emitter {
         }
     }
 
-    /// Ingest one mirrored report. A report of a task the plan does
-    /// not deploy is stale (a plan change) and ignored. One that names
-    /// a deployed task but cannot be placed — a shunt or raw row with
-    /// no entry op or one the task has no schema for, a packet-report
-    /// task's report without its packet — is counted malformed and
-    /// dropped.
+    /// Ingest one mirrored report: a block of one row, its packet —
+    /// if it carries one — a block of one packet. A report of a task
+    /// the plan does not deploy is stale (a plan change) and ignored.
+    /// One that names a deployed task but cannot be placed — a shunt
+    /// or raw row with no entry op or one the task has no schema for,
+    /// a packet-report task's report without its packet — is counted
+    /// malformed and dropped.
     pub fn ingest(&mut self, report: &Report) {
         let cols = &report.columns;
+        let packet = || {
+            Some((
+                Arc::new(PacketBlock::of_packet(report.packet.as_ref()?)),
+                vec![0],
+            ))
+        };
         self.place(
             (report.task, report.kind, report.entry_op, report.seq),
             (1, cols.len()),
             |j| &cols[j].0,
             |_, j| cols[j].1,
-            |_| report.packet.as_ref().map(Tuple::from_packet),
+            packet,
         );
     }
 
     /// Ingest a chunk of mirrored reports, block by block: the rows of
     /// [`ReportChunk::reports`], placed as [`Self::ingest`] places
-    /// them one by one. A block whose cells or packet indices are not
+    /// them one by one. The chunk's packets become one shared block of
+    /// columns; a packet-report task keeps its block's packet numbers
+    /// and nothing else. A block whose cells or packet indices are not
     /// whole rows is dropped as one malformed report; a packet-report
     /// task's row whose packet index is absent, past the chunk's
     /// packets or undecodable, as one each.
-    pub fn ingest_blocks(&mut self, chunk: &ReportChunk) {
-        let mut shared = std::mem::take(&mut self.packet_rows);
-        shared.clear();
-        let packets = chunk.packets.batch();
-        shared.extend((packets.iter()).map(|v| v.decode().ok().map(|p| Tuple::from_packet(&p))));
-        for b in &chunk.blocks {
-            let width = b.width();
+    pub fn ingest_blocks(&mut self, chunk: ReportChunk) {
+        let packets = Arc::new(PacketBlock::new(chunk.packets));
+        for mut b in chunk.blocks {
             if !b.is_well_formed() {
                 self.received.window += 1;
                 self.malformed.window += 1;
                 continue;
             }
+            let pkts = std::mem::take(&mut b.pkts);
+            let width = b.width();
             self.place(
                 (b.task, b.kind, b.entry_op, b.first_seq),
                 (b.rows, width),
                 |j| &b.names[j],
                 |r, j| b.cells[r * width + j],
-                |r| shared.get(*b.pkts.get(r)? as usize)?.clone(),
+                || Some((Arc::clone(&packets), pkts)),
             );
         }
-        self.packet_rows = shared;
     }
 
     /// Ingest the end-of-window register dump, block by block. A block
@@ -198,23 +206,23 @@ impl Emitter {
                 (b.rows(), width),
                 |j| &b.names[j],
                 |r, j| b.cells[r * width + j],
-                |_| None,
+                || None,
             );
         }
     }
 
     /// Place `rows` reports that share a header `(task, kind, entry op,
     /// first seq)` and `width` column names `name(j)`; row `r` holds
-    /// `cell(r, j)`, carries seq `first seq + r`, and — read only for a
-    /// task whose tuples are packets — the packet whose row is
-    /// `packet(r)`.
+    /// `cell(r, j)`, carries seq `first seq + r`, and — asked for only
+    /// by a task whose rows are packets — the packet `carried()`
+    /// numbers for it.
     fn place<'a>(
         &mut self,
         (task, kind, entry_op, first_seq): (TaskId, ReportKind, Option<usize>, u64),
         (rows, width): (usize, usize),
         name: impl Fn(usize) -> &'a ColName,
         cell: impl Fn(usize, usize) -> u64,
-        packet: impl Fn(usize) -> Option<Tuple>,
+        carried: impl FnOnce() -> Option<Carried>,
     ) {
         let Some(TaskState {
             dep, store, seen, ..
@@ -235,60 +243,67 @@ impl Emitter {
             self.malformed.window += rows as u64;
             return;
         };
-        let from_packet = !local && dep.report_packet;
-        // Switch reports lay columns out in schema order, so the
-        // positional probe almost always hits; the scan covers partial
-        // or reordered reports.
-        self.perm.clear();
-        let cols = schema.columns().iter().enumerate();
-        self.perm
-            .extend(cols.filter(|_| !from_packet).map(|(i, c)| {
+        // `(task, window, seq)` identifies one logical report (seqs are
+        // per-task, per-window); a repeat is an injected duplicate and
+        // is suppressed, not re-applied.
+        let dedup = self.dedup;
+        let mut fresh = |r: usize| !dedup || seen.insert(first_seq.wrapping_add(r as u64));
+        let (mut run, mut unplaceable) = (None, 0);
+        if !local && dep.report_packet {
+            // A row without its packet cannot be placed; it is turned
+            // away before its seq is noted.
+            let (block, mut sel) = carried().unwrap_or_default();
+            unplaceable = rows - sel.len();
+            let mut r = 0;
+            sel.retain(|&p| {
+                r += 1;
+                let decodes = block.is_valid(p);
+                unplaceable += usize::from(!decodes);
+                decodes && fresh(r - 1)
+            });
+            if !sel.is_empty() {
+                run = Some(RowRun::Packets { block, sel });
+            }
+        } else {
+            // Switch reports lay columns out in schema order, so the
+            // positional probe almost always hits; the scan covers
+            // partial or reordered reports.
+            self.perm.clear();
+            let cols = schema.columns().iter().enumerate();
+            self.perm.extend(cols.map(|(i, c)| {
                 if i < width && name(i) == c {
                     i
                 } else {
                     (0..width).find(|&j| name(j) == c).unwrap_or(ABSENT)
                 }
             }));
-        let (perm, dedup) = (&self.perm, self.dedup);
-        let unplaceable = std::cell::Cell::new(0);
-        let mut fresh = (0..rows)
-            .filter_map(|r| {
-                // A row without its packet cannot be placed; it is
-                // turned away before its seq is noted.
-                let mut shared = None;
-                if from_packet {
-                    shared = packet(r);
-                    if shared.is_none() {
-                        unplaceable.set(unplaceable.get() + 1);
-                        return None;
-                    }
-                }
-                // `(task, window, seq)` identifies one logical report
-                // (seqs are per-task, per-window); a repeat is an
-                // injected duplicate and is suppressed, not re-applied.
-                if dedup && !seen.insert(first_seq.wrapping_add(r as u64)) {
-                    return None;
-                }
-                Some(shared.unwrap_or_else(|| {
-                    let value = |&j: &usize| if j == ABSENT { 0 } else { cell(r, j) };
-                    perm.iter().map(|j| Value::U64(value(j))).collect()
-                }))
-            })
-            .peekable();
+            let mut flat = Rows::new(self.perm.len());
+            for r in (0..rows).filter(|&r| fresh(r)) {
+                let value = |&j: &usize| if j == ABSENT { 0 } else { cell(r, j) };
+                flat.push(self.perm.iter().map(value));
+            }
+            if !flat.is_empty() {
+                run = Some(RowRun::Cells(flat));
+            }
+        }
         // Rows that are all repeats leave no trace.
-        let mut pushed = 0;
-        if fresh.peek().is_some() {
+        let pushed = run.as_ref().map_or(0, RowRun::len);
+        if let Some(run) = run {
             let out = match entry_op.filter(|_| local) {
                 Some(op) => store.entry(op).or_default(),
                 None => resume_entry(dep, &mut self.batches),
             };
-            let before = out.len();
-            out.reserve(rows);
-            out.extend(fresh);
-            pushed = out.len() - before;
+            match (run, out.last_mut()) {
+                (RowRun::Cells(flat), Some(RowRun::Cells(open)))
+                    if open.width() == flat.width() =>
+                {
+                    open.append(&flat)
+                }
+                (run, _) => out.push(run),
+            }
         }
-        self.malformed.window += unplaceable.get();
-        self.suppressed.window += rows as u64 - pushed as u64 - unplaceable.get();
+        self.malformed.window += unplaceable as u64;
+        self.suppressed.window += (rows - pushed - unplaceable) as u64;
         self.forwarded.window += if local { 0 } else { pushed as u64 };
     }
 
@@ -298,9 +313,9 @@ impl Emitter {
     /// hand out the accumulated batches.
     pub fn close_window(&mut self) -> Result<Vec<(QueryId, WindowBatch)>, StreamError> {
         for t in self.tasks.values_mut().filter(|t| !t.store.is_empty()) {
-            let mut survivors = t.merge.run(std::mem::take(&mut t.store))?;
+            let survivors = t.merge.run(&std::mem::take(&mut t.store))?;
             self.forwarded.window += survivors.len() as u64;
-            resume_entry(&t.dep, &mut self.batches).append(&mut survivors);
+            resume_entry(&t.dep, &mut self.batches).push(RowRun::Cells(survivors));
         }
         Ok(self.roll_window())
     }
@@ -339,11 +354,10 @@ impl Emitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sonata_packet::Field;
-    use sonata_packet::PacketBuilder;
+    use sonata_packet::{Field, PacketBuilder, Value};
     use sonata_pisa::DumpBlock;
     use sonata_query::expr::{col, field, lit};
-    use sonata_query::{Agg, QueryId};
+    use sonata_query::{Agg, QueryId, Tuple};
 
     /// Query-1-shaped ops: filter, map, reduce, threshold filter.
     fn q1_ops(th: u64) -> Vec<sonata_query::Operator> {
@@ -419,7 +433,7 @@ mod tests {
         ));
         assert_eq!(e.forwarded.window, 1);
         let batches = e.close_window().unwrap();
-        let t = &batches[0].1.left[&4][0];
+        let t = &batches[0].1.tuples(0, 4)[0];
         // Columns reordered into the resume schema.
         assert_eq!(t.get(0), &Value::U64(42));
         assert_eq!(t.get(1), &Value::U64(7));
@@ -454,7 +468,7 @@ mod tests {
         assert_eq!(e.forwarded.window, 0); // nothing forwarded yet
         assert_eq!(e.received.window, 4);
         let batches = e.close_window().unwrap();
-        let tuples = &batches[0].1.left[&4];
+        let tuples = batches[0].1.tuples(0, 4);
         assert_eq!(tuples.len(), 1, "{tuples:?}");
         assert_eq!(tuples[0].get(0), &Value::U64(0xaa));
         assert_eq!(tuples[0].get(1), &Value::U64(4));
@@ -515,12 +529,12 @@ mod tests {
             seq: 0,
         });
         let batches = e.close_window().unwrap();
-        let t = &batches[0].1.left[&0][0];
+        let t = &batches[0].1.tuples(0, 0)[0];
         assert_eq!(t.len(), Schema::packet().len());
     }
 
     #[test]
-    fn a_chunk_shares_each_packet_row_and_drops_what_it_cannot_place() {
+    fn a_chunk_shares_its_packet_columns_and_drops_what_it_cannot_place() {
         use sonata_packet::PacketArena;
         use sonata_pisa::{ReportBlock, ReportChunk};
         let mut packets = PacketArena::new();
@@ -553,14 +567,19 @@ mod tests {
             packet_deployment(task(1, 0), 10),
             packet_deployment(task(2, 0), 20),
         ]);
-        e.ingest_blocks(&chunk);
+        e.ingest_blocks(chunk);
         assert_eq!((e.received.window, e.forwarded.window), (10, 4));
         assert_eq!((e.malformed.window, e.suppressed.window), (6, 0));
         let batches = e.close_window().unwrap();
-        let rows = |job: usize| &batches[job].1.left[&0];
-        assert_eq!((rows(0).len(), rows(1).len()), (2, 2));
+        // Both tasks hold one run: two numbers into the same block.
+        let block_of = |job: usize| match &batches[job].1.left[&0][..] {
+            [RowRun::Packets { block, sel }] if sel == &[0, 0] => Arc::clone(block),
+            other => panic!("{other:?}"),
+        };
+        assert!(Arc::ptr_eq(&block_of(0), &block_of(1)));
         let row = Tuple::from_packet(&PacketBuilder::tcp_raw(5, 6, 7, 80).build());
-        assert!(rows(0).iter().chain(rows(1)).all(|t| *t == row));
+        let rows = |job: usize| batches[job].1.tuples(0, 0);
+        assert!(rows(0).iter().chain(&rows(1)).all(|t| *t == row));
     }
 
     fn dedup_emitter(deployments: &[Deployment]) -> Emitter {

@@ -55,7 +55,7 @@ use sonata_obs::{Counter, EventKind, FabricSnapshot, ObsHandle, Stage, StageTime
 use sonata_packet::{Packet, PacketArena};
 use sonata_pisa::{ControlOp, ReportBatch, Switch, TaskId, UpdateCostModel};
 use sonata_planner::{GlobalPlan, ReplanOutcome};
-use sonata_query::{Operator, QueryId, Tuple};
+use sonata_query::{Heap, Operator, QueryId, RowRun, RowSource};
 use sonata_stream::{
     merge_window_batches, BoundEntries, MicroBatchEngine, ShardedEngine, SwitchPartial, WindowBatch,
 };
@@ -762,9 +762,9 @@ impl Fabric {
                 if let Some(d) = (dep.local_ops.iter()).position(|op| *op == Operator::Distinct) {
                     entries.retain(|op, _| *op <= d);
                 }
-                let survivors = merge.run(entries)?;
+                let survivors = RowRun::Cells(merge.run(&entries)?);
                 let side = merged.entry(dep.job).or_default().branch_mut(dep.branch);
-                side.entry(dep.resume_op).or_default().extend(survivors);
+                side.entry(dep.resume_op).or_default().push(survivors);
             }
             // A partition that *ends* in a distinct forwards first
             // occurrences per packet; across switches the same key can
@@ -1162,10 +1162,20 @@ fn bind_tasks(deployments: &[Deployment]) -> BTreeMap<TaskId, (Deployment, Bound
         .collect()
 }
 
-/// Drop every tuple equal to an earlier one, keeping order.
-fn keep_first_occurrences(tuples: &mut Vec<Tuple>) {
-    let mut seen = HashSet::with_capacity(tuples.len());
-    tuples.retain(|t| seen.insert(t.clone()));
+/// Drop every row equal to an earlier one, keeping order.
+fn keep_first_occurrences(runs: &mut [RowRun]) {
+    let (mut heap, mut seen) = (Heap::default(), HashSet::new());
+    for run in runs {
+        let width = run.width();
+        let first = |row: &dyn RowSource| {
+            seen.insert(
+                (0..width)
+                    .map(|c| row.cell(c, &mut heap))
+                    .collect::<Vec<u64>>(),
+            )
+        };
+        *run = run.filter(first);
+    }
 }
 
 /// Drain every frame already buffered on one switch's collector link.
@@ -1203,7 +1213,7 @@ fn absorb_frame(
             for b in &chunk.blocks {
                 rx.note_shunts(b.kind, b.task, b.rows as u64);
             }
-            link.emitter.ingest_blocks(&chunk);
+            link.emitter.ingest_blocks(chunk);
         }
         Frame::WindowDump { dump, .. } => rx.dump = Some(dump),
         Frame::WindowClose {
@@ -1239,18 +1249,27 @@ mod tests {
 
     #[test]
     fn cross_switch_dedup_keeps_first_occurrences_in_linear_time() {
-        use sonata_packet::Value;
         // 10 k distinct post-`distinct` tuples, each "first" on four
         // switches. Scanning the kept tuples for every tuple (2 × 10⁸
         // tuple compares, ~4 s in a debug build) does not fit the
         // budget below; hashing them takes ~20 ms.
-        let tuple = |k: u64| Tuple::new(vec![Value::U64(k % 10_000), Value::U64(k % 10_000 % 7)]);
-        let mut tuples: Vec<Tuple> = (0..40_000u64).map(tuple).collect();
-        tuples.insert(1, tuple(0));
+        let row = |k: u64| [k % 10_000, k % 10_000 % 7];
+        let mut rows = sonata_query::Rows::new(2);
+        (0..40_000u64).for_each(|k| rows.push(row(k)));
+        let mut want = sonata_query::Rows::new(2);
+        (0..10_000u64).for_each(|k| want.push(row(k)));
+        // The same rows again, arriving as a second run.
+        let mut runs = [RowRun::Cells(rows), RowRun::Cells(want.clone())];
         let started = std::time::Instant::now();
-        keep_first_occurrences(&mut tuples);
+        keep_first_occurrences(&mut runs);
         assert!(started.elapsed() < std::time::Duration::from_secs(1));
-        assert_eq!(tuples, (0..10_000u64).map(tuple).collect::<Vec<_>>());
+        assert_eq!(
+            runs,
+            [
+                RowRun::Cells(want),
+                RowRun::Cells(sonata_query::Rows::new(2))
+            ]
+        );
     }
 
     #[test]

@@ -1573,7 +1573,7 @@ impl SpHalf {
                 for b in &chunk.blocks {
                     rx.note_shunts(b.kind, b.task, b.rows as u64);
                 }
-                self.emitter.ingest_blocks(&chunk);
+                self.emitter.ingest_blocks(chunk);
             }
             Frame::WindowDump { dump, .. } => rx.dump = Some(dump),
             Frame::WindowClose {

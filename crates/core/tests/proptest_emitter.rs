@@ -11,11 +11,17 @@
 //! 1. `ingest_blocks(chunk)` and `ingest_dump(blocks)`;
 //! 2. `ingest` of the blocks' materialized `Report`s, one by one;
 //! 3. an oracle written the slow way: a name scan per cell into a
-//!    plain local store, merged by the reference interpreter
+//!    plain local store of tuples, merged by the reference interpreter
 //!    (`run_entries_owned`).
 //!
 //! Both through `close_window` and through a fabric switch's
-//! `take_partial`.
+//! `take_partial`. The emitters hand out row runs — packet numbers
+//! into shared columns, flat cells — and the oracle tuples, so what is
+//! compared is what they amount to: the same tallies, the same
+//! `tuple_count`, the same tuples entry by entry when the rows are
+//! read out, and the same result when a stream job's operators run
+//! over each (bound pipeline over the rows, reference interpreter over
+//! the oracle's tuples).
 
 use proptest::prelude::*;
 use sonata_core::driver::Deployment;
@@ -24,12 +30,35 @@ use sonata_faults::{FaultInjector, FaultPlan, ReportFaults};
 use sonata_packet::{Field, PacketArena, PacketBuilder, Value};
 use sonata_pisa::{DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, TaskId, WindowDump};
 use sonata_query::expr::{col, field, lit};
-use sonata_query::{Agg, ColName, Query, QueryId, Schema, Tuple};
-use sonata_stream::{run_entries_owned, WindowBatch};
+use sonata_query::{Agg, ColName, Entries, Operator, Query, QueryId, RowRun, Schema, Tuple};
+use sonata_stream::{run_entries_owned, BoundEntries, WindowBatch};
 use std::collections::{BTreeMap, HashSet};
 
+/// Tuples by the op they enter at: the oracle's form of an entry map.
 type LocalStore = BTreeMap<usize, Vec<Tuple>>;
-type Batches = Vec<(QueryId, WindowBatch)>;
+/// Per `(job, branch)`, the tuples the job is handed.
+type Direct = BTreeMap<(QueryId, u8), LocalStore>;
+
+fn tuples_of(entries: &Entries) -> LocalStore {
+    let tuples = |runs: &Vec<RowRun>| runs.iter().flat_map(RowRun::tuples).collect();
+    entries
+        .iter()
+        .map(|(&op, runs)| (op, tuples(runs)))
+        .collect()
+}
+
+/// An emitter's batches in the oracle's form, and their `tuple_count`.
+fn direct_of(batches: &[(QueryId, WindowBatch)]) -> (Direct, usize) {
+    let sides = |(job, b): &(QueryId, WindowBatch)| {
+        [
+            ((*job, 0), tuples_of(&b.left)),
+            ((*job, 1), tuples_of(&b.right)),
+        ]
+    };
+    let direct = batches.iter().flat_map(sides);
+    let count = batches.iter().map(|(_, b)| b.tuple_count()).sum();
+    (direct.filter(|(_, side)| !side.is_empty()).collect(), count)
+}
 
 const LEVEL: u8 = 32;
 
@@ -262,7 +291,7 @@ struct Oracle<'d> {
     dedup: bool,
     seen: HashSet<(TaskId, u64)>,
     store: BTreeMap<TaskId, LocalStore>,
-    direct: BTreeMap<QueryId, WindowBatch>,
+    direct: Direct,
     /// `[received, forwarded, suppressed, malformed]`.
     counts: [u64; 4],
 }
@@ -277,13 +306,31 @@ fn tuple_for(schema: &Schema, columns: &[(ColName, u64)]) -> Tuple {
     Tuple::new(schema.columns().iter().enumerate().map(cell).collect())
 }
 
-fn side<'a>(batch: &'a mut WindowBatch, dep: &Deployment) -> &'a mut Vec<Tuple> {
-    let side = if dep.branch == 0 {
-        &mut batch.left
-    } else {
-        &mut batch.right
-    };
+fn side<'a>(direct: &'a mut Direct, dep: &Deployment) -> &'a mut Vec<Tuple> {
+    let side = direct.entry((dep.job, dep.branch)).or_default();
     side.entry(dep.resume_op).or_default()
+}
+
+/// What a stream job runs over a branch's entries: the task's switch
+/// operators (rows resume past them) or, for a task that mirrors
+/// packets, operators that read the packet columns — scalar ones, the
+/// payload, and every column at once in the `distinct`.
+fn job_ops(dep: &Deployment) -> Vec<Operator> {
+    if !dep.report_packet {
+        return dep.local_ops.clone();
+    }
+    Query::builder("over_packets", 1)
+        .filter(field(Field::Ipv4Proto).eq(lit(6)))
+        .distinct()
+        .map([
+            ("sIP", field(Field::Ipv4Src)),
+            ("len", field(Field::PktLen)),
+        ])
+        .reduce(&["sIP"], Agg::Sum, "len")
+        .build()
+        .unwrap()
+        .pipeline
+        .ops
 }
 
 impl Oracle<'_> {
@@ -317,25 +364,53 @@ impl Oracle<'_> {
             Some(pkt) if dep.report_packet => Tuple::from_packet(pkt),
             _ => tuple_for(schema, &r.columns),
         };
-        side(self.direct.entry(dep.job).or_default(), dep).push(tuple);
+        side(&mut self.direct, dep).push(tuple);
     }
 
-    fn partial(self) -> (Batches, Vec<(TaskId, LocalStore)>) {
-        (
-            self.direct.into_iter().collect(),
-            self.store.into_iter().collect(),
-        )
+    fn partial(self) -> (Direct, Vec<(TaskId, LocalStore)>) {
+        (self.direct, self.store.into_iter().collect())
     }
 
-    fn close(mut self) -> ([u64; 4], Batches) {
+    fn close(mut self) -> ([u64; 4], Direct) {
         for (task, entries) in std::mem::take(&mut self.store) {
             let (_, dep) = self.deps.iter().find(|(_, d)| d.task == task).unwrap();
             let (_, survivors) = run_entries_owned(&dep.local_ops, entries).unwrap();
             self.counts[1] += survivors.len() as u64;
-            side(self.direct.entry(dep.job).or_default(), dep).extend(survivors);
+            side(&mut self.direct, dep).extend(survivors);
         }
-        (self.counts, self.direct.into_iter().collect())
+        (self.counts, self.direct)
     }
+}
+
+/// `batches` amount to `want`: the same tuples entry by entry, the
+/// same count, and the same job results.
+fn assert_amounts_to(
+    deps: &[(u8, Deployment)],
+    batches: &[(QueryId, WindowBatch)],
+    want: &Direct,
+) -> Result<(), TestCaseError> {
+    let (got, count) = direct_of(batches);
+    prop_assert_eq!(&got, want);
+    let wanted: usize = want
+        .values()
+        .flat_map(|side| side.values())
+        .map(Vec::len)
+        .sum();
+    prop_assert_eq!(count, wanted);
+    for (job, batch) in batches {
+        for (branch, entries) in [(0, &batch.left), (1, &batch.right)] {
+            let Some(tuples) = want.get(&(*job, branch)) else {
+                continue;
+            };
+            let mut dep = deps.iter().map(|(_, d)| d);
+            let dep = dep.find(|d| (d.job, d.branch) == (*job, branch)).unwrap();
+            let ops = job_ops(dep);
+            let got = BoundEntries::bind(&ops).run(entries).unwrap();
+            let (_, want) = run_entries_owned(&ops, tuples.clone()).unwrap();
+            prop_assert_eq!(got.tuples().collect::<Vec<_>>(), want);
+        }
+    }
+    Ok(())
 }
 
 fn counts(e: &Emitter) -> [u64; 4] {
@@ -386,7 +461,7 @@ proptest! {
             dedup,
             seen: HashSet::new(),
             store: BTreeMap::new(),
-            direct: BTreeMap::new(),
+            direct: Direct::new(),
             counts: [0; 4],
         };
         for r in &reports {
@@ -396,7 +471,7 @@ proptest! {
         }
         for chunk in &chunks {
             prop_assert!(chunk.blocks.iter().all(ReportBlock::is_well_formed));
-            by_block.ingest_blocks(chunk);
+            by_block.ingest_blocks(chunk.clone());
             for r in chunk.reports() {
                 by_report.ingest(&r);
                 oracle.ingest(&r);
@@ -412,13 +487,17 @@ proptest! {
             (oracle.counts[0], oracle.counts[1])
         );
         if partial {
-            let want = oracle.partial();
-            prop_assert_eq!(&by_block.take_partial(), &want);
-            prop_assert_eq!(&by_report.take_partial(), &want);
+            let (want, want_local) = oracle.partial();
+            for e in [&mut by_block, &mut by_report] {
+                let (direct, local) = e.take_partial();
+                assert_amounts_to(&deps, &direct, &want)?;
+                let local: Vec<_> = local.iter().map(|(t, s)| (*t, tuples_of(s))).collect();
+                prop_assert_eq!(&local, &want_local);
+            }
         } else {
             let (want_counts, want) = oracle.close();
-            prop_assert_eq!(&by_block.close_window().unwrap(), &want);
-            prop_assert_eq!(&by_report.close_window().unwrap(), &want);
+            assert_amounts_to(&deps, &by_block.close_window().unwrap(), &want)?;
+            assert_amounts_to(&deps, &by_report.close_window().unwrap(), &want)?;
             prop_assert_eq!(counts(&by_block), want_counts);
         }
         prop_assert_eq!(counts(&by_block), counts(&by_report));

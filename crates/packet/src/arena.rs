@@ -289,6 +289,19 @@ impl<'a> PacketView<'a> {
         IcmpView::new(ip.payload()).ok()
     }
 
+    /// The transport payload, as [`Packet::decode`] would keep it;
+    /// `None` where `decode` would fail.
+    pub fn payload(&self) -> Option<&'a [u8]> {
+        let ip = self.ipv4().ok()?;
+        let l4 = ip.payload();
+        Some(match ip.protocol() {
+            IpProtocol::Tcp => TcpView::new(l4).ok()?.payload(),
+            IpProtocol::Udp => UdpView::new(l4).ok()?.payload(),
+            IpProtocol::Icmp => IcmpView::new(l4).ok()?.payload(),
+            _ => l4,
+        })
+    }
+
     /// Materialize an owned [`Packet`] (timestamp carried over). This
     /// allocates and sits off the hot path by design.
     pub fn decode(&self) -> Result<Packet, DecodeError> {

@@ -239,16 +239,7 @@ impl Value {
     /// `prefix_len` labels (the DNS hierarchy grows right-to-left).
     pub fn mask_to_level(&self, prefix_len: u8) -> Value {
         match self {
-            Value::U64(v) => {
-                let mask = if prefix_len == 0 {
-                    0
-                } else if prefix_len >= 32 {
-                    u32::MAX
-                } else {
-                    u32::MAX << (32 - prefix_len as u32)
-                };
-                Value::U64(v & mask as u64)
-            }
+            Value::U64(v) => Value::U64(mask_ipv4(*v, prefix_len)),
             Value::Text(s) => {
                 let labels: Vec<&str> = s.split('.').filter(|l| !l.is_empty()).collect();
                 let keep = (prefix_len as usize).min(labels.len());
@@ -258,6 +249,20 @@ impl Value {
             Value::Bytes(_) => self.clone(),
         }
     }
+}
+
+/// Keep the top `prefix_len` bits of a 32-bit value (an IPv4 prefix
+/// mask; nothing above bit 31 survives).
+#[inline]
+pub fn mask_ipv4(v: u64, prefix_len: u8) -> u64 {
+    let mask = if prefix_len == 0 {
+        0
+    } else if prefix_len >= 32 {
+        u32::MAX
+    } else {
+        u32::MAX << (32 - prefix_len as u32)
+    };
+    v & mask as u64
 }
 
 impl fmt::Display for Value {

@@ -231,6 +231,17 @@ impl Packet {
         })
     }
 
+    /// `(QR, ANCOUNT)` off the payload of a UDP port-53 packet with
+    /// at least a DNS header's worth of bytes.
+    fn dns_bytes(&self) -> Option<(u64, u64)> {
+        match &self.transport {
+            Transport::Udp(u) if u.dst_port == 53 || u.src_port == 53 => {
+                crate::wire::dns_header_fields(&self.payload)
+            }
+            _ => None,
+        }
+    }
+
     /// Resolve a query [`Field`] on this packet. Returns `None` when
     /// the packet has no such field (e.g. `TcpFlags` on a UDP packet).
     pub fn get(&self, field: Field) -> Option<Value> {
@@ -274,21 +285,14 @@ impl Packet {
                 Transport::Icmp(i) => Some(Value::U64(i.icmp_type as u64)),
                 _ => None,
             },
-            Field::DnsQr => match &self.app {
-                AppLayer::Dns(d) => Some(Value::U64(d.is_response as u64)),
-                _ => None,
-            },
-            Field::DnsQType => match &self.app {
-                AppLayer::Dns(d) => d
-                    .questions
-                    .first()
-                    .map(|q| Value::U64(q.qtype.to_wire() as u64)),
-                _ => None,
-            },
-            Field::DnsAnCount => match &self.app {
-                AppLayer::Dns(d) => Some(Value::U64(d.answers.len() as u64)),
-                _ => None,
-            },
+            // The fixed-offset header fields answer from the bytes, as
+            // the switch parser reads them (`wire::extract_fields`): a
+            // body that does not parse still has a header.
+            Field::DnsQr => self.dns_bytes().map(|(qr, _)| Value::U64(qr)),
+            Field::DnsAnCount => self.dns_bytes().map(|(_, n)| Value::U64(n)),
+            Field::DnsQType => (self.dns_bytes())
+                .and_then(|_| crate::wire::dns_first_qtype(&self.payload))
+                .map(Value::U64),
             Field::DnsRrName => match &self.app {
                 AppLayer::Dns(d) => d.first_qname().map(|n| Value::Text(n.into())),
                 _ => None,
@@ -578,6 +582,43 @@ mod tests {
         let mut cold2 = cold;
         cold2.ipv4.total_len = 0;
         assert_eq!(cold2, warm);
+    }
+
+    #[test]
+    fn dns_header_fields_answer_from_the_bytes_when_the_body_does_not_parse() {
+        // QR = 1, QDCOUNT = 1, ANCOUNT = 5, and nothing after the
+        // header: the message does not parse, the header still reads.
+        const HEADER: [u8; 12] = [0, 7, 0x81, 0x80, 0, 1, 0, 5, 0, 0, 0, 0];
+        let built = PacketBuilder::udp_raw(1, 53, 2, 4444)
+            .payload(&HEADER[..])
+            .build();
+        let decoded = Packet::decode(&built.encode()).unwrap();
+        assert_eq!(decoded.app, AppLayer::None);
+        let mut parsed = std::collections::BTreeMap::new();
+        assert!(crate::wire::extract_fields(
+            &built.encode(),
+            u32::MAX,
+            |f, v| {
+                parsed.insert(f, v);
+            }
+        ));
+        for pkt in [&built, &decoded] {
+            assert_eq!(pkt.get(Field::DnsQr), Some(Value::U64(1)));
+            assert_eq!(pkt.get(Field::DnsAnCount), Some(Value::U64(5)));
+            assert_eq!(pkt.get(Field::DnsQType), None);
+            assert_eq!(pkt.get(Field::DnsRrName), None);
+        }
+        assert_eq!((parsed[&Field::DnsQr], parsed[&Field::DnsAnCount]), (1, 5));
+        assert!(!parsed.contains_key(&Field::DnsQType));
+        // Off port 53, or short of a header, there is no DNS to read.
+        let elsewhere = PacketBuilder::udp_raw(1, 54, 2, 4444)
+            .payload(&HEADER[..])
+            .build();
+        assert_eq!(elsewhere.get(Field::DnsQr), None);
+        let short = PacketBuilder::udp_raw(1, 53, 2, 4444)
+            .payload(&HEADER[..11])
+            .build();
+        assert_eq!(short.get(Field::DnsAnCount), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! fields safely; deeper validation (checksums) is opt-in.
 
 use crate::headers::{EtherType, IpProtocol};
-use crate::DecodeError;
+use crate::{DecodeError, Field};
 
 /// A view over an Ethernet II frame.
 #[derive(Debug, Clone, Copy)]
@@ -330,6 +330,114 @@ impl<'a> IcmpView<'a> {
     pub fn payload(&self) -> &'a [u8] {
         &self.data[8..]
     }
+}
+
+/// The fixed-offset DNS header fields a PISA parser can read off a
+/// UDP port-53 payload: `(QR bit, ANCOUNT)`. `None` when `msg` is
+/// shorter than the 12-byte header. Nothing after the header is
+/// looked at, so a body that does not parse still has these.
+#[inline]
+pub fn dns_header_fields(msg: &[u8]) -> Option<(u64, u64)> {
+    (msg.len() >= 12).then(|| {
+        let ancount = u16::from_be_bytes([msg[6], msg[7]]);
+        (((msg[2] >> 7) & 1) as u64, ancount as u64)
+    })
+}
+
+/// The first question's QTYPE, found by walking the uncompressed
+/// labels that follow the header (bounded, as a parser's loop is).
+#[inline]
+pub fn dns_first_qtype(msg: &[u8]) -> Option<u64> {
+    let mut pos = 12usize;
+    let mut hops = 0;
+    while pos < msg.len() && msg[pos] != 0 && hops < 32 {
+        pos += 1 + msg[pos] as usize;
+        hops += 1;
+    }
+    (pos + 2 < msg.len() && msg[pos] == 0)
+        .then(|| u16::from_be_bytes([msg[pos + 1], msg[pos + 2]]) as u64)
+}
+
+/// Bit set of `fields` for [`extract_fields`]: `Field` has < 32
+/// variants, so membership is one bit test instead of a slice scan.
+pub fn field_mask(fields: &[Field]) -> u32 {
+    fields.iter().fold(0, |m, &f| m | 1 << f as u32)
+}
+
+/// Walk the parse graph over raw wire bytes — IPv4 → {TCP, UDP (→ DNS
+/// header bits), ICMP} — handing every field of `want` the packet
+/// actually carries to `sink`. A layer that fails to parse yields
+/// nothing, so its fields keep whatever "unset" means to the sink
+/// (an invalid zero slot in a PHV, a pre-zeroed lane in a column
+/// block). This is the only place header offsets are interpreted:
+/// the switch's per-packet PHV parse, its batch column extraction and
+/// the stream side's packet columns are the same walk with three
+/// sinks, so they cannot disagree on a value. Returns whether every
+/// layer parsed — exactly whether [`crate::Packet::decode`] accepts
+/// `bytes`.
+#[inline]
+pub fn extract_fields(bytes: &[u8], want: u32, mut sink: impl FnMut(Field, u64)) -> bool {
+    let mut put = |f: Field, v: u64| {
+        if want & (1 << f as u32) != 0 {
+            sink(f, v);
+        }
+    };
+    let Ok(ip) = Ipv4View::new(bytes) else {
+        return false;
+    };
+    put(Field::Ipv4Src, ip.src() as u64);
+    put(Field::Ipv4Dst, ip.dst() as u64);
+    put(Field::Ipv4Proto, ip.protocol().to_wire() as u64);
+    put(Field::Ipv4Len, ip.total_len() as u64);
+    put(Field::Ipv4Ttl, ip.ttl() as u64);
+    put(Field::PktLen, bytes.len() as u64);
+    let l4 = ip.payload();
+    match ip.protocol() {
+        IpProtocol::Tcp => {
+            let Ok(tcp) = TcpView::new(l4) else {
+                return false;
+            };
+            put(Field::TcpSrcPort, tcp.src_port() as u64);
+            put(Field::TcpDstPort, tcp.dst_port() as u64);
+            put(Field::TcpFlags, tcp.flags() as u64);
+            put(Field::TcpSeq, tcp.seq() as u64);
+            put(Field::TcpAck, tcp.ack() as u64);
+            put(Field::PayloadLen, tcp.payload().len() as u64);
+        }
+        IpProtocol::Udp => {
+            let Ok(udp) = UdpView::new(l4) else {
+                return false;
+            };
+            put(Field::UdpSrcPort, udp.src_port() as u64);
+            put(Field::UdpDstPort, udp.dst_port() as u64);
+            put(Field::PayloadLen, udp.payload().len() as u64);
+            // Fixed-offset DNS header fields are parseable in the
+            // data plane (the variable-length name is not).
+            let dns = udp.payload();
+            if udp.dst_port() == 53 || udp.src_port() == 53 {
+                if let Some((qr, ancount)) = dns_header_fields(dns) {
+                    put(Field::DnsQr, qr);
+                    put(Field::DnsAnCount, ancount);
+                    if want & (1 << Field::DnsQType as u32) != 0 {
+                        if let Some(qtype) = dns_first_qtype(dns) {
+                            put(Field::DnsQType, qtype);
+                        }
+                    }
+                }
+            }
+        }
+        IpProtocol::Icmp => {
+            if !l4.is_empty() {
+                put(Field::IcmpType, l4[0] as u64);
+            }
+            if l4.len() < 8 {
+                return false;
+            }
+            put(Field::PayloadLen, (l4.len() - 8) as u64);
+        }
+        _ => put(Field::PayloadLen, l4.len() as u64),
+    }
+    true
 }
 
 #[cfg(test)]

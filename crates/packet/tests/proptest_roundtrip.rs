@@ -25,7 +25,89 @@ fn arb_name() -> impl Strategy<Value = String> {
     proptest::collection::vec(arb_label(), 1..6).prop_map(|labels| labels.join("."))
 }
 
+/// Packets that decode but are not what a well-behaved sender emits:
+/// port-53 datagrams whose DNS body is cut short, padded with junk or
+/// lies about its counts, ICMP with and without a full header, opaque
+/// protocols. Returned as wire bytes.
+fn arb_odd_packet() -> impl Strategy<Value = Vec<u8>> {
+    let dns = (arb_name(), any::<bool>(), 0usize..4, any::<u32>()).prop_map(
+        |(name, response, answers, rdata)| {
+            let records = (0..answers).map(|_| DnsRecord {
+                name: name.clone(),
+                rtype: DnsQType::A,
+                ttl: 30,
+                rdata: rdata.to_be_bytes().to_vec(),
+            });
+            let msg = if response {
+                DnsHeader::response(9, &name, DnsQType::A, records.collect())
+            } else {
+                DnsHeader::query(9, &name, DnsQType::Txt)
+            };
+            let mut body = Vec::new();
+            msg.emit(&mut body);
+            body
+        },
+    );
+    // (cut the body to, overwrite QDCOUNT/ANCOUNT with, junk appended)
+    let counts = prop_oneof![Just(None), any::<u32>().prop_map(Some)];
+    let mangle = (0usize..80, counts, arb_payload());
+    let odd_dns = (dns, mangle, any::<bool>(), any::<bool>()).prop_map(
+        |(mut body, (cut, counts, junk), from_server, add_junk)| {
+            body.truncate(cut.max(1).min(body.len()));
+            if let (Some(c), true) = (counts, body.len() >= 8) {
+                body[4..8].copy_from_slice(&c.to_be_bytes());
+            }
+            if add_junk {
+                body.extend_from_slice(&junk[..junk.len().min(40)]);
+            }
+            let (sport, dport) = if from_server { (53, 4444) } else { (4444, 53) };
+            PacketBuilder::udp_raw(1, sport, 2, dport)
+                .payload(body)
+                .build()
+                .encode()
+        },
+    );
+    let icmp = (0usize..24, arb_payload()).prop_map(|(l4_len, payload)| {
+        let mut bytes = PacketBuilder::icmp_raw(3, 4)
+            .payload(payload)
+            .build()
+            .encode();
+        // Possibly short of the 8-byte ICMP header: keep `l4_len`
+        // bytes after the IPv4 header and say so in its length field.
+        let len = (20 + l4_len).min(bytes.len());
+        bytes.truncate(len);
+        bytes[2..4].copy_from_slice(&(len as u16).to_be_bytes());
+        bytes
+    });
+    let opaque = (any::<u8>(), arb_payload()).prop_map(|(proto, payload)| {
+        let mut pkt = PacketBuilder::tcp_raw(5, 6, 7, 8).payload(payload).build();
+        pkt.ipv4.protocol = sonata_packet::IpProtocol::from_wire(proto);
+        pkt.transport = match pkt.ipv4.protocol {
+            sonata_packet::IpProtocol::Other(_) => sonata_packet::Transport::Opaque,
+            _ => return PacketBuilder::udp_raw(5, 53, 7, 53).build().encode(),
+        };
+        pkt.encode()
+    });
+    prop_oneof![odd_dns, icmp, opaque]
+}
+
 proptest! {
+    #[test]
+    fn the_parse_graph_walk_and_packet_get_read_one_value(bytes in arb_odd_packet()) {
+        let mut parsed = std::collections::BTreeMap::new();
+        let walked = sonata_packet::wire::extract_fields(&bytes, u32::MAX, |f, v| {
+            parsed.insert(f, v);
+        });
+        let decoded = Packet::decode(&bytes);
+        // The walk accepts exactly what `decode` accepts.
+        prop_assert_eq!(walked, decoded.is_ok());
+        let Ok(pkt) = decoded else { return Ok(()); };
+        for &f in Field::ALL.iter().filter(|f| f.switch_parseable()) {
+            let got = pkt.get(f).and_then(|v| v.as_u64()).unwrap_or(0);
+            prop_assert_eq!(parsed.get(&f).copied().unwrap_or(0), got, "{}", f);
+        }
+    }
+
     #[test]
     fn tcp_encode_decode_roundtrip(
         sip in any::<u32>(), dip in any::<u32>(),

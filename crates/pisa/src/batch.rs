@@ -366,6 +366,16 @@ impl ReportBatch {
             return None;
         }
         let mut chunk = ReportChunk::default();
+        // The packets a chunk can carry are its first row's and the
+        // ones after it: size the arena for them, or for the budget if
+        // that is less, once instead of by doubling.
+        let (b, r) = (order[from].0 as usize, order[from].1 as usize);
+        if let Some(&first) = self.placed.blocks[b].pkts.get(r) {
+            let left = &batch.index()[first as usize..];
+            let end = left.last().map_or(0, |e| e.offset + e.len as u64);
+            let bytes = (end - left[0].offset) as usize;
+            chunk.packets = PacketArena::with_capacity(left.len(), bytes.min(budget));
+        }
         // Batch block → its continuation in this chunk.
         let mut slot = vec![usize::MAX; self.placed.live];
         // Rows arrive packet by packet, so one packet's rows are

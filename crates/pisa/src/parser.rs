@@ -5,7 +5,7 @@
 //! checks them against each other.
 
 use crate::phv::Phv;
-use sonata_packet::wire::{Ipv4View, TcpView, UdpView};
+pub use sonata_packet::wire::{extract_fields, field_mask};
 use sonata_packet::{Field, Packet};
 
 /// Parse a decoded packet into a fresh PHV.
@@ -60,93 +60,6 @@ pub fn parse_bytes_into(
 ) {
     phv.reset(meta_slots, tasks);
     extract_fields(bytes, field_mask(parse_fields), |f, v| phv.set_field(f, v));
-}
-
-/// Bit set of `fields` for [`extract_fields`]: `Field` has < 32
-/// variants, so membership is one bit test instead of a slice scan.
-pub fn field_mask(fields: &[Field]) -> u32 {
-    fields.iter().fold(0, |m, &f| m | 1 << f as u32)
-}
-
-/// Walk the parse graph over raw wire bytes — IPv4 → {TCP, UDP (→ DNS
-/// header bits), ICMP} — handing every field of `want` the packet
-/// actually carries to `sink`. A layer that fails to parse yields
-/// nothing, so its fields keep whatever "unset" means to the sink
-/// (an invalid zero slot in a PHV, a pre-zeroed lane in a column
-/// block). This is the only place header offsets are interpreted:
-/// the per-packet PHV parse and the batch column extraction are the
-/// same walk with two sinks, so they cannot disagree on a value.
-#[inline]
-pub fn extract_fields(bytes: &[u8], want: u32, mut sink: impl FnMut(Field, u64)) {
-    let mut put = |f: Field, v: u64| {
-        if want & (1 << f as u32) != 0 {
-            sink(f, v);
-        }
-    };
-    let Ok(ip) = Ipv4View::new(bytes) else {
-        return;
-    };
-    put(Field::Ipv4Src, ip.src() as u64);
-    put(Field::Ipv4Dst, ip.dst() as u64);
-    put(Field::Ipv4Proto, ip.protocol().to_wire() as u64);
-    put(Field::Ipv4Len, ip.total_len() as u64);
-    put(Field::Ipv4Ttl, ip.ttl() as u64);
-    put(Field::PktLen, bytes.len() as u64);
-    let l4 = ip.payload();
-    match ip.protocol() {
-        sonata_packet::IpProtocol::Tcp => {
-            if let Ok(tcp) = TcpView::new(l4) {
-                put(Field::TcpSrcPort, tcp.src_port() as u64);
-                put(Field::TcpDstPort, tcp.dst_port() as u64);
-                put(Field::TcpFlags, tcp.flags() as u64);
-                put(Field::TcpSeq, tcp.seq() as u64);
-                put(Field::TcpAck, tcp.ack() as u64);
-                put(Field::PayloadLen, tcp.payload().len() as u64);
-            }
-        }
-        sonata_packet::IpProtocol::Udp => {
-            if let Ok(udp) = UdpView::new(l4) {
-                put(Field::UdpSrcPort, udp.src_port() as u64);
-                put(Field::UdpDstPort, udp.dst_port() as u64);
-                put(Field::PayloadLen, udp.payload().len() as u64);
-                // Fixed-offset DNS header fields are parseable in the
-                // data plane (the variable-length name is not).
-                let dns = udp.payload();
-                if (udp.dst_port() == 53 || udp.src_port() == 53) && dns.len() >= 12 {
-                    put(Field::DnsQr, ((dns[2] >> 7) & 1) as u64);
-                    put(
-                        Field::DnsAnCount,
-                        u16::from_be_bytes([dns[6], dns[7]]) as u64,
-                    );
-                    if want & (1 << Field::DnsQType as u32) != 0 {
-                        // First question's qtype sits right after its
-                        // name; walk labels (bounded).
-                        let mut pos = 12usize;
-                        let mut hops = 0;
-                        while pos < dns.len() && dns[pos] != 0 && hops < 32 {
-                            pos += 1 + dns[pos] as usize;
-                            hops += 1;
-                        }
-                        if pos + 2 < dns.len() && dns.get(pos) == Some(&0) {
-                            put(
-                                Field::DnsQType,
-                                u16::from_be_bytes([dns[pos + 1], dns[pos + 2]]) as u64,
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        sonata_packet::IpProtocol::Icmp => {
-            if !l4.is_empty() {
-                put(Field::IcmpType, l4[0] as u64);
-            }
-            if l4.len() >= 8 {
-                put(Field::PayloadLen, (l4.len() - 8) as u64);
-            }
-        }
-        _ => put(Field::PayloadLen, l4.len() as u64),
-    }
 }
 
 #[cfg(test)]

@@ -25,7 +25,10 @@ use sonata_pisa::{StateLayout, TaskId};
 use sonata_query::expr::BindError;
 use sonata_query::interpret::InterpretError;
 use sonata_query::query::{packet_origins, OpRef, PipelineRef};
-use sonata_query::{BoundJoin, BoundPipeline, Operator, Pipeline, Query, QueryId, Schema, Tuple};
+use sonata_query::{
+    BoundJoin, BoundPipeline, Entries, Heap, Operator, Pipeline, Query, QueryId, RowRun, RowSource,
+    Rows, Schema,
+};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of the estimation pass.
@@ -354,6 +357,15 @@ fn row_fields(query: &Query) -> Vec<Field> {
     fields
 }
 
+/// A training packet as a row of the fields a query's rows carry.
+struct FieldsOf<'a>(&'a Packet, &'a [Field]);
+
+impl RowSource for FieldsOf<'_> {
+    fn cell(&self, col: usize, heap: &mut Heap) -> u64 {
+        heap.cell(&self.0.get(self.1[col]).unwrap_or(Value::U64(0)))
+    }
+}
+
 /// One branch over one window: `N(k)` per partition point, and the
 /// keys entering each stateful unit.
 type Sample = (Vec<f64>, Vec<f64>);
@@ -367,20 +379,20 @@ struct Mark {
     keys: usize,
 }
 
-/// One window's tuples on their way through a [`Staged`] pipeline:
+/// One window's rows on their way through a [`Staged`] pipeline:
 /// about to enter segment `at`, with a mark per segment behind them.
 #[derive(Clone)]
 struct Cursor {
     at: usize,
-    tuples: Vec<Tuple>,
+    rows: Rows,
     marks: Vec<Mark>,
 }
 
 impl Cursor {
-    fn new(tuples: Vec<Tuple>) -> Self {
+    fn new(rows: Rows) -> Self {
         Cursor {
             at: 0,
-            tuples,
+            rows,
             marks: Vec::new(),
         }
     }
@@ -428,9 +440,10 @@ impl Staged {
     fn advance(&mut self, c: &mut Cursor, end: usize) {
         while c.at < self.segs.len() && self.ends[c.at] <= end {
             let seg = &mut self.segs[c.at];
-            c.tuples = seg.run(std::mem::take(&mut c.tuples));
+            let entries = Entries::from([(0, vec![RowRun::Cells(std::mem::take(&mut c.rows))])]);
+            c.rows = seg.run_rows(&entries).expect("op 0 is an entry point");
             c.marks.push(Mark {
-                len: c.tuples.len(),
+                len: c.rows.len(),
                 keys: seg.cardinalities().next().unwrap_or(0),
             });
             c.at += 1;
@@ -480,19 +493,24 @@ impl BoundLevel {
     /// pipeline hinges on a content predicate, of every branch that
     /// thresholds itself (the runtime's matching rule). `level` masks
     /// them; `None` keeps them whole.
-    fn output_keys(&mut self, q: &Query, outs: &[&[Tuple]], level: Option<u8>) -> BTreeSet<Value> {
+    fn output_keys(&mut self, q: &Query, outs: &[&Rows], level: Option<u8>) -> BTreeSet<Value> {
         let hint = q.refinement.as_ref();
         let whole = |v: &Value| level.map_or_else(|| v.clone(), |l| v.mask_to_level(l));
         let joined;
-        let (schema, tuples) = match &mut self.join {
+        let (schema, rows) = match &mut self.join {
             None => (self.branches[0].output_schema(), outs[0]),
             Some(j) => {
-                joined = j.run(outs[0], outs[1]);
-                (j.output_schema(), &joined[..])
+                joined = j.run_rows(outs[0], outs[1]);
+                (j.output_schema(), &joined)
             }
         };
+        let column = |rows: &Rows, idx: usize| -> Vec<Value> {
+            (0..rows.len())
+                .map(|r| whole(&rows.row(r).value(idx)))
+                .collect()
+        };
         let idx = hint.and_then(|h| schema.index_of(&h.out_col)).unwrap_or(0);
-        let mut keys: BTreeSet<Value> = tuples.iter().map(|t| whole(t.get(idx))).collect();
+        let mut keys: BTreeSet<Value> = column(rows, idx).into_iter().collect();
         let confirms = q
             .join
             .as_ref()
@@ -503,7 +521,7 @@ impl BoundLevel {
                 let idx =
                     (schema.index_of(&hint.out_col)).or_else(|| schema.index_of(hint.field.name()));
                 if let (true, Some(idx)) = (p.ends_with_threshold_filter(), idx) {
-                    keys.extend(out.iter().map(|t| whole(t.get(idx))));
+                    keys.extend(column(out, idx));
                 }
             }
         }
@@ -585,9 +603,9 @@ fn relax_level(
             let (Some(k), Some(v)) = (key_idx, col_idx) else {
                 continue;
             };
-            let min = (here.tuples.iter())
-                .filter(|t| covering.contains(t.get(k)))
-                .filter_map(|t| t.get(v).as_u64())
+            let min = ((0..here.rows.len()).map(|r| here.rows.row(r)))
+                .filter(|row| covering.contains(&row.value(k)))
+                .filter_map(|row| row.value(v).as_u64())
                 .min();
             mins.extend(min.map(|m| m as f64));
         }
@@ -636,12 +654,12 @@ pub fn estimate_costs(
 
     let fields = row_fields(query);
     let row_schema = Schema::new(fields.iter().map(|f| f.name()));
-    let rows: Vec<Vec<Tuple>> = (windows.iter())
+    let rows: Vec<Rows> = (windows.iter())
         .map(|pkts| {
-            let value = |p: &Packet, f: &Field| p.get(*f).unwrap_or(Value::U64(0));
-            (pkts.iter())
-                .map(|p| fields.iter().map(|f| value(p, f)).collect())
-                .collect()
+            let mut rows = Rows::new(fields.len());
+            pkts.iter()
+                .for_each(|p| rows.push_row(&FieldsOf(p, &fields)));
+            rows
         })
         .collect();
 
@@ -709,7 +727,7 @@ pub fn estimate_costs(
                 n.insert(0, window.len() as f64);
                 samples[b].push((n, keys));
             }
-            let outs: Vec<&[Tuple]> = cursors.iter().map(|c| &c[w].tuples[..]).collect();
+            let outs: Vec<&Rows> = cursors.iter().map(|c| &c[w].rows).collect();
             outputs.push(bound.output_keys(&rq, &outs, (level != finest).then_some(level)));
         }
         costs
@@ -731,11 +749,10 @@ pub fn estimate_costs(
         // window (same window for the first transition sample — the
         // training trace is stationary).
         let passed = &evals[&p].1;
-        let picked: Vec<Vec<Tuple>> = (rows.iter().enumerate())
+        let picked: Vec<Rows> = (rows.iter().enumerate())
             .map(|(w, window)| {
                 let set = &passed[w.saturating_sub(1)];
-                let pass = |t: &&Tuple| set.contains(&t.get(key).mask_to_level(p));
-                window.iter().filter(pass).cloned().collect()
+                window.filter(|row| set.contains(&row.value(key).mask_to_level(p)))
             })
             .collect();
         for &r in &levels[i + 1..] {

@@ -11,7 +11,7 @@
 //! side executes each operator, so expressiveness here is never
 //! limited by the data plane (Section 2 of the paper).
 
-use crate::tuple::{ColName, Schema, Tuple};
+use crate::tuple::{ColName, Heap, RowSource, Schema, Tuple};
 use sonata_packet::Value;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -63,21 +63,36 @@ impl CmpOp {
         match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
-            CmpOp::Gt => matches!(cmp_same_kind(a, b), Some(std::cmp::Ordering::Greater)),
-            CmpOp::Ge => matches!(
-                cmp_same_kind(a, b),
-                Some(std::cmp::Ordering::Greater | std::cmp::Ordering::Equal)
-            ),
-            CmpOp::Lt => matches!(cmp_same_kind(a, b), Some(std::cmp::Ordering::Less)),
-            CmpOp::Le => matches!(
-                cmp_same_kind(a, b),
-                Some(std::cmp::Ordering::Less | std::cmp::Ordering::Equal)
-            ),
+            _ => self.holds(cmp_same_kind(a, b)),
+        }
+    }
+
+    /// Whether an ordering comparison holds of operands ordered `ord`
+    /// (`None`: of different kinds).
+    fn holds(self, ord: Option<std::cmp::Ordering>) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match self {
+            CmpOp::Eq => ord == Some(Equal),
+            CmpOp::Ne => ord != Some(Equal),
+            CmpOp::Gt => ord == Some(Greater),
+            CmpOp::Ge => matches!(ord, Some(Greater | Equal)),
+            CmpOp::Lt => ord == Some(Less),
+            CmpOp::Le => matches!(ord, Some(Less | Equal)),
+        }
+    }
+
+    /// [`Self::eval`] on two cells of `heap`.
+    #[inline]
+    fn eval_cells(self, a: u64, b: u64, heap: &Heap) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            _ => self.holds(heap.order_same_kind(a, b)),
         }
     }
 }
 
-fn cmp_same_kind(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
+pub(crate) fn cmp_same_kind(a: &Value, b: &Value) -> Option<std::cmp::Ordering> {
     match (a, b) {
         (Value::U64(x), Value::U64(y)) => Some(x.cmp(y)),
         (Value::Text(x), Value::Text(y)) => Some(x.cmp(y)),
@@ -367,6 +382,17 @@ pub enum ArithOp {
     Div,
 }
 
+impl ArithOp {
+    fn apply(self, x: u64, y: u64) -> u64 {
+        match self {
+            ArithOp::Add => x.wrapping_add(y),
+            ArithOp::Sub => x.saturating_sub(y),
+            ArithOp::Mul => x.wrapping_mul(y),
+            ArithOp::Div => x.checked_div(y).unwrap_or(0),
+        }
+    }
+}
+
 /// An expression bound to a schema: columns are indices.
 #[derive(Debug, Clone)]
 pub enum BoundExpr {
@@ -389,19 +415,44 @@ impl BoundExpr {
             BoundExpr::Mask(e, l) => e.eval(tuple).mask_to_level(*l),
             BoundExpr::Arith(op, a, b) => {
                 let (a, b) = (a.eval(tuple), b.eval(tuple));
-                let (x, y) = match (a.as_u64(), b.as_u64()) {
-                    (Some(x), Some(y)) => (x, y),
+                match (a.as_u64(), b.as_u64()) {
+                    (Some(x), Some(y)) => Value::U64(op.apply(x, y)),
                     // Arithmetic on non-scalars yields 0, mirroring a
                     // switch ALU operating on an invalid container.
-                    _ => return Value::U64(0),
-                };
-                Value::U64(match op {
-                    ArithOp::Add => x.wrapping_add(y),
-                    ArithOp::Sub => x.saturating_sub(y),
-                    ArithOp::Mul => x.wrapping_mul(y),
-                    ArithOp::Div => x.checked_div(y).unwrap_or(0),
-                })
+                    _ => Value::U64(0),
+                }
             }
+        }
+    }
+}
+
+impl BoundExpr {
+    /// Evaluate on a row of the bound path, to a cell of `heap`. The
+    /// leaves are answered here, where a caller's loop can inline
+    /// them; anything nested recurses out of line.
+    #[inline]
+    pub fn eval_row<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> u64 {
+        match self {
+            BoundExpr::Col(i) => row.cell(*i, heap),
+            BoundExpr::Lit(v) => heap.cell(v),
+            nested => nested.eval_nested(row, heap),
+        }
+    }
+
+    fn eval_nested<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> u64 {
+        match self {
+            BoundExpr::Mask(e, l) => {
+                let cell = e.eval_row(row, heap);
+                heap.mask(cell, *l)
+            }
+            BoundExpr::Arith(op, a, b) => {
+                let (a, b) = (a.eval_row(row, heap), b.eval_row(row, heap));
+                match (heap.as_u64(a), heap.as_u64(b)) {
+                    (Some(x), Some(y)) => heap.scalar(op.apply(x, y)),
+                    _ => 0,
+                }
+            }
+            leaf => leaf.eval_row(row, heap),
         }
     }
 }
@@ -606,8 +657,38 @@ impl BoundPred {
     }
 }
 
+impl BoundPred {
+    /// Evaluate on a row of the bound path. A comparison — what nearly
+    /// every filter is, or is made of — is answered here, where a
+    /// caller's loop can inline it; the rest recurses out of line.
+    #[inline]
+    pub fn eval_row<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> bool {
+        match self {
+            BoundPred::Cmp { lhs, op, rhs } => {
+                let (a, b) = (lhs.eval_row(row, heap), rhs.eval_row(row, heap));
+                op.eval_cells(a, b, heap)
+            }
+            nested => nested.eval_nested(row, heap),
+        }
+    }
+
+    fn eval_nested<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> bool {
+        match self {
+            BoundPred::And(ps) => ps.iter().all(|p| p.eval_row(row, heap)),
+            BoundPred::Or(ps) => ps.iter().any(|p| p.eval_row(row, heap)),
+            BoundPred::Not(p) => !p.eval_row(row, heap),
+            BoundPred::Contains { idx, needle } => row.contains(*idx, needle, heap),
+            BoundPred::InSet { expr, set } => {
+                let cell = expr.eval_row(row, heap);
+                set.contains(&heap.value(cell))
+            }
+            cmp => cmp.eval_row(row, heap),
+        }
+    }
+}
+
 /// Naive substring search; needles are short (attack signatures).
-fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
+pub(crate) fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
     if needle.is_empty() {
         return true;
     }
@@ -719,6 +800,46 @@ mod tests {
         let p = Pred::in_set(col("a").mask(8), set).bind(&s).unwrap();
         assert!(p.eval(&tuple(0x0a141e28, 0)));
         assert!(!p.eval(&tuple(0x0b141e28, 0)));
+    }
+
+    #[test]
+    fn rows_and_tuples_evaluate_alike() {
+        // The bound path's evaluators (cells of a heap) against the
+        // interpreter's (values), leaf and nested forms both.
+        let s = schema();
+        let big = u64::MAX - 1;
+        let set: BTreeSet<Value> = [Value::U64(0x0a000000), Value::Text("x".into())].into();
+        let exprs = [
+            col("a").add(col("b")),
+            col("a").sub(lit(3)).mul(lit(big)),
+            col("payload").add(lit(1)),
+            col("a").mask(8).div(col("b")),
+            lit_text("mail.example.com").mask(2),
+            col("payload").mask(4),
+        ];
+        let preds = [
+            col("a").gt(lit(1)).and(col("b").le(lit(3))),
+            col("a").eq(lit(big)).or(col("payload").ne(col("a"))).not(),
+            col("payload").ge(col("payload")),
+            col("payload").lt(lit(5)),
+            Pred::contains("payload", b"zorro"),
+            Pred::contains("a", b""),
+            Pred::in_set(col("a").mask(8), set),
+            lit_text("x").eq(lit_text("x")),
+            Pred::And(vec![]),
+        ];
+        for t in [tuple(2, 3), tuple(0x0a141e28, 0), tuple(big, big)] {
+            let mut heap = Heap::default();
+            for e in &exprs {
+                let e = e.bind(&s).unwrap();
+                let cell = e.eval_row(&t, &mut heap);
+                assert_eq!(heap.value(cell), e.eval(&t), "{e:?}");
+            }
+            for p in &preds {
+                let bound = p.bind(&s).unwrap();
+                assert_eq!(bound.eval_row(&t, &mut heap), bound.eval(&t), "{p}");
+            }
+        }
     }
 
     #[test]

@@ -45,11 +45,11 @@ pub mod ops;
 pub mod query;
 pub mod tuple;
 
-pub use bound::{BoundError, BoundJoin, BoundPipeline};
+pub use bound::{BoundError, BoundJoin, BoundPipeline, Entries};
 pub use expr::{col, field, lit, lit_text, CmpOp, Expr, Pred};
 pub use ops::{Agg, Operator};
 pub use query::{Join, Pipeline, Query, QueryBuilder, QueryError, QueryId, RefinementHint};
-pub use tuple::{ColName, Schema, Tuple};
+pub use tuple::{ColName, Heap, PacketBlock, RowRun, RowSource, Rows, Schema, Tuple};
 
 /// Convenient glob-import surface for writing queries.
 pub mod prelude {

@@ -1,12 +1,25 @@
-//! Tuples and schemas.
+//! Tuples, schemas, and the fixed-width rows the stream engine runs on.
 //!
 //! A [`Tuple`] is a positional vector of [`Value`]s; its column names
 //! live in a shared [`Schema`]. Schemas are immutable and cheap to
 //! clone (`Arc` inside); operators derive new schemas during query
 //! validation, and the interpreter/stream engine bind expressions to a
 //! schema once, not per tuple.
+//!
+//! Tuples are what the reference interpreter computes on and what
+//! leaves the engine. What *enters* the engine is a [`RowRun`]: rows
+//! of `u64` cells read where they already are — mirrored packets as a
+//! selection over a shared [`PacketBlock`] of field columns, report
+//! and dump rows as flat [`Rows`]. A cell is a scalar below 2⁶³ or
+//! the number of a value in the rows' [`Heap`] (text, bytes, larger
+//! scalars), so equal values are equal cells and a row is a fixed
+//! `[u64; width]` whatever it holds.
 
-use sonata_packet::{Field, Packet, Value};
+use crate::expr::{cmp_same_kind, contains_subslice};
+use sonata_packet::wire::extract_fields;
+use sonata_packet::{Field, Packet, PacketArena, Value};
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -151,13 +164,6 @@ impl Tuple {
         self.values.is_empty()
     }
 
-    /// Overwrite the value at an index (a reused probe tuple). Copies
-    /// the values first if anyone else holds them, so a write never
-    /// shows through a clone.
-    pub(crate) fn set(&mut self, idx: usize, value: Value) {
-        Arc::make_mut(&mut self.values)[idx] = value;
-    }
-
     /// Project the tuple onto the given indices.
     pub fn project(&self, indices: &[usize]) -> Tuple {
         indices.iter().map(|&i| self.values[i].clone()).collect()
@@ -193,6 +199,472 @@ impl fmt::Display for Tuple {
             write!(f, "{v}")?;
         }
         write!(f, ")")
+    }
+}
+
+/// Cells from here up are numbers into a [`Heap`].
+const BOXED: u64 = 1 << 63;
+
+/// The values a `u64` cell cannot hold itself — text, bytes, scalars
+/// of 2⁶³ and up — each held once, so two cells of one heap are equal
+/// exactly when their values are.
+#[derive(Debug, Clone, Default)]
+pub struct Heap {
+    values: Vec<Value>,
+    ids: HashMap<Value, u64>,
+}
+
+impl Heap {
+    /// Whether every cell made so far is a plain scalar.
+    pub fn is_empty(&self) -> bool {
+        self.values.is_empty()
+    }
+
+    /// The cell of a scalar.
+    #[inline]
+    pub fn scalar(&mut self, v: u64) -> u64 {
+        if v < BOXED {
+            v
+        } else {
+            self.intern(Value::U64(v))
+        }
+    }
+
+    /// The cell of a value.
+    #[inline]
+    pub fn cell(&mut self, v: &Value) -> u64 {
+        match v {
+            Value::U64(x) if *x < BOXED => *x,
+            other => self.intern(other.clone()),
+        }
+    }
+
+    fn intern(&mut self, v: Value) -> u64 {
+        if let Some(&id) = self.ids.get(&v) {
+            return id;
+        }
+        let id = BOXED + self.values.len() as u64;
+        self.values.push(v.clone());
+        self.ids.insert(v, id);
+        id
+    }
+
+    #[inline]
+    fn boxed(&self, cell: u64) -> Option<&Value> {
+        (cell >= BOXED).then(|| &self.values[(cell - BOXED) as usize])
+    }
+
+    /// The scalar a cell holds, if it holds one.
+    #[inline]
+    pub fn as_u64(&self, cell: u64) -> Option<u64> {
+        match self.boxed(cell) {
+            None => Some(cell),
+            Some(v) => v.as_u64(),
+        }
+    }
+
+    /// The value a cell holds.
+    pub fn value(&self, cell: u64) -> Value {
+        self.boxed(cell).cloned().unwrap_or(Value::U64(cell))
+    }
+
+    /// A cell of `from` as a cell of this heap.
+    #[inline]
+    pub fn adopt(&mut self, cell: u64, from: &Heap) -> u64 {
+        match from.boxed(cell) {
+            None => cell,
+            Some(v) => self.intern(v.clone()),
+        }
+    }
+
+    /// `cell` masked to a refinement level ([`Value::mask_to_level`]).
+    #[inline]
+    pub fn mask(&mut self, cell: u64, level: u8) -> u64 {
+        match self.boxed(cell) {
+            None => sonata_packet::field::mask_ipv4(cell, level),
+            Some(v) => {
+                let masked = v.mask_to_level(level);
+                self.cell(&masked)
+            }
+        }
+    }
+
+    /// Whether `cell` holds text or bytes with `needle` in them.
+    pub fn contains(&self, cell: u64, needle: &[u8]) -> bool {
+        match self.boxed(cell) {
+            Some(Value::Bytes(b)) => contains_subslice(b, needle),
+            Some(Value::Text(s)) => contains_subslice(s.as_bytes(), needle),
+            _ => false,
+        }
+    }
+
+    /// Order two cells as their values order.
+    #[inline]
+    pub fn order(&self, a: u64, b: u64) -> Ordering {
+        if a < BOXED && b < BOXED {
+            a.cmp(&b)
+        } else {
+            self.value(a).cmp(&self.value(b))
+        }
+    }
+
+    /// Order two cells of one kind — scalars, texts, or byte strings —
+    /// as their values order; `None` across kinds.
+    #[inline]
+    pub fn order_same_kind(&self, a: u64, b: u64) -> Option<Ordering> {
+        if a < BOXED && b < BOXED {
+            Some(a.cmp(&b))
+        } else {
+            cmp_same_kind(&self.value(a), &self.value(b))
+        }
+    }
+
+    /// Order two rows as the tuples they stand for order.
+    pub fn cmp_rows(&self, a: &[u64], b: &[u64]) -> Ordering {
+        if self.is_empty() {
+            return a.cmp(b);
+        }
+        let mut cells = a.iter().zip(b).map(|(&x, &y)| self.order(x, y));
+        (cells.find(|o| o.is_ne())).unwrap_or_else(|| a.len().cmp(&b.len()))
+    }
+}
+
+/// What expressions read a row's cells from.
+pub trait RowSource {
+    /// Column `col` as a cell of `heap`.
+    fn cell(&self, col: usize, heap: &mut Heap) -> u64;
+
+    /// Whether column `col` holds text or bytes with `needle` in them.
+    fn contains(&self, col: usize, needle: &[u8], heap: &mut Heap) -> bool {
+        let cell = self.cell(col, heap);
+        heap.contains(cell, needle)
+    }
+}
+
+/// A row whose cells already belong to the heap in use.
+impl RowSource for [u64] {
+    #[inline]
+    fn cell(&self, col: usize, _: &mut Heap) -> u64 {
+        self[col]
+    }
+}
+
+impl RowSource for Tuple {
+    fn cell(&self, col: usize, heap: &mut Heap) -> u64 {
+        heap.cell(&self.values[col])
+    }
+}
+
+/// One row of a [`Rows`], read into another heap.
+#[derive(Debug, Clone, Copy)]
+pub struct RowOf<'a> {
+    cells: &'a [u64],
+    heap: &'a Heap,
+}
+
+impl RowOf<'_> {
+    /// The value in column `col`.
+    pub fn value(&self, col: usize) -> Value {
+        self.heap.value(self.cells[col])
+    }
+}
+
+impl RowSource for RowOf<'_> {
+    #[inline]
+    fn cell(&self, col: usize, heap: &mut Heap) -> u64 {
+        heap.adopt(self.cells[col], self.heap)
+    }
+}
+
+/// Flat fixed-width rows with the heap their cells belong to.
+#[derive(Debug, Clone, Default)]
+pub struct Rows {
+    width: usize,
+    /// Stated, not derived: a row may have no columns.
+    rows: usize,
+    cells: Vec<u64>,
+    heap: Heap,
+}
+
+impl Rows {
+    /// No rows yet, `width` cells each.
+    pub fn new(width: usize) -> Self {
+        Rows {
+            width,
+            ..Rows::default()
+        }
+    }
+
+    /// Rows whose cells are `heap`'s.
+    pub(crate) fn from_parts(width: usize, rows: usize, cells: Vec<u64>, heap: Heap) -> Self {
+        debug_assert_eq!(cells.len(), rows * width);
+        Rows {
+            width,
+            rows,
+            cells,
+            heap,
+        }
+    }
+
+    /// Cells per row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    /// Append one row of `width` scalars.
+    #[inline]
+    pub fn push(&mut self, scalars: impl IntoIterator<Item = u64>) {
+        let heap = &mut self.heap;
+        self.cells
+            .extend(scalars.into_iter().map(|v| heap.scalar(v)));
+        self.rows += 1;
+        debug_assert_eq!(self.cells.len(), self.rows * self.width);
+    }
+
+    /// Append one row read from `row`.
+    pub fn push_row<R: RowSource + ?Sized>(&mut self, row: &R) {
+        let heap = &mut self.heap;
+        self.cells
+            .extend((0..self.width).map(|c| row.cell(c, heap)));
+        self.rows += 1;
+    }
+
+    /// Append every row of `other`, which has this width.
+    pub fn append(&mut self, other: &Rows) {
+        debug_assert_eq!(self.width, other.width);
+        let heap = &mut self.heap;
+        let cells = other.cells.iter().map(|&c| heap.adopt(c, &other.heap));
+        self.cells.extend(cells);
+        self.rows += other.rows;
+    }
+
+    /// Row `r`.
+    #[inline]
+    pub fn row(&self, r: usize) -> RowOf<'_> {
+        RowOf {
+            cells: &self.cells[r * self.width..(r + 1) * self.width],
+            heap: &self.heap,
+        }
+    }
+
+    /// The rows `keep` says yes to, in order.
+    pub fn filter(&self, mut keep: impl FnMut(&RowOf<'_>) -> bool) -> Rows {
+        let mut kept = Rows::new(self.width);
+        let all = (0..self.rows).map(|r| self.row(r));
+        all.filter(|row| keep(row))
+            .for_each(|row| kept.push_row(&row));
+        kept
+    }
+
+    /// The rows as tuples, in order — for what leaves the engine.
+    pub fn tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
+        let tuple = |row: RowOf<'_>| (0..self.width).map(|c| row.value(c)).collect();
+        (0..self.rows).map(move |r| tuple(self.row(r)))
+    }
+}
+
+/// Equal when they stand for the same tuples in the same order.
+impl PartialEq for Rows {
+    fn eq(&self, other: &Self) -> bool {
+        (self.width, self.rows) == (other.width, other.rows)
+            && if self.heap.is_empty() && other.heap.is_empty() {
+                self.cells == other.cells
+            } else {
+                self.tuples().eq(other.tuples())
+            }
+    }
+}
+
+/// The fields read per packet, not held as columns: they need the DNS
+/// body or the payload itself.
+const LAZY: u32 =
+    1 << Field::DnsRrName as u32 | 1 << Field::DnsAnswerIp as u32 | 1 << Field::Payload as u32;
+
+/// The packets a chunk of mirrored reports carries, as columns: every
+/// scalar header field extracted once per packet by the parse-graph
+/// walk the switch uses, whether the packet decodes at all, and the
+/// bytes themselves for the fields read lazily. Immutable once built;
+/// every task that mirrored a packet shares the block and names its
+/// rows by packet number.
+#[derive(Debug, Default, PartialEq)]
+pub struct PacketBlock {
+    packets: PacketArena,
+    /// `cols[field as usize * n + p]`; zero where packet `p` has no
+    /// such field. No header field is wider than 32 bits.
+    cols: Vec<u32>,
+    /// Exactly `packets.view(p).decode().is_ok()`.
+    valid: Vec<bool>,
+}
+
+impl PacketBlock {
+    /// Extract the columns of `packets`.
+    pub fn new(packets: PacketArena) -> Self {
+        let n = packets.len();
+        let mut cols = vec![0u32; Field::ALL.len() * n];
+        let batch = packets.batch();
+        let valid = (0..n)
+            .map(|p| {
+                let put = |f: Field, v: u64| cols[f as usize * n + p] = v as u32;
+                extract_fields(batch.view(p).bytes(), u32::MAX, put)
+            })
+            .collect();
+        PacketBlock {
+            packets,
+            cols,
+            valid,
+        }
+    }
+
+    /// A block of one owned packet.
+    pub fn of_packet(pkt: &Packet) -> Self {
+        let mut packets = PacketArena::new();
+        packets.push_record(pkt.ts_nanos, pkt.encode_cached());
+        PacketBlock::new(packets)
+    }
+
+    /// Number of packets.
+    pub fn len(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// Whether the block holds no packets.
+    pub fn is_empty(&self) -> bool {
+        self.valid.is_empty()
+    }
+
+    /// Whether packet `p` exists and decodes. Only such packets have
+    /// rows.
+    #[inline]
+    pub fn is_valid(&self, p: u32) -> bool {
+        self.valid.get(p as usize) == Some(&true)
+    }
+
+    /// Packet `p` as a row over [`Schema::packet`].
+    #[inline]
+    pub fn row(&self, p: u32) -> PacketRow<'_> {
+        PacketRow {
+            block: self,
+            p: p as usize,
+        }
+    }
+
+    /// Packet `p` as the tuple [`Tuple::from_packet`] makes of it.
+    pub fn tuple(&self, p: u32) -> Option<Tuple> {
+        let pkt = self
+            .is_valid(p)
+            .then(|| self.packets.view(p as usize).decode());
+        pkt.and_then(Result::ok).map(|pkt| Tuple::from_packet(&pkt))
+    }
+}
+
+/// One packet of a [`PacketBlock`] as a row over [`Schema::packet`].
+#[derive(Debug, Clone, Copy)]
+pub struct PacketRow<'a> {
+    block: &'a PacketBlock,
+    p: usize,
+}
+
+impl RowSource for PacketRow<'_> {
+    #[inline]
+    fn cell(&self, col: usize, heap: &mut Heap) -> u64 {
+        if LAZY >> col & 1 == 0 {
+            return self.block.cols[col * self.block.len() + self.p] as u64;
+        }
+        let pkt = self.block.packets.view(self.p).decode().ok();
+        let value = pkt.and_then(|pkt| pkt.get(Field::ALL[col]));
+        heap.cell(&value.unwrap_or(Value::U64(0)))
+    }
+
+    fn contains(&self, col: usize, needle: &[u8], heap: &mut Heap) -> bool {
+        if col == Field::Payload as usize {
+            let payload = self.block.packets.view(self.p).payload();
+            return payload.is_some_and(|b| contains_subslice(b, needle));
+        }
+        let cell = self.cell(col, heap);
+        heap.contains(cell, needle)
+    }
+}
+
+/// A run of rows entering a pipeline at one operator.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RowRun {
+    /// Mirrored packets: the packets of `block` numbered in `sel`, in
+    /// that order, each a row over [`Schema::packet`].
+    Packets {
+        /// The chunk's shared columns.
+        block: Arc<PacketBlock>,
+        /// The packets this task kept.
+        sel: Vec<u32>,
+    },
+    /// Report, shunt and dump rows, already flat.
+    Cells(Rows),
+}
+
+impl RowRun {
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        match self {
+            RowRun::Packets { sel, .. } => sel.len(),
+            RowRun::Cells(rows) => rows.len(),
+        }
+    }
+
+    /// Whether the run has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append `tuple` to `runs` as a flat row: of the run they end
+    /// with if that holds flat rows as wide, of a new run otherwise.
+    pub fn push_tuple(runs: &mut Vec<RowRun>, tuple: &Tuple) {
+        if !matches!(runs.last(), Some(RowRun::Cells(rows)) if rows.width() == tuple.len()) {
+            runs.push(RowRun::Cells(Rows::new(tuple.len())));
+        }
+        if let Some(RowRun::Cells(rows)) = runs.last_mut() {
+            rows.push_row(tuple);
+        }
+    }
+
+    /// Cells per row.
+    pub fn width(&self) -> usize {
+        match self {
+            RowRun::Packets { .. } => Field::ALL.len(),
+            RowRun::Cells(rows) => rows.width(),
+        }
+    }
+
+    /// The rows `keep` says yes to, in order: a narrower selection of
+    /// the same shared block, or a copy of the kept cells.
+    pub fn filter(&self, mut keep: impl FnMut(&dyn RowSource) -> bool) -> RowRun {
+        match self {
+            RowRun::Packets { block, sel } => {
+                let keep = |p: &u32| block.is_valid(*p) && keep(&block.row(*p));
+                RowRun::Packets {
+                    block: Arc::clone(block),
+                    sel: sel.iter().copied().filter(keep).collect(),
+                }
+            }
+            RowRun::Cells(rows) => RowRun::Cells(rows.filter(|row| keep(row))),
+        }
+    }
+
+    /// The rows as tuples — what the reference interpreter is given.
+    /// A packet that does not decode has no row.
+    pub fn tuples(&self) -> Box<dyn Iterator<Item = Tuple> + '_> {
+        match self {
+            RowRun::Packets { block, sel } => Box::new(sel.iter().filter_map(|&p| block.tuple(p))),
+            RowRun::Cells(rows) => Box::new(rows.tuples()),
+        }
     }
 }
 
@@ -269,13 +741,109 @@ mod tests {
         let bigger = Tuple::new(vec![Value::U64(8), Value::Text("a.example".into())]);
         assert_ne!(shared, bigger);
         assert!(shared < bigger);
-        // Writing to one holder copies: the other still reads the old
-        // values, and the writer compares as its new ones.
-        let mut probe = shared.clone();
-        probe.set(0, Value::U64(8));
-        assert_eq!(probe, bigger);
         assert_eq!(shared, original);
-        assert_eq!(shared.get(0), &Value::U64(7));
+    }
+
+    #[test]
+    fn a_cell_is_its_value_and_equal_values_are_equal_cells() {
+        let mut heap = Heap::default();
+        assert_eq!(heap.cell(&Value::U64(5)), 5);
+        assert!(heap.is_empty());
+        // Text, bytes and scalars from 2⁶³ up are held by number.
+        let values = [
+            Value::U64(u64::MAX),
+            Value::U64(1 << 63),
+            Value::Text("mail.corp.example.com".into()),
+            Value::Bytes(b"zorro".to_vec().into()),
+        ];
+        let cells: Vec<u64> = values.iter().map(|v| heap.cell(v)).collect();
+        for (v, &c) in values.iter().zip(&cells) {
+            assert!(c >= 1 << 63);
+            assert_eq!((heap.cell(v), heap.value(c)), (c, v.clone()));
+        }
+        assert_eq!(heap.scalar(u64::MAX), cells[0]);
+        assert_eq!(heap.as_u64(cells[0]), Some(u64::MAX));
+        assert_eq!(heap.as_u64(cells[2]), None);
+        // Order is `Value`'s: scalars by size, then text, then bytes.
+        let mut sorted = vec![cells[3], cells[2], cells[0], 7, cells[1]];
+        sorted.sort_by(|&a, &b| heap.order(a, b));
+        assert_eq!(sorted, [7, cells[1], cells[0], cells[2], cells[3]]);
+        assert_eq!(heap.order_same_kind(7, cells[2]), None);
+        // Masks and searches look through the number.
+        assert_eq!(heap.mask(0x0a0b_0c0d, 8), 0x0a00_0000);
+        let masked = heap.mask(cells[2], 2);
+        assert_eq!(heap.value(masked), Value::Text("example.com".into()));
+        assert!(heap.contains(cells[3], b"orr") && !heap.contains(7, b""));
+        // Another heap numbers the same value its own way.
+        let mut other = Heap::default();
+        other.cell(&Value::Text("first".into()));
+        let adopted = other.adopt(cells[2], &heap);
+        assert_ne!(adopted, cells[2]);
+        assert_eq!(other.value(adopted), values[2]);
+        assert_eq!(other.adopt(7, &heap), 7);
+    }
+
+    #[test]
+    fn a_packet_block_reads_as_the_tuples_of_its_packets() {
+        use sonata_packet::{DnsHeader, DnsQType};
+        for (i, f) in Field::ALL.iter().enumerate() {
+            assert_eq!(*f as usize, i, "columns are numbered as the schema is");
+        }
+        let packets = [
+            PacketBuilder::tcp_raw(1, 2, 3, 23)
+                .flags(TcpFlags::SYN)
+                .payload(&b"a zorro b"[..])
+                .build(),
+            PacketBuilder::dns(5, 6, DnsHeader::query(1, "x.example.com", DnsQType::Txt)).build(),
+            PacketBuilder::icmp_raw(7, 8).build(),
+        ];
+        let mut arena = PacketArena::new();
+        for p in &packets {
+            arena.push_record(p.ts_nanos, &p.encode());
+        }
+        arena.push_record(9, &[0x45, 0, 0]); // does not decode
+        let block = PacketBlock::new(arena);
+        assert_eq!(block.len(), 4);
+        assert!(!block.is_valid(3) && !block.is_valid(4));
+        assert_eq!((block.tuple(3), block.tuple(4)), (None, None));
+        let mut heap = Heap::default();
+        for (p, pkt) in packets.iter().enumerate() {
+            let want = Tuple::from_packet(pkt);
+            assert_eq!(block.tuple(p as u32).as_ref(), Some(&want));
+            let row = block.row(p as u32);
+            for (c, v) in want.values().iter().enumerate() {
+                let cell = row.cell(c, &mut heap);
+                assert_eq!(&heap.value(cell), v, "packet {p}, {}", Field::ALL[c]);
+            }
+            // The payload is searched where it lies.
+            let payload = Field::Payload as usize;
+            assert_eq!(row.contains(payload, b"zorro", &mut heap), p == 0);
+        }
+        assert_eq!(PacketBlock::of_packet(&packets[1]).tuple(0), block.tuple(1));
+    }
+
+    #[test]
+    fn runs_take_tuples_in_and_give_them_back() {
+        let t = |a: u64, s: &str| Tuple::new(vec![Value::U64(a), Value::Text(s.into())]);
+        let mut runs = Vec::new();
+        for tuple in [t(1, "a"), t(2, "b"), Tuple::new(vec![]), t(1, "a")] {
+            RowRun::push_tuple(&mut runs, &tuple);
+        }
+        // A tuple of another width opens a run of its own.
+        assert_eq!(runs.iter().map(RowRun::len).collect::<Vec<_>>(), [2, 1, 1]);
+        assert_eq!((runs[0].width(), runs[1].width()), (2, 0));
+        let back: Vec<Tuple> = runs.iter().flat_map(RowRun::tuples).collect();
+        assert_eq!(back, [t(1, "a"), t(2, "b"), Tuple::new(vec![]), t(1, "a")]);
+        let mut heap = Heap::default();
+        let kept = runs[0].filter(|row| row.cell(0, &mut heap) == 2);
+        assert_eq!(kept.tuples().collect::<Vec<_>>(), [t(2, "b")]);
+        // Rows compare as the tuples they stand for.
+        let (mut a, mut b) = (Rows::new(1), Rows::new(1));
+        a.push_row(&Tuple::new(vec![Value::Text("x".into())]));
+        b.push_row(&Tuple::new(vec![Value::Text("first".into())]));
+        b = b.filter(|_| false);
+        b.push_row(&Tuple::new(vec![Value::Text("x".into())]));
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -4,14 +4,24 @@
 //! exactly the tuples the op-by-op reference interpreter produces —
 //! same values, same order, same schema — including when tuples are
 //! injected at mid-pipeline entry points and when the pipeline is
-//! reused across windows (capacity hints carry over, state must not).
+//! reused across windows (table capacity carries over, state must not).
+//!
+//! The second half runs the pipeline on what the engine is really
+//! handed — selections over a [`PacketBlock`] of random records, some
+//! of them truncated or garbage, entering at op 0 and past the leading
+//! filters, merged with flat `u64` rows at later ops — against the
+//! interpreter over `Tuple::from_packet` of each record that decodes.
 
 use proptest::prelude::*;
-use sonata_packet::Value;
-use sonata_query::expr::{col, lit, CmpOp, Expr, Pred};
+use sonata_packet::dns::{DnsQType, DnsRecord};
+use sonata_packet::{DnsHeader, Field, PacketArena, PacketBuilder, TcpFlags, Value};
+use sonata_query::expr::{col, field, lit, CmpOp, Expr, Pred};
 use sonata_query::interpret::{run_operator, run_pipeline};
-use sonata_query::{Agg, BoundPipeline, ColName, Operator, Schema, Tuple};
+use sonata_query::{
+    Agg, BoundPipeline, ColName, Entries, Operator, PacketBlock, Query, RowRun, Rows, Schema, Tuple,
+};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const HOSTS: [&str; 3] = ["a.example", "b.example", "tunnel.evil"];
 
@@ -218,13 +228,230 @@ proptest! {
         w1 in proptest::collection::vec(arb_tuple(), 0..80),
         w2 in proptest::collection::vec(arb_tuple(), 0..80),
     ) {
-        // A bound pipeline carries capacity hints (and pre-sized
-        // tables) from window to window; it must never carry *state*.
+        // A bound pipeline carries its tables' buffers from window to
+        // window; it must never carry *state*.
         let schema = input_schema();
         let ops = build_ops(&shape);
         let mut reused = BoundPipeline::bind(&ops, &schema).unwrap();
         let _ = reused.run(w1);
         let mut fresh = BoundPipeline::bind(&ops, &schema).unwrap();
         prop_assert_eq!(reused.run(w2.clone()), fresh.run(w2));
+    }
+}
+
+/// What one record of a packet block is drawn from: a kind, two small
+/// address/port draws (so keys collide), and payload bytes.
+type Record = (u8, u8, u8, Vec<u8>);
+
+fn arb_record() -> impl Strategy<Value = Record> {
+    let payload = proptest::collection::vec(0u8..4, 0..12);
+    (0u8..9, 0u8..4, 0u8..4, payload)
+}
+
+/// The wire bytes of one record: TCP (some carrying `zorro`), plain
+/// UDP, DNS queries and answers with names, a DNS body cut short, ICMP,
+/// an opaque protocol, a packet cut mid-header, and junk.
+fn record_bytes((kind, a, b, payload): &Record) -> Vec<u8> {
+    let (a, b) = (*a as u32, *b as u32);
+    let name = ["a.example.com", "b.example.com", "x.tunnel.evil"][b as usize % 3];
+    let answers = |n: u32| {
+        (0..n).map(move |i| DnsRecord {
+            name: name.into(),
+            rtype: DnsQType::A,
+            ttl: 9,
+            rdata: (0x0a00_0000 + a + i).to_be_bytes().to_vec(),
+        })
+    };
+    let pkt = match kind {
+        0 => PacketBuilder::tcp_raw(a, 1000 + b as u16, 9 - b, 23)
+            .flags(TcpFlags(*payload.first().unwrap_or(&2)))
+            .payload([b"xx zorro "[..].to_vec(), payload.clone()].concat()),
+        1 => PacketBuilder::tcp_raw(a, 7, b, 80 + a as u16).payload(payload.clone()),
+        2 => PacketBuilder::udp_raw(a, 5000, b, 6000).payload(payload.clone()),
+        3 => PacketBuilder::dns(a, b, DnsHeader::query(1, name, DnsQType::Txt)),
+        4 => {
+            let msg = DnsHeader::response(2, name, DnsQType::A, answers(a % 3).collect());
+            PacketBuilder::dns(b, a, msg)
+        }
+        5 => {
+            // A response whose body stops short of what its counts say.
+            let mut body = Vec::new();
+            DnsHeader::response(3, name, DnsQType::A, answers(2).collect()).emit(&mut body);
+            body.truncate(12 + payload.len());
+            PacketBuilder::udp_raw(a, 53, b, 4444).payload(body)
+        }
+        6 => PacketBuilder::icmp_raw(a, b).payload(payload.clone()),
+        7 => {
+            let mut pkt = PacketBuilder::tcp_raw(a, 1, b, 2)
+                .payload(payload.clone())
+                .build();
+            pkt.ipv4.protocol = sonata_packet::IpProtocol::Other(89);
+            pkt.transport = sonata_packet::Transport::Opaque;
+            return pkt.encode();
+        }
+        _ => {
+            // Does not decode: cut mid-header, or not IPv4 at all.
+            let mut bytes = PacketBuilder::tcp_raw(a, 1, b, 2).build().encode();
+            bytes.truncate(10 + payload.len());
+            bytes[0] = if b % 2 == 0 { bytes[0] } else { 0x60 };
+            return bytes;
+        }
+    };
+    pkt.build().encode()
+}
+
+/// A pipeline over the packet schema: `lead` filters that keep it,
+/// then a body that narrows — or does not.
+fn packet_ops(lead: &[u8], body: u8, th: u64) -> Vec<Operator> {
+    let mut q = Query::builder("over_packets", 1);
+    for l in lead {
+        q = q.filter(match l % 5 {
+            0 => field(Field::Ipv4Proto).eq(lit(6)),
+            1 => field(Field::UdpSrcPort)
+                .eq(lit(53))
+                .and(field(Field::DnsQr).eq(lit(1))),
+            2 => Pred::contains("pkt.payload", b"zorro"),
+            3 => field(Field::PktLen).gt(lit(40 + th)),
+            _ => field(Field::TcpDstPort).eq(lit(23)).not(),
+        });
+    }
+    let q = match body % 5 {
+        // `distinct` straight over the packet schema.
+        0 => q
+            .distinct()
+            .map([("sIP", field(Field::Ipv4Src)), ("n", lit(1))])
+            .reduce(&["sIP"], Agg::Sum, "n"),
+        // Multi-column reduce keys.
+        1 => q
+            .map([
+                ("dIP", field(Field::Ipv4Dst)),
+                ("dPort", field(Field::TcpDstPort)),
+                ("len", field(Field::PktLen)),
+            ])
+            .reduce(&["dIP", "dPort"], Agg::Max, "len")
+            .filter(col("len").gt(lit(40 + th))),
+        // A mask on a text key, next to a lazily read scalar.
+        2 => q
+            .map([
+                ("qname", field(Field::DnsRrName).mask(2)),
+                ("rip", field(Field::DnsAnswerIp)),
+                ("an", field(Field::DnsAnCount)),
+            ])
+            .distinct()
+            .map([("qname", col("qname")), ("n", col("an").add(lit(1)))])
+            .reduce(&["qname"], Agg::Sum, "n"),
+        // Payload bytes as part of a key, then searched again.
+        3 => q
+            .map([
+                ("sIP", field(Field::Ipv4Src)),
+                ("body", field(Field::Payload)),
+            ])
+            .distinct()
+            .filter(Pred::contains("body", [1u8, 2]).not()),
+        // Nothing stateful at all.
+        _ => q.map([
+            ("k", field(Field::Ipv4Src).mask(31)),
+            ("t", field(Field::IcmpType)),
+        ]),
+    };
+    q.build().unwrap().pipeline.ops
+}
+
+/// One window's entries, as row runs and as the tuples the oracle
+/// takes: selections of `records` at op 0 and at `late` (an op the
+/// packet schema still reaches), and flat rows at any op.
+fn window_entries(
+    ops: &[Operator],
+    late: usize,
+    records: &[Record],
+    (early_sel, late_sel): &(Vec<u8>, Vec<u8>),
+    flat: &[(u8, Vec<u64>)],
+) -> (Entries, BTreeMap<usize, Vec<Tuple>>) {
+    let mut packets = PacketArena::new();
+    for (i, r) in records.iter().enumerate() {
+        packets.push_record(i as u64, &record_bytes(r));
+    }
+    let decoded: Vec<Option<Tuple>> = (0..records.len())
+        .map(|p| {
+            packets
+                .view(p)
+                .decode()
+                .ok()
+                .map(|pkt| Tuple::from_packet(&pkt))
+        })
+        .collect();
+    let block = Arc::new(PacketBlock::new(packets));
+    let mut schemas = vec![Schema::packet()];
+    for op in ops {
+        schemas.push(op.output_schema(schemas.last().unwrap()).unwrap());
+    }
+    let (mut entries, mut oracle) = (Entries::new(), BTreeMap::<usize, Vec<Tuple>>::new());
+    for (at, picks) in [(0, early_sel), (late, late_sel)] {
+        // One number in `len + 1` names no packet of the block.
+        let sel: Vec<u32> = picks
+            .iter()
+            .map(|&p| p as u32 % (records.len() as u32 + 1))
+            .collect();
+        let rows = sel
+            .iter()
+            .filter_map(|&p| decoded.get(p as usize).cloned().flatten());
+        oracle.entry(at).or_default().extend(rows);
+        let block = Arc::clone(&block);
+        entries
+            .entry(at)
+            .or_default()
+            .push(RowRun::Packets { block, sel });
+    }
+    for (at, cells) in flat {
+        let at = *at as usize % (ops.len() + 1);
+        let width = schemas[at].len();
+        let mut rows = Rows::new(width);
+        for row in cells.chunks_exact(width.max(1)).take(4) {
+            rows.push(row.iter().copied());
+            let tuple = row.iter().map(|&v| Value::U64(v)).collect();
+            oracle.entry(at).or_default().push(tuple);
+        }
+        entries.entry(at).or_default().push(RowRun::Cells(rows));
+    }
+    (entries, oracle)
+}
+
+type Selections = (Vec<u8>, Vec<u8>);
+/// Records, the selections of them, and flat rows by entry op.
+type Window = (Vec<Record>, Selections, Vec<(u8, Vec<u64>)>);
+
+fn arb_window() -> impl Strategy<Value = Window> {
+    let sel = || proptest::collection::vec(any::<u8>(), 0..40);
+    // Mostly small cells, now and then one past 2⁶³.
+    let cell = prop_oneof![0u64..6, 0u64..6, 0u64..6, (1u64 << 63)..u64::MAX];
+    let flat = (any::<u8>(), proptest::collection::vec(cell, 0..64));
+    (
+        proptest::collection::vec(arb_record(), 0..24),
+        (sel(), sel()),
+        proptest::collection::vec(flat, 0..3),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn packet_blocks_and_flat_rows_match_the_interpreter_over_decoded_tuples(
+        lead in proptest::collection::vec(0u8..5, 0..3),
+        (body, th, late) in (0u8..5, 0u64..30, any::<u8>()),
+        w1 in arb_window(),
+        w2 in arb_window(),
+    ) {
+        let ops = packet_ops(&lead, body, th);
+        let late = late as usize % (lead.len() + 1);
+        let mut bound = BoundPipeline::bind(&ops, &Schema::packet()).unwrap();
+        for (records, sels, flat) in [&w1, &w2] {
+            let (entries, oracle) = window_entries(&ops, late, records, sels, flat);
+            let (ref_schema, reference) = reference_entries(&ops, &Schema::packet(), oracle);
+            // A second window through the same pipeline starts clean.
+            let got = bound.run_rows(&entries).unwrap();
+            prop_assert_eq!(bound.output_schema(), &ref_schema);
+            prop_assert_eq!(got.tuples().collect::<Vec<_>>(), reference);
+        }
     }
 }

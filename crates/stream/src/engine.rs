@@ -9,7 +9,7 @@ use sonata_query::bound::{BoundError, BoundJoin, BoundPipeline};
 use sonata_query::expr::BoundExpr;
 use sonata_query::interpret::{run_operator, InterpretError};
 use sonata_query::query::joined_schema;
-use sonata_query::{Query, QueryId, Schema, Tuple};
+use sonata_query::{Entries, Query, QueryId, RowRun, Rows, Schema, Tuple};
 use std::collections::{BTreeMap, HashMap};
 
 /// Errors from window execution.
@@ -66,11 +66,21 @@ pub struct JobResult {
     /// Tuples that entered the engine for this window (the paper's per
     /// window `N`).
     pub tuples_in: usize,
-    /// Pre-join outputs of each branch (left, then right for join
-    /// queries). Dynamic refinement of join queries feeds on these:
+    /// Pre-join outputs of a join query's branches, left then right,
+    /// sorted; empty for a join-free query, whose one branch's output
+    /// is `output`. Dynamic refinement of join queries feeds on these:
     /// "their output at coarser levels determines which portion of
     /// traffic to process for the finer levels" (Section 4.1).
     pub branch_outputs: Vec<(Schema, Vec<Tuple>)>,
+}
+
+/// An entry map's rows as the tuples the reference interpreter takes.
+fn tuples_of(entries: &Entries) -> BTreeMap<usize, Vec<Tuple>> {
+    let tuples = |runs: &Vec<RowRun>| runs.iter().flat_map(RowRun::tuples).collect();
+    entries
+        .iter()
+        .map(|(&op, runs)| (op, tuples(runs)))
+        .collect()
 }
 
 /// Run a pipeline with tuples injected at arbitrary operator indices
@@ -115,17 +125,13 @@ pub fn run_entries_owned(
     Ok((schema, tuples))
 }
 
-/// Evaluate one query over one window's batch.
+/// Evaluate one query over one window's batch through the reference
+/// interpreter, over the batch's rows as tuples.
 pub fn execute_window(query: &Query, batch: &WindowBatch) -> Result<JobResult, StreamError> {
-    execute_window_owned(query, batch.clone())
-}
-
-/// [`execute_window`] taking ownership of the batch (no tuple clone).
-pub fn execute_window_owned(query: &Query, batch: WindowBatch) -> Result<JobResult, StreamError> {
     let tuples_in = batch.tuple_count();
-    let (left_schema, left) = run_entries_owned(&query.pipeline.ops, batch.left)?;
-    let mut branch_outputs = vec![(left_schema.clone(), left.clone())];
-    let output = match &query.join {
+    let (left_schema, left) = run_entries_owned(&query.pipeline.ops, tuples_of(&batch.left))?;
+    let mut branch_outputs = Vec::new();
+    let mut output = match &query.join {
         None => {
             if !batch.right.is_empty() {
                 return Err(StreamError::NoRightBranch);
@@ -133,8 +139,8 @@ pub fn execute_window_owned(query: &Query, batch: WindowBatch) -> Result<JobResu
             left
         }
         Some(join) => {
-            let (right_schema, right) = run_entries_owned(&join.right.ops, batch.right)?;
-            branch_outputs.push((right_schema.clone(), right.clone()));
+            let (right_schema, right) =
+                run_entries_owned(&join.right.ops, tuples_of(&batch.right))?;
             // Hash join, mirroring the reference interpreter.
             let right_key_idx: Vec<usize> = join
                 .keys
@@ -184,10 +190,10 @@ pub fn execute_window_owned(query: &Query, batch: WindowBatch) -> Result<JobResu
                 schema = s;
                 tuples = t;
             }
+            branch_outputs = vec![(left_schema, left), (right_schema, right)];
             tuples
         }
     };
-    let mut output = output;
     output.sort();
     // Branch outputs are sorted too so the result is canonical: the
     // sharded runtime unions per-shard branch outputs and must land on
@@ -232,12 +238,17 @@ impl BoundEntries {
         }
     }
 
-    /// Fold the operators over `entries` (op index → tuples entering
+    /// Fold the operators over `entries` (op index → rows entering
     /// there), bit-identical to [`run_entries_owned`].
-    pub fn run(&mut self, entries: BTreeMap<usize, Vec<Tuple>>) -> Result<Vec<Tuple>, StreamError> {
+    pub fn run(&mut self, entries: &Entries) -> Result<Rows, StreamError> {
         match &mut self.bound {
-            Some(bound) => Ok(bound.run_entries(entries)?.1),
-            None => Ok(run_entries_owned(&self.ops, entries)?.1),
+            Some(bound) => Ok(bound.run_rows(entries)?),
+            None => {
+                let (schema, tuples) = run_entries_owned(&self.ops, tuples_of(entries))?;
+                let mut rows = Rows::new(schema.len());
+                tuples.iter().for_each(|t| rows.push_row(t));
+                Ok(rows)
+            }
         }
     }
 }
@@ -266,40 +277,40 @@ fn bind_query(q: &Query) -> Option<BoundQuery> {
     Some(BoundQuery { left, join })
 }
 
-/// [`execute_window_owned`] on the compiled fast path. Bit-identical
-/// to the reference: same entry-merge order, same per-key fold order,
-/// same sorted emission, same error precedence (left entries validate
-/// before the right branch is considered).
+/// [`execute_window`] on the compiled fast path, over the batch's
+/// rows where they are. Bit-identical to the reference: same per-key
+/// folds, same sorted emission, same error precedence (left entries
+/// validate before the right branch is considered). Tuples are built
+/// of what comes out.
 fn execute_window_bound(
-    query: &Query,
     bound: &mut BoundQuery,
-    batch: WindowBatch,
+    batch: &WindowBatch,
 ) -> Result<JobResult, StreamError> {
-    let tuples_in = batch.tuple_count();
-    let (left_schema, left) = bound.left.run_entries(batch.left)?;
-    let mut branch_outputs = vec![(left_schema, left.clone())];
-    let output = match (&query.join, &mut bound.join) {
-        (None, _) => {
+    let sorted = |rows: &Rows| {
+        let mut tuples: Vec<Tuple> = rows.tuples().collect();
+        tuples.sort();
+        tuples
+    };
+    let left = bound.left.run_rows(&batch.left)?;
+    let (output, branch_outputs) = match &mut bound.join {
+        None => {
             if !batch.right.is_empty() {
                 return Err(StreamError::NoRightBranch);
             }
-            left
+            (sorted(&left), Vec::new())
         }
-        (Some(_), Some((right, join))) => {
-            let (right_schema, right) = right.run_entries(batch.right)?;
-            branch_outputs.push((right_schema, right));
-            join.run(&branch_outputs[0].1, &branch_outputs[1].1)
+        Some((right_branch, join)) => {
+            let right = right_branch.run_rows(&batch.right)?;
+            let branches = vec![
+                (bound.left.output_schema().clone(), sorted(&left)),
+                (right_branch.output_schema().clone(), sorted(&right)),
+            ];
+            (sorted(&join.run_rows(&left, &right)), branches)
         }
-        (Some(_), None) => unreachable!("bind_query binds the join when the query has one"),
     };
-    let mut output = output;
-    output.sort();
-    for (_, tuples) in &mut branch_outputs {
-        tuples.sort();
-    }
     Ok(JobResult {
         output,
-        tuples_in,
+        tuples_in: batch.tuple_count(),
         branch_outputs,
     })
 }
@@ -371,25 +382,25 @@ impl MicroBatchEngine {
 
     /// Execute one window for one query.
     pub fn submit(&mut self, id: QueryId, batch: &WindowBatch) -> Result<JobResult, StreamError> {
-        self.submit_owned(id, batch.clone())
-    }
-
-    /// [`Self::submit`] taking ownership of the batch (no tuple clone).
-    pub fn submit_owned(
-        &mut self,
-        id: QueryId,
-        batch: WindowBatch,
-    ) -> Result<JobResult, StreamError> {
         let job = self
             .jobs
             .get_mut(&id)
             .ok_or(StreamError::UnknownQuery(id))?;
         let result = match &mut job.bound {
-            Some(bound) => execute_window_bound(&job.query, bound, batch)?,
-            None => execute_window_owned(&job.query, batch)?,
+            Some(bound) => execute_window_bound(bound, batch)?,
+            None => execute_window(&job.query, batch)?,
         };
         self.account(id, &result);
         Ok(result)
+    }
+
+    /// [`Self::submit`] of a batch the caller is done with.
+    pub fn submit_owned(
+        &mut self,
+        id: QueryId,
+        batch: WindowBatch,
+    ) -> Result<JobResult, StreamError> {
+        self.submit(id, &batch)
     }
 
     fn account(&mut self, id: QueryId, result: &JobResult) {
@@ -442,22 +453,23 @@ mod tests {
         use sonata_query::expr::{col, lit};
         // Shunts enter at the reduce (op 2), a raw dump row with them.
         let row = |k: u64, n: u64| Tuple::new(vec![Value::U64(k), Value::U64(n)]);
-        let entries: BTreeMap<usize, Vec<Tuple>> =
-            [(2, vec![row(0xaa, 2), row(0xaa, 1), row(0xbb, 1)])].into();
+        let mut batch = WindowBatch::new();
+        batch.push_left(2, [row(0xaa, 2), row(0xaa, 1), row(0xbb, 1)]);
         let mut ops = q1(2).pipeline.ops;
-        let (_, want) = run_entries_owned(&ops, entries.clone()).unwrap();
+        let (_, want) = run_entries_owned(&ops, tuples_of(&batch.left)).unwrap();
         assert_eq!(want, [row(0xaa, 3)]);
         let mut bound = BoundEntries::bind(&ops);
         assert!(bound.bound.is_some());
-        assert_eq!(bound.run(entries.clone()).unwrap(), want);
+        let got = bound.run(&batch.left).unwrap();
+        assert_eq!(got.tuples().collect::<Vec<_>>(), want);
         // A pipeline that does not bind fails each run exactly as the
         // reference does.
         ops[0] = sonata_query::Operator::Filter(col("nope").eq(lit(1)));
         let mut unbound = BoundEntries::bind(&ops);
         assert!(unbound.bound.is_none());
-        let want = run_entries_owned(&ops, entries.clone()).unwrap_err();
+        let want = run_entries_owned(&ops, tuples_of(&batch.left)).unwrap_err();
         assert_eq!(
-            unbound.run(entries).unwrap_err().to_string(),
+            unbound.run(&batch.left).unwrap_err().to_string(),
             want.to_string()
         );
     }

@@ -38,8 +38,8 @@ pub mod window;
 pub mod worker;
 
 pub use engine::{
-    execute_window, execute_window_owned, run_entries_owned, BoundEntries, EngineCounters,
-    JobResult, MicroBatchEngine, StreamError,
+    execute_window, run_entries_owned, BoundEntries, EngineCounters, JobResult, MicroBatchEngine,
+    StreamError,
 };
 pub use merge::{canonicalize_batch, canonicalize_batches, merge_window_batches, SwitchPartial};
 pub use shard::{merge_results, partition_spec, shard_filter, split_batch, PartitionSpec};

@@ -46,7 +46,7 @@
 //! (`tests/differential_sketch.rs` pins both on 2×1 and 2×2 fabrics).
 
 use crate::window::WindowBatch;
-use sonata_query::QueryId;
+use sonata_query::{QueryId, RowRun};
 use std::collections::BTreeMap;
 
 /// One switch's contribution to a window: its id plus the per-query
@@ -66,26 +66,29 @@ pub fn merge_window_batches(mut partials: Vec<SwitchPartial>) -> Vec<(QueryId, W
     for (_, batches) in partials {
         for (job, batch) in batches {
             let into = merged.entry(job).or_default();
-            for (op, tuples) in batch.left {
-                into.left.entry(op).or_default().extend(tuples);
+            for (op, runs) in batch.left {
+                into.left.entry(op).or_default().extend(runs);
             }
-            for (op, tuples) in batch.right {
-                into.right.entry(op).or_default().extend(tuples);
+            for (op, runs) in batch.right {
+                into.right.entry(op).or_default().extend(runs);
             }
         }
     }
     merged.into_iter().collect()
 }
 
-/// Sort every entry vector in place, producing the canonical form of
-/// a batch: two batches holding the same tuple multisets compare equal
-/// after canonicalization regardless of how the tuples were
-/// interleaved. The engine's aggregation is order-insensitive, so
-/// canonicalization never changes what a batch computes — it exists so
-/// tests can assert batch-level equality directly.
+/// Put every entry in canonical form — its rows as one run, sorted —
+/// so that two batches holding the same row multisets compare equal
+/// however the rows were split into runs or interleaved. The engine's
+/// aggregation is order-insensitive, so canonicalization never changes
+/// what a batch computes — it exists so tests can assert batch-level
+/// equality directly.
 pub fn canonicalize_batch(batch: &mut WindowBatch) {
-    for tuples in batch.left.values_mut().chain(batch.right.values_mut()) {
+    for runs in batch.left.values_mut().chain(batch.right.values_mut()) {
+        let mut tuples: Vec<_> = runs.iter().flat_map(|run| run.tuples()).collect();
         tuples.sort();
+        runs.clear();
+        tuples.iter().for_each(|t| RowRun::push_tuple(runs, t));
     }
 }
 

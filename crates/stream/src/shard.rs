@@ -39,7 +39,10 @@ use crate::engine::JobResult;
 use crate::window::WindowBatch;
 use sonata_packet::Value;
 use sonata_query::expr::Expr;
-use sonata_query::{ColName, Operator, Pipeline, Query, Schema, Tuple};
+use sonata_query::{
+    ColName, Entries, Heap, Operator, Pipeline, Query, RowRun, RowSource, Schema, Tuple,
+};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Where a branch's partition key sits at one entry index.
@@ -58,35 +61,29 @@ pub struct BranchKeys {
     at: Vec<KeyAt>,
 }
 
+impl KeyAt {
+    /// The shard key of `row`: its key column under every mask still
+    /// to come, as a cell of `heap`.
+    fn key(&self, row: &dyn RowSource, heap: &mut Heap) -> u64 {
+        let cell = row.cell(self.col, heap);
+        (self.masks.iter()).fold(cell, |cell, &level| heap.mask(cell, level))
+    }
+}
+
 impl BranchKeys {
-    /// The shard key of `tuple` entering at operator index `entry`,
-    /// or `None` when the entry index or tuple arity is out of range
+    /// Where the key of a `width`-cell row entering at `entry` sits,
+    /// or `None` when the entry index or the width is out of range
     /// (the caller falls back to a single shard and lets the engine
     /// report the underlying error).
-    pub fn key_of(&self, entry: usize, tuple: &Tuple) -> Option<Value> {
-        let at = self.at.get(entry)?;
-        let mut v = tuple.values().get(at.col)?.clone();
-        for &level in &at.masks {
-            v = v.mask_to_level(level);
-        }
-        Some(v)
+    fn at(&self, entry: usize, width: usize) -> Option<&KeyAt> {
+        self.at.get(entry).filter(|at| at.col < width)
     }
 
-    /// The shard owning `tuple` at `entry`, avoiding the key clone on
-    /// the (common) unmasked path.
-    fn shard_of(&self, entry: usize, tuple: &Tuple, shards: usize) -> Option<usize> {
-        let at = self.at.get(entry)?;
-        let v = tuple.values().get(at.col)?;
-        let h = if at.masks.is_empty() {
-            hash_value(v)
-        } else {
-            let mut m = v.clone();
-            for &level in &at.masks {
-                m = m.mask_to_level(level);
-            }
-            hash_value(&m)
-        };
-        Some((h % shards as u64) as usize)
+    /// The shard key of `tuple` entering at operator index `entry`.
+    pub fn key_of(&self, entry: usize, tuple: &Tuple) -> Option<Value> {
+        let mut heap = Heap::default();
+        let key = self.at(entry, tuple.len())?.key(tuple, &mut heap);
+        Some(heap.value(key))
     }
 }
 
@@ -331,96 +328,96 @@ pub fn hash_value(v: &Value) -> u64 {
     h
 }
 
-fn hash_tuple(t: &Tuple) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for v in t.values() {
-        fnv1a(&mut h, &hash_value(v).to_le_bytes());
-    }
-    h
-}
-
 /// The malformed-batch fallback: shard 0 takes everything, so the
 /// engine itself reports the underlying error exactly as the
 /// single-threaded path would.
-fn fallback_to_zero(batch: &WindowBatch, index: usize) -> WindowBatch {
+fn fallback_to_zero(batch: &WindowBatch, index: usize) -> Cow<'_, WindowBatch> {
     if index == 0 {
-        batch.clone()
+        Cow::Borrowed(batch)
     } else {
-        WindowBatch::new()
+        Cow::Owned(WindowBatch::new())
     }
+}
+
+/// What `pick` keeps of every run of `entries`, as entries of their
+/// own; `None` as soon as `pick` says so of some run.
+fn select(
+    entries: &Entries,
+    mut pick: impl FnMut(usize, &RowRun) -> Option<RowRun>,
+) -> Option<Entries> {
+    let mut out = Entries::new();
+    for (&entry, runs) in entries {
+        for run in runs {
+            let mine = pick(entry, run)?;
+            if !mine.is_empty() {
+                out.entry(entry).or_default().push(mine);
+            }
+        }
+    }
+    Some(out)
+}
+
+/// The rows of `entries` that `keys` routes to shard `index`; `None`
+/// when some row's key cannot be located.
+fn keyed(keys: &BranchKeys, entries: &Entries, shards: usize, index: usize) -> Option<Entries> {
+    let mut heap = Heap::default();
+    select(entries, |entry, run| {
+        let at = keys.at(entry, run.width())?;
+        Some(run.filter(|row| {
+            let key = at.key(row, &mut heap);
+            (hash_value(&heap.value(key)) % shards as u64) as usize == index
+        }))
+    })
 }
 
 /// The slice of `batch` owned by shard `index` of `shards`.
 ///
 /// Every worker runs this over the *shared* batch concurrently: the
-/// hash scan covers all tuples (routing is index-independent, so all
-/// workers agree on ownership and on fallbacks), but each worker only
-/// clones the tuples it keeps — the serial fraction of a sharded
-/// submit is just the dispatch and merge.
-pub fn shard_filter(
+/// hash scan covers all rows (routing is index-independent, so all
+/// workers agree on ownership and on fallbacks), and what a worker
+/// keeps is a selection — packet numbers into the chunk's shared
+/// columns, or the kept rows' cells — never the batch itself.
+pub fn shard_filter<'a>(
     spec: &PartitionSpec,
-    batch: &WindowBatch,
+    batch: &'a WindowBatch,
     shards: usize,
     index: usize,
-) -> WindowBatch {
+) -> Cow<'a, WindowBatch> {
     if shards <= 1 {
-        return batch.clone();
+        return Cow::Borrowed(batch);
     }
     match spec {
         PartitionSpec::Single => fallback_to_zero(batch, index),
+        // Join-free query with right-branch rows: the engine rejects
+        // this; let shard 0 reproduce the error.
+        PartitionSpec::AnyTuple | PartitionSpec::Keyed { right: None, .. }
+            if !batch.right.is_empty() =>
+        {
+            fallback_to_zero(batch, index)
+        }
         PartitionSpec::AnyTuple => {
-            if !batch.right.is_empty() {
-                // Join-free query with right-branch tuples: the engine
-                // rejects this; let shard 0 reproduce the error.
-                return fallback_to_zero(batch, index);
-            }
-            let mut out = WindowBatch::new();
-            for (&entry, tuples) in &batch.left {
-                let mine: Vec<Tuple> = tuples
-                    .iter()
-                    .filter(|t| (hash_tuple(t) % shards as u64) as usize == index)
-                    .cloned()
-                    .collect();
-                if !mine.is_empty() {
-                    out.push_left(entry, mine);
-                }
-            }
-            out
+            // No state to keep together: deal the rows round.
+            let mut n = 0;
+            let mut deal = |_: &dyn RowSource| {
+                n += 1;
+                (n - 1) % shards == index
+            };
+            let left = select(&batch.left, |_, run| Some(run.filter(&mut deal)));
+            Cow::Owned(WindowBatch {
+                left: left.unwrap_or_default(),
+                right: Entries::new(),
+            })
         }
         PartitionSpec::Keyed { left, right } => {
-            if right.is_none() && !batch.right.is_empty() {
-                return fallback_to_zero(batch, index);
+            let left = keyed(left, &batch.left, shards, index);
+            let right = match right {
+                Some(keys) => keyed(keys, &batch.right, shards, index),
+                None => Some(Entries::new()),
+            };
+            match (left, right) {
+                (Some(left), Some(right)) => Cow::Owned(WindowBatch { left, right }),
+                _ => fallback_to_zero(batch, index),
             }
-            let mut out = WindowBatch::new();
-            for (&entry, tuples) in &batch.left {
-                let mut mine = Vec::new();
-                for t in tuples {
-                    match left.shard_of(entry, t, shards) {
-                        Some(s) if s == index => mine.push(t.clone()),
-                        Some(_) => {}
-                        None => return fallback_to_zero(batch, index),
-                    }
-                }
-                if !mine.is_empty() {
-                    out.push_left(entry, mine);
-                }
-            }
-            if let Some(right_keys) = right {
-                for (&entry, tuples) in &batch.right {
-                    let mut mine = Vec::new();
-                    for t in tuples {
-                        match right_keys.shard_of(entry, t, shards) {
-                            Some(s) if s == index => mine.push(t.clone()),
-                            Some(_) => {}
-                            None => return fallback_to_zero(batch, index),
-                        }
-                    }
-                    if !mine.is_empty() {
-                        out.push_right(entry, mine);
-                    }
-                }
-            }
-            out
         }
     }
 }
@@ -429,11 +426,8 @@ pub fn shard_filter(
 /// exactly `shards` entries. Defined through [`shard_filter`] so the
 /// full split and the per-worker filters cannot diverge.
 pub fn split_batch(spec: &PartitionSpec, batch: &WindowBatch, shards: usize) -> Vec<WindowBatch> {
-    if shards <= 1 {
-        return vec![batch.clone()];
-    }
-    (0..shards)
-        .map(|i| shard_filter(spec, batch, shards, i))
+    (0..shards.max(1))
+        .map(|i| shard_filter(spec, batch, shards, i).into_owned())
         .collect()
 }
 

@@ -13,10 +13,11 @@ use crate::window::WindowBatch;
 use crate::worker::ShardedEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sonata_packet::{DnsHeader, DnsQType, DnsRecord, Packet, PacketBuilder, TcpFlags};
+use sonata_packet::{DnsHeader, DnsQType, DnsRecord, Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_query::catalog::Thresholds;
 use sonata_query::interpret::run_query;
-use sonata_query::{Query, Tuple};
+use sonata_query::{PacketBlock, Query, RowRun};
+use std::sync::Arc;
 
 /// Thresholds low enough that seeded traces trip every catalog query,
 /// so differential runs compare non-empty outputs.
@@ -141,15 +142,24 @@ pub fn seeded_packets(seed: u64, n: usize) -> Vec<Packet> {
     pkts
 }
 
-/// One whole-window batch for `query`: every packet enters both the
-/// main pipeline and (for join queries) the right branch at index 0,
-/// exactly as the reference interpreter sees the trace.
+/// One whole-window batch for `query`, as the emitter hands it over
+/// under an All-SP plan: the packets as one shared block of columns,
+/// every one of them selected into the main pipeline and (for join
+/// queries) the right branch at index 0 — exactly the trace the
+/// reference interpreter sees.
 pub fn batch_for(query: &Query, pkts: &[Packet]) -> WindowBatch {
+    let mut arena = PacketArena::new();
+    pkts.iter()
+        .for_each(|p| arena.push_record(p.ts_nanos, &p.encode()));
+    let every_packet = RowRun::Packets {
+        block: Arc::new(PacketBlock::new(arena)),
+        sel: (0..pkts.len() as u32).collect(),
+    };
     let mut batch = WindowBatch::new();
-    batch.push_left(0, pkts.iter().map(Tuple::from_packet));
     if query.join.is_some() {
-        batch.push_right(0, pkts.iter().map(Tuple::from_packet));
+        batch.right.insert(0, vec![every_packet.clone()]);
     }
+    batch.left.insert(0, vec![every_packet]);
     batch
 }
 

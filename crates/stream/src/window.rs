@@ -1,22 +1,27 @@
 //! Window batches — the unit of work the emitter hands the engine —
 //! and the Spark-style plan codegen used for the Table 3 LoC column.
 
-use sonata_query::{Operator, Pipeline, Query, Tuple};
-use std::collections::BTreeMap;
+use sonata_query::{Entries, Operator, Pipeline, Query, RowRun, Tuple};
 
-/// All tuples for one query and one window, keyed by the operator
-/// index at which they enter each branch.
+/// All rows for one query and one window, keyed by the operator index
+/// at which they enter each branch.
 ///
 /// Entry indices come from the data-plane compiler:
 /// * per-packet reports and window dumps enter at `sp_resume_op`;
 /// * collision shunts enter at `shunt_entry_op` (the stateful op);
 /// * an unpartitioned branch (All-SP) enters everything at 0.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// An entry holds [`RowRun`]s — mirrored packets as selections over
+/// their chunk's shared columns, report and dump rows as flat cells —
+/// which the engine reads in place. Tuples are an edge form:
+/// [`Self::push_left`] / [`Self::push_right`] convert them into rows,
+/// [`Self::tuples`] reads rows back out.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowBatch {
-    /// Left/main branch entries: op index → tuples.
-    pub left: BTreeMap<usize, Vec<Tuple>>,
+    /// Left/main branch entries: op index → row runs.
+    pub left: Entries,
     /// Right branch entries (join queries only).
-    pub right: BTreeMap<usize, Vec<Tuple>>,
+    pub right: Entries,
 }
 
 impl WindowBatch {
@@ -27,7 +32,7 @@ impl WindowBatch {
 
     /// The entries of one branch: 0 is the left/main one, anything
     /// else the right.
-    pub fn branch_mut(&mut self, branch: u8) -> &mut BTreeMap<usize, Vec<Tuple>> {
+    pub fn branch_mut(&mut self, branch: u8) -> &mut Entries {
         match branch {
             0 => &mut self.left,
             _ => &mut self.right,
@@ -36,22 +41,33 @@ impl WindowBatch {
 
     /// Add tuples entering the left branch at `op`.
     pub fn push_left(&mut self, op: usize, tuples: impl IntoIterator<Item = Tuple>) {
-        self.left.entry(op).or_default().extend(tuples);
+        self.push(0, op, tuples);
     }
 
     /// Add tuples entering the right branch at `op`.
     pub fn push_right(&mut self, op: usize, tuples: impl IntoIterator<Item = Tuple>) {
-        self.right.entry(op).or_default().extend(tuples);
+        self.push(1, op, tuples);
     }
 
-    /// Total tuples in the batch (the stream processor's intake, the
+    fn push(&mut self, branch: u8, op: usize, tuples: impl IntoIterator<Item = Tuple>) {
+        let runs = self.branch_mut(branch).entry(op).or_default();
+        for t in tuples {
+            RowRun::push_tuple(runs, &t);
+        }
+    }
+
+    /// The rows entering `branch` at `op`, as tuples.
+    pub fn tuples(&self, branch: u8, op: usize) -> Vec<Tuple> {
+        let side = if branch == 0 { &self.left } else { &self.right };
+        let runs = side.get(&op).into_iter().flatten();
+        runs.flat_map(RowRun::tuples).collect()
+    }
+
+    /// Total rows in the batch (the stream processor's intake, the
     /// paper's `N`).
     pub fn tuple_count(&self) -> usize {
-        self.left
-            .values()
-            .chain(self.right.values())
-            .map(Vec::len)
-            .sum()
+        let runs = self.left.values().chain(self.right.values()).flatten();
+        runs.map(RowRun::len).sum()
     }
 
     /// Whether the batch is empty.
@@ -158,7 +174,7 @@ mod tests {
         assert!(!b.is_empty());
         // Entries at the same op accumulate.
         b.push_left(0, vec![Tuple::new(vec![Value::U64(5)])]);
-        assert_eq!(b.left[&0].len(), 2);
+        assert_eq!(b.tuples(0, 0).len(), 2);
     }
 
     #[test]

@@ -183,7 +183,7 @@ fn spawn_shard_worker(
                         let result = catch_unwind(AssertUnwindSafe(|| {
                             let spec = plans.get(&query).ok_or(StreamError::UnknownQuery(query))?;
                             let mine = shard::shard_filter(spec, &batch, workers, index);
-                            engine.submit_owned(query, mine)
+                            engine.submit(query, &mine)
                         }))
                         .unwrap_or_else(|payload| Err(StreamError::Panic(panic_message(payload))));
                         // A dropped reply receiver means the

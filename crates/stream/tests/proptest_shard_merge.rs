@@ -8,12 +8,19 @@
 //!    such split; here we generate *arbitrary* key-respecting splits.
 //! 2. **Permutation invariance** — `merge_results` is agnostic to
 //!    shard order and to how many (non-empty) shards there are.
+//! 3. **Selections are splits** — `shard_filter` over the row runs a
+//!    real batch holds (packet numbers into shared columns, flat
+//!    cells) yields per-shard batches whose results, on the bound
+//!    engine, merge to the inline engine's and the interpreter's.
 
 use proptest::prelude::*;
 use sonata_packet::Value;
 use sonata_query::catalog::{self, Thresholds};
 use sonata_query::{Query, Tuple};
-use sonata_stream::{execute_window, merge_results, partition_spec, split_batch, WindowBatch};
+use sonata_stream::testsupport::{batch_for, seeded_packets};
+use sonata_stream::{
+    execute_window, merge_results, partition_spec, split_batch, MicroBatchEngine, WindowBatch,
+};
 
 fn low() -> Thresholds {
     Thresholds {
@@ -70,9 +77,7 @@ proptest! {
         for key in keys.iter().map(|(k, _)| *k) {
             let owners = split
                 .iter()
-                .filter(|s| {
-                    s.left.values().flatten().any(|t| t.get(0) == &Value::U64(key))
-                })
+                .filter(|s| s.tuples(0, 2).iter().any(|t| t.get(0) == &Value::U64(key)))
                 .count();
             prop_assert!(owners <= 1, "key {} on {} shards", key, owners);
         }
@@ -159,5 +164,40 @@ proptest! {
                 .collect(),
         );
         prop_assert_eq!(merged.output, serial.output);
+    }
+
+    #[test]
+    fn shard_filter_over_row_runs_merges_to_the_inline_engine(
+        seed in 0u64..1_000,
+        n in 0usize..200,
+        shunts in proptest::collection::vec((0u64..12, 1u64..4), 0..20),
+        which in 0usize..12,
+    ) {
+        let th = low();
+        let mut queries = catalog::all(&th);
+        queries.push(catalog::malicious_domains(&th));
+        let q = &queries[which];
+        let mut batch = batch_for(q, &seeded_packets(seed, n));
+        if which == 0 {
+            // Query 1 also takes shunts at its reduce.
+            batch.left.extend(shunt_batch(&shunts).left);
+        }
+        let mut engine = MicroBatchEngine::new();
+        engine.register(q.clone());
+        let inline = engine.submit(q.id, &batch).unwrap();
+        let reference = execute_window(q, &batch).unwrap();
+        prop_assert_eq!(&inline.output, &reference.output);
+        prop_assert_eq!(&inline.branch_outputs, &reference.branch_outputs);
+        let spec = partition_spec(q);
+        for shards in [1, 2, 8] {
+            let split = split_batch(&spec, &batch, shards);
+            let total: usize = split.iter().map(WindowBatch::tuple_count).sum();
+            prop_assert_eq!(total, batch.tuple_count());
+            let results = split.iter().map(|s| engine.submit(q.id, s).unwrap());
+            let merged = merge_results(results.collect());
+            prop_assert_eq!(&merged.output, &inline.output);
+            prop_assert_eq!(merged.tuples_in, inline.tuples_in);
+            prop_assert_eq!(&merged.branch_outputs, &inline.branch_outputs);
+        }
     }
 }

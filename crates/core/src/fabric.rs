@@ -511,11 +511,20 @@ impl Fabric {
     }
 
     /// Split one window's packets across the switches, preserving
-    /// capture order within each partition.
+    /// capture order within each partition. The copies share their
+    /// source's encoded bytes ([`Packet::share`]): a switch reads and
+    /// encodes its packets and never mutates them.
     pub fn partition_window(&self, packets: &[Packet]) -> Vec<Vec<Packet>> {
-        let mut parts: Vec<Vec<Packet>> = vec![Vec::new(); self.topo.switches];
-        for pkt in packets {
-            parts[self.partitioner.assign(pkt)].push(pkt.clone());
+        let assigned: Vec<usize> = (packets.iter())
+            .map(|pkt| self.partitioner.assign(pkt))
+            .collect();
+        let mut sizes = vec![0usize; self.topo.switches];
+        for &s in &assigned {
+            sizes[s] += 1;
+        }
+        let mut parts: Vec<Vec<Packet>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        for (pkt, &s) in packets.iter().zip(&assigned) {
+            parts[s].push(pkt.share());
         }
         parts
     }

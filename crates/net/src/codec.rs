@@ -62,7 +62,7 @@
 
 use crate::frame::Frame;
 use sonata_obs::TraceContext;
-use sonata_packet::{Packet, PacketArena};
+use sonata_packet::{ArenaIndex, Packet, PacketArena};
 use sonata_pisa::{
     ControlOp, DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout,
     TaskId, WindowDump,
@@ -133,10 +133,16 @@ impl std::error::Error for CodecError {}
 
 // ---------------------------------------------------------------- crc
 
-/// IEEE CRC-32 (reflected, polynomial 0xEDB88320), table-driven; the
-/// table is built at compile time so the crate stays dependency-free.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Bytes one step of [`crc32`] folds in.
+const LANES: usize = 16;
+
+/// IEEE CRC-32 (reflected, polynomial 0xEDB88320) tables for slicing by
+/// [`LANES`]: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` the CRC state after byte `b` and `k` zero bytes,
+/// so one step looks every byte of a lane group up independently. Built
+/// at compile time; the crate stays dependency-free.
+static CRC_TABLES: [[u32; 256]; LANES] = {
+    let mut tables = [[0u32; 256]; LANES];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -149,33 +155,56 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < LANES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// CRC-32 (IEEE) of `data`.
+/// CRC-32 (IEEE) of `data`, [`LANES`] bytes a step.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut groups = data.chunks_exact(LANES);
+    for g in &mut groups {
+        let g: &[u8; LANES] = g.try_into().expect("chunks of LANES");
+        // The running CRC folds into the first four bytes; byte `i`
+        // then has `LANES - 1 - i` bytes of the group behind it.
+        let head = c ^ u32::from_le_bytes([g[0], g[1], g[2], g[3]]);
+        c = t[LANES - 1][(head & 0xFF) as usize]
+            ^ t[LANES - 2][(head >> 8 & 0xFF) as usize]
+            ^ t[LANES - 3][(head >> 16 & 0xFF) as usize]
+            ^ t[LANES - 4][(head >> 24) as usize];
+        let mut i = 4;
+        while i < LANES {
+            c ^= t[LANES - 1 - i][g[i] as usize];
+            i += 1;
+        }
+    }
+    for &b in groups.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
 
 // ------------------------------------------------------------- writer
 
-struct Writer {
-    buf: Vec<u8>,
+/// Appends little-endian fields to the caller's buffer.
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
-    fn new() -> Self {
-        Writer {
-            buf: Vec::with_capacity(64),
-        }
-    }
+impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -258,7 +287,7 @@ impl<'a> Reader<'a> {
 /// What a report and a dump block both lead with: task, kind, (first)
 /// `seq`, entry op.
 fn write_report_head(
-    w: &mut Writer,
+    w: &mut Writer<'_>,
     task: &TaskId,
     kind: ReportKind,
     seq: u64,
@@ -312,7 +341,7 @@ fn read_task(r: &mut Reader<'_>) -> Result<TaskId, CodecError> {
 }
 
 /// The mirrored packet rides as `(ts_nanos, has_ethernet, wire_bytes)`.
-fn write_report(w: &mut Writer, r: &Report) {
+fn write_report(w: &mut Writer<'_>, r: &Report) {
     write_report_head(w, &r.task, r.kind, r.seq, r.entry_op);
     w.u32(r.columns.len() as u32);
     for (name, val) in &r.columns {
@@ -372,7 +401,7 @@ fn read_report(r: &mut Reader<'_>) -> Result<Report, CodecError> {
 
 /// What a dump block and a report block both hold after the head: the
 /// names, `rows`, `width`, the cells.
-fn write_block_body(w: &mut Writer, names: &[ColName], rows: usize, cells: &[u64]) {
+fn write_block_body(w: &mut Writer<'_>, names: &[ColName], rows: usize, cells: &[u64]) {
     debug_assert!(names.len() <= u16::MAX as usize && rows * names.len() == cells.len());
     w.u16(names.len() as u16);
     for name in names {
@@ -417,7 +446,7 @@ fn read_cells(r: &mut Reader<'_>, bytes: usize) -> Result<Vec<u64>, CodecError> 
         .collect())
 }
 
-fn write_dump(w: &mut Writer, dump: &WindowDump) {
+fn write_dump(w: &mut Writer<'_>, dump: &WindowDump) {
     w.u32(dump.tuples.blocks().len() as u32);
     for b in dump.tuples.blocks() {
         write_report_head(w, &b.task, b.kind, b.first_seq, b.entry_op);
@@ -469,8 +498,13 @@ fn read_dump_block(r: &mut Reader<'_>) -> Result<DumpBlock, CodecError> {
 /// plus the flag byte.
 const REPORT_BLOCK_MIN_LEN: usize = DUMP_BLOCK_MIN_LEN + 1;
 
-fn write_chunk(w: &mut Writer, chunk: &ReportChunk) {
+fn write_chunk(w: &mut Writer<'_>, chunk: &ReportChunk) {
     let packets = &chunk.packets;
+    // All of a chunk but its heads and names, so the buffer grows once.
+    let cells = |b: &ReportBlock| b.cells.len() * 8 + b.pkts.len() * 4;
+    w.buf.reserve(
+        packets.len() * 12 + packets.total_bytes() + chunk.blocks.iter().map(cells).sum::<usize>(),
+    );
     w.u32(packets.len() as u32);
     w.u32(packets.total_bytes() as u32);
     for e in packets.index() {
@@ -496,22 +530,27 @@ fn read_chunk(r: &mut Reader<'_>) -> Result<ReportChunk, CodecError> {
     if npackets > r.remaining() / 12 || nbytes > r.remaining() - npackets * 12 {
         return Err(CodecError::Malformed("packets exceed the frame"));
     }
-    let index: Vec<(u64, usize)> = (0..npackets)
-        .map(|_| Ok((r.u64()?, r.u32()? as usize)))
+    // Each length is below 2³² and there are fewer than 2³² of them,
+    // so the running offset cannot wrap.
+    let mut offset = 0u64;
+    let index: Vec<ArenaIndex> = (0..npackets)
+        .map(|_| {
+            let (ts_nanos, len) = (r.u64()?, r.u32()?);
+            let entry = ArenaIndex {
+                offset,
+                len,
+                ts_nanos,
+            };
+            offset += len as u64;
+            Ok(entry)
+        })
         .collect::<Result<_, CodecError>>()?;
-    // Each length is below 2³², so the sum cannot wrap.
-    if index.iter().map(|&(_, len)| len as u64).sum::<u64>() != nbytes as u64 {
+    if offset != nbytes as u64 {
         return Err(CodecError::Malformed(
             "packet lengths differ from the byte count",
         ));
     }
-    let mut bytes = r.take(nbytes)?;
-    let mut packets = PacketArena::with_capacity(npackets, nbytes);
-    for (ts_nanos, len) in index {
-        let (wire, rest) = bytes.split_at(len);
-        packets.push_record(ts_nanos, wire);
-        bytes = rest;
-    }
+    let packets = PacketArena::from_parts(r.take(nbytes)?.to_vec(), index);
     let nblocks = r.u32()? as usize;
     if nblocks > r.remaining() / REPORT_BLOCK_MIN_LEN {
         return Err(CodecError::Malformed("report block count"));
@@ -613,7 +652,7 @@ fn read_dump(r: &mut Reader<'_>) -> Result<WindowDump, CodecError> {
     })
 }
 
-fn write_ops(w: &mut Writer, ops: &[ControlOp]) {
+fn write_ops(w: &mut Writer<'_>, ops: &[ControlOp]) {
     w.u32(ops.len() as u32);
     for op in ops {
         match op {
@@ -659,11 +698,30 @@ fn read_ops(r: &mut Reader<'_>) -> Result<Vec<ControlOp>, CodecError> {
 
 // ------------------------------------------------------- frame codec
 
-/// Encode one frame into a self-contained byte record, with the
+/// Encode one frame into `out`, replacing whatever it held, with the
 /// sender's fabric switch id, trace context, and plan epoch stamped
-/// into the header.
-pub fn encode_frame_ctx(switch: u16, ctx: TraceContext, epoch: u64, frame: &Frame) -> Vec<u8> {
-    let mut w = Writer::new();
+/// into the header. One pass: the header with its length left open,
+/// the payload behind it, the length filled in, the CRC over both.
+/// `out` keeps its capacity, so a sender that reuses one buffer
+/// allocates only when a frame outgrows every frame before it.
+pub fn encode_frame_into(
+    out: &mut Vec<u8>,
+    switch: u16,
+    ctx: TraceContext,
+    epoch: u64,
+    frame: &Frame,
+) {
+    out.clear();
+    let mut w = Writer { buf: out };
+    w.u32(MAGIC);
+    w.u16(VERSION);
+    w.u8(frame.type_byte());
+    w.u8(0); // flags (reserved)
+    w.u16(switch);
+    w.u64(ctx.trace);
+    w.u64(ctx.span);
+    w.u64(epoch);
+    w.u32(0); // len, once the payload is written
     match frame {
         Frame::Hello { node, plan_digest } => {
             w.str(node);
@@ -705,30 +763,17 @@ pub fn encode_frame_ctx(switch: u16, ctx: TraceContext, epoch: u64, frame: &Fram
         }
         Frame::Credit { window } => w.u64(*window),
     }
-    finish_frame(frame.type_byte(), switch, ctx, epoch, w.buf)
-}
-
-/// Wrap an encoded payload in the versioned frame header and CRC.
-fn finish_frame(
-    type_byte: u8,
-    switch: u16,
-    ctx: TraceContext,
-    epoch: u64,
-    payload: Vec<u8>,
-) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + 4);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.push(type_byte);
-    out.push(0); // flags (reserved)
-    out.extend_from_slice(&switch.to_le_bytes());
-    out.extend_from_slice(&ctx.trace.to_le_bytes());
-    out.extend_from_slice(&ctx.span.to_le_bytes());
-    out.extend_from_slice(&epoch.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let len = (out.len() - HEADER_LEN) as u32;
+    out[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&len.to_le_bytes());
     let crc = crc32(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// [`encode_frame_into`] a fresh buffer.
+pub fn encode_frame_ctx(switch: u16, ctx: TraceContext, epoch: u64, frame: &Frame) -> Vec<u8> {
+    // Room for any control frame and most one-row reports.
+    let mut out = Vec::with_capacity(256);
+    encode_frame_into(&mut out, switch, ctx, epoch, frame);
     out
 }
 

@@ -47,7 +47,7 @@ pub mod transport;
 
 pub use codec::{
     crc32, decode_frame, decode_frame_tagged, encode_frame, encode_frame_ctx, encode_frame_from,
-    CodecError, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION,
+    encode_frame_into, CodecError, HEADER_LEN, MAGIC, MAX_FRAME_LEN, VERSION,
 };
 pub use endpoint::{CollectorEndpoint, SwitchEndpoint, DEFAULT_TIMEOUT};
 pub use frame::Frame;

@@ -2,16 +2,19 @@
 //! collector, writes encoded frames synchronously, and re-dials with
 //! exponential backoff when the connection drops; the collector side
 //! is a server accepting N switch connections, each drained by a
-//! reader thread into its own bounded queue (high-watermark block —
-//! when a queue fills, the reader stops reading and TCP backpressure
-//! propagates to the switch; nothing is ever buffered unbounded).
+//! reader thread into its own queue, bounded in frames and in bytes
+//! (high-watermark block — when a queue fills, the reader stops reading
+//! and TCP backpressure propagates to the switch; nothing is ever
+//! buffered unbounded).
 //!
 //! In-order delivery per task needs no extra machinery: TCP preserves
 //! byte order per connection, and the per-task `(task, seq)` numbers
 //! assigned at the switch deparser survive the codec, so the emitter's
 //! existing sequence-based duplicate suppression works unchanged.
 
-use crate::codec::{decode_frame_tagged, encode_frame_ctx, frame_len, CodecError};
+use crate::codec::{
+    decode_frame_tagged, encode_frame_ctx, encode_frame_into, frame_len, CodecError, MAX_FRAME_LEN,
+};
 use crate::frame::Frame;
 use crate::transport::{NetError, NetMetrics, Transport};
 use sonata_obs::{EventKind, TraceContext};
@@ -54,6 +57,13 @@ impl Default for TcpOptions {
 
 /// Free space a read is offered at least.
 const READ_CHUNK: usize = 64 * 1024;
+
+/// Encoded bytes a connection's queue may hold before its reader parks.
+/// `TcpOptions::per_conn_capacity` bounds the queue in frames, and a
+/// frame is anything up to [`MAX_FRAME_LEN`]; this bounds it in bytes.
+/// An empty queue admits a frame of any size, so no frame the codec
+/// accepts can wedge the reader.
+const CONN_QUEUE_BYTES: usize = MAX_FRAME_LEN;
 
 /// A frame as a socket delivered it: switch id, trace context, plan
 /// epoch, the frame, and its encoded length.
@@ -119,6 +129,10 @@ pub struct TcpClientTransport {
     rbuf: RecvBuf,
     /// Encoded length of the frame last received.
     last_rx_len: usize,
+    /// Every outgoing frame is encoded here; the capacity stays for the
+    /// life of the client, so a steady sender stops allocating once it
+    /// has sent its largest frame.
+    send_buf: Vec<u8>,
     /// Encoded `Hello` replayed after every reconnect so the collector
     /// can re-verify the plan digest mid-session.
     hello: Option<Vec<u8>>,
@@ -140,6 +154,7 @@ impl TcpClientTransport {
             stream: Some(stream),
             rbuf: RecvBuf::default(),
             last_rx_len: 0,
+            send_buf: Vec::new(),
             hello: None,
             metrics,
             opts,
@@ -250,11 +265,14 @@ impl TcpClientTransport {
 
 impl Transport for TcpClientTransport {
     fn send(&mut self, ctx: TraceContext, epoch: u64, frame: Frame) -> Result<(), NetError> {
-        let bytes = encode_frame_ctx(self.opts.switch_id, ctx, epoch, &frame);
+        let mut bytes = std::mem::take(&mut self.send_buf);
+        encode_frame_into(&mut bytes, self.opts.switch_id, ctx, epoch, &frame);
         if matches!(frame, Frame::Hello { .. }) {
             self.hello = Some(bytes.clone());
         }
-        self.send_encoded(&bytes)
+        let sent = self.send_encoded(&bytes);
+        self.send_buf = bytes;
+        sent
     }
 
     fn try_recv(&mut self) -> Result<Option<(TraceContext, u64, Frame)>, NetError> {
@@ -292,6 +310,8 @@ impl Transport for TcpClientTransport {
 #[derive(Default)]
 struct ConnBuf {
     frames: VecDeque<Received>,
+    /// Encoded length of `frames`, summed.
+    queued_bytes: usize,
     alive: bool,
     /// Switch id this connection belongs to, learned from the first
     /// decoded frame header (the client's `Hello` tags it before any
@@ -460,6 +480,7 @@ fn pop_locked(shared: &CollShared, rr: &mut usize, st: &mut CollState) -> Option
         let idx = (*rr + i) % n;
         if let Some(f) = st.conns[idx].frames.pop_front() {
             *rr = (idx + 1) % n;
+            st.conns[idx].queued_bytes -= f.4;
             st.total -= 1;
             shared.metrics.queue_depth.set(st.total as u64);
             shared.not_full.notify_all();
@@ -521,9 +542,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<CollShared>) {
         let id = {
             let mut st = shared.state.lock().unwrap();
             st.conns.push(ConnBuf {
-                frames: VecDeque::new(),
                 alive: true,
-                switch: None,
+                ..ConnBuf::default()
             });
             st.writers.push(writer);
             st.conns.len() - 1
@@ -546,15 +566,18 @@ fn reader_loop(mut stream: TcpStream, id: usize, shared: Arc<CollShared>) {
             match buf.pop() {
                 Ok(Some(received)) => {
                     let mut st = shared.state.lock().unwrap();
-                    while st.conns[id].frames.len() >= shared.opts.per_conn_capacity
-                        && shared.open.load(Ordering::SeqCst)
-                    {
+                    let full = |c: &ConnBuf| {
+                        c.frames.len() >= shared.opts.per_conn_capacity
+                            || (c.queued_bytes >= CONN_QUEUE_BYTES && !c.frames.is_empty())
+                    };
+                    while full(&st.conns[id]) && shared.open.load(Ordering::SeqCst) {
                         st = shared.not_full.wait(st).unwrap();
                     }
                     if !shared.open.load(Ordering::SeqCst) {
                         break 'conn;
                     }
                     st.conns[id].switch = Some(received.0);
+                    st.conns[id].queued_bytes += received.4;
                     st.conns[id].frames.push_back(received);
                     st.total += 1;
                     shared.metrics.queue_depth.set(st.total as u64);
@@ -664,6 +687,35 @@ mod tests {
     }
 
     #[test]
+    fn the_client_encodes_every_frame_into_the_one_buffer_it_keeps() {
+        let (mut client, mut coll, _) = pair();
+        let hello = Frame::Hello {
+            node: "sw".into(),
+            plan_digest: 42,
+        };
+        let sends = [
+            block_frame(1_024),
+            hello.clone(),
+            block_frame(512),
+            block_frame(1_024),
+        ];
+        let mut buffer = None;
+        for frame in &sends {
+            client.send(TraceContext::NONE, 3, frame.clone()).unwrap();
+            // The first send is the largest: nothing after it moves or
+            // grows the buffer, and each leaves exactly its own frame.
+            let now = (client.send_buf.as_ptr(), client.send_buf.capacity());
+            assert_eq!(*buffer.get_or_insert(now), now);
+            let fresh = encode_frame_ctx(0, TraceContext::NONE, 3, frame);
+            assert_eq!(client.send_buf, fresh);
+            assert_eq!(coll.recv_timeout(Duration::from_secs(5)).unwrap().2, *frame);
+        }
+        // The replay copy is the `Hello` as sent, not the buffer's last.
+        let replay = encode_frame_ctx(0, TraceContext::NONE, 3, &hello);
+        assert_eq!(client.hello.as_deref(), Some(&replay[..]));
+    }
+
+    #[test]
     fn a_4mb_block_frame_crosses_the_socket_intact() {
         let (mut client, mut coll, _) = pair();
         let frame = block_frame(512 * 1024);
@@ -683,6 +735,78 @@ mod tests {
         let next = coll.recv_timeout(Duration::from_secs(30)).unwrap().2;
         assert_eq!(next, Frame::Credit { window: 9 });
         sender.join().unwrap();
+    }
+
+    #[test]
+    fn a_connection_queue_is_bounded_in_bytes_and_drains_in_order() {
+        const FRAMES: u64 = 96;
+        let metrics = NetMetrics::new(&ObsHandle::enabled());
+        let mut coll = TcpCollectorTransport::bind(metrics, TcpOptions::default()).unwrap();
+        let numbered = |i: u64| {
+            // ~1 MiB on the wire, told apart by its first row's number.
+            let Frame::ReportBlocks(mut chunk) = block_frame(128 * 1024) else {
+                unreachable!()
+            };
+            chunk.blocks[0].first_seq = i;
+            Frame::ReportBlocks(chunk)
+        };
+        let frame_len = crate::codec::encode_frame(&numbered(0)).len();
+        assert!(frame_len > 1 << 20 && FRAMES as usize * frame_len > CONN_QUEUE_BYTES * 5 / 4);
+        // A peer that just writes: no lockstep, nobody popping. Once a
+        // write makes no progress for a while it says how far it got,
+        // then keeps going.
+        let mut peer = TcpStream::connect(coll.addr()).unwrap();
+        peer.set_write_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        let (stalled_tx, stalled_rx) = std::sync::mpsc::channel();
+        let writer = std::thread::spawn(move || {
+            let mut stalled_tx = Some(stalled_tx);
+            for i in 0..FRAMES {
+                let wire = crate::codec::encode_frame_from(5, &numbered(i));
+                let mut at = 0;
+                while at < wire.len() {
+                    match peer.write(&wire[at..]) {
+                        Ok(n) => at += n,
+                        Err(e) => {
+                            let kind = e.kind();
+                            assert!(
+                                matches!(
+                                    kind,
+                                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                                ),
+                                "{e}"
+                            );
+                            if let Some(tx) = stalled_tx.take() {
+                                tx.send(i).unwrap();
+                            }
+                        }
+                    }
+                }
+            }
+            peer // stays open until the frames are popped
+        });
+        let stalled_at = stalled_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("the peer wrote every frame at a collector nobody pops");
+        assert!(stalled_at < FRAMES);
+        let queued = {
+            let st = coll.shared.state.lock().unwrap();
+            let conn = &st.conns[0];
+            assert_eq!(conn.queued_bytes, conn.frames.len() * frame_len);
+            conn.queued_bytes
+        };
+        assert!(
+            (CONN_QUEUE_BYTES..CONN_QUEUE_BYTES + frame_len).contains(&queued),
+            "{queued} bytes queued"
+        );
+        for i in 0..FRAMES {
+            let (switch, _, _, frame) = coll.recv_timeout_tagged(Duration::from_secs(60)).unwrap();
+            let Frame::ReportBlocks(chunk) = frame else {
+                panic!("frame {i} arrived as something else");
+            };
+            assert_eq!((switch, chunk.blocks[0].first_seq), (5, i));
+        }
+        drop(writer.join().unwrap());
     }
 
     /// A reader that hands out at most `step` bytes per `read`.

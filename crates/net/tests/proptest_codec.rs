@@ -4,9 +4,10 @@
 //! decoder. Decode failures are typed [`CodecError`]s, nothing else.
 
 use proptest::prelude::*;
+use sonata_net::codec::crc32;
 use sonata_net::{
-    decode_frame, decode_frame_tagged, encode_frame, encode_frame_ctx, CodecError, Frame,
-    HEADER_LEN, VERSION,
+    decode_frame, decode_frame_tagged, encode_frame, encode_frame_ctx, encode_frame_into,
+    CodecError, Frame, HEADER_LEN, VERSION,
 };
 use sonata_obs::TraceContext;
 use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
@@ -307,7 +308,7 @@ fn hand_framed(type_byte: u8, payload: &[u8]) -> Vec<u8> {
     out[6] = type_byte;
     out[34..38].copy_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(payload);
-    let crc = sonata_net::codec::crc32(&out[4..]);
+    let crc = crc32(&out[4..]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -383,7 +384,265 @@ impl ChunkClaims {
     }
 }
 
+/// CRC-32/IEEE one bit at a time: the definition, sharing no table and
+/// no loop shape with the codec's.
+fn crc32_bitwise(data: &[u8]) -> u32 {
+    let mut c = !0u32;
+    for &b in data {
+        c ^= b as u32;
+        for _ in 0..8 {
+            c = (c >> 1) ^ (0xEDB8_8320 & (c & 1).wrapping_neg());
+        }
+    }
+    !c
+}
+
+/// `len` bytes of a xorshift stream from `seed`.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..len)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x >> 24) as u8
+        })
+        .collect()
+}
+
+#[test]
+fn sliced_crc_is_the_bitwise_crc_at_every_short_length_and_offset() {
+    assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    // Every head, body and tail the lanes can split a buffer into.
+    let buf = noise(11, 16 + 300);
+    for start in 0..16 {
+        for len in 0..=300 {
+            let data = &buf[start..start + len];
+            assert_eq!(crc32(data), crc32_bitwise(data), "start {start}, len {len}");
+        }
+    }
+}
+
+/// One fixed frame per [`Frame`] variant under a non-trivial header, by
+/// name. `golden_v7.hex` holds each as the encoder of the commit before
+/// the one-pass encoder wrote it.
+fn golden_frames() -> Vec<(&'static str, u16, TraceContext, u64, Frame)> {
+    let task = |q: u32, level: u8, branch: u8| TaskId {
+        query: QueryId(q),
+        level,
+        branch,
+    };
+    let wire = |p: Packet| Packet::decode(&p.encode()).unwrap();
+    let syn = wire(
+        PacketBuilder::tcp_raw(0x0a00_0001, 1234, 0xc0a8_0105, 80)
+            .flags(TcpFlags::SYN)
+            .seq(99)
+            .payload(&b"GET /"[..])
+            .build(),
+    );
+    let dns = wire(
+        PacketBuilder::udp_raw(0x0808_0808, 53, 0x0a00_0002, 33_000)
+            .payload(&b"not dns"[..])
+            .build(),
+    );
+    let mut packets = PacketArena::new();
+    packets.push_record(1_000_000_007, &syn.encode());
+    packets.push_record(1_000_000_900, &dns.encode());
+    let chunk = ReportChunk {
+        packets,
+        blocks: vec![
+            ReportBlock {
+                task: task(1, 32, 0),
+                kind: ReportKind::Tuple,
+                entry_op: None,
+                first_seq: 4_097, // a continuation: rows 0..4097 left in earlier chunks
+                names: ["ipv4.dst".into(), "count".into()].into(),
+                rows: 3,
+                cells: vec![0xc0a8_0105, 1, 0x0a00_0002, 1, 0xc0a8_0105, u64::MAX],
+                pkts: vec![0, 1, 0],
+            },
+            ReportBlock {
+                task: task(7, 16, 1),
+                kind: ReportKind::Shunt,
+                entry_op: Some(2),
+                first_seq: 0,
+                names: ["ipv4.src".into()].into(),
+                rows: 2,
+                cells: vec![0x0a00_0001, 0x0808_0808],
+                pkts: Vec::new(),
+            },
+        ],
+    };
+    let dump = WindowDump {
+        tuples: [
+            DumpBlock {
+                task: task(3, 24, 0),
+                kind: ReportKind::WindowDump,
+                entry_op: Some(4),
+                first_seq: 12,
+                names: ["ipv4.dst".into(), "sum".into()].into(),
+                cells: vec![0x0a00_0000, 41, 0x0b00_0000, 7],
+            },
+            DumpBlock {
+                task: task(3, 24, 1),
+                kind: ReportKind::WindowDumpRaw,
+                entry_op: None,
+                first_seq: 0,
+                names: ["key".into()].into(),
+                cells: vec![9, 8, 7],
+            },
+        ]
+        .into_iter()
+        .collect(),
+        suppressed: 5,
+        occupancy: 1_234,
+        shunted_packets: 17,
+        bounds: vec![SketchBound {
+            task: task(3, 24, 0),
+            layout: StateLayout::CountMin,
+            epsilon: 0.01,
+            delta: 0.001,
+            mass: 10_000,
+            updates: 9_999,
+            saturated: true,
+        }],
+    };
+    let mut mirrored = syn;
+    mirrored.ts_nanos = 42;
+    let report = Report {
+        task: task(2, 8, 0),
+        kind: ReportKind::Tuple,
+        columns: vec![("ipv4.dst".into(), 0xc0a8_0105), ("count".into(), 3)],
+        packet: Some(mirrored),
+        entry_op: Some(1),
+        seq: 77,
+    };
+    let ctx = TraceContext {
+        trace: 0x1122_3344_5566_7788,
+        span: 0x99aa_bbcc_ddee_ff00,
+    };
+    vec![
+        ("report_blocks", 3, ctx, 5, Frame::ReportBlocks(chunk)),
+        (
+            "window_dump",
+            1,
+            ctx,
+            5,
+            Frame::WindowDump { window: 9, dump },
+        ),
+        ("report", 2, TraceContext::NONE, 0, Frame::Report(report)),
+        (
+            "hello",
+            u16::MAX,
+            TraceContext::NONE,
+            u64::MAX,
+            Frame::Hello {
+                node: "switch-3".into(),
+                plan_digest: 0xDEAD_BEEF_0BAD_F00D,
+            },
+        ),
+        (
+            "window_open",
+            0,
+            ctx,
+            1,
+            Frame::WindowOpen {
+                window: 9,
+                packets: 3_841,
+            },
+        ),
+        (
+            "window_close",
+            0,
+            ctx,
+            1,
+            Frame::WindowClose {
+                window: 9,
+                packet_loop_ns: 120_000,
+                dump_ns: 45_000,
+                transport_ns: 9_000,
+            },
+        ),
+        (
+            "control",
+            1,
+            ctx,
+            2,
+            Frame::Control {
+                window: 9,
+                ops: vec![
+                    ControlOp::SetDynFilter {
+                        table: "q1_l16_f0".into(),
+                        entries: [3u64, 1, 2].into_iter().collect(),
+                    },
+                    ControlOp::ResetRegisters,
+                ],
+            },
+        ),
+        (
+            "control_ack",
+            1,
+            ctx,
+            2,
+            Frame::ControlAck {
+                window: 9,
+                entries_written: 3,
+                latency_ns: 131_000_000,
+            },
+        ),
+        ("credit", 1, ctx, 2, Frame::Credit { window: 9 }),
+    ]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+#[test]
+fn golden_v7_frames_encode_byte_for_byte_and_decode_equal() {
+    let fixture = include_str!("golden_v7.hex");
+    let mut lines = fixture.lines();
+    for (name, switch, ctx, epoch, frame) in golden_frames() {
+        let (got_name, want) = (lines.next().and_then(|l| l.split_once(' '))).expect("a line");
+        assert_eq!(got_name, name);
+        let bytes = encode_frame_ctx(switch, ctx, epoch, &frame);
+        assert_eq!(hex(&bytes), want, "{name} changed on the wire");
+        let decoded = decode_frame_tagged(&bytes).unwrap();
+        assert_eq!(decoded, (switch, ctx, epoch, frame, bytes.len()), "{name}");
+    }
+    assert_eq!(lines.next(), None);
+}
+
 proptest! {
+    // The bitwise oracle takes eight steps a byte; a megabyte a case.
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn sliced_crc_is_the_bitwise_crc_on_large_buffers(
+        seed in any::<u64>(),
+        len in 0usize..=2 << 20,
+    ) {
+        let data = noise(seed, len);
+        prop_assert_eq!(crc32(&data), crc32_bitwise(&data));
+    }
+}
+
+proptest! {
+    #[test]
+    fn a_reused_buffer_holds_exactly_the_last_frame(
+        a in arb_frame(),
+        b in arb_frame(),
+        switch in any::<u16>(),
+        epoch in any::<u64>(),
+    ) {
+        let ctx = TraceContext { trace: epoch ^ 7, span: switch as u64 };
+        let mut buf = Vec::new();
+        for frame in [&a, &b, &a] {
+            encode_frame_into(&mut buf, switch, ctx, epoch, frame);
+            prop_assert_eq!(&buf, &encode_frame_ctx(switch, ctx, epoch, frame));
+        }
+    }
+
     #[test]
     fn dump_block_claims_are_checked_against_the_frame(
         names in proptest::collection::vec(arb_name(), 1..5),

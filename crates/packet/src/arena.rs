@@ -62,6 +62,18 @@ impl PacketArena {
         }
     }
 
+    /// An arena over a buffer and index already laid out (a decoded
+    /// frame's): `index` entries must tile `bytes` back to back in
+    /// order, as [`Self::push_record`] would have left them.
+    pub fn from_parts(bytes: Vec<u8>, index: Vec<ArenaIndex>) -> Self {
+        debug_assert_eq!(
+            (index.iter()).try_fold(0, |at, e| (e.offset == at).then_some(at + e.len as u64)),
+            Some(bytes.len() as u64),
+            "index entries must tile the buffer"
+        );
+        PacketArena { bytes, index }
+    }
+
     /// Build an arena by encoding `packets` in order.
     ///
     /// The arena path (like wire mode) assumes IPv4-first framing;

@@ -10,6 +10,7 @@ use crate::headers::{
 use crate::wire::{EthernetView, IcmpView, Ipv4View, TcpView, UdpView};
 use crate::DecodeError;
 use bytes::Bytes;
+use std::sync::Arc;
 
 /// Transport-layer header of a packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,9 +64,11 @@ pub struct Packet {
 /// identity: clones start cold (a clone may be mutated before its next
 /// encode), equality ignores it, and it is only ever populated through
 /// [`Packet::encode_cached`], which callers use solely on packets that
-/// are no longer mutated.
+/// are no longer mutated. [`Packet::share`] is the one clone that
+/// carries the bytes along, on the caller's word that it will not
+/// mutate the copy.
 #[derive(Default)]
-struct EncodedCache(std::sync::OnceLock<Vec<u8>>);
+struct EncodedCache(std::sync::OnceLock<Arc<[u8]>>);
 
 impl Clone for EncodedCache {
     fn clone(&self) -> Self {
@@ -136,7 +139,28 @@ impl Packet {
     /// never invalidated in place. Clones start cold, so the usual
     /// clone-then-tweak patterns stay safe.
     pub fn encode_cached(&self) -> &[u8] {
-        self.encoded.0.get_or_init(|| self.encode())
+        let bytes = self.encoded.0.get_or_init(|| self.encode().into());
+        // Bytes two packets hold ([`Packet::share`]) are re-checked
+        // against the fields at every use.
+        debug_assert!(
+            Arc::strong_count(bytes) == 1 || **bytes == *self.encode(),
+            "a packet sharing its encoded bytes was mutated before it was encoded"
+        );
+        bytes
+    }
+
+    /// A clone that shares this packet's encoded bytes (encoding them
+    /// now if nobody has) instead of starting cold: for a copy that is
+    /// read and encoded but never mutated, such as a window's packets
+    /// dealt out to switches. Mutating either packet and then encoding
+    /// it while the other lives is a bug, which debug builds catch in
+    /// [`Packet::encode_cached`].
+    pub fn share(&self) -> Packet {
+        self.encode_cached();
+        Packet {
+            encoded: EncodedCache(self.encoded.0.clone()),
+            ..self.clone()
+        }
     }
 
     /// Decode wire bytes starting at the IPv4 header.
@@ -582,6 +606,45 @@ mod tests {
         let mut cold2 = cold;
         cold2.ipv4.total_len = 0;
         assert_eq!(cold2, warm);
+    }
+
+    #[test]
+    fn a_sharing_clone_carries_the_encoded_bytes_and_a_plain_clone_does_not() {
+        let cold = PacketBuilder::tcp_raw(1, 2, 3, 4)
+            .payload(&b"data"[..])
+            .build();
+        // Sharing encodes a cold source once, for both.
+        let shared = cold.share();
+        assert_eq!(shared, cold);
+        assert_eq!(
+            shared.encode_cached().as_ptr(),
+            cold.encode_cached().as_ptr()
+        );
+        assert_eq!(
+            shared.share().encode_cached().as_ptr(),
+            cold.encode_cached().as_ptr()
+        );
+        // A plain clone of a warm packet — even of a shared one — starts
+        // cold, and re-encodes what it was mutated to.
+        for warm in [&cold, &shared] {
+            let mut tweaked = warm.clone();
+            tweaked.payload = Bytes::from_static(b"different bytes");
+            assert_ne!(
+                tweaked.encode_cached().as_ptr(),
+                cold.encode_cached().as_ptr()
+            );
+            assert_eq!(tweaked.encode_cached(), tweaked.encode().as_slice());
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "sharing its encoded bytes was mutated")]
+    fn mutating_a_sharing_clone_then_encoding_it_panics_in_debug() {
+        let source = PacketBuilder::tcp_raw(1, 2, 3, 4).build();
+        let mut shared = source.share();
+        shared.ipv4.ttl = 1;
+        shared.encode_cached();
     }
 
     #[test]

@@ -356,4 +356,46 @@ mod tests {
         let join = r8.join.as_ref().unwrap();
         assert!(matches!(join.left_keys[0], Expr::Mask(_, 8)));
     }
+
+    /// How every run of every branch of `q` lowered on the stream
+    /// side's bound path: left, right, post-join.
+    fn lowerings(q: &Query) -> Vec<Vec<[usize; 3]>> {
+        use sonata_query::{query::joined_schema, BoundPipeline, Schema};
+        let bind = |p: &Pipeline, s: &Schema| BoundPipeline::bind(&p.ops, s).unwrap();
+        let left = bind(&q.pipeline, &Schema::packet());
+        let mut all = vec![left.lowering()];
+        if let Some(join) = &q.join {
+            let right = bind(&join.right, &Schema::packet());
+            let joined = joined_schema(left.output_schema(), right.output_schema(), &join.keys);
+            all.extend([right.lowering(), bind(&join.post, &joined).lowering()]);
+        }
+        all
+    }
+
+    #[test]
+    fn refinement_adds_one_residual_filter_and_keeps_every_run_flat() {
+        // A refined query is its base with the key masked — a flat
+        // projection, for addresses and for names — behind one `InSet`
+        // filter per packet branch, which the bound path leaves to the
+        // residual evaluator. Nothing else may fall back with it.
+        let t = Thresholds::default();
+        let mut queries = catalog::all(&t);
+        queries.push(catalog::malicious_domains(&t));
+        for q in &queries {
+            let base = lowerings(q);
+            for level in [8, 16, 24] {
+                let key = match q.refinement.as_ref().unwrap().field {
+                    Field::DnsRrName => Value::Text("example.com".into()),
+                    _ => Value::U64(0x0a00_0000),
+                };
+                let refined = refine_query(q, level, Some((level / 2, [key].into())));
+                let mut want = base.clone();
+                for branch in want.iter_mut().take(2) {
+                    let [compares, residuals, exprs] = branch[0];
+                    branch.insert(0, [compares, residuals + 1, exprs]);
+                }
+                assert_eq!(lowerings(&refined), want, "{}", refined.name);
+            }
+        }
+    }
 }

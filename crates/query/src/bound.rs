@@ -4,27 +4,40 @@
 //! re-resolves column names every window, and materializes an
 //! intermediate `Vec<Tuple>` after every operator. A [`BoundPipeline`]
 //! does all of that work once at registration: expressions are bound,
-//! `Schema::index_of` lookups are resolved to offsets, and runs of
-//! stateless operators (`filter`/`map`) are *fused* — each row flows
-//! through the whole run in one pass, feeding a stateful sink
+//! `Schema::index_of` lookups are resolved to offsets, and every run of
+//! stateless operators (`filter`/`map`) is *lowered* into what it does
+//! to the rows that enter it — a list of filter steps and a projection,
+//! both over the entering rows' own columns — feeding a stateful sink
 //! (`reduce`/`distinct`) or the output directly.
 //!
-//! It runs on fixed-width `u64` rows from entry to output
-//! ([`RowRun`]): mirrored packets are read in place from their chunk's
-//! field columns, report and dump rows from their flat cells, a `map`
-//! writes into one of two scratch rows, and the sinks are tables of
-//! `[u64; width]` keys. A [`Tuple`] is built only from what comes out
-//! ([`Rows::tuples`]); the `Vec<Tuple>` entry points convert into the
-//! same rows and run the same code.
+//! It runs a column at a time on fixed-width `u64` rows ([`RowRun`]):
+//! mirrored packets are read in place from their chunk's field columns,
+//! report and dump rows from their flat cells, a sink's groups from its
+//! table. A run of rows starts as a selection vector of row numbers;
+//! each step narrows it in one loop over one column; the sink gathers
+//! its key cells of the survivors straight from the source. A [`Tuple`]
+//! is built only from what comes out ([`Rows::tuples`]); the
+//! `Vec<Tuple>` entry points convert into the same rows and run the
+//! same code.
 //!
-//! ## Fusion rules
+//! ## Lowering
 //!
 //! The pipeline is split into segments `[i..sink]` where `ops[i..sink]`
 //! are stateless and `ops[sink]` is stateful (or the pipeline end).
 //! Rows may enter at any operator index (collision shunts and window
-//! dumps resume mid-pipeline); within a segment the sources are drained
-//! in entry-index order — the previous sink's output first, then each
-//! entry run.
+//! dumps resume mid-pipeline), so `ops[at..sink]` is lowered for every
+//! `at`. A `map` is folded away: what follows it reads the expressions
+//! that define its outputs, so a filter after a map still compares the
+//! source's columns. A conjunct that compares a column with a plain
+//! constant or another column is a [`Step::Cmp`]; every other predicate
+//! is a [`Step::Residual`], evaluated by [`BoundPred::eval_row`] on the
+//! rows the steps before it kept. A compare is an integer compare only
+//! where both cells are plain scalars; a row whose cell is 2⁶³ or more
+//! (text, bytes, a large scalar, a field decoded per packet) is
+//! compared through the heap, as the residual evaluator would.
+//!
+//! Within a segment the sources are drained in entry-index order — the
+//! previous sink's output first, then each entry run.
 //!
 //! ## Order
 //!
@@ -37,11 +50,12 @@
 //! output is bit-identical to the reference interpreter's. A sink that
 //! feeds another sink emits in table order, unsorted.
 
-use crate::expr::{BindError, BoundExpr, BoundPred};
+use crate::expr::{BindError, BoundExpr, BoundPred, CmpOp};
 use crate::interpret::InterpretError;
 use crate::ops::{Agg, Operator};
 use crate::query::{joined_schema, Join, QueryError};
-use crate::tuple::{Heap, RowRun, RowSource, Rows, Schema, Tuple};
+use crate::tuple::{Columns, Heap, RowRun, RowSource, Rows, Schema, Tuple, BOXED};
+use sonata_packet::Value;
 use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 
@@ -90,6 +104,8 @@ fn runs_of<'a>(tuples: impl IntoIterator<Item = &'a Tuple>) -> Vec<RowRun> {
 struct Table {
     width: usize,
     len: usize,
+    /// `len` of the run before the last.
+    before: usize,
     /// `len × width` cells.
     keys: Vec<u64>,
     accs: Vec<u64>,
@@ -102,28 +118,43 @@ struct Table {
 }
 
 impl Table {
+    const MIN_SLOTS: usize = 16;
+
     fn new(width: usize) -> Self {
         Table {
             width,
             len: 0,
+            before: 0,
             keys: Vec::new(),
             accs: Vec::new(),
-            slots: vec![0; 16],
+            slots: vec![0; Table::MIN_SLOTS],
             seed: std::collections::hash_map::RandomState::new().hash_one(0u8),
         }
     }
 
+    /// Forget the keys, keep the buffers — unless the last two runs
+    /// both used under an eighth of the slots: then a burst sized them,
+    /// every run since has paid to zero them, and they are cut to four
+    /// times what those runs used. (Two runs, so a load that alternates
+    /// between small and large keeps its buffers.)
     fn clear(&mut self) {
+        let used = self.len.max(self.before);
+        self.before = self.len;
         if self.len > 0 {
             self.len = 0;
             self.keys.clear();
             self.accs.clear();
             self.slots.fill(0);
         }
+        if self.slots.len() > Table::MIN_SLOTS.max(used * 8) {
+            self.slots = vec![0; (used * 4).next_power_of_two().max(Table::MIN_SLOTS)];
+            self.keys.shrink_to(used * 2 * self.width);
+            self.accs.shrink_to(used * 2);
+        }
     }
 
-    fn key(&self, k: usize) -> &[u64] {
-        &self.keys[k * self.width..(k + 1) * self.width]
+    fn key(&self, k: u32) -> &[u64] {
+        &self.keys[k as usize * self.width..(k as usize + 1) * self.width]
     }
 
     /// The slot `key` sits in, or the empty one it would take.
@@ -134,12 +165,7 @@ impl Table {
         let mask = self.slots.len() - 1;
         let mut i = (hash >> (64 - self.slots.len().trailing_zeros())) as usize;
         // Keys are a few cells wide: compared in line, not by a call.
-        let same = |k: u32| {
-            self.key(k as usize - 1)
-                .iter()
-                .zip(key)
-                .all(|(a, b)| a == b)
-        };
+        let same = |k: u32| self.key(k - 1).iter().zip(key).all(|(a, b)| a == b);
         while self.slots[i] != 0 && !same(self.slots[i]) {
             i = (i + 1) & mask;
         }
@@ -167,218 +193,329 @@ impl Table {
             let doubled = self.slots.len() * 2;
             self.slots.clear();
             self.slots.resize(doubled, 0);
-            for k in 0..self.len {
+            for k in 0..self.len as u32 {
                 let slot = self.slot_of(self.key(k));
-                self.slots[slot] = k as u32 + 1;
+                self.slots[slot] = k + 1;
             }
         }
         (self.len - 1, true)
     }
 }
 
-/// One operator with every column reference resolved to an offset.
-#[derive(Debug)]
+/// What a finished sink emits, group by group: the key's columns, then
+/// — a reduce's — the accumulator.
+impl Columns for Table {
+    #[inline]
+    fn col(&self, col: usize) -> impl Fn(u32) -> u64 + '_ {
+        let (cells, stride, at) = match col < self.width {
+            true => (&self.keys, self.width, col),
+            false => (&self.accs, 1, 0),
+        };
+        move |k| cells[k as usize * stride + at]
+    }
+
+    #[inline]
+    fn row(&self, k: u32) -> impl RowSource + '_ {
+        move |col: usize, heap: &mut Heap| match self.key(k).get(col) {
+            Some(&cell) => cell,
+            None => heap.scalar(self.accs[k as usize]),
+        }
+    }
+}
+
+/// One operator with every column reference resolved to an offset: what
+/// [`BoundPipeline::bind`] lowers runs from.
 enum BoundOp {
     Filter(BoundPred),
     Map(Vec<BoundExpr>),
-    Reduce {
-        key_idx: Vec<usize>,
-        val_idx: usize,
-        agg: Agg,
-        groups: Table,
-    },
-    Distinct(Table),
+    Reduce { key_idx: Vec<usize>, val_idx: usize },
+    Distinct,
 }
 
-impl BoundOp {
-    /// The table of a stateful operator.
-    fn table(&self) -> Option<&Table> {
-        match self {
-            BoundOp::Reduce { groups, .. } => Some(groups),
-            BoundOp::Distinct(seen) => Some(seen),
-            _ => None,
+/// One filter of a lowered run, over the columns of the rows entering
+/// the run.
+#[derive(Debug)]
+enum Step {
+    /// `column op operand`.
+    Cmp(usize, CmpOp, Operand),
+    /// Whatever is not such a compare.
+    Residual(BoundPred),
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    /// A plain scalar.
+    Const(u64),
+    Col(usize),
+}
+
+/// One cell of what a lowered run hands on, of the columns of the rows
+/// entering it.
+#[derive(Debug)]
+enum Proj {
+    Col(usize),
+    /// A plain scalar.
+    Const(u64),
+    /// A column masked to a refinement level.
+    Mask(usize, u8),
+    Expr(BoundExpr),
+}
+
+impl From<&BoundExpr> for Proj {
+    fn from(expr: &BoundExpr) -> Self {
+        match expr {
+            BoundExpr::Col(c) => Proj::Col(*c),
+            BoundExpr::Lit(Value::U64(v)) if *v < BOXED => Proj::Const(*v),
+            BoundExpr::Mask(of, level) => match **of {
+                BoundExpr::Col(c) => Proj::Mask(c, *level),
+                _ => Proj::Expr(expr.clone()),
+            },
+            _ => Proj::Expr(expr.clone()),
         }
     }
-
-    /// Row `k` of what a finished sink emits — key `k`, a reduce's
-    /// with its accumulator — written over `row`.
-    fn emitted(&self, k: usize, row: &mut Vec<u64>, heap: &mut Heap) {
-        let table = self.table().expect("only sinks emit");
-        row.clear();
-        row.extend_from_slice(table.key(k));
-        if matches!(self, BoundOp::Reduce { .. }) {
-            row.push(heap.scalar(table.accs[k]));
-        }
-    }
-
-    /// The numbers of the keys a finished sink emits, in emission
-    /// order: those whose rows pass `filters`, the run of filters that
-    /// follows — a threshold drops most groups, so it is asked before
-    /// anything is sorted — in key order if `sorted`. `None` stands
-    /// for every key in table order.
-    fn emission(
-        &self,
-        filters: &[BoundOp],
-        sorted: bool,
-        scratch: &mut Scratch,
-    ) -> Option<Vec<u32>> {
-        let table = self.table().expect("only sinks emit");
-        if filters.is_empty() && !sorted {
-            return None;
-        }
-        let Scratch { heap, key, .. } = scratch;
-        let mut keep = |k: &u32| {
-            self.emitted(*k as usize, key, heap);
-            let pass =
-                |op: &BoundOp| matches!(op, BoundOp::Filter(p) if p.eval_row(&key[..], heap));
-            filters.iter().all(pass)
-        };
-        let mut ks: Vec<u32> = (0..table.len as u32).filter(|k| keep(k)).collect();
-        if sorted {
-            // Keys are unique, so key order is row order.
-            ks.sort_unstable_by(|&a, &b| {
-                heap.cmp_rows(table.key(a as usize), table.key(b as usize))
-            });
-        }
-        Some(ks)
-    }
 }
 
-/// Flat rows of one width, cells of the run's heap.
-#[derive(Default)]
-struct Flat {
-    cells: Vec<u64>,
-    /// Stated, not derived: a row may have no columns.
-    rows: usize,
+/// A run of stateless operators as what it does to the rows entering
+/// it: the filters, in order, then the cells it hands on — the whole
+/// row for a `distinct` or the output, a `reduce`'s key columns and
+/// then its value.
+#[derive(Debug)]
+struct Run {
+    steps: Vec<Step>,
+    proj: Vec<Proj>,
 }
 
-impl Flat {
-    fn push(&mut self, row: &[u64]) {
-        self.cells.extend_from_slice(row);
-        self.rows += 1;
-    }
-}
-
-/// What a run carries from row to row: the heap its cells belong to,
-/// the two scratch rows `map`s alternate between, and a scratch key.
-#[derive(Default)]
-struct Scratch {
-    heap: Heap,
-    bufs: [Vec<u64>; 2],
-    key: Vec<u64>,
-}
-
-impl Scratch {
-    /// Pipe one row of `width` cells through a run of stateless
-    /// operators. A survivor's cells are left in the scratch row whose
-    /// number is returned.
-    #[inline]
-    fn pipe<R: RowSource + ?Sized>(
-        &mut self,
-        ops: &[BoundOp],
-        row: &R,
-        width: usize,
-    ) -> Option<usize> {
-        let Scratch { heap, bufs, .. } = self;
-        let mut ops = ops.iter();
-        // On the row as it came: the filters up to the first map,
-        // which writes scratch row 0 (as does a row no map changes).
-        loop {
-            match ops.next() {
-                Some(BoundOp::Filter(pred)) => {
-                    if !pred.eval_row(row, heap) {
-                        return None;
-                    }
-                }
-                first_map => {
-                    bufs[0].clear();
-                    match first_map {
-                        Some(BoundOp::Map(exprs)) => {
-                            bufs[0].extend(exprs.iter().map(|e| e.eval_row(row, heap)))
-                        }
-                        None => bufs[0].extend((0..width).map(|c| row.cell(c, heap))),
-                        Some(_) => unreachable!("stateful op inside a stateless segment"),
-                    }
-                    break;
-                }
-            }
-        }
-        // On scratch rows from there on, each map writing the other.
-        let mut cur = 0;
+impl Run {
+    /// Lower `ops`, stateless and entered by rows `width` wide, into
+    /// the `sink` that follows them (`None`: the output).
+    fn lower(ops: &[BoundOp], width: usize, sink: Option<&BoundOp>) -> Run {
+        let mut cols: Vec<BoundExpr> = (0..width).map(BoundExpr::Col).collect();
+        let mut steps = Vec::new();
         for op in ops {
-            let (lo, hi) = bufs.split_at_mut(1);
-            let (from, to) = match cur {
-                0 => (&lo[0], &mut hi[0]),
-                _ => (&hi[0], &mut lo[0]),
-            };
             match op {
-                BoundOp::Filter(pred) => {
-                    if !pred.eval_row(&from[..], heap) {
-                        return None;
-                    }
-                }
-                BoundOp::Map(exprs) => {
-                    to.clear();
-                    to.extend(exprs.iter().map(|e| e.eval_row(&from[..], heap)));
-                    cur = 1 - cur;
-                }
-                _ => unreachable!("stateful op inside a stateless segment"),
+                BoundOp::Filter(pred) => Run::push_steps(pred.over(&cols), &mut steps),
+                BoundOp::Map(exprs) => cols = exprs.iter().map(|e| e.over(&cols)).collect(),
+                _ => unreachable!("stateful op inside a stateless run"),
             }
         }
-        Some(cur)
+        let proj = match sink {
+            Some(BoundOp::Reduce { key_idx, val_idx }) => {
+                let read = key_idx.iter().chain([val_idx]);
+                read.map(|&c| Proj::from(&cols[c])).collect()
+            }
+            _ => cols.iter().map(Proj::from).collect(),
+        };
+        Run { steps, proj }
+    }
+
+    fn push_steps(pred: BoundPred, steps: &mut Vec<Step>) {
+        let operand = |expr: &BoundExpr| match Proj::from(expr) {
+            Proj::Col(c) => Some(Operand::Col(c)),
+            Proj::Const(v) => Some(Operand::Const(v)),
+            _ => None,
+        };
+        match pred {
+            BoundPred::And(all) => all.into_iter().for_each(|p| Run::push_steps(p, steps)),
+            BoundPred::Cmp { lhs, op, rhs } => steps.push(match (&lhs, operand(&rhs)) {
+                (BoundExpr::Col(col), Some(with)) => Step::Cmp(*col, op, with),
+                _ => Step::Residual(BoundPred::Cmp { lhs, op, rhs }),
+            }),
+            other => steps.push(Step::Residual(other)),
+        }
+    }
+
+    /// Narrow `sel` to the rows of `src` every step keeps.
+    fn narrow<S: Columns>(&self, src: &S, sel: &mut Vec<u32>, heap: &mut Heap) {
+        for step in &self.steps {
+            match *step {
+                Step::Residual(ref pred) => retain(sel, |r| pred.eval_row(&src.row(r), heap)),
+                Step::Cmp(col, op, with) => {
+                    let a = src.col(col);
+                    let exact = |r: u32| {
+                        let row = src.row(r);
+                        let a = row.cell(col, heap);
+                        let b = match with {
+                            Operand::Const(b) => b,
+                            Operand::Col(with) => row.cell(with, heap),
+                        };
+                        op.eval_cells(a, b, heap)
+                    };
+                    match with {
+                        Operand::Const(b) => keep(sel, op, |r| (a(r), b), exact),
+                        Operand::Col(with) => {
+                            let b = src.col(with);
+                            keep(sel, op, |r| (a(r), b(r)), exact)
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
-/// Where the rows that survive one segment of a run go: into the
-/// stateful operator that ends the segment, or out of the pipeline.
+/// Entering rows are selected, narrowed and projected this many at a
+/// time, so the selection vector and the scratch rows are gathered
+/// into stay in cache, and stay small, whatever a run's length.
+const CHUNK: usize = 1024;
+
+/// Hand `each` the cells `proj` makes of every row of `src` in `sel`,
+/// in order, with the row's number: gathered a column at a time into
+/// `cells`, as cells of `heap`.
+fn project<S: Columns>(
+    proj: &[Proj],
+    (src, sel): (&S, &[u32]),
+    (cells, heap): (&mut Vec<u64>, &mut Heap),
+    mut each: impl FnMut(&[u64], u32, &Heap),
+) {
+    let width = proj.len();
+    for rows in sel.chunks(CHUNK) {
+        cells.clear();
+        cells.resize(rows.len() * width, 0);
+        for (at, proj) in proj.iter().enumerate() {
+            let to = (&mut cells[at..], width);
+            match proj {
+                Proj::Const(v) => fill(to, rows, |_| *v),
+                Proj::Col(c) => {
+                    let col = src.col(*c);
+                    fill(to, rows, |r| cell_of(col(r), src, (r, *c), heap))
+                }
+                Proj::Mask(c, level) => {
+                    let col = src.col(*c);
+                    fill(to, rows, |r| {
+                        let cell = cell_of(col(r), src, (r, *c), heap);
+                        heap.mask(cell, *level)
+                    })
+                }
+                Proj::Expr(expr) => fill(to, rows, |r| expr.eval_row(&src.row(r), heap)),
+            }
+        }
+        for (i, &r) in rows.iter().enumerate() {
+            each(&cells[i * width..(i + 1) * width], r, heap);
+        }
+    }
+}
+
+/// Write `cell` of each of `rows` to every `stride`th cell of `to`.
+#[inline]
+fn fill((to, stride): (&mut [u64], usize), rows: &[u32], mut cell: impl FnMut(u32) -> u64) {
+    for (to, &r) in to.iter_mut().step_by(stride).zip(rows) {
+        *to = cell(r);
+    }
+}
+
+/// What [`Columns::col`] read as `peeked`, as a cell of `heap`.
+#[inline]
+fn cell_of<S: Columns>(peeked: u64, src: &S, (r, col): (u32, usize), heap: &mut Heap) -> u64 {
+    match peeked < BOXED {
+        true => peeked,
+        false => src.row(r).cell(col, heap),
+    }
+}
+
+/// [`Vec::retain`] with no branch on the answer: most of a step's
+/// answers go against the last.
+#[inline]
+fn retain(sel: &mut Vec<u32>, mut keep: impl FnMut(u32) -> bool) {
+    let mut kept = 0;
+    for i in 0..sel.len() {
+        let r = sel[i];
+        sel[kept] = r;
+        kept += keep(r) as usize;
+    }
+    sel.truncate(kept);
+}
+
+/// Keep the rows of `sel` whose `pair` of cells `op` holds of: by an
+/// integer compare where both are plain scalars, by `exact` where not.
+fn keep(
+    sel: &mut Vec<u32>,
+    op: CmpOp,
+    pair: impl Fn(u32) -> (u64, u64),
+    exact: impl FnMut(u32) -> bool,
+) {
+    // One loop per operator, so none is chosen per row.
+    fn by(
+        sel: &mut Vec<u32>,
+        pair: impl Fn(u32) -> (u64, u64),
+        mut exact: impl FnMut(u32) -> bool,
+        plain: impl Fn(u64, u64) -> bool,
+    ) {
+        retain(sel, |r| match pair(r) {
+            (a, b) if a | b < BOXED => plain(a, b),
+            _ => exact(r),
+        })
+    }
+    match op {
+        CmpOp::Eq => by(sel, pair, exact, |a, b| a == b),
+        CmpOp::Ne => by(sel, pair, exact, |a, b| a != b),
+        CmpOp::Gt => by(sel, pair, exact, |a, b| a > b),
+        CmpOp::Ge => by(sel, pair, exact, |a, b| a >= b),
+        CmpOp::Lt => by(sel, pair, exact, |a, b| a < b),
+        CmpOp::Le => by(sel, pair, exact, |a, b| a <= b),
+    }
+}
+
+/// A stateful operator: the op it is, its `reduce` aggregate (`None`:
+/// a `distinct`), its state.
+#[derive(Debug)]
+struct Sink {
+    at: usize,
+    agg: Option<Agg>,
+    table: Table,
+}
+
+/// Where the rows that survive one segment of a run go — into the
+/// stateful operator that ends the segment, or out of the pipeline,
+/// whose heap is the run's — and the scratch rows are gathered into.
 struct Segment<'a> {
-    sink: Option<&'a mut BoundOp>,
-    out: Flat,
+    sink: Option<&'a mut Sink>,
+    out: &'a mut Rows,
+    cells: &'a mut Vec<u64>,
 }
 
 impl Segment<'_> {
-    #[inline]
-    fn feed<R: RowSource + ?Sized>(
-        &mut self,
-        (ops, width): (&[BoundOp], usize),
-        row: &R,
-        scratch: &mut Scratch,
-    ) {
-        let Some(b) = scratch.pipe(ops, row, width) else {
+    /// Take the rows of `src` in `sel` as `run` projects them.
+    fn take<S: Columns>(&mut self, run: &Run, src: &S, sel: &[u32]) {
+        let (proj, rows) = (&run.proj[..], (src, sel));
+        let scratch = (&mut *self.cells, &mut self.out.heap);
+        let Some(Sink { agg, table, .. }) = &mut self.sink else {
+            self.out.cells.reserve(sel.len() * proj.len());
+            self.out.rows += sel.len();
+            project(proj, rows, scratch, |row, _, _| {
+                self.out.cells.extend_from_slice(row)
+            });
+            debug_assert_eq!(self.out.cells.len(), self.out.rows * proj.len());
             return;
         };
-        let Scratch { heap, bufs, key } = scratch;
-        let row = &bufs[b][..];
-        match &mut self.sink {
-            None => self.out.push(row),
-            Some(BoundOp::Distinct(seen)) => {
-                seen.entry(row);
+        let Some(agg) = agg else {
+            return project(proj, rows, scratch, |row, _, _| {
+                table.entry(row);
+            });
+        };
+        project(proj, rows, scratch, |row, _, heap| {
+            let (v, key) = row.split_last().expect("a reduce projects its value");
+            let v = heap.as_u64(*v).unwrap_or(0);
+            match table.entry(key) {
+                (_, true) => table.accs.push(agg.init(v)),
+                (k, false) => table.accs[k] = agg.fold(table.accs[k], v),
             }
-            Some(BoundOp::Reduce {
-                key_idx,
-                val_idx,
-                agg,
-                groups,
-            }) => {
-                key.clear();
-                key.extend(key_idx.iter().map(|&k| row[k]));
-                let v = heap.as_u64(row[*val_idx]).unwrap_or(0);
-                match groups.entry(key) {
-                    (_, true) => groups.accs.push(agg.init(v)),
-                    (k, false) => groups.accs[k] = agg.fold(groups.accs[k], v),
-                }
-            }
-            Some(_) => unreachable!("a segment ends at a stateful op"),
-        }
+        })
     }
 }
 
 /// A pipeline bound to its input schema once, executed many times.
 #[derive(Debug)]
 pub struct BoundPipeline {
-    ops: Vec<BoundOp>,
     /// Schema before each op; `schemas[ops.len()]` is the output.
     schemas: Vec<Schema>,
+    /// `runs[at]`: the stateless operators from op `at` to the next
+    /// stateful one, lowered. One per op, and one for the output.
+    runs: Vec<Run>,
+    /// The stateful operators, in op order.
+    sinks: Vec<Sink>,
+    /// The selection vector and the gather scratch, kept between runs.
+    sel: Vec<u32>,
+    cells: Vec<u64>,
 }
 
 impl BoundPipeline {
@@ -388,7 +525,8 @@ impl BoundPipeline {
         let mut schemas = Vec::with_capacity(ops.len() + 1);
         schemas.push(input.clone());
         let mut bops = Vec::with_capacity(ops.len());
-        for op in ops {
+        let mut sinks = Vec::new();
+        for (at, op) in ops.iter().enumerate() {
             let schema = schemas.last().expect("seeded with input schema");
             let unknown = |column: &crate::tuple::ColName| BindError::UnknownColumn {
                 column: column.clone(),
@@ -404,22 +542,39 @@ impl BoundPipeline {
                 ),
                 Operator::Reduce {
                     keys, agg, value, ..
-                } => BoundOp::Reduce {
-                    key_idx: keys
-                        .iter()
-                        .map(|k| schema.index_of(k).ok_or_else(|| unknown(k)))
-                        .collect::<Result<_, _>>()?,
-                    val_idx: schema.index_of(value).ok_or_else(|| unknown(value))?,
-                    agg: *agg,
-                    groups: Table::new(keys.len()),
-                },
-                Operator::Distinct => BoundOp::Distinct(Table::new(schema.len())),
+                } => {
+                    let (agg, table) = (Some(*agg), Table::new(keys.len()));
+                    sinks.push(Sink { at, agg, table });
+                    BoundOp::Reduce {
+                        key_idx: keys
+                            .iter()
+                            .map(|k| schema.index_of(k).ok_or_else(|| unknown(k)))
+                            .collect::<Result<_, _>>()?,
+                        val_idx: schema.index_of(value).ok_or_else(|| unknown(value))?,
+                    }
+                }
+                Operator::Distinct => {
+                    let (agg, table) = (None, Table::new(schema.len()));
+                    sinks.push(Sink { at, agg, table });
+                    BoundOp::Distinct
+                }
             };
             let next = op.output_schema(schema).map_err(|c| unknown(&c))?;
             bops.push(bop);
             schemas.push(next);
         }
-        Ok(BoundPipeline { ops: bops, schemas })
+        let stateless = |op: &BoundOp| matches!(op, BoundOp::Filter(_) | BoundOp::Map(_));
+        let lower = |at: usize| {
+            let sink = at + bops[at..].iter().take_while(|op| stateless(op)).count();
+            Run::lower(&bops[at..sink], schemas[at].len(), bops.get(sink))
+        };
+        Ok(BoundPipeline {
+            runs: (0..=ops.len()).map(lower).collect(),
+            schemas,
+            sinks,
+            sel: Vec::new(),
+            cells: Vec::new(),
+        })
     }
 
     /// The schema of the pipeline's output.
@@ -431,13 +586,29 @@ impl BoundPipeline {
     /// reduce's groups, a distinct's set — in op order. This is the
     /// planner's `B`: the keys a register for that op must fit.
     pub fn cardinalities(&self) -> impl Iterator<Item = usize> + '_ {
-        self.ops.iter().filter_map(|op| op.table().map(|t| t.len))
+        self.sinks.iter().map(|sink| sink.table.len)
+    }
+
+    /// Per entry op, how its run lowered: `[compares, residual
+    /// predicates, projected cells evaluated as expressions]`. For
+    /// tests that pin which queries run on flat columns alone.
+    #[doc(hidden)]
+    pub fn lowering(&self) -> Vec<[usize; 3]> {
+        let count = |run: &Run| {
+            let residual = |s: &&Step| matches!(s, Step::Residual(_));
+            let residuals = run.steps.iter().filter(residual).count();
+            let exprs = run.proj.iter().filter(|p| matches!(p, Proj::Expr(_)));
+            [run.steps.len() - residuals, residuals, exprs.count()]
+        };
+        self.runs.iter().map(count).collect()
     }
 
     /// Run the whole pipeline over a batch entering at op 0.
     pub fn run(&mut self, tuples: Vec<Tuple>) -> Vec<Tuple> {
-        let entries = Entries::from([(0, runs_of(&tuples))]);
-        self.run_from(&entries, 0).tuples().collect()
+        let runs = runs_of(&tuples);
+        self.run_from(0, |at| if at == 0 { &runs } else { &[] })
+            .tuples()
+            .collect()
     }
 
     /// [`Self::run_rows`] from tuples and back to tuples — the
@@ -454,124 +625,128 @@ impl BoundPipeline {
     /// Run with rows injected at arbitrary operator indices,
     /// reproducing the reference `run_entries` merge semantics.
     pub fn run_rows(&mut self, entries: &Entries) -> Result<Rows, BoundError> {
-        let len = self.ops.len();
+        let len = self.runs.len() - 1;
         if let Some(&op) = entries.keys().find(|&&op| op > len) {
             return Err(BoundError::BadEntry { op, len });
         }
         let first = entries.keys().next().copied().unwrap_or(len);
-        Ok(self.run_from(entries, first))
+        Ok(self.run_from(first, |at| entries.get(&at).map_or(&[], Vec::as_slice)))
     }
 
-    /// Fused segment-by-segment execution from op `start`.
-    fn run_from(&mut self, entries: &Entries, start: usize) -> Rows {
-        let len = self.ops.len();
-        let stateful = |op: &BoundOp| op.table().is_some();
-        let mut scratch = Scratch::default();
-        let mut row = Vec::new();
-        // The previous sink and what it emits ([`BoundOp::emission`]),
-        // read where it is and entering at `seed_at`: past the filters
-        // already asked.
-        let mut seed: Option<(usize, Option<Vec<u32>>)> = None;
-        let mut seed_at = start;
-        let mut i = start;
-        loop {
-            let sink_at = (i..len).find(|&j| stateful(&self.ops[j])).unwrap_or(len);
-            let (head, tail) = self.ops.split_at_mut(sink_at);
-            let (sink, tail) = match tail.split_first_mut() {
-                Some((sink, tail)) => (Some(sink), &*tail),
-                None => (None, &*tail),
-            };
-            if let Some(BoundOp::Reduce { groups: t, .. } | BoundOp::Distinct(t)) = sink {
-                t.clear();
+    /// Segment-by-segment execution from op `start`, over the runs
+    /// `entering` at each op.
+    fn run_from<'a>(&mut self, start: usize, entering: impl Fn(usize) -> &'a [RowRun]) -> Rows {
+        let BoundPipeline {
+            schemas,
+            runs,
+            sinks,
+            sel,
+            cells,
+        } = self;
+        let (len, last) = (runs.len() - 1, sinks.len());
+        let mut out = Rows::new(schemas[len].len());
+        let first = sinks.iter().take_while(|sink| sink.at < start).count();
+        let mut lo = start;
+        for seg in first..=last {
+            let (done, rest) = sinks.split_at_mut(seg);
+            let mut sink = rest.first_mut();
+            if let Some(sink) = &mut sink {
+                sink.table.clear();
             }
-            let head = &*head;
-            let mut segment = Segment {
-                sink,
-                out: Flat::default(),
-            };
-            // Drain this segment's sources in entry order: the
-            // previous sink's output, then each entry run.
-            let entering = |at: usize| (&head[at..], self.schemas[at].len());
-            if let Some((from, ks)) = &seed {
-                let from: &BoundOp = &head[*from];
-                let all = 0..from.table().map_or(0, |t| t.len as u32);
-                let ks: &mut dyn Iterator<Item = u32> = match ks {
-                    Some(ks) => &mut ks.iter().copied(),
-                    None => &mut all.into_iter(),
-                };
-                for k in ks {
-                    from.emitted(k as usize, &mut row, &mut scratch.heap);
-                    segment.feed(entering(seed_at), &row[..], &mut scratch);
+            let hi = sink.as_ref().map_or(len, |sink| sink.at);
+            let (out, cells) = (&mut out, &mut *cells);
+            let mut segment = Segment { sink, out, cells };
+            // Drain this segment's sources in entry order: the groups
+            // of the sink before it — those its run's steps keep, which
+            // a threshold makes few; sorted by key if no sink follows
+            // (keys are unique, so key order is row order) — then each
+            // entry run.
+            if let Some(Sink { at, table, .. }) = done.last().filter(|_| seg > first) {
+                sel.clear();
+                sel.extend(0..table.len as u32);
+                runs[at + 1].narrow(table, sel, &mut segment.out.heap);
+                if seg == last {
+                    sel.sort_unstable_by(|&a, &b| {
+                        segment.out.heap.cmp_rows(table.key(a), table.key(b))
+                    });
                 }
+                segment.take(&runs[at + 1], table, sel);
             }
-            for at in i..=sink_at {
-                let path = entering(at);
-                for run in entries.get(&at).into_iter().flatten() {
-                    match run {
-                        RowRun::Packets { block, sel } => {
-                            for &p in sel.iter().filter(|&&p| block.is_valid(p)) {
-                                segment.feed(path, &block.row(p), &mut scratch);
+            for (at, run) in (lo..).zip(&runs[lo..=hi]) {
+                for entry in entering(at) {
+                    match entry {
+                        RowRun::Packets { block, sel: picked } => {
+                            for picked in picked.chunks(CHUNK) {
+                                sel.clear();
+                                sel.extend_from_slice(picked);
+                                retain(sel, |p| block.is_valid(p));
+                                run.narrow(&**block, sel, &mut segment.out.heap);
+                                segment.take(run, &**block, sel);
                             }
                         }
                         RowRun::Cells(rows) => {
-                            for r in 0..rows.len() {
-                                segment.feed(path, &rows.row(r), &mut scratch);
+                            let len = rows.len() as u32;
+                            for first in (0..len).step_by(CHUNK) {
+                                sel.clear();
+                                sel.extend(first..len.min(first + CHUNK as u32));
+                                run.narrow(rows, sel, &mut segment.out.heap);
+                                segment.take(run, rows, sel);
                             }
                         }
                     }
                 }
             }
-            let Some(sink) = segment.sink else {
-                let width = self.schemas[len].len();
-                let Flat { cells, rows } = segment.out;
-                return Rows::from_parts(width, rows, cells, scratch.heap);
-            };
-            let filters = tail
-                .iter()
-                .take_while(|op| matches!(op, BoundOp::Filter(_)));
-            let filters = &tail[..filters.count()];
-            let ks = sink.emission(filters, !tail.iter().any(stateful), &mut scratch);
-            seed = Some((sink_at, ks));
-            seed_at = sink_at + 1 + filters.len();
-            i = sink_at + 1;
+            lo = hi + 1;
         }
+        out
     }
 }
 
-/// A join bound to its two branch output schemas once: key offsets,
-/// key expressions, the right-side append projection and the post-join
-/// pipeline, as [`crate::interpret::run_query_with_schema`] resolves
-/// them per call.
+/// A join bound to its two branch output schemas once: the key
+/// projections of either side, the right-side append projection and the
+/// post-join pipeline, as [`crate::interpret::run_query_with_schema`]
+/// resolves them per call — and, kept from window to window, the index
+/// over the right rows and the buffers the join is made in.
 #[derive(Debug)]
 pub struct BoundJoin {
-    right_key_idx: Vec<usize>,
-    left_key_exprs: Vec<BoundExpr>,
+    right_keys: Vec<Proj>,
+    left_keys: Vec<Proj>,
     append_idx: Vec<usize>,
     post: BoundPipeline,
+    /// Right rows by key: `index.accs[k]` is the last row of key `k`,
+    /// `prev[r]` the one before row `r` (itself at the first).
+    index: Table,
+    prev: Vec<u32>,
+    matches: Vec<u32>,
+    joined: Rows,
 }
 
 impl BoundJoin {
     /// Bind `join` between branch outputs of the given schemas, with
     /// the reference interpreter's error precedence.
     pub fn bind(join: &Join, left: &Schema, right: &Schema) -> Result<Self, InterpretError> {
-        let right_key_idx = (join.keys.iter())
+        let right_keys = (join.keys.iter())
             .map(|k| {
                 let missing = || QueryError::JoinKeyMissing { key: k.clone() };
-                right.index_of(k).ok_or_else(missing)
+                right.index_of(k).map(Proj::Col).ok_or_else(missing)
             })
             .collect::<Result<_, _>>()?;
-        let left_key_exprs = (join.left_keys.iter())
-            .map(|e| e.bind(left))
+        let left_keys = (join.left_keys.iter())
+            .map(|e| e.bind(left).map(|e| Proj::from(&e)))
             .collect::<Result<_, _>>()?;
-        let append_idx = (0..right.len())
+        let append_idx: Vec<usize> = (0..right.len())
             .filter(|&i| !left.contains(&right.columns()[i]))
             .collect();
         let joined = joined_schema(left, right, &join.keys);
         Ok(BoundJoin {
-            right_key_idx,
-            left_key_exprs,
+            right_keys,
+            left_keys,
+            joined: Rows::new(left.len() + append_idx.len()),
             append_idx,
             post: BoundPipeline::bind(&join.post.ops, &joined)?,
+            index: Table::new(join.keys.len()),
+            prev: Vec::new(),
+            matches: Vec::new(),
         })
     }
 
@@ -584,58 +759,67 @@ impl BoundJoin {
     /// within a key, as the reference does — and run the post-join
     /// pipeline over the result.
     pub fn run_rows(&mut self, left: &Rows, right: &Rows) -> Rows {
+        let BoundJoin {
+            index,
+            prev,
+            matches,
+            joined,
+            post,
+            ..
+        } = self;
+        // The post-join pipeline's scratch is idle until the join is made.
+        let (sel, cells) = (&mut post.sel, &mut post.cells);
         let mut heap = Heap::default();
-        let mut key = Vec::new();
-        // Right rows by key: `index.accs[k]` is the last row of key
-        // `k`, `prev[r]` the one before row `r` (itself at the first).
-        let mut index = Table::new(self.right_key_idx.len());
-        let mut prev: Vec<usize> = Vec::with_capacity(right.len());
-        for r in 0..right.len() {
-            let row = right.row(r);
-            key.clear();
-            key.extend(self.right_key_idx.iter().map(|&i| row.cell(i, &mut heap)));
-            match index.entry(&key) {
-                (_, true) => {
-                    index.accs.push(r as u64);
-                    prev.push(r);
-                }
-                (k, false) => prev.push(std::mem::replace(&mut index.accs[k], r as u64) as usize),
+        index.clear();
+        prev.clear();
+        sel.clear();
+        sel.extend(0..right.len() as u32);
+        let keyed = |key: &[u64], r: u32, _: &Heap| match index.entry(key) {
+            (_, true) => {
+                index.accs.push(r as u64);
+                prev.push(r);
             }
-        }
-        let width = left.width() + self.append_idx.len();
-        let mut joined = Flat::default();
-        let mut matches = Vec::new();
-        for l in 0..left.len() {
-            let lrow = left.row(l);
-            key.clear();
-            key.extend(
-                self.left_key_exprs
-                    .iter()
-                    .map(|e| e.eval_row(&lrow, &mut heap)),
-            );
-            let Some(k) = index.find(&key) else {
-                continue;
+            (k, false) => prev.push(std::mem::replace(&mut index.accs[k], r as u64) as u32),
+        };
+        project(&self.right_keys, (right, sel), (cells, &mut heap), keyed);
+        joined.clear();
+        sel.clear();
+        sel.extend(0..left.len() as u32);
+        let matched = |key: &[u64], l: u32, _: &Heap| {
+            let Some(k) = index.find(key) else {
+                return;
             };
             matches.clear();
-            let mut r = index.accs[k] as usize;
+            let mut r = index.accs[k] as u32;
             loop {
                 matches.push(r);
-                if prev[r] == r {
+                if prev[r as usize] == r {
                     break;
                 }
-                r = prev[r];
+                r = prev[r as usize];
             }
+            // The left row, then the right row's appended columns.
+            let (lrow, width) = (left.row(l as usize), left.width());
             for &r in matches.iter().rev() {
-                let rrow = right.row(r);
-                let cells = &mut joined.cells;
-                cells.extend((0..left.width()).map(|c| lrow.cell(c, &mut heap)));
-                cells.extend(self.append_idx.iter().map(|&c| rrow.cell(c, &mut heap)));
-                joined.rows += 1;
+                let rrow = right.row(r as usize);
+                joined.push_row(
+                    &|col: usize, heap: &mut Heap| match col.checked_sub(width) {
+                        None => lrow.cell(col, heap),
+                        Some(appended) => rrow.cell(self.append_idx[appended], heap),
+                    },
+                );
             }
+        };
+        project(&self.left_keys, (left, sel), (cells, &mut heap), matched);
+        let entering = RowRun::Cells(std::mem::take(joined));
+        let out = post.run_from(0, |at| match at {
+            0 => std::slice::from_ref(&entering),
+            _ => &[],
+        });
+        if let RowRun::Cells(rows) = entering {
+            *joined = rows;
         }
-        let joined = Rows::from_parts(width, joined.rows, joined.cells, heap);
-        let entries = Entries::from([(0, vec![RowRun::Cells(joined)])]);
-        self.post.run_from(&entries, 0)
+        out
     }
 }
 
@@ -784,5 +968,113 @@ mod tests {
         let tuples: Vec<Tuple> = (0..6).map(|i| syn(i, 0xaa + (i % 2))).collect();
         let (_, reference) = run_pipeline(&ops, &packet, tuples.clone()).unwrap();
         assert_eq!(bound.run(tuples), reference);
+    }
+
+    /// How every run of every branch of `q` lowered, by branch: `L`eft,
+    /// `R`ight, `P`ost-join.
+    fn lowerings(q: &crate::query::Query) -> Vec<(char, Vec<[usize; 3]>)> {
+        let packet = Schema::packet();
+        let left = BoundPipeline::bind(&q.pipeline.ops, &packet).unwrap();
+        let mut all = vec![('L', left.lowering())];
+        if let Some(join) = &q.join {
+            let right = BoundPipeline::bind(&join.right.ops, &packet).unwrap();
+            all.push(('R', right.lowering()));
+            let (l, r) = (left.output_schema(), right.output_schema());
+            all.push(('P', BoundJoin::bind(join, l, r).unwrap().post.lowering()));
+        }
+        all
+    }
+
+    #[test]
+    fn catalog_runs_lower_to_compares_except_where_named() {
+        // Every run of every branch is compares and flat projections
+        // but for the runs listed: `(branch, entry op, residuals,
+        // expression projections)`. A silent fall-back to the residual
+        // evaluator fails here, not in a benchmark.
+        type Odd = (char, usize, usize, usize);
+        // `syns - acks > th`: arithmetic, filtered and then projected.
+        const DIFF: &[Odd] = &[('P', 0, 1, 1)];
+        // `pkt.len / 16` from either entry op before the reduce; the
+        // payload search.
+        const ZORRO: &[Odd] = &[('R', 0, 0, 1), ('R', 1, 0, 1), ('P', 0, 1, 0)];
+        let expect: [(&str, usize, &[Odd]); 12] = [
+            ("newly_opened_tcp_conns", 2, &[]),
+            ("ssh_brute_force", 3, &[]),
+            ("superspreader", 1, &[]),
+            ("port_scan", 2, &[]),
+            ("ddos", 1, &[]),
+            ("tcp_syn_flood", 3, DIFF),
+            ("tcp_incomplete_flows", 3, DIFF),
+            ("slowloris", 4, DIFF),
+            // The DNS names are columns read through, per packet.
+            ("dns_tunneling", 3, &[]),
+            ("zorro", 4, ZORRO),
+            ("dns_reflection", 3, &[]),
+            ("malicious_domains", 3, &[]),
+        ];
+        let t = crate::catalog::Thresholds::default();
+        let mut queries = crate::catalog::all(&t);
+        queries.push(crate::catalog::malicious_domains(&t));
+        for (q, (name, compares, odd)) in queries.iter().zip(expect) {
+            assert_eq!(q.name, name);
+            let runs: Vec<(char, usize, [usize; 3])> = lowerings(q)
+                .into_iter()
+                .flat_map(|(branch, runs)| (0..).zip(runs).map(move |(at, run)| (branch, at, run)))
+                .collect();
+            let total: usize = runs.iter().map(|(.., run)| run[0]).sum();
+            assert_eq!(total, compares, "{name}: compares");
+            let got: Vec<Odd> = (runs.iter())
+                .filter(|(.., run)| run[1] + run[2] > 0)
+                .map(|&(branch, at, run)| (branch, at, run[1], run[2]))
+                .collect();
+            assert_eq!(got, odd, "{name}");
+        }
+    }
+
+    /// One window of `keys` distinct keys, each seen twice, through a
+    /// reduce — and what a pipeline bound for the occasion makes of it.
+    fn window_of(keys: u64, bound: &mut BoundPipeline) -> (Rows, Rows) {
+        let mut rows = Rows::new(2);
+        (0..2 * keys).for_each(|i| rows.push([i % keys, 1]));
+        let entries = Entries::from([(0, vec![RowRun::Cells(rows)])]);
+        let mut fresh = BoundPipeline::bind(&counting(), &Schema::new(["k", "v"])).unwrap();
+        (
+            bound.run_rows(&entries).unwrap(),
+            fresh.run_rows(&entries).unwrap(),
+        )
+    }
+
+    fn counting() -> Vec<Operator> {
+        vec![Operator::Reduce {
+            keys: vec!["k".into()],
+            agg: Agg::Sum,
+            value: "v".into(),
+            out: "v".into(),
+        }]
+    }
+
+    #[test]
+    fn a_burst_sizes_a_table_for_two_windows_not_for_ever() {
+        let mut bound = BoundPipeline::bind(&counting(), &Schema::new(["k", "v"])).unwrap();
+        let slots = |bound: &BoundPipeline| bound.sinks[0].table.slots.len();
+        let (got, want) = window_of(200_000, &mut bound);
+        assert_eq!(got, want);
+        assert!(slots(&bound) >= 400_000);
+        for small in 1..=50 {
+            let (got, want) = window_of(10, &mut bound);
+            assert_eq!(got, want, "small window {small}");
+            assert_eq!(got.len(), 10);
+            // The third small window starts on a table cut to size.
+            assert_eq!(slots(&bound) < 1_024, small >= 3, "small window {small}");
+        }
+        // A load that alternates keeps the larger size: nothing is cut
+        // and regrown window after window.
+        let mut seen = Vec::new();
+        for window in 0..12 {
+            let (got, want) = window_of([10, 1_000][window % 2], &mut bound);
+            assert_eq!(got, want);
+            seen.push(slots(&bound));
+        }
+        assert!(seen[1..].iter().all(|&s| s == 2_048), "{seen:?}");
     }
 }

@@ -83,7 +83,7 @@ impl CmpOp {
 
     /// [`Self::eval`] on two cells of `heap`.
     #[inline]
-    fn eval_cells(self, a: u64, b: u64, heap: &Heap) -> bool {
+    pub(crate) fn eval_cells(self, a: u64, b: u64, heap: &Heap) -> bool {
         match self {
             CmpOp::Eq => a == b,
             CmpOp::Ne => a != b,
@@ -424,23 +424,28 @@ impl BoundExpr {
             }
         }
     }
-}
 
-impl BoundExpr {
-    /// Evaluate on a row of the bound path, to a cell of `heap`. The
-    /// leaves are answered here, where a caller's loop can inline
-    /// them; anything nested recurses out of line.
-    #[inline]
+    /// This expression with each column replaced by the expression in
+    /// `cols` that defines it: what it reads of the rows a `map`
+    /// producing `cols` was given.
+    pub(crate) fn over(&self, cols: &[BoundExpr]) -> BoundExpr {
+        match self {
+            BoundExpr::Col(i) => cols[*i].clone(),
+            BoundExpr::Lit(v) => BoundExpr::Lit(v.clone()),
+            BoundExpr::Mask(e, l) => BoundExpr::Mask(Box::new(e.over(cols)), *l),
+            BoundExpr::Arith(op, a, b) => {
+                BoundExpr::Arith(*op, Box::new(a.over(cols)), Box::new(b.over(cols)))
+            }
+        }
+    }
+
+    /// Evaluate on a row of the bound path, to a cell of `heap`: what
+    /// a lowered run ([`crate::bound`]) calls for the cells that are
+    /// not a column, a constant or a masked column.
     pub fn eval_row<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> u64 {
         match self {
             BoundExpr::Col(i) => row.cell(*i, heap),
             BoundExpr::Lit(v) => heap.cell(v),
-            nested => nested.eval_nested(row, heap),
-        }
-    }
-
-    fn eval_nested<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> u64 {
-        match self {
             BoundExpr::Mask(e, l) => {
                 let cell = e.eval_row(row, heap);
                 heap.mask(cell, *l)
@@ -452,7 +457,6 @@ impl BoundExpr {
                     _ => 0,
                 }
             }
-            leaf => leaf.eval_row(row, heap),
         }
     }
 }
@@ -558,10 +562,7 @@ impl Pred {
             ),
             Pred::Not(p) => BoundPred::Not(Box::new(p.bind(schema)?)),
             Pred::Contains { col: c, needle } => BoundPred::Contains {
-                idx: schema.index_of(c).ok_or_else(|| BindError::UnknownColumn {
-                    column: c.clone(),
-                    schema: schema.clone(),
-                })?,
+                of: Expr::Col(c.clone()).bind(schema)?,
                 needle: needle.clone(),
             },
             Pred::InSet { expr, set } => BoundPred::InSet {
@@ -623,10 +624,11 @@ pub enum BoundPred {
     Or(Vec<BoundPred>),
     /// Negation.
     Not(Box<BoundPred>),
-    /// Substring search at a tuple index.
+    /// Substring search in what an expression yields: a column as
+    /// bound, what defines the column once a `map` is folded away.
     Contains {
-        /// The searched index.
-        idx: usize,
+        /// The searched cell.
+        of: BoundExpr,
         /// The needle.
         needle: Arc<[u8]>,
     },
@@ -647,42 +649,61 @@ impl BoundPred {
             BoundPred::And(ps) => ps.iter().all(|p| p.eval(tuple)),
             BoundPred::Or(ps) => ps.iter().any(|p| p.eval(tuple)),
             BoundPred::Not(p) => !p.eval(tuple),
-            BoundPred::Contains { idx, needle } => match tuple.get(*idx) {
-                Value::Bytes(b) => contains_subslice(b, needle),
+            BoundPred::Contains { of, needle } => match of.eval(tuple) {
+                Value::Bytes(b) => contains_subslice(&b, needle),
                 Value::Text(s) => contains_subslice(s.as_bytes(), needle),
                 Value::U64(_) => false,
             },
             BoundPred::InSet { expr, set } => set.contains(&expr.eval(tuple)),
         }
     }
-}
 
-impl BoundPred {
-    /// Evaluate on a row of the bound path. A comparison — what nearly
-    /// every filter is, or is made of — is answered here, where a
-    /// caller's loop can inline it; the rest recurses out of line.
-    #[inline]
+    /// [`BoundExpr::over`] for a predicate.
+    pub(crate) fn over(&self, cols: &[BoundExpr]) -> BoundPred {
+        let all = |ps: &[BoundPred]| ps.iter().map(|p| p.over(cols)).collect();
+        match self {
+            BoundPred::Cmp { lhs, op, rhs } => BoundPred::Cmp {
+                lhs: lhs.over(cols),
+                op: *op,
+                rhs: rhs.over(cols),
+            },
+            BoundPred::And(ps) => BoundPred::And(all(ps)),
+            BoundPred::Or(ps) => BoundPred::Or(all(ps)),
+            BoundPred::Not(p) => BoundPred::Not(Box::new(p.over(cols))),
+            BoundPred::Contains { of, needle } => BoundPred::Contains {
+                of: of.over(cols),
+                needle: needle.clone(),
+            },
+            BoundPred::InSet { expr, set } => BoundPred::InSet {
+                expr: expr.over(cols),
+                set: set.clone(),
+            },
+        }
+    }
+
+    /// Evaluate on a row of the bound path: what a lowered run calls
+    /// for the predicates that are not a compare of a column, on the
+    /// rows its compares kept.
     pub fn eval_row<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> bool {
         match self {
             BoundPred::Cmp { lhs, op, rhs } => {
                 let (a, b) = (lhs.eval_row(row, heap), rhs.eval_row(row, heap));
                 op.eval_cells(a, b, heap)
             }
-            nested => nested.eval_nested(row, heap),
-        }
-    }
-
-    fn eval_nested<R: RowSource + ?Sized>(&self, row: &R, heap: &mut Heap) -> bool {
-        match self {
             BoundPred::And(ps) => ps.iter().all(|p| p.eval_row(row, heap)),
             BoundPred::Or(ps) => ps.iter().any(|p| p.eval_row(row, heap)),
             BoundPred::Not(p) => !p.eval_row(row, heap),
-            BoundPred::Contains { idx, needle } => row.contains(*idx, needle, heap),
+            BoundPred::Contains { of, needle } => match of {
+                BoundExpr::Col(idx) => row.contains(*idx, needle, heap),
+                computed => {
+                    let cell = computed.eval_row(row, heap);
+                    heap.contains(cell, needle)
+                }
+            },
             BoundPred::InSet { expr, set } => {
                 let cell = expr.eval_row(row, heap);
                 set.contains(&heap.value(cell))
             }
-            cmp => cmp.eval_row(row, heap),
         }
     }
 }

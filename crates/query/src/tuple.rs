@@ -203,7 +203,7 @@ impl fmt::Display for Tuple {
 }
 
 /// Cells from here up are numbers into a [`Heap`].
-const BOXED: u64 = 1 << 63;
+pub(crate) const BOXED: u64 = 1 << 63;
 
 /// The values a `u64` cell cannot hold itself — text, bytes, scalars
 /// of 2⁶³ and up — each held once, so two cells of one heap are equal
@@ -341,12 +341,24 @@ pub trait RowSource {
     }
 }
 
-/// A row whose cells already belong to the heap in use.
-impl RowSource for [u64] {
+/// A row given as the function from column to cell.
+impl<F: Fn(usize, &mut Heap) -> u64> RowSource for F {
     #[inline]
-    fn cell(&self, col: usize, _: &mut Heap) -> u64 {
-        self[col]
+    fn cell(&self, col: usize, heap: &mut Heap) -> u64 {
+        self(col, heap)
     }
+}
+
+/// Rows a pipeline reads a column at a time: the packets of a block,
+/// flat rows, the groups of a finished sink. Rows go by number.
+pub(crate) trait Columns {
+    /// Column `col` by row: the cell where it is a plain scalar, any
+    /// value from 2⁶³ up where it has to be read through [`Self::row`]
+    /// — it belongs to another heap, or is decoded per packet.
+    fn col(&self, col: usize) -> impl Fn(u32) -> u64 + '_;
+
+    /// Row `r`, for whatever reads a row whole.
+    fn row(&self, r: u32) -> impl RowSource + '_;
 }
 
 impl RowSource for Tuple {
@@ -381,9 +393,9 @@ impl RowSource for RowOf<'_> {
 pub struct Rows {
     width: usize,
     /// Stated, not derived: a row may have no columns.
-    rows: usize,
-    cells: Vec<u64>,
-    heap: Heap,
+    pub(crate) rows: usize,
+    pub(crate) cells: Vec<u64>,
+    pub(crate) heap: Heap,
 }
 
 impl Rows {
@@ -392,17 +404,6 @@ impl Rows {
         Rows {
             width,
             ..Rows::default()
-        }
-    }
-
-    /// Rows whose cells are `heap`'s.
-    pub(crate) fn from_parts(width: usize, rows: usize, cells: Vec<u64>, heap: Heap) -> Self {
-        debug_assert_eq!(cells.len(), rows * width);
-        Rows {
-            width,
-            rows,
-            cells,
-            heap,
         }
     }
 
@@ -448,6 +449,13 @@ impl Rows {
         self.rows += other.rows;
     }
 
+    /// Forget the rows, keep the buffers.
+    pub(crate) fn clear(&mut self) {
+        self.rows = 0;
+        self.cells.clear();
+        self.heap = Heap::default();
+    }
+
     /// Row `r`.
     #[inline]
     pub fn row(&self, r: usize) -> RowOf<'_> {
@@ -470,6 +478,18 @@ impl Rows {
     pub fn tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
         let tuple = |row: RowOf<'_>| (0..self.width).map(|c| row.value(c)).collect();
         (0..self.rows).map(move |r| tuple(self.row(r)))
+    }
+}
+
+impl Columns for Rows {
+    #[inline]
+    fn col(&self, col: usize) -> impl Fn(u32) -> u64 + '_ {
+        move |r| self.cells[r as usize * self.width + col]
+    }
+
+    #[inline]
+    fn row(&self, r: u32) -> impl RowSource + '_ {
+        Rows::row(self, r as usize)
     }
 }
 
@@ -564,6 +584,24 @@ impl PacketBlock {
             .is_valid(p)
             .then(|| self.packets.view(p as usize).decode());
         pkt.and_then(Result::ok).map(|pkt| Tuple::from_packet(&pkt))
+    }
+}
+
+impl Columns for PacketBlock {
+    /// A lazy field has no column: every row of it reads as 2⁶⁴ − 1.
+    #[inline]
+    fn col(&self, col: usize) -> impl Fn(u32) -> u64 + '_ {
+        let n = self.len();
+        let held: &[u32] = match LAZY >> col & 1 {
+            0 => &self.cols[col * n..(col + 1) * n],
+            _ => &[],
+        };
+        move |p| held.get(p as usize).map_or(u64::MAX, |&v| v as u64)
+    }
+
+    #[inline]
+    fn row(&self, p: u32) -> impl RowSource + '_ {
+        PacketBlock::row(self, p)
     }
 }
 

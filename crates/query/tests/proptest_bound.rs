@@ -11,16 +11,25 @@
 //! of them truncated or garbage, entering at op 0 and past the leading
 //! filters, merged with flat `u64` rows at later ops — against the
 //! interpreter over `Tuple::from_packet` of each record that decodes.
+//!
+//! Both halves draw the shapes the column-at-a-time lowering must not
+//! get wrong: a filter *after* a map that reads the map's outputs
+//! (forwarded to the source's columns), `Or`/`Not`/`InSet` residuals
+//! between lowered compares, `column op column`, every `CmpOp` against
+//! constants, against cells of 2⁶³ and more and against text, compares
+//! on the lazily decoded fields, rows entering at every op, and windows
+//! in which nothing survives the first compare.
 
 use proptest::prelude::*;
 use sonata_packet::dns::{DnsQType, DnsRecord};
 use sonata_packet::{DnsHeader, Field, PacketArena, PacketBuilder, TcpFlags, Value};
-use sonata_query::expr::{col, field, lit, CmpOp, Expr, Pred};
-use sonata_query::interpret::{run_operator, run_pipeline};
+use sonata_query::bound::BoundJoin;
+use sonata_query::expr::{col, field, lit, lit_text, CmpOp, Expr, Pred};
+use sonata_query::interpret::{run_operator, run_pipeline, run_query};
 use sonata_query::{
     Agg, BoundPipeline, ColName, Entries, Operator, PacketBlock, Query, RowRun, Rows, Schema, Tuple,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 const HOSTS: [&str; 3] = ["a.example", "b.example", "tunnel.evil"];
@@ -29,10 +38,17 @@ fn input_schema() -> Schema {
     Schema::new(["sip", "dip", "len", "host"])
 }
 
+/// A scalar that is, now and then, too large for a plain cell.
+fn arb_scalar(small: u64) -> impl Strategy<Value = u64> {
+    prop_oneof![0..small, 0..small, 0..small, 0..small, BIG..BIG + 3]
+}
+
+const BIG: u64 = 1 << 63;
+
 /// Small value domains so reduce keys actually collide and filters
 /// actually cut.
 fn arb_tuple() -> impl Strategy<Value = Tuple> {
-    (0u64..6, 0u64..6, 0u64..16, 0usize..3).prop_map(|(s, d, l, h)| {
+    (0u64..6, arb_scalar(6), arb_scalar(16), 0usize..3).prop_map(|(s, d, l, h)| {
         Tuple::new(vec![
             Value::U64(s),
             Value::U64(d),
@@ -44,11 +60,13 @@ fn arb_tuple() -> impl Strategy<Value = Tuple> {
 
 /// A pipeline shape: optional pre-filter, a map producing two key
 /// columns (possibly text-valued, which pushes the reduce off its
-/// scalar fast representation) and a value column, a reduce, then an
-/// optional post-filter and an optional stateful tail.
+/// scalar fast representation) and a value column, an optional filter
+/// on what the map produced, a reduce, then an optional post-filter and
+/// an optional stateful tail.
 #[derive(Debug, Clone)]
 struct Shape {
     pre_filter: Option<(usize, u8, u64)>,
+    mid_filter: Option<(u8, u8, u64)>,
     key1: usize,
     key2: usize,
     val: usize,
@@ -60,18 +78,23 @@ struct Shape {
 
 fn arb_shape() -> impl Strategy<Value = Shape> {
     (
-        prop_oneof![Just(None), (0usize..3, 0u8..6, 0u64..8).prop_map(Some)],
+        prop_oneof![
+            Just(None),
+            (0usize..3, 0u8..6, arb_scalar(8)).prop_map(Some)
+        ],
+        prop_oneof![Just(None), (0u8..8, 0u8..6, arb_scalar(8)).prop_map(Some)],
         0usize..3,
         0usize..3,
         0usize..4,
         0u8..3,
         0usize..5,
-        prop_oneof![Just(None), (0u8..6, 0u64..12).prop_map(Some)],
+        prop_oneof![Just(None), (0u8..6, arb_scalar(12)).prop_map(Some)],
         0u8..3,
     )
         .prop_map(
-            |(pre_filter, key1, key2, val, keys, agg, post_filter, tail)| Shape {
+            |(pre_filter, mid_filter, key1, key2, val, keys, agg, post_filter, tail)| Shape {
                 pre_filter,
+                mid_filter,
                 key1,
                 key2,
                 val,
@@ -83,7 +106,7 @@ fn arb_shape() -> impl Strategy<Value = Shape> {
         )
 }
 
-fn cmp_pred(c: u8, lhs: Expr, n: u64) -> Pred {
+fn cmp(c: u8, lhs: Expr, rhs: Expr) -> Pred {
     let op = [
         CmpOp::Eq,
         CmpOp::Ne,
@@ -92,10 +115,29 @@ fn cmp_pred(c: u8, lhs: Expr, n: u64) -> Pred {
         CmpOp::Lt,
         CmpOp::Le,
     ][c as usize % 6];
-    Pred::Cmp {
-        lhs,
-        op,
-        rhs: lit(n),
+    Pred::Cmp { lhs, op, rhs }
+}
+
+fn cmp_pred(c: u8, lhs: Expr, n: u64) -> Pred {
+    cmp(c, lhs, lit(n))
+}
+
+/// A filter over what the map made — keys that may be text, a value
+/// that may be arithmetic or a constant: forwarded compares, residuals
+/// between them, compares across kinds and against text.
+fn mid_pred(kind: u8, c: u8, n: u64) -> Pred {
+    let set: BTreeSet<Value> = [Value::U64(n), Value::U64(1), Value::Text(HOSTS[1].into())].into();
+    match kind % 8 {
+        0 => cmp_pred(c, col("v"), n),
+        1 => cmp(c, col("k1"), col("k2")),
+        2 => cmp_pred(c, col("k1"), n).or(cmp_pred(c + 1, col("v"), 3).not()),
+        3 => Pred::in_set(col("k1"), set),
+        4 => cmp_pred(c, col("k2"), n)
+            .and(col("k1").eq(lit(2)).or(Pred::in_set(col("k2"), set)))
+            .and(cmp(c + 2, col("v"), col("k1"))),
+        5 => cmp(c, col("k1"), lit_text(HOSTS[1])),
+        6 => cmp(c, col("v"), col("v").add(lit(n))),
+        _ => cmp_pred(c, col("k1"), n).and(Pred::contains("k2", b"example").not()),
     }
 }
 
@@ -122,6 +164,9 @@ fn build_ops(sh: &Shape) -> Vec<Operator> {
             ("v".into(), val),
         ],
     });
+    if let Some((kind, c, n)) = sh.mid_filter {
+        ops.push(Operator::Filter(mid_pred(kind, c, n)));
+    }
     let keys: Vec<ColName> = match sh.keys % 3 {
         0 => vec!["k1".into()],
         1 => vec!["k2".into()],
@@ -195,8 +240,8 @@ proptest! {
         shape in arb_shape(),
         tuples in proptest::collection::vec(arb_tuple(), 0..60),
         raw in proptest::collection::vec(
-            (0usize..8, proptest::collection::vec(proptest::collection::vec(0u64..32, 8), 0..6)),
-            0..4,
+            proptest::collection::vec(proptest::collection::vec(arb_scalar(32), 8), 0..6),
+            8,
         ),
     ) {
         let schema = input_schema();
@@ -209,8 +254,8 @@ proptest! {
         }
         let mut entries: BTreeMap<usize, Vec<Tuple>> = BTreeMap::new();
         entries.insert(0, tuples);
-        for (i, rows) in raw {
-            let idx = i % (ops.len() + 1);
+        // Rows enter at every op, the output included.
+        for (idx, rows) in raw.iter().enumerate().take(ops.len() + 1) {
             let width = schemas[idx].columns().len();
             entries.entry(idx).or_default().extend(rows.iter().map(|r| {
                 Tuple::new(r[..width].iter().map(|&v| Value::U64(v)).collect())
@@ -304,18 +349,40 @@ fn record_bytes((kind, a, b, payload): &Record) -> Vec<u8> {
 /// then a body that narrows — or does not.
 fn packet_ops(lead: &[u8], body: u8, th: u64) -> Vec<Operator> {
     let mut q = Query::builder("over_packets", 1);
+    let names: BTreeSet<Value> = [Value::Text("example.com".into()), Value::U64(0)].into();
+    let hosts: BTreeSet<Value> = (0..4).step_by(2).map(Value::U64).collect();
     for l in lead {
-        q = q.filter(match l % 5 {
+        q = q.filter(match l % 10 {
             0 => field(Field::Ipv4Proto).eq(lit(6)),
             1 => field(Field::UdpSrcPort)
                 .eq(lit(53))
                 .and(field(Field::DnsQr).eq(lit(1))),
             2 => Pred::contains("pkt.payload", b"zorro"),
             3 => field(Field::PktLen).gt(lit(40 + th)),
-            _ => field(Field::TcpDstPort).eq(lit(23)).not(),
+            4 => field(Field::TcpDstPort).eq(lit(23)).not(),
+            // Compares on the lazily decoded fields: a name against a
+            // scalar and against text, an answer address, the payload.
+            5 => cmp(th as u8, field(Field::DnsRrName), lit(0))
+                .and(field(Field::DnsRrName).ne(lit_text("a.example.com"))),
+            6 => cmp(th as u8, field(Field::DnsAnswerIp), lit(0x0a00_0001))
+                .and(field(Field::Payload).ne(lit(th))),
+            // Column against column, one of them lazy.
+            7 => cmp(th as u8, field(Field::Ipv4Src), field(Field::Ipv4Dst))
+                .and(field(Field::DnsAnswerIp).ge(field(Field::Ipv4Src))),
+            // Residuals between lowered compares.
+            8 => cmp(th as u8, field(Field::PktLen), lit(60))
+                .and(
+                    field(Field::UdpSrcPort)
+                        .eq(lit(53))
+                        .or(field(Field::UdpDstPort).eq(lit(6000)).not()),
+                )
+                .and(field(Field::Ipv4Src).le(lit(2))),
+            // Membership, of scalars and of text.
+            _ => Pred::in_set(field(Field::Ipv4Src).mask(31), hosts.clone())
+                .or(Pred::in_set(field(Field::DnsRrName).mask(2), names.clone())),
         });
     }
-    let q = match body % 5 {
+    let q = match body % 6 {
         // `distinct` straight over the packet schema.
         0 => q
             .distinct()
@@ -348,6 +415,22 @@ fn packet_ops(lead: &[u8], body: u8, th: u64) -> Vec<Operator> {
             ])
             .distinct()
             .filter(Pred::contains("body", [1u8, 2]).not()),
+        // Filters on what a map made, lazy columns among it.
+        4 => q
+            .map([
+                ("k", field(Field::Ipv4Src).mask(31)),
+                ("n", field(Field::PktLen).add(lit(1))),
+                ("name", field(Field::DnsRrName)),
+                ("d", field(Field::Ipv4Dst)),
+            ])
+            .filter(
+                col("n")
+                    .gt(lit(40 + th))
+                    .and(cmp(th as u8, col("k"), col("d")))
+                    .and(col("name").ne(lit(th % 2))),
+            )
+            .reduce(&["k", "name"], Agg::Sum, "n")
+            .filter(cmp_pred(th as u8 + 1, col("n"), 100)),
         // Nothing stateful at all.
         _ => q.map([
             ("k", field(Field::Ipv4Src).mask(31)),
@@ -437,8 +520,8 @@ proptest! {
 
     #[test]
     fn packet_blocks_and_flat_rows_match_the_interpreter_over_decoded_tuples(
-        lead in proptest::collection::vec(0u8..5, 0..3),
-        (body, th, late) in (0u8..5, 0u64..30, any::<u8>()),
+        lead in proptest::collection::vec(0u8..10, 0..3),
+        (body, th, late) in (0u8..6, 0u64..30, any::<u8>()),
         w1 in arb_window(),
         w2 in arb_window(),
     ) {
@@ -453,5 +536,66 @@ proptest! {
             prop_assert_eq!(bound.output_schema(), &ref_schema);
             prop_assert_eq!(got.tuples().collect::<Vec<_>>(), reference);
         }
+    }
+}
+
+/// A window in which nothing survives the first compare: empty
+/// selections through every sink, the sorted emission, the join and the
+/// post-join pipeline — on packets and on flat rows.
+#[test]
+fn a_window_that_fails_the_first_compare_leaves_everything_empty() {
+    let q = Query::builder("nothing", 1)
+        .filter(field(Field::Ipv4Proto).eq(lit(250)))
+        .map([
+            ("dIP", field(Field::Ipv4Dst)),
+            ("sIP", field(Field::Ipv4Src)),
+        ])
+        .distinct()
+        .map([("dIP", col("dIP")), ("n", lit(1))])
+        .reduce(&["dIP"], Agg::Sum, "n")
+        .join_with(&["dIP"], |b| {
+            b.filter(field(Field::Ipv4Proto).eq(lit(6)))
+                .map([
+                    ("dIP", field(Field::Ipv4Dst)),
+                    ("len", field(Field::PktLen)),
+                ])
+                .reduce(&["dIP"], Agg::Max, "len")
+        })
+        .map([("dIP", col("dIP")), ("x", col("n").add(col("len")))])
+        .filter(col("x").gt(lit(0)))
+        .build()
+        .unwrap();
+    let packets: Vec<_> = (0..40u32)
+        .map(|i| PacketBuilder::tcp_raw(i % 5, 9, i % 3, 80).build())
+        .collect();
+    assert!(run_query(&q, &packets).unwrap().is_empty());
+    let mut arena = PacketArena::new();
+    for p in &packets {
+        arena.push_record(p.ts_nanos, &p.encode());
+    }
+    let block = Arc::new(PacketBlock::new(arena));
+    let sel: Vec<u32> = (0..packets.len() as u32).collect();
+    let as_packets = RowRun::Packets { block, sel };
+    let as_cells = {
+        let mut rows = Rows::new(Schema::packet().len());
+        packets
+            .iter()
+            .for_each(|p| rows.push_row(&Tuple::from_packet(p)));
+        RowRun::Cells(rows)
+    };
+    let join = q.join.as_ref().unwrap();
+    let packet = Schema::packet();
+    let mut left = BoundPipeline::bind(&q.pipeline.ops, &packet).unwrap();
+    let mut right = BoundPipeline::bind(&join.right.ops, &packet).unwrap();
+    let mut bound = BoundJoin::bind(join, left.output_schema(), right.output_schema()).unwrap();
+    for run in [as_packets, as_cells] {
+        let entries = Entries::from([(0, vec![run])]);
+        let (l, r) = (
+            left.run_rows(&entries).unwrap(),
+            right.run_rows(&entries).unwrap(),
+        );
+        assert_eq!((l.len(), r.len()), (0, 3));
+        assert_eq!(left.cardinalities().collect::<Vec<_>>(), [0, 0]);
+        assert!(bound.run_rows(&l, &r).is_empty());
     }
 }

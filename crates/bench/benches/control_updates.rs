@@ -4,10 +4,10 @@
 //! reports), and end-to-end window-boundary cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sonata_packet::{PacketBuilder, TcpFlags};
+use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_pisa::compile::{compile_pipeline, RegisterSizing};
 use sonata_pisa::control::{ControlOp, UpdateCostModel};
-use sonata_pisa::{Switch, SwitchConstraints, TaskId};
+use sonata_pisa::{ReportBatch, Switch, SwitchConstraints, TaskId};
 use sonata_query::catalog::{self, Thresholds};
 use sonata_query::expr::{col, field, lit, Pred};
 use sonata_query::{Agg, QueryId};
@@ -85,6 +85,14 @@ fn bench_window_boundary(c: &mut Criterion) {
         0,
     )
     .unwrap();
+    let pkts: Vec<Packet> = (0..8_192u32)
+        .map(|i| {
+            PacketBuilder::tcp_raw(1, 2, i, 80)
+                .flags(TcpFlags::SYN)
+                .build()
+        })
+        .collect();
+    let arena = PacketArena::from_packets(&pkts);
     let mut group = c.benchmark_group("window_boundary");
     group.sample_size(20);
     group.bench_function("end_window_8k_keys", |b| {
@@ -92,13 +100,7 @@ fn bench_window_boundary(c: &mut Criterion) {
             || {
                 let mut sw =
                     Switch::load(cp.fragment.clone(), &SwitchConstraints::default()).unwrap();
-                for i in 0..8_192u32 {
-                    sw.process(
-                        &PacketBuilder::tcp_raw(1, 2, i, 80)
-                            .flags(TcpFlags::SYN)
-                            .build(),
-                    );
-                }
+                sw.process_batch(&arena.batch(), &mut ReportBatch::new());
                 sw
             },
             |mut sw| std::hint::black_box(sw.end_window()),

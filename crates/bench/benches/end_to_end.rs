@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use sonata_bench::{time_per_iter_batched, BenchJson};
-use sonata_core::{IngestMode, Runtime, RuntimeConfig};
+use sonata_core::{Runtime, RuntimeConfig};
 use sonata_packet::Packet;
 use sonata_planner::costs::CostConfig;
 use sonata_planner::{plan_queries, PlanMode, PlannerConfig};
@@ -75,17 +75,15 @@ fn emit_json() {
         };
         let plan = plan_queries(&queries, &windows, &cfg).unwrap();
         json.config_str(&format!("mode_{xi}"), mode.label());
-        for (series, ingest, force) in [
-            ("runtime_arena_pps", IngestMode::Arena, false),
-            ("runtime_owned_pps", IngestMode::Owned, false),
-            ("runtime_reference_pps", IngestMode::Owned, true),
+        for (series, force) in [
+            ("runtime_arena_pps", false),
+            ("runtime_reference_pps", true),
         ] {
             let per_iter = time_per_iter_batched(
                 || {
                     Runtime::new(
                         &plan,
                         RuntimeConfig {
-                            ingest,
                             force_reference_path: force,
                             ..RuntimeConfig::default()
                         },

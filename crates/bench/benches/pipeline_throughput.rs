@@ -1,7 +1,6 @@
 //! Per-packet throughput of the PISA behavioral model: how fast the
-//! simulated switch pushes packets through compiled query pipelines,
-//! on both the decoded-packet fast path and the raw-bytes path (full
-//! reconfigurable-parser work), how cost scales with the number of
+//! simulated switch pushes a window's packets through compiled query
+//! pipelines as one arena batch, how cost scales with the number of
 //! concurrently installed queries, and how the sharded stream engine
 //! scales with worker count on a reduce-heavy query.
 
@@ -82,24 +81,6 @@ fn packets(n: usize) -> Vec<Packet> {
     .to_vec()
 }
 
-fn bench_process(c: &mut Criterion) {
-    let pkts = packets(4_000);
-    let mut group = c.benchmark_group("switch_process");
-    group.throughput(Throughput::Elements(pkts.len() as u64));
-    for n in [1usize, 4, 8] {
-        group.bench_with_input(BenchmarkId::new("queries", n), &n, |b, &n| {
-            let mut sw = build_switch(n);
-            b.iter(|| {
-                for p in &pkts {
-                    std::hint::black_box(sw.process(p));
-                }
-                sw.end_window();
-            });
-        });
-    }
-    group.finish();
-}
-
 fn bench_process_batch(c: &mut Criterion) {
     let pkts = packets(4_000);
     let arena = PacketArena::from_packets(&pkts);
@@ -116,23 +97,6 @@ fn bench_process_batch(c: &mut Criterion) {
             });
         });
     }
-    group.finish();
-}
-
-fn bench_process_bytes(c: &mut Criterion) {
-    let pkts = packets(4_000);
-    let wire: Vec<Vec<u8>> = pkts.iter().map(|p| p.encode()).collect();
-    let mut group = c.benchmark_group("switch_process_bytes");
-    group.throughput(Throughput::Elements(wire.len() as u64));
-    group.bench_function("query1_wire_parse", |b| {
-        let mut sw = build_switch(1);
-        b.iter(|| {
-            for (i, bytes) in wire.iter().enumerate() {
-                std::hint::black_box(sw.process_bytes(bytes, i as u64));
-            }
-            sw.end_window();
-        });
-    });
     group.finish();
 }
 
@@ -175,18 +139,15 @@ fn bench_sharded_engine(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_process,
     bench_process_batch,
-    bench_process_bytes,
     bench_reference_interpreter,
     bench_sharded_engine
 );
 
-/// Machine-readable baseline: the same switch and engine workloads
-/// measured on the compiled fast path and on the forced reference
-/// path, written as `results/pipeline_throughput.json`. The reference
-/// series is the recorded before-optimization baseline the fast-path
-/// speedup is judged against.
+/// Machine-readable baseline, written as
+/// `results/pipeline_throughput.json`: the switch's arena batch path
+/// per installed-query count, and the stream engine on its compiled
+/// fast path and on the forced reference path per worker count.
 fn emit_json() {
     let mut json = BenchJson::new("pipeline_throughput");
     json.config_num("switch_packets", 4_000.0)
@@ -195,17 +156,6 @@ fn emit_json() {
     let pkts = packets(4_000);
     let arena = PacketArena::from_packets(&pkts);
     for n in [1usize, 4, 8] {
-        for (series, force) in [("switch_fast_pps", false), ("switch_reference_pps", true)] {
-            let mut sw = build_switch(n);
-            sw.set_force_reference(force);
-            let per_iter = time_per_iter(|| {
-                for p in &pkts {
-                    std::hint::black_box(sw.process(p));
-                }
-                sw.end_window()
-            });
-            json.point(series, n as f64, pkts.len() as f64 / per_iter);
-        }
         let mut sw = build_switch(n);
         let mut out = ReportBatch::new();
         let per_iter = time_per_iter(|| {

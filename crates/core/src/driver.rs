@@ -230,8 +230,9 @@ pub fn branch_ref(branch: u8) -> PipelineRef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sonata_packet::{Packet, PacketBuilder, TcpFlags};
-    use sonata_pisa::{Switch, SwitchConstraints};
+    use crate::emitter::Emitter;
+    use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
+    use sonata_pisa::{ReportBatch, ReportKind, Switch, SwitchConstraints, CHUNK_BYTES};
     use sonata_planner::{plan_queries, PlanMode, PlannerConfig};
     use sonata_query::catalog::{self, Thresholds};
 
@@ -389,7 +390,46 @@ mod tests {
         assert_eq!(deployed.deployments[0].resume_op, 0);
         assert!(deployed.deployments[0].report_packet);
         let mut sw = Switch::load(deployed.program, &SwitchConstraints::default()).unwrap();
-        let reports = sw.process(&syn(1, 2, 0));
+        let arena = PacketArena::from_packets(&[syn(1, 2, 0)]);
+        let mut out = ReportBatch::new();
+        sw.process_batch(&arena.batch(), &mut out);
+        assert_eq!(out.total_reports(), 1);
+    }
+
+    #[test]
+    fn a_mirrored_record_that_does_not_decode_is_counted_malformed() {
+        // All-SP mirrors every packet for a packet-report task. A TCP
+        // record cut inside its TCP header still runs on both switch
+        // entries and is mirrored without its packet; the emitter
+        // cannot place such a row and counts it malformed.
+        let w = window();
+        let q = catalog::newly_opened_tcp_conns(&Thresholds::default());
+        let plan = plan_queries(&[q], &[&w], &cfg(PlanMode::AllSp)).unwrap();
+        let deployed = deploy(&plan).unwrap();
+        let load = || Switch::load(deployed.program.clone(), &SwitchConstraints::default());
+        let mut arena = PacketArena::new();
+        arena.push_record(0, &syn(1, 2, 0).encode()[..30]);
+
+        let mut out = ReportBatch::new();
+        load().unwrap().process_batch(&arena.batch(), &mut out);
+        let (chunk, _) = out.chunk(0, arena.batch(), CHUNK_BYTES).unwrap();
+        let mut batched = Emitter::new(&deployed.deployments);
+        batched.ingest_blocks(chunk);
+
+        let reports = load().unwrap().process_reference(arena.view(0));
         assert_eq!(reports.len(), 1);
+        assert_eq!(
+            (reports[0].kind, &reports[0].packet),
+            (ReportKind::Tuple, &None)
+        );
+        let mut reference = Emitter::new(&deployed.deployments);
+        for r in &reports {
+            reference.ingest(r);
+        }
+        for e in [&mut batched, &mut reference] {
+            e.close_window().unwrap();
+            assert_eq!((e.received.last, e.malformed.last), (1, 1));
+            assert_eq!(e.forwarded.last, 0);
+        }
     }
 }

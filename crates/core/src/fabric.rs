@@ -41,7 +41,7 @@ use crate::driver::{deploy, plan_digest, DeployedPlan, Deployment, QueryInstance
 use crate::emitter::{Emitter, LocalStore};
 use crate::runtime::{
     attribute_tuples, boundary_backoff_loop, build_feed_forward, collect_alerts,
-    feed_forward_control, submit_with_recovery, DegradedWindow, FeedForward, ReplanState,
+    feed_forward_control, submit_with_recovery, DegradedWindow, FeedForward, Ingest, ReplanState,
     RuntimeConfig, RuntimeError, RuntimeObs, SwitchArrival, TelemetryReport, WindowLatency,
     WindowReport, WindowRx,
 };
@@ -52,8 +52,8 @@ use sonata_net::{
     CollectorEndpoint, Frame, NetError, NetMetrics, SwitchEndpoint, Transport, TransportKind,
 };
 use sonata_obs::{Counter, EventKind, FabricSnapshot, ObsHandle, Stage, StageTimer, TraceContext};
-use sonata_packet::{Packet, PacketArena};
-use sonata_pisa::{ControlOp, ReportBatch, Switch, TaskId, UpdateCostModel};
+use sonata_packet::Packet;
+use sonata_pisa::{ControlOp, Switch, TaskId, UpdateCostModel};
 use sonata_planner::{GlobalPlan, ReplanOutcome};
 use sonata_query::{Heap, Operator, QueryId, RowRun, RowSource};
 use sonata_stream::{
@@ -197,36 +197,10 @@ enum Role {
 struct FabricSwitch {
     switch: Switch,
     cost_model: UpdateCostModel,
-    wire_mode: bool,
-    /// Resolved batch-ingest decision (see
-    /// [`crate::runtime::IngestMode`]): arena mode, not wire mode, not
-    /// the reference path.
-    ingest_batch: bool,
-    /// Per-window packet arena, rebuilt in place (this switch's trace
-    /// partition only).
-    arena: PacketArena,
-    /// Report arena filled by `process_batch`, reused across windows.
-    report_batch: ReportBatch,
+    /// Takes in this switch's share of each window.
+    ingest: Ingest,
     faults: FaultInjector,
     link: SwitchEndpoint,
-}
-
-impl FabricSwitch {
-    /// Batch ingest for this switch's share of the window: lay
-    /// `packets` out in the arena, run the whole batch, and ship its
-    /// reports, `pump`ing after every send (see
-    /// [`SwitchEndpoint::send_batch_reports`]).
-    fn feed_batch(
-        &mut self,
-        packets: &[Packet],
-        pump: impl FnMut() -> Result<(), RuntimeError>,
-    ) -> Result<(), RuntimeError> {
-        self.arena.rebuild_from_packets(packets);
-        let batch = self.arena.batch();
-        self.switch.process_batch(&batch, &mut self.report_batch);
-        self.link
-            .send_batch_reports(&self.report_batch, batch, pump)
-    }
 }
 
 /// The collector side of one switch's wire: endpoint plus the
@@ -340,7 +314,6 @@ impl Fabric {
             let mut switch =
                 Switch::load_with_sketch(program.clone(), &cfg.constraints, &cfg.obs, cfg.sketch)
                     .map_err(RuntimeError::Load)?;
-            switch.set_force_reference(cfg.force_reference_path);
             // A fabric switch holds only the partial per-key aggregate
             // of its traffic share: dump thresholds are only sound
             // after the cross-switch merge, so defer them to the
@@ -371,12 +344,7 @@ impl Fabric {
             switches.push(FabricSwitch {
                 switch,
                 cost_model: cfg.cost_model,
-                wire_mode: cfg.wire_mode,
-                ingest_batch: cfg.ingest == crate::runtime::IngestMode::Arena
-                    && !cfg.wire_mode
-                    && !cfg.force_reference_path,
-                arena: PacketArena::new(),
-                report_batch: ReportBatch::new(),
+                ingest: Ingest::new(cfg.force_reference_path),
                 faults: inj.clone(),
                 link,
             });
@@ -621,15 +589,10 @@ impl Fabric {
                 .open_window(window, parts[s].len() as u64)?;
             let t = handle.trace_span(Stage::PacketLoop, window, root.ctx(), &name);
             let slice = &parts[s][..limit];
-            if self.switches[s].ingest_batch {
-                let (link, rx) = (&mut self.links[s], &mut rxs[s]);
-                self.switches[s].feed_batch(slice, || pump_link(link, rx, &handle))?;
-            } else {
-                for pkt in slice {
-                    feed_switch(&mut self.switches[s], pkt)?;
-                    pump_link(&mut self.links[s], &mut rxs[s], &handle)?;
-                }
-            }
+            let (sw, link, rx) = (&mut self.switches[s], &mut self.links[s], &mut rxs[s]);
+            (sw.ingest).feed(&mut sw.switch, &mut sw.link, slice, || {
+                pump_link(link, rx, &handle)
+            })?;
             loop_ns[s] = t.finish();
             roots[s] = Some(root);
             if matches!(roles[s], Role::Cut(_)) {
@@ -1078,7 +1041,6 @@ impl Fabric {
                 self.cfg.sketch,
             )
             .map_err(RuntimeError::Load)?;
-            switch.set_force_reference(self.cfg.force_reference_path);
             switch.set_defer_dump_thresholds(true);
             self.switches[s].switch = switch;
             self.links[s].emitter = Emitter::with_faults(&deployments, &self.switches[s].faults);
@@ -1150,18 +1112,6 @@ impl Fabric {
     pub fn obs(&self) -> &ObsHandle {
         &self.cfg.obs
     }
-}
-
-/// Push one packet through a switch's pipeline and ship its mirrored
-/// reports through the egress fault seam.
-fn feed_switch(sw: &mut FabricSwitch, pkt: &Packet) -> Result<(), RuntimeError> {
-    let reports = if sw.wire_mode {
-        sw.switch.process_bytes(&pkt.encode(), pkt.ts_nanos)
-    } else {
-        sw.switch.process(pkt)
-    };
-    sw.link.send_packet_reports(reports)?;
-    Ok(())
 }
 
 /// Each deployed task with its local merge bound.

@@ -41,7 +41,7 @@ pub use driver::{DeployError, DeployedPlan, Deployment, QueryInstance};
 pub use emitter::Emitter;
 pub use fabric::{Fabric, SwitchOutage, TopologyConfig};
 pub use runtime::{
-    DegradedWindow, ErrorBoundReport, IngestMode, ReplanConfig, Runtime, RuntimeConfig,
-    SwitchArrival, TelemetryReport, WindowLatency, WindowReport,
+    DegradedWindow, ErrorBoundReport, ReplanConfig, Runtime, RuntimeConfig, SwitchArrival,
+    TelemetryReport, WindowLatency, WindowReport,
 };
 pub use sonata_pisa::{SketchConfig, StateLayout};

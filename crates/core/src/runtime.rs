@@ -38,26 +38,6 @@ use std::time::Duration;
 /// doubling backoff (1 ms, 2 ms, ...) to the window's update latency.
 pub(crate) const MAX_BOUNDARY_ATTEMPTS: u64 = 3;
 
-/// Packet-ingest strategy for the data-plane window loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IngestMode {
-    /// Zero-copy batched ingest (the default): each window's packets
-    /// are laid out in a contiguous [`PacketArena`] and executed
-    /// through [`Switch::process_batch`] — PHV slots resolved once per
-    /// batch, hoisted leading filters evaluated columnar over the
-    /// whole window, reports appended to reusable per-task column
-    /// blocks and shipped as such. Bit-identical to `Owned` (asserted by
-    /// `tests/differential_ingest.rs`). Wire mode and the
-    /// reference-path knob override this: both force per-packet
-    /// execution, since they exist to oracle exactly that path.
-    #[default]
-    Arena,
-    /// Per-packet owned ingest: clone-and-process one [`Packet`] at a
-    /// time. The pre-batch behavior, kept as the reference shape for
-    /// the differential suite and benchmarks.
-    Owned,
-}
-
 /// Runtime configuration.
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -78,11 +58,6 @@ pub struct RuntimeConfig {
     /// Sustained-threshold rule turning plan divergence into the
     /// re-plan trigger ([`crate::drift::DriftMonitor`]).
     pub drift: DriftConfig,
-    /// Wire mode: serialize every packet and drive the switch through
-    /// its raw-bytes path (reconfigurable parser over wire bytes, as
-    /// hardware would see them) instead of the decoded fast path.
-    /// Slower; bit-for-bit equivalent (asserted by integration tests).
-    pub wire_mode: bool,
     /// Stream-processor worker threads. 1 (the default) runs windows
     /// inline; N > 1 hash-partitions each window by the query's group
     /// key across N engine shards with byte-identical results (the
@@ -110,11 +85,15 @@ pub struct RuntimeConfig {
     /// through the versioned binary codec over localhost sockets.
     pub transport: TransportKind,
     /// Debug knob: force the tree-walking reference interpreters on
-    /// both sides of the wire instead of the compiled fast paths
-    /// (switch `ExecPlan`, stream `BoundPipeline`). The fast paths are
-    /// bit-identical to the reference (asserted by the differential
-    /// suite in `tests/differential_fastpath.rs`); this flag exists to
-    /// verify exactly that claim and to bisect any future divergence.
+    /// both sides of the wire instead of the compiled fast paths. The
+    /// switch then runs each packet through
+    /// [`Switch::process_reference`] and ships its reports one frame
+    /// each, instead of one [`Switch::process_batch`] per window
+    /// shipped as report blocks; the stream side interprets instead of
+    /// running `BoundPipeline`s. The fast paths are bit-identical to
+    /// the reference (asserted by the differential suite in
+    /// `tests/differential_fastpath.rs`); this flag exists to verify
+    /// exactly that claim and to bisect any future divergence.
     pub force_reference_path: bool,
     /// Multi-switch fabric topology. `None` (the default) runs the
     /// classic one-switch↔one-collector [`Runtime`] shape. `Some`
@@ -137,10 +116,6 @@ pub struct RuntimeConfig {
     /// per-query [`crate::ErrorBoundReport`]s to every
     /// [`WindowReport`].
     pub sketch: SketchConfig,
-    /// Packet-ingest strategy (see [`IngestMode`]). `Arena` (the
-    /// default) batches each window through the packet arena;
-    /// `Owned` keeps the per-packet path.
-    pub ingest: IngestMode,
 }
 
 impl Default for RuntimeConfig {
@@ -151,7 +126,6 @@ impl Default for RuntimeConfig {
             window_ms: None,
             shunt_replan_fraction: 0.05,
             drift: DriftConfig::default(),
-            wire_mode: false,
             workers: 1,
             obs: ObsHandle::disabled(),
             faults: FaultPlan::none(),
@@ -160,7 +134,6 @@ impl Default for RuntimeConfig {
             topology: None,
             replan: ReplanConfig::default(),
             sketch: SketchConfig::default(),
-            ingest: IngestMode::default(),
         }
     }
 }
@@ -589,20 +562,61 @@ pub struct Runtime {
 struct SwitchHalf {
     switch: Switch,
     cost_model: UpdateCostModel,
-    wire_mode: bool,
-    /// Resolved batch-ingest decision: `IngestMode::Arena`, not wire
-    /// mode, and not the reference path (those two exist to oracle
-    /// per-packet execution).
-    ingest_batch: bool,
+    ingest: Ingest,
+    faults: FaultInjector,
+    link: SwitchEndpoint,
+    obs: ObsHandle,
+}
+
+/// How a switch takes in a window — one shared path for every driver.
+/// The window's packets are laid into the packet arena once; then the
+/// whole window runs as one [`Switch::process_batch`] and ships as
+/// report blocks, or, under [`RuntimeConfig::force_reference_path`],
+/// each packet runs through [`Switch::process_reference`] and ships
+/// its reports one frame each.
+pub(crate) struct Ingest {
     /// Window packet arena, rebuilt in place per window (allocations
     /// retained across windows).
     arena: PacketArena,
     /// Report arena filled by [`Switch::process_batch`], reused across
     /// windows.
-    report_batch: ReportBatch,
-    faults: FaultInjector,
-    link: SwitchEndpoint,
-    obs: ObsHandle,
+    reports: ReportBatch,
+    /// [`RuntimeConfig::force_reference_path`].
+    reference: bool,
+}
+
+impl Ingest {
+    pub(crate) fn new(reference: bool) -> Self {
+        Ingest {
+            arena: PacketArena::new(),
+            reports: ReportBatch::new(),
+            reference,
+        }
+    }
+
+    /// Run `packets` through `switch` and ship their reports over
+    /// `link`, `pump`ing after every send (see
+    /// [`SwitchEndpoint::send_batch_reports`]) — on the reference
+    /// path, after every packet.
+    pub(crate) fn feed(
+        &mut self,
+        switch: &mut Switch,
+        link: &mut SwitchEndpoint,
+        packets: &[Packet],
+        mut pump: impl FnMut() -> Result<(), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
+        self.arena.rebuild_from_packets(packets);
+        let batch = self.arena.batch();
+        if self.reference {
+            for view in batch.iter() {
+                link.send_packet_reports(switch.process_reference(view))?;
+                pump()?;
+            }
+            return Ok(());
+        }
+        switch.process_batch(&batch, &mut self.reports);
+        link.send_batch_reports(&self.reports, batch, pump)
+    }
 }
 
 /// The stream-processor side of the wire: emitter, sharded engine,
@@ -1138,9 +1152,8 @@ impl Runtime {
             instances,
         } = deploy(plan)?;
         let faults = FaultInjector::from_plan(&cfg.faults);
-        let mut switch = Switch::load_with_sketch(program, &cfg.constraints, &cfg.obs, cfg.sketch)
+        let switch = Switch::load_with_sketch(program, &cfg.constraints, &cfg.obs, cfg.sketch)
             .map_err(RuntimeError::Load)?;
-        switch.set_force_reference(cfg.force_reference_path);
         let emitter = Emitter::with_faults(&deployments, &faults);
         let mut engine =
             ShardedEngine::with_config(cfg.workers, &cfg.obs, &faults, cfg.force_reference_path);
@@ -1192,12 +1205,7 @@ impl Runtime {
             sw: SwitchHalf {
                 switch,
                 cost_model: cfg.cost_model,
-                wire_mode: cfg.wire_mode,
-                ingest_batch: cfg.ingest == IngestMode::Arena
-                    && !cfg.wire_mode
-                    && !cfg.force_reference_path,
-                arena: PacketArena::new(),
-                report_batch: ReportBatch::new(),
+                ingest: Ingest::new(cfg.force_reference_path),
                 faults: faults.clone(),
                 link: sw_link,
                 obs: cfg.obs.clone(),
@@ -1296,13 +1304,7 @@ impl Runtime {
                         let t = sw
                             .obs
                             .trace_span(Stage::PacketLoop, w, root.ctx(), "switch-0");
-                        if sw.ingest_batch {
-                            sw.feed_batch(packets, || Ok(()))?;
-                        } else {
-                            for pkt in packets {
-                                sw.feed(pkt)?;
-                            }
-                        }
+                        (sw.ingest).feed(&mut sw.switch, &mut sw.link, packets, || Ok(()))?;
                         packet_loop_ns = t.finish();
                     }
                     sw.finish(w, packet_loop_ns, root.ctx())?;
@@ -1367,15 +1369,8 @@ impl Runtime {
                 .sw
                 .obs
                 .trace_span(Stage::PacketLoop, window, root.ctx(), "switch-0");
-            if self.sw.ingest_batch {
-                let sp = &mut self.sp;
-                self.sw.feed_batch(packets, || sp.pump(&mut rx))?;
-            } else {
-                for pkt in packets {
-                    self.sw.feed(pkt)?;
-                    self.sp.pump(&mut rx)?;
-                }
-            }
+            let (sw, sp) = (&mut self.sw, &mut self.sp);
+            (sw.ingest).feed(&mut sw.switch, &mut sw.link, packets, || sp.pump(&mut rx))?;
             packet_loop_ns = t.finish();
         }
         // Window boundary: poll registers, then reset; the emitter's
@@ -1423,15 +1418,13 @@ impl Runtime {
             deployments,
             instances,
         } = deploy(&plan)?;
-        let mut switch = Switch::load_with_sketch(
+        self.sw.switch = Switch::load_with_sketch(
             program,
             &self.cfg.constraints,
             &self.cfg.obs,
             self.cfg.sketch,
         )
         .map_err(RuntimeError::Load)?;
-        switch.set_force_reference(self.cfg.force_reference_path);
-        self.sw.switch = switch;
         self.sp.emitter = Emitter::with_faults(&deployments, &self.sp.faults);
         let mut engine = ShardedEngine::with_config(
             self.cfg.workers,
@@ -1473,34 +1466,6 @@ impl Runtime {
 }
 
 impl SwitchHalf {
-    /// Push one packet through the pipeline and ship its mirrored
-    /// reports (through the egress fault seam) onto the wire.
-    fn feed(&mut self, pkt: &Packet) -> Result<(), RuntimeError> {
-        let reports = if self.wire_mode {
-            self.switch.process_bytes(&pkt.encode(), pkt.ts_nanos)
-        } else {
-            self.switch.process(pkt)
-        };
-        self.link.send_packet_reports(reports)?;
-        Ok(())
-    }
-
-    /// Batch ingest: lay the window's packets out in the contiguous
-    /// arena (in place, allocations retained), execute the whole batch
-    /// through the compiled plan, and ship its reports, `pump`ing after
-    /// every send (see [`SwitchEndpoint::send_batch_reports`]).
-    fn feed_batch(
-        &mut self,
-        packets: &[Packet],
-        pump: impl FnMut() -> Result<(), RuntimeError>,
-    ) -> Result<(), RuntimeError> {
-        self.arena.rebuild_from_packets(packets);
-        let batch = self.arena.batch();
-        self.switch.process_batch(&batch, &mut self.report_batch);
-        self.link
-            .send_batch_reports(&self.report_batch, batch, pump)
-    }
-
     /// Dump and reset the registers, ship the dump, then close the
     /// window on the wire (late-delayed reports are dropped and
     /// counted here). The dump-encode and transport stage timings —

@@ -11,14 +11,13 @@
 //! [`PacketView`] is the borrowed counterpart of [`Packet`]: a slice
 //! into the arena plus a timestamp. It parses headers *lazily* through
 //! the [`crate::wire`] views — no `Bytes` clone, no header enum
-//! materialization until a field is actually read. The PISA switch's
-//! batch path parses these slices with the same reconfigurable parser
-//! it uses for wire-mode bytes, which is what makes the arena path
-//! bit-identical to the owned path.
+//! materialization until a field is actually read. The PISA switch
+//! parses these slices with its reconfigurable parser — into a column
+//! block for a batch, into a PHV for its reference interpreter — so
+//! both read the same values.
 //!
-//! Like wire mode, the arena path requires IPv4-first framing (traces
-//! never attach Ethernet headers; this is debug-asserted at build
-//! time).
+//! The arena requires IPv4-first framing (traces never attach Ethernet
+//! headers; this is debug-asserted at build time).
 
 use crate::packet::Packet;
 use crate::wire::{IcmpView, Ipv4View, TcpView, UdpView};
@@ -76,7 +75,7 @@ impl PacketArena {
 
     /// Build an arena by encoding `packets` in order.
     ///
-    /// The arena path (like wire mode) assumes IPv4-first framing;
+    /// The arena assumes IPv4-first framing;
     /// traces never attach Ethernet headers.
     pub fn from_packets(packets: &[Packet]) -> Self {
         let total: usize = packets.iter().map(|p| p.wire_len()).sum();

@@ -58,8 +58,8 @@ pub struct Packet {
 
 /// Lazily-populated cache of a packet's encoded wire bytes.
 ///
-/// Several call sites re-encode the same packet per window (wire-mode
-/// feed, report embedding, arena build); the cache makes the second and
+/// Several call sites re-encode the same packet (every replay's arena
+/// build, the fabric's partition, tests); the cache makes the second and
 /// later encodes free. It is deliberately *not* part of the packet's
 /// identity: clones start cold (a clone may be mutated before its next
 /// encode), equality ignores it, and it is only ever populated through

@@ -11,8 +11,8 @@
 //! the blocks into self-contained [`ReportChunk`]s, the form that
 //! crosses the wire and that the emitter reads in place;
 //! [`ReportBatch::packet_reports`] walks one packet's rows as borrowed
-//! [`ReportRef`]s in the exact order the per-packet path would have
-//! produced owned [`Report`]s, for oracles and the fault seam.
+//! [`ReportRef`]s in the exact order the reference interpreter
+//! produces owned [`Report`]s, for oracles and the fault seam.
 
 use crate::ir::TaskId;
 use crate::switch::{Report, ReportKind};
@@ -131,7 +131,7 @@ pub(crate) struct BlockShape {
 struct Staged {
     pkt: u32,
     /// Step index of the `Update` that shunted: orders one packet's
-    /// shunts as the per-packet path emits them.
+    /// shunts as the reference interpreter emits them.
     rank: u32,
     shape: BlockShape,
     /// Where its cells start in `ReportBatch::staged_cells`.
@@ -148,8 +148,8 @@ struct Placed {
     /// Per dense task index, the block the task's next report extends
     /// if it has the same kind and entry op.
     open: Vec<u32>,
-    /// `(block, row)` of every report, in the order the per-packet
-    /// path emits them.
+    /// `(block, row)` of every report, in the order the reference
+    /// interpreter emits them.
     order: Vec<(u32, u32)>,
     /// `ends[i]` is one past packet `i`'s last entry in `order`; its
     /// first is `ends[i - 1]` (0 for the first packet).
@@ -220,8 +220,8 @@ impl Placed {
 /// produce; the deparser walks packets in order, first
 /// [`flush`](Self::flush_through)ing each packet's staged shunts, then
 /// [`emit`](Self::emit)ting its mirrors — so rows enter their blocks,
-/// and the order index, directly in the order the per-packet path
-/// reports.
+/// and the order index, directly in the order the reference
+/// interpreter reports.
 #[derive(Debug, Default)]
 pub struct ReportBatch {
     /// Shunts in kernel (task-major) order, sorted before deparsing.

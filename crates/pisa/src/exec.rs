@@ -1,31 +1,30 @@
-//! Compile-once / execute-many switch fast path.
+//! Compile-once / execute-many switch execution.
 //!
 //! [`crate::switch::Switch::load`] lowers the validated
-//! [`PisaProgram`] into a flat [`ExecPlan`]:
+//! [`PisaProgram`] once, into the **task-major batch plan** that
+//! [`crate::switch::Switch::process_batch`] executes: one
+//! [`TaskKernel`] per task over a shared column block (see
+//! [`GatePlan`]), with
 //!
-//! * PHV field lookups pre-resolved to slot indices (no `Field::ALL`
-//!   scans per packet);
+//! * header fields resolved to columns of the block, and metadata
+//!   forwarded to the field expressions that define it, so kernels
+//!   carry no per-packet metadata;
 //! * registers remapped from `HashMap<RegId, _>` to a dense array
-//!   index shared with the reference path;
-//! * match-action dispatch via a precomputed step table in execution
-//!   order — task liveness indices, shunt specs, and report layouts
-//!   are all resolved at load time instead of searched per packet;
+//!   index shared with the reference interpreter;
+//! * shunt specs and report layouts resolved at load time instead of
+//!   searched per packet;
 //! * every [`PhvExpr`] tree flattened into a postfix op range of one
 //!   shared pool, evaluated with an explicit value stack — no
-//!   recursion and no allocation on the per-packet path;
+//!   recursion and no allocation per packet;
 //! * report column names interned as one `Arc<[ColName]>` per report
 //!   layout, so a batch states them once per block and never per cell.
 //!
-//! The same lowering produces the **task-major batch plan**
-//! ([`TaskKernel`]s over a shared column block, see [`GatePlan`]) that
-//! [`crate::switch::Switch::process_batch`] executes.
-//!
 //! # Why task-major execution is sound
 //!
-//! The per-packet oracle walks every step of every task for packet
-//! `i` before touching packet `i + 1`; the batch kernels run *all*
-//! packets through task 0, then all through task 1, and so on. The
-//! two orders are indistinguishable because tasks are independent:
+//! The reference interpreter walks every table of every task for
+//! packet `i` before touching packet `i + 1`; the batch kernels run
+//! *all* packets through task 0, then all through task 1, and so on.
+//! The two orders are indistinguishable because tasks are independent:
 //!
 //! * a step reads header fields (immutable), its own task's liveness
 //!   bit, its own task's metadata, and its own task's registers —
@@ -53,12 +52,12 @@
 //!   ([`crate::batch::ReportBatch`]).
 //!
 //! The tree-walking interpreter in `Switch` remains the reference
-//! oracle: `force_reference_path` routes execution through it, and
-//! the differential suite asserts bit-identical outputs.
+//! oracle: `Switch::process_reference` runs one packet through it, and
+//! the differential suites assert bit-identical outputs.
 
 use crate::batch::BlockShape;
-use crate::ir::{MatchRel, PhvExpr, PisaProgram, RegId, ReportMode, TableKind, TaskId};
-use crate::phv::{field_slot, Phv, FIELD_SLOTS};
+use crate::ir::{MatchRel, PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
+use crate::phv::FIELD_SLOTS;
 use crate::registers::StateLayout;
 use crate::switch::ReportKind;
 use sonata_packet::Field;
@@ -71,12 +70,8 @@ use std::sync::Arc;
 pub(crate) enum FlatOp {
     /// Push a constant.
     Const(u64),
-    /// Push a header field: by pre-resolved PHV slot in per-packet
-    /// expressions, by column of the batch block in kernel ones.
+    /// Push a header field, by column of the batch block.
     Field(usize),
-    /// Push a metadata container by raw slot (per-packet expressions
-    /// only; kernel expressions have metadata forwarded away).
-    Meta(usize),
     /// Apply a precomputed 32-bit prefix mask to the top of stack.
     Mask(u32),
     /// Shift the top of stack right by a pre-clamped amount.
@@ -96,26 +91,8 @@ pub(crate) struct ExprRef {
     len: u32,
 }
 
-/// What a compiled expression reads its leaves from: the per-packet
-/// PHV, or one lane of the batch column block.
-pub(crate) trait Source {
-    fn field(&self, idx: usize) -> u64;
-    fn meta(&self, slot: usize) -> u64;
-}
-
-impl Source for Phv {
-    #[inline]
-    fn field(&self, idx: usize) -> u64 {
-        self.field_by_slot(idx)
-    }
-    #[inline]
-    fn meta(&self, slot: usize) -> u64 {
-        self.meta_by_slot(slot)
-    }
-}
-
 /// Packet `i` of an `n`-packet column block (`cols[c * n + i]` is
-/// column `c`).
+/// column `c`): what a compiled expression reads its leaves from.
 #[derive(Clone, Copy)]
 pub(crate) struct Lane<'a> {
     pub cols: &'a [u64],
@@ -123,13 +100,10 @@ pub(crate) struct Lane<'a> {
     pub i: usize,
 }
 
-impl Source for Lane<'_> {
+impl Lane<'_> {
     #[inline]
-    fn field(&self, idx: usize) -> u64 {
-        self.cols[idx * self.n + self.i]
-    }
-    fn meta(&self, _: usize) -> u64 {
-        unreachable!("kernel expressions are metadata-free")
+    fn field(&self, col: usize) -> u64 {
+        self.cols[col * self.n + self.i]
     }
 }
 
@@ -150,23 +124,22 @@ pub(crate) struct FlatReport {
     pub exprs: Vec<ExprRef>,
 }
 
-/// The action of one step in the precomputed dispatch table.
+/// The action of one lowered table. (A `Map` lowers to nothing: its
+/// assignments are forwarded into the expressions that read them.)
 #[derive(Debug, Clone)]
 pub(crate) enum StepKind {
     /// Static filter: kill the task unless some rule matches.
     Filter { rules: Vec<Vec<FlatClause>> },
     /// Dynamic filter against the switch's lowered entry set
     /// `dyn_idx` ([`DynSet`]), which `set_dyn_filter` rebuilds so
-    /// control-plane updates between packets are observed.
+    /// control-plane updates between batches are observed.
     DynFilter { dyn_idx: usize, key: ExprRef },
-    /// Metadata assignments (evaluate all, then write — parallel ALU).
-    Map { assigns: Vec<(usize, ExprRef)> },
     /// Stateful read-modify-write against a dense register index.
     Update {
         reg_idx: usize,
         /// The register's resolved layout. Sketch layouts admit every
         /// key (no shunting), so their shunt spec is dead weight the
-        /// fast path never evaluates.
+        /// kernels never evaluate.
         layout: StateLayout,
         agg: Agg,
         operand: ExprRef,
@@ -176,14 +149,6 @@ pub(crate) enum StepKind {
         keys: Vec<ExprRef>,
         shunt: FlatReport,
     },
-}
-
-/// One table lowered into the dispatch table, in execution order.
-#[derive(Debug, Clone)]
-pub(crate) struct Step {
-    pub task: TaskId,
-    pub task_idx: usize,
-    pub kind: StepKind,
 }
 
 /// A lowered window-dump spec.
@@ -259,30 +224,25 @@ pub(crate) struct TaskKernel {
     pub task_idx: usize,
     pub lead: Vec<LeadFilter>,
     /// `Filter`/`DynFilter`/`Update` steps that follow the task's
-    /// first `Update`, plus that `Update`, each with its index in
-    /// [`ExecPlan::steps`] — which orders one packet's shunts.
+    /// first `Update`, plus that `Update`, each with its rank among
+    /// the program's non-`Hash` tables in execution order — which
+    /// orders one packet's shunts.
     pub steps: Vec<(u32, StepKind)>,
     /// The per-packet report of the task's survivors, if it has one.
     pub mirror: Option<FlatReport>,
 }
 
-/// The compiled program: everything the per-packet loop needs,
+/// The compiled program: everything the batch kernels need,
 /// pre-resolved.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ExecPlan {
     /// Shared postfix op pool all [`ExprRef`]s point into.
     flat: Vec<FlatOp>,
-    /// Dispatch table in `(stage, insertion)` order.
-    pub steps: Vec<Step>,
-    /// Per-packet report specs in program order.
-    pub reports: Vec<FlatReport>,
     /// Window-dump specs in program order.
     pub dumps: Vec<FlatDump>,
-    /// Whether any report mirrors the original packet.
-    pub needs_packet: bool,
     /// Resolved [`StateLayout`] per dense register index. Sketch
-    /// layouts never produce `RegOutcome::Shunted`, which the fast
-    /// path's update step relies on (debug-asserted).
+    /// layouts never produce `RegOutcome::Shunted`, which the kernels'
+    /// update step relies on (debug-asserted).
     pub reg_layouts: Vec<StateLayout>,
     /// `program.tables` index of each `DynFilter`, dense (`dyn_idx`).
     pub dyn_tables: Vec<usize>,
@@ -331,33 +291,9 @@ impl GatePlan {
     }
 }
 
-/// Reusable per-switch scratch: with this, the steady-state packet
-/// loop performs no allocation (report `Vec`s only grow when a packet
-/// actually emits).
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    /// PHV reused across packets (reset in place).
-    pub phv: Phv,
-    /// Expression evaluation stack.
-    pub stack: Vec<u64>,
-    /// Map-step staging values (evaluate all before writing).
-    pub vals: Vec<u64>,
-    /// Register key staging.
-    pub key: Vec<u64>,
-}
-
-/// Metadata forwarding state of one task during kernel lowering:
-/// what each metadata slot currently holds, as a metadata-free tree.
+/// Metadata forwarding state of one task during lowering: what each
+/// metadata slot currently holds, as a metadata-free tree.
 type MetaEnv = HashMap<usize, PhvExpr>;
-
-/// How lowering resolves a header field to the index `FlatOp::Field`
-/// carries: [`phv_slot`] for per-packet steps, [`GatePlan::col`] for
-/// kernel steps.
-type FieldIndex = fn(&mut GatePlan, Field) -> usize;
-
-fn phv_slot(_: &mut GatePlan, f: Field) -> usize {
-    field_slot(f)
-}
 
 /// Program-wide lookups and the independence bookkeeping of one
 /// [`ExecPlan::lower`] run.
@@ -453,30 +389,24 @@ impl ExecPlan {
                 mirror: None,
             })
             .collect();
-        // Per-task kernel lowering state: what each metadata slot
-        // holds, and whether the task is still in its stateless prefix.
+        // Per-task lowering state: what each metadata slot holds, and
+        // whether the task is still in its stateless prefix.
         let mut envs: Vec<MetaEnv> = vec![MetaEnv::new(); program.tasks.len()];
         let mut leading = vec![true; program.tasks.len()];
+        // Shunt-order rank of the next step: one per non-`Hash` table,
+        // in execution order.
+        let mut next_rank = 0u32;
         for &ti in exec_order {
             let table = &program.tables[ti];
             let Some(task_idx) = task_index(table.task) else {
                 continue;
             };
-            if matches!(table.kind, TableKind::DynFilter { .. }) {
-                plan.dyn_tables.push(ti);
-            }
-            // Every table lowers twice: as the per-packet step (PHV
-            // slots, metadata read live) and as the kernel step (batch
-            // columns, metadata forwarded to its defining expression).
-            let Some(kind) = plan.lower_table(&cx, table, &PhvExpr::clone, phv_slot) else {
+            if matches!(table.kind, TableKind::Hash { .. }) {
+                // Its keys fold into the `Update` that follows.
                 continue;
-            };
-            let rank = plan.steps.len() as u32;
-            plan.steps.push(Step {
-                task: table.task,
-                task_idx,
-                kind,
-            });
+            }
+            let rank = next_rank;
+            next_rank += 1;
             let fwd = cx.forward(table.task, &envs[task_idx]);
             if let TableKind::Map { assigns } = &table.kind {
                 // Parallel ALU: every source reads the old state.
@@ -484,9 +414,10 @@ impl ExecPlan {
                 envs[task_idx].extend(vals);
                 continue;
             }
-            let step = plan
-                .lower_table(&cx, table, &|e| fwd.expr(e), GatePlan::col)
-                .expect("not a Hash table");
+            if matches!(table.kind, TableKind::DynFilter { .. }) {
+                plan.dyn_tables.push(ti);
+            }
+            let step = plan.lower_table(&cx, table, &fwd);
             leading[task_idx] &= !matches!(step, StepKind::Update { .. });
             let lead = match &step {
                 StepKind::Filter { rules } if leading[task_idx] => LeadFilter::Static {
@@ -513,11 +444,9 @@ impl ExecPlan {
                         continue;
                     };
                     let fwd = cx.forward(spec.task, &envs[task_idx]);
-                    let mirror = plan.lower_report(spec, task_idx, &|e| fwd.expr(e), GatePlan::col);
+                    let mirror = plan.lower_report(spec, task_idx, &fwd);
                     plan.kernels[task_idx].mirror = Some(mirror);
                     plan.mirrors.push(task_idx);
-                    let report = plan.lower_report(spec, task_idx, &PhvExpr::clone, phv_slot);
-                    plan.reports.push(report);
                 }
                 ReportMode::WindowDump {
                     reg,
@@ -558,7 +487,6 @@ impl ExecPlan {
                 }
             }
         }
-        plan.needs_packet = program.reports.iter().any(|r| r.include_packet);
         // Split the columns: what the predicate cache reads is loaded
         // for every packet, the rest only for survivors.
         let gates = &plan.gates;
@@ -583,20 +511,13 @@ impl ExecPlan {
         plan
     }
 
-    /// Lower one table to a step (`None` for a `Hash` table, whose
-    /// keys fold into its `Update`). Every expression passes through
-    /// `xf` and resolves header fields through `index`.
-    fn lower_table(
-        &mut self,
-        cx: &Lowering<'_>,
-        table: &crate::ir::Table,
-        xf: &dyn Fn(&PhvExpr) -> PhvExpr,
-        index: FieldIndex,
-    ) -> Option<StepKind> {
+    /// Lower a `Filter`, `DynFilter` or `Update` table to a step, every
+    /// expression forwarded through `fwd`.
+    fn lower_table(&mut self, cx: &Lowering<'_>, table: &Table, fwd: &MetaFwd<'_>) -> StepKind {
         // `lower` registered a DynFilter table just before lowering it.
         let dyn_idx = self.dyn_tables.len().saturating_sub(1);
-        let mut flat = |e: &PhvExpr| self.flatten(&xf(e), index);
-        Some(match &table.kind {
+        let mut flat = |e: &PhvExpr| self.flatten(&fwd.expr(e));
+        match &table.kind {
             TableKind::Filter { rules } => StepKind::Filter {
                 rules: rules
                     .iter()
@@ -616,10 +537,9 @@ impl ExecPlan {
                 dyn_idx,
                 key: flat(key),
             },
-            TableKind::Map { assigns } => StepKind::Map {
-                assigns: assigns.iter().map(|(slot, e)| (slot.0, flat(e))).collect(),
-            },
-            TableKind::Hash { .. } => return None,
+            TableKind::Map { .. } | TableKind::Hash { .. } => {
+                unreachable!("`lower` forwards maps and folds hash keys")
+            }
             TableKind::Update {
                 reg,
                 agg,
@@ -661,15 +581,14 @@ impl ExecPlan {
                     },
                 }
             }
-        })
+        }
     }
 
     fn lower_report(
         &mut self,
         spec: &crate::ir::ReportSpec,
         task_idx: usize,
-        xf: &dyn Fn(&PhvExpr) -> PhvExpr,
-        index: FieldIndex,
+        fwd: &MetaFwd<'_>,
     ) -> FlatReport {
         FlatReport {
             shape: BlockShape {
@@ -681,7 +600,7 @@ impl ExecPlan {
                 with_packet: spec.include_packet,
             },
             exprs: (spec.columns.iter())
-                .map(|(_, e)| self.flatten(&xf(e), index))
+                .map(|(_, e)| self.flatten(&fwd.expr(e)))
                 .collect(),
         }
     }
@@ -711,28 +630,28 @@ impl ExecPlan {
             })
     }
 
-    /// Flatten one expression tree into the shared postfix pool,
-    /// resolving each header field through `index` (PHV slot or batch
-    /// column).
-    fn flatten(&mut self, e: &PhvExpr, index: FieldIndex) -> ExprRef {
+    /// Flatten one metadata-free expression tree into the shared
+    /// postfix pool, resolving each header field to its column of the
+    /// batch block.
+    fn flatten(&mut self, e: &PhvExpr) -> ExprRef {
         let start = self.flat.len() as u32;
-        self.push_flat(e, index);
+        self.push_flat(e);
         ExprRef {
             start,
             len: self.flat.len() as u32 - start,
         }
     }
 
-    fn push_flat(&mut self, e: &PhvExpr, index: FieldIndex) {
+    fn push_flat(&mut self, e: &PhvExpr) {
         match e {
             PhvExpr::Const(v) => self.flat.push(FlatOp::Const(*v)),
             PhvExpr::Field(f) => {
-                let idx = index(&mut self.gates, *f);
-                self.flat.push(FlatOp::Field(idx));
+                let col = self.gates.col(*f);
+                self.flat.push(FlatOp::Field(col));
             }
-            PhvExpr::Meta(m) => self.flat.push(FlatOp::Meta(m.0)),
+            PhvExpr::Meta(_) => unreachable!("metadata is forwarded away before flattening"),
             PhvExpr::Mask(inner, level) => {
-                self.push_flat(inner, index);
+                self.push_flat(inner);
                 let mask = if *level == 0 {
                     0
                 } else if *level >= 32 {
@@ -743,21 +662,21 @@ impl ExecPlan {
                 self.flat.push(FlatOp::Mask(mask));
             }
             PhvExpr::Shr(inner, k) => {
-                self.push_flat(inner, index);
+                self.push_flat(inner);
                 self.flat.push(FlatOp::Shr((*k).min(63)));
             }
             PhvExpr::Shl(inner, k) => {
-                self.push_flat(inner, index);
+                self.push_flat(inner);
                 self.flat.push(FlatOp::Shl((*k).min(63)));
             }
             PhvExpr::Add(a, b) => {
-                self.push_flat(a, index);
-                self.push_flat(b, index);
+                self.push_flat(a);
+                self.push_flat(b);
                 self.flat.push(FlatOp::Add);
             }
             PhvExpr::Sub(a, b) => {
-                self.push_flat(a, index);
-                self.push_flat(b, index);
+                self.push_flat(a);
+                self.push_flat(b);
                 self.flat.push(FlatOp::Sub);
             }
         }
@@ -771,21 +690,19 @@ impl ExecPlan {
     /// those of [`PhvExpr::eval`]: wrapping add, saturating sub,
     /// 32-bit prefix masks, shifts clamped to 63.
     #[inline]
-    pub(crate) fn eval<S: Source>(&self, e: ExprRef, src: &S, stack: &mut Vec<u64>) -> u64 {
+    pub(crate) fn eval(&self, e: ExprRef, lane: &Lane<'_>, stack: &mut Vec<u64>) -> u64 {
         let ops = self.ops(e);
         // Leaf expressions (the common case) skip the stack entirely.
         match ops {
             [FlatOp::Const(v)] => return *v,
-            [FlatOp::Field(s)] => return src.field(*s),
-            [FlatOp::Meta(s)] => return src.meta(*s),
+            [FlatOp::Field(c)] => return lane.field(*c),
             _ => {}
         }
         stack.clear();
         for op in ops {
             match *op {
                 FlatOp::Const(v) => stack.push(v),
-                FlatOp::Field(s) => stack.push(src.field(s)),
-                FlatOp::Meta(s) => stack.push(src.meta(s)),
+                FlatOp::Field(c) => stack.push(lane.field(c)),
                 FlatOp::Mask(m) => {
                     let v = stack.last_mut().expect("postfix arity");
                     *v = ((*v as u32) & m) as u64;
@@ -815,16 +732,16 @@ impl ExecPlan {
 
     /// Whether any rule of a lowered filter matches.
     #[inline]
-    pub(crate) fn rules_match<S: Source>(
+    pub(crate) fn rules_match(
         &self,
         rules: &[Vec<FlatClause>],
-        src: &S,
+        lane: &Lane<'_>,
         stack: &mut Vec<u64>,
     ) -> bool {
         rules.iter().any(|clauses| {
             clauses.iter().all(|c| {
                 c.rel
-                    .eval(self.eval(c.a, src, stack), self.eval(c.b, src, stack))
+                    .eval(self.eval(c.a, lane, stack), self.eval(c.b, lane, stack))
             })
         })
     }
@@ -930,32 +847,35 @@ impl MetaFwd<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::phv::MetaRef;
-    use sonata_packet::Field;
+    use crate::phv::Phv;
 
-    fn phv_slot(_: &mut GatePlan, f: Field) -> usize {
-        field_slot(f)
-    }
-
+    /// `e` evaluated by the tree walk over `phv` and, flattened, over a
+    /// one-lane column block holding the same fields.
     fn eval_both(e: &PhvExpr, phv: &Phv) -> (u64, u64) {
         let mut plan = ExecPlan::default();
-        let r = plan.flatten(e, phv_slot);
-        let mut stack = Vec::new();
-        (e.eval(phv), plan.eval(r, phv, &mut stack))
+        let r = plan.flatten(e);
+        let cols: Vec<u64> = plan.gates.fields.iter().map(|&f| phv.field(f)).collect();
+        let lane = Lane {
+            cols: &cols,
+            n: 1,
+            i: 0,
+        };
+        (e.eval(phv), plan.eval(r, &lane, &mut Vec::new()))
     }
 
     #[test]
     fn flattened_eval_matches_tree_walk() {
-        let mut phv = Phv::new(2, 1);
+        let mut phv = Phv::new(0, 1);
         phv.set_field(Field::Ipv4Dst, 0x0a0b0c0d);
-        phv.set_meta(MetaRef(1), 100);
+        phv.set_field(Field::TcpDstPort, 100);
+        let dst = || Box::new(PhvExpr::Field(Field::Ipv4Dst));
         let exprs = vec![
             PhvExpr::Const(7),
             PhvExpr::Field(Field::Ipv4Dst),
-            PhvExpr::Meta(MetaRef(1)),
-            PhvExpr::Mask(Box::new(PhvExpr::Field(Field::Ipv4Dst)), 16),
-            PhvExpr::Mask(Box::new(PhvExpr::Field(Field::Ipv4Dst)), 0),
-            PhvExpr::Mask(Box::new(PhvExpr::Field(Field::Ipv4Dst)), 32),
+            PhvExpr::Field(Field::TcpDstPort),
+            PhvExpr::Mask(dst(), 16),
+            PhvExpr::Mask(dst(), 0),
+            PhvExpr::Mask(dst(), 32),
             PhvExpr::Shr(Box::new(PhvExpr::Const(32)), 4),
             PhvExpr::Shl(Box::new(PhvExpr::Const(2)), 3),
             PhvExpr::Shr(Box::new(PhvExpr::Const(u64::MAX)), 200),
@@ -966,10 +886,10 @@ mod tests {
             PhvExpr::Sub(Box::new(PhvExpr::Const(2)), Box::new(PhvExpr::Const(3))),
             PhvExpr::Add(
                 Box::new(PhvExpr::Sub(
-                    Box::new(PhvExpr::Meta(MetaRef(1))),
+                    Box::new(PhvExpr::Field(Field::TcpDstPort)),
                     Box::new(PhvExpr::Const(1)),
                 )),
-                Box::new(PhvExpr::Mask(Box::new(PhvExpr::Field(Field::Ipv4Dst)), 8)),
+                Box::new(PhvExpr::Mask(dst(), 8)),
             ),
         ];
         for e in &exprs {
@@ -981,15 +901,19 @@ mod tests {
     #[test]
     fn shared_pool_keeps_refs_independent() {
         let mut plan = ExecPlan::default();
-        let a = plan.flatten(&PhvExpr::Const(1), phv_slot);
-        let b = plan.flatten(
-            &PhvExpr::Add(Box::new(PhvExpr::Const(2)), Box::new(PhvExpr::Const(3))),
-            phv_slot,
-        );
-        let phv = Phv::new(0, 1);
+        let a = plan.flatten(&PhvExpr::Const(1));
+        let b = plan.flatten(&PhvExpr::Add(
+            Box::new(PhvExpr::Const(2)),
+            Box::new(PhvExpr::Const(3)),
+        ));
+        let lane = Lane {
+            cols: &[],
+            n: 0,
+            i: 0,
+        };
         let mut stack = Vec::new();
-        assert_eq!(plan.eval(a, &phv, &mut stack), 1);
-        assert_eq!(plan.eval(b, &phv, &mut stack), 5);
-        assert_eq!(plan.eval(a, &phv, &mut stack), 1);
+        assert_eq!(plan.eval(a, &lane, &mut stack), 1);
+        assert_eq!(plan.eval(b, &lane, &mut stack), 5);
+        assert_eq!(plan.eval(a, &lane, &mut stack), 1);
     }
 }

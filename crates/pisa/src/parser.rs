@@ -1,71 +1,29 @@
-//! The reconfigurable parser: extracts a program's `parse_fields` into
-//! a PHV, either from raw wire bytes (as hardware would) or from an
-//! already-decoded [`Packet`] (the fast path for trace-driven runs).
-//! Both paths must agree — a property test in the crate's test suite
-//! checks them against each other.
+//! The reconfigurable parser: extracts a program's `parse_fields` from
+//! a packet's wire bytes (IPv4-first framing), as hardware would. The
+//! batch kernels run [`extract_fields`] straight into their column
+//! block; [`parse_bytes`] fills one PHV for the reference interpreter.
 
 use crate::phv::Phv;
 pub use sonata_packet::wire::{extract_fields, field_mask};
-use sonata_packet::{Field, Packet};
+use sonata_packet::Field;
 
-/// Parse a decoded packet into a fresh PHV.
+/// Parse raw wire bytes into a fresh PHV, walking the parse graph:
+/// IPv4 → {TCP, UDP} (→ DNS header bits).
 ///
-/// Only `parse_fields` are extracted; everything else reads zero.
-/// Fields a PISA parser cannot extract (payload, DNS names) are
-/// skipped — the stream processor handles them from the mirrored
-/// original packet.
-pub fn parse_packet(pkt: &Packet, parse_fields: &[Field], meta_slots: usize, tasks: usize) -> Phv {
-    let mut phv = Phv::new(meta_slots, tasks);
-    parse_packet_into(&mut phv, pkt, parse_fields, meta_slots, tasks);
-    phv
-}
-
-/// [`parse_packet`] into a reusable scratch PHV: the buffer is reset
-/// in place, so a steady-state packet loop never allocates.
-pub fn parse_packet_into(
-    phv: &mut Phv,
-    pkt: &Packet,
-    parse_fields: &[Field],
-    meta_slots: usize,
-    tasks: usize,
-) {
-    phv.reset(meta_slots, tasks);
-    for &f in parse_fields {
-        if !f.switch_parseable() {
-            continue;
-        }
-        if let Some(v) = pkt.get(f) {
-            if let Some(u) = v.as_u64() {
-                phv.set_field(f, u);
-            }
-        }
-    }
-}
-
-/// Parse raw wire bytes (IPv4-first framing) into a fresh PHV, walking
-/// the parse graph: IPv4 → {TCP, UDP} (→ DNS header bits).
+/// Only `parse_fields` are extracted; everything else — including a
+/// header the bytes are too short to hold — reads zero. Fields a PISA
+/// parser cannot extract (payload, DNS names) are skipped: the stream
+/// processor reads them from the mirrored original packet.
 pub fn parse_bytes(bytes: &[u8], parse_fields: &[Field], meta_slots: usize, tasks: usize) -> Phv {
     let mut phv = Phv::new(meta_slots, tasks);
-    parse_bytes_into(&mut phv, bytes, parse_fields, meta_slots, tasks);
-    phv
-}
-
-/// [`parse_bytes`] into a reusable scratch PHV (reset in place).
-pub fn parse_bytes_into(
-    phv: &mut Phv,
-    bytes: &[u8],
-    parse_fields: &[Field],
-    meta_slots: usize,
-    tasks: usize,
-) {
-    phv.reset(meta_slots, tasks);
     extract_fields(bytes, field_mask(parse_fields), |f, v| phv.set_field(f, v));
+    phv
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sonata_packet::{DnsHeader, PacketBuilder, TcpFlags};
+    use sonata_packet::{DnsHeader, Packet, PacketBuilder, TcpFlags};
 
     fn all_switch_fields() -> Vec<Field> {
         Field::ALL
@@ -75,26 +33,33 @@ mod tests {
             .collect()
     }
 
+    /// Every switch field parsed from the wire equals the decoded
+    /// packet's value (zero where the packet has none).
+    fn assert_parse_matches_decode(pkt: &Packet) -> Phv {
+        let fields = all_switch_fields();
+        let phv = parse_bytes(&pkt.encode(), &fields, 0, 1);
+        for f in &fields {
+            let decoded = pkt.get(*f).and_then(|v| v.as_u64()).unwrap_or(0);
+            assert_eq!(phv.field(*f), decoded, "field {f}");
+        }
+        phv
+    }
+
     #[test]
-    fn bytes_and_packet_paths_agree_tcp() {
+    fn wire_parse_agrees_with_decode_tcp() {
         let pkt = PacketBuilder::tcp("10.0.0.1:1234", "192.168.1.5:80")
             .unwrap()
             .flags(TcpFlags::SYN)
             .seq(7)
             .payload(&b"hello"[..])
             .build();
-        let fields = all_switch_fields();
-        let a = parse_packet(&pkt, &fields, 0, 1);
-        let b = parse_bytes(&pkt.encode(), &fields, 0, 1);
-        for f in &fields {
-            assert_eq!(a.field(*f), b.field(*f), "field {f}");
-        }
+        let a = assert_parse_matches_decode(&pkt);
         assert_eq!(a.field(Field::TcpFlags), 2);
         assert_eq!(a.field(Field::PayloadLen), 5);
     }
 
     #[test]
-    fn bytes_and_packet_paths_agree_dns() {
+    fn wire_parse_agrees_with_decode_dns() {
         let msg = DnsHeader::response(
             1,
             "x.example.com",
@@ -107,12 +72,7 @@ mod tests {
             }],
         );
         let pkt = PacketBuilder::dns(5, 6, msg).build();
-        let fields = all_switch_fields();
-        let a = parse_packet(&pkt, &fields, 0, 1);
-        let b = parse_bytes(&pkt.encode(), &fields, 0, 1);
-        for f in &fields {
-            assert_eq!(a.field(*f), b.field(*f), "field {f}");
-        }
+        let a = assert_parse_matches_decode(&pkt);
         assert_eq!(a.field(Field::DnsQr), 1);
         assert_eq!(a.field(Field::DnsAnCount), 1);
         assert_eq!(a.field(Field::DnsQType), 16);
@@ -125,7 +85,7 @@ mod tests {
         let pkt = PacketBuilder::tcp("1.2.3.4:1", "5.6.7.8:9")
             .unwrap()
             .build();
-        let phv = parse_packet(&pkt, &[Field::Ipv4Dst], 0, 1);
+        let phv = parse_bytes(&pkt.encode(), &[Field::Ipv4Dst], 0, 1);
         assert!(phv.field_valid(Field::Ipv4Dst));
         assert!(!phv.field_valid(Field::Ipv4Src));
         assert_eq!(phv.field(Field::TcpSrcPort), 0);
@@ -137,7 +97,7 @@ mod tests {
             .unwrap()
             .payload(&b"zorro"[..])
             .build();
-        let phv = parse_packet(&pkt, &[Field::Payload, Field::DnsRrName], 0, 1);
+        let phv = parse_bytes(&pkt.encode(), &[Field::Payload, Field::DnsRrName], 0, 1);
         assert!(!phv.field_valid(Field::Payload));
         assert!(!phv.field_valid(Field::DnsRrName));
     }

@@ -33,10 +33,9 @@ pub struct Phv {
     valid: [bool; FIELD_SLOTS],
     /// Metadata containers, sized by the program's metadata layout.
     meta: Vec<u64>,
-    /// Per-task liveness: a task's tables only execute while alive.
+    /// Per-task liveness: a task's tables only execute while alive,
+    /// and the deparser mirrors a task's report iff it still is.
     alive: Vec<bool>,
-    /// Per-task report flag (the paper's one-bit `report` field).
-    report: Vec<bool>,
 }
 
 impl Phv {
@@ -47,37 +46,7 @@ impl Phv {
             valid: [false; FIELD_SLOTS],
             meta: vec![0; meta_slots],
             alive: vec![true; tasks],
-            report: vec![false; tasks],
         }
-    }
-
-    /// Reset in place to the state of a fresh `Phv::new(meta_slots,
-    /// tasks)`. Once the vectors have grown to the program's sizes
-    /// this never reallocates, which keeps the switch packet loop
-    /// allocation-free when reusing a scratch PHV.
-    pub fn reset(&mut self, meta_slots: usize, tasks: usize) {
-        self.fields = [0; FIELD_SLOTS];
-        self.valid = [false; FIELD_SLOTS];
-        self.meta.clear();
-        self.meta.resize(meta_slots, 0);
-        self.alive.clear();
-        self.alive.resize(tasks, true);
-        self.report.clear();
-        self.report.resize(tasks, false);
-    }
-
-    /// Read a field by its pre-resolved [`field_slot`] index — the
-    /// fast-path accessor used by compiled [`crate::exec::ExecPlan`]s
-    /// so the per-packet loop never scans `Field::ALL`.
-    #[inline]
-    pub fn field_by_slot(&self, slot: usize) -> u64 {
-        self.fields[slot]
-    }
-
-    /// Read a metadata container by raw index (fast-path accessor).
-    #[inline]
-    pub fn meta_by_slot(&self, slot: usize) -> u64 {
-        self.meta[slot]
     }
 
     /// Store a parsed field value.
@@ -116,34 +85,6 @@ impl Phv {
     pub fn kill(&mut self, t: usize) {
         self.alive[t] = false;
     }
-
-    /// Mark task `t` for reporting to the stream processor.
-    pub fn mark_report(&mut self, t: usize) {
-        self.report[t] = true;
-    }
-
-    /// Whether task `t` is marked for reporting.
-    pub fn reported(&self, t: usize) -> bool {
-        self.report[t]
-    }
-
-    /// Number of metadata containers.
-    pub fn meta_len(&self) -> usize {
-        self.meta.len()
-    }
-
-    /// Number of tasks.
-    pub fn task_count(&self) -> usize {
-        self.alive.len()
-    }
-}
-
-impl Default for Phv {
-    /// An empty PHV (no metadata, no tasks) — the initial state of a
-    /// reusable scratch buffer before the first [`Phv::reset`].
-    fn default() -> Self {
-        Phv::new(0, 0)
-    }
 }
 
 #[cfg(test)]
@@ -177,43 +118,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_matches_fresh() {
-        let mut phv = Phv::new(4, 3);
-        phv.set_field(Field::Ipv4Dst, 9);
-        phv.set_meta(MetaRef(2), 7);
-        phv.kill(1);
-        phv.mark_report(0);
-        phv.reset(2, 1);
-        assert!(!phv.field_valid(Field::Ipv4Dst));
-        assert_eq!(phv.field(Field::Ipv4Dst), 0);
-        assert_eq!(phv.meta_len(), 2);
-        assert_eq!(phv.meta(MetaRef(0)), 0);
-        assert_eq!(phv.task_count(), 1);
-        assert!(phv.is_alive(0));
-        assert!(!phv.reported(0));
-    }
-
-    #[test]
-    fn slot_accessors_agree_with_named_accessors() {
-        let mut phv = Phv::new(3, 1);
-        phv.set_field(Field::TcpDstPort, 443);
-        phv.set_meta(MetaRef(1), 5);
-        assert_eq!(
-            phv.field_by_slot(field_slot(Field::TcpDstPort)),
-            phv.field(Field::TcpDstPort)
-        );
-        assert_eq!(phv.meta_by_slot(1), phv.meta(MetaRef(1)));
-    }
-
-    #[test]
-    fn task_liveness_and_reporting() {
+    fn task_liveness() {
         let mut phv = Phv::new(0, 3);
         assert!(phv.is_alive(1));
         phv.kill(1);
         assert!(!phv.is_alive(1));
         assert!(phv.is_alive(0) && phv.is_alive(2));
-        assert!(!phv.reported(2));
-        phv.mark_report(2);
-        assert!(phv.reported(2));
     }
 }

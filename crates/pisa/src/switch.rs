@@ -1,6 +1,11 @@
-//! The PISA behavioral model: executes a loaded [`PisaProgram`] packet
-//! by packet, mirrors reports to the monitoring port, and serves the
-//! end-of-window register dump.
+//! The PISA behavioral model: executes a loaded [`PisaProgram`] over
+//! a window's packets, mirrors reports to the monitoring port, and
+//! serves the end-of-window register dump.
+//!
+//! A packet is a batch of one: [`Switch::process_batch`] is the only
+//! execution path, and [`Switch::process_reference`] — the wire parser
+//! into a PHV, then a tree walk over the IR — is the oracle it is held
+//! bit-identical to.
 //!
 //! Semantics follow Section 3.1.3 of the paper:
 //!
@@ -16,17 +21,17 @@
 //!   to the stream processor, which finishes the aggregation.
 
 use crate::batch::ReportBatch;
-use crate::exec::{DynSet, ExecPlan, Lane, LeadFilter, Scratch, StepKind};
+use crate::exec::{DynSet, ExecPlan, Lane, LeadFilter, StepKind};
 use crate::ir::{PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
 use crate::parser;
-use crate::phv::{MetaRef, Phv};
+use crate::phv::Phv;
 use crate::registers::{
     for_each_bit, BloomRegisters, CmRegisters, HashRegisters, RegOutcome, RegisterState,
     SketchConfig, StateLayout,
 };
 use crate::resources::{ResourceError, ResourceUsage, SwitchConstraints};
 use sonata_obs::{Counter, EventKind, Gauge, ObsHandle, Stage};
-use sonata_packet::{ArenaBatch, Packet};
+use sonata_packet::{ArenaBatch, Packet, PacketView};
 use sonata_query::{Agg, ColName};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -359,6 +364,10 @@ struct BatchScratch {
     operand_lanes: Vec<u64>,
     /// Operand staging for clauses that are not a bare column.
     bufs: [Vec<u64>; 2],
+    /// Expression evaluation stack.
+    stack: Vec<u64>,
+    /// Register key staging for layouts without a fixed-width kernel.
+    key: Vec<u64>,
 }
 
 /// The behavioral model.
@@ -369,9 +378,9 @@ pub struct Switch {
     /// Table execution order: indices into `program.tables`, sorted by
     /// (stage, insertion order).
     exec_order: Vec<usize>,
-    /// Register state, dense (shared by both execution paths). Each
-    /// entry runs the layout resolved at load — exact hash table,
-    /// count-min, or Bloom admission.
+    /// Register state, dense (shared by the kernels and the reference
+    /// interpreter). Each entry runs the layout resolved at load —
+    /// exact hash table, count-min, or Bloom admission.
     registers: Vec<RegisterState>,
     /// RegId → index into `registers`.
     reg_index: HashMap<RegId, usize>,
@@ -380,20 +389,14 @@ pub struct Switch {
     reg_keys: HashMap<RegId, Vec<PhvExpr>>,
     /// Dense task index per TaskId.
     task_index: HashMap<TaskId, usize>,
-    /// Compiled fast path, lowered once at load.
+    /// Batch kernels, lowered once at load.
     plan: ExecPlan,
     /// Lowered entry set per `DynFilter` table (`plan.dyn_tables`
     /// order), rebuilt by [`Self::set_dyn_filter`].
     dyn_sets: Vec<DynSet>,
-    /// Reusable per-packet scratch (PHV + eval stack + staging).
-    scratch: Scratch,
     /// Reusable batch-execution scratch (column block, predicate
     /// cache, selection vector).
     batch: BatchScratch,
-    /// When set, execute through the tree-walking reference
-    /// interpreter instead of the compiled plan (debug knob; the
-    /// differential suite asserts both are bit-identical).
-    force_reference: bool,
     /// When set, every window dump is emitted raw (un-thresholded,
     /// value-input column, entry-op tagged) even without shunts: in a
     /// multi-switch fabric a key's count is split across switches, so
@@ -558,23 +561,12 @@ impl Switch {
             task_index,
             plan,
             dyn_sets,
-            scratch: Scratch::default(),
             batch: BatchScratch::default(),
-            force_reference: false,
             defer_dump_thresholds: false,
             counters,
             obs,
             task_seq,
         })
-    }
-
-    /// Route execution through the tree-walking reference interpreter
-    /// (`true`) or the compiled [`ExecPlan`] fast path (`false`, the
-    /// default). Both paths share register and counter state and are
-    /// bit-identical; the knob exists for debugging and for the
-    /// differential suite.
-    pub fn set_force_reference(&mut self, on: bool) {
-        self.force_reference = on;
     }
 
     /// Defer window-dump thresholding to the stream processor: every
@@ -602,100 +594,30 @@ impl Switch {
         &self.counters
     }
 
-    /// Process one decoded packet through the pipeline.
-    pub fn process(&mut self, pkt: &Packet) -> Vec<Report> {
-        if self.force_reference {
-            let mut phv = parser::parse_packet(
-                pkt,
-                &self.program.parse_fields,
-                self.program.meta_slots,
-                self.program.tasks.len(),
-            );
-            self.run(&mut phv, pkt)
-        } else {
-            parser::parse_packet_into(
-                &mut self.scratch.phv,
-                pkt,
-                &self.program.parse_fields,
-                self.program.meta_slots,
-                self.program.tasks.len(),
-            );
-            self.run_fast(pkt)
-        }
-    }
-
-    /// Process raw wire bytes (IPv4-first framing), as hardware would.
-    /// `ts_nanos` stamps any mirrored packet copy.
-    pub fn process_bytes(&mut self, bytes: &[u8], ts_nanos: u64) -> Vec<Report> {
-        if self.force_reference {
-            return self.process_bytes_reference(bytes, ts_nanos);
-        }
-        parser::parse_bytes_into(
-            &mut self.scratch.phv,
-            bytes,
-            &self.program.parse_fields,
-            self.program.meta_slots,
-            self.program.tasks.len(),
-        );
-        let decoded;
-        let pkt_ref: &Packet = if self.plan.needs_packet {
-            match Packet::decode(bytes) {
-                Ok(mut p) => {
-                    p.ts_nanos = ts_nanos;
-                    decoded = p;
-                    &decoded
-                }
-                Err(_) => {
-                    // Unparseable packets pass through unmonitored.
-                    self.counters.packets_in += 1;
-                    self.obs.packets_in.inc();
-                    return Vec::new();
-                }
-            }
-        } else {
-            // No report mirrors the packet: skip the decode entirely.
-            // The placeholder is never attached to reports.
-            decoded = sonata_packet::PacketBuilder::tcp_raw(0, 0, 0, 0).build();
-            &decoded
-        };
-        self.run_fast(pkt_ref)
-    }
-
-    fn process_bytes_reference(&mut self, bytes: &[u8], ts_nanos: u64) -> Vec<Report> {
+    /// The reference oracle for one packet: parse its wire bytes into
+    /// a PHV and walk the IR table by table — no lowering involved.
+    /// Reports, counters, registers and `seq`s come out exactly as
+    /// [`Self::process_batch`] leaves them for a batch of this one
+    /// packet; the two share register and counter state.
+    ///
+    /// The packet is decoded only when some report spec mirrors it. A
+    /// record [`Packet::decode`] rejects still runs on the fields its
+    /// bytes yield, and a mirror of it carries `packet: None` — what
+    /// the batch's [`ReportRef::to_report`](crate::ReportRef::to_report)
+    /// gives, and what the emitter counts as malformed.
+    pub fn process_reference(&mut self, view: PacketView<'_>) -> Vec<Report> {
         let mut phv = parser::parse_bytes(
-            bytes,
+            view.bytes(),
             &self.program.parse_fields,
             self.program.meta_slots,
             self.program.tasks.len(),
         );
-        // Decode lazily only if some report needs the original packet.
-        let needs_packet = self.program.reports.iter().any(|r| r.include_packet);
-        let decoded;
-        let pkt_ref: &Packet = if needs_packet {
-            match Packet::decode(bytes) {
-                Ok(mut p) => {
-                    p.ts_nanos = ts_nanos;
-                    decoded = p;
-                    &decoded
-                }
-                Err(_) => {
-                    // Unparseable packets pass through unmonitored.
-                    self.counters.packets_in += 1;
-                    self.obs.packets_in.inc();
-                    return Vec::new();
-                }
-            }
-        } else {
-            decoded = Packet::decode(bytes).unwrap_or_else(|_| {
-                // A placeholder is fine: it is never attached to reports.
-                sonata_packet::PacketBuilder::tcp_raw(0, 0, 0, 0).build()
-            });
-            &decoded
-        };
-        self.run(&mut phv, pkt_ref)
+        let mirrors = self.program.reports.iter().any(|r| r.include_packet);
+        let pkt = mirrors.then(|| view.decode().ok()).flatten();
+        self.run(&mut phv, pkt.as_ref())
     }
 
-    fn run(&mut self, phv: &mut Phv, pkt: &Packet) -> Vec<Report> {
+    fn run(&mut self, phv: &mut Phv, pkt: Option<&Packet>) -> Vec<Report> {
         self.counters.packets_in += 1;
         self.obs.packets_in.inc();
         let mut reports = Vec::new();
@@ -774,7 +696,7 @@ impl Switch {
                                 task: table.task,
                                 kind: ReportKind::Shunt,
                                 columns,
-                                packet: spec.include_packet.then(|| pkt.clone()),
+                                packet: pkt.filter(|_| spec.include_packet).cloned(),
                                 entry_op: Some(shunt.entry_op),
                                 seq,
                             });
@@ -815,147 +737,13 @@ impl Switch {
                 task: spec.task,
                 kind: ReportKind::Tuple,
                 columns,
-                packet: spec.include_packet.then(|| pkt.clone()),
+                packet: pkt.filter(|_| spec.include_packet).cloned(),
                 entry_op: None,
                 seq,
             });
             self.counters.tuple_reports += 1;
             self.counters.per_task[task_idx].1.tuple_reports += 1;
             self.obs.per_task[task_idx][0].inc();
-        }
-        reports
-    }
-
-    /// The compiled fast path: one pass over the precomputed step
-    /// table, postfix expression evaluation against the scratch PHV,
-    /// dense register and counter indexing. Bit-identical to
-    /// [`Self::run`] (the differential suite enforces it). Expects
-    /// `self.scratch.phv` to hold the parsed packet.
-    fn run_fast(&mut self, pkt: &Packet) -> Vec<Report> {
-        self.counters.packets_in += 1;
-        self.obs.packets_in.inc();
-        let mut reports = Vec::new();
-        for step in &self.plan.steps {
-            let task_idx = step.task_idx;
-            if !self.scratch.phv.is_alive(task_idx) {
-                continue;
-            }
-            match &step.kind {
-                StepKind::Filter { rules } => {
-                    if !self
-                        .plan
-                        .rules_match(rules, &self.scratch.phv, &mut self.scratch.stack)
-                    {
-                        self.scratch.phv.kill(task_idx);
-                    }
-                }
-                StepKind::DynFilter { dyn_idx, key } => {
-                    let k = self
-                        .plan
-                        .eval(*key, &self.scratch.phv, &mut self.scratch.stack);
-                    if !self.dyn_sets[*dyn_idx].admits(k) {
-                        self.scratch.phv.kill(task_idx);
-                    }
-                }
-                StepKind::Map { assigns } => {
-                    // Evaluate all sources before writing (parallel ALU
-                    // semantics within one stage), staging in scratch.
-                    self.scratch.vals.clear();
-                    for &(_, e) in assigns {
-                        let v = self
-                            .plan
-                            .eval(e, &self.scratch.phv, &mut self.scratch.stack);
-                        self.scratch.vals.push(v);
-                    }
-                    for (&(slot, _), &v) in assigns.iter().zip(&self.scratch.vals) {
-                        self.scratch.phv.set_meta(MetaRef(slot), v);
-                    }
-                }
-                StepKind::Update {
-                    reg_idx,
-                    layout,
-                    agg,
-                    operand,
-                    distinct,
-                    keys,
-                    shunt,
-                } => {
-                    self.scratch.key.clear();
-                    for &k in keys {
-                        let v = self
-                            .plan
-                            .eval(k, &self.scratch.phv, &mut self.scratch.stack);
-                        self.scratch.key.push(v);
-                    }
-                    let operand_v =
-                        self.plan
-                            .eval(*operand, &self.scratch.phv, &mut self.scratch.stack);
-                    match self.registers[*reg_idx].update(&self.scratch.key, *agg, operand_v) {
-                        RegOutcome::Shunted => {
-                            debug_assert_eq!(
-                                *layout,
-                                StateLayout::Exact,
-                                "sketch layouts never shunt"
-                            );
-                            let mut columns = Vec::with_capacity(shunt.exprs.len());
-                            for (n, e) in shunt.shape.names.iter().zip(&shunt.exprs) {
-                                columns.push((
-                                    n.clone(),
-                                    self.plan
-                                        .eval(*e, &self.scratch.phv, &mut self.scratch.stack),
-                                ));
-                            }
-                            let seq = self.task_seq[task_idx];
-                            self.task_seq[task_idx] += 1;
-                            reports.push(Report {
-                                task: step.task,
-                                kind: ReportKind::Shunt,
-                                columns,
-                                packet: shunt.shape.with_packet.then(|| pkt.clone()),
-                                entry_op: shunt.shape.entry_op,
-                                seq,
-                            });
-                            self.counters.shunt_reports += 1;
-                            self.counters.per_task[task_idx].1.shunt_reports += 1;
-                            self.obs.per_task[task_idx][1].inc();
-                            self.scratch.phv.kill(task_idx);
-                        }
-                        RegOutcome::Updated { first_touch, .. } => {
-                            if *distinct && !first_touch {
-                                self.scratch.phv.kill(task_idx);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // Deparser: mirror per-packet reports for tasks still alive.
-        for spec in &self.plan.reports {
-            let shape = &spec.shape;
-            if !self.scratch.phv.is_alive(shape.task_idx) {
-                continue;
-            }
-            let mut columns = Vec::with_capacity(spec.exprs.len());
-            for (n, e) in shape.names.iter().zip(&spec.exprs) {
-                columns.push((
-                    n.clone(),
-                    self.plan
-                        .eval(*e, &self.scratch.phv, &mut self.scratch.stack),
-                ));
-            }
-            let seq = self.task_seq[shape.task_idx];
-            self.task_seq[shape.task_idx] += 1;
-            reports.push(Report {
-                task: shape.task,
-                kind: ReportKind::Tuple,
-                columns,
-                packet: shape.with_packet.then(|| pkt.clone()),
-                entry_op: None,
-                seq,
-            });
-            self.counters.tuple_reports += 1;
-            self.counters.per_task[shape.task_idx].1.tuple_reports += 1;
-            self.obs.per_task[shape.task_idx][0].inc();
         }
         reports
     }
@@ -983,16 +771,9 @@ impl Switch {
     ///    staged shunts and then a mirror for every task whose bitmap
     ///    still has it, each as a row of its task's
     ///    [`ReportBlock`](crate::batch::ReportBlock): the report order
-    ///    (and numbering) of [`Self::process`].
-    ///
-    /// Batch execution always runs the compiled plan; the runtime
-    /// routes through per-packet [`Self::process`] when the reference
-    /// oracle is forced.
+    ///    (and numbering) of [`Self::process_reference`] packet by
+    ///    packet.
     pub fn process_batch(&mut self, batch: &ArenaBatch<'_>, out: &mut ReportBatch) {
-        debug_assert!(
-            !self.force_reference,
-            "batch execution has no reference interpreter; route per-packet instead"
-        );
         let n = batch.len();
         out.reset(n, self.program.tasks.len());
         self.counters.packets_in += n as u64;
@@ -1001,7 +782,6 @@ impl Switch {
             plan,
             dyn_sets,
             registers,
-            scratch,
             batch: sc,
             counters,
             obs,
@@ -1010,7 +790,7 @@ impl Switch {
         } = self;
         let gates = &plan.gates;
         let words = n.div_ceil(64);
-        let stack = &mut scratch.stack;
+        let stack = &mut sc.stack;
 
         // 1. Leading-filter columns for every packet. The block starts
         // zeroed: a layer that fails to parse leaves its lanes at the
@@ -1132,7 +912,6 @@ impl Switch {
                     StepKind::DynFilter { dyn_idx, key } => sc
                         .sel
                         .retain(|&i| dyn_sets[*dyn_idx].admits(plan.eval(*key, &lane(i), stack))),
-                    StepKind::Map { .. } => unreachable!("kernels forward metadata at lowering"),
                     StepKind::Update {
                         reg_idx,
                         layout,
@@ -1178,7 +957,7 @@ impl Switch {
                                 exact_lanes::<4>(r, parts, op, *agg, sel, *distinct, on_shunt)
                             }
                             (state, _) => {
-                                let key = &mut scratch.key;
+                                let key = &mut sc.key;
                                 update_lanes(
                                     sel,
                                     *distinct,
@@ -1207,7 +986,7 @@ impl Switch {
 
         // 5. Packet-major deparser: each packet's shunts (in step
         // order), then its mirrors (in report-spec order) — the order,
-        // and so the per-task numbering, of the per-packet path.
+        // and so the per-task numbering, of the reference interpreter.
         out.sort_staged();
         let survivors = |k: usize| &sc.task_bits[k * words..(k + 1) * words];
         sc.any_bits.fill(0);
@@ -1240,9 +1019,8 @@ impl Switch {
     /// apply merged thresholds, and reset all register state.
     ///
     /// Runs over the lowered dump specs (dense register indices,
-    /// interned column names) on both execution paths: the window
-    /// boundary evaluates no expressions, so there is nothing for a
-    /// reference interpreter to oracle here.
+    /// interned column names); [`Self::peek_dump_reference`] is its
+    /// oracle, read from the IR's report specs.
     pub fn end_window(&mut self) -> WindowDump {
         let mut dump = WindowDump::default();
         // `plan.dumps` preserves `program.reports` order.
@@ -1545,7 +1323,7 @@ fn exact_lanes<const K: usize>(
 mod tests {
     use super::*;
     use crate::compile::{compile_pipeline, RegisterSizing};
-    use sonata_packet::{PacketBuilder, TcpFlags};
+    use sonata_packet::{PacketArena, PacketBuilder, TcpFlags};
     use sonata_query::catalog::{self, Thresholds};
     use sonata_query::QueryId;
 
@@ -1561,6 +1339,17 @@ mod tests {
         PacketBuilder::tcp_raw(src, 1000, dst, 80)
             .flags(TcpFlags::SYN)
             .build()
+    }
+
+    /// Run `pkts` through `sw` as one arena batch: each packet's
+    /// reports, materialized.
+    fn run_batch(sw: &mut Switch, pkts: &[Packet]) -> Vec<Vec<Report>> {
+        let arena = PacketArena::from_packets(pkts);
+        let mut out = ReportBatch::new();
+        sw.process_batch(&arena.batch(), &mut out);
+        (0..pkts.len())
+            .map(|i| (out.packet_reports(i, arena.batch()).map(|r| r.to_report())).collect())
+            .collect()
     }
 
     /// `end_window` checked against its oracle: the blocks materialize
@@ -1613,15 +1402,14 @@ mod tests {
     fn query1_full_on_switch_dumps_only_heavy_keys() {
         let mut sw = load_query1(3);
         // 5 SYNs to victim, 1 to background host, 1 non-SYN.
-        for i in 0..5 {
-            assert!(sw.process(&syn(100 + i, 0x0a0000aa)).is_empty());
-        }
-        sw.process(&syn(7, 0x0a0000bb));
-        sw.process(
-            &PacketBuilder::tcp_raw(8, 1, 0x0a0000aa, 80)
+        let mut pkts: Vec<Packet> = (0..5).map(|i| syn(100 + i, 0x0a0000aa)).collect();
+        pkts.push(syn(7, 0x0a0000bb));
+        pkts.push(
+            PacketBuilder::tcp_raw(8, 1, 0x0a0000aa, 80)
                 .flags(TcpFlags::PSH_ACK)
                 .build(),
         );
+        assert!(run_batch(&mut sw, &pkts).iter().all(Vec::is_empty));
         let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!(dump.tuples.len(), 1);
         let r = &reports[0];
@@ -1640,10 +1428,9 @@ mod tests {
         // delivered.
         let mut sw = load_query1(3);
         sw.set_defer_dump_thresholds(true);
-        for i in 0..5 {
-            sw.process(&syn(100 + i, 0xaa));
-        }
-        sw.process(&syn(7, 0xbb));
+        let mut pkts: Vec<Packet> = (0..5).map(|i| syn(100 + i, 0xaa)).collect();
+        pkts.push(syn(7, 0xbb));
+        run_batch(&mut sw, &pkts);
         let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!((dump.suppressed, reports.len()), (0, 2));
         assert_eq!(dump.tuples.blocks().len(), 1);
@@ -1663,9 +1450,10 @@ mod tests {
         let cp = compile_pipeline(&q.pipeline, t(3), &[0, 1, 3, 4], &[sizing, sizing], 0, 0);
         let mut sw = Switch::load(cp.unwrap().fragment, &SwitchConstraints::default()).unwrap();
         sw.set_defer_dump_thresholds(true);
-        for (src, dst) in [(1, 10), (1, 11), (1, 10), (2, 10)] {
-            sw.process(&syn(src, dst));
-        }
+        run_batch(
+            &mut sw,
+            &[(1, 10), (1, 11), (1, 10), (2, 10)].map(|(s, d)| syn(s, d)),
+        );
         let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!(dump.tuples.blocks().len(), 1);
         let block = &dump.tuples.blocks()[0];
@@ -1684,13 +1472,10 @@ mod tests {
     #[test]
     fn window_reset_clears_counts() {
         let mut sw = load_query1(2);
-        for i in 0..3 {
-            sw.process(&syn(i, 0xaa));
-        }
+        run_batch(&mut sw, &[syn(0, 0xaa), syn(1, 0xaa), syn(2, 0xaa)]);
         assert_eq!(sw.end_window().tuples.len(), 1);
         // Next window: 2 SYNs only — below threshold.
-        sw.process(&syn(1, 0xaa));
-        sw.process(&syn(2, 0xaa));
+        run_batch(&mut sw, &[syn(1, 0xaa), syn(2, 0xaa)]);
         assert_eq!(sw.end_window().tuples.len(), 0);
     }
 
@@ -1699,16 +1484,14 @@ mod tests {
         let q = catalog::newly_opened_tcp_conns(&Thresholds::default());
         let cp = compile_pipeline(&q.pipeline, t(1), &[0], &[], 0, 0).unwrap();
         let mut sw = Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap();
-        let reports = sw.process(&syn(1, 2));
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].kind, ReportKind::Tuple);
-        assert!(reports[0].packet.is_some()); // packet schema -> mirror packet
-        let none = sw.process(
-            &PacketBuilder::tcp_raw(1, 1, 2, 80)
-                .flags(TcpFlags::ACK)
-                .build(),
-        );
-        assert!(none.is_empty());
+        let ack = PacketBuilder::tcp_raw(1, 1, 2, 80)
+            .flags(TcpFlags::ACK)
+            .build();
+        let reports = run_batch(&mut sw, &[syn(1, 2), ack]);
+        assert_eq!(reports[0].len(), 1);
+        assert_eq!(reports[0][0].kind, ReportKind::Tuple);
+        assert!(reports[0][0].packet.is_some()); // packet schema -> mirror packet
+        assert!(reports[1].is_empty());
         assert_eq!(sw.counters().tuple_reports, 1);
     }
 
@@ -1717,12 +1500,43 @@ mod tests {
         let q = catalog::newly_opened_tcp_conns(&Thresholds::default());
         let cp = compile_pipeline(&q.pipeline, t(1), &[], &[], 0, 0).unwrap();
         let mut sw = Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap();
-        for i in 0..10 {
-            let reports = sw.process(&syn(i, 2));
+        let pkts: Vec<Packet> = (0..10).map(|i| syn(i, 2)).collect();
+        for reports in run_batch(&mut sw, &pkts) {
             assert_eq!(reports.len(), 1);
             assert!(reports[0].packet.is_some());
         }
         assert_eq!(sw.counters().tuple_reports, 10);
+    }
+
+    #[test]
+    fn a_mirrored_record_that_does_not_decode_reports_without_its_packet() {
+        // All-SP: the task mirrors every packet. A TCP record cut
+        // inside its TCP header parses no TCP field and `decode`
+        // rejects it; both entries still run it and mirror it, packet
+        // absent.
+        let q = catalog::newly_opened_tcp_conns(&Thresholds::default());
+        let cp = compile_pipeline(&q.pipeline, t(1), &[], &[], 0, 0).unwrap();
+        let load = || Switch::load(cp.fragment.clone(), &SwitchConstraints::default()).unwrap();
+        let wire = syn(1, 2).encode();
+        let cut = &wire[..20 + 10];
+        assert!(Packet::decode(cut).is_err());
+        let mut arena = PacketArena::new();
+        arena.push_record(7, cut);
+        let mut batched = load();
+        let mut out = ReportBatch::new();
+        batched.process_batch(&arena.batch(), &mut out);
+        let got: Vec<Report> = (out.packet_reports(0, arena.batch()))
+            .map(|r| r.to_report())
+            .collect();
+        let mut reference = load();
+        let want = reference.process_reference(arena.view(0));
+        assert_eq!(got, want);
+        assert_eq!(want.len(), 1);
+        assert_eq!((want[0].kind, &want[0].packet), (ReportKind::Tuple, &None));
+        for sw in [&batched, &reference] {
+            let c = sw.counters();
+            assert_eq!((c.packets_in, c.tuple_reports), (1, 1));
+        }
     }
 
     #[test]
@@ -1749,8 +1563,9 @@ mod tests {
         // rest shunt (unless they hash to the same slot — with one slot
         // everything hashes there).
         let mut shunts = 0;
-        for i in 0..20 {
-            for r in sw.process(&syn(1, 1000 + i)) {
+        let pkts: Vec<Packet> = (0..20).map(|i| syn(1, 1000 + i)).collect();
+        for (i, reports) in run_batch(&mut sw, &pkts).into_iter().enumerate() {
+            for r in reports {
                 assert_eq!(r.kind, ReportKind::Shunt);
                 assert_eq!(&*r.columns[0].0, "dIP");
                 assert_eq!(r.columns[0].1, (1000 + i) as u64);
@@ -1786,13 +1601,13 @@ mod tests {
         )
         .unwrap();
         let mut sw = Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap();
-        let p = PacketBuilder::tcp_raw(7, 1, 9, 80).build();
-        assert_eq!(sw.process(&p).len(), 1); // first (7,9): reported
-        assert_eq!(sw.process(&p).len(), 0); // repeat: suppressed
-        let p2 = PacketBuilder::tcp_raw(7, 1, 10, 80).build();
-        assert_eq!(sw.process(&p2).len(), 1); // new pair
-                                              // Reports carry the (sIP, dIP) tuple, no packet.
-        let r = &sw.process(&PacketBuilder::tcp_raw(8, 1, 9, 80).build())[0];
+        let pair = |s, d| PacketBuilder::tcp_raw(s, 1, d, 80).build();
+        let reports = run_batch(&mut sw, &[pair(7, 9), pair(7, 9), pair(7, 10), pair(8, 9)]);
+        // First (7,9) reported, its repeat suppressed, new pairs reported.
+        let counts: Vec<usize> = reports.iter().map(Vec::len).collect();
+        assert_eq!(counts, [1, 0, 1, 1]);
+        // Reports carry the (sIP, dIP) tuple, no packet.
+        let r = &reports[3][0];
         assert_eq!(r.columns[0], ("sIP".into(), 8));
         assert_eq!(r.columns[1], ("dIP".into(), 9));
         assert!(r.packet.is_none());
@@ -1828,15 +1643,15 @@ mod tests {
         .unwrap();
         let mut sw = Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap();
         // Empty filter: nothing passes.
-        sw.process(&syn(1, 0x0a000001));
+        run_batch(&mut sw, &[syn(1, 0x0a000001)]);
         assert_eq!(sw.end_window().tuples.len(), 0);
         // Allow 10.0.0.0/8.
         let tables = sw.dyn_filter_tables();
         assert_eq!(tables.len(), 1);
         sw.set_dyn_filter(&tables[0].0, [0x0a000000u64].into_iter().collect())
             .unwrap();
-        sw.process(&syn(1, 0x0a000001));
-        sw.process(&syn(1, 0x0b000001)); // other /8: filtered
+        // The second packet's /8 is not admitted.
+        run_batch(&mut sw, &[syn(1, 0x0a000001), syn(1, 0x0b000001)]);
         let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!(dump.tuples.len(), 1);
         assert_eq!(reports[0].columns[0].1, 0x0a000001);
@@ -1849,21 +1664,6 @@ mod tests {
         // query1's first table is a static filter.
         let name = sw.program().tables[0].name.clone();
         assert!(sw.set_dyn_filter(&name, BTreeSet::new()).is_err());
-    }
-
-    #[test]
-    fn process_bytes_matches_process() {
-        let mut sw1 = load_query1(2);
-        let mut sw2 = load_query1(2);
-        let pkts: Vec<Packet> = (0..30).map(|i| syn(i % 5, 0xaa + (i % 3))).collect();
-        for p in &pkts {
-            let a = sw1.process(p);
-            let b = sw2.process_bytes(&p.encode(), p.ts_nanos);
-            assert_eq!(a.len(), b.len());
-        }
-        let d1 = sw1.end_window();
-        let d2 = sw2.end_window();
-        assert_eq!(d1.tuples, d2.tuples);
     }
 
     #[test]
@@ -1920,9 +1720,8 @@ mod tests {
         let mut sw = Switch::load(program, &SwitchConstraints::default()).unwrap();
         // 4 SYNs from distinct sources to one host: triggers both
         // queries (4 new conns; 4 distinct sources).
-        for i in 0..4 {
-            sw.process(&syn(100 + i, 0xaa));
-        }
+        let pkts: Vec<Packet> = (0..4).map(|i| syn(100 + i, 0xaa)).collect();
+        run_batch(&mut sw, &pkts);
         let (_, reports) = end_window_checked(&mut sw);
         let q1_tuples: Vec<_> = reports.iter().filter(|r| r.task == t1).collect();
         let q5_tuples: Vec<_> = reports.iter().filter(|r| r.task == t5).collect();
@@ -1984,124 +1783,23 @@ mod tests {
     #[test]
     fn reports_carry_per_task_window_sequence_numbers() {
         let mut sw = load_filter_only();
-        for i in 0..3 {
-            let r = sw.process(&syn(i, 2));
+        let pkts: Vec<Packet> = (0..3).map(|i| syn(i, 2)).collect();
+        for (i, r) in run_batch(&mut sw, &pkts).iter().enumerate() {
             assert_eq!(r.len(), 1);
-            assert_eq!(r[0].seq, u64::from(i));
+            assert_eq!(r[0].seq, i as u64);
         }
         sw.end_window();
         // Sequence numbers restart per window.
-        assert_eq!(sw.process(&syn(9, 2))[0].seq, 0);
+        assert_eq!(run_batch(&mut sw, &[syn(9, 2)])[0][0].seq, 0);
     }
 
     #[test]
-    fn fast_path_matches_reference_interpreter() {
-        // Same program, same packets: the compiled plan and the
-        // tree-walking oracle must agree on every report and the
-        // window dump, bit for bit — including shunts (tiny register)
-        // and re-used scratch state across packets.
-        for sizing in [
-            RegisterSizing {
-                slots: 512,
-                arrays: 2,
-                ..Default::default()
-            },
-            RegisterSizing {
-                slots: 1,
-                arrays: 1,
-                ..Default::default()
-            },
-        ] {
-            let q = catalog::newly_opened_tcp_conns(&Thresholds {
-                new_tcp: 1,
-                ..Thresholds::default()
-            });
-            let load = |sizing| {
-                let cp = compile_pipeline(&q.pipeline, t(1), &[0, 1, 2], &[sizing], 0, 0).unwrap();
-                Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap()
-            };
-            let mut fast = load(sizing);
-            let mut reference = load(sizing);
-            reference.set_force_reference(true);
-            let pkts: Vec<Packet> = (0..60).map(|i| syn(i % 7, 0xaa + (i % 5))).collect();
-            for p in &pkts {
-                assert_eq!(fast.process(p), reference.process(p));
-                assert_eq!(
-                    fast.process_bytes(&p.encode(), p.ts_nanos),
-                    reference.process_bytes(&p.encode(), p.ts_nanos)
-                );
-            }
-            assert_eq!(fast.end_window(), reference.end_window());
-            assert_eq!(
-                fast.counters().total_to_stream_processor(),
-                reference.counters().total_to_stream_processor()
-            );
-            // Second window: scratch reuse must not leak state.
-            for p in &pkts {
-                assert_eq!(fast.process(p), reference.process(p));
-            }
-            assert_eq!(fast.end_window(), reference.end_window());
-        }
-    }
-
-    #[test]
-    fn fast_path_observes_dyn_filter_updates() {
-        use sonata_packet::Field;
-        use sonata_query::expr::{col, field, lit, Pred};
-        use sonata_query::Agg;
-        // The lowered plan must read dynamic-filter entries live: a
-        // control-plane update between packets takes effect without
-        // re-lowering, exactly as on the reference path.
-        let q = sonata_query::Query::builder("refined", 4)
-            .filter(Pred::in_set(
-                field(Field::Ipv4Dst).mask(8),
-                std::collections::BTreeSet::new(),
-            ))
-            .map([("dIP", field(Field::Ipv4Dst)), ("c", lit(1))])
-            .reduce(&["dIP"], Agg::Sum, "c")
-            .filter(col("c").gt(lit(0)))
-            .build()
-            .unwrap();
-        let load = || {
-            let cp = compile_pipeline(
-                &q.pipeline,
-                t(4),
-                &[0, 1, 2],
-                &[RegisterSizing {
-                    slots: 64,
-                    arrays: 1,
-                    ..Default::default()
-                }],
-                0,
-                0,
-            )
-            .unwrap();
-            Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap()
-        };
-        let mut fast = load();
-        let mut reference = load();
-        reference.set_force_reference(true);
-        for sw in [&mut fast, &mut reference] {
-            sw.process(&syn(1, 0x0a000001));
-            assert_eq!(sw.end_window().tuples.len(), 0);
-            let tables = sw.dyn_filter_tables();
-            sw.set_dyn_filter(&tables[0].0, [0x0a000000u64].into_iter().collect())
-                .unwrap();
-            sw.process(&syn(1, 0x0a000001));
-            sw.process(&syn(1, 0x0b000001));
-        }
-        assert_eq!(fast.end_window(), reference.end_window());
-    }
-
-    #[test]
-    fn batch_execution_matches_per_packet_path() {
-        use sonata_packet::PacketArena;
-        // Same program, same packets: process_batch and the per-packet
-        // wire path must agree on every report (order, columns, seq,
+    fn batch_execution_matches_the_reference_interpreter() {
+        // Same program, same packets: process_batch and the tree-walking
+        // reference must agree on every report (order, columns, seq,
         // mirrored packets), the window dump, and all counters —
         // including shunt-heavy registers and scratch reuse across
-        // windows. The per-packet oracle is process_bytes so both
-        // sides decode mirrored packets from the same wire bytes.
+        // windows.
         for sizing in [
             RegisterSizing {
                 slots: 512,
@@ -2122,7 +1820,7 @@ mod tests {
                 let cp = compile_pipeline(&q.pipeline, t(1), &[0, 1, 2], &[sizing], 0, 0).unwrap();
                 Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap()
             };
-            let mut owned = load(sizing);
+            let mut reference = load(sizing);
             let mut batched = load(sizing);
             // The leading SYN filter is hoisted into the gate: mix in
             // non-SYN packets so gating actually skips some.
@@ -2144,9 +1842,8 @@ mod tests {
             let arena = PacketArena::from_packets(&pkts);
             let mut out = ReportBatch::new();
             for w in 0..2 {
-                let per_pkt: Vec<Vec<Report>> = pkts
-                    .iter()
-                    .map(|p| owned.process_bytes(&p.encode(), p.ts_nanos))
+                let per_pkt: Vec<Vec<Report>> = (0..pkts.len())
+                    .map(|i| reference.process_reference(arena.view(i)))
                     .collect();
                 batched.process_batch(&arena.batch(), &mut out);
                 assert_eq!(out.packets(), pkts.len());
@@ -2157,11 +1854,14 @@ mod tests {
                         .collect();
                     assert_eq!(&got, want, "window {w} packet {i}");
                 }
-                assert_eq!(batched.end_window(), owned.end_window(), "window {w}");
-                assert_eq!(batched.counters().packets_in, owned.counters().packets_in);
+                assert_eq!(batched.end_window(), reference.end_window(), "window {w}");
+                assert_eq!(
+                    batched.counters().packets_in,
+                    reference.counters().packets_in
+                );
                 assert_eq!(
                     batched.counters().total_to_stream_processor(),
-                    owned.counters().total_to_stream_processor()
+                    reference.counters().total_to_stream_processor()
                 );
             }
         }
@@ -2169,12 +1869,12 @@ mod tests {
 
     #[test]
     fn batch_gate_observes_dyn_filter_updates() {
-        use sonata_packet::{Field, PacketArena};
+        use sonata_packet::Field;
         use sonata_query::expr::{field, lit, Pred};
         use sonata_query::{expr::col, Agg};
         // The hoisted dyn-filter gate must read entries live: a
         // control-plane update between windows takes effect on the
-        // batch path exactly as per-packet.
+        // batch path exactly as on the reference.
         let q = sonata_query::Query::builder("refined", 4)
             .filter(Pred::in_set(
                 field(Field::Ipv4Dst).mask(8),
@@ -2201,7 +1901,7 @@ mod tests {
             .unwrap();
             Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap()
         };
-        let mut owned = load();
+        let mut reference = load();
         let mut batched = load();
         assert!(!batched.plan.gates.all_pass);
         let pkts = vec![syn(1, 0x0a000001), syn(1, 0x0b000001)];
@@ -2209,20 +1909,19 @@ mod tests {
         let mut out = ReportBatch::new();
         // Window 1: empty pass-when-empty dyn filter admits nothing...
         // (pass_when_empty is false for refinement filters) — both
-        // paths must agree either way.
-        owned.process_bytes(&pkts[0].encode(), 0);
-        owned.process_bytes(&pkts[1].encode(), 0);
+        // entries must agree either way.
+        reference.process_reference(arena.view(0));
+        reference.process_reference(arena.view(1));
         batched.process_batch(&arena.batch(), &mut out);
-        assert_eq!(batched.end_window(), owned.end_window());
+        assert_eq!(batched.end_window(), reference.end_window());
         // Control-plane update between windows: admit 10.0.0.0/8.
-        for sw in [&mut owned, &mut batched] {
+        for sw in [&mut reference, &mut batched] {
             let tables = sw.dyn_filter_tables();
             sw.set_dyn_filter(&tables[0].0, [0x0a000000u64].into_iter().collect())
                 .unwrap();
         }
-        let per_pkt: Vec<Vec<Report>> = pkts
-            .iter()
-            .map(|p| owned.process_bytes(&p.encode(), p.ts_nanos))
+        let per_pkt: Vec<Vec<Report>> = (0..pkts.len())
+            .map(|i| reference.process_reference(arena.view(i)))
             .collect();
         batched.process_batch(&arena.batch(), &mut out);
         for (i, want) in per_pkt.iter().enumerate() {
@@ -2232,18 +1931,17 @@ mod tests {
                 .collect();
             assert_eq!(&got, want, "packet {i}");
         }
-        assert_eq!(batched.end_window(), owned.end_window());
+        assert_eq!(batched.end_window(), reference.end_window());
     }
 
     #[test]
-    fn batch_execution_matches_per_packet_on_merged_program() {
-        use sonata_packet::PacketArena;
+    fn batch_execution_matches_the_reference_on_merged_program() {
         // Multi-query program exercising every report path at once:
         // q1 window-dumps via a roomy register, q5 shunts via 1-slot
         // registers (and leads with a Map, so the gate degenerates to
         // all-pass), q9 is filter-only and mirrors packets
         // (include_packet: the batch path must attach arena-decoded
-        // packets identical to the per-packet decode).
+        // packets identical to the reference's decode).
         let t5 = TaskId {
             query: QueryId(5),
             level: 32,
@@ -2311,7 +2009,7 @@ mod tests {
             program.merge(cp9.fragment);
             Switch::load(program, &SwitchConstraints::default()).unwrap()
         };
-        let mut owned = load();
+        let mut reference = load();
         let mut batched = load();
         assert!(
             batched.plan.gates.all_pass,
@@ -2320,9 +2018,8 @@ mod tests {
         let pkts: Vec<Packet> = (0..8).map(|i| syn(100 + i, 0xaa)).collect();
         let arena = PacketArena::from_packets(&pkts);
         let mut out = ReportBatch::new();
-        let per_pkt: Vec<Vec<Report>> = pkts
-            .iter()
-            .map(|p| owned.process_bytes(&p.encode(), p.ts_nanos))
+        let per_pkt: Vec<Vec<Report>> = (0..pkts.len())
+            .map(|i| reference.process_reference(arena.view(i)))
             .collect();
         batched.process_batch(&arena.batch(), &mut out);
         let mut saw_packet = false;
@@ -2338,10 +2035,10 @@ mod tests {
         }
         assert!(saw_packet, "q9 must mirror packets");
         assert!(saw_shunt, "q5 must shunt");
-        assert_eq!(batched.end_window(), owned.end_window());
+        assert_eq!(batched.end_window(), reference.end_window());
         assert_eq!(
             batched.counters().per_task,
-            owned.counters().per_task,
+            reference.counters().per_task,
             "per-task counters must attribute identically"
         );
     }
@@ -2421,9 +2118,8 @@ mod tests {
         // 4 SYNs from distinct sources: q1 aggregates on the switch,
         // q5's 1-slot registers shunt the later distinct sources, q9
         // mirrors every SYN as a tuple.
-        for i in 0..4 {
-            sw.process(&syn(100 + i, 0xaa));
-        }
+        let pkts: Vec<Packet> = (0..4).map(|i| syn(100 + i, 0xaa)).collect();
+        run_batch(&mut sw, &pkts);
         sw.end_window();
         let c = sw.counters();
         let c1 = c.task(&t1);

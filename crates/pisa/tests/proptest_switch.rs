@@ -1,15 +1,14 @@
 //! Property tests for the behavioral model:
 //!
-//! * the raw-bytes path (wire parsing, as hardware) and the decoded
-//!   fast path must produce identical reports and dumps;
-//! * garbage bytes never panic the pipeline;
+//! * task-major batch execution of random merged multi-task programs,
+//!   malformed records included, is indistinguishable from the
+//!   tree-walking reference run packet by packet;
+//! * garbage bytes never panic either entry;
 //! * register invariants hold under arbitrary key streams, and the
-//!   flat register layout replays a slot-map model step for step;
-//! * task-major batch execution of random merged multi-task programs
-//!   is indistinguishable from the per-packet loop.
+//!   flat register layout replays a slot-map model step for step.
 
 use proptest::prelude::*;
-use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
+use sonata_packet::{PacketArena, PacketBuilder, TcpFlags};
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::registers::{HashRegisters, RegOutcome};
 use sonata_pisa::{
@@ -52,26 +51,6 @@ fn load(q: &sonata_query::Query, slots: usize) -> Switch {
     )
     .unwrap();
     Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap()
-}
-
-fn arb_packet() -> impl Strategy<Value = Packet> {
-    (
-        0u32..64,
-        0u32..32,
-        prop_oneof![
-            Just(TcpFlags::SYN),
-            Just(TcpFlags::ACK),
-            Just(TcpFlags::SYN_ACK),
-            Just(TcpFlags::PSH_ACK)
-        ],
-        proptest::collection::vec(any::<u8>(), 0..64),
-    )
-        .prop_map(|(s, d, flags, payload)| {
-            PacketBuilder::tcp_raw(0x0a000000 + s, 1234, 0x14000000 + d, 80)
-                .flags(flags)
-                .payload(payload)
-                .build()
-        })
 }
 
 /// One task family of a merged program: a top-8 query refined to
@@ -229,7 +208,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn batch_kernels_match_the_per_packet_loop(
+    fn batch_kernels_match_the_reference_interpreter(
         picks in proptest::collection::vec(arb_pick(), 1..5),
         (slots, arrays) in (1usize..6, 1usize..3),
         windows in proptest::collection::vec(
@@ -240,10 +219,6 @@ proptest! {
         chunk_budget in 0usize..4_000,
     ) {
         let program = merged_program(&picks, slots, arrays);
-        // `process_bytes` leaves a packet it must mirror but cannot
-        // decode unmonitored; the arena contract rules such records
-        // out, so only mirror-free programs see malformed bytes.
-        let mirrors = program.reports.iter().any(|r| r.include_packet);
         let constraints = SwitchConstraints {
             stateful_per_stage: 64,
             ..SwitchConstraints::default()
@@ -279,16 +254,13 @@ proptest! {
             }
             let mut arena = PacketArena::new();
             for (i, r) in records.iter().enumerate() {
-                if !mirrors || Packet::decode(r).is_ok() {
-                    arena.push_record(i as u64, r);
-                }
+                arena.push_record(i as u64, r);
             }
             batched.process_batch(&arena.batch(), &mut out);
             prop_assert_eq!(out.packets(), arena.len());
             let mut looped: Vec<Report> = Vec::new();
             for i in 0..arena.len() {
-                let view = arena.view(i);
-                let want = oracle.process_bytes(view.bytes(), view.ts_nanos());
+                let want = oracle.process_reference(arena.view(i));
                 let got: Vec<Report> = out
                     .packet_reports(i, arena.batch())
                     .map(|r| r.to_report())
@@ -410,34 +382,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn bytes_and_decoded_paths_agree(
-        pkts in proptest::collection::vec(arb_packet(), 0..150),
-        th in 0u64..5,
-        slots in 1usize..64,
-    ) {
-        let q = catalog::newly_opened_tcp_conns(&Thresholds {
-            new_tcp: th,
-            ..Thresholds::default()
-        });
-        let mut a = load(&q, slots);
-        let mut b = load(&q, slots);
-        for p in &pkts {
-            let ra = a.process(p);
-            let rb = b.process_bytes(&p.encode(), p.ts_nanos);
-            prop_assert_eq!(ra.len(), rb.len());
-            for (x, y) in ra.iter().zip(&rb) {
-                prop_assert_eq!(x.kind, y.kind);
-                prop_assert_eq!(&x.columns, &y.columns);
-                prop_assert_eq!(x.entry_op, y.entry_op);
-            }
-        }
-        let da = a.end_window();
-        let db = b.end_window();
-        prop_assert_eq!(&da.tuples, &db.tuples);
-        prop_assert_eq!(da.shunted_packets, db.shunted_packets);
-    }
-
-    #[test]
     fn garbage_bytes_never_panic(
         chunks in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 0..128),
@@ -445,12 +389,23 @@ proptest! {
         ),
     ) {
         let q = catalog::superspreader(&Thresholds::default());
-        let mut sw = load(&q, 64);
+        let mut arena = PacketArena::new();
         for c in &chunks {
-            let _ = sw.process_bytes(c, 0);
+            arena.push_record(0, c);
         }
-        let _ = sw.end_window();
-        prop_assert_eq!(sw.counters().packets_in as usize, chunks.len());
+        let mut batched = load(&q, 64);
+        let mut oracle = load(&q, 64);
+        let mut out = ReportBatch::new();
+        batched.process_batch(&arena.batch(), &mut out);
+        for i in 0..arena.len() {
+            let got: Vec<Report> = (out.packet_reports(i, arena.batch()))
+                .map(|r| r.to_report())
+                .collect();
+            prop_assert_eq!(got, oracle.process_reference(arena.view(i)));
+        }
+        prop_assert_eq!(batched.end_window(), oracle.end_window());
+        prop_assert_eq!(batched.counters().packets_in as usize, chunks.len());
+        prop_assert_eq!(oracle.counters().packets_in as usize, chunks.len());
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub use sonata_traffic as traffic;
 /// One-stop imports for applications.
 pub mod prelude {
     pub use sonata_core::{
-        DegradedWindow, DriftConfig, ErrorBoundReport, Fabric, IngestMode, ReplanConfig, Runtime,
+        DegradedWindow, DriftConfig, ErrorBoundReport, Fabric, ReplanConfig, Runtime,
         RuntimeConfig, SwitchArrival, SwitchOutage, TelemetryReport, TopologyConfig, WindowLatency,
         WindowReport,
     };

@@ -1,14 +1,16 @@
 //! Differential suite for the compiled fast paths.
 //!
-//! PR "compiled hot paths" added two compile-once/execute-many layers:
-//! the switch lowers its loaded IR into a flat [`ExecPlan`] and the
-//! stream processor binds each registered query into a fused
-//! [`BoundPipeline`]. Both are pure performance work — the contract is
-//! that a default run (fast paths on) produces *bit-identical*
-//! `WindowReport`s to a run with `force_reference_path: true` (the
-//! original tree-walking interpreters), across the query catalog,
-//! across plan modes, across seeds, across shard counts, over TCP,
-//! and under fault injection.
+//! Each side of the wire has one compile-once/execute-many layer: the
+//! switch lowers its loaded IR into task-major batch kernels, run over
+//! each window laid out in a packet arena, and the stream processor
+//! binds each registered query into a fused `BoundPipeline`. Both are
+//! pure performance work — the contract is that a default run (fast
+//! paths on) produces *bit-identical* `WindowReport`s to a run with
+//! `force_reference_path: true` (the tree-walking interpreters, the
+//! switch's fed one packet at a time and shipping one report frame per
+//! report instead of report blocks), across the query catalog, across
+//! plan modes, across seeds, across shard counts, over TCP, under
+//! fault injection, and with sketched register state.
 //!
 //! Seeds come from `SONATA_FASTPATH_SEEDS` (comma-separated, default
 //! `7,23,101`).
@@ -270,5 +272,38 @@ fn fast_path_matches_reference_for_payload_queries() {
     assert_eq!(
         fast.windows, reference.windows,
         "payload-query fast path diverged from reference"
+    );
+}
+
+/// Sketched register state (count-min / Bloom layouts) hashes the same
+/// keys in the same order on both paths; a sketched fast run must
+/// equal a sketched reference run exactly.
+#[test]
+fn sketched_runs_are_identical_on_both_paths() {
+    let seed = seeds()[0];
+    let tr = trace(2, seed);
+    let t = low_thresholds();
+    let queries = vec![
+        catalog::newly_opened_tcp_conns(&t),
+        catalog::superspreader(&t),
+    ];
+    let plan = plan_for(PlanMode::Sonata, &queries, &tr);
+    let sketched = |force_reference_path| RuntimeConfig {
+        sketch: SketchConfig {
+            layout: StateLayout::CountMin,
+            ..SketchConfig::default()
+        },
+        ..config(
+            force_reference_path,
+            TransportKind::Loopback,
+            1,
+            FaultPlan::none(),
+        )
+    };
+    let fast = run(&plan, &tr, sketched(false));
+    let reference = run(&plan, &tr, sketched(true));
+    assert_eq!(
+        fast.windows, reference.windows,
+        "sketched fast path diverged from sketched reference"
     );
 }

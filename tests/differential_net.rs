@@ -251,7 +251,7 @@ fn an_oversized_window_ships_several_block_frames_and_the_same_report() {
         &plan,
         &tr,
         RuntimeConfig {
-            ingest: IngestMode::Owned,
+            force_reference_path: true,
             ..config(TransportKind::Loopback, 1, FaultPlan::none())
         },
     );
@@ -296,9 +296,9 @@ fn block_frames_carry_a_third_of_the_per_report_bytes() {
     // report; blocks state them once per chunk.
     let tr = net_trace(3, net_seeds()[0]);
     let plan = net_plan_mode(&catalog::top8(&low_thresholds()), &tr, PlanMode::FilterDp);
-    let bytes_tx = |ingest: IngestMode| {
+    let bytes_tx = |force_reference_path: bool| {
         let cfg = RuntimeConfig {
-            ingest,
+            force_reference_path,
             obs: ObsHandle::enabled(),
             ..config(TransportKind::Tcp, 1, FaultPlan::none())
         };
@@ -309,8 +309,8 @@ fn block_frames_carry_a_third_of_the_per_report_bytes() {
         let sent = sent.counter("sonata_net_bytes_total{dir=\"tx\",peer=\"switch-0\"}");
         (report, sent.unwrap())
     };
-    let (by_block, block_bytes) = bytes_tx(IngestMode::Arena);
-    let (by_report, report_bytes) = bytes_tx(IngestMode::Owned);
+    let (by_block, block_bytes) = bytes_tx(false);
+    let (by_report, report_bytes) = bytes_tx(true);
     for (b, r) in by_block.windows.iter().zip(&by_report.windows) {
         assert_eq!((b.tuples_to_sp, &b.alerts), (r.tuples_to_sp, &r.alerts));
     }

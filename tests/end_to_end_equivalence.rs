@@ -109,30 +109,3 @@ fn plan_cost_ordering_matches_the_paper() {
         measured[&PlanMode::AllSp]
     );
 }
-
-#[test]
-fn wire_mode_equals_decoded_mode() {
-    // Driving the switch with raw wire bytes (full parser work) must
-    // be bit-for-bit equivalent to the decoded fast path.
-    let tr = evaluation_trace();
-    let queries = catalog::top8(&Thresholds::default());
-    let plan = plan_for(PlanMode::MaxDp, &queries, &tr);
-    let run = |wire_mode: bool| {
-        let mut rt = Runtime::new(
-            &plan,
-            RuntimeConfig {
-                wire_mode,
-                ..RuntimeConfig::default()
-            },
-        )
-        .unwrap();
-        rt.process_trace(&tr).unwrap()
-    };
-    let fast = run(false);
-    let wire = run(true);
-    assert_eq!(fast.total_tuples(), wire.total_tuples());
-    for (a, b) in fast.windows.iter().zip(&wire.windows) {
-        assert_eq!(a.alerts, b.alerts, "window {}", a.window);
-        assert_eq!(a.shunts, b.shunts);
-    }
-}

@@ -5,9 +5,9 @@
 //! interpreter's results.
 
 use proptest::prelude::*;
-use sonata::packet::{Packet, PacketBuilder, TcpFlags};
+use sonata::packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata::pisa::compile::{max_switch_units, table_specs, RegisterSizing};
-use sonata::pisa::{Switch, SwitchConstraints, TaskId};
+use sonata::pisa::{ReportBatch, Switch, SwitchConstraints, TaskId, CHUNK_BYTES};
 use sonata::query::catalog::{self, Thresholds};
 use sonata::query::interpret::run_query;
 use sonata::query::{Query, Tuple};
@@ -65,10 +65,14 @@ fn run_partitioned(query: &Query, k: usize, slots: usize, packets: &[Packet]) ->
     let _ = compiled;
     let mut switch = Switch::load(deployment.program, &SwitchConstraints::default()).unwrap();
     let mut emitter = sonata::core::Emitter::new(&deployment.deployments);
-    for p in packets {
-        for r in switch.process(p) {
-            emitter.ingest(&r);
-        }
+    // The window as one batch, shipped in chunks as the drivers do.
+    let arena = PacketArena::from_packets(packets);
+    let mut reports = ReportBatch::new();
+    switch.process_batch(&arena.batch(), &mut reports);
+    let mut at = 0;
+    while let Some((chunk, next)) = reports.chunk(at, arena.batch(), CHUNK_BYTES) {
+        emitter.ingest_blocks(chunk);
+        at = next;
     }
     emitter.ingest_dump(&switch.end_window());
     let batches = emitter.close_window().unwrap();

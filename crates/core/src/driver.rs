@@ -412,7 +412,8 @@ mod tests {
 
         let mut out = ReportBatch::new();
         load().unwrap().process_batch(&arena.batch(), &mut out);
-        let (chunk, _) = out.chunk(0, arena.batch(), CHUNK_BYTES).unwrap();
+        let (chunk, next) = out.chunk(0, arena.batch(), CHUNK_BYTES).unwrap();
+        assert_eq!(next, out.packets());
         let mut batched = Emitter::new(&deployed.deployments);
         batched.ingest_blocks(chunk);
 

@@ -3,18 +3,20 @@
 //! [`crate::switch::Switch::process_batch`] collects every report a
 //! window's packets produce into one [`ReportBatch`] instead of a
 //! fresh `Vec<Report>` per packet. Reports are rows of
-//! [`ReportBlock`]s — one per task, header and column names stated
-//! once, values as flat `u64` cells, mirrored packets as *indices into
-//! the arena batch* rather than owned
-//! [`Packet`](sonata_packet::Packet) clones — and a packet-major order
-//! index remembers which row came when. [`ReportBatch::chunk`] cuts
-//! the blocks into self-contained [`ReportChunk`]s, the form that
-//! crosses the wire and that the emitter reads in place;
-//! [`ReportBatch::packet_reports`] walks one packet's rows as borrowed
-//! [`ReportRef`]s in the exact order the reference interpreter
-//! produces owned [`Report`]s, for oracles and the fault seam.
+//! [`ReportBlock`]s — written task by task, each task's rows in packet
+//! order; header and column names stated once, values as flat `u64`
+//! cells, mirrored packets as *indices into the arena batch* rather
+//! than owned [`Packet`](sonata_packet::Packet) clones — and every
+//! block remembers the packet each of its rows came from.
+//! [`ReportBatch::chunk`] cuts the window on packet boundaries into
+//! self-contained [`ReportChunk`]s, the form that crosses the wire and
+//! that the emitter reads in place; [`ReportBatch::packet_reports`]
+//! gathers one packet's rows across blocks as borrowed [`ReportRef`]s
+//! in the exact order the reference interpreter produces owned
+//! [`Report`]s, for oracles and the fault seam.
 
 use crate::ir::TaskId;
+use crate::registers::for_each_bit;
 use crate::switch::{Report, ReportKind};
 use sonata_packet::{ArenaBatch, PacketArena, PacketView};
 use sonata_query::ColName;
@@ -85,9 +87,9 @@ impl ReportBlock {
 /// index into `packets`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportChunk {
-    /// The carried packets, in first-reference order.
+    /// The carried packets, in batch order.
     pub packets: PacketArena,
-    /// The blocks, in the order their first row was reported.
+    /// The blocks, task by task.
     pub blocks: Vec<ReportBlock>,
 }
 
@@ -105,8 +107,8 @@ impl ReportChunk {
 
 /// The chunk budget shippers pass to [`ReportBatch::chunk`]: large
 /// enough that a frame's fixed costs vanish, and a 64th of the wire's
-/// frame limit, so no window size — only a single row wider than the
-/// limit itself — can produce an oversized frame.
+/// frame limit, so no window size — only a single packet's rows wider
+/// than the limit itself — can produce an oversized frame.
 pub const CHUNK_BYTES: usize = 1 << 20;
 
 /// What every row of one block shares: a report layout of the lowered
@@ -114,8 +116,6 @@ pub const CHUNK_BYTES: usize = 1 << 20;
 #[derive(Debug, Clone)]
 pub(crate) struct BlockShape {
     pub task: TaskId,
-    /// Dense task index (which sequence counter numbers the rows).
-    pub task_idx: usize,
     pub kind: ReportKind,
     pub entry_op: Option<usize>,
     /// Column names, bound once at lowering and shared by every block
@@ -123,59 +123,103 @@ pub(crate) struct BlockShape {
     pub names: Arc<[ColName]>,
     /// Whether the rows carry the packet itself.
     pub with_packet: bool,
+    /// Where one packet's report of this layout comes among its
+    /// others in the reference interpreter: shunts by the rank of the
+    /// shunting table in execution order, then mirrors in report-spec
+    /// order.
+    pub rank: u32,
 }
 
-/// A shunt a kernel produced, held until the deparser reaches its
-/// packet.
-#[derive(Debug)]
-struct Staged {
-    pkt: u32,
-    /// Step index of the `Update` that shunted: orders one packet's
-    /// shunts as the reference interpreter emits them.
-    rank: u32,
-    shape: BlockShape,
-    /// Where its cells start in `ReportBatch::staged_cells`.
-    cells: usize,
-}
-
-/// The reports in final form: blocks plus the packet-major order index.
+/// Where a block's rows came from.
 #[derive(Debug, Default)]
-struct Placed {
-    /// Blocks in opening order. Only the first `live` belong to this
+struct Source {
+    /// The block's [`BlockShape::rank`].
+    rank: u32,
+    /// Each row's packet, ascending, when the rows carry none (rows
+    /// that do list their packets in the block's `pkts`).
+    pkts: Vec<u32>,
+}
+
+/// The rows of the block [`ReportBatch::rows_of`] handed out.
+pub(crate) struct Rows<'b> {
+    width: usize,
+    rows: &'b mut usize,
+    cells: &'b mut Vec<u64>,
+    pkts: &'b mut Vec<u32>,
+    /// Marks the packets the rows carry, if they do.
+    carried: Option<&'b mut [u64]>,
+}
+
+impl Rows<'_> {
+    /// Append one row per packet of `pkts` (ascending, after every
+    /// row held), `cells(p, out)` pushing packet `p`'s values.
+    pub(crate) fn extend(&mut self, pkts: &[u32], mut cells: impl FnMut(u32, &mut Vec<u64>)) {
+        *self.rows += pkts.len();
+        self.pkts.extend_from_slice(pkts);
+        if let Some(bits) = &mut self.carried {
+            for &p in pkts {
+                bits[p as usize / 64] |= 1 << (p % 64);
+            }
+        }
+        if self.width > 0 {
+            for &p in pkts {
+                cells(p, self.cells);
+            }
+        }
+    }
+}
+
+/// A window's worth of reports as column blocks, reused across windows
+/// (`reset` retains all allocations, so the steady-state batch loop
+/// performs no heap allocation).
+///
+/// Batch execution runs task-major kernels, and each task's reports
+/// land right after its kernel: one run of rows per block, in packet
+/// order, numbered as they land. A block keeps the packet each row
+/// came from, so [`Self::chunk`] can cut the window between packets
+/// and [`Self::packet_reports`] can find one packet's rows.
+#[derive(Debug, Default)]
+pub struct ReportBatch {
+    /// Blocks task by task. Only the first `live` belong to this
     /// batch; the rest keep their buffers for the next one.
     blocks: Vec<ReportBlock>,
+    /// Per block, where its rows came from.
+    sources: Vec<Source>,
     live: usize,
-    /// Per dense task index, the block the task's next report extends
-    /// if it has the same kind and entry op.
-    open: Vec<u32>,
-    /// `(block, row)` of every report, in the order the reference
-    /// interpreter emits them.
-    order: Vec<(u32, u32)>,
-    /// `ends[i]` is one past packet `i`'s last entry in `order`; its
-    /// first is `ends[i - 1]` (0 for the first packet).
-    ends: Vec<u32>,
+    packets: usize,
+    /// Bit `i` set when some row carries packet `i`.
+    carried_bits: Vec<u64>,
+    /// The packets some row carries, ascending.
+    carried: Vec<u32>,
+    /// `carried_wire[j]` is the wire bytes of `carried[..j]`.
+    carried_wire: Vec<u64>,
 }
 
-impl Placed {
-    /// Append one report as the next row of its task's open block,
-    /// opening a new block when the task's last report was of another
-    /// kind or entry op. A row is numbered only here, as it enters the
-    /// final order — not when a kernel produces it — which is what
-    /// makes `seq` follow packet order and a block's rows number
-    /// consecutively from `first_seq`.
-    fn push_row(
-        &mut self,
-        shape: &BlockShape,
-        pkt: u32,
-        cells: impl IntoIterator<Item = u64>,
-        task_seq: &mut [u64],
-    ) {
-        let seq = &mut task_seq[shape.task_idx];
-        let open = self.open[shape.task_idx] as usize;
-        let extends = |b: &ReportBlock| b.kind == shape.kind && b.entry_op == shape.entry_op;
-        let b = if self.blocks[..self.live].get(open).is_some_and(extends) {
-            open
-        } else {
+impl ReportBatch {
+    /// An empty batch; buffers grow on first use and are then reused.
+    pub fn new() -> Self {
+        ReportBatch::default()
+    }
+
+    /// Clear for a new batch of `packets` packets, retaining capacity.
+    pub(crate) fn reset(&mut self, packets: usize) {
+        self.live = 0;
+        self.packets = packets;
+        self.carried_bits.clear();
+        self.carried_bits.resize(packets.div_ceil(64), 0);
+        self.carried.clear();
+        self.carried_wire.clear();
+        self.carried_wire.push(0);
+    }
+
+    /// The rows of the last block if it has `shape`'s header (its
+    /// task, kind and entry op), else of a new block numbered from
+    /// `seq`.
+    pub(crate) fn rows_of(&mut self, shape: &BlockShape, seq: u64) -> Rows<'_> {
+        let same = |b: &ReportBlock| {
+            (b.task, b.kind, b.entry_op) == (shape.task, shape.kind, shape.entry_op)
+        };
+        if !self.blocks[..self.live].last().is_some_and(same) {
             if self.live == self.blocks.len() {
                 self.blocks.push(ReportBlock {
                     task: shape.task,
@@ -187,173 +231,111 @@ impl Placed {
                     cells: Vec::new(),
                     pkts: Vec::new(),
                 });
+                self.sources.push(Source::default());
             }
             let block = &mut self.blocks[self.live];
             (block.task, block.kind, block.entry_op) = (shape.task, shape.kind, shape.entry_op);
-            block.first_seq = *seq;
+            block.first_seq = seq;
             block.names = Arc::clone(&shape.names);
             block.rows = 0;
             block.cells.clear();
             block.pkts.clear();
-            self.open[shape.task_idx] = self.live as u32;
+            self.sources[self.live].rank = shape.rank;
+            self.sources[self.live].pkts.clear();
             self.live += 1;
-            self.live - 1
-        };
-        let block = &mut self.blocks[b];
-        self.order.push((b as u32, block.rows as u32));
-        block.cells.extend(cells);
-        if shape.with_packet {
-            block.pkts.push(pkt);
         }
-        block.rows += 1;
-        *seq += 1;
-        self.ends[pkt as usize] = self.order.len() as u32;
-    }
-}
-
-/// A window's worth of reports as column blocks, reused across windows
-/// (`reset` retains all allocations, so the steady-state batch loop
-/// performs no heap allocation).
-///
-/// Batch execution runs task-major kernels, then a packet-major
-/// deparser. Kernels [`stage`](Self::stage) the (rare) shunts they
-/// produce; the deparser walks packets in order, first
-/// [`flush`](Self::flush_through)ing each packet's staged shunts, then
-/// [`emit`](Self::emit)ting its mirrors — so rows enter their blocks,
-/// and the order index, directly in the order the reference
-/// interpreter reports.
-#[derive(Debug, Default)]
-pub struct ReportBatch {
-    /// Shunts in kernel (task-major) order, sorted before deparsing.
-    staged: Vec<Staged>,
-    staged_cells: Vec<u64>,
-    /// How many of `staged` the deparser has flushed.
-    flushed: usize,
-    placed: Placed,
-}
-
-impl ReportBatch {
-    /// An empty batch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        ReportBatch::default()
+        let b = self.live - 1;
+        let (block, source) = (&mut self.blocks[b], &mut self.sources[b]);
+        Rows {
+            carried: shape.with_packet.then_some(&mut self.carried_bits[..]),
+            width: shape.names.len(),
+            rows: &mut block.rows,
+            cells: &mut block.cells,
+            pkts: if shape.with_packet {
+                &mut block.pkts
+            } else {
+                &mut source.pkts
+            },
+        }
     }
 
-    /// Clear for a new batch of `packets` packets from a program of
-    /// `tasks` tasks, retaining capacity.
-    pub(crate) fn reset(&mut self, packets: usize, tasks: usize) {
-        self.staged.clear();
-        self.staged_cells.clear();
-        self.flushed = 0;
-        let p = &mut self.placed;
-        p.live = 0;
-        p.open.clear();
-        p.open.resize(tasks, u32::MAX);
-        p.order.clear();
-        p.ends.clear();
-        p.ends.resize(packets, 0);
-    }
-
-    /// Hold a kernel's shunt for the deparser.
-    pub(crate) fn stage(
-        &mut self,
-        shape: &BlockShape,
-        pkt: u32,
-        rank: u32,
-        cells: impl IntoIterator<Item = u64>,
-    ) {
-        self.staged.push(Staged {
-            pkt,
-            rank,
-            shape: shape.clone(),
-            cells: self.staged_cells.len(),
+    /// List the packets some row carries, with their wire bytes (from
+    /// `batch`, the [`ArenaBatch`] the reports were produced from), for
+    /// [`Self::chunk`] to price and ship.
+    pub(crate) fn carry(&mut self, batch: &ArenaBatch<'_>) {
+        let mut wire = 0;
+        for_each_bit(&self.carried_bits, |i| {
+            wire += batch.index()[i].len as u64;
+            self.carried.push(i as u32);
+            self.carried_wire.push(wire);
         });
-        self.staged_cells.extend(cells);
-    }
-
-    /// Put the staged shunts in deparser order: by packet, then by
-    /// the step that shunted. (A packet has at most one per step, so
-    /// the unstable sort is deterministic.)
-    pub(crate) fn sort_staged(&mut self) {
-        self.staged.sort_unstable_by_key(|e| (e.pkt, e.rank));
-    }
-
-    /// Emit the staged shunts of every packet up to and including
-    /// `pkt`.
-    pub(crate) fn flush_through(&mut self, pkt: u32, task_seq: &mut [u64]) {
-        while let Some(e) = self.staged.get(self.flushed).filter(|e| e.pkt <= pkt) {
-            self.flushed += 1;
-            let cells = &self.staged_cells[e.cells..e.cells + e.shape.names.len()];
-            self.placed
-                .push_row(&e.shape, e.pkt, cells.iter().copied(), task_seq);
-        }
-    }
-
-    /// Append a freshly built report (a mirror) in final order.
-    pub(crate) fn emit(
-        &mut self,
-        shape: &BlockShape,
-        pkt: u32,
-        cells: impl IntoIterator<Item = u64>,
-        task_seq: &mut [u64],
-    ) {
-        self.placed.push_row(shape, pkt, cells, task_seq);
-    }
-
-    /// Flush what is still staged and close every packet's range.
-    pub(crate) fn finish(&mut self, task_seq: &mut [u64]) {
-        self.flush_through(u32::MAX, task_seq);
-        // Packets that reported nothing end where their predecessor did.
-        let mut last = 0;
-        for end in &mut self.placed.ends {
-            last = last.max(*end);
-            *end = last;
-        }
     }
 
     /// Number of packets recorded so far.
     pub fn packets(&self) -> usize {
-        self.placed.ends.len()
+        self.packets
     }
 
     /// Total reports across all packets.
     pub fn total_reports(&self) -> usize {
-        self.placed.order.len()
+        self.blocks().iter().map(|b| b.rows).sum()
     }
 
     /// Whether no packet emitted anything.
     pub fn is_empty(&self) -> bool {
-        self.placed.order.is_empty()
+        self.live == 0
     }
 
-    /// The batch's blocks, in the order their first row was reported;
+    /// The batch's blocks, task by task, each task's in packet order;
     /// their `pkts` index the arena batch the reports were produced
     /// from.
     pub fn blocks(&self) -> &[ReportBlock] {
-        &self.placed.blocks[..self.placed.live]
+        &self.blocks[..self.live]
+    }
+
+    /// The packet each row of block `b` came from, ascending.
+    fn row_packets(&self, b: usize) -> &[u32] {
+        match &self.blocks[b].pkts {
+            pkts if pkts.is_empty() => &self.sources[b].pkts,
+            pkts => pkts,
+        }
+    }
+
+    /// The first row of block `b` from packet `pkt` on.
+    fn row_at(&self, b: usize, pkt: usize) -> usize {
+        self.row_packets(b).partition_point(|&p| (p as usize) < pkt)
     }
 
     /// The reports packet `i` produced, in emission order, borrowing
     /// mirrored packet bytes from `batch` — which must be the same
-    /// [`ArenaBatch`] the reports were produced from.
+    /// [`ArenaBatch`] the reports were produced from. A task reports a
+    /// packet at most once, so this is one search per block.
     pub fn packet_reports<'s, 'a: 's>(
         &'s self,
         i: usize,
         batch: ArenaBatch<'a>,
     ) -> impl Iterator<Item = ReportRef<'s, 'a>> + 's {
-        let p = &self.placed;
-        let start = if i == 0 { 0 } else { p.ends[i - 1] };
-        p.order[start as usize..p.ends[i] as usize]
-            .iter()
-            .map(move |&(b, r)| p.blocks[b as usize].row(r as usize, batch))
+        let mut rows: Vec<(u32, usize, usize)> = (0..self.live)
+            .filter_map(|b| {
+                let r = self.row_packets(b).binary_search(&(i as u32)).ok()?;
+                Some((self.sources[b].rank, b, r))
+            })
+            .collect();
+        rows.sort_unstable();
+        rows.into_iter()
+            .map(move |(_, b, r)| self.blocks[b].row(r, batch))
     }
 
-    /// Cut the next chunk: the reports from position `from` of the
-    /// packet-major order on, until `budget` bytes of rows and packets
-    /// are in (at least one row), with each carried packet's bytes
-    /// copied from `batch` (the [`ArenaBatch`] the reports were
-    /// produced from) once. Returns the chunk and the position the next
-    /// one starts at; `None` when nothing is left. A block the cut
-    /// falls inside continues in the next chunk under a later
+    /// Cut the next chunk: the reports of whole packets from packet
+    /// `from` on, until `budget` bytes of rows and packets are in (at
+    /// least one packet that reported), with each carried packet's
+    /// bytes copied from `batch` (the [`ArenaBatch`] the reports were
+    /// produced from) once. A row costs its cells and, if it carries a
+    /// packet, a 4-byte index; a carried packet its bytes, timestamp
+    /// and length. Returns the chunk and the packet the next one
+    /// starts at — [`Self::packets`] once nothing is left to report —
+    /// or `None` when no packet from `from` on reported. A block the
+    /// cut falls inside continues in the next chunk under a later
     /// `first_seq`.
     pub fn chunk(
         &self,
@@ -361,65 +343,69 @@ impl ReportBatch {
         batch: ArenaBatch<'_>,
         budget: usize,
     ) -> Option<(ReportChunk, usize)> {
-        let order = &self.placed.order;
-        if from >= order.len() {
-            return None;
+        let blocks = self.blocks();
+        let starts: Vec<usize> = (0..blocks.len()).map(|b| self.row_at(b, from)).collect();
+        let first = (0..blocks.len())
+            .filter_map(|b| self.row_packets(b).get(starts[b]))
+            .min()?;
+        let carried_from = self.carried.partition_point(|&p| (p as usize) < from);
+        let carried_to = |to: usize| self.carried.partition_point(|&p| (p as usize) < to);
+        let bytes = |to: usize| {
+            let rows = (blocks.iter().enumerate()).map(|(b, block)| {
+                let row = block.width() * 8 + if block.pkts.is_empty() { 0 } else { 4 };
+                (self.row_at(b, to) - starts[b]) * row
+            });
+            let c = carried_to(to);
+            let wire = self.carried_wire[c] - self.carried_wire[carried_from];
+            rows.sum::<usize>() + wire as usize + 12 * (c - carried_from)
+        };
+        // The fewest packets whose bytes reach the budget.
+        let (mut next, mut hi) = (*first as usize + 1, self.packets);
+        while next < hi {
+            let mid = next + (hi - next) / 2;
+            if bytes(mid) < budget {
+                next = mid + 1;
+            } else {
+                hi = mid;
+            }
         }
-        let mut chunk = ReportChunk::default();
-        // The packets a chunk can carry are its first row's and the
-        // ones after it: size the arena for them, or for the budget if
-        // that is less, once instead of by doubling.
-        let (b, r) = (order[from].0 as usize, order[from].1 as usize);
-        if let Some(&first) = self.placed.blocks[b].pkts.get(r) {
-            let left = &batch.index()[first as usize..];
-            let end = left.last().map_or(0, |e| e.offset + e.len as u64);
-            let bytes = (end - left[0].offset) as usize;
-            chunk.packets = PacketArena::with_capacity(left.len(), bytes.min(budget));
+        let stops: Vec<usize> = (0..blocks.len()).map(|b| self.row_at(b, next)).collect();
+        if blocks.iter().zip(&stops).all(|(b, &stop)| stop == b.rows) {
+            next = self.packets;
         }
-        // Batch block → its continuation in this chunk.
-        let mut slot = vec![usize::MAX; self.placed.live];
-        // Rows arrive packet by packet, so one packet's rows are
-        // adjacent and remembering the last packet copied suffices.
-        let mut last_pkt = None;
-        let mut bytes = 0;
-        let mut next = from;
-        while next < order.len() && (next == from || bytes < budget) {
-            let (b, r) = (order[next].0 as usize, order[next].1 as usize);
-            next += 1;
-            let src = &self.placed.blocks[b];
-            let width = src.width();
-            if slot[b] == usize::MAX {
-                slot[b] = chunk.blocks.len();
-                let left = src.rows - r;
-                chunk.blocks.push(ReportBlock {
+
+        let carried_end = carried_to(next);
+        let carried = &self.carried[carried_from..carried_end];
+        let wire = self.carried_wire[carried_end] - self.carried_wire[carried_from];
+        let mut packets = PacketArena::with_capacity(carried.len(), wire as usize);
+        for &p in carried {
+            let view = batch.view(p as usize);
+            packets.push_record(view.ts_nanos(), view.bytes());
+        }
+        // Batch packet `base + k` → its number among the chunk's.
+        let base = carried.first().copied().unwrap_or(0);
+        let mut local = vec![0; carried.last().map_or(0, |&p| (p - base) as usize + 1)];
+        for (j, &p) in carried.iter().enumerate() {
+            local[(p - base) as usize] = j as u32;
+        }
+        let blocks = (blocks.iter().zip(starts.into_iter().zip(stops)))
+            .filter(|(_, (start, end))| start < end)
+            .map(|(src, (start, end))| {
+                let width = src.width();
+                let pkts = src.pkts.get(start..end).unwrap_or_default();
+                ReportBlock {
                     task: src.task,
                     kind: src.kind,
                     entry_op: src.entry_op,
-                    first_seq: src.first_seq.wrapping_add(r as u64),
+                    first_seq: src.first_seq.wrapping_add(start as u64),
                     names: Arc::clone(&src.names),
-                    rows: 0,
-                    cells: Vec::with_capacity(left * width),
-                    pkts: Vec::with_capacity(if src.pkts.is_empty() { 0 } else { left }),
-                });
-            }
-            let dst = &mut chunk.blocks[slot[b]];
-            dst.cells
-                .extend_from_slice(&src.cells[r * width..(r + 1) * width]);
-            dst.rows += 1;
-            bytes += width * 8;
-            if let Some(&pkt) = src.pkts.get(r) {
-                if last_pkt != Some(pkt) {
-                    let view = batch.view(pkt as usize);
-                    chunk.packets.push_record(view.ts_nanos(), view.bytes());
-                    // Its bytes, timestamp and length.
-                    bytes += view.wire_len() + 12;
-                    last_pkt = Some(pkt);
+                    rows: end - start,
+                    cells: src.cells[start * width..end * width].to_vec(),
+                    pkts: pkts.iter().map(|&p| local[(p - base) as usize]).collect(),
                 }
-                dst.pkts.push(chunk.packets.len() as u32 - 1);
-                bytes += 4;
-            }
-        }
-        Some((chunk, next))
+            })
+            .collect();
+        Some((ReportChunk { packets, blocks }, next))
     }
 }
 

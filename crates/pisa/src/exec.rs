@@ -44,12 +44,14 @@
 //! * a task emits at most one report per packet (a shunt kills it
 //!   before its mirror), so a task's `seq` numbers follow packet
 //!   order. Kernels do not produce reports in that order — all of one
-//!   `Update`'s shunts come before the next step's — so they only
-//!   *stage* shunts and hand their survivors back as a bitmap; a final
-//!   packet-major deparser pass emits each packet's shunts (by step
-//!   index) and then its mirrors (by report-spec index), exactly the
-//!   per-packet order, and numbers reports as it goes
-//!   ([`crate::batch::ReportBatch`]).
+//!   `Update`'s shunts come before the next step's — so a task notes
+//!   its shunts, and once its kernel is done merges them with its
+//!   survivors by packet and numbers its reports in that order
+//!   ([`crate::batch::ReportBatch`]). Which tasks' reports one packet
+//!   produced, and in what order — its shunts by the shunting table's
+//!   rank, then its mirrors by report-spec index — is recorded per
+//!   layout ([`crate::batch::BlockShape::rank`]), not by emitting
+//!   packet by packet.
 //!
 //! The tree-walking interpreter in `Switch` remains the reference
 //! oracle: `Switch::process_reference` runs one packet through it, and
@@ -115,7 +117,7 @@ pub(crate) struct FlatClause {
     pub b: ExprRef,
 }
 
-/// A lowered report layout — a task's deparser mirror, or the shunt
+/// A lowered report layout — a task's per-packet mirror, or the shunt
 /// of one `Update` step: what its reports share, and `exprs[j]`
 /// evaluating column `shape.names[j]`.
 #[derive(Debug, Clone)]
@@ -224,10 +226,8 @@ pub(crate) struct TaskKernel {
     pub task_idx: usize,
     pub lead: Vec<LeadFilter>,
     /// `Filter`/`DynFilter`/`Update` steps that follow the task's
-    /// first `Update`, plus that `Update`, each with its rank among
-    /// the program's non-`Hash` tables in execution order — which
-    /// orders one packet's shunts.
-    pub steps: Vec<(u32, StepKind)>,
+    /// first `Update`, plus that `Update`.
+    pub steps: Vec<StepKind>,
     /// The per-packet report of the task's survivors, if it has one.
     pub mirror: Option<FlatReport>,
 }
@@ -251,9 +251,6 @@ pub(crate) struct ExecPlan {
     pub gates: GatePlan,
     /// One batch program per task, in dense task order.
     pub kernels: Vec<TaskKernel>,
-    /// Dense indices of the tasks with a mirror, in report-spec order
-    /// (the order the deparser emits one packet's mirrors in).
-    pub mirrors: Vec<usize>,
 }
 
 /// What the batch path shares between tasks: one column per header
@@ -417,7 +414,7 @@ impl ExecPlan {
             if matches!(table.kind, TableKind::DynFilter { .. }) {
                 plan.dyn_tables.push(ti);
             }
-            let step = plan.lower_table(&cx, table, &fwd);
+            let step = plan.lower_table(&cx, table, rank, &fwd);
             leading[task_idx] &= !matches!(step, StepKind::Update { .. });
             let lead = match &step {
                 StepKind::Filter { rules } if leading[task_idx] => LeadFilter::Static {
@@ -431,12 +428,13 @@ impl ExecPlan {
                     key: plan.intern_key(*key),
                 },
                 _ => {
-                    plan.kernels[task_idx].steps.push((rank, step));
+                    plan.kernels[task_idx].steps.push(step);
                     continue;
                 }
             };
             plan.kernels[task_idx].lead.push(lead);
         }
+        // Mirrors rank after every shunt, in report-spec order.
         for spec in &program.reports {
             match &spec.mode {
                 ReportMode::PerPacket => {
@@ -444,9 +442,9 @@ impl ExecPlan {
                         continue;
                     };
                     let fwd = cx.forward(spec.task, &envs[task_idx]);
-                    let mirror = plan.lower_report(spec, task_idx, &fwd);
+                    let mirror = plan.lower_report(spec, next_rank, &fwd);
                     plan.kernels[task_idx].mirror = Some(mirror);
-                    plan.mirrors.push(task_idx);
+                    next_rank += 1;
                 }
                 ReportMode::WindowDump {
                     reg,
@@ -513,7 +511,13 @@ impl ExecPlan {
 
     /// Lower a `Filter`, `DynFilter` or `Update` table to a step, every
     /// expression forwarded through `fwd`.
-    fn lower_table(&mut self, cx: &Lowering<'_>, table: &Table, fwd: &MetaFwd<'_>) -> StepKind {
+    fn lower_table(
+        &mut self,
+        cx: &Lowering<'_>,
+        table: &Table,
+        rank: u32,
+        fwd: &MetaFwd<'_>,
+    ) -> StepKind {
         // `lower` registered a DynFilter table just before lowering it.
         let dyn_idx = self.dyn_tables.len().saturating_sub(1);
         let mut flat = |e: &PhvExpr| self.flatten(&fwd.expr(e));
@@ -569,13 +573,11 @@ impl ExecPlan {
                     shunt: FlatReport {
                         shape: BlockShape {
                             task: table.task,
-                            task_idx: (cx.program.tasks.iter())
-                                .position(|t| *t == table.task)
-                                .expect("lowered tables belong to a task"),
                             kind: ReportKind::Shunt,
                             entry_op: Some(shunt.entry_op),
                             names: shunt.columns.iter().map(|(n, _)| n.clone()).collect(),
                             with_packet: spec.include_packet,
+                            rank,
                         },
                         exprs: shunt.columns.iter().map(|(_, e)| flat(e)).collect(),
                     },
@@ -587,17 +589,17 @@ impl ExecPlan {
     fn lower_report(
         &mut self,
         spec: &crate::ir::ReportSpec,
-        task_idx: usize,
+        rank: u32,
         fwd: &MetaFwd<'_>,
     ) -> FlatReport {
         FlatReport {
             shape: BlockShape {
                 task: spec.task,
-                task_idx,
                 kind: ReportKind::Tuple,
                 entry_op: None,
                 names: spec.columns.iter().map(|(n, _)| n.clone()).collect(),
                 with_packet: spec.include_packet,
+                rank,
             },
             exprs: (spec.columns.iter())
                 .map(|(_, e)| self.flatten(&fwd.expr(e)))

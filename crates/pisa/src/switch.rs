@@ -21,7 +21,7 @@
 //!   to the stream processor, which finishes the aggregation.
 
 use crate::batch::ReportBatch;
-use crate::exec::{DynSet, ExecPlan, Lane, LeadFilter, StepKind};
+use crate::exec::{DynSet, ExecPlan, FlatReport, Lane, LeadFilter, StepKind};
 use crate::ir::{PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
 use crate::parser;
 use crate::phv::Phv;
@@ -69,8 +69,8 @@ pub struct Report {
     /// Residual-pipeline operator index this tuple enters at; `None`
     /// means the task's default resume point.
     pub entry_op: Option<usize>,
-    /// Per-task, per-window report sequence number, assigned at the
-    /// deparser in emission order. `(task, window, seq)` identifies
+    /// Per-task, per-window report sequence number, assigned in the
+    /// task's packet order. `(task, window, seq)` identifies
     /// one logical report, which is what the emitter's duplicate
     /// suppression keys on — an injected duplicate carries the same
     /// seq, a legitimately identical tuple a fresh one.
@@ -358,6 +358,9 @@ struct BatchScratch {
     /// Selection vector of the task being run: batch indices of its
     /// live packets, ascending.
     sel: Vec<u32>,
+    /// The shunts of the task being run: `(packet, step)`, each
+    /// step's in packet order.
+    shunts: Vec<(u32, u32)>,
     /// Key parts and operand of the `Update` being run, one value per
     /// selected lane.
     key_lanes: Vec<Vec<u64>>,
@@ -765,17 +768,16 @@ impl Switch {
     /// 4. **Kernels** — each task runs its stateful steps as tight
     ///    loops over its own selection vector, one register hot in
     ///    cache at a time, with key-width and operand-shape dispatch
-    ///    outside the lane loop. Shunts are staged; what is left of
-    ///    the selection goes back into the task's bitmap.
-    /// 5. **Deparser** — one packet-major pass appends, per packet, its
-    ///    staged shunts and then a mirror for every task whose bitmap
-    ///    still has it, each as a row of its task's
-    ///    [`ReportBlock`](crate::batch::ReportBlock): the report order
-    ///    (and numbering) of [`Self::process_reference`] packet by
-    ///    packet.
+    ///    outside the lane loop. Shunts are noted by packet and step.
+    /// 5. **Emission** — right after its kernel, a task's survivors
+    ///    become the rows of its mirror's
+    ///    [`ReportBlock`](crate::batch::ReportBlock) in one pass,
+    ///    merged by packet with its shunts if it had any, and numbered
+    ///    in that order: each task's reports, and their `seq`s, are
+    ///    those of [`Self::process_reference`] packet by packet.
     pub fn process_batch(&mut self, batch: &ArenaBatch<'_>, out: &mut ReportBatch) {
         let n = batch.len();
-        out.reset(n, self.program.tasks.len());
+        out.reset(n);
         self.counters.packets_in += n as u64;
         self.obs.packets_in.add(n as u64);
         let Switch {
@@ -881,27 +883,23 @@ impl Switch {
             for_each_bit(&sc.any_bits, |i| load(&mut sc.cols, i, gates.rest_mask));
         }
 
-        // 4. Task-major kernels. A task's survivors start as its
-        // leading mask and, if it mirrors, end as a mask again — the
-        // deparser's input.
+        // 4. Task-major kernels, each task's reports emitted (5.) as
+        // soon as its kernel is done.
         let cols = sc.cols.as_slice();
         let lane = |i: u32| Lane {
             cols,
             n,
             i: i as usize,
         };
-        for (kernel, mask) in plan
-            .kernels
-            .iter()
-            .zip(sc.task_bits.chunks_mut(words.max(1)))
-        {
-            if kernel.steps.is_empty() {
+        for (kernel, mask) in plan.kernels.iter().zip(sc.task_bits.chunks(words.max(1))) {
+            if kernel.steps.is_empty() && kernel.mirror.is_none() {
                 continue;
             }
             let t = kernel.task_idx;
             sc.sel.clear();
             for_each_bit(mask, |i| sc.sel.push(i as u32));
-            for (rank, step) in &kernel.steps {
+            sc.shunts.clear();
+            for (s, step) in kernel.steps.iter().enumerate() {
                 if sc.sel.is_empty() {
                     break;
                 }
@@ -919,7 +917,7 @@ impl Switch {
                         operand,
                         distinct,
                         keys,
-                        shunt,
+                        ..
                     } => {
                         if sc.key_lanes.len() < keys.len() {
                             sc.key_lanes.resize_with(keys.len(), Vec::new);
@@ -930,17 +928,15 @@ impl Switch {
                         }
                         plan.fill(*operand, cols, n, sel, &mut sc.operand_lanes, stack);
                         let (parts, op) = (&sc.key_lanes[..keys.len()], &sc.operand_lanes[..]);
-                        let mut shunted = 0u64;
+                        let before = sc.shunts.len();
+                        let shunts = &mut sc.shunts;
                         let on_shunt = |pkt: u32| {
                             debug_assert_eq!(
                                 *layout,
                                 StateLayout::Exact,
                                 "sketch layouts never shunt"
                             );
-                            let cells = shunt.exprs.iter();
-                            let cells = cells.map(|e| plan.eval(*e, &lane(pkt), stack));
-                            out.stage(&shunt.shape, pkt, *rank, cells);
-                            shunted += 1;
+                            shunts.push((pkt, s as u32));
                         };
                         let sel = &mut sc.sel;
                         match (&mut registers[*reg_idx], keys.len()) {
@@ -970,48 +966,50 @@ impl Switch {
                                 )
                             }
                         }
+                        let shunted = (sc.shunts.len() - before) as u64;
                         counters.shunt_reports += shunted;
                         counters.per_task[t].1.shunt_reports += shunted;
                         obs.per_task[t][1].add(shunted);
                     }
                 }
             }
-            if kernel.mirror.is_some() {
-                mask.fill(0);
-                for &i in &sc.sel {
-                    mask[i as usize / 64] |= 1 << (i % 64);
-                }
-            }
-        }
 
-        // 5. Packet-major deparser: each packet's shunts (in step
-        // order), then its mirrors (in report-spec order) — the order,
-        // and so the per-task numbering, of the reference interpreter.
-        out.sort_staged();
-        let survivors = |k: usize| &sc.task_bits[k * words..(k + 1) * words];
-        sc.any_bits.fill(0);
-        for &k in &plan.mirrors {
-            for (a, &m) in sc.any_bits.iter_mut().zip(survivors(k)) {
-                *a |= m;
-            }
-            let mirrored = survivors(k).iter().map(|w| w.count_ones() as u64).sum();
-            counters.tuple_reports += mirrored;
-            counters.per_task[k].1.tuple_reports += mirrored;
-            obs.per_task[k][0].add(mirrored);
-        }
-        for_each_bit(&sc.any_bits, |i| {
-            out.flush_through(i as u32, task_seq);
-            for &k in &plan.mirrors {
-                if survivors(k)[i / 64] >> (i % 64) & 1 == 0 {
-                    continue;
+            // 5. The task's reports in packet order: its mirrors in runs
+            // between its shunts, each row numbered as it lands.
+            let seq = &mut task_seq[t];
+            let mut emit = |report: &FlatReport, pkts: &[u32]| {
+                if pkts.is_empty() {
+                    return;
                 }
-                let spec = plan.kernels[k].mirror.as_ref().expect("listed in mirrors");
-                let cells = spec.exprs.iter();
-                let cells = cells.map(|e| plan.eval(*e, &lane(i as u32), stack));
-                out.emit(&spec.shape, i as u32, cells, task_seq);
+                out.rows_of(&report.shape, *seq).extend(pkts, |p, cells| {
+                    let lane = lane(p);
+                    cells.extend(report.exprs.iter().map(|e| plan.eval(*e, &lane, stack)))
+                });
+                *seq += pkts.len() as u64;
+            };
+            sc.shunts.sort_unstable();
+            let mut left = &sc.sel[..];
+            for &(pkt, step) in &sc.shunts {
+                let StepKind::Update { shunt, .. } = &kernel.steps[step as usize] else {
+                    unreachable!("only an update shunts")
+                };
+                let (before, after) = left.split_at(left.partition_point(|&i| i < pkt));
+                if let Some(mirror) = &kernel.mirror {
+                    emit(mirror, before);
+                }
+                emit(shunt, &[pkt]);
+                left = after;
             }
-        });
-        out.finish(task_seq);
+            let Some(mirror) = &kernel.mirror else {
+                continue;
+            };
+            emit(mirror, left);
+            let mirrored = sc.sel.len() as u64;
+            counters.tuple_reports += mirrored;
+            counters.per_task[t].1.tuple_reports += mirrored;
+            obs.per_task[t][0].add(mirrored);
+        }
+        out.carry(batch);
     }
 
     /// End the window: dump `WindowDump` registers into column blocks
@@ -1581,6 +1579,78 @@ mod tests {
         assert_eq!(reports[0].kind, ReportKind::WindowDumpRaw);
         assert_eq!(reports[0].entry_op, Some(2));
         assert_eq!(reports[0].seq, 19);
+    }
+
+    #[test]
+    fn a_shunting_task_numbers_its_reports_in_packet_order() {
+        // Two `distinct`s over tiny registers: the first shunts the
+        // pairs it has no room for, the second the destinations, and
+        // what both admit is mirrored. The kernel runs one `Update`
+        // over every lane before the next, so only merging its shunts
+        // with its survivors by packet numbers them as the reference.
+        use crate::compile::{max_switch_units, table_specs};
+        use sonata_packet::Field;
+        use sonata_query::expr::{col, field};
+        let q = sonata_query::Query::builder("two_distincts", 9)
+            .map([
+                ("sIP", field(Field::Ipv4Src)),
+                ("dIP", field(Field::Ipv4Dst)),
+            ])
+            .distinct()
+            .map([("dIP", col("dIP"))])
+            .distinct()
+            .build()
+            .unwrap();
+        let specs = table_specs(&q.pipeline);
+        let units = &specs[..max_switch_units(&specs)];
+        let stages: Vec<usize> = (units.iter())
+            .scan(0, |at, s| Some(std::mem::replace(at, *at + s.stage_cost)))
+            .collect();
+        let sizing = |slots| RegisterSizing {
+            slots,
+            arrays: 1,
+            ..Default::default()
+        };
+        let cp = compile_pipeline(&q.pipeline, t(9), &stages, &[sizing(3), sizing(2)], 0, 0);
+        let program = cp.unwrap().fragment;
+        let load = || Switch::load(program.clone(), &SwitchConstraints::default()).unwrap();
+        let pkts: Vec<Packet> = (0..40).map(|i| syn(i % 5, 100 + i * 7 % 6)).collect();
+        let arena = PacketArena::from_packets(&pkts);
+        let mut reference = load();
+        let want: Vec<Report> = (0..pkts.len())
+            .flat_map(|i| reference.process_reference(arena.view(i)))
+            .collect();
+        let mut batched = load();
+        let mut out = ReportBatch::new();
+        batched.process_batch(&arena.batch(), &mut out);
+
+        // One task, so its reports in packet order are numbered 0, 1, …
+        // and take every layout: both shunts and the mirror.
+        assert!(want.iter().zip(0..).all(|(r, seq)| r.seq == seq));
+        let mut runs: Vec<((ReportKind, Option<usize>), usize)> = Vec::new();
+        let mut layouts = Vec::new();
+        for r in &want {
+            match runs.last_mut() {
+                Some((l, rows)) if *l == (r.kind, r.entry_op) => *rows += 1,
+                _ => runs.push(((r.kind, r.entry_op), 1)),
+            }
+            if !layouts.contains(&(r.kind, r.entry_op)) {
+                layouts.push((r.kind, r.entry_op));
+            }
+        }
+        assert_eq!(layouts.len(), 3, "{runs:?}");
+        assert!(runs.len() > 3, "the layouts must interleave: {runs:?}");
+        // A block opens exactly where the layout changes.
+        let blocks = out.blocks().iter();
+        let blocks: Vec<_> = blocks.map(|b| ((b.kind, b.entry_op), b.rows)).collect();
+        assert_eq!(blocks, runs);
+        let got: Vec<Report> = (0..pkts.len())
+            .flat_map(|i| out.packet_reports(i, arena.batch()).map(|r| r.to_report()))
+            .collect();
+        assert_eq!(got, want);
+        let (chunk, next) = out.chunk(0, arena.batch(), usize::MAX).unwrap();
+        assert_eq!(next, pkts.len());
+        assert_eq!(chunk.reports().collect::<Vec<_>>(), want);
     }
 
     #[test]

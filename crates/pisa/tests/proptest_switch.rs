@@ -287,8 +287,11 @@ proptest! {
             }
             let rows: usize = out.blocks().iter().map(|b| b.rows).sum();
             prop_assert_eq!(rows, out.total_reports());
-            // Cut into chunks, the blocks still hold the loop's reports:
-            // each task's in its order, each packet under its own index.
+            // Cut into chunks on packet boundaries, the blocks still
+            // hold the loop's reports: each task's in its order, each
+            // packet under its own index. Every packet's rows lie in
+            // the one chunk whose range holds it, and every carried
+            // packet ships once.
             let by_task = |reports: Vec<Report>| {
                 let mut map: HashMap<TaskId, Vec<Report>> = HashMap::new();
                 for r in reports {
@@ -297,13 +300,21 @@ proptest! {
                 map
             };
             let mut chunked: Vec<Report> = Vec::new();
-            let mut at = 0;
+            let (mut at, mut shipped) = (0, 0);
             while let Some((chunk, next)) = out.chunk(at, arena.batch(), chunk_budget) {
                 prop_assert!(next > at);
+                let rows: usize = chunk.blocks.iter().map(|b| b.rows).sum();
+                let owed = (at..next).map(|i| out.packet_reports(i, arena.batch()).count());
+                prop_assert_eq!(rows, owed.sum::<usize>());
+                shipped += chunk.packets.len();
                 chunked.extend(chunk.reports());
                 at = next;
             }
-            prop_assert_eq!(at, out.total_reports());
+            prop_assert_eq!(at, if out.is_empty() { 0 } else { out.packets() });
+            let carried: BTreeSet<u32> = (out.blocks().iter())
+                .flat_map(|b| b.pkts.iter().copied())
+                .collect();
+            prop_assert_eq!(shipped, carried.len());
             prop_assert_eq!(by_task(chunked), by_task(looped));
             let (a, b) = (batched.counters(), oracle.counters());
             prop_assert_eq!(

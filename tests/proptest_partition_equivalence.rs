@@ -74,6 +74,7 @@ fn run_partitioned(query: &Query, k: usize, slots: usize, packets: &[Packet]) ->
         emitter.ingest_blocks(chunk);
         at = next;
     }
+    assert_eq!(at, if reports.is_empty() { 0 } else { packets.len() });
     emitter.ingest_dump(&switch.end_window());
     let batches = emitter.close_window().unwrap();
     let mut out = Vec::new();

@@ -8,6 +8,7 @@
 //! level's refined query with the micro-batch engine under a synthetic
 //! job id.
 
+use sonata_packet::wire::ALL_FIELDS;
 use sonata_pisa::compile::{compile_pipeline, CompileError};
 use sonata_pisa::{PisaProgram, TaskId};
 use sonata_planner::GlobalPlan;
@@ -26,8 +27,10 @@ pub struct Deployment {
     pub branch: u8,
     /// Operator index where per-packet reports and window dumps enter.
     pub resume_op: usize,
-    /// Whether per-packet reports carry the original packet.
-    pub report_packet: bool,
+    /// The fields per-packet reports carry the original packet as: the
+    /// program's mirror mask ([`PisaProgram::mirror_mask`]) when the
+    /// task's rows are the packets themselves, 0 when they carry none.
+    pub packet_mask: u32,
     /// Schema at the resume entry point.
     pub resume_schema: Schema,
     /// Schemas at every shunt/merge entry point (stateful operator
@@ -120,9 +123,10 @@ fn schema_at(pipeline: &Pipeline, k: usize) -> Schema {
 /// Deterministic digest of a deployed plan's task set, exchanged in
 /// the transport `Hello` so a switch and a collector refuse to talk
 /// across mismatched deployments (plan/registration sync). Folds each
-/// deployment's `(query, level, branch, job)` identity through a
+/// deployment's `(query, level, branch, job, packet mask)` through a
 /// splitmix64-style mixer; deployment order is deterministic, so both
-/// sides of a wire derive the same value from the same plan.
+/// sides of a wire derive the same value from the same plan, and agree
+/// on the fields a mirrored packet carries.
 pub fn plan_digest(deployments: &[Deployment]) -> u64 {
     let mut digest: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut mix = |v: u64| {
@@ -134,17 +138,28 @@ pub fn plan_digest(deployments: &[Deployment]) -> u64 {
         mix(u64::from(d.task.level));
         mix(u64::from(d.task.branch));
         mix(u64::from(d.job.0));
+        mix(u64::from(d.packet_mask));
     }
     digest
 }
 
 /// Compile a plan into a deployable program plus bookkeeping.
+///
+/// A mirrored packet leaves the switch as the header fields the stream
+/// side reads: one mask for the whole program — a chunk's packets are
+/// shared by every task that mirrored them — the union of
+/// [`Query::packet_field_mask`] over the query levels with a task whose
+/// rows are packets. Each such level's refined query is what its stream
+/// job runs, including the `InSet` refinement filter whose entries the
+/// runtime rewrites (on the refinement key, which the query reads
+/// anyway), so the union holds at any partition point.
 pub fn deploy(plan: &GlobalPlan) -> Result<DeployedPlan, DeployError> {
     let mut program = PisaProgram::default();
     let mut deployments = Vec::new();
     let mut instances = Vec::new();
     let mut meta_base = 0usize;
     let mut reg_base = 0u32;
+    let mut mask = 0;
 
     for qp in &plan.queries {
         let chain_len = qp.levels.len();
@@ -192,15 +207,28 @@ pub fn deploy(plan: &GlobalPlan) -> Result<DeployedPlan, DeployError> {
                     job,
                     branch: bp.branch,
                     resume_op: compiled.sp_resume_op,
-                    report_packet: compiled.report_packet,
+                    packet_mask: compiled.fragment.mirror_mask(),
                     resume_schema: schema_at(pipeline, compiled.sp_resume_op),
                     entry_schemas,
                     local_ops: pipeline.ops[..compiled.sp_resume_op].to_vec(),
                     dynfilter_table,
                 });
+                if compiled.report_packet {
+                    mask |= refined.packet_field_mask();
+                }
                 program.merge(compiled.fragment);
             }
         }
+    }
+    // 0 means "no packet", so mirrors that read no field carry them all.
+    if mask == 0 {
+        mask = ALL_FIELDS;
+    }
+    for spec in program.reports.iter_mut().filter(|r| r.packet_mask != 0) {
+        spec.packet_mask = mask;
+    }
+    for d in deployments.iter_mut().filter(|d| d.packet_mask != 0) {
+        d.packet_mask = mask;
     }
     Ok(DeployedPlan {
         program,
@@ -388,7 +416,7 @@ mod tests {
         let deployed = deploy(&plan).unwrap();
         assert!(deployed.program.tables.is_empty());
         assert_eq!(deployed.deployments[0].resume_op, 0);
-        assert!(deployed.deployments[0].report_packet);
+        assert_ne!(deployed.deployments[0].packet_mask, 0);
         let mut sw = Switch::load(deployed.program, &SwitchConstraints::default()).unwrap();
         let arena = PacketArena::from_packets(&[syn(1, 2, 0)]);
         let mut out = ReportBatch::new();

@@ -22,8 +22,8 @@
 //! destination, then a loop over its rows, which go through the
 //! permutation as `u64`s and stay `u64`s. A task whose rows are the
 //! packets themselves gets no rows built at all: the chunk's packets
-//! become one shared, immutable [`PacketBlock`] of field columns, and
-//! the task keeps the packet numbers its block named.
+//! arrive as one shared, immutable [`PacketBlock`] of the columns the
+//! plan reads, and the task keeps the packet numbers its block named.
 
 use crate::driver::Deployment;
 use sonata_faults::FaultInjector;
@@ -163,14 +163,15 @@ impl Emitter {
 
     /// Ingest a chunk of mirrored reports, block by block: the rows of
     /// [`ReportChunk::reports`], placed as [`Self::ingest`] places
-    /// them one by one. The chunk's packets become one shared block of
-    /// columns; a packet-report task keeps its block's packet numbers
-    /// and nothing else. A block whose cells or packet indices are not
-    /// whole rows is dropped as one malformed report; a packet-report
-    /// task's row whose packet index is absent, past the chunk's
-    /// packets or undecodable, as one each.
+    /// them one by one. The chunk's packets are one shared block of
+    /// columns, taken as they came; a packet-report task keeps its
+    /// block's packet numbers and nothing else. A block whose cells or
+    /// packet indices are not whole rows is dropped as one malformed
+    /// report; a packet-report task's row whose packet index is absent,
+    /// past the chunk's packets or undecodable, or whose packet lacks a
+    /// field the task reads, as one each.
     pub fn ingest_blocks(&mut self, chunk: ReportChunk) {
-        let packets = Arc::new(PacketBlock::new(chunk.packets));
+        let packets = Arc::new(chunk.packets);
         for mut b in chunk.blocks {
             if !b.is_well_formed() {
                 self.received.window += 1;
@@ -249,10 +250,12 @@ impl Emitter {
         let dedup = self.dedup;
         let mut fresh = |r: usize| !dedup || seen.insert(first_seq.wrapping_add(r as u64));
         let (mut run, mut unplaceable) = (None, 0);
-        if !local && dep.report_packet {
-            // A row without its packet cannot be placed; it is turned
+        if !local && dep.packet_mask != 0 {
+            // A row without its packet cannot be placed, nor one whose
+            // packet lacks a field the task reads; either is turned
             // away before its seq is noted.
-            let (block, mut sel) = carried().unwrap_or_default();
+            let reads_all = |(b, _): &Carried| b.mask() & dep.packet_mask == dep.packet_mask;
+            let (block, mut sel) = carried().filter(reads_all).unwrap_or_default();
             unplaceable = rows - sel.len();
             let mut r = 0;
             sel.retain(|&p| {
@@ -354,6 +357,7 @@ impl Emitter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sonata_packet::wire::ALL_FIELDS;
     use sonata_packet::{Field, PacketBuilder, Value};
     use sonata_pisa::DumpBlock;
     use sonata_query::expr::{col, field, lit};
@@ -378,7 +382,7 @@ mod tests {
             job: QueryId(job),
             branch: task.branch,
             resume_op: 4,
-            report_packet: false,
+            packet_mask: 0,
             resume_schema: Schema::new(["dIP", "count"]),
             entry_schemas: [(2usize, Schema::new(["dIP", "count"]))]
                 .into_iter()
@@ -515,7 +519,7 @@ mod tests {
         let pkt = PacketBuilder::tcp_raw(5, 6, 7, 80).build();
         let mut e = Emitter::new(&[{
             let mut d = deployment(task(1, 0), 10);
-            d.report_packet = true;
+            d.packet_mask = ALL_FIELDS;
             d.resume_op = 0;
             d.resume_schema = Schema::packet();
             d
@@ -533,14 +537,8 @@ mod tests {
         assert_eq!(t.len(), Schema::packet().len());
     }
 
-    #[test]
-    fn a_chunk_shares_its_packet_columns_and_drops_what_it_cannot_place() {
-        use sonata_packet::PacketArena;
-        use sonata_pisa::{ReportBlock, ReportChunk};
-        let mut packets = PacketArena::new();
-        packets.push_record(0, &PacketBuilder::tcp_raw(5, 6, 7, 80).build().encode());
-        packets.push_record(1, &[0xff; 3]); // no parser accepts this one
-        let mirror = |q, pkts: Vec<u32>| ReportBlock {
+    fn mirror(q: u32, pkts: Vec<u32>) -> sonata_pisa::ReportBlock {
+        sonata_pisa::ReportBlock {
             task: task(q, 0),
             kind: ReportKind::Tuple,
             entry_op: None,
@@ -549,9 +547,19 @@ mod tests {
             rows: 3,
             cells: vec![],
             pkts,
-        };
+        }
+    }
+
+    #[test]
+    fn a_chunk_shares_its_packet_columns_and_drops_what_it_cannot_place() {
+        use sonata_packet::PacketArena;
+        use sonata_pisa::ReportChunk;
+        use sonata_query::PacketBlock;
+        let mut packets = PacketArena::new();
+        packets.push_record(0, &PacketBuilder::tcp_raw(5, 6, 7, 80).build().encode());
+        packets.push_record(1, &[0xff; 3]); // no parser accepts this one
         let chunk = ReportChunk {
-            packets,
+            packets: PacketBlock::new(packets),
             blocks: vec![
                 // Packet 0 twice, then the undecodable one.
                 mirror(1, vec![0, 0, 1]),
@@ -580,6 +588,41 @@ mod tests {
         let row = Tuple::from_packet(&PacketBuilder::tcp_raw(5, 6, 7, 80).build());
         let rows = |job: usize| batches[job].1.tuples(0, 0);
         assert!(rows(0).iter().chain(&rows(1)).all(|t| *t == row));
+    }
+
+    #[test]
+    fn a_chunk_without_a_field_the_task_reads_is_malformed() {
+        use sonata_packet::wire::field_mask;
+        use sonata_pisa::ReportChunk;
+        use sonata_query::PacketBlock;
+        let pkt = PacketBuilder::tcp_raw(5, 6, 7, 80).build();
+        let chunk = || ReportChunk {
+            packets: PacketBlock::of_packet(&pkt),
+            blocks: vec![mirror(1, vec![0, 0, 0])],
+        };
+        let narrow = |mask| ReportChunk {
+            packets: PacketBlock::extract(mask, chunk().packets.packets().batch().iter()),
+            ..chunk()
+        };
+        let deployed = Deployment {
+            packet_mask: field_mask(&[Field::Ipv4Src, Field::TcpDstPort]),
+            ..packet_deployment(task(1, 0), 10)
+        };
+        let mut e = Emitter::new(&[deployed]);
+        // The fields the task reads and more, exactly them, one short.
+        e.ingest_blocks(chunk());
+        e.ingest_blocks(narrow(field_mask(&[Field::Ipv4Src, Field::TcpDstPort])));
+        e.ingest_blocks(narrow(field_mask(&[Field::Ipv4Src, Field::Ipv4Dst])));
+        assert_eq!((e.received.window, e.forwarded.window), (9, 6));
+        assert_eq!((e.malformed.window, e.suppressed.window), (3, 0));
+        // A field the mask leaves out reads as zero in the tuple.
+        let tuples = e.close_window().unwrap()[0].1.tuples(0, 0);
+        let dport = Field::TcpDstPort as usize;
+        assert!(tuples[..3].iter().all(|t| *t == Tuple::from_packet(&pkt)));
+        for t in &tuples[3..] {
+            assert_eq!((t.get(0), t.get(dport)), (&Value::U64(5), &Value::U64(80)));
+            assert_eq!(t.get(Field::Ipv4Dst as usize), &Value::U64(0));
+        }
     }
 
     fn dedup_emitter(deployments: &[Deployment]) -> Emitter {
@@ -653,7 +696,7 @@ mod tests {
 
     fn packet_deployment(task: TaskId, job: u32) -> Deployment {
         Deployment {
-            report_packet: true,
+            packet_mask: ALL_FIELDS,
             resume_op: 0,
             resume_schema: Schema::packet(),
             ..deployment(task, job)

@@ -3,7 +3,8 @@
 //! For random deployments and random windows — single reports and
 //! shunts first, then chunks of mirrored report blocks over a few
 //! carried packets (some undecodable, some rows indexing past them or
-//! carrying none), then a register dump of finalized, raw and
+//! carrying none, some chunks shipping fewer fields than the tasks
+//! read), then a register dump of finalized, raw and
 //! deferred-`distinct` blocks, with natural, partial, reordered and
 //! junk column names, unknown entry ops, stale tasks, and (under
 //! dedup) colliding sequence numbers — three things must agree:
@@ -27,10 +28,13 @@ use proptest::prelude::*;
 use sonata_core::driver::Deployment;
 use sonata_core::Emitter;
 use sonata_faults::{FaultInjector, FaultPlan, ReportFaults};
+use sonata_packet::wire::{ALL_FIELDS, LAZY_FIELDS};
 use sonata_packet::{Field, PacketArena, PacketBuilder, Value};
 use sonata_pisa::{DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, TaskId, WindowDump};
 use sonata_query::expr::{col, field, lit};
-use sonata_query::{Agg, ColName, Entries, Operator, Query, QueryId, RowRun, Schema, Tuple};
+use sonata_query::{
+    Agg, ColName, Entries, Operator, PacketBlock, Query, QueryId, RowRun, Schema, Tuple,
+};
 use sonata_stream::{run_entries_owned, BoundEntries, WindowBatch};
 use std::collections::{BTreeMap, HashSet};
 
@@ -79,7 +83,7 @@ fn deployment(shape: u8, q: u32, branch: u8, th: u64) -> Deployment {
         job: QueryId(q * 1000 + LEVEL as u32),
         branch,
         resume_op: 0,
-        report_packet: false,
+        packet_mask: 0,
         resume_schema: Schema::packet(),
         entry_schemas: BTreeMap::new(),
         local_ops: Vec::new(),
@@ -125,7 +129,7 @@ fn deployment(shape: u8, q: u32, branch: u8, th: u64) -> Deployment {
             ..base
         },
         _ => Deployment {
-            report_packet: true,
+            packet_mask: ALL_FIELDS,
             ..base
         },
     }
@@ -232,9 +236,10 @@ fn block_of(deps: &[(u8, Deployment)], (task_pick, pick, seq, _, vals): &Draw) -
     }
 }
 
-/// A chunk's packets — `None` is a record no parser accepts — and its
-/// blocks: a [`Draw`] each, whether the rows carry packets, and which.
-type ChunkDraw = (Vec<Option<u8>>, Vec<(Draw, bool, Vec<u8>)>);
+/// A chunk's packets — `None` is a record no parser accepts — whether
+/// it ships every field, and its blocks: a [`Draw`] each, whether the
+/// rows carry packets, and which.
+type ChunkDraw = (Vec<Option<u8>>, bool, Vec<(Draw, bool, Vec<u8>)>);
 
 fn arb_chunk() -> impl Strategy<Value = ChunkDraw> {
     let packet = prop_oneof![Just(None), (0u8..4).prop_map(Some)];
@@ -245,11 +250,14 @@ fn arb_chunk() -> impl Strategy<Value = ChunkDraw> {
     );
     (
         proptest::collection::vec(packet, 0..4),
+        any::<bool>(),
         proptest::collection::vec(block, 0..4),
     )
 }
 
-fn chunk_of(deps: &[(u8, Deployment)], (records, blocks): &ChunkDraw) -> ReportChunk {
+/// The packets of a chunk that ships every field, or only the scalar
+/// ones — fewer than a packet-report task here reads, and no bytes.
+fn chunk_of(deps: &[(u8, Deployment)], (records, every, blocks): &ChunkDraw) -> ReportChunk {
     let mut packets = PacketArena::new();
     for (i, r) in records.iter().enumerate() {
         match r {
@@ -279,8 +287,13 @@ fn chunk_of(deps: &[(u8, Deployment)], (records, blocks): &ChunkDraw) -> ReportC
             },
         }
     };
+    let mask = if *every {
+        ALL_FIELDS
+    } else {
+        ALL_FIELDS & !LAZY_FIELDS
+    };
     ReportChunk {
-        packets,
+        packets: PacketBlock::extract(mask, packets.batch().iter()),
         blocks: blocks.iter().map(block).collect(),
     }
 }
@@ -316,7 +329,7 @@ fn side<'a>(direct: &'a mut Direct, dep: &Deployment) -> &'a mut Vec<Tuple> {
 /// packets, operators that read the packet columns — scalar ones, the
 /// payload, and every column at once in the `distinct`.
 fn job_ops(dep: &Deployment) -> Vec<Operator> {
-    if !dep.report_packet {
+    if dep.packet_mask == 0 {
         return dep.local_ops.clone();
     }
     Query::builder("over_packets", 1)
@@ -343,7 +356,7 @@ impl Oracle<'_> {
         let schema = if local {
             r.entry_op.and_then(|op| dep.entry_schemas.get(&op))
         } else {
-            Some(&dep.resume_schema).filter(|_| !dep.report_packet || r.packet.is_some())
+            Some(&dep.resume_schema).filter(|_| dep.packet_mask == 0 || r.packet.is_some())
         };
         let Some(schema) = schema else {
             self.counts[3] += 1;
@@ -361,7 +374,7 @@ impl Oracle<'_> {
         }
         self.counts[1] += 1;
         let tuple = match &r.packet {
-            Some(pkt) if dep.report_packet => Tuple::from_packet(pkt),
+            Some(pkt) if dep.packet_mask != 0 => Tuple::from_packet(pkt),
             _ => tuple_for(schema, &r.columns),
         };
         side(&mut self.direct, dep).push(tuple);

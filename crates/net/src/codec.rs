@@ -42,32 +42,40 @@
 //! cells — `width` must equal the name count, and `rows × width × 8`
 //! is checked against the bytes left in the frame before the cells are
 //! touched, so a header can never size an allocation. A batch's
-//! mirrored reports ride the same way (v7, `ReportBlocks`): first the
-//! packets some row carries, once each — `npackets: u32`, `nbytes:
-//! u32`, `npackets × (ts: u64, len: u32)`, then the `nbytes` of wire
-//! bytes back to back — then per block the head and names as above,
-//! `rows: u32`, `width: u16`, `rows × width` cells, a flag byte and,
-//! when it says the rows carry packets, `rows` frame-local `u32`
-//! packet indices. `npackets × 12`, `nbytes`, `rows × width × 8` and
-//! `rows × 4` are each checked against the bytes left before anything
-//! is sized, the lengths must sum to `nbytes`, and every index must be
-//! below `npackets`. In a single `Report` frame the packet rides as
-//! its own wire encoding ([`sonata_packet::Packet::encode`]) plus the
-//! capture timestamp and an Ethernet-framing flag, and is re-parsed on
-//! decode — the codec canonicalizes a packet exactly like the capture
-//! path does.
+//! mirrored reports ride the same way (`ReportBlocks`): first the
+//! packets some row carries, once each, as the columns the deployed
+//! queries read (v8) — `npackets: u32`, the field `mask: u32`, a
+//! validity bitmap of `⌈npackets / 64⌉` `u64` words (bit `p` set when
+//! packet `p` decodes), then one column of `npackets` `u32`s per
+//! scalar field of the mask, field-major, then `nbytes: u32` and, only
+//! when the mask names a lazy field (a DNS name, the payload), `npackets
+//! × (ts: u64, len: u32)` and the `nbytes` of wire bytes back to back —
+//! then per block the head and names as above, `rows: u32`, `width:
+//! u16`, `rows × width` cells, a flag byte and, when it says the rows
+//! carry packets, `rows` frame-local `u32` packet indices. The bitmap,
+//! `npackets × columns × 4`, `npackets × 12`, `nbytes`, `rows × width
+//! × 8` and `rows × 4` are each checked against the bytes left before
+//! anything is sized; a mask bit past the fields, a bitmap bit past the
+//! packets, bytes without a lazy field and lengths that do not sum to
+//! `nbytes` are malformed, and every index must be below `npackets`.
+//! In a single `Report` frame — the one-row form oracles use — the
+//! whole packet rides as its own wire encoding
+//! ([`sonata_packet::Packet::encode`]) plus the capture timestamp and
+//! an Ethernet-framing flag, and is re-parsed on decode — the codec
+//! canonicalizes a packet exactly like the capture path does.
 //!
 //! The decode path returns typed [`CodecError`]s and never panics: a
 //! truncated, corrupted, or version-skewed frame is data, not a bug.
 
 use crate::frame::Frame;
 use sonata_obs::TraceContext;
+use sonata_packet::wire::LAZY_FIELDS;
 use sonata_packet::{ArenaIndex, Packet, PacketArena};
 use sonata_pisa::{
     ControlOp, DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout,
     TaskId, WindowDump,
 };
-use sonata_query::{ColName, QueryId};
+use sonata_query::{ColName, PacketBlock, QueryId};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -78,8 +86,10 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"SNTA");
 /// `epoch` field for online replanning; v5 added declared sketch
 /// error bounds to the window-dump payload; v6 carries the dump's rows
 /// as column blocks — names once per block, not once per cell; v7 adds
-/// the `ReportBlocks` frame, the same for mirrored reports).
-pub const VERSION: u16 = 7;
+/// the `ReportBlocks` frame, the same for mirrored reports; v8 carries
+/// a mirrored packet as the fields the deployed queries read, not its
+/// bytes).
+pub const VERSION: u16 = 8;
 /// Fixed header size (magic + version + type + flags + switch +
 /// trace + span + epoch + len).
 pub const HEADER_LEN: usize = 38;
@@ -499,64 +509,98 @@ fn read_dump_block(r: &mut Reader<'_>) -> Result<DumpBlock, CodecError> {
 const REPORT_BLOCK_MIN_LEN: usize = DUMP_BLOCK_MIN_LEN + 1;
 
 fn write_chunk(w: &mut Writer<'_>, chunk: &ReportChunk) {
-    let packets = &chunk.packets;
+    let (block, packets) = (&chunk.packets, chunk.packets.packets());
     // All of a chunk but its heads and names, so the buffer grows once.
     let cells = |b: &ReportBlock| b.cells.len() * 8 + b.pkts.len() * 4;
     w.buf.reserve(
-        packets.len() * 12 + packets.total_bytes() + chunk.blocks.iter().map(cells).sum::<usize>(),
+        block.validity().len() * 8
+            + block.columns().len() * 4
+            + packets.len() * 12
+            + packets.total_bytes()
+            + chunk.blocks.iter().map(cells).sum::<usize>(),
     );
-    w.u32(packets.len() as u32);
+    w.u32(block.len() as u32);
+    w.u32(block.mask());
+    block.validity().iter().for_each(|v| w.u64(*v));
+    block.columns().iter().for_each(|v| w.u32(*v));
     w.u32(packets.total_bytes() as u32);
-    for e in packets.index() {
-        w.u64(e.ts_nanos);
-        w.u32(e.len);
+    if block.mask() & LAZY_FIELDS != 0 {
+        for e in packets.index() {
+            w.u64(e.ts_nanos);
+            w.u32(e.len);
+        }
+        w.buf.extend_from_slice(packets.bytes());
     }
-    w.buf.extend_from_slice(packets.bytes());
     w.u32(chunk.blocks.len() as u32);
     for b in &chunk.blocks {
         debug_assert!(b.is_well_formed());
         write_report_head(w, &b.task, b.kind, b.first_seq, b.entry_op);
         write_block_body(w, &b.names, b.rows, &b.cells);
         w.u8(u8::from(!b.pkts.is_empty()));
-        for p in &b.pkts {
-            w.u32(*p);
-        }
+        b.pkts.iter().for_each(|p| w.u32(*p));
     }
 }
 
-fn read_chunk(r: &mut Reader<'_>) -> Result<ReportChunk, CodecError> {
-    let npackets = r.u32()? as usize;
+/// `count` `u32`s, checked against the bytes the frame still holds
+/// before anything is sized.
+fn read_u32s(r: &mut Reader<'_>, count: Option<usize>) -> Result<Vec<u32>, CodecError> {
+    let bytes = (count.and_then(|n| n.checked_mul(4)))
+        .filter(|&b| b <= r.remaining())
+        .ok_or(CodecError::Malformed("u32s exceed the frame"))?;
+    Ok((r.take(bytes)?.chunks_exact(4))
+        .map(|c| u32::from_le_bytes(c.try_into().expect("chunks of 4")))
+        .collect())
+}
+
+/// The carried packets. Every count is checked against the bytes the
+/// frame still holds before it sizes anything, and
+/// [`PacketBlock::from_parts`] refuses parts that disagree.
+fn read_packet_block(r: &mut Reader<'_>) -> Result<PacketBlock, CodecError> {
+    let (npackets, mask) = (r.u32()? as usize, r.u32()?);
+    let valid = read_cells(r, npackets.div_ceil(64) * 8)?;
+    let scalars = (mask & !LAZY_FIELDS).count_ones() as usize;
+    let cols = read_u32s(r, npackets.checked_mul(scalars))?;
     let nbytes = r.u32()? as usize;
-    if npackets > r.remaining() / 12 || nbytes > r.remaining() - npackets * 12 {
-        return Err(CodecError::Malformed("packets exceed the frame"));
+    // Bytes with no lazy field to read them leave records that
+    // `from_parts` refuses, or lengths that do not add up.
+    let mut packets = PacketArena::new();
+    if mask & LAZY_FIELDS != 0 || nbytes != 0 {
+        if npackets > r.remaining() / 12 || nbytes > r.remaining() - npackets * 12 {
+            return Err(CodecError::Malformed("packets exceed the frame"));
+        }
+        // Each length is below 2³² and there are fewer than 2³² of
+        // them, so the running offset cannot wrap.
+        let mut offset = 0u64;
+        let index: Vec<ArenaIndex> = (0..npackets)
+            .map(|_| {
+                let (ts_nanos, len) = (r.u64()?, r.u32()?);
+                let entry = ArenaIndex {
+                    offset,
+                    len,
+                    ts_nanos,
+                };
+                offset += len as u64;
+                Ok(entry)
+            })
+            .collect::<Result<_, CodecError>>()?;
+        if offset != nbytes as u64 {
+            return Err(CodecError::Malformed(
+                "packet lengths differ from the byte count",
+            ));
+        }
+        packets = PacketArena::from_parts(r.take(nbytes)?.to_vec(), index);
     }
-    // Each length is below 2³² and there are fewer than 2³² of them,
-    // so the running offset cannot wrap.
-    let mut offset = 0u64;
-    let index: Vec<ArenaIndex> = (0..npackets)
-        .map(|_| {
-            let (ts_nanos, len) = (r.u64()?, r.u32()?);
-            let entry = ArenaIndex {
-                offset,
-                len,
-                ts_nanos,
-            };
-            offset += len as u64;
-            Ok(entry)
-        })
-        .collect::<Result<_, CodecError>>()?;
-    if offset != nbytes as u64 {
-        return Err(CodecError::Malformed(
-            "packet lengths differ from the byte count",
-        ));
-    }
-    let packets = PacketArena::from_parts(r.take(nbytes)?.to_vec(), index);
+    PacketBlock::from_parts(mask, npackets, cols, valid, packets).map_err(CodecError::Malformed)
+}
+
+fn read_chunk(r: &mut Reader<'_>) -> Result<ReportChunk, CodecError> {
+    let packets = read_packet_block(r)?;
     let nblocks = r.u32()? as usize;
     if nblocks > r.remaining() / REPORT_BLOCK_MIN_LEN {
         return Err(CodecError::Malformed("report block count"));
     }
     let blocks = (0..nblocks)
-        .map(|_| read_report_block(r, npackets))
+        .map(|_| read_report_block(r, packets.len()))
         .collect::<Result<_, _>>()?;
     Ok(ReportChunk { packets, blocks })
 }
@@ -580,12 +624,8 @@ fn read_report_block(r: &mut Reader<'_>, npackets: usize) -> Result<ReportBlock,
             "report block rows without columns or packets",
         ));
     }
-    let pkts: Vec<u32> = if with_packets {
-        let bytes = (rows.checked_mul(4).filter(|&b| b <= r.remaining()))
-            .ok_or(CodecError::Malformed("report block rows exceed the frame"))?;
-        (r.take(bytes)?.chunks_exact(4))
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunks of 4")))
-            .collect()
+    let pkts = if with_packets {
+        read_u32s(r, Some(rows))?
     } else {
         Vec::new()
     };

@@ -37,7 +37,7 @@ pub enum Frame {
     /// path ship.
     Report(Report),
     /// A chunk of a batch's mirrored reports as per-task column blocks,
-    /// each carried packet's bytes once (v7).
+    /// each carried packet once, as the fields the plan reads (v8).
     ReportBlocks(ReportChunk),
     /// The end-of-window register dump, sent as a single batch frame
     /// (batch coalescing: one frame instead of one per dump tuple).

@@ -10,12 +10,13 @@ use sonata_net::{
     CodecError, Frame, HEADER_LEN, VERSION,
 };
 use sonata_obs::TraceContext;
-use sonata_packet::{Packet, PacketArena, PacketBuilder, TcpFlags};
+use sonata_packet::wire::{field_mask, ALL_FIELDS, LAZY_FIELDS};
+use sonata_packet::{Field, Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_pisa::{
     ControlOp, DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout,
     TaskId, WindowDump,
 };
-use sonata_query::QueryId;
+use sonata_query::{PacketBlock, QueryId};
 use std::collections::BTreeSet;
 
 fn arb_name() -> impl Strategy<Value = String> {
@@ -220,24 +221,48 @@ fn arb_report_block() -> impl Strategy<Value = ReportBlock> {
         )
 }
 
-/// A chunk of mirrored reports: up to three carried packets (any
-/// bytes — the codec ships them, it does not parse them) and up to
-/// three blocks indexing them. With no packet to index, no block
-/// carries any; and no block has rows with neither columns nor
-/// packets, which take no bytes on the wire.
-fn arb_report_blocks() -> impl Strategy<Value = ReportChunk> {
+/// Up to three carried packets as the columns of any field mask: any
+/// values, any validity bits — the codec ships them, it does not parse
+/// them — and, when the mask names a lazy field, any bytes.
+fn arb_packet_block() -> impl Strategy<Value = PacketBlock> {
     let packet = (any::<u64>(), proptest::collection::vec(any::<u8>(), 0..48));
+    let mask = prop_oneof![
+        any::<u32>().prop_map(|m| m & ALL_FIELDS & !LAZY_FIELDS),
+        any::<u32>().prop_map(|m| m & ALL_FIELDS),
+    ];
     (
+        mask,
         proptest::collection::vec(packet, 0..4),
+        any::<u64>(),
+        proptest::collection::vec(any::<u32>(), 3 * 21),
+    )
+        .prop_map(|(mask, records, valid, values)| {
+            let n = records.len();
+            let scalars = (mask & !LAZY_FIELDS).count_ones() as usize;
+            let mut packets = PacketArena::new();
+            if mask & LAZY_FIELDS != 0 {
+                for (ts, wire) in &records {
+                    packets.push_record(*ts, wire);
+                }
+            }
+            let valid = (n > 0).then_some(valid & ((1 << n) - 1));
+            let cols = values[..scalars * n].to_vec();
+            PacketBlock::from_parts(mask, n, cols, valid.into_iter().collect(), packets).unwrap()
+        })
+}
+
+/// A chunk of mirrored reports: its carried packets and up to three
+/// blocks indexing them. With no packet to index, no block carries
+/// any; and no block has rows with neither columns nor packets, which
+/// take no bytes on the wire.
+fn arb_report_blocks() -> impl Strategy<Value = ReportChunk> {
+    (
+        arb_packet_block(),
         proptest::collection::vec(arb_report_block(), 0..4),
     )
-        .prop_map(|(records, mut blocks)| {
-            let mut packets = PacketArena::new();
-            for (ts, wire) in &records {
-                packets.push_record(*ts, wire);
-            }
+        .prop_map(|(packets, mut blocks)| {
             for b in &mut blocks {
-                match records.len() as u32 {
+                match packets.len() as u32 {
                     0 => b.pkts.clear(),
                     n => b.pkts.iter_mut().for_each(|p| *p %= n),
                 }
@@ -318,6 +343,9 @@ fn hand_framed(type_byte: u8, payload: &[u8]) -> Vec<u8> {
 #[derive(Debug, Clone)]
 struct ChunkClaims {
     npackets: u32,
+    mask: u32,
+    bitmap: Vec<u8>,
+    columns: Vec<u32>,
     nbytes: u32,
     lens: Vec<u32>,
     wire: Vec<u8>,
@@ -330,12 +358,21 @@ struct ChunkClaims {
     pkts: Vec<u32>,
 }
 
+/// The source address, destination port and payload of a packet.
+fn honest_mask() -> u32 {
+    field_mask(&[Field::Ipv4Src, Field::TcpDstPort, Field::Payload])
+}
+
 impl ChunkClaims {
-    /// Two packets of 3 and 5 bytes, one block of `rows` rows over
-    /// `names`, every row carrying packet `r % 2`.
+    /// Two packets — the first decodes, the second does not — of 3 and
+    /// 5 bytes, shipped as [`honest_mask`], one block of `rows` rows
+    /// over `names`, every row carrying packet `r % 2`.
     fn honest(names: &[String], rows: u32, vals: &[u64]) -> Self {
         ChunkClaims {
             npackets: 2,
+            mask: honest_mask(),
+            bitmap: 1u64.to_le_bytes().to_vec(),
+            columns: vec![0x0a00_0001, 7, 80, 0],
             nbytes: 8,
             lens: vec![3, 5],
             wire: (0..8).collect(),
@@ -349,9 +386,25 @@ impl ChunkClaims {
         }
     }
 
+    /// [`Self::honest`] with the payload left out: no byte section.
+    fn columns_only(names: &[String], rows: u32, vals: &[u64]) -> Self {
+        ChunkClaims {
+            mask: honest_mask() & !LAZY_FIELDS,
+            nbytes: 0,
+            lens: Vec::new(),
+            wire: Vec::new(),
+            ..ChunkClaims::honest(names, rows, vals)
+        }
+    }
+
     fn payload(&self) -> Vec<u8> {
         let mut p = Vec::new();
         p.extend_from_slice(&self.npackets.to_le_bytes());
+        p.extend_from_slice(&self.mask.to_le_bytes());
+        p.extend_from_slice(&self.bitmap);
+        for v in &self.columns {
+            p.extend_from_slice(&v.to_le_bytes());
+        }
         p.extend_from_slice(&self.nbytes.to_le_bytes());
         for (i, len) in self.lens.iter().enumerate() {
             p.extend_from_slice(&(100 + i as u64).to_le_bytes()); // ts
@@ -423,9 +476,9 @@ fn sliced_crc_is_the_bitwise_crc_at_every_short_length_and_offset() {
     }
 }
 
-/// One fixed frame per [`Frame`] variant under a non-trivial header, by
-/// name. `golden_v7.hex` holds each as the encoder of the commit before
-/// the one-pass encoder wrote it.
+/// One fixed frame per [`Frame`] variant under a non-trivial header —
+/// two `ReportBlocks`, with and without a byte section — by name.
+/// `golden_v8.hex` holds each as the v8 encoder first wrote it.
 fn golden_frames() -> Vec<(&'static str, u16, TraceContext, u64, Frame)> {
     let task = |q: u32, level: u8, branch: u8| TaskId {
         query: QueryId(q),
@@ -448,8 +501,11 @@ fn golden_frames() -> Vec<(&'static str, u16, TraceContext, u64, Frame)> {
     let mut packets = PacketArena::new();
     packets.push_record(1_000_000_007, &syn.encode());
     packets.push_record(1_000_000_900, &dns.encode());
+    packets.push_record(1_000_001_000, &[0x45, 0, 0]); // does not decode
+    let fields = field_mask(&[Field::Ipv4Dst, Field::Ipv4Proto, Field::TcpFlags]);
+    let shipped = |mask| PacketBlock::extract(mask, packets.batch().iter());
     let chunk = ReportChunk {
-        packets,
+        packets: shipped(fields),
         blocks: vec![
             ReportBlock {
                 task: task(1, 32, 0),
@@ -459,7 +515,7 @@ fn golden_frames() -> Vec<(&'static str, u16, TraceContext, u64, Frame)> {
                 names: ["ipv4.dst".into(), "count".into()].into(),
                 rows: 3,
                 cells: vec![0xc0a8_0105, 1, 0x0a00_0002, 1, 0xc0a8_0105, u64::MAX],
-                pkts: vec![0, 1, 0],
+                pkts: vec![0, 1, 2],
             },
             ReportBlock {
                 task: task(7, 16, 1),
@@ -521,8 +577,19 @@ fn golden_frames() -> Vec<(&'static str, u16, TraceContext, u64, Frame)> {
         trace: 0x1122_3344_5566_7788,
         span: 0x99aa_bbcc_ddee_ff00,
     };
+    let with_bytes = ReportChunk {
+        packets: shipped(fields | field_mask(&[Field::Payload])),
+        ..chunk.clone()
+    };
     vec![
         ("report_blocks", 3, ctx, 5, Frame::ReportBlocks(chunk)),
+        (
+            "report_blocks_bytes",
+            3,
+            ctx,
+            5,
+            Frame::ReportBlocks(with_bytes),
+        ),
         (
             "window_dump",
             1,
@@ -599,8 +666,8 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 #[test]
-fn golden_v7_frames_encode_byte_for_byte_and_decode_equal() {
-    let fixture = include_str!("golden_v7.hex");
+fn golden_v8_frames_encode_byte_for_byte_and_decode_equal() {
+    let fixture = include_str!("golden_v8.hex");
     let mut lines = fixture.lines();
     for (name, switch, ctx, epoch, frame) in golden_frames() {
         let (got_name, want) = (lines.next().and_then(|l| l.split_once(' '))).expect("a line");
@@ -687,32 +754,68 @@ proptest! {
         over in 1u32..,
         skew in 1u16..,
         stray in 2u32..,
+        past in 21u32..32,
+        extra in 0usize..21,
     ) {
+        // The honest payloads decode to exactly the chunk, with and
+        // without a byte section.
+        for honest in [
+            ChunkClaims::honest(&names, rows, &vals),
+            ChunkClaims::columns_only(&names, rows, &vals),
+        ] {
+            let (frame, _) = honest.decode().unwrap();
+            let Frame::ReportBlocks(chunk) = frame else {
+                panic!("decoded as {frame:?}");
+            };
+            let packets = &chunk.packets;
+            prop_assert_eq!((packets.len(), packets.mask()), (2, honest.mask));
+            prop_assert_eq!(packets.columns(), &honest.columns[..]);
+            prop_assert!(packets.is_valid(0) && !packets.is_valid(1));
+            let bytes = packets.packets();
+            if honest.mask & LAZY_FIELDS == 0 {
+                prop_assert!(bytes.is_empty());
+            } else {
+                prop_assert_eq!(bytes.view(1).bytes(), &[3u8, 4, 5, 6, 7][..]);
+                prop_assert_eq!(bytes.view(1).ts_nanos(), 101);
+            }
+            let block = &chunk.blocks[0];
+            prop_assert!(block.is_well_formed());
+            prop_assert_eq!((block.rows, block.first_seq), (rows as usize, 5));
+            prop_assert_eq!((&block.cells, &block.pkts), (&honest.cells, &honest.pkts));
+        }
         let honest = ChunkClaims::honest(&names, rows, &vals);
-        // The honest payload decodes to exactly the chunk.
-        let (frame, _) = honest.decode().unwrap();
-        let Frame::ReportBlocks(chunk) = frame else {
-            panic!("decoded as {frame:?}");
-        };
-        prop_assert_eq!(chunk.packets.len(), 2);
-        prop_assert_eq!(chunk.packets.view(1).bytes(), &[3u8, 4, 5, 6, 7][..]);
-        prop_assert_eq!(chunk.packets.view(1).ts_nanos(), 101);
-        let block = &chunk.blocks[0];
-        prop_assert!(block.is_well_formed());
-        prop_assert_eq!((block.rows, block.first_seq), (rows as usize, 5));
-        prop_assert_eq!((&block.cells, &block.pkts), (&honest.cells, &honest.pkts));
         let malformed = |c: ChunkClaims| matches!(c.decode(), Err(CodecError::Malformed(_)));
         let h = || honest.clone();
         // A packet count, a byte count or a row count past what the
         // frame holds — up to 2^32 of each — is an error, not an
-        // allocation.
+        // allocation: whether the bitmap, the columns or the index is
+        // the first thing it would size.
         let claim = |n: u32| n.saturating_add(over.max(64));
-        let bad_npackets = ChunkClaims { npackets: claim(2), ..h() };
+        for npackets in [claim(2), 40, 9] {
+            let bad_npackets = ChunkClaims { npackets, ..h() };
+            prop_assert!(malformed(bad_npackets));
+        }
         let bad_nbytes = ChunkClaims { nbytes: claim(8), ..h() };
         let bad_rows = ChunkClaims { rows: claim(rows), ..h() };
-        prop_assert!(malformed(bad_npackets));
         prop_assert!(malformed(bad_nbytes));
         prop_assert!(malformed(bad_rows));
+        // A mask bit at or past the field count; a mask naming a field
+        // more than the columns hold.
+        let past_fields = ChunkClaims { mask: honest.mask | 1 << past, ..h() };
+        prop_assert!(malformed(past_fields));
+        let wider = honest.mask | 1 << extra;
+        if wider != honest.mask && LAZY_FIELDS >> extra & 1 == 0 {
+            let unshipped = ChunkClaims { mask: wider, ..h() };
+            prop_assert!(malformed(unshipped));
+        }
+        // A bitmap cut short, or with a bit past the packets.
+        let short_bitmap = ChunkClaims { bitmap: vec![1], ..h() };
+        let stray_bit = ChunkClaims { bitmap: 5u64.to_le_bytes().to_vec(), ..h() };
+        prop_assert!(malformed(short_bitmap));
+        prop_assert!(malformed(stray_bit));
+        // A byte section without a lazy field to read it.
+        let bytes_unasked = ChunkClaims { mask: honest.mask & !LAZY_FIELDS, ..h() };
+        prop_assert!(malformed(bytes_unasked));
         // Lengths that do not add up to the byte count.
         let short_lens = ChunkClaims { lens: vec![3, 4], ..h() };
         let long_lens = ChunkClaims { lens: vec![4, 5], ..h() };
@@ -737,22 +840,25 @@ proptest! {
         // Rows that claim neither columns nor packets.
         let bare = ChunkClaims { rows: over, flag: 0, ..ChunkClaims::honest(&[], 0, &vals) };
         prop_assert!(malformed(bare));
-        // Cut anywhere, the payload is malformed — never a shorter chunk.
-        let payload = honest.payload();
-        for cut in 0..payload.len() {
-            let r = decode_frame(&hand_framed(9, &payload[..cut]));
-            let is_malformed = matches!(r, Err(CodecError::Malformed(_)));
-            prop_assert!(is_malformed, "cut at {}: {:?}", cut, r);
+        // Cut anywhere, either payload is malformed — never a shorter
+        // chunk.
+        for claims in [h(), ChunkClaims::columns_only(&names, rows, &vals)] {
+            let payload = claims.payload();
+            for cut in 0..payload.len() {
+                let r = decode_frame(&hand_framed(9, &payload[..cut]));
+                let is_malformed = matches!(r, Err(CodecError::Malformed(_)));
+                prop_assert!(is_malformed, "cut at {}: {:?}", cut, r);
+            }
         }
     }
 
     #[test]
-    fn a_v6_peer_is_turned_away(chunk in arb_report_blocks()) {
+    fn a_v7_peer_is_turned_away(chunk in arb_report_blocks()) {
         let mut bytes = encode_frame(&Frame::ReportBlocks(chunk));
-        bytes[4..6].copy_from_slice(&6u16.to_le_bytes());
+        bytes[4..6].copy_from_slice(&7u16.to_le_bytes());
         prop_assert_eq!(
             decode_frame(&bytes).unwrap_err(),
-            CodecError::VersionMismatch { found: 6 }
+            CodecError::VersionMismatch { found: 7 }
         );
     }
 

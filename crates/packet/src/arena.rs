@@ -227,7 +227,7 @@ impl<'a> ArenaBatch<'a> {
     }
 
     /// Iterate borrowed views in batch order.
-    pub fn iter(&self) -> impl Iterator<Item = PacketView<'a>> + '_ {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = PacketView<'a>> + Clone + '_ {
         (0..self.len()).map(|i| self.view(i))
     }
 }

@@ -364,6 +364,15 @@ pub fn field_mask(fields: &[Field]) -> u32 {
     fields.iter().fold(0, |m, &f| m | 1 << f as u32)
 }
 
+/// [`field_mask`] of every field.
+pub const ALL_FIELDS: u32 = (1 << Field::ALL.len()) - 1;
+
+/// [`field_mask`] of the fields [`extract_fields`] never hands out:
+/// they need the DNS body or the payload itself, so whoever reads them
+/// keeps the packet's bytes.
+pub const LAZY_FIELDS: u32 =
+    1 << Field::DnsRrName as u32 | 1 << Field::DnsAnswerIp as u32 | 1 << Field::Payload as u32;
+
 /// Walk the parse graph over raw wire bytes — IPv4 → {TCP, UDP (→ DNS
 /// header bits), ICMP} — handing every field of `want` the packet
 /// actually carries to `sink`. A layer that fails to parse yields

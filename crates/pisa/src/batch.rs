@@ -18,8 +18,9 @@
 use crate::ir::TaskId;
 use crate::registers::for_each_bit;
 use crate::switch::{Report, ReportKind};
-use sonata_packet::{ArenaBatch, PacketArena, PacketView};
-use sonata_query::ColName;
+use sonata_packet::wire::LAZY_FIELDS;
+use sonata_packet::{ArenaBatch, PacketView};
+use sonata_query::{ColName, PacketBlock};
 use std::sync::Arc;
 
 /// One run of a task's mirrored reports that share everything but
@@ -82,13 +83,13 @@ impl ReportBlock {
     }
 }
 
-/// A self-contained slice of a batch's reports: the wire bytes of
-/// every packet some row carries, once, and the blocks, whose `pkts`
-/// index into `packets`.
+/// A self-contained slice of a batch's reports: every packet some row
+/// carries, once, as the columns of the fields its mask names, and the
+/// blocks, whose `pkts` index into `packets`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportChunk {
     /// The carried packets, in batch order.
-    pub packets: PacketArena,
+    pub packets: PacketBlock,
     /// The blocks, task by task.
     pub blocks: Vec<ReportBlock>,
 }
@@ -96,12 +97,14 @@ pub struct ReportChunk {
 impl ReportChunk {
     /// Materialize every row of every well-formed block as an owned
     /// [`Report`], block by block — for tests and oracles; the emitter
-    /// reads the cells in place. A row whose packet is absent or
-    /// undecodable materializes without one, as
-    /// [`ReportRef::to_report`] degrades.
+    /// reads the cells in place. A row's packet materializes only where
+    /// the chunk carries its bytes (its mask names a lazy field); a row
+    /// whose packet is absent or undecodable materializes without one,
+    /// as [`ReportRef::to_report`] degrades.
     pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
         let blocks = self.blocks.iter().filter(|b| b.is_well_formed());
-        blocks.flat_map(|b| (0..b.rows).map(|r| b.row(r, self.packets.batch()).to_report()))
+        let packets = self.packets.packets().batch();
+        blocks.flat_map(move |b| (0..b.rows).map(move |r| b.row(r, packets).to_report()))
     }
 }
 
@@ -187,12 +190,15 @@ pub struct ReportBatch {
     sources: Vec<Source>,
     live: usize,
     packets: usize,
+    /// The fields each carried packet ships, the program's mirror mask.
+    mask: u32,
     /// Bit `i` set when some row carries packet `i`.
     carried_bits: Vec<u64>,
     /// The packets some row carries, ascending.
     carried: Vec<u32>,
-    /// `carried_wire[j]` is the wire bytes of `carried[..j]`.
-    carried_wire: Vec<u64>,
+    /// `carried_cost[j]` is what `carried[..j]` cost a chunk: their
+    /// columns, and their bytes and records where those ride.
+    carried_cost: Vec<u64>,
 }
 
 impl ReportBatch {
@@ -201,15 +207,17 @@ impl ReportBatch {
         ReportBatch::default()
     }
 
-    /// Clear for a new batch of `packets` packets, retaining capacity.
-    pub(crate) fn reset(&mut self, packets: usize) {
+    /// Clear for a new batch of `packets` packets whose carried packets
+    /// ship `mask`'s fields, retaining capacity.
+    pub(crate) fn reset(&mut self, packets: usize, mask: u32) {
         self.live = 0;
         self.packets = packets;
+        self.mask = mask;
         self.carried_bits.clear();
         self.carried_bits.resize(packets.div_ceil(64), 0);
         self.carried.clear();
-        self.carried_wire.clear();
-        self.carried_wire.push(0);
+        self.carried_cost.clear();
+        self.carried_cost.push(0);
     }
 
     /// The rows of the last block if it has `shape`'s header (its
@@ -259,15 +267,16 @@ impl ReportBatch {
         }
     }
 
-    /// List the packets some row carries, with their wire bytes (from
-    /// `batch`, the [`ArenaBatch`] the reports were produced from), for
-    /// [`Self::chunk`] to price and ship.
+    /// List the packets some row carries, with what they cost a chunk
+    /// (their wire lengths from `batch`, the [`ArenaBatch`] the reports
+    /// were produced from), for [`Self::chunk`] to price and ship.
     pub(crate) fn carry(&mut self, batch: &ArenaBatch<'_>) {
-        let mut wire = 0;
+        let (bytes_ride, mut cost) = (u64::from(self.mask & LAZY_FIELDS != 0), 0);
+        let columns = 4 * (self.mask & !LAZY_FIELDS).count_ones() as u64;
         for_each_bit(&self.carried_bits, |i| {
-            wire += batch.index()[i].len as u64;
+            cost += columns + bytes_ride * (batch.index()[i].len as u64 + 12);
             self.carried.push(i as u32);
-            self.carried_wire.push(wire);
+            self.carried_cost.push(cost);
         });
     }
 
@@ -329,14 +338,15 @@ impl ReportBatch {
     /// Cut the next chunk: the reports of whole packets from packet
     /// `from` on, until `budget` bytes of rows and packets are in (at
     /// least one packet that reported), with each carried packet's
-    /// bytes copied from `batch` (the [`ArenaBatch`] the reports were
-    /// produced from) once. A row costs its cells and, if it carries a
-    /// packet, a 4-byte index; a carried packet its bytes, timestamp
-    /// and length. Returns the chunk and the packet the next one
-    /// starts at — [`Self::packets`] once nothing is left to report —
-    /// or `None` when no packet from `from` on reported. A block the
-    /// cut falls inside continues in the next chunk under a later
-    /// `first_seq`.
+    /// masked fields extracted from `batch` (the [`ArenaBatch`] the
+    /// reports were produced from) once. A row costs its cells and, if
+    /// it carries a packet, a 4-byte index; a carried packet its
+    /// columns and validity bit, and — only when the mask names a lazy
+    /// field, so they ride — its bytes, timestamp and length. Returns
+    /// the chunk and the packet the next one starts at —
+    /// [`Self::packets`] once nothing is left to report — or `None`
+    /// when no packet from `from` on reported. A block the cut falls
+    /// inside continues in the next chunk under a later `first_seq`.
     pub fn chunk(
         &self,
         from: usize,
@@ -356,8 +366,8 @@ impl ReportBatch {
                 (self.row_at(b, to) - starts[b]) * row
             });
             let c = carried_to(to);
-            let wire = self.carried_wire[c] - self.carried_wire[carried_from];
-            rows.sum::<usize>() + wire as usize + 12 * (c - carried_from)
+            let carried = self.carried_cost[c] - self.carried_cost[carried_from];
+            rows.sum::<usize>() + carried as usize + (c - carried_from).div_ceil(8)
         };
         // The fewest packets whose bytes reach the budget.
         let (mut next, mut hi) = (*first as usize + 1, self.packets);
@@ -374,14 +384,9 @@ impl ReportBatch {
             next = self.packets;
         }
 
-        let carried_end = carried_to(next);
-        let carried = &self.carried[carried_from..carried_end];
-        let wire = self.carried_wire[carried_end] - self.carried_wire[carried_from];
-        let mut packets = PacketArena::with_capacity(carried.len(), wire as usize);
-        for &p in carried {
-            let view = batch.view(p as usize);
-            packets.push_record(view.ts_nanos(), view.bytes());
-        }
+        let carried = &self.carried[carried_from..carried_to(next)];
+        let views = carried.iter().map(|&p| batch.view(p as usize));
+        let packets = PacketBlock::extract(self.mask, views);
         // Batch packet `base + k` → its number among the chunk's.
         let base = carried.first().copied().unwrap_or(0);
         let mut local = vec![0; carried.last().map_or(0, |&p| (p - base) as usize + 1)];

@@ -23,6 +23,7 @@ use crate::ir::{
     ReportSpec, ShuntSpec, Table, TableKind, TaskId,
 };
 use crate::phv::MetaRef;
+use sonata_packet::wire::ALL_FIELDS;
 use sonata_packet::{Field, FieldWidth, Value};
 use sonata_query::expr::{CmpOp, Expr, Pred};
 use sonata_query::{Agg, ColName, Operator, Pipeline, Schema};
@@ -674,7 +675,8 @@ pub fn compile_pipeline(
         mode,
         columns,
         shunts: shunt_specs,
-        include_packet: report_packet,
+        // Every field until a deploy knows what the whole plan reads.
+        packet_mask: if report_packet { ALL_FIELDS } else { 0 },
     });
     fragment.meta_slots = meta_next;
     let mut fields = meta_fields;

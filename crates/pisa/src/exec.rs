@@ -576,7 +576,7 @@ impl ExecPlan {
                             kind: ReportKind::Shunt,
                             entry_op: Some(shunt.entry_op),
                             names: shunt.columns.iter().map(|(n, _)| n.clone()).collect(),
-                            with_packet: spec.include_packet,
+                            with_packet: spec.packet_mask != 0,
                             rank,
                         },
                         exprs: shunt.columns.iter().map(|(_, e)| flat(e)).collect(),
@@ -598,7 +598,7 @@ impl ExecPlan {
                 kind: ReportKind::Tuple,
                 entry_op: None,
                 names: spec.columns.iter().map(|(n, _)| n.clone()).collect(),
-                with_packet: spec.include_packet,
+                with_packet: spec.packet_mask != 0,
                 rank,
             },
             exprs: (spec.columns.iter())

@@ -372,9 +372,12 @@ pub struct ReportSpec {
     pub columns: Vec<(ColName, PhvExpr)>,
     /// Per-register shunt layouts (one per stateful unit on the switch).
     pub shunts: Vec<ShuntSpec>,
-    /// Mirror the original packet alongside the tuple (partition ends
-    /// while the stream is still raw packets, or payload is needed).
-    pub include_packet: bool,
+    /// Mirror the original packet alongside the tuple (the partition
+    /// ends while the stream is still raw packets) as the header fields
+    /// of this [`field_mask`](sonata_packet::wire::field_mask) — the
+    /// fields the stream side reads, fixed at deploy for the whole
+    /// program; 0 mirrors no packet.
+    pub packet_mask: u32,
 }
 
 /// A complete program loadable onto the behavioral model.
@@ -411,6 +414,12 @@ impl PisaProgram {
             .chain(self.registers.iter().map(|r| r.stage))
             .max()
             .unwrap_or(0)
+    }
+
+    /// The fields every mirrored packet carries: the union of the
+    /// report specs' packet masks.
+    pub fn mirror_mask(&self) -> u32 {
+        self.reports.iter().fold(0, |m, r| m | r.packet_mask)
     }
 
     /// Merge another program fragment into this one (distinct tasks).

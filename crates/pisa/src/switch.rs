@@ -615,7 +615,7 @@ impl Switch {
             self.program.meta_slots,
             self.program.tasks.len(),
         );
-        let mirrors = self.program.reports.iter().any(|r| r.include_packet);
+        let mirrors = self.program.mirror_mask() != 0;
         let pkt = mirrors.then(|| view.decode().ok()).flatten();
         self.run(&mut phv, pkt.as_ref())
     }
@@ -699,7 +699,7 @@ impl Switch {
                                 task: table.task,
                                 kind: ReportKind::Shunt,
                                 columns,
-                                packet: pkt.filter(|_| spec.include_packet).cloned(),
+                                packet: pkt.filter(|_| spec.packet_mask != 0).cloned(),
                                 entry_op: Some(shunt.entry_op),
                                 seq,
                             });
@@ -740,7 +740,7 @@ impl Switch {
                 task: spec.task,
                 kind: ReportKind::Tuple,
                 columns,
-                packet: pkt.filter(|_| spec.include_packet).cloned(),
+                packet: pkt.filter(|_| spec.packet_mask != 0).cloned(),
                 entry_op: None,
                 seq,
             });
@@ -777,7 +777,7 @@ impl Switch {
     ///    those of [`Self::process_reference`] packet by packet.
     pub fn process_batch(&mut self, batch: &ArenaBatch<'_>, out: &mut ReportBatch) {
         let n = batch.len();
-        out.reset(n);
+        out.reset(n, self.program.mirror_mask());
         self.counters.packets_in += n as u64;
         self.obs.packets_in.add(n as u64);
         let Switch {
@@ -2010,7 +2010,7 @@ mod tests {
         // q1 window-dumps via a roomy register, q5 shunts via 1-slot
         // registers (and leads with a Map, so the gate degenerates to
         // all-pass), q9 is filter-only and mirrors packets
-        // (include_packet: the batch path must attach arena-decoded
+        // (a packet mask: the batch path must attach arena-decoded
         // packets identical to the reference's decode).
         let t5 = TaskId {
             query: QueryId(5),

@@ -2,13 +2,16 @@
 //!
 //! * task-major batch execution of random merged multi-task programs,
 //!   malformed records included, is indistinguishable from the
-//!   tree-walking reference run packet by packet;
+//!   tree-walking reference run packet by packet, and its chunks carry
+//!   each mirrored packet as exactly the fields of the program's mirror
+//!   mask;
 //! * garbage bytes never panic either entry;
 //! * register invariants hold under arbitrary key streams, and the
 //!   flat register layout replays a slot-map model step for step.
 
 use proptest::prelude::*;
-use sonata_packet::{PacketArena, PacketBuilder, TcpFlags};
+use sonata_packet::wire::ALL_FIELDS;
+use sonata_packet::{Field, PacketArena, PacketBuilder, TcpFlags, Value};
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::registers::{HashRegisters, RegOutcome};
 use sonata_pisa::{
@@ -17,7 +20,7 @@ use sonata_pisa::{
 };
 use sonata_planner::refine::refine_query;
 use sonata_query::catalog::{self, Thresholds};
-use sonata_query::{Agg, QueryId};
+use sonata_query::{Agg, ColName, QueryId, Tuple};
 use std::collections::{BTreeSet, HashMap};
 
 fn load(q: &sonata_query::Query, slots: usize) -> Switch {
@@ -192,6 +195,43 @@ fn arb_record() -> impl Strategy<Value = Vec<u8>> {
         })
 }
 
+/// A report as a chunk carries it: its packet, if it has one that
+/// decodes, as the tuple of the fields the mirror mask names.
+type Shipped = (
+    TaskId,
+    ReportKind,
+    Vec<(ColName, u64)>,
+    Option<usize>,
+    u64,
+    Option<Tuple>,
+);
+
+fn shipped_report(r: &Report, mask: u32) -> Shipped {
+    let masked = |pkt: &sonata_packet::Packet| {
+        let t = Tuple::from_packet(pkt);
+        let field = |c: usize| match mask >> c & 1 {
+            0 => Value::U64(0),
+            _ => t.get(c).clone(),
+        };
+        (0..Field::ALL.len()).map(field).collect()
+    };
+    let packet = r.packet.as_ref().map(masked);
+    (r.task, r.kind, r.columns.clone(), r.entry_op, r.seq, packet)
+}
+
+fn shipped_rows(chunk: &sonata_pisa::ReportChunk) -> Vec<Shipped> {
+    let rows = chunk.blocks.iter().flat_map(|b| {
+        (0..b.rows).map(move |r| {
+            let width = b.width();
+            let columns = (b.names.iter().cloned()).zip(b.cells[r * width..][..width].to_vec());
+            let packet = b.pkts.get(r).and_then(|&p| chunk.packets.tuple(p));
+            let seq = b.first_seq + r as u64;
+            (b.task, b.kind, columns.collect(), b.entry_op, seq, packet)
+        })
+    });
+    rows.collect()
+}
+
 fn hash_slot(seed_idx: usize, key: &[u64], slots: usize) -> usize {
     // The register hash as documented in `registers.rs`, with the
     // slot picked by a plain remainder.
@@ -217,8 +257,14 @@ proptest! {
         ),
         defer in any::<bool>(),
         chunk_budget in 0usize..4_000,
+        mask in prop_oneof![Just(ALL_FIELDS), any::<u32>().prop_map(|m| m & ALL_FIELDS | 1)],
     ) {
-        let program = merged_program(&picks, slots, arrays);
+        let mut program = merged_program(&picks, slots, arrays);
+        // What a deploy leaves in every mirroring spec.
+        for spec in program.reports.iter_mut().filter(|r| r.packet_mask != 0) {
+            spec.packet_mask = mask;
+        }
+        let mirror_mask = program.mirror_mask();
         let constraints = SwitchConstraints {
             stateful_per_stage: 64,
             ..SwitchConstraints::default()
@@ -289,17 +335,17 @@ proptest! {
             prop_assert_eq!(rows, out.total_reports());
             // Cut into chunks on packet boundaries, the blocks still
             // hold the loop's reports: each task's in its order, each
-            // packet under its own index. Every packet's rows lie in
-            // the one chunk whose range holds it, and every carried
-            // packet ships once.
-            let by_task = |reports: Vec<Report>| {
-                let mut map: HashMap<TaskId, Vec<Report>> = HashMap::new();
+            // packet under its own index, as the mask's fields of its
+            // bytes. Every packet's rows lie in the one chunk whose
+            // range holds it, and every carried packet ships once.
+            let by_task = |reports: Vec<Shipped>| {
+                let mut map: HashMap<TaskId, Vec<Shipped>> = HashMap::new();
                 for r in reports {
-                    map.entry(r.task).or_default().push(r);
+                    map.entry(r.0).or_default().push(r);
                 }
                 map
             };
-            let mut chunked: Vec<Report> = Vec::new();
+            let mut chunked: Vec<Shipped> = Vec::new();
             let (mut at, mut shipped) = (0, 0);
             while let Some((chunk, next)) = out.chunk(at, arena.batch(), chunk_budget) {
                 prop_assert!(next > at);
@@ -307,7 +353,8 @@ proptest! {
                 let owed = (at..next).map(|i| out.packet_reports(i, arena.batch()).count());
                 prop_assert_eq!(rows, owed.sum::<usize>());
                 shipped += chunk.packets.len();
-                chunked.extend(chunk.reports());
+                prop_assert_eq!(chunk.packets.mask(), mirror_mask);
+                chunked.extend(shipped_rows(&chunk));
                 at = next;
             }
             prop_assert_eq!(at, if out.is_empty() { 0 } else { out.packets() });
@@ -315,6 +362,7 @@ proptest! {
                 .flat_map(|b| b.pkts.iter().copied())
                 .collect();
             prop_assert_eq!(shipped, carried.len());
+            let looped = looped.iter().map(|r| shipped_report(r, mask)).collect();
             prop_assert_eq!(by_task(chunked), by_task(looped));
             let (a, b) = (batched.counters(), oracle.counters());
             prop_assert_eq!(

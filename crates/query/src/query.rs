@@ -9,6 +9,7 @@
 use crate::expr::{Expr, Pred};
 use crate::ops::{Agg, Operator};
 use crate::tuple::{ColName, Schema};
+use sonata_packet::wire::{field_mask, ALL_FIELDS};
 use sonata_packet::Field;
 use std::collections::HashMap;
 use std::fmt;
@@ -457,6 +458,34 @@ impl Query {
             }
         }
         fields
+    }
+
+    /// The packet fields a stream processor running the query over raw
+    /// packets reads, as a [`field_mask`]: [`Self::referenced_fields`],
+    /// or every field when some operator takes the packet row whole — a
+    /// `distinct` over the raw packet schema, or a branch whose output
+    /// is still raw packets (the output, or a join's side, is then the
+    /// packets themselves).
+    pub fn packet_field_mask(&self) -> u32 {
+        let whole = |p: &Pipeline| {
+            let mut schema = Schema::packet();
+            for op in &p.ops {
+                if schema.is_packet() && matches!(op, Operator::Distinct) {
+                    return true;
+                }
+                match op.output_schema(&schema) {
+                    Ok(next) => schema = next,
+                    Err(_) => return true,
+                }
+            }
+            schema.is_packet()
+        };
+        let right = self.join.as_ref().map(|j| &j.right);
+        if whole(&self.pipeline) || right.is_some_and(whole) {
+            ALL_FIELDS
+        } else {
+            field_mask(&self.referenced_fields())
+        }
     }
 
     /// Candidate refinement keys: hierarchical packet fields used as a

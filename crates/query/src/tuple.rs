@@ -16,8 +16,8 @@
 //! `[u64; width]` whatever it holds.
 
 use crate::expr::{cmp_same_kind, contains_subslice};
-use sonata_packet::wire::extract_fields;
-use sonata_packet::{Field, Packet, PacketArena, Value};
+use sonata_packet::wire::{extract_fields, ALL_FIELDS, LAZY_FIELDS};
+use sonata_packet::{Field, Packet, PacketArena, PacketView, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -505,68 +505,148 @@ impl PartialEq for Rows {
     }
 }
 
-/// The fields read per packet, not held as columns: they need the DNS
-/// body or the payload itself.
-const LAZY: u32 =
-    1 << Field::DnsRrName as u32 | 1 << Field::DnsAnswerIp as u32 | 1 << Field::Payload as u32;
-
-/// The packets a chunk of mirrored reports carries, as columns: every
-/// scalar header field extracted once per packet by the parse-graph
-/// walk the switch uses, whether the packet decodes at all, and the
-/// bytes themselves for the fields read lazily. Immutable once built;
-/// every task that mirrored a packet shares the block and names its
-/// rows by packet number.
-#[derive(Debug, Default, PartialEq)]
+/// The packets a chunk of mirrored reports carries, as columns: the
+/// header fields of `mask` ([`sonata_packet::wire::field_mask`] bits),
+/// each scalar one extracted once per packet by the parse-graph walk the
+/// switch uses; whether each packet decodes; and, only when the mask
+/// names a field read lazily, the bytes. The switch builds it as it cuts
+/// a chunk, and it crosses the wire as it is; every task that mirrored a
+/// packet shares it and names its rows by packet number. The mask is
+/// fixed at deploy to what the stream side reads: reading another field
+/// is a deploy bug.
+#[derive(Debug, Default, Clone, PartialEq)]
 pub struct PacketBlock {
-    packets: PacketArena,
-    /// `cols[field as usize * n + p]`; zero where packet `p` has no
-    /// such field. No header field is wider than 32 bits.
+    mask: u32,
+    len: usize,
+    /// `cols[k * len + p]`: packet `p`'s value of the `k`th scalar field
+    /// of `mask`, in field order; zero where the packet has no such
+    /// field. No header field is wider than 32 bits.
     cols: Vec<u32>,
-    /// Exactly `packets.view(p).decode().is_ok()`.
-    valid: Vec<bool>,
+    /// Bit `p` set exactly when packet `p` decodes.
+    valid: Vec<u64>,
+    /// The packets' wire bytes when `mask` names a lazy field; empty
+    /// otherwise.
+    packets: PacketArena,
 }
 
 impl PacketBlock {
-    /// Extract the columns of `packets`.
-    pub fn new(packets: PacketArena) -> Self {
-        let n = packets.len();
-        let mut cols = vec![0u32; Field::ALL.len() * n];
-        let batch = packets.batch();
-        let valid = (0..n)
-            .map(|p| {
-                let put = |f: Field, v: u64| cols[f as usize * n + p] = v as u32;
-                extract_fields(batch.view(p).bytes(), u32::MAX, put)
-            })
-            .collect();
+    /// Extract `mask`'s fields from `packets`, keeping their bytes only
+    /// when the mask names a lazy field.
+    pub fn extract<'a, I>(mask: u32, packets: I) -> Self
+    where
+        I: ExactSizeIterator<Item = PacketView<'a>> + Clone,
+    {
+        debug_assert_eq!(mask & !ALL_FIELDS, 0, "a mask bit past the fields");
+        let len = packets.len();
+        let scalars = mask & !LAZY_FIELDS;
+        let mut cols = vec![0u32; scalars.count_ones() as usize * len];
+        let mut valid = vec![0u64; len.div_ceil(64)];
+        let at: [usize; 32] =
+            std::array::from_fn(|f| (scalars & ((1 << f) - 1)).count_ones() as usize * len);
+        let mut bytes = PacketArena::new();
+        if mask & LAZY_FIELDS != 0 {
+            let wire = packets.clone().map(|v| v.wire_len()).sum();
+            bytes = PacketArena::with_capacity(len, wire);
+        }
+        for (p, view) in packets.enumerate() {
+            let put = |f: Field, v: u64| cols[at[f as usize] + p] = v as u32;
+            valid[p / 64] |= (extract_fields(view.bytes(), scalars, put) as u64) << (p % 64);
+            if mask & LAZY_FIELDS != 0 {
+                bytes.push_record(view.ts_nanos(), view.bytes());
+            }
+        }
         PacketBlock {
-            packets,
+            mask,
+            len,
             cols,
             valid,
+            packets: bytes,
         }
     }
 
-    /// A block of one owned packet.
+    /// Every field of `packets`.
+    pub fn new(packets: PacketArena) -> Self {
+        PacketBlock::extract(ALL_FIELDS, packets.batch().iter())
+    }
+
+    /// Every field of one owned packet — the one-row path's block.
     pub fn of_packet(pkt: &Packet) -> Self {
-        let mut packets = PacketArena::new();
-        packets.push_record(pkt.ts_nanos, pkt.encode_cached());
-        PacketBlock::new(packets)
+        let view = PacketView::new(pkt.encode_cached(), pkt.ts_nanos);
+        PacketBlock::extract(ALL_FIELDS, std::iter::once(view))
+    }
+
+    /// A block from the parts [`Self::mask`], [`Self::len`],
+    /// [`Self::columns`], [`Self::validity`] and [`Self::packets`]
+    /// return, checked to agree: no mask bit past the fields, `len`
+    /// values per scalar field of the mask, a validity bit per packet
+    /// and none past them, and bytes exactly when the mask names a lazy
+    /// field, one record per packet.
+    pub fn from_parts(
+        mask: u32,
+        len: usize,
+        cols: Vec<u32>,
+        valid: Vec<u64>,
+        packets: PacketArena,
+    ) -> Result<Self, &'static str> {
+        let scalars = (mask & !LAZY_FIELDS).count_ones() as usize;
+        let stray = |w: &u64| !len.is_multiple_of(64) && w >> (len % 64) != 0;
+        let records = if mask & LAZY_FIELDS != 0 { len } else { 0 };
+        if mask & !ALL_FIELDS != 0 {
+            Err("field mask bit past the fields")
+        } else if Some(cols.len()) != len.checked_mul(scalars) {
+            Err("columns are not the mask's fields by the packets")
+        } else if valid.len() != len.div_ceil(64) || valid.last().is_some_and(stray) {
+            Err("validity bits are not one per packet")
+        } else if packets.len() != records {
+            Err("packet records are not one per packet of a lazy field")
+        } else {
+            Ok(PacketBlock {
+                mask,
+                len,
+                cols,
+                valid,
+                packets,
+            })
+        }
+    }
+
+    /// The fields held, as [`sonata_packet::wire::field_mask`] bits.
+    pub fn mask(&self) -> u32 {
+        self.mask
     }
 
     /// Number of packets.
     pub fn len(&self) -> usize {
-        self.valid.len()
+        self.len
     }
 
     /// Whether the block holds no packets.
     pub fn is_empty(&self) -> bool {
-        self.valid.is_empty()
+        self.len == 0
+    }
+
+    /// The scalar fields' columns, field-major, back to back.
+    pub fn columns(&self) -> &[u32] {
+        &self.cols
+    }
+
+    /// The validity bits, 64 packets a word.
+    pub fn validity(&self) -> &[u64] {
+        &self.valid
+    }
+
+    /// The packets' bytes: one record per packet when the mask names a
+    /// lazy field, none otherwise.
+    pub fn packets(&self) -> &PacketArena {
+        &self.packets
     }
 
     /// Whether packet `p` exists and decodes. Only such packets have
     /// rows.
     #[inline]
     pub fn is_valid(&self, p: u32) -> bool {
-        self.valid.get(p as usize) == Some(&true)
+        let word = self.valid.get(p as usize / 64);
+        word.is_some_and(|w| w >> (p % 64) & 1 == 1)
     }
 
     /// Packet `p` as a row over [`Schema::packet`].
@@ -578,12 +658,36 @@ impl PacketBlock {
         }
     }
 
-    /// Packet `p` as the tuple [`Tuple::from_packet`] makes of it.
+    /// Field `col`'s column; `None` for a lazy field, read from the
+    /// bytes.
+    #[inline]
+    fn column(&self, col: usize) -> Option<&[u32]> {
+        debug_assert!(
+            self.mask >> col & 1 == 1,
+            "{} is outside the block's field mask",
+            Field::ALL[col]
+        );
+        let below = self.mask & !LAZY_FIELDS & ((1 << col) - 1);
+        let at = below.count_ones() as usize * self.len;
+        (LAZY_FIELDS >> col & 1 == 0).then(|| &self.cols[at..at + self.len])
+    }
+
+    /// Packet `p` as the tuple [`Tuple::from_packet`] makes of it, a
+    /// field outside the mask read as zero.
     pub fn tuple(&self, p: u32) -> Option<Tuple> {
-        let pkt = self
-            .is_valid(p)
-            .then(|| self.packets.view(p as usize).decode());
-        pkt.and_then(Result::ok).map(|pkt| Tuple::from_packet(&pkt))
+        let lazy = self.is_valid(p) && self.mask & LAZY_FIELDS != 0;
+        let pkt = lazy
+            .then(|| self.packets.view(p as usize).decode().ok())
+            .flatten();
+        let value = |c: usize| match (self.mask >> c & 1 == 1).then(|| self.column(c)) {
+            None => Value::U64(0),
+            Some(Some(held)) => Value::U64(held[p as usize] as u64),
+            Some(None) => {
+                (pkt.as_ref().and_then(|pkt| pkt.get(Field::ALL[c]))).unwrap_or(Value::U64(0))
+            }
+        };
+        self.is_valid(p)
+            .then(|| (0..Field::ALL.len()).map(value).collect())
     }
 }
 
@@ -591,11 +695,7 @@ impl Columns for PacketBlock {
     /// A lazy field has no column: every row of it reads as 2⁶⁴ − 1.
     #[inline]
     fn col(&self, col: usize) -> impl Fn(u32) -> u64 + '_ {
-        let n = self.len();
-        let held: &[u32] = match LAZY >> col & 1 {
-            0 => &self.cols[col * n..(col + 1) * n],
-            _ => &[],
-        };
+        let held = self.column(col).unwrap_or_default();
         move |p| held.get(p as usize).map_or(u64::MAX, |&v| v as u64)
     }
 
@@ -615,8 +715,8 @@ pub struct PacketRow<'a> {
 impl RowSource for PacketRow<'_> {
     #[inline]
     fn cell(&self, col: usize, heap: &mut Heap) -> u64 {
-        if LAZY >> col & 1 == 0 {
-            return self.block.cols[col * self.block.len() + self.p] as u64;
+        if let Some(held) = self.block.column(col) {
+            return held[self.p] as u64;
         }
         let pkt = self.block.packets.view(self.p).decode().ok();
         let value = pkt.and_then(|pkt| pkt.get(Field::ALL[col]));
@@ -625,6 +725,7 @@ impl RowSource for PacketRow<'_> {
 
     fn contains(&self, col: usize, needle: &[u8], heap: &mut Heap) -> bool {
         if col == Field::Payload as usize {
+            debug_assert!(self.block.column(col).is_none());
             let payload = self.block.packets.view(self.p).payload();
             return payload.is_some_and(|b| contains_subslice(b, needle));
         }
@@ -858,6 +959,70 @@ mod tests {
             assert_eq!(row.contains(payload, b"zorro", &mut heap), p == 0);
         }
         assert_eq!(PacketBlock::of_packet(&packets[1]).tuple(0), block.tuple(1));
+    }
+
+    #[test]
+    fn a_masked_block_holds_its_fields_and_its_parts_are_checked() {
+        use sonata_packet::wire::field_mask;
+        let pkt = PacketBuilder::tcp_raw(1, 2, 3, 23)
+            .flags(TcpFlags::SYN)
+            .payload(&b"a zorro b"[..])
+            .build();
+        let mut arena = PacketArena::new();
+        arena.push_record(pkt.ts_nanos, &pkt.encode());
+        arena.push_record(9, &[0x45, 0, 0]); // does not decode
+        let full = Tuple::from_packet(&pkt);
+        let mut heap = Heap::default();
+        for fields in [
+            &[Field::Ipv4Dst, Field::TcpFlags][..],
+            &[Field::TcpDstPort, Field::Payload],
+        ] {
+            let mask = field_mask(fields);
+            let block = PacketBlock::extract(mask, arena.batch().iter());
+            assert_eq!((block.mask(), block.len()), (mask, 2));
+            assert!(block.is_valid(0) && !block.is_valid(1));
+            // Bytes ride only for a lazy field.
+            let lazy = fields.contains(&Field::Payload);
+            assert_eq!(block.packets().len(), if lazy { 2 } else { 0 });
+            assert_eq!(
+                block.columns().len(),
+                2 * (fields.len() - usize::from(lazy))
+            );
+            let t = block.tuple(0).unwrap();
+            for (c, v) in full.values().iter().enumerate() {
+                let held = mask >> c & 1 == 1;
+                assert_eq!(t.get(c), if held { v } else { &Value::U64(0) });
+                if held {
+                    let cell = block.row(0).cell(c, &mut heap);
+                    assert_eq!(&heap.value(cell), v);
+                }
+            }
+            let parts = || {
+                let (cols, valid) = (block.columns().to_vec(), block.validity().to_vec());
+                (cols, valid, block.packets().clone())
+            };
+            let (cols, valid, bytes) = parts();
+            assert_eq!(
+                PacketBlock::from_parts(mask, 2, cols, valid, bytes).as_ref(),
+                Ok(&block)
+            );
+            // A mask bit past the fields, a column short, a validity bit
+            // past the packets, bytes that do not match the mask.
+            let (cols, valid, bytes) = parts();
+            assert!(PacketBlock::from_parts(mask | 1 << 30, 2, cols, valid, bytes).is_err());
+            let (mut cols, valid, bytes) = parts();
+            cols.pop();
+            assert!(PacketBlock::from_parts(mask, 2, cols, valid, bytes).is_err());
+            let (cols, _, bytes) = parts();
+            assert!(PacketBlock::from_parts(mask, 2, cols, vec![0b101], bytes).is_err());
+            let (cols, valid, _) = parts();
+            let wrong = if lazy {
+                PacketArena::new()
+            } else {
+                arena.clone()
+            };
+            assert!(PacketBlock::from_parts(mask, 2, cols, valid, wrong).is_err());
+        }
     }
 
     #[test]

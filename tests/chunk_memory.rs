@@ -1,6 +1,7 @@
 //! Counting-allocator bound on report egress: cutting a window into
-//! chunks allocates what the chunks hold — wire bytes, packet index
-//! and rows — and not, per chunk, room for the rest of the window.
+//! chunks allocates what the chunks hold — packet columns and validity
+//! bits, wire bytes and packet index where they ride, and rows — and
+//! not, per chunk, room for the rest of the window.
 //! The emitter keeps every chunk's packets until the window closes, so
 //! a reservation sized by what is *left* would cost a window of `P`
 //! packets cut `C` ways about `C · P / 2` index entries.
@@ -62,7 +63,11 @@ fn chunks_allocate_what_they_hold() {
     let allocated = BYTES.load(Ordering::SeqCst) as usize;
     let held: usize = (chunks.iter())
         .map(|c| {
-            let packets = c.packets.total_bytes() + c.packets.len() * size_of::<ArenaIndex>();
+            let (block, bytes) = (&c.packets, c.packets.packets());
+            let packets = block.columns().len() * 4
+                + block.validity().len() * 8
+                + bytes.total_bytes()
+                + bytes.len() * size_of::<ArenaIndex>();
             let rows = c
                 .blocks
                 .iter()

@@ -217,6 +217,38 @@ fn tcp_fabric_is_bit_identical_to_loopback_and_baseline() {
     }
 }
 
+/// A plan whose mirrors carry packet bytes beside their columns — All-SP
+/// over the whole catalog, where zorro searches the payload and DNS
+/// tunneling reads the query name — over a TCP fabric matches the
+/// Loopback fabric bit for bit, and the single-switch reference path,
+/// which ships each report's whole packet, in every result.
+#[test]
+fn tcp_fabric_ships_lazy_fields_like_loopback_and_the_reference() {
+    let tr = EvaluationTrace::generate(11, 2, 3_000, 0.05).trace;
+    let plan = plan_for(PlanMode::AllSp, &catalog::all(&Thresholds::default()), &tr);
+    let reference = run_single(
+        &plan,
+        &tr,
+        RuntimeConfig {
+            force_reference_path: true,
+            ..config(None, TransportKind::Loopback, FaultPlan::none())
+        },
+    );
+    let (n, m) = (2, 2);
+    let loopback = run_fabric(
+        &plan,
+        &tr,
+        config(Some((n, m)), TransportKind::Loopback, FaultPlan::none()),
+    );
+    let tcp = run_fabric(
+        &plan,
+        &tr,
+        config(Some((n, m)), TransportKind::Tcp, FaultPlan::none()),
+    );
+    assert_equivalent(&reference, &tcp, n, "2x2 TCP vs reference");
+    assert_eq!(loopback.windows, tcp.windows, "2x2: TCP fabric diverged");
+}
+
 /// A 1×1 fabric is the degenerate case of the runtime: even under
 /// full fault injection (egress, worker, boundary seams) the two must
 /// produce bit-identical reports — including the degraded markers —

@@ -10,9 +10,13 @@
 //! Seeds come from `SONATA_NET_SEEDS` (comma-separated, default
 //! `7,23`) so CI's net-smoke job can pin its own set.
 
+use sonata::core::driver::deploy;
+use sonata::packet::wire::{ALL_FIELDS, LAZY_FIELDS};
+use sonata::pisa::{ReportBatch, Switch, SwitchConstraints};
 use sonata::prelude::*;
 use sonata::query::Query;
 use sonata::stream::testsupport::{low_thresholds, seeded_packets};
+use sonata::traffic::trace::EvaluationTrace;
 
 const WINDOW_NS: u64 = 3_000_000_000;
 
@@ -216,6 +220,44 @@ fn transport_seam_faults_are_identical_on_both_backends() {
     }
 }
 
+/// All-SP over the whole catalog, and over it without zorro: zorro
+/// joins raw packets, so every field rides; without it the DNS query
+/// name is still read, so the bytes ride beside a narrower set of
+/// columns. Over TCP either plan must match Loopback and the reference
+/// path, which ships each report's whole packet, bit for bit.
+#[test]
+fn tcp_ships_lazy_fields_bit_identically_to_loopback_and_the_reference() {
+    let tr = EvaluationTrace::generate(11, 2, 3_000, 0.05).trace;
+    let all = catalog::all(&Thresholds::default());
+    let without_zorro: Vec<Query> = all.iter().filter(|q| q.name != "zorro").cloned().collect();
+    let mut masks = Vec::new();
+    for queries in [all, without_zorro] {
+        let plan = net_plan_mode(&queries, &tr, PlanMode::AllSp);
+        let mask = deploy(&plan).unwrap().program.mirror_mask();
+        assert_ne!(mask & LAZY_FIELDS, 0, "{mask:x}");
+        masks.push(mask);
+        let loopback = run(
+            &plan,
+            &tr,
+            config(TransportKind::Loopback, 1, FaultPlan::none()),
+        );
+        assert!(loopback.windows.iter().any(|w| !w.alerts.is_empty()));
+        let reference = run(
+            &plan,
+            &tr,
+            RuntimeConfig {
+                force_reference_path: true,
+                ..config(TransportKind::Loopback, 1, FaultPlan::none())
+            },
+        );
+        let tcp = run(&plan, &tr, config(TransportKind::Tcp, 1, FaultPlan::none()));
+        assert_eq!(tcp.windows, loopback.windows, "{mask:x}: TCP vs Loopback");
+        assert_eq!(tcp.windows, reference.windows, "{mask:x}: TCP vs reference");
+    }
+    assert_eq!(masks[0], ALL_FIELDS);
+    assert_ne!(masks[1], ALL_FIELDS);
+}
+
 /// One window of `300 × slots` mixed packets.
 fn wide_window(slots: u64) -> Trace {
     let mut pkts = Vec::new();
@@ -242,9 +284,10 @@ fn rx_frames(rt: &Runtime) -> Vec<(String, u64)> {
 
 #[test]
 fn an_oversized_window_ships_several_block_frames_and_the_same_report() {
-    // All-SP mirrors every packet for both queries: 30 k packets of
-    // ~60 bytes, plus their rows, is past the 1 MiB chunk budget.
-    let tr = wide_window(100);
+    // All-SP mirrors every packet for both queries: 60 k packets, each
+    // ~16 bytes of columns plus two rows' indices, is past the 1 MiB
+    // chunk budget.
+    let tr = wide_window(200);
     assert_eq!(tr.windows(3_000).count(), 1);
     let plan = net_plan_mode(&net_queries(), &tr, PlanMode::AllSp);
     let one_by_one = run(
@@ -289,14 +332,15 @@ fn an_oversized_window_ships_several_block_frames_and_the_same_report() {
 }
 
 #[test]
-fn block_frames_carry_a_third_of_the_per_report_bytes() {
+fn block_frames_ship_at_most_64_bytes_per_mirrored_packet() {
     // Filter-DP over the top-8 catalog: the switch filters, and a
-    // packet several queries keep crosses the socket. One frame per
-    // report states the task, the column names and the packet once per
-    // report; blocks state them once per chunk.
+    // packet several queries keep crosses the socket once per window,
+    // as the seven header fields the queries read, with a 4-byte index
+    // per row that carries it. One frame per report states the task,
+    // the column names and the whole packet once per report.
     let tr = net_trace(3, net_seeds()[0]);
     let plan = net_plan_mode(&catalog::top8(&low_thresholds()), &tr, PlanMode::FilterDp);
-    let bytes_tx = |force_reference_path: bool| {
+    let traced = |force_reference_path: bool| {
         let cfg = RuntimeConfig {
             force_reference_path,
             obs: ObsHandle::enabled(),
@@ -305,17 +349,35 @@ fn block_frames_carry_a_third_of_the_per_report_bytes() {
         let mut rt = Runtime::new(&plan, cfg).unwrap();
         let report = rt.process_trace(&tr).unwrap();
         assert!(report.windows.iter().all(|w| w.tuples_to_sp > 0));
-        let sent = rt.obs().snapshot();
-        let sent = sent.counter("sonata_net_bytes_total{dir=\"tx\",peer=\"switch-0\"}");
-        (report, sent.unwrap())
+        (report, rx_frames(&rt))
     };
-    let (by_block, block_bytes) = bytes_tx(false);
-    let (by_report, report_bytes) = bytes_tx(true);
+    let (by_block, frames) = traced(false);
+    let (by_report, _) = traced(true);
     for (b, r) in by_block.windows.iter().zip(&by_report.windows) {
         assert_eq!((b.tuples_to_sp, &b.alerts), (r.tuples_to_sp, &r.alerts));
     }
+    let block_bytes: u64 = (frames.iter())
+        .filter(|(kind, _)| kind == "report_blocks")
+        .map(|(_, bytes)| *bytes)
+        .sum();
+    // The packets the switch mirrors, each carried once per window.
+    let deployed = deploy(&plan).unwrap();
+    let mut switch = Switch::load(deployed.program, &SwitchConstraints::default()).unwrap();
+    let mut mirrored = 0;
+    for (_, packets) in tr.windows(3_000) {
+        let arena = sonata::packet::PacketArena::from_packets(packets);
+        let mut out = ReportBatch::new();
+        switch.process_batch(&arena.batch(), &mut out);
+        let carried = out.blocks().iter().flat_map(|b| b.pkts.iter().copied());
+        mirrored += carried.collect::<std::collections::BTreeSet<u32>>().len() as u64;
+        switch.end_window();
+    }
+    assert!(mirrored > 100, "{mirrored} packets mirrored");
+    // The reading, for whoever moves the bound (`-- --nocapture`).
+    eprintln!("{block_bytes} bytes of blocks for {mirrored} mirrored packets");
     assert!(
-        block_bytes * 3 <= report_bytes,
-        "blocks sent {block_bytes} bytes, single reports {report_bytes}"
+        block_bytes <= 64 * mirrored,
+        "{} bytes of blocks per mirrored packet",
+        block_bytes / mirrored
     );
 }

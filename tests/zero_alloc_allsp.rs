@@ -4,9 +4,9 @@
 //! chunk, a vector of packet numbers per task, tables whose buffers
 //! outlive the window. What a steady-state window allocates is
 //! therefore a matter of blocks and groups, not of tuples: the bound
-//! here is **0.46 allocations per packet** for the whole window turn
+//! here is **0.455 allocations per packet** for the whole window turn
 //! (arena build, switch, emitter, eight stream jobs at eleven rows a
-//! packet, boundary update) — the reading, 0.420, plus a tenth —
+//! packet, boundary update) — the reading, 0.414, plus a tenth —
 //! where building a `Tuple` per packet and a `Tuple` per `map` took
 //! about fifteen.
 
@@ -57,7 +57,7 @@ fn an_allsp_window_allocates_per_block_and_group_not_per_tuple() {
     assert_eq!(tuples_seen, packets_seen * 11);
     assert!(packets_seen > 5_000, "{packets_seen} packets");
     assert!(
-        allocs * 100 <= packets_seen * 46,
+        allocs * 1000 <= packets_seen * 455,
         "{allocs} allocations over {packets_seen} packets ({tuples_seen} rows)"
     );
 }

@@ -5,9 +5,11 @@
 //! encodes every frame into the one buffer it keeps — so a window
 //! allocates **no wire buffer per packet**. The bound is on bytes, over
 //! every thread (the collector's readers decode into fresh chunks; that
-//! is the wire form arriving, and it is counted): at most 2 000 per
-//! packet, where re-encoding each packet for each window and framing
-//! each chunk through two fresh buffers took about 3 000.
+//! is the wire form arriving, and it is counted): at most 800 per
+//! packet — the reading, 728, plus a tenth — where a chunk that carried
+//! its packets' bytes, not the columns the queries read, took about
+//! 1 400, and re-encoding each packet for each window and framing each
+//! chunk through two fresh buffers about 3 000.
 
 mod common;
 
@@ -61,11 +63,13 @@ fn a_tcp_fabric_window_allocates_no_wire_buffer_per_packet() {
     }
     ARMED.store(false, Ordering::SeqCst);
     let bytes = BYTES.load(Ordering::SeqCst);
+    // The reading, for whoever moves the bound (`-- --nocapture`).
+    eprintln!("{bytes} bytes allocated over {packets_seen} packets");
     assert!(packets_seen > 5_000, "{packets_seen} packets");
     // The hop is exercised: several mirrored rows per packet cross it.
     assert!(tuples_seen > 3 * packets_seen, "{tuples_seen} rows");
     assert!(
-        bytes <= 2_000 * packets_seen,
+        bytes <= 800 * packets_seen,
         "{} bytes allocated per packet over {packets_seen} packets ({tuples_seen} rows)",
         bytes / packets_seen
     );

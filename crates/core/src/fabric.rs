@@ -1,26 +1,29 @@
-//! Multi-switch telemetry fabric: N switch instances feeding M
-//! collector shards.
+//! The window loop: N switch instances feeding M collector shards.
 //!
-//! A [`Fabric`] generalizes the one-switch↔one-collector [`Runtime`]
-//! shape: a [`TopologyConfig`] drives N independent [`Switch`]
-//! instances — each with its own deployed program, fault domain, and
-//! `sonata-net` transport (Loopback or Tcp, reusing the `Hello`
-//! plan-digest handshake per peer) — whose mirrored reports are
-//! demultiplexed per switch and merged per window into one global
-//! result processed by M collector shards.
+//! A [`TopologyConfig`] drives N independent [`Switch`] instances —
+//! each with its own deployed program, fault domain, and `sonata-net`
+//! transport (Loopback or Tcp, reusing the `Hello` plan-digest
+//! handshake per peer) — whose mirrored reports are demultiplexed per
+//! switch and merged per window into one global result processed by M
+//! collector shards. Every driver runs this one loop: the
+//! single-switch [`Runtime`] is a fabric of one switch, and
+//! `Fabric::run_window` is the only code that turns a window's
+//! packets into a [`WindowReport`].
 //!
 //! **Merge soundness.** Per-packet reports union trivially: the trace
 //! partitioner is exhaustive and flow-sticky, so each packet's reports
 //! come from exactly one switch and the union is the single-switch
-//! multiset. Register dumps do not: a fabric switch holds only the
-//! *partial* per-key aggregate of its traffic share, so applying a
-//! dump threshold on the switch would drop keys whose fabric-wide sum
-//! crosses it. Fabric switches therefore defer dump thresholds
-//! (`Switch::set_defer_dump_thresholds`), dumps arrive raw in the
-//! per-switch emitters' local stores, and the fabric replays each
-//! task's switch-resident operators **once** over the union of every
-//! switch's store — summing partials before thresholding, exactly the
-//! computation the single switch performed.
+//! multiset. Register dumps do not: a switch of a multi-switch fabric
+//! holds only the *partial* per-key aggregate of its traffic share, so
+//! applying a dump threshold on the switch would drop keys whose
+//! fabric-wide sum crosses it. From two switches on, switches
+//! therefore defer dump thresholds (`Switch::set_defer_dump_thresholds`),
+//! dumps arrive raw in the per-switch emitters' local stores, and the
+//! fabric replays each task's switch-resident operators **once** over
+//! the union of every switch's store — summing partials before
+//! thresholding, exactly the computation the single switch performed.
+//! A one-switch fabric holds the whole aggregate: its switch thresholds
+//! its own dumps, and the replay covers only the tasks that shunted.
 //!
 //! **Window alignment.** Windows ride the credit/lockstep protocol:
 //! each collector shard drains its assigned switches to `WindowClose`
@@ -40,28 +43,40 @@ use crate::drift::DriftMonitor;
 use crate::driver::{deploy, plan_digest, DeployedPlan, Deployment, QueryInstance};
 use crate::emitter::{Emitter, LocalStore};
 use crate::runtime::{
-    attribute_tuples, boundary_backoff_loop, build_feed_forward, collect_alerts,
-    feed_forward_control, submit_with_recovery, DegradedWindow, FeedForward, Ingest, ReplanState,
-    RuntimeConfig, RuntimeError, RuntimeObs, SwitchArrival, TelemetryReport, WindowLatency,
-    WindowReport, WindowRx,
+    DegradedWindow, ErrorBoundReport, ReplanConfig, RuntimeConfig, RuntimeError, SwitchArrival,
+    TelemetryReport, WindowLatency, WindowReport,
 };
-use sonata_faults::{FaultInjector, FaultRecord};
+use sonata_faults::{FaultInjector, FaultKind, FaultRecord};
 use sonata_net::loopback::{loopback_pair, DEFAULT_CAPACITY};
 use sonata_net::tcp::{tcp_pair, TcpOptions};
 use sonata_net::{
     CollectorEndpoint, Frame, NetError, NetMetrics, SwitchEndpoint, Transport, TransportKind,
 };
-use sonata_obs::{Counter, EventKind, FabricSnapshot, ObsHandle, Stage, StageTimer, TraceContext};
-use sonata_packet::Packet;
-use sonata_pisa::{ControlOp, Switch, TaskId, UpdateCostModel};
-use sonata_planner::{GlobalPlan, ReplanOutcome};
-use sonata_query::{Heap, Operator, QueryId, RowRun, RowSource};
+use sonata_obs::{
+    Counter, EventKind, FabricSnapshot, Gauge, Histogram, ObsHandle, Stage, StageTimer,
+    TraceContext,
+};
+use sonata_packet::{Packet, PacketArena, Value};
+use sonata_pisa::{
+    ControlOp, PisaProgram, ReportBatch, ReportKind, SketchBound, Switch, TaskId, UpdateCostModel,
+    WindowDump,
+};
+use sonata_planner::{GlobalPlan, ReplanOutcome, Replanner, SolveOptions};
+use sonata_query::{ColName, Heap, Operator, Query, QueryId, RowRun, RowSource, Tuple};
 use sonata_stream::{
-    merge_window_batches, BoundEntries, MicroBatchEngine, ShardedEngine, SwitchPartial, WindowBatch,
+    merge_window_batches, BoundEntries, JobResult, MicroBatchEngine, ShardedEngine, StreamError,
+    SwitchPartial, WindowBatch,
 };
 use sonata_traffic::{Trace, TracePartitioner};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::time::Duration;
+
+/// How many times a boundary write may fail (first attempt plus
+/// retries) before the fabric gives up, skips the filter update for
+/// the window, and marks it degraded. Each failure adds a simulated
+/// doubling backoff (1 ms, 2 ms, ...) to the window's update latency.
+const MAX_BOUNDARY_ATTEMPTS: u64 = 3;
 
 /// Shape of a telemetry fabric: how many switches split the tap, how
 /// many collector shards process the merged stream, and how the two
@@ -195,12 +210,64 @@ enum Role {
 /// One switch instance: the PISA model, its control-plane cost model,
 /// its scoped fault injector (egress seam), and its protocol endpoint.
 struct FabricSwitch {
+    /// `switch-N`: the node name on its spans and wire metrics.
+    name: String,
     switch: Switch,
     cost_model: UpdateCostModel,
     /// Takes in this switch's share of each window.
     ingest: Ingest,
     faults: FaultInjector,
     link: SwitchEndpoint,
+}
+
+/// How a switch takes in a window. The window's packets are laid into
+/// the packet arena once; then the whole window runs as one
+/// [`Switch::process_batch`] and ships as report blocks, or, under
+/// [`RuntimeConfig::force_reference_path`], each packet runs through
+/// [`Switch::process_reference`] and ships its reports one frame each.
+struct Ingest {
+    /// Window packet arena, rebuilt in place per window (allocations
+    /// retained across windows).
+    arena: PacketArena,
+    /// Report arena filled by [`Switch::process_batch`], reused across
+    /// windows.
+    reports: ReportBatch,
+    /// [`RuntimeConfig::force_reference_path`].
+    reference: bool,
+}
+
+impl Ingest {
+    fn new(reference: bool) -> Self {
+        Ingest {
+            arena: PacketArena::new(),
+            reports: ReportBatch::new(),
+            reference,
+        }
+    }
+
+    /// Run `packets` through `switch` and ship their reports over
+    /// `link`, `pump`ing after every send (see
+    /// [`SwitchEndpoint::send_batch_reports`]) — on the reference
+    /// path, after every packet.
+    fn feed(
+        &mut self,
+        switch: &mut Switch,
+        link: &mut SwitchEndpoint,
+        packets: &[Packet],
+        mut pump: impl FnMut() -> Result<(), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
+        self.arena.rebuild_from_packets(packets);
+        let batch = self.arena.batch();
+        if self.reference {
+            for view in batch.iter() {
+                link.send_packet_reports(switch.process_reference(view))?;
+                pump()?;
+            }
+            return Ok(());
+        }
+        switch.process_batch(&batch, &mut self.reports);
+        link.send_batch_reports(&self.reports, batch, pump)
+    }
 }
 
 /// The collector side of one switch's wire: endpoint plus the
@@ -212,17 +279,83 @@ struct FabricLink {
     emitter: Emitter,
 }
 
+/// Collector-side accumulator for one switch's frames of the window in
+/// flight.
+#[derive(Default)]
+struct WindowRx {
+    /// Plan epoch stamped on the window's frames (read off the wire
+    /// header at `WindowOpen`/`WindowClose`).
+    epoch: u64,
+    packets: u64,
+    opened: bool,
+    shunts: u64,
+    /// Shunts by the *task* (per-level job) that emitted them; folded
+    /// to source queries at window completion.
+    shunts_per_task: BTreeMap<QueryId, u64>,
+    dump: Option<WindowDump>,
+    closed: bool,
+    /// Trace context of the last data frame — the switch's window
+    /// root, propagated in-band; parents the collector-side spans.
+    ctx: TraceContext,
+    /// Switch-side stage waterfall carried on the `WindowClose` frame.
+    packet_loop_ns: u64,
+    dump_encode_ns: u64,
+    transport_ns: u64,
+    /// Collector-clock arrival of the close marker.
+    close_ns: u64,
+}
+
+impl WindowRx {
+    /// Count `n` received reports of `task` if they are collision
+    /// shunts.
+    fn note_shunts(&mut self, kind: ReportKind, task: TaskId, n: u64) {
+        if kind == ReportKind::Shunt && n > 0 {
+            self.shunts += n;
+            *self.shunts_per_task.entry(task.query).or_default() += n;
+        }
+    }
+}
+
 /// One collector shard: a sharded engine owning a subset of the
 /// queries, plus its crash-fallback twin when faults are enabled.
 struct Shard {
     engine: ShardedEngine,
+    /// Safe single-mode engine a job falls back to when it keeps
+    /// crashing after a respawn-and-retry; kept registration-
+    /// synchronised with the sharded engine. Only built when faults
+    /// are enabled — the fault-free path never pays for it.
     fallback: Option<MicroBatchEngine>,
 }
 
-/// Fabric-level metric handles: the runtime family plus per-switch and
-/// per-shard labeled counters.
+impl Shard {
+    /// (Re-)register a refined query on the engine and its fallback.
+    fn register(&mut self, refined: &Query) {
+        self.engine.register(refined.clone());
+        if let Some(fb) = &mut self.fallback {
+            fb.register(refined.clone());
+        }
+    }
+}
+
+/// Pre-resolved metric handles: the per-window path only touches
+/// atomics, never the registry lock.
 struct FabricObs {
-    rt: RuntimeObs,
+    handle: ObsHandle,
+    windows: Counter,
+    shunts: Counter,
+    alerts: Counter,
+    replans: Counter,
+    swaps: Counter,
+    filter_entries: Gauge,
+    update_latency: Histogram,
+    degraded_windows: Counter,
+    /// Reports the emitters dropped as malformed (decodable, but not
+    /// something the deployed plan's switch sends).
+    malformed_reports: Counter,
+    /// One counter per [`FaultKind`], in [`FaultKind::ALL`] order —
+    /// registered eagerly so every kind appears in snapshots (at zero)
+    /// even on runs that never injected it.
+    faults_injected: Vec<Counter>,
     /// `sonata_fabric_switch_packets{switch=...}`.
     switch_packets: Vec<Counter>,
     /// `sonata_fabric_switch_tuples{switch=...}` — tuples the switch's
@@ -242,7 +375,20 @@ impl FabricObs {
                 .collect()
         };
         FabricObs {
-            rt: RuntimeObs::new(handle),
+            handle: handle.clone(),
+            windows: handle.counter("sonata_runtime_windows_total", &[]),
+            shunts: handle.counter("sonata_runtime_shunts_total", &[]),
+            alerts: handle.counter("sonata_runtime_alerts_total", &[]),
+            replans: handle.counter("sonata_runtime_replans_total", &[]),
+            swaps: handle.counter("sonata_runtime_plan_swaps_total", &[]),
+            filter_entries: handle.gauge("sonata_runtime_filter_entries", &[]),
+            update_latency: handle.histogram("sonata_runtime_update_latency_ns", &[]),
+            degraded_windows: handle.counter("sonata_degraded_windows", &[]),
+            malformed_reports: handle.counter("sonata_emitter_malformed_reports_total", &[]),
+            faults_injected: FaultKind::ALL
+                .iter()
+                .map(|k| handle.counter("sonata_faults_injected", &[("kind", k.name())]))
+                .collect(),
             switch_packets: per("sonata_fabric_switch_packets", "switch", switches),
             switch_tuples: per("sonata_fabric_switch_tuples", "switch", switches),
             switch_stragglers: per("sonata_fabric_stragglers", "switch", switches),
@@ -251,14 +397,121 @@ impl FabricObs {
     }
 }
 
-/// The assembled multi-switch system. Built from the same
-/// [`GlobalPlan`] + [`RuntimeConfig`] pair as [`Runtime`]; the
-/// topology comes from [`RuntimeConfig::topology`] (default 1×1).
-///
-/// [`Runtime`]: crate::runtime::Runtime
+/// Live state of the closed replanning loop: the re-solver with its
+/// observation ring, the currently committed plan (warm-start base for
+/// the next re-solve), and the in-flight planner thread, if any.
+struct ReplanState {
+    replanner: Replanner,
+    committed: GlobalPlan,
+    swap_delay: u64,
+    use_ilp: bool,
+    delta: Option<usize>,
+    pending: Option<PendingReplan>,
+}
+
+/// A re-solve in flight on its planner thread, due to be joined and
+/// swapped in at `due_window`'s boundary.
+struct PendingReplan {
+    due_window: u64,
+    handle: std::thread::JoinHandle<Result<(ReplanOutcome, u64), String>>,
+}
+
+impl ReplanState {
+    fn from_config(cfg: &ReplanConfig, plan: &GlobalPlan) -> Option<Self> {
+        cfg.replanner.clone().map(|replanner| ReplanState {
+            replanner,
+            committed: plan.clone(),
+            swap_delay: cfg.swap_delay.max(1),
+            use_ilp: cfg.use_ilp,
+            delta: cfg.delta,
+            pending: None,
+        })
+    }
+
+    /// Feed one completed window into the observation ring and, on a
+    /// fired trigger, enqueue the incremental re-solve on a planner
+    /// thread — the window path never blocks on the solver. At most
+    /// one re-solve is in flight: a trigger landing while one is
+    /// pending is already answered by it.
+    fn note_window(&mut self, report: &WindowReport) {
+        // Observe the per-query *channel* load — batch tuples plus
+        // collision shunts — since that is what the cost model's
+        // per-branch `n` predicts. A drift that shows up purely as
+        // register pressure (a flash crowd colliding in a
+        // distinct-count register) would be invisible to the re-cost
+        // if only post-merge batch tuples were fed back.
+        let mut loads: BTreeMap<QueryId, u64> = report.tuples_per_query.iter().copied().collect();
+        for (q, n) in &report.shunts_per_query {
+            *loads.entry(*q).or_default() += n;
+        }
+        let loads: Vec<(QueryId, u64)> = loads.into_iter().collect();
+        self.replanner.observe_window(&loads);
+        if report.replan_triggered && self.pending.is_none() {
+            let replanner = self.replanner.clone();
+            let committed = self.committed.clone();
+            let use_ilp = self.use_ilp;
+            let delta = self.delta;
+            let handle = std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                let out = if use_ilp {
+                    replanner
+                        .replan_ilp(&committed, &SolveOptions::default(), delta)
+                        .map_err(|e| e.to_string())
+                } else {
+                    replanner.replan(&committed).map_err(|e| e.to_string())
+                };
+                out.map(|o| (o, started.elapsed().as_nanos() as u64))
+            });
+            self.pending = Some(PendingReplan {
+                due_window: report.window + self.swap_delay,
+                handle,
+            });
+        }
+    }
+
+    /// At the boundary *before* `window` opens: join the planner
+    /// thread once its due window arrived and hand back the outcome
+    /// (with the solve wall time) to swap in. `None` when nothing is
+    /// due, or when the re-solve failed — the committed plan simply
+    /// stays in force.
+    fn take_due(&mut self, window: u64) -> Option<(ReplanOutcome, u64)> {
+        if self.pending.as_ref().is_none_or(|p| window < p.due_window) {
+            return None;
+        }
+        let pending = self.pending.take().expect("checked above");
+        match pending.handle.join() {
+            Ok(Ok(res)) => Some(res),
+            _ => None,
+        }
+    }
+}
+
+/// One refinement chain link: the output of `from_job` feeds the
+/// dynamic filters of the next level.
+struct FeedForward {
+    /// The producing (coarser) job.
+    from_job: QueryId,
+    /// Key column in the producer's output.
+    out_col: ColName,
+    /// Dynamic filter tables of the consuming (finer) level.
+    tables: Vec<String>,
+    /// The consuming job, when some of its branches run their dynamic
+    /// filter at the stream processor (partition 0): the fabric
+    /// rewrites the registered query's `InSet` each window.
+    sp_job: Option<QueryId>,
+    /// Branches needing the SP-side rewrite.
+    sp_branches: Vec<u8>,
+}
+
+/// The assembled system. Built from a [`GlobalPlan`] +
+/// [`RuntimeConfig`] pair; the topology comes from
+/// [`RuntimeConfig::topology`] (default 1×1).
 pub struct Fabric {
     topo: TopologyConfig,
     partitioner: TracePartitioner,
+    /// Whether switches defer their dump thresholds to the cross-switch
+    /// merge — only sound, and only needed, from two switches on.
+    defers: bool,
     switches: Vec<FabricSwitch>,
     links: Vec<FabricLink>,
     shards: Vec<Shard>,
@@ -270,7 +523,6 @@ pub struct Fabric {
     /// Fabric-level injector: worker and boundary seams (per-switch
     /// egress seams live in each [`FabricSwitch`]).
     faults: FaultInjector,
-    shunt_replan_fraction: f64,
     drift: DriftMonitor,
     window_ms: u64,
     obs: FabricObs,
@@ -293,6 +545,7 @@ impl Fabric {
     pub fn new(plan: &GlobalPlan, cfg: RuntimeConfig) -> Result<Self, RuntimeError> {
         let topo = cfg.topology.clone().unwrap_or_default();
         topo.validate().map_err(RuntimeError::Control)?;
+        let defers = topo.switches > 1;
         let DeployedPlan {
             program,
             deployments,
@@ -305,20 +558,13 @@ impl Fabric {
         let mut links = Vec::with_capacity(topo.switches);
         for s in 0..topo.switches {
             let sid = s as u16;
-            let node = format!("switch-{s}");
+            let name = format!("switch-{s}");
             // Each switch's wire gets its own labeled metric family
             // (`peer="switch-N"`), so fabric-wide snapshots attribute
             // queue depth, reconnects, and frame counts per peer.
-            let metrics = NetMetrics::for_peer(&cfg.obs, &node);
+            let metrics = NetMetrics::for_peer(&cfg.obs, &name);
             let inj = FaultInjector::for_switch(&cfg.faults, sid);
-            let mut switch =
-                Switch::load_with_sketch(program.clone(), &cfg.constraints, &cfg.obs, cfg.sketch)
-                    .map_err(RuntimeError::Load)?;
-            // A fabric switch holds only the partial per-key aggregate
-            // of its traffic share: dump thresholds are only sound
-            // after the cross-switch merge, so defer them to the
-            // collector-side replay.
-            switch.set_defer_dump_thresholds(true);
+            let switch = load_switch(&cfg, program.clone(), defers)?;
             let (sw_t, sp_t): (Box<dyn Transport>, Box<dyn Transport>) = match cfg.transport {
                 TransportKind::Loopback => {
                     let (a, b) = loopback_pair(DEFAULT_CAPACITY, &metrics);
@@ -337,12 +583,13 @@ impl Fabric {
                 sw_t,
                 inj.clone(),
                 metrics.clone(),
-                &node,
+                &name,
                 digest,
                 plan.epoch,
             )?;
             switches.push(FabricSwitch {
                 switch,
+                name,
                 cost_model: cfg.cost_model,
                 ingest: Ingest::new(cfg.force_reference_path),
                 faults: inj.clone(),
@@ -350,63 +597,33 @@ impl Fabric {
             });
             links.push(FabricLink {
                 shard: topo.shard_for(s),
-                link: CollectorEndpoint::new(sp_t, metrics.clone(), digest, plan.epoch),
+                link: CollectorEndpoint::new(sp_t, metrics, digest, plan.epoch),
                 emitter: Emitter::with_faults(&deployments, &inj),
             });
         }
 
-        let mut shards = Vec::with_capacity(topo.shards);
-        for j in 0..topo.shards {
-            let mut engine = ShardedEngine::with_config(
-                cfg.workers,
-                &cfg.obs,
-                &faults,
-                cfg.force_reference_path,
-            );
-            let mut fallback = faults.is_enabled().then(|| {
-                let mut eng = MicroBatchEngine::new();
-                eng.set_force_reference(cfg.force_reference_path);
-                eng
-            });
-            for inst in instances
-                .iter()
-                .filter(|i| topo.shard_for_query(i.source) == j)
-            {
-                engine.register(inst.refined.clone());
-                if let Some(fb) = &mut fallback {
-                    fb.register(inst.refined.clone());
-                }
-            }
-            shards.push(Shard { engine, fallback });
-        }
-
-        let feed_forward = build_feed_forward(&deployments, &instances);
         let window_ms = cfg
             .window_ms
             .or_else(|| instances.first().map(|i| i.refined.window_ms))
             .unwrap_or(3_000);
-        let obs = FabricObs::new(&cfg.obs, topo.switches, topo.shards);
-        let partitioner = topo.partitioner();
-        let by_task = bind_tasks(&deployments);
-        let replan = ReplanState::from_config(&cfg.replan, plan);
         Ok(Fabric {
-            partitioner,
+            partitioner: topo.partitioner(),
+            defers,
             switches,
             links,
-            shards,
-            by_task,
+            shards: build_shards(&cfg, &topo, &faults, &instances),
+            by_task: bind_tasks(&deployments),
+            feed_forward: build_feed_forward(&deployments, &instances),
             instances,
-            feed_forward,
             faults,
-            shunt_replan_fraction: cfg.shunt_replan_fraction,
             drift: DriftMonitor::new(plan.budget(), cfg.drift.clone(), &cfg.obs),
             window_ms,
-            obs,
+            obs: FabricObs::new(&cfg.obs, topo.switches, topo.shards),
+            replan: ReplanState::from_config(&cfg.replan, plan),
             topo,
             cfg,
             outages: Vec::new(),
             last_control: vec![ControlOp::ResetRegisters],
-            replan,
         })
     }
 
@@ -429,6 +646,11 @@ impl Fabric {
     /// collector link; bumped by each fabric-wide swap).
     pub fn epoch(&self) -> u64 {
         self.links.first().map(|l| l.link.epoch()).unwrap_or(0)
+    }
+
+    /// Switch `s`'s PISA model.
+    pub(crate) fn switch(&self, s: usize) -> &Switch {
+        &self.switches[s].switch
     }
 
     /// Schedule a deterministic switch outage (chaos testing).
@@ -466,13 +688,18 @@ impl Fabric {
     /// Run a whole trace through the fabric: each non-empty window of
     /// the *unsplit* trace (global window indices) is partitioned
     /// across the switches by the topology's flow-sticky partitioner
-    /// and processed in lockstep.
+    /// — a single switch takes the window as it is — and processed in
+    /// lockstep.
     pub fn process_trace(&mut self, trace: &Trace) -> Result<TelemetryReport, RuntimeError> {
         let mut report = TelemetryReport::default();
-        let windows: Vec<(u64, &[Packet])> = trace.windows(self.window_ms).collect();
-        for (w, packets) in windows {
-            let parts = self.partition_window(packets);
-            report.windows.push(self.process_window(w, &parts)?);
+        for (w, packets) in trace.windows(self.window_ms) {
+            let window = if self.topo.switches == 1 {
+                self.run_window(w, &[packets])
+            } else {
+                let parts = self.partition_window(packets);
+                self.process_window(w, &parts)
+            };
+            report.windows.push(window?);
         }
         report.metrics = self.cfg.obs.snapshot();
         Ok(report)
@@ -495,6 +722,17 @@ impl Fabric {
             parts[s].push(pkt.share());
         }
         parts
+    }
+
+    /// Run one window across the fabric; `parts[s]` is switch `s`'s
+    /// share of it (see [`Self::partition_window`]). A part count other
+    /// than the topology's switch count is a [`RuntimeError::Control`].
+    pub fn process_window(
+        &mut self,
+        window: u64,
+        parts: &[Vec<Packet>],
+    ) -> Result<WindowReport, RuntimeError> {
+        self.run_window(window, &parts.iter().map(Vec::as_slice).collect::<Vec<_>>())
     }
 
     /// Rejoin procedure for a switch coming back from an outage:
@@ -525,15 +763,21 @@ impl Fabric {
         Ok(())
     }
 
-    /// Run one window across the fabric: per-switch data planes, the
+    /// The window turn every driver runs: per-switch data planes, the
     /// cross-switch merge, sharded stream processing, one refinement
     /// feed-forward, and the broadcast control turn.
-    pub fn process_window(
+    pub(crate) fn run_window(
         &mut self,
         window: u64,
-        parts: &[Vec<Packet>],
+        parts: &[&[Packet]],
     ) -> Result<WindowReport, RuntimeError> {
-        debug_assert_eq!(parts.len(), self.topo.switches);
+        if parts.len() != self.topo.switches {
+            return Err(RuntimeError::Control(format!(
+                "window {window}: {} packet parts for {} switches",
+                parts.len(),
+                self.topo.switches
+            )));
+        }
         // Boundary poll of the replanning loop, *before* the rejoins:
         // a due re-solve swaps the whole fabric — live and dark
         // switches alike — at this one boundary, so a switch rejoining
@@ -547,22 +791,11 @@ impl Fabric {
                 self.outages[i].1 = true;
             }
         }
-        let roles: Vec<Role> = (0..self.topo.switches)
-            .map(|s| self.role_of(s, window))
-            .collect();
-        let live = |roles: &[Role]| -> Vec<usize> {
-            roles
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| matches!(r, Role::Live))
-                .map(|(i, _)| i)
-                .collect()
-        };
-        let live_ids = live(&roles);
+        let n = self.topo.switches;
+        let roles: Vec<Role> = (0..n).map(|s| self.role_of(s, window)).collect();
+        let live_ids: Vec<usize> = (0..n).filter(|&s| roles[s] == Role::Live).collect();
         self.faults.begin_window(window);
-        let mut rxs: Vec<WindowRx> = (0..self.topo.switches)
-            .map(|_| WindowRx::default())
-            .collect();
+        let mut rxs: Vec<WindowRx> = (0..n).map(|_| WindowRx::default()).collect();
         let mut straggler_mask = 0u64;
 
         // Data plane, switch by switch (deterministic order). Every
@@ -571,26 +804,26 @@ impl Fabric {
         // own span in the *shared* window trace (the trace id is a
         // function of the window alone), so the whole fabric's window
         // stitches under one trace with one root per switch.
-        let handle = self.obs.rt.handle.clone();
-        let mut roots: Vec<Option<StageTimer>> = (0..self.topo.switches).map(|_| None).collect();
-        let mut loop_ns = vec![0u64; self.topo.switches];
-        for s in 0..self.topo.switches {
+        let handle = self.obs.handle.clone();
+        let mut roots: Vec<Option<StageTimer>> = (0..n).map(|_| None).collect();
+        let mut loop_ns = vec![0u64; n];
+        for s in 0..n {
             let limit = match roles[s] {
                 Role::Dark => continue,
                 Role::Cut(cut) => cut.min(parts[s].len()),
                 Role::Live => parts[s].len(),
             };
-            let name = format!("switch-{s}");
-            let root = handle.root_span(window, s as u16, &name);
-            self.switches[s].faults.begin_window(window);
-            self.switches[s].link.set_ctx(root.ctx());
-            self.switches[s]
-                .link
-                .open_window(window, parts[s].len() as u64)?;
-            let t = handle.trace_span(Stage::PacketLoop, window, root.ctx(), &name);
-            let slice = &parts[s][..limit];
             let (sw, link, rx) = (&mut self.switches[s], &mut self.links[s], &mut rxs[s]);
-            (sw.ingest).feed(&mut sw.switch, &mut sw.link, slice, || {
+            let root = handle.root_span(window, s as u16, &sw.name);
+            sw.faults.begin_window(window);
+            sw.link.set_ctx(root.ctx());
+            let packets = parts[s].len() as u64;
+            sw.link.open_window(window, packets)?;
+            if roles[s] == Role::Live {
+                handle.event(EventKind::WindowOpen { window, packets });
+            }
+            let t = handle.trace_span(Stage::PacketLoop, window, root.ctx(), &sw.name);
+            (sw.ingest).feed(&mut sw.switch, &mut sw.link, &parts[s][..limit], || {
                 pump_link(link, rx, &handle)
             })?;
             loop_ns[s] = t.finish();
@@ -600,9 +833,9 @@ impl Fabric {
                 // window. Discard everything it produced — the
                 // merge is all-or-nothing per switch — and reset
                 // its registers so the rejoin starts clean.
-                let _ = self.switches[s].switch.end_window();
-                while self.links[s].link.try_recv_frame()?.is_some() {}
-                let _ = self.links[s].emitter.take_partial();
+                let _ = sw.switch.end_window();
+                while link.link.try_recv_frame()?.is_some() {}
+                let _ = link.emitter.take_partial();
                 straggler_mask |= 1u64 << s;
                 self.obs.switch_stragglers[s].inc();
             }
@@ -611,19 +844,18 @@ impl Fabric {
         // transport are timed per switch, and the three switch-side
         // stage timings ride the `WindowClose` frame in-band.
         for &s in &live_ids {
-            let name = format!("switch-{s}");
+            let sw = &mut self.switches[s];
             let parent = roots[s]
                 .as_ref()
                 .map(StageTimer::ctx)
                 .unwrap_or(TraceContext::NONE);
-            let t = handle.trace_span(Stage::WindowDump, window, parent, &name);
-            let dump = self.switches[s].switch.end_window();
+            let t = handle.trace_span(Stage::WindowDump, window, parent, &sw.name);
+            let dump = sw.switch.end_window();
             let dump_ns = t.finish();
-            let t = handle.trace_span(Stage::Transport, window, parent, &name);
-            self.switches[s].link.send_dump(window, dump)?;
+            let t = handle.trace_span(Stage::Transport, window, parent, &sw.name);
+            sw.link.send_dump(window, dump)?;
             let transport_ns = t.finish();
-            self.switches[s]
-                .link
+            sw.link
                 .close_window(window, loop_ns[s], dump_ns, transport_ns)?;
         }
         // Window alignment: each collector shard drains its assigned
@@ -632,15 +864,11 @@ impl Fabric {
         // themselves, so it is reported after the fact.
         let drain_started = handle.now_ns();
         for shard in 0..self.topo.shards {
-            let assigned: Vec<usize> = live_ids
-                .iter()
-                .copied()
-                .filter(|&s| self.links[s].shard == shard)
-                .collect();
-            for s in assigned {
-                while !rxs[s].closed {
-                    let frame = self.links[s].link.recv_frame()?;
-                    absorb_frame(&mut self.links[s], &mut rxs[s], frame, &handle)?;
+            for &s in &live_ids {
+                let link = &mut self.links[s];
+                while link.shard == shard && !rxs[s].closed {
+                    let frame = link.link.recv_frame()?;
+                    absorb_frame(link, &mut rxs[s], frame, &handle)?;
                 }
             }
         }
@@ -665,7 +893,7 @@ impl Fabric {
         let epoch = live_ids
             .first()
             .map(|&s| rxs[s].epoch)
-            .unwrap_or_else(|| self.links.first().map(|l| l.link.epoch()).unwrap_or(0));
+            .unwrap_or_else(|| self.epoch());
         for &s in &live_ids {
             if rxs[s].epoch != epoch {
                 return Err(RuntimeError::Net(NetError::StaleEpoch {
@@ -686,31 +914,40 @@ impl Fabric {
         // the fabric merge of a sketch register is the sketch of the
         // union stream, so per-switch relative guarantees survive the
         // merge (ε/δ take component-wise maxima, masses add).
-        let mut all_bounds: Vec<sonata_pisa::SketchBound> = Vec::new();
+        let mut all_bounds: Vec<SketchBound> = Vec::new();
         {
             let _t = handle.trace_span(Stage::EmitterReplay, window, collector_parent, "collector");
             for &s in &live_ids {
-                debug_assert!(rxs[s].opened && rxs[s].closed, "window stream incomplete");
-                if let Some(dump) = rxs[s].dump.take() {
+                let (rx, link) = (&mut rxs[s], &mut self.links[s]);
+                debug_assert!(rx.opened && rx.closed, "window stream incomplete");
+                if let Some(dump) = rx.dump.take() {
                     all_bounds.extend(dump.bounds.iter().cloned());
-                    self.links[s].emitter.ingest_dump(&dump);
+                    link.emitter.ingest_dump(&dump);
                 }
-                packets += rxs[s].packets;
-                shunts += rxs[s].shunts;
-                for (job, n) in &rxs[s].shunts_per_task {
+                packets += rx.packets;
+                shunts += rx.shunts;
+                for (job, n) in &rx.shunts_per_task {
                     *shunts_per_task.entry(*job).or_default() += n;
                 }
-                let (direct, local) = self.links[s].emitter.take_partial();
-                duplicates_suppressed += self.links[s].emitter.suppressed.last;
-                (self.obs.rt.malformed_reports).add(self.links[s].emitter.malformed.last);
+                let (direct, local) = link.emitter.take_partial();
+                duplicates_suppressed += link.emitter.suppressed.last;
+                (self.obs.malformed_reports).add(link.emitter.malformed.last);
                 let forwarded: u64 = direct.iter().map(|(_, b)| b.tuple_count() as u64).sum();
-                self.obs.switch_packets[s].add(rxs[s].packets);
+                self.obs.switch_packets[s].add(rx.packets);
                 self.obs.switch_tuples[s].add(forwarded);
                 partials.push((s as u16, direct));
-                for (task, entries) in local {
-                    let slot = local_union.entry(task).or_default();
-                    for (op, tuples) in entries {
-                        slot.entry(op).or_default().extend(tuples);
+                // The first store of a task moves in whole; later
+                // switches' entries append to it.
+                for (task, store) in local {
+                    match local_union.entry(task) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(store);
+                        }
+                        Entry::Occupied(mut slot) => {
+                            for (op, runs) in store {
+                                slot.get_mut().entry(op).or_default().extend(runs);
+                            }
+                        }
                     }
                 }
             }
@@ -720,18 +957,20 @@ impl Fabric {
             let t = handle.trace_span(Stage::Merge, window, collector_parent, "collector");
             let mut merged: BTreeMap<QueryId, WindowBatch> =
                 merge_window_batches(partials).into_iter().collect();
-            // Cross-switch partial-aggregate merge: replay each task's
+            // Partial-aggregate merge: replay each task's
             // switch-resident operators once over the union of every
             // switch's local store, summing partial aggregates before
             // the deferred threshold applies.
             for (task, mut entries) in local_union {
                 let (dep, merge) = self.by_task.get_mut(&task).expect("local store task");
-                // The distinct-set dump recomputes every admitted
-                // key's downstream contribution, so shunt tuples that
-                // entered past the distinct (reduce-register
-                // collisions) are already represented: keep only
-                // entries at or before the distinct op.
-                if let Some(d) = (dep.local_ops.iter()).position(|op| *op == Operator::Distinct) {
+                // A deferred distinct-set dump recomputes every
+                // admitted key's downstream contribution, so shunt
+                // tuples that entered past the distinct
+                // (reduce-register collisions) are already
+                // represented: keep only entries at or before the
+                // distinct op.
+                let distinct = (dep.local_ops.iter()).position(|op| *op == Operator::Distinct);
+                if let Some(d) = distinct.filter(|_| self.defers) {
                     entries.retain(|op, _| *op <= d);
                 }
                 let survivors = RowRun::Cells(merge.run(&entries)?);
@@ -745,7 +984,7 @@ impl Fabric {
             // entries at its resume op. Post-distinct tuples are
             // unique within a window by definition, making exact-tuple
             // dedup lossless.
-            for (dep, _) in self.by_task.values() {
+            for (dep, _) in self.by_task.values().filter(|_| self.defers) {
                 if dep.local_ops.last() != Some(&Operator::Distinct) {
                     continue;
                 }
@@ -759,29 +998,29 @@ impl Fabric {
             batches
         };
         let tuples_to_sp: u64 = batches.iter().map(|(_, b)| b.tuple_count() as u64).sum();
-        let tuples_per_query = attribute_tuples(&self.instances, &batches);
+        let tuples_per_query = per_source(
+            &self.instances,
+            (batches.iter()).map(|(job, b)| (*job, b.tuple_count() as u64)),
+        );
 
         // Stream processing: dispatch each job to its owning shard, in
-        // job order (deterministic fault verdicts).
+        // job order (deterministic fault verdicts). With faults enabled
+        // a submit can fail with an injected worker crash; instead of
+        // failing the window the job degrades through a recovery
+        // ladder — respawn the dead worker and retry once, then run it
+        // on the shard's safe single-mode fallback engine.
         let mut worker_retries = 0u64;
         let mut single_mode_fallbacks = 0u64;
-        let mut outputs: HashMap<QueryId, sonata_stream::JobResult> = HashMap::new();
+        let mut outputs: HashMap<QueryId, JobResult> = HashMap::new();
         let shard_execute_ns;
         {
             let t = handle.trace_span(Stage::ShardExecute, window, collector_parent, "collector");
             for (job, batch) in batches {
-                let source = self
-                    .instances
-                    .iter()
-                    .find(|i| i.job == job)
-                    .map(|i| i.source)
-                    .unwrap_or(job);
-                let j = self.topo.shard_for_query(source);
+                let j = self.topo.shard_for_query(source_of(&self.instances, job));
                 let shard = &mut self.shards[j];
                 let result = if self.faults.is_enabled() {
                     submit_with_recovery(
-                        &mut shard.engine,
-                        shard.fallback.as_mut(),
+                        shard,
                         job,
                         batch,
                         &mut worker_retries,
@@ -796,45 +1035,46 @@ impl Fabric {
             shard_execute_ns = t.finish();
         }
 
+        // Alerts: finest-level outputs, in query order.
         let alerts = collect_alerts(&self.instances, &outputs);
 
         // Refinement feed-forward: rewritten SP-side queries
-        // re-register on their owning shard (and its fallback twin).
+        // re-register on their owning shard (and its fallback twin, or
+        // a post-rewrite fallback would filter with a stale key set).
         let shards = &mut self.shards;
         let topo = &self.topo;
         let mut control_ops = feed_forward_control(
             &self.feed_forward,
             &mut self.instances,
             &outputs,
-            |refined| {
-                let source = QueryId(refined.id.0 / 1000);
-                let shard = &mut shards[topo.shard_for_query(source)];
-                shard.engine.register(refined.clone());
-                if let Some(fb) = &mut shard.fallback {
-                    fb.register(refined.clone());
-                }
-            },
+            |source, refined| shards[topo.shard_for_query(source)].register(refined),
         );
         control_ops.push(ControlOp::ResetRegisters);
 
-        // Boundary update through the fabric-level injector, then
-        // broadcast the identical control batch to every live switch.
+        // Boundary update through the fabric-level injector, degrading
+        // gracefully under injected write failures: retry with
+        // simulated doubling backoff (added to the window's update
+        // latency) up to MAX_BOUNDARY_ATTEMPTS; on exhaustion skip the
+        // filter update for this window — the registers are still
+        // reset so the next window starts clean — and mark the window
+        // degraded instead of failing the run. Then broadcast the
+        // identical control batch to every live switch; it carries the
+        // window's trace, closing the loop end to end.
         let (boundary_retries, boundary_backoff, boundary_skipped);
         {
             let _t =
                 handle.trace_span(Stage::DynFilterWrite, window, collector_parent, "collector");
             (boundary_retries, boundary_backoff, boundary_skipped) =
                 boundary_backoff_loop(&self.faults);
-            let ops: &[ControlOp] = if boundary_skipped {
-                // ResetRegisters is the last op pushed above.
-                &control_ops[control_ops.len() - 1..]
-            } else {
-                &control_ops
-            };
-            for &s in &live_ids {
-                self.links[s].link.send_control(window, ops)?;
+            if boundary_skipped {
+                // Keep only ResetRegisters, the last op pushed above.
+                control_ops.drain(..control_ops.len() - 1);
             }
-            self.last_control = ops.to_vec();
+            for &s in &live_ids {
+                self.links[s].link.set_ctx(rxs[s].ctx);
+                self.links[s].link.send_control(window, &control_ops)?;
+            }
+            self.last_control = control_ops;
         }
         // Control turn on every live switch. The acks are identical
         // across switches — the deterministic cost model applied the
@@ -864,19 +1104,18 @@ impl Fabric {
         let update_latency = Duration::from_nanos(latency_ns) + boundary_backoff;
         // Reconcile the merged window against the plan's committed
         // tuple budget; the sustained-threshold rule decides
-        // re-planning, exactly as on the single-switch runtime.
-        let tuples_per_query: Vec<(QueryId, u64)> = tuples_per_query.into_iter().collect();
+        // re-planning.
         let drift = self.drift.observe(
             &tuples_per_query,
             packets,
             shunts,
-            self.shunt_replan_fraction,
+            self.cfg.shunt_replan_fraction,
         );
         let replan_triggered = drift.replan;
 
-        // Metrics and events, mirroring the single-switch runtime.
+        // Metrics and events.
         let alert_count: u64 = alerts.values().map(|t| t.len() as u64).sum();
-        let o = &self.obs.rt;
+        let o = &self.obs;
         o.windows.inc();
         o.shunts.add(shunts);
         o.alerts.add(alert_count);
@@ -983,16 +1222,14 @@ impl Fabric {
             tuples_to_sp,
             shunts,
             tuples_per_query,
-            shunts_per_query: crate::runtime::attribute_shunts(&self.instances, &shunts_per_task)
-                .into_iter()
-                .collect(),
+            shunts_per_query: per_source(&self.instances, shunts_per_task),
             alerts: alerts.into_iter().collect(),
             filter_entries_written: entries_written as usize,
             update_latency,
             replan_triggered,
             latency,
             degraded,
-            error_bounds: crate::runtime::fold_error_bounds(&all_bounds),
+            error_bounds: fold_error_bounds(&all_bounds),
         };
         if let Some(rs) = &mut self.replan {
             rs.note_window(&report);
@@ -1033,17 +1270,9 @@ impl Fabric {
             instances,
         } = deploy(&plan)?;
         let digest = plan_digest(&deployments);
-        for s in 0..self.topo.switches {
-            let mut switch = Switch::load_with_sketch(
-                program.clone(),
-                &self.cfg.constraints,
-                &self.cfg.obs,
-                self.cfg.sketch,
-            )
-            .map_err(RuntimeError::Load)?;
-            switch.set_defer_dump_thresholds(true);
-            self.switches[s].switch = switch;
-            self.links[s].emitter = Emitter::with_faults(&deployments, &self.switches[s].faults);
+        for (sw, link) in self.switches.iter_mut().zip(&mut self.links) {
+            sw.switch = load_switch(&self.cfg, program.clone(), self.defers)?;
+            link.emitter = Emitter::with_faults(&deployments, &sw.faults);
         }
         // Collector side first: each link must already judge frames
         // against the new plan when its switch's `Hello` arrives.
@@ -1053,29 +1282,7 @@ impl Fabric {
         for sw in &mut self.switches {
             sw.link.set_plan(digest, plan.epoch)?;
         }
-        for j in 0..self.topo.shards {
-            let mut engine = ShardedEngine::with_config(
-                self.cfg.workers,
-                &self.cfg.obs,
-                &self.faults,
-                self.cfg.force_reference_path,
-            );
-            let mut fallback = self.shards[j].fallback.is_some().then(|| {
-                let mut eng = MicroBatchEngine::new();
-                eng.set_force_reference(self.cfg.force_reference_path);
-                eng
-            });
-            for inst in instances
-                .iter()
-                .filter(|i| self.topo.shard_for_query(i.source) == j)
-            {
-                engine.register(inst.refined.clone());
-                if let Some(fb) = &mut fallback {
-                    fb.register(inst.refined.clone());
-                }
-            }
-            self.shards[j] = Shard { engine, fallback };
-        }
+        self.shards = build_shards(&self.cfg, &self.topo, &self.faults, &instances);
         self.feed_forward = build_feed_forward(&deployments, &instances);
         self.by_task = bind_tasks(&deployments);
         self.instances = instances;
@@ -1084,8 +1291,8 @@ impl Fabric {
         // the register reset.
         self.last_control = vec![ControlOp::ResetRegisters];
         self.drift.rebase(plan.budget());
-        self.obs.rt.swaps.inc();
-        self.obs.rt.handle.event(EventKind::PlanSwap {
+        self.obs.swaps.inc();
+        self.obs.handle.event(EventKind::PlanSwap {
             window,
             epoch: plan.epoch,
             plan_digest: digest,
@@ -1108,10 +1315,49 @@ impl Fabric {
         FabricSnapshot::from_labeled(&self.cfg.obs.snapshot())
     }
 
-    /// The observability handle this fabric reports into.
+    /// The observability handle this fabric reports into (the one
+    /// from [`RuntimeConfig::obs`]): use it to export events and
+    /// traces after a run.
     pub fn obs(&self) -> &ObsHandle {
         &self.cfg.obs
     }
+}
+
+/// Load `program` onto one switch; `defers` is [`Fabric::defers`].
+fn load_switch(
+    cfg: &RuntimeConfig,
+    program: PisaProgram,
+    defers: bool,
+) -> Result<Switch, RuntimeError> {
+    let mut switch = Switch::load_with_sketch(program, &cfg.constraints, &cfg.obs, cfg.sketch)
+        .map_err(RuntimeError::Load)?;
+    switch.set_defer_dump_thresholds(defers);
+    Ok(switch)
+}
+
+/// One collector shard per topology shard, each registering the
+/// instances whose source query it owns.
+fn build_shards(
+    cfg: &RuntimeConfig,
+    topo: &TopologyConfig,
+    faults: &FaultInjector,
+    instances: &[QueryInstance],
+) -> Vec<Shard> {
+    let reference = cfg.force_reference_path;
+    let mut shards: Vec<Shard> = (0..topo.shards)
+        .map(|_| Shard {
+            engine: ShardedEngine::with_config(cfg.workers, &cfg.obs, faults, reference),
+            fallback: faults.is_enabled().then(|| {
+                let mut eng = MicroBatchEngine::new();
+                eng.set_force_reference(reference);
+                eng
+            }),
+        })
+        .collect();
+    for inst in instances {
+        shards[topo.shard_for_query(inst.source)].register(&inst.refined);
+    }
+    shards
 }
 
 /// Each deployed task with its local merge bound.
@@ -1157,8 +1403,7 @@ fn absorb_frame(
     obs: &ObsHandle,
 ) -> Result<(), RuntimeError> {
     match frame {
-        Frame::WindowOpen { window, packets } => {
-            rx.window = window;
+        Frame::WindowOpen { packets, .. } => {
             rx.packets = packets;
             rx.opened = true;
             rx.ctx = link.link.last_ctx();
@@ -1196,6 +1441,304 @@ fn absorb_frame(
         }
     }
     Ok(())
+}
+
+/// Submit one job through the worker-crash recovery ladder: respawn
+/// the dead worker and retry once; if the job crashes again, respawn
+/// and run it on the shard's safe single-mode fallback engine (which
+/// carries no injector and therefore cannot crash). Non-crash errors
+/// propagate unchanged.
+fn submit_with_recovery(
+    shard: &mut Shard,
+    job: QueryId,
+    batch: WindowBatch,
+    retries: &mut u64,
+    fallbacks: &mut u64,
+) -> Result<JobResult, RuntimeError> {
+    let engine = &mut shard.engine;
+    match engine.submit(job, &batch) {
+        Ok(r) => Ok(r),
+        Err(StreamError::Panic(_)) => {
+            engine.recover_workers();
+            *retries += 1;
+            match engine.submit(job, &batch) {
+                Ok(r) => Ok(r),
+                Err(StreamError::Panic(_)) => {
+                    engine.recover_workers();
+                    *fallbacks += 1;
+                    let fallback = (shard.fallback.as_mut())
+                        .expect("fallback engine exists when faults are enabled");
+                    Ok(fallback.submit_owned(job, batch)?)
+                }
+                Err(e) => Err(e.into()),
+            }
+        }
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Boundary-write retry loop under injected write failures: returns
+/// `(retries, simulated backoff, skipped)`. On exhaustion the caller
+/// sends only the trailing `ResetRegisters` op and marks the window
+/// degraded instead of failing the run.
+fn boundary_backoff_loop(faults: &FaultInjector) -> (u64, Duration, bool) {
+    let mut boundary_retries = 0u64;
+    let mut boundary_backoff = Duration::ZERO;
+    let mut boundary_skipped = false;
+    while faults.boundary_write_fails() {
+        boundary_retries += 1;
+        if boundary_retries >= MAX_BOUNDARY_ATTEMPTS {
+            boundary_skipped = true;
+            break;
+        }
+        boundary_backoff += Duration::from_millis(1 << (boundary_retries - 1));
+    }
+    (boundary_retries, boundary_backoff, boundary_skipped)
+}
+
+/// The source query a stream job belongs to.
+fn source_of(instances: &[QueryInstance], job: QueryId) -> QueryId {
+    (instances.iter().find(|i| i.job == job)).map_or(job, |i| i.source)
+}
+
+/// Fold per-job counts of a window (batch tuples, collision shunts)
+/// into per-*source*-query counts, sorted by query id: all refinement
+/// levels of one query fold into its entry.
+fn per_source(
+    instances: &[QueryInstance],
+    per_job: impl IntoIterator<Item = (QueryId, u64)>,
+) -> Vec<(QueryId, u64)> {
+    let mut per_query: BTreeMap<QueryId, u64> = BTreeMap::new();
+    for (job, n) in per_job {
+        *per_query.entry(source_of(instances, job)).or_default() += n;
+    }
+    per_query.into_iter().collect()
+}
+
+/// Collect finest-level job outputs as user-facing alerts, in query
+/// order.
+fn collect_alerts(
+    instances: &[QueryInstance],
+    outputs: &HashMap<QueryId, JobResult>,
+) -> BTreeMap<QueryId, Vec<Tuple>> {
+    let mut alerts: BTreeMap<QueryId, Vec<Tuple>> = BTreeMap::new();
+    for inst in instances {
+        if inst.is_finest {
+            let out = outputs
+                .get(&inst.job)
+                .map(|r| r.output.clone())
+                .unwrap_or_default();
+            if !out.is_empty() {
+                alerts.entry(inst.source).or_default().extend(out);
+            }
+        }
+    }
+    alerts
+}
+
+/// Extract the refinement-key set a coarse level feeds forward.
+///
+/// Join-free queries feed their final output keys. For join queries
+/// the paper says "their [the sub-queries'] output at coarser levels
+/// determines which portion of traffic to process" (Section 4.1): we
+/// feed the final (post-join) output **plus** the output of any branch
+/// that is itself a thresholded aggregation — e.g. Query 3's counting
+/// sub-query, whose coarse output must steer the zoom-in even before
+/// the payload keyword (which only the joined output sees) appears.
+fn refinement_keys(result: &JobResult, inst: &QueryInstance, out_col: &ColName) -> BTreeSet<Value> {
+    let level = inst.level;
+    let field_col = inst
+        .refined
+        .refinement
+        .as_ref()
+        .map(|h| h.field.name())
+        .unwrap_or("");
+    let mut keys: BTreeSet<Value> = BTreeSet::new();
+    // Final output keys.
+    if let Ok(schema) = inst.refined.output_schema() {
+        let idx = schema.index_of(out_col).unwrap_or(0);
+        keys.extend(
+            result
+                .output
+                .iter()
+                .map(|t| t.get(idx).mask_to_level(level)),
+        );
+    }
+    // Self-thresholded branches contribute their own signal — but
+    // only when the joined output hinges on a content predicate the
+    // coarse level cannot wait for (Query 3's "zorro" keyword). For
+    // arithmetic post-join thresholds (SYN−ACK difference, conns/KB)
+    // the trained relaxed thresholds make the final output the
+    // faithful coarse signal (Section 4.1's Slowloris argument).
+    let post_confirms = inst
+        .refined
+        .join
+        .as_ref()
+        .map(|j| j.post.has_content_predicate())
+        .unwrap_or(false);
+    let branch_thresholded = |b: usize| -> bool {
+        if !post_confirms {
+            return false;
+        }
+        if b == 0 {
+            inst.refined.pipeline.ends_with_threshold_filter()
+        } else {
+            inst.refined
+                .join
+                .as_ref()
+                .map(|j| j.right.ends_with_threshold_filter())
+                .unwrap_or(false)
+        }
+    };
+    for (b, (schema, tuples)) in result.branch_outputs.iter().enumerate() {
+        if !branch_thresholded(b) {
+            continue;
+        }
+        let Some(idx) = schema
+            .index_of(out_col)
+            .or_else(|| schema.index_of(field_col))
+        else {
+            continue;
+        };
+        keys.extend(tuples.iter().map(|t| t.get(idx).mask_to_level(level)));
+    }
+    keys
+}
+
+/// Replace the entries of the first `InSet` filter in a branch of a
+/// refined query (the SP-side analogue of a dynamic filter table
+/// update).
+fn rewrite_inset(q: &mut Query, branch: u8, set: BTreeSet<Value>) {
+    use sonata_query::expr::Pred;
+    let pipeline = match branch {
+        0 => &mut q.pipeline,
+        _ => match &mut q.join {
+            Some(j) => &mut j.right,
+            None => return,
+        },
+    };
+    for op in &mut pipeline.ops {
+        if let Operator::Filter(Pred::InSet { set: s, .. }) = op {
+            *s = std::sync::Arc::new(set);
+            return;
+        }
+    }
+}
+
+/// Resolve the refinement feed-forward links of a deployed plan: for
+/// each instance with a chain predecessor, the predecessor's job and
+/// the instance's dynamic-filter tables (or SP-side branches when the
+/// filter runs at the stream processor).
+fn build_feed_forward(deployments: &[Deployment], instances: &[QueryInstance]) -> Vec<FeedForward> {
+    let mut feed_forward = Vec::new();
+    for inst in instances {
+        let Some(prev_level) = inst.prev else {
+            continue;
+        };
+        let from = instances
+            .iter()
+            .find(|i| i.source == inst.source && i.level == prev_level)
+            .expect("chain predecessor deployed");
+        let mut tables = Vec::new();
+        let mut sp_branches = Vec::new();
+        for d in deployments
+            .iter()
+            .filter(|d| d.task.query == inst.source && d.task.level == inst.level)
+        {
+            match &d.dynfilter_table {
+                Some(t) => tables.push(t.clone()),
+                // Partition 0: the dynamic filter op runs at the
+                // stream processor and must be rewritten there.
+                None => sp_branches.push(d.branch),
+            }
+        }
+        let out_col = from
+            .out_col
+            .clone()
+            .expect("refinable query has an out column");
+        feed_forward.push(FeedForward {
+            from_job: from.job,
+            out_col,
+            tables,
+            sp_job: (!sp_branches.is_empty()).then_some(inst.job),
+            sp_branches,
+        });
+    }
+    feed_forward
+}
+
+/// Dynamic refinement: turn level-r outputs into the control ops that
+/// install level-r+1 dynamic filters for the next window, rewriting
+/// SP-side `InSet` branches in place. `reregister` is called with each
+/// rewritten refined query and its source query, so the caller can
+/// update the engine that owns the job.
+fn feed_forward_control(
+    feed_forward: &[FeedForward],
+    instances: &mut [QueryInstance],
+    outputs: &HashMap<QueryId, JobResult>,
+    mut reregister: impl FnMut(QueryId, &Query),
+) -> Vec<ControlOp> {
+    let mut control_ops = Vec::new();
+    for link in feed_forward {
+        let keys: BTreeSet<Value> = outputs
+            .get(&link.from_job)
+            .map(|result| {
+                let inst = instances
+                    .iter()
+                    .find(|i| i.job == link.from_job)
+                    .expect("producer instance");
+                refinement_keys(result, inst, &link.out_col)
+            })
+            .unwrap_or_default();
+        // Switch filter tables hold fixed-width scalars; textual
+        // keys (DNS names) can only gate at the stream processor,
+        // and the compiler never places their filters on the
+        // switch in the first place.
+        let scalar: BTreeSet<u64> = keys.iter().filter_map(Value::as_u64).collect();
+        for table in &link.tables {
+            control_ops.push(ControlOp::SetDynFilter {
+                table: table.clone(),
+                entries: scalar.clone(),
+            });
+        }
+        if let Some(job) = link.sp_job {
+            if let Some(inst) = instances.iter_mut().find(|i| i.job == job) {
+                for &b in &link.sp_branches {
+                    rewrite_inset(&mut inst.refined, b, keys.clone());
+                }
+                reregister(inst.source, &inst.refined);
+            }
+        }
+    }
+    control_ops
+}
+
+/// Fold per-register sketch bounds into per-query reports, sorted by
+/// query id. Empty input (every register exact) yields an empty vec.
+fn fold_error_bounds(bounds: &[SketchBound]) -> Vec<ErrorBoundReport> {
+    let mut per_query: BTreeMap<QueryId, ErrorBoundReport> = BTreeMap::new();
+    for b in bounds {
+        let e = per_query
+            .entry(b.task.query)
+            .or_insert_with(|| ErrorBoundReport {
+                query: b.task.query,
+                layout: b.layout,
+                epsilon: 0.0,
+                delta: 0.0,
+                mass: 0,
+                updates: 0,
+                saturated: false,
+            });
+        if b.epsilon > e.epsilon {
+            e.epsilon = b.epsilon;
+            e.layout = b.layout;
+        }
+        e.delta = e.delta.max(b.delta);
+        e.mass += b.mass;
+        e.updates += b.updates;
+        e.saturated |= b.saturated;
+    }
+    per_query.into_values().collect()
 }
 
 #[cfg(test)]
@@ -1378,5 +1921,75 @@ mod tests {
         // The degraded window only saw switch 0's packets.
         assert!(report.windows[1].packets < report.windows[0].packets);
         assert_eq!(report.windows[2].packets, report.windows[0].packets);
+    }
+
+    #[test]
+    fn a_part_count_other_than_the_switch_count_is_refused() {
+        let tr = trace(1);
+        let plan = plan_for(PlanMode::MaxDp, &[q1()], &tr);
+        let mut fab = Fabric::new(
+            &plan,
+            RuntimeConfig {
+                topology: Some(TopologyConfig::new(2, 1)),
+                ..RuntimeConfig::default()
+            },
+        )
+        .unwrap();
+        let (_, packets) = tr.windows(3_000).next().unwrap();
+        let parts = fab.partition_window(packets);
+        let extra = parts[0].clone();
+        for wrong in [
+            vec![parts[0].clone()],
+            vec![parts[0].clone(), parts[1].clone(), extra],
+        ] {
+            match fab.process_window(0, &wrong) {
+                Err(RuntimeError::Control(msg)) => assert!(msg.contains("2 switches"), "{msg}"),
+                other => panic!("{} parts: {other:?}", wrong.len()),
+            }
+        }
+        // Refusing touched nothing: the right split still runs.
+        let report = fab.process_window(0, &parts).unwrap();
+        assert_eq!(report.packets, packets.len() as u64);
+    }
+
+    #[test]
+    fn every_live_switch_logs_a_window_open_per_window() {
+        let tr = trace(3);
+        let plan = plan_for(PlanMode::MaxDp, &[q1()], &tr);
+        let obs = ObsHandle::enabled();
+        let mut fab = Fabric::new(
+            &plan,
+            RuntimeConfig {
+                obs: obs.clone(),
+                topology: Some(TopologyConfig::new(2, 2)),
+                ..RuntimeConfig::default()
+            },
+        )
+        .unwrap();
+        fab.set_outage(SwitchOutage {
+            switch: 1,
+            from_window: 1,
+            cut_after: 3,
+            rejoin_window: 2,
+        })
+        .unwrap();
+        let report = fab.process_trace(&tr).unwrap();
+        assert_eq!(report.windows.len(), 3);
+        let opens: Vec<(u64, u64)> = (obs.events().into_iter())
+            .filter_map(|e| match e.kind {
+                EventKind::WindowOpen { window, packets } => Some((window, packets)),
+                _ => None,
+            })
+            .collect();
+        // Both switches in windows 0 and 2; only switch 0 in window 1,
+        // where switch 1 is cut off mid-window.
+        let windows: Vec<u64> = opens.iter().map(|&(w, _)| w).collect();
+        assert_eq!(windows, [0, 0, 1, 2, 2]);
+        for w in &report.windows {
+            let opened: u64 = (opens.iter().filter(|&&(o, _)| o == w.window))
+                .map(|&(_, n)| n)
+                .sum();
+            assert_eq!(opened, w.packets, "window {}", w.window);
+        }
     }
 }

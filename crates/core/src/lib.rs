@@ -21,12 +21,16 @@
 //! * [`emitter`] — parses mirrored reports by task, reorders tuple
 //!   columns into each entry point's schema, and assembles per-window
 //!   batches (per-packet reports, collision shunts, register dumps);
-//! * [`runtime`] — the orchestration loop: per window, push packets
-//!   through the switch, close the window (register dump + reset),
-//!   run the stream jobs, emit finest-level results as alerts, and
-//!   feed coarser-level outputs into the next level's dynamic filter
-//!   tables through the control API (with the paper's measured update
-//!   latency model), watching collision pressure for re-planning.
+//! * [`fabric`] — the orchestration loop, one for every driver: per
+//!   window, push packets through N switches, close the window
+//!   (register dump + reset), merge the switches' partials, run the
+//!   stream jobs on M collector shards, emit finest-level results as
+//!   alerts, and feed coarser-level outputs into the next level's
+//!   dynamic filter tables through the control API (with the paper's
+//!   measured update latency model), watching collision pressure for
+//!   re-planning;
+//! * [`runtime`] — the run's configuration and reports, and the
+//!   single-switch [`Runtime`], a fabric of one switch.
 //!
 //! [`PisaProgram`]: sonata_pisa::PisaProgram
 

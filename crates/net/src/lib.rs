@@ -26,8 +26,7 @@
 //!
 //! The protocol is window-lockstep: the collector grants a credit only
 //! after fully draining a closed window, bounding switch run-ahead to
-//! one window and keeping threaded and TCP runs bit-identical to
-//! single-threaded loopback runs.
+//! one window and keeping TCP runs bit-identical to loopback runs.
 //!
 //! Every frame header also carries the sender's committed **plan
 //! epoch** (v4): an online re-plan swaps in an epoch-bumped plan at a

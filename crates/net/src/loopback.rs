@@ -10,9 +10,9 @@ use crate::transport::{FrameQueue, NetError, NetMetrics, Transport};
 use sonata_obs::TraceContext;
 use std::time::Duration;
 
-/// Default queue capacity per direction. Per-packet pumping keeps the
-/// live depth tiny; the headroom exists for the threaded driver, where
-/// the switch runs a full window ahead of the collector's drain.
+/// Default queue capacity per direction. Pumping after every send keeps
+/// the live depth tiny; the headroom lets a switch run a full window
+/// ahead of its collector's drain.
 pub const DEFAULT_CAPACITY: usize = 65_536;
 
 /// One end of a loopback link.

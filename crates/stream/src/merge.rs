@@ -47,6 +47,7 @@
 
 use crate::window::WindowBatch;
 use sonata_query::{QueryId, RowRun};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// One switch's contribution to a window: its id plus the per-query
@@ -65,7 +66,14 @@ pub fn merge_window_batches(mut partials: Vec<SwitchPartial>) -> Vec<(QueryId, W
     let mut merged: BTreeMap<QueryId, WindowBatch> = BTreeMap::new();
     for (_, batches) in partials {
         for (job, batch) in batches {
-            let into = merged.entry(job).or_default();
+            // A job's first batch moves in whole; later ones append.
+            let into = match merged.entry(job) {
+                Entry::Vacant(slot) => {
+                    slot.insert(batch);
+                    continue;
+                }
+                Entry::Occupied(slot) => slot.into_mut(),
+            };
             for (op, runs) in batch.left {
                 into.left.entry(op).or_default().extend(runs);
             }

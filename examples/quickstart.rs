@@ -18,10 +18,10 @@
 //! (`switch-N` / `shard-N` / `collector`).
 //!
 //! Pass `--net` to run the deployment topology instead of the
-//! in-process default: the switch and the stream processor live on
-//! separate OS threads and talk only through the `sonata-net` wire
-//! protocol over a localhost TCP socket. The outputs are bit-identical
-//! — the run additionally prints the transport counters:
+//! in-process default: the switch and the stream processor talk only
+//! through the `sonata-net` wire protocol over a localhost TCP socket.
+//! The outputs are bit-identical — the run additionally prints the
+//! transport counters:
 //!
 //! ```sh
 //! cargo run --release --example quickstart -- --net
@@ -266,14 +266,11 @@ fn main() {
         fabric_snapshot = Some(fab.fabric_snapshot());
         report
     } else {
-        let mut runtime = Runtime::new(&plan, config).expect("deployable plan");
         if net {
-            // Deployment topology: switch thread ↔ TCP ↔ collector thread.
-            println!("\ntransport: tcp (switch and stream processor on separate threads)");
-            runtime.process_trace_threaded(&trace).expect("clean run")
-        } else {
-            runtime.process_trace(&trace).expect("clean run")
+            println!("\ntransport: tcp (switch and stream processor at either end of a socket)");
         }
+        let mut runtime = Runtime::new(&plan, config).expect("deployable plan");
+        runtime.process_trace(&trace).expect("clean run")
     };
 
     if drift.is_some() {

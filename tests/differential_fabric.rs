@@ -249,13 +249,14 @@ fn tcp_fabric_ships_lazy_fields_like_loopback_and_the_reference() {
     assert_eq!(loopback.windows, tcp.windows, "2x2: TCP fabric diverged");
 }
 
-/// A 1×1 fabric is the degenerate case of the runtime: even under
-/// full fault injection (egress, worker, boundary seams) the two must
-/// produce bit-identical reports — including the degraded markers —
-/// because the per-switch and fabric-level injectors replay the same
-/// seeded verdict sequences per domain.
+/// One switch over two collector shards dispatches each job to the
+/// shard that owns its query, where the runtime has one shard: even
+/// under full fault injection (egress, worker, boundary seams) the two
+/// must produce bit-identical reports — including the degraded markers
+/// — because the per-switch and fabric-level injectors replay the same
+/// seeded verdict sequences per domain, whichever shard runs a job.
 #[test]
-fn one_by_one_fabric_matches_runtime_under_faults() {
+fn one_switch_two_shard_fabric_matches_runtime_under_faults() {
     for seed in fabric_seeds() {
         let tr = fabric_trace(3, seed);
         let queries = fabric_queries();
@@ -284,7 +285,7 @@ fn one_by_one_fabric_matches_runtime_under_faults() {
         let fabric = run_fabric(
             &plan,
             &tr,
-            config(Some((1, 1)), TransportKind::Loopback, faults),
+            config(Some((1, 2)), TransportKind::Loopback, faults),
         );
         assert!(
             single.total_faults().get(FaultKind::ReportDrop) > 0,
@@ -292,7 +293,7 @@ fn one_by_one_fabric_matches_runtime_under_faults() {
         );
         assert_eq!(
             single.windows, fabric.windows,
-            "seed {seed}: faulted 1x1 fabric diverged from runtime"
+            "seed {seed}: faulted 1x2 fabric diverged from runtime"
         );
     }
 }

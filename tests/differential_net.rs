@@ -1,11 +1,10 @@
 //! Differential suite for the wire/transport layer (`sonata-net`).
 //!
 //! The transport is supposed to be invisible: a run over real TCP
-//! sockets — including the threaded driver that puts the switch and
-//! the stream processor on separate OS threads — must produce
-//! *bit-identical* `WindowReport`s to the in-process `Loopback`
-//! default, across the query catalog, across seeds, across shard
-//! counts, and under transport-seam fault injection.
+//! sockets must produce *bit-identical* `WindowReport`s to the
+//! in-process `Loopback` default, across the query catalog, across
+//! seeds, across shard counts, and under transport-seam fault
+//! injection.
 //!
 //! Seeds come from `SONATA_NET_SEEDS` (comma-separated, default
 //! `7,23`) so CI's net-smoke job can pin its own set.
@@ -85,11 +84,6 @@ fn run(plan: &GlobalPlan, tr: &Trace, cfg: RuntimeConfig) -> TelemetryReport {
     rt.process_trace(tr).unwrap()
 }
 
-fn run_threaded(plan: &GlobalPlan, tr: &Trace, cfg: RuntimeConfig) -> TelemetryReport {
-    let mut rt = Runtime::new(plan, cfg).unwrap();
-    rt.process_trace_threaded(tr).unwrap()
-}
-
 #[test]
 fn tcp_is_bit_identical_to_loopback_across_catalog_and_seeds() {
     for seed in net_seeds() {
@@ -130,30 +124,6 @@ fn loopback_default_is_bit_identical_to_default_config() {
         rt.process_trace(&tr).unwrap()
     };
     assert_eq!(explicit.windows, default.windows);
-}
-
-#[test]
-fn threaded_tcp_driver_matches_the_single_threaded_run() {
-    // Switch and stream processor on separate OS threads, talking only
-    // through the socket: window-lockstep credits make the interleaving
-    // deterministic, so the reports stay bit-identical.
-    for seed in net_seeds() {
-        let tr = net_trace(3, seed);
-        let queries = net_queries();
-        let plan = net_plan(&queries, &tr);
-        let single = run(
-            &plan,
-            &tr,
-            config(TransportKind::Loopback, 1, FaultPlan::none()),
-        );
-        for transport in [TransportKind::Loopback, TransportKind::Tcp] {
-            let threaded = run_threaded(&plan, &tr, config(transport, 1, FaultPlan::none()));
-            assert_eq!(
-                single.windows, threaded.windows,
-                "seed {seed}, {transport:?}: threaded driver diverged"
-            );
-        }
-    }
 }
 
 #[test]

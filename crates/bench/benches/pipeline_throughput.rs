@@ -1,8 +1,8 @@
 //! Per-packet throughput of the PISA behavioral model: how fast the
 //! simulated switch pushes a window's packets through compiled query
 //! pipelines as one arena batch, how cost scales with the number of
-//! concurrently installed queries, and how the sharded stream engine
-//! scales with worker count on a reduce-heavy query.
+//! concurrently installed queries, and how the stream engine's job
+//! pool scales with worker count on a window of catalog jobs.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use sonata_bench::{time_per_iter, time_per_iter_batched, BenchJson};
@@ -10,8 +10,9 @@ use sonata_packet::{Packet, PacketArena};
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::{PisaProgram, ReportBatch, Switch, SwitchConstraints, TaskId};
 use sonata_query::catalog::{self, Thresholds};
+use sonata_query::{Query, QueryId};
 use sonata_stream::testsupport::{batch_for, low_thresholds, seeded_packets};
-use sonata_stream::ShardedEngine;
+use sonata_stream::{ShardedEngine, WindowBatch};
 use sonata_traffic::{BackgroundConfig, Trace};
 
 fn build_switch(n_queries: usize) -> Switch {
@@ -111,25 +112,35 @@ fn bench_reference_interpreter(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sharded_engine(c: &mut Criterion) {
-    // Reduce-heavy stream job: DDoS (distinct + reduce on dIP) over
-    // whole-window entry-0 tuples, across shard counts. The per-tuple
-    // pipeline work dominates the split/merge overhead, so the shards
-    // scale until the hash-split serial fraction takes over.
-    let q = catalog::ddos(&low_thresholds());
-    let pkts = seeded_packets(7, 30_000);
-    let batch = batch_for(&q, &pkts);
-    let mut group = c.benchmark_group("sharded_engine");
-    group.throughput(Throughput::Elements(batch.tuple_count() as u64));
+/// One All-SP window of every catalog job over the same packets.
+fn catalog_window(packets: usize) -> (Vec<Query>, Vec<(QueryId, WindowBatch)>) {
+    let queries = catalog::all(&low_thresholds());
+    let pkts = seeded_packets(7, packets);
+    let jobs = (queries.iter())
+        .map(|q| (q.id, batch_for(q, &pkts)))
+        .collect();
+    (queries, jobs)
+}
+
+fn tuples(jobs: &[(QueryId, WindowBatch)]) -> u64 {
+    jobs.iter().map(|(_, b)| b.tuple_count() as u64).sum()
+}
+
+fn bench_job_pool(c: &mut Criterion) {
+    // A window of independent stream jobs, run one whole job per
+    // thread across worker counts.
+    let (queries, jobs) = catalog_window(4_000);
+    let mut group = c.benchmark_group("job_pool");
+    group.throughput(Throughput::Elements(tuples(&jobs)));
     for workers in [1usize, 2, 4, 8] {
         group.bench_with_input(BenchmarkId::new("workers", workers), &workers, |b, &w| {
             let mut engine = ShardedEngine::new(w);
-            engine.register(q.clone());
+            queries.iter().for_each(|q| engine.register(q.clone()));
             // The runtime hands the engine owned batches; clone in
             // setup so every worker count measures the same work.
             b.iter_batched(
-                || batch.clone(),
-                |owned| std::hint::black_box(engine.submit_owned(q.id, owned).unwrap()),
+                || jobs.clone(),
+                |owned| std::hint::black_box(engine.submit_window(owned)),
                 criterion::BatchSize::LargeInput,
             );
         });
@@ -141,7 +152,7 @@ criterion_group!(
     benches,
     bench_process_batch,
     bench_reference_interpreter,
-    bench_sharded_engine
+    bench_job_pool
 );
 
 /// Machine-readable baseline, written as
@@ -151,7 +162,7 @@ criterion_group!(
 fn emit_json() {
     let mut json = BenchJson::new("pipeline_throughput");
     json.config_num("switch_packets", 4_000.0)
-        .config_num("stream_tuples", 30_000.0);
+        .config_num("stream_packets", 4_000.0);
 
     let pkts = packets(4_000);
     let arena = PacketArena::from_packets(&pkts);
@@ -166,9 +177,7 @@ fn emit_json() {
         json.point("switch_arena_pps", n as f64, pkts.len() as f64 / per_iter);
     }
 
-    let q = catalog::ddos(&low_thresholds());
-    let spkts = seeded_packets(7, 30_000);
-    let batch = batch_for(&q, &spkts);
+    let (queries, jobs) = catalog_window(4_000);
     for workers in [1usize, 2, 4, 8] {
         for (series, force) in [("engine_fast_tps", false), ("engine_reference_tps", true)] {
             let mut engine = ShardedEngine::with_config(
@@ -177,16 +186,10 @@ fn emit_json() {
                 &sonata_faults::FaultInjector::disabled(),
                 force,
             );
-            engine.register(q.clone());
-            let per_iter = time_per_iter_batched(
-                || batch.clone(),
-                |owned| engine.submit_owned(q.id, owned).unwrap(),
-            );
-            json.point(
-                series,
-                workers as f64,
-                batch.tuple_count() as f64 / per_iter,
-            );
+            queries.iter().for_each(|q| engine.register(q.clone()));
+            let per_iter =
+                time_per_iter_batched(|| jobs.clone(), |owned| engine.submit_window(owned));
+            json.point(series, workers as f64, tuples(&jobs) as f64 / per_iter);
         }
     }
 

@@ -64,8 +64,8 @@ use sonata_pisa::{
 use sonata_planner::{GlobalPlan, ReplanOutcome, Replanner, SolveOptions};
 use sonata_query::{ColName, Heap, Operator, Query, QueryId, RowRun, RowSource, Tuple};
 use sonata_stream::{
-    merge_window_batches, BoundEntries, JobResult, MicroBatchEngine, ShardedEngine, StreamError,
-    SwitchPartial, WindowBatch,
+    merge_window_batches, BoundEntries, JobResult, ShardedEngine, StreamError, SwitchPartial,
+    WindowBatch,
 };
 use sonata_traffic::{Trace, TracePartitioner};
 use std::collections::btree_map::Entry;
@@ -316,15 +316,15 @@ impl WindowRx {
     }
 }
 
-/// One collector shard: a sharded engine owning a subset of the
+/// One collector shard: a stream engine owning a subset of the
 /// queries, plus its crash-fallback twin when faults are enabled.
 struct Shard {
     engine: ShardedEngine,
-    /// Safe single-mode engine a job falls back to when it keeps
-    /// crashing after a respawn-and-retry; kept registration-
-    /// synchronised with the sharded engine. Only built when faults
-    /// are enabled — the fault-free path never pays for it.
-    fallback: Option<MicroBatchEngine>,
+    /// Safe single-mode engine (one worker, no injector) a job falls
+    /// back to when it keeps crashing after a respawn-and-retry; kept
+    /// registration-synchronised with the engine. Only built when
+    /// faults are enabled — the fault-free path never pays for it.
+    fallback: Option<ShardedEngine>,
 }
 
 impl Shard {
@@ -764,8 +764,8 @@ impl Fabric {
     }
 
     /// The window turn every driver runs: per-switch data planes, the
-    /// cross-switch merge, sharded stream processing, one refinement
-    /// feed-forward, and the broadcast control turn.
+    /// cross-switch merge, the stream jobs on each shard's job pool, one
+    /// refinement feed-forward, and the broadcast control turn.
     pub(crate) fn run_window(
         &mut self,
         window: u64,
@@ -1003,31 +1003,48 @@ impl Fabric {
             (batches.iter()).map(|(job, b)| (*job, b.tuple_count() as u64)),
         );
 
-        // Stream processing: dispatch each job to its owning shard, in
-        // job order (deterministic fault verdicts). With faults enabled
-        // a submit can fail with an injected worker crash; instead of
-        // failing the window the job degrades through a recovery
-        // ladder — respawn the dead worker and retry once, then run it
-        // on the shard's safe single-mode fallback engine.
+        // Stream processing: each shard runs its jobs as one window on
+        // its job pool. Fault verdicts are rolled per job in the engine,
+        // so the records do not depend on dispatch. Then, in job order,
+        // an injected worker crash degrades through a recovery ladder —
+        // respawn the dead job and retry once, then run it on the
+        // shard's safe single-mode fallback engine — and any other
+        // error fails the window: the first in job order, at every
+        // worker count.
         let mut worker_retries = 0u64;
         let mut single_mode_fallbacks = 0u64;
         let mut outputs: HashMap<QueryId, JobResult> = HashMap::new();
         let shard_execute_ns;
         {
             let t = handle.trace_span(Stage::ShardExecute, window, collector_parent, "collector");
+            // The ladder retries a crashed job on its batch.
+            let spare: Option<HashMap<QueryId, WindowBatch>> = self
+                .faults
+                .is_enabled()
+                .then(|| batches.iter().cloned().collect());
+            let mut per_shard: Vec<Vec<(QueryId, WindowBatch)>> =
+                self.shards.iter().map(|_| Vec::new()).collect();
             for (job, batch) in batches {
                 let j = self.topo.shard_for_query(source_of(&self.instances, job));
-                let shard = &mut self.shards[j];
-                let result = if self.faults.is_enabled() {
-                    submit_with_recovery(
-                        shard,
+                per_shard[j].push((job, batch));
+            }
+            let mut results = BTreeMap::new();
+            for (j, jobs) in per_shard.into_iter().enumerate() {
+                if !jobs.is_empty() {
+                    let done = self.shards[j].engine.submit_window(jobs);
+                    results.extend(done.into_iter().map(|(job, r)| (job, (j, r))));
+                }
+            }
+            for (job, (j, result)) in results {
+                let result = match (result, &spare) {
+                    (Err(StreamError::Panic(_)), Some(spare)) => recover_job(
+                        &mut self.shards[j],
                         job,
-                        batch,
+                        &spare[&job],
                         &mut worker_retries,
                         &mut single_mode_fallbacks,
-                    )?
-                } else {
-                    shard.engine.submit_owned(job, batch)?
+                    )?,
+                    (result, _) => result?,
                 };
                 self.obs.shard_jobs[j].inc();
                 outputs.insert(job, result);
@@ -1348,9 +1365,8 @@ fn build_shards(
         .map(|_| Shard {
             engine: ShardedEngine::with_config(cfg.workers, &cfg.obs, faults, reference),
             fallback: faults.is_enabled().then(|| {
-                let mut eng = MicroBatchEngine::new();
-                eng.set_force_reference(reference);
-                eng
+                let none = FaultInjector::disabled();
+                ShardedEngine::with_config(1, &ObsHandle::disabled(), &none, reference)
             }),
         })
         .collect();
@@ -1443,35 +1459,29 @@ fn absorb_frame(
     Ok(())
 }
 
-/// Submit one job through the worker-crash recovery ladder: respawn
-/// the dead worker and retry once; if the job crashes again, respawn
-/// and run it on the shard's safe single-mode fallback engine (which
-/// carries no injector and therefore cannot crash). Non-crash errors
-/// propagate unchanged.
-fn submit_with_recovery(
+/// Take one crashed job through the rest of the recovery ladder:
+/// respawn its executor and retry once; if the job crashes again,
+/// respawn and run it on the shard's safe single-mode fallback engine
+/// (which carries no injector and therefore cannot crash). Non-crash
+/// errors propagate unchanged.
+fn recover_job(
     shard: &mut Shard,
     job: QueryId,
-    batch: WindowBatch,
+    batch: &WindowBatch,
     retries: &mut u64,
     fallbacks: &mut u64,
 ) -> Result<JobResult, RuntimeError> {
     let engine = &mut shard.engine;
-    match engine.submit(job, &batch) {
+    engine.recover_workers();
+    *retries += 1;
+    match engine.submit(job, batch) {
         Ok(r) => Ok(r),
         Err(StreamError::Panic(_)) => {
             engine.recover_workers();
-            *retries += 1;
-            match engine.submit(job, &batch) {
-                Ok(r) => Ok(r),
-                Err(StreamError::Panic(_)) => {
-                    engine.recover_workers();
-                    *fallbacks += 1;
-                    let fallback = (shard.fallback.as_mut())
-                        .expect("fallback engine exists when faults are enabled");
-                    Ok(fallback.submit_owned(job, batch)?)
-                }
-                Err(e) => Err(e.into()),
-            }
+            *fallbacks += 1;
+            let fallback =
+                (shard.fallback.as_mut()).expect("fallback engine exists when faults are enabled");
+            Ok(fallback.submit(job, batch)?)
         }
         Err(e) => Err(e.into()),
     }

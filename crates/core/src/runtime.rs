@@ -43,10 +43,14 @@ pub struct RuntimeConfig {
     /// Sustained-threshold rule turning plan divergence into the
     /// re-plan trigger ([`crate::drift::DriftMonitor`]).
     pub drift: DriftConfig,
-    /// Stream-processor worker threads. 1 (the default) runs windows
-    /// inline; N > 1 hash-partitions each window by the query's group
-    /// key across N engine shards with byte-identical results (the
-    /// differential suite in `sonata-stream` asserts this).
+    /// Threads that run a window's stream jobs, one whole job per
+    /// thread: the window loop's own thread plus `workers − 1`
+    /// persistent helpers. A window fans out only when its jobs carry
+    /// at least [`sonata_stream::PARALLEL_FLOOR_TUPLES`] tuples;
+    /// smaller windows, and every window at `workers: 1`, run inline.
+    /// Reports are byte-identical at every count (the differential
+    /// suites sweep 1/2/4/8). Defaults to
+    /// [`std::thread::available_parallelism`].
     pub workers: usize,
     /// Observability sink threaded through the switch, planner, and
     /// stream engine. Disabled (near-zero overhead) by default; enable
@@ -110,7 +114,7 @@ impl Default for RuntimeConfig {
             window_ms: None,
             shunt_replan_fraction: 0.05,
             drift: DriftConfig::default(),
-            workers: 1,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             obs: ObsHandle::disabled(),
             faults: FaultPlan::none(),
             transport: TransportKind::Loopback,

@@ -35,7 +35,8 @@ use sonata_query::expr::{col, field, lit};
 use sonata_query::{
     Agg, ColName, Entries, Operator, PacketBlock, Query, QueryId, RowRun, Schema, Tuple,
 };
-use sonata_stream::{run_entries_owned, BoundEntries, WindowBatch};
+use sonata_stream::testsupport::run_entries_owned;
+use sonata_stream::{BoundEntries, WindowBatch};
 use std::collections::{BTreeMap, HashSet};
 
 /// Tuples by the op they enter at: the oracle's form of an entry map.

@@ -1,7 +1,7 @@
 //! Deterministic fault injection for the Sonata runtime.
 //!
 //! Sonata's evaluation assumes a lossless, fail-stop-free world: every
-//! switch report reaches the emitter, every shard worker finishes its
+//! switch report reaches the emitter, every stream job finishes its
 //! window, every dynamic-filter write lands. This crate supplies the
 //! adversary: a seed-deterministic [`FaultInjector`] threaded through
 //! `RuntimeConfig` (the same shape as `ObsHandle` in `sonata-obs`)
@@ -9,7 +9,7 @@
 //!
 //! - drop / duplicate / reorder / delay switch→runtime report tuples
 //!   at the `Switch` egress,
-//! - crash or stall individual `ShardedEngine` workers mid-window, and
+//! - crash or stall individual stream jobs mid-window, and
 //! - fail dynamic-filter boundary writes.
 //!
 //! Every decision is a pure function of `(seed, window, site,
@@ -162,19 +162,19 @@ impl ReportFaults {
     }
 }
 
-/// Worker-level faults in the sharded stream engine. Crash selection
+/// Job-level faults in the stream engine. Crash selection
 /// is per `(window, job)`; a selected job crashes on its first
 /// [`Self::consecutive_crashes`] submit attempts and runs on the next,
 /// so `1` is recovered by respawn-and-retry and `2` forces the
 /// runtime's single-mode fallback.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerFaults {
-    /// ‰ chance per `(window, job)` that the executing worker crashes.
+    /// ‰ chance per `(window, job)` that the job crashes.
     pub crash_per_mille: u32,
     /// How many consecutive attempts crash once selected (0 ⇒ 1).
     pub consecutive_crashes: u32,
-    /// ‰ chance per `(window, job)` that the executing worker stalls
-    /// for [`Self::stall_ms`] before running.
+    /// ‰ chance per `(window, job)` that the job stalls for
+    /// [`Self::stall_ms`] before running.
     pub stall_per_mille: u32,
     /// Stall duration in milliseconds (0 ⇒ 5).
     pub stall_ms: u64,
@@ -353,8 +353,7 @@ struct Inner {
 /// Every decision method is called from the serial runtime thread (the
 /// switch egress, the engine submit path, and the boundary-write loop
 /// all run there), so the internal mutex is uncontended; it exists so
-/// the handle stays `Send + Sync` for the worker threads that carry
-/// verdicts, not for real concurrency.
+/// the handle stays `Send + Sync`, not for real concurrency.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector(Option<Arc<Inner>>);
 
@@ -491,10 +490,12 @@ impl FaultInjector {
         }
     }
 
-    /// Decide the fate of one engine submit attempt for `job`. Each
-    /// call advances the job's per-window attempt counter, so the
-    /// runtime's retry discipline (attempt, retry, fall back) maps
-    /// onto [`WorkerFaults::consecutive_crashes`] deterministically.
+    /// Decide the fate of one engine submit attempt for `job`: a pure
+    /// function of `(seed, window, job, attempt)`, where each call
+    /// advances the job's per-window attempt counter. The runtime's
+    /// retry discipline (attempt, retry, fall back) so maps onto
+    /// [`WorkerFaults::consecutive_crashes`] deterministically, and the
+    /// order in which a window's jobs are asked does not matter.
     pub fn worker_verdict(&self, job: u32) -> WorkerVerdict {
         let Some(inner) = &self.0 else {
             return WorkerVerdict::Run;

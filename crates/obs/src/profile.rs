@@ -11,11 +11,7 @@ pub enum Stage {
     WindowDump,
     /// Emitter key-value replay into micro-batches.
     EmitterReplay,
-    /// Partitioning a batch across engine shards.
-    ShardDispatch,
-    /// Worker-side operator execution.
-    WorkerExecute,
-    /// Union of shard results.
+    /// Collector-side merge of the switches' window partials.
     Merge,
     /// Dynamic-filter table write at the window boundary.
     DynFilterWrite,
@@ -31,7 +27,7 @@ pub enum Stage {
     Transport,
     /// Collector-side frame drain from window open through close.
     CollectorDrain,
-    /// Submitting the window's micro-batches to the stream engine.
+    /// Running the window's stream jobs on the job pool.
     ShardExecute,
 }
 
@@ -42,8 +38,6 @@ impl Stage {
             Stage::PacketLoop => "packet_loop",
             Stage::WindowDump => "window_dump",
             Stage::EmitterReplay => "emitter_replay",
-            Stage::ShardDispatch => "shard_dispatch",
-            Stage::WorkerExecute => "worker_execute",
             Stage::Merge => "merge",
             Stage::DynFilterWrite => "dyn_filter_write",
             Stage::PlanCompile => "plan_compile",
@@ -61,16 +55,14 @@ impl Stage {
             Stage::PacketLoop => 0,
             Stage::WindowDump => 1,
             Stage::EmitterReplay => 2,
-            Stage::ShardDispatch => 3,
-            Stage::WorkerExecute => 4,
-            Stage::Merge => 5,
-            Stage::DynFilterWrite => 6,
-            Stage::PlanCompile => 7,
-            Stage::IlpSolve => 8,
-            Stage::PlanBind => 9,
-            Stage::Transport => 10,
-            Stage::CollectorDrain => 11,
-            Stage::ShardExecute => 12,
+            Stage::Merge => 3,
+            Stage::DynFilterWrite => 4,
+            Stage::PlanCompile => 5,
+            Stage::IlpSolve => 6,
+            Stage::PlanBind => 7,
+            Stage::Transport => 8,
+            Stage::CollectorDrain => 9,
+            Stage::ShardExecute => 10,
         }
     }
 
@@ -80,12 +72,10 @@ impl Stage {
     }
 
     /// All stages, in [`Stage::index`] order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 11] = [
         Stage::PacketLoop,
         Stage::WindowDump,
         Stage::EmitterReplay,
-        Stage::ShardDispatch,
-        Stage::WorkerExecute,
         Stage::Merge,
         Stage::DynFilterWrite,
         Stage::PlanCompile,

@@ -62,20 +62,6 @@ pub enum EventKind {
         /// Simulated control-plane latency.
         latency_ns: u64,
     },
-    /// A window was fanned out across engine shards.
-    ShardDispatch {
-        /// The stream job.
-        job: u32,
-        /// Shards occupied.
-        shards: u64,
-    },
-    /// Shard results were unioned.
-    ShardMerge {
-        /// The stream job.
-        job: u32,
-        /// Merge wall time.
-        wall_ns: u64,
-    },
     /// Collision pressure crossed the re-plan threshold.
     ReplanTrigger {
         /// Window index.
@@ -99,17 +85,17 @@ pub enum EventKind {
         /// Re-solve wall time (planner thread, off the window path).
         solve_wall_ns: u64,
     },
-    /// A stream worker panicked (contained).
+    /// A stream job panicked (contained).
     WorkerPanic {
         /// The stream job.
         job: u32,
         /// Rendered panic payload.
         message: String,
     },
-    /// A crashed pool worker was replaced (registrations replayed).
+    /// A panicked job's executor was rebuilt from its registered query.
     WorkerRespawn {
-        /// The respawned shard index.
-        shard: u64,
+        /// The stream job.
+        job: u32,
     },
     /// Faults of one kind were injected into a window (emitted at
     /// window close from the injector's record).
@@ -214,8 +200,6 @@ impl EventKind {
             EventKind::RefinementChain { .. } => "refinement_chain",
             EventKind::IlpSolve { .. } => "ilp_solve",
             EventKind::BoundaryUpdate { .. } => "boundary_update",
-            EventKind::ShardDispatch { .. } => "shard_dispatch",
-            EventKind::ShardMerge { .. } => "shard_merge",
             EventKind::ReplanTrigger { .. } => "replan_trigger",
             EventKind::PlanSwap { .. } => "plan_swap",
             EventKind::WorkerPanic { .. } => "worker_panic",
@@ -236,7 +220,6 @@ impl EventKind {
         match self {
             EventKind::StageSpan { wall_ns, .. }
             | EventKind::IlpSolve { wall_ns, .. }
-            | EventKind::ShardMerge { wall_ns, .. }
             | EventKind::Span { wall_ns, .. } => Some(*wall_ns),
             _ => None,
         }
@@ -312,18 +295,6 @@ impl EventKind {
                 w.key("latency_ns");
                 w.value_u64(*latency_ns);
             }
-            EventKind::ShardDispatch { job, shards } => {
-                w.key("job");
-                w.value_u64(*job as u64);
-                w.key("shards");
-                w.value_u64(*shards);
-            }
-            EventKind::ShardMerge { job, wall_ns } => {
-                w.key("job");
-                w.value_u64(*job as u64);
-                w.key("wall_ns");
-                w.value_u64(*wall_ns);
-            }
             EventKind::ReplanTrigger { window, divergence } => {
                 w.key("window");
                 w.value_u64(*window);
@@ -354,9 +325,9 @@ impl EventKind {
                 w.key("message");
                 w.value_str(message);
             }
-            EventKind::WorkerRespawn { shard } => {
-                w.key("shard");
-                w.value_u64(*shard);
+            EventKind::WorkerRespawn { job } => {
+                w.key("job");
+                w.value_u64(*job as u64);
             }
             EventKind::FaultInjected {
                 window,
@@ -769,7 +740,7 @@ mod tests {
         };
         let events = vec![
             span("switch-0", "packet_loop"),
-            span("shard-1", "worker_execute"),
+            span("shard-1", "shard_execute"),
             span("switch-0", "window"),
         ];
         let doc = json::parse(&to_chrome_trace(&events)).unwrap();
@@ -783,7 +754,7 @@ mod tests {
         assert_eq!(pid(4), Some(3));
         assert_eq!(pid(5), Some(2));
         assert_eq!(tid(3), Some(Stage::PacketLoop.index() as u64 + 1));
-        assert_eq!(tid(4), Some(Stage::WorkerExecute.index() as u64 + 1));
+        assert_eq!(tid(4), Some(Stage::ShardExecute.index() as u64 + 1));
         // Window roots get the tid-0 lane.
         assert_eq!(tid(5), Some(0));
         // Span identity rides in args for the stitching checker.
@@ -826,14 +797,6 @@ mod tests {
                 entries: 5,
                 latency_ns: 9,
             },
-            EventKind::ShardDispatch {
-                job: 1001,
-                shards: 4,
-            },
-            EventKind::ShardMerge {
-                job: 1001,
-                wall_ns: 77,
-            },
             EventKind::ReplanTrigger {
                 window: 2,
                 divergence: 0.25,
@@ -849,7 +812,7 @@ mod tests {
                 job: 1001,
                 message: "boom \"quoted\"".into(),
             },
-            EventKind::WorkerRespawn { shard: 2 },
+            EventKind::WorkerRespawn { job: 1001 },
             EventKind::FaultInjected {
                 window: 4,
                 kind: "report_drop".into(),

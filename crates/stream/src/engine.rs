@@ -1,9 +1,12 @@
-//! The micro-batch execution engine.
+//! Per-window query evaluation.
 //!
 //! [`execute_window`] evaluates one query over one window's
-//! [`WindowBatch`]; [`MicroBatchEngine`] manages a set of queries and
-//! accumulates the tuple-intake counters the experiments report.
+//! [`WindowBatch`] through the reference interpreter;
+//! `MicroBatchEngine` is the per-job executor the job pool
+//! ([`crate::worker::ShardedEngine`]) runs: one registered query with
+//! its compiled fast path.
 
+use crate::testsupport::run_entries_owned;
 use crate::window::WindowBatch;
 use sonata_query::bound::{BoundError, BoundJoin, BoundPipeline};
 use sonata_query::expr::BoundExpr;
@@ -28,9 +31,9 @@ pub enum StreamError {
     NoRightBranch,
     /// The engine has no job with this id.
     UnknownQuery(QueryId),
-    /// A worker thread panicked while executing the window; the
-    /// sharded runtime contains the panic and reports it as an error
-    /// instead of hanging or poisoning the pool.
+    /// The job panicked while executing the window; the engine
+    /// contains the panic and reports it as an error instead of
+    /// unwinding through the caller or wedging the pool.
     Panic(String),
 }
 
@@ -59,7 +62,7 @@ impl std::fmt::Display for StreamError {
 impl std::error::Error for StreamError {}
 
 /// The result of one query-window evaluation.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobResult {
     /// The query's final output tuples for the window, sorted.
     pub output: Vec<Tuple>,
@@ -81,48 +84,6 @@ fn tuples_of(entries: &Entries) -> BTreeMap<usize, Vec<Tuple>> {
         .iter()
         .map(|(&op, runs)| (op, tuples(runs)))
         .collect()
-}
-
-/// Run a pipeline with tuples injected at arbitrary operator indices
-/// and fold the remaining operators over them, through the reference
-/// interpreter — the oracle [`BoundEntries`] is checked against.
-pub fn run_entries_owned(
-    ops: &[sonata_query::Operator],
-    mut entries: BTreeMap<usize, Vec<Tuple>>,
-) -> Result<(Schema, Vec<Tuple>), StreamError> {
-    for &op in entries.keys() {
-        if op > ops.len() {
-            return Err(StreamError::BadEntry { op, len: ops.len() });
-        }
-    }
-    let first = entries.keys().next().copied().unwrap_or(ops.len());
-    // Schema at the first entry point.
-    let mut schema = Schema::packet();
-    for op in &ops[..first] {
-        schema = op.output_schema(&schema).map_err(|c| {
-            InterpretError::Bind(sonata_query::expr::BindError::UnknownColumn {
-                column: c,
-                schema: schema.clone(),
-            })
-        })?;
-    }
-    let mut tuples: Vec<Tuple> = Vec::new();
-    for i in first..=ops.len() {
-        if let Some(incoming) = entries.remove(&i) {
-            if tuples.is_empty() {
-                tuples = incoming;
-            } else {
-                tuples.extend(incoming);
-            }
-        }
-        if i == ops.len() {
-            break;
-        }
-        let (s, t) = run_operator(&ops[i], &schema, tuples)?;
-        schema = s;
-        tuples = t;
-    }
-    Ok((schema, tuples))
 }
 
 /// Evaluate one query over one window's batch through the reference
@@ -196,8 +157,7 @@ pub fn execute_window(query: &Query, batch: &WindowBatch) -> Result<JobResult, S
     };
     output.sort();
     // Branch outputs are sorted too so the result is canonical: the
-    // sharded runtime unions per-shard branch outputs and must land on
-    // the same bytes (consumers key on them order-insensitively).
+    // fast path emits them sorted and must land on the same bytes.
     for (_, tuples) in &mut branch_outputs {
         tuples.sort();
     }
@@ -328,91 +288,36 @@ pub struct EngineCounters {
     pub per_query: HashMap<QueryId, u64>,
 }
 
-/// One registered query with its compiled fast path.
-struct Job {
+/// The per-job executor: one registered query with its compiled fast
+/// path (`None` on the reference interpreter).
+pub(crate) struct MicroBatchEngine {
     query: Query,
     bound: Option<BoundQuery>,
 }
 
-/// A stateful engine managing several registered queries.
-#[derive(Default)]
-pub struct MicroBatchEngine {
-    jobs: HashMap<QueryId, Job>,
-    counters: EngineCounters,
-    force_reference: bool,
-}
-
 impl MicroBatchEngine {
-    /// An engine with no jobs.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Route every window through the tree-walking reference
-    /// interpreter instead of the compiled fast path (the
-    /// `force_reference_path` debug knob). Re-binds registered jobs.
-    pub fn set_force_reference(&mut self, on: bool) {
-        self.force_reference = on;
-        for job in self.jobs.values_mut() {
-            job.bound = if on { None } else { bind_query(&job.query) };
-        }
-    }
-
-    /// Register (or replace) a query job, compiling its fast path.
-    pub fn register(&mut self, query: Query) {
-        let bound = if self.force_reference {
+    /// Bind `query`, or keep it on the tree-walking reference
+    /// interpreter when `force_reference` is set.
+    pub(crate) fn new(query: Query, force_reference: bool) -> Self {
+        let bound = if force_reference {
             None
         } else {
             bind_query(&query)
         };
-        self.jobs.insert(query.id, Job { query, bound });
+        MicroBatchEngine { query, bound }
     }
 
-    /// Deregister a query.
-    pub fn deregister(&mut self, id: QueryId) -> bool {
-        self.jobs.remove(&id).is_some()
+    /// The registered query.
+    pub(crate) fn query(&self) -> &Query {
+        &self.query
     }
 
-    /// Registered query ids.
-    pub fn queries(&self) -> Vec<QueryId> {
-        let mut q: Vec<QueryId> = self.jobs.keys().copied().collect();
-        q.sort();
-        q
-    }
-
-    /// Execute one window for one query.
-    pub fn submit(&mut self, id: QueryId, batch: &WindowBatch) -> Result<JobResult, StreamError> {
-        let job = self
-            .jobs
-            .get_mut(&id)
-            .ok_or(StreamError::UnknownQuery(id))?;
-        let result = match &mut job.bound {
-            Some(bound) => execute_window_bound(bound, batch)?,
-            None => execute_window(&job.query, batch)?,
-        };
-        self.account(id, &result);
-        Ok(result)
-    }
-
-    /// [`Self::submit`] of a batch the caller is done with.
-    pub fn submit_owned(
-        &mut self,
-        id: QueryId,
-        batch: WindowBatch,
-    ) -> Result<JobResult, StreamError> {
-        self.submit(id, &batch)
-    }
-
-    fn account(&mut self, id: QueryId, result: &JobResult) {
-        self.counters.tuples_in += result.tuples_in as u64;
-        self.counters.results_out += result.output.len() as u64;
-        self.counters.windows += 1;
-        *self.counters.per_query.entry(id).or_default() += result.tuples_in as u64;
-    }
-
-    /// Cumulative counters.
-    pub fn counters(&self) -> &EngineCounters {
-        &self.counters
+    /// Execute one window.
+    pub(crate) fn execute(&mut self, batch: &WindowBatch) -> Result<JobResult, StreamError> {
+        match &mut self.bound {
+            Some(bound) => execute_window_bound(bound, batch),
+            None => execute_window(&self.query, batch),
+        }
     }
 }
 
@@ -553,7 +458,7 @@ mod tests {
 
     #[test]
     fn engine_accumulates_counters() {
-        let mut engine = MicroBatchEngine::new();
+        let mut engine = crate::worker::ShardedEngine::new(1);
         engine.register(q1(2));
         let pkts: Vec<_> = (0..6).map(|i| syn(i, 0xaa)).collect();
         let mut batch = WindowBatch::new();
@@ -588,12 +493,9 @@ mod tests {
             ..Thresholds::default()
         };
         for q in catalog::all(&th) {
-            let mut fast = MicroBatchEngine::new();
-            let mut reference = MicroBatchEngine::new();
-            reference.set_force_reference(true);
+            let mut fast = MicroBatchEngine::new(q.clone(), false);
+            let mut reference = MicroBatchEngine::new(q.clone(), true);
             let id = q.id;
-            fast.register(q.clone());
-            reference.register(q.clone());
             let pkts: Vec<_> = (0..40)
                 .map(|i| {
                     PacketBuilder::tcp_raw(i % 7, 22, 0xaa + (i % 5), (80 + i % 3) as u16)
@@ -610,8 +512,8 @@ mod tests {
             if q.join.is_some() {
                 batch.push_right(0, pkts.iter().map(Tuple::from_packet));
             }
-            let a = fast.submit(id, &batch);
-            let b = reference.submit(id, &batch);
+            let a = fast.execute(&batch);
+            let b = reference.execute(&batch);
             match (a, b) {
                 (Ok(a), Ok(b)) => {
                     assert_eq!(a.output, b.output, "{id:?}");
@@ -633,12 +535,8 @@ mod tests {
     #[test]
     fn bound_path_matches_reference_on_mid_pipeline_entries() {
         let q = q1(0);
-        let id = q.id;
-        let mut fast = MicroBatchEngine::new();
-        let mut reference = MicroBatchEngine::new();
-        reference.set_force_reference(true);
-        fast.register(q.clone());
-        reference.register(q);
+        let mut fast = MicroBatchEngine::new(q.clone(), false);
+        let mut reference = MicroBatchEngine::new(q, true);
         let mut batch = WindowBatch::new();
         batch.push_left(0, (0..5).map(|i| Tuple::from_packet(&syn(i, 0xcc))));
         batch.push_left(
@@ -646,8 +544,8 @@ mod tests {
             (0..4).map(|_| Tuple::new(vec![Value::U64(0xcc), Value::U64(1)])),
         );
         batch.push_left(4, vec![Tuple::new(vec![Value::U64(0xdd), Value::U64(9)])]);
-        let a = fast.submit(id, &batch).unwrap();
-        let b = reference.submit(id, &batch).unwrap();
+        let a = fast.execute(&batch).unwrap();
+        let b = reference.execute(&batch).unwrap();
         assert_eq!(a.output, b.output);
         assert_eq!(a.branch_outputs, b.branch_outputs);
     }

@@ -22,26 +22,20 @@
 //!   global `tuples_in` counters used by all the Figure 7/8
 //!   experiments.
 //!
-//! [`engine::execute_window`] is the pure per-window evaluator;
-//! [`engine::MicroBatchEngine`] adds multi-query bookkeeping;
-//! [`worker`] runs engines on their own threads behind crossbeam
-//! channels, mirroring a streaming cluster's asynchronous intake; and
-//! [`shard`] partitions window batches by each query's group keys so
-//! a [`worker::ShardedEngine`] can fan one window out over N workers
-//! and union the results without changing any observable output.
+//! [`engine::execute_window`] is the reference per-window evaluator
+//! (the `sonata-query` interpreter over the batch's rows);
+//! [`worker::ShardedEngine`] is the engine: one executor per registered
+//! query on the compiled `BoundPipeline` fast path, with a window's
+//! jobs run side by side on a small thread pool, one whole job per
+//! thread, as a streaming cluster runs independent jobs.
 
 pub mod engine;
 pub mod merge;
-pub mod shard;
 pub mod testsupport;
 pub mod window;
 pub mod worker;
 
-pub use engine::{
-    execute_window, run_entries_owned, BoundEntries, EngineCounters, JobResult, MicroBatchEngine,
-    StreamError,
-};
+pub use engine::{execute_window, BoundEntries, EngineCounters, JobResult, StreamError};
 pub use merge::{canonicalize_batch, canonicalize_batches, merge_window_batches, SwitchPartial};
-pub use shard::{merge_results, partition_spec, shard_filter, split_batch, PartitionSpec};
 pub use window::{codegen_stream_plan, stream_loc, WindowBatch};
-pub use worker::{spawn_worker, ShardedEngine, WorkerHandle};
+pub use worker::{ShardedEngine, PARALLEL_FLOOR_TUPLES};

@@ -1,22 +1,24 @@
-//! Shared fixtures for the differential sharding harness.
+//! Shared fixtures for the differential job-pool harness, and the
+//! reference interpreter's entry-point fold.
 //!
 //! Lives in `src/` (not `tests/`) so the crate's unit tests, the
 //! integration suites under `crates/stream/tests/`, and the bench
 //! binaries all draw the same seeded traffic and use the same
-//! equivalence checks: for any query, executing a window sharded over
-//! N workers must produce byte-identical results to the
-//! single-threaded engine, which must in turn agree with the
-//! `sonata-query` reference interpreter.
+//! equivalence checks: a window's jobs run on the job pool at any
+//! worker count must produce byte-identical results to the inline
+//! engine, which must in turn agree with the `sonata-query` reference
+//! interpreter.
 
-use crate::engine::execute_window;
+use crate::engine::{JobResult, StreamError};
 use crate::window::WindowBatch;
 use crate::worker::ShardedEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sonata_packet::{DnsHeader, DnsQType, DnsRecord, Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_query::catalog::Thresholds;
-use sonata_query::interpret::run_query;
-use sonata_query::{PacketBlock, Query, RowRun};
+use sonata_query::interpret::{run_operator, run_query, InterpretError};
+use sonata_query::{PacketBlock, Query, QueryId, RowRun, Schema, Tuple};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Thresholds low enough that seeded traces trip every catalog query,
@@ -163,51 +165,102 @@ pub fn batch_for(query: &Query, pkts: &[Packet]) -> WindowBatch {
     batch
 }
 
-/// Assert that `query` over `batch` produces byte-identical results on
-/// a [`ShardedEngine`] at every worker count in `workers`, and return
-/// the single-threaded result the shards were compared against.
-pub fn assert_sharded_matches_serial(
-    query: &Query,
-    batch: &WindowBatch,
-    workers: &[usize],
-) -> crate::engine::JobResult {
-    let serial = execute_window(query, batch)
-        .unwrap_or_else(|e| panic!("{}: serial execution failed: {e}", query.name));
-    for &w in workers {
-        let mut engine = ShardedEngine::new(w);
-        engine.register(query.clone());
-        let sharded = engine
-            .submit(query.id, batch)
-            .unwrap_or_else(|e| panic!("{}: sharded ({w} workers) failed: {e}", query.name));
-        assert_eq!(
-            sharded.output, serial.output,
-            "{}: output diverges at {w} workers",
-            query.name
-        );
-        assert_eq!(
-            sharded.tuples_in, serial.tuples_in,
-            "{}: tuple intake diverges at {w} workers",
-            query.name
-        );
-        assert_eq!(
-            sharded.branch_outputs, serial.branch_outputs,
-            "{}: branch outputs diverge at {w} workers",
-            query.name
-        );
+/// Run a pipeline with tuples injected at arbitrary operator indices
+/// and fold the remaining operators over them, through the reference
+/// interpreter — the oracle [`crate::BoundEntries`] is checked against.
+pub fn run_entries_owned(
+    ops: &[sonata_query::Operator],
+    mut entries: BTreeMap<usize, Vec<Tuple>>,
+) -> Result<(Schema, Vec<Tuple>), StreamError> {
+    for &op in entries.keys() {
+        if op > ops.len() {
+            return Err(StreamError::BadEntry { op, len: ops.len() });
+        }
     }
-    serial
+    let first = entries.keys().next().copied().unwrap_or(ops.len());
+    // Schema at the first entry point.
+    let mut schema = Schema::packet();
+    for op in &ops[..first] {
+        schema = op.output_schema(&schema).map_err(|c| {
+            InterpretError::Bind(sonata_query::expr::BindError::UnknownColumn {
+                column: c,
+                schema: schema.clone(),
+            })
+        })?;
+    }
+    let mut tuples: Vec<Tuple> = Vec::new();
+    for i in first..=ops.len() {
+        if let Some(incoming) = entries.remove(&i) {
+            if tuples.is_empty() {
+                tuples = incoming;
+            } else {
+                tuples.extend(incoming);
+            }
+        }
+        if i == ops.len() {
+            break;
+        }
+        let (s, t) = run_operator(&ops[i], &schema, tuples)?;
+        schema = s;
+        tuples = t;
+    }
+    Ok((schema, tuples))
 }
 
-/// Full differential check: sharded ≡ serial at every worker count,
-/// and serial ≡ the reference interpreter on the raw trace.
-pub fn assert_differential(query: &Query, pkts: &[Packet], workers: &[usize]) {
-    let batch = batch_for(query, pkts);
-    let serial = assert_sharded_matches_serial(query, &batch, workers);
-    let reference = run_query(query, pkts)
-        .unwrap_or_else(|e| panic!("{}: reference interpreter failed: {e}", query.name));
-    assert_eq!(
-        serial.output, reference,
-        "{}: engine diverges from reference interpreter",
-        query.name
-    );
+/// Every job of one window on the inline engine and on the job pool at
+/// each worker count in `workers`: results and counters must be
+/// byte-identical. Returns the inline results, in job order.
+pub fn assert_pool_matches_inline(
+    queries: &[Query],
+    jobs: &[(QueryId, WindowBatch)],
+    workers: &[usize],
+) -> Vec<(QueryId, Result<JobResult, StreamError>)> {
+    let run = |w: usize| {
+        let mut engine = ShardedEngine::new(w);
+        queries.iter().for_each(|q| engine.register(q.clone()));
+        let results = engine.submit_window(jobs.to_vec());
+        (results, engine.finish())
+    };
+    let (inline, inline_counters) = run(1);
+    let render = |rs: &[(QueryId, Result<JobResult, StreamError>)]| {
+        rs.iter()
+            .map(|(id, r)| (*id, r.as_ref().map_err(ToString::to_string).cloned()))
+            .collect::<Vec<_>>()
+    };
+    for &w in workers {
+        let (pooled, counters) = run(w);
+        assert_eq!(
+            render(&pooled),
+            render(&inline),
+            "results diverge at {w} workers"
+        );
+        assert_eq!(counters.tuples_in, inline_counters.tuples_in, "{w} workers");
+        assert_eq!(
+            counters.results_out, inline_counters.results_out,
+            "{w} workers"
+        );
+        assert_eq!(counters.windows, inline_counters.windows, "{w} workers");
+        assert_eq!(counters.per_query, inline_counters.per_query, "{w} workers");
+    }
+    inline
+}
+
+/// Full differential check over one window of `queries`: the job pool
+/// ≡ the inline engine at every worker count, and the inline engine ≡
+/// the reference interpreter on the raw trace, per query.
+pub fn assert_differential(queries: &[Query], pkts: &[Packet], workers: &[usize]) {
+    let jobs: Vec<(QueryId, WindowBatch)> = (queries.iter())
+        .map(|q| (q.id, batch_for(q, pkts)))
+        .collect();
+    let inline = assert_pool_matches_inline(queries, &jobs, workers);
+    for (q, (_, result)) in queries.iter().zip(inline) {
+        let result = result.unwrap_or_else(|e| panic!("{}: inline execution failed: {e}", q.name));
+        let reference = run_query(q, pkts)
+            .unwrap_or_else(|e| panic!("{}: reference interpreter failed: {e}", q.name));
+        assert_eq!(
+            result.output, reference,
+            "{}: engine diverges from reference interpreter",
+            q.name
+        );
+    }
 }

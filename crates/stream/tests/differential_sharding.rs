@@ -1,32 +1,64 @@
-//! Differential correctness harness for the sharded runtime.
+//! Differential correctness harness for the job pool.
 //!
 //! For every Table-3 catalog query (plus the fast-flux extension) and
-//! several seeded random traces, executing a window sharded over 2, 4,
-//! and 8 workers must be byte-identical to the single-threaded engine,
-//! which must in turn agree with the `sonata-query` reference
-//! interpreter on whole-trace entry.
+//! several seeded random traces, one window of all the jobs run on the
+//! job pool at 1, 2, 4 and 8 workers must be byte-identical — results,
+//! errors and counters — to the inline engine, which must in turn agree
+//! with the `sonata-query` reference interpreter on whole-trace entry.
+//! The windows carry more than [`PARALLEL_FLOOR_TUPLES`] tuples, so
+//! every width above one really fans out.
 
+use sonata_obs::ObsHandle;
 use sonata_packet::Value;
 use sonata_query::catalog;
-use sonata_query::{QueryId, Tuple};
+use sonata_query::{Query, QueryId, Tuple};
 use sonata_stream::testsupport::{
-    assert_differential, assert_sharded_matches_serial, batch_for, low_thresholds, seeded_packets,
+    assert_differential, assert_pool_matches_inline, batch_for, low_thresholds, seeded_packets,
 };
-use sonata_stream::{partition_spec, ShardedEngine, WindowBatch};
+use sonata_stream::{ShardedEngine, StreamError, WindowBatch, PARALLEL_FLOOR_TUPLES};
 
 const SEEDS: [u64; 4] = [1, 7, 42, 20_260_807];
 const WORKERS: [usize; 4] = [1, 2, 4, 8];
+const PACKETS: usize = 600;
 
-#[test]
-fn every_catalog_query_matches_reference_across_worker_counts() {
+fn catalog_queries() -> Vec<Query> {
     let th = low_thresholds();
     let mut queries = catalog::all(&th);
     queries.push(catalog::malicious_domains(&th));
+    queries
+}
+
+fn window(queries: &[Query], seed: u64) -> Vec<(QueryId, WindowBatch)> {
+    let pkts = seeded_packets(seed, PACKETS);
+    queries
+        .iter()
+        .map(|q| (q.id, batch_for(q, &pkts)))
+        .collect()
+}
+
+#[test]
+fn every_catalog_query_matches_reference_across_worker_counts() {
+    let queries = catalog_queries();
     for seed in SEEDS {
-        let pkts = seeded_packets(seed, 600);
-        for q in &queries {
-            assert_differential(q, &pkts, &WORKERS);
-        }
+        assert_differential(&queries, &seeded_packets(seed, PACKETS), &WORKERS);
+    }
+}
+
+#[test]
+fn catalog_windows_clear_the_floor_and_fan_out() {
+    let queries = catalog_queries();
+    let jobs = window(&queries, SEEDS[0]);
+    let tuples: usize = jobs.iter().map(|(_, b)| b.tuple_count()).sum();
+    assert!(tuples >= PARALLEL_FLOOR_TUPLES, "{tuples} tuples");
+    for workers in [2usize, 8] {
+        let obs = ObsHandle::enabled();
+        let mut engine = ShardedEngine::with_obs(workers, &obs);
+        queries.iter().for_each(|q| engine.register(q.clone()));
+        engine.submit_window(jobs.clone());
+        let fanned = obs
+            .snapshot()
+            .counter("sonata_engine_parallel_windows_total");
+        assert_eq!(fanned, Some(1), "{workers} workers");
     }
 }
 
@@ -34,12 +66,9 @@ fn every_catalog_query_matches_reference_across_worker_counts() {
 fn seeded_traces_produce_output_for_every_query() {
     // Guard against the harness comparing empty sets: over the union
     // of seeds, every catalog query must fire at least once.
-    let th = low_thresholds();
-    let mut queries = catalog::all(&th);
-    queries.push(catalog::malicious_domains(&th));
-    for q in &queries {
+    for q in &catalog_queries() {
         let fired = SEEDS.iter().any(|&seed| {
-            let pkts = seeded_packets(seed, 600);
+            let pkts = seeded_packets(seed, PACKETS);
             let batch = batch_for(q, &pkts);
             !sonata_stream::execute_window(q, &batch)
                 .unwrap_or_else(|e| panic!("{}: {e}", q.name))
@@ -51,11 +80,13 @@ fn seeded_traces_produce_output_for_every_query() {
 }
 
 #[test]
-fn dump_and_shunt_entries_match_serial_at_every_worker_count() {
+fn dump_and_shunt_entries_match_inline_at_every_worker_count() {
     // Mid-pipeline entries (register dumps after the reduce, collision
-    // shunts at the reduce) exercise the per-entry-index key analysis.
+    // shunts at the reduce) next to a whole-window job that lifts the
+    // window over the floor.
     let th = low_thresholds();
-    let q = catalog::newly_opened_tcp_conns(&th);
+    let q1 = catalog::newly_opened_tcp_conns(&th);
+    let ddos = catalog::ddos(&th);
     let mut batch = WindowBatch::new();
     // Shunts: re-aggregated singleton counts across many keys.
     batch.push_left(
@@ -69,54 +100,70 @@ fn dump_and_shunt_entries_match_serial_at_every_worker_count() {
     );
     // Post-threshold stragglers.
     batch.push_left(4, vec![Tuple::new(vec![Value::U64(7777), Value::U64(99)])]);
-    assert_sharded_matches_serial(&q, &batch, &WORKERS);
+    let bulk = batch_for(&ddos, &seeded_packets(3, PARALLEL_FLOOR_TUPLES));
+    let jobs = vec![(q1.id, batch), (ddos.id, bulk)];
+    assert_pool_matches_inline(&[q1, ddos], &jobs, &WORKERS);
 }
 
 #[test]
-fn join_queries_with_branch_dumps_match_serial() {
+fn join_queries_with_branch_dumps_match_inline() {
     let th = low_thresholds();
-    for q in [
+    let queries = [
         catalog::tcp_syn_flood(&th),
         catalog::tcp_incomplete_flows(&th),
         catalog::slowloris(&th),
-    ] {
+    ];
+    let mut jobs = Vec::new();
+    for q in &queries {
         let mut batch = WindowBatch::new();
         let left_len = q.pipeline.ops.len();
         let right_len = q.join.as_ref().unwrap().right.ops.len();
-        // Aggregated (host, count) dumps on both branches, overlapping
-        // keys so joins match across shard boundaries only if keys
-        // co-locate.
+        // Aggregated (host, count) dumps on both branches, with
+        // overlapping keys so the joins match.
         batch.push_left(
             left_len,
-            (0..40u64).map(|h| Tuple::new(vec![Value::U64(h % 10), Value::U64(5 + h)])),
+            (0..3_000u64).map(|h| Tuple::new(vec![Value::U64(h % 10), Value::U64(5 + h)])),
         );
         batch.push_right(
             right_len,
             (0..40u64).map(|h| Tuple::new(vec![Value::U64(h % 10), Value::U64(1 + h % 3)])),
         );
-        assert_sharded_matches_serial(&q, &batch, &WORKERS);
+        jobs.push((q.id, batch));
     }
+    assert_pool_matches_inline(&queries, &jobs, &WORKERS);
 }
 
 #[test]
-fn sharded_engine_counters_match_inline_engine() {
-    let th = low_thresholds();
-    let q = catalog::ddos(&th);
-    let pkts = seeded_packets(3, 400);
-    let batch = batch_for(&q, &pkts);
-    let count = |workers: usize| {
-        let mut engine = ShardedEngine::new(workers);
-        engine.register(q.clone());
-        engine.submit(q.id, &batch).unwrap();
-        engine.submit(q.id, &batch).unwrap();
-        engine.finish()
-    };
-    let serial = count(1);
-    let parallel = count(8);
-    assert_eq!(serial.tuples_in, parallel.tuples_in);
-    assert_eq!(serial.results_out, parallel.results_out);
-    assert_eq!(serial.windows, parallel.windows);
-    assert_eq!(serial.per_query.get(&q.id), parallel.per_query.get(&q.id));
+fn the_lowest_failing_job_decides_at_every_worker_count() {
+    // Two jobs fail with different errors among healthy ones; results
+    // stay in job order, so the lower job id's error comes first at
+    // every width.
+    let queries = catalog_queries();
+    let mut jobs = window(&queries, SEEDS[1]);
+    jobs.sort_by_key(|(id, _)| *id);
+    let mut bad = WindowBatch::new();
+    bad.push_left(99, vec![Tuple::new(vec![Value::U64(1)])]);
+    jobs[2].1 = bad;
+    let mut stray = WindowBatch::new();
+    stray.push_right(0, vec![Tuple::new(vec![Value::U64(1)])]);
+    let join_free = (jobs
+        .iter()
+        .rposition(|(id, _)| queries.iter().any(|q| q.id == *id && q.join.is_none())))
+    .expect("a join-free job");
+    assert!(join_free > 2);
+    jobs[join_free].1 = stray;
+    let results = assert_pool_matches_inline(&queries, &jobs, &WORKERS);
+    let first = results
+        .iter()
+        .find_map(|(id, r)| r.as_ref().err().map(|e| (*id, e)));
+    assert!(
+        matches!(first, Some((id, StreamError::BadEntry { op: 99, .. })) if id == jobs[2].0),
+        "{first:?}"
+    );
+    assert!(matches!(
+        results[join_free].1,
+        Err(StreamError::NoRightBranch)
+    ));
 }
 
 #[test]
@@ -129,36 +176,20 @@ fn unknown_query_and_errors_are_reported_identically() {
     let empty = WindowBatch::new();
     assert!(matches!(
         engine.submit(QueryId(999), &empty),
-        Err(sonata_stream::StreamError::UnknownQuery(QueryId(999)))
+        Err(StreamError::UnknownQuery(QueryId(999)))
     ));
     // Malformed batch: entry index past the pipeline end must surface
-    // the same BadEntry error the serial engine produces.
+    // the same BadEntry error the inline engine produces.
     let mut bad = WindowBatch::new();
     bad.push_left(99, vec![Tuple::new(vec![Value::U64(1)])]);
     assert!(matches!(
         engine.submit(q.id, &bad),
-        Err(sonata_stream::StreamError::BadEntry { op: 99, .. })
+        Err(StreamError::BadEntry { op: 99, .. })
     ));
     // The engine keeps serving after an error.
     let pkts = seeded_packets(5, 100);
     let batch = batch_for(&q, &pkts);
     assert!(engine.submit(q.id, &batch).is_ok());
-}
-
-#[test]
-fn every_catalog_query_plans_parallel() {
-    // The analysis must never bail to a single shard on the catalog —
-    // otherwise the suite silently tests nothing.
-    let th = low_thresholds();
-    let mut queries = catalog::all(&th);
-    queries.push(catalog::malicious_domains(&th));
-    for q in &queries {
-        assert!(
-            partition_spec(q).is_parallel(),
-            "{}: not parallelizable",
-            q.name
-        );
-    }
 }
 
 #[test]

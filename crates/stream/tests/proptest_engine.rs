@@ -7,7 +7,8 @@ use sonata_packet::{Packet, PacketBuilder, TcpFlags};
 use sonata_query::catalog::{self, Thresholds};
 use sonata_query::interpret::run_query;
 use sonata_query::Tuple;
-use sonata_stream::{execute_window, run_entries_owned, WindowBatch};
+use sonata_stream::testsupport::run_entries_owned;
+use sonata_stream::{execute_window, WindowBatch};
 
 fn arb_packet() -> impl Strategy<Value = Packet> {
     (

@@ -1,20 +1,23 @@
-//! Deterministic regression tests for the threaded workers: shutdown
-//! drains in-flight windows, bounded queues don't deadlock under
-//! sustained load, and a panic inside a worker surfaces as a
-//! [`StreamError::Panic`] instead of hanging the caller.
+//! Deterministic regression tests for the job pool: a panicking job
+//! surfaces as a [`StreamError::Panic`] instead of hanging or
+//! unwinding through the caller, the pool keeps serving after it, and
+//! sustained load through the helpers never deadlocks.
 
 use sonata_packet::Value;
 use sonata_query::catalog::{self, Thresholds};
-use sonata_query::Tuple;
-use sonata_stream::worker::{spawn_worker, WorkItem};
-use sonata_stream::{ShardedEngine, StreamError, WindowBatch};
+use sonata_query::{Query, QueryId, Tuple};
+use sonata_stream::{ShardedEngine, StreamError, WindowBatch, PARALLEL_FLOOR_TUPLES};
 use std::time::Duration;
 
-fn q1() -> sonata_query::Query {
+fn q1() -> Query {
     catalog::newly_opened_tcp_conns(&Thresholds {
         new_tcp: 1,
         ..Thresholds::default()
     })
+}
+
+fn ddos() -> Query {
+    catalog::ddos(&Thresholds::default())
 }
 
 /// (key, count) shunt entries at query 1's reduce.
@@ -27,6 +30,26 @@ fn shunt_batch(keys: std::ops::Range<u64>) -> WindowBatch {
     batch
 }
 
+/// (sIP, dIP) rows entering DDoS's distinct: enough to lift a window
+/// over the fan-out floor.
+fn bulk_batch() -> WindowBatch {
+    let mut batch = WindowBatch::new();
+    batch.push_left(
+        2,
+        (0..PARALLEL_FLOOR_TUPLES as u64)
+            .map(|i| Tuple::new(vec![Value::U64(i % 97), Value::U64(i % 5)])),
+    );
+    batch
+}
+
+/// An empty tuple entering at the reduce makes the engine index out of
+/// bounds — a genuine panic, not a `StreamError`.
+fn poison_batch() -> WindowBatch {
+    let mut poison = WindowBatch::new();
+    poison.push_left(2, vec![Tuple::new(vec![])]);
+    poison
+}
+
 /// Run `f` on a scratch thread; panic if it doesn't finish in time.
 /// Turns a would-be deadlock into a clean test failure.
 fn with_deadline<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 'static) -> T {
@@ -35,136 +58,72 @@ fn with_deadline<T: Send + 'static>(secs: u64, f: impl FnOnce() -> T + Send + 's
         let _ = tx.send(f());
     });
     rx.recv_timeout(Duration::from_secs(secs))
-        .expect("worker test deadlocked")
+        .expect("job pool test deadlocked")
+}
+
+fn pool(workers: usize) -> (ShardedEngine, QueryId, QueryId) {
+    let mut engine = ShardedEngine::new(workers);
+    let (a, b) = (q1(), ddos());
+    let ids = (a.id, b.id);
+    engine.register(a);
+    engine.register(b);
+    (engine, ids.0, ids.1)
 }
 
 #[test]
-fn shutdown_drains_in_flight_windows() {
-    let q = q1();
-    let qid = q.id;
-    let counters = with_deadline(30, move || {
-        let handle = spawn_worker(vec![q], 8);
-        for w in 0..5u64 {
-            handle
-                .input
-                .send(WorkItem {
-                    window: w,
-                    query: qid,
-                    batch: shunt_batch(0..(w + 1)),
-                })
-                .unwrap();
-        }
-        // Drain every queued window, then shut down: nothing is lost
-        // and results arrive in submission order.
-        let mut seen = Vec::new();
-        for _ in 0..5 {
-            let out = handle.output.recv().unwrap();
-            assert_eq!(out.result.unwrap().output.len(), out.window as usize + 1);
-            seen.push(out.window);
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
-        handle.finish().counters().clone()
-    });
-    assert_eq!(counters.windows, 5);
-    assert_eq!(counters.tuples_in, 1 + 2 + 3 + 4 + 5);
-}
-
-#[test]
-fn shutdown_without_draining_does_not_hang() {
-    // Results fitting in the output buffer let the worker retire all
-    // in-flight windows even when the consumer never reads them.
-    let q = q1();
-    let qid = q.id;
-    let counters = with_deadline(30, move || {
-        let handle = spawn_worker(vec![q], 8);
-        for w in 0..4u64 {
-            handle
-                .input
-                .send(WorkItem {
-                    window: w,
-                    query: qid,
-                    batch: shunt_batch(0..3),
-                })
-                .unwrap();
-        }
-        handle.finish().counters().clone()
-    });
-    assert_eq!(counters.windows, 4);
-}
-
-#[test]
-fn bounded_queues_survive_sustained_load() {
-    // Many sequential windows through a small-depth pool: the
-    // synchronous fan-out/fan-in protocol must never deadlock.
-    let q = q1();
-    let qid = q.id;
+fn sustained_load_through_the_helpers_never_deadlocks() {
     with_deadline(60, move || {
-        let mut engine = ShardedEngine::new(4);
-        engine.register(q);
+        let (mut engine, q, d) = pool(4);
+        let bulk = bulk_batch();
         for w in 0..200u64 {
-            let r = engine.submit(qid, &shunt_batch(0..(w % 17 + 1))).unwrap();
-            assert_eq!(r.tuples_in, (w % 17 + 1) as usize);
+            let keys = w % 17 + 1;
+            let results = engine.submit_window(vec![(q, shunt_batch(0..keys)), (d, bulk.clone())]);
+            let r = results[0].1.as_ref().unwrap();
+            assert_eq!(r.tuples_in, keys as usize);
+            assert!(results[1].1.is_ok());
         }
         let c = engine.finish();
-        assert_eq!(c.windows, 200);
+        assert_eq!(c.windows, 400);
     });
 }
 
 #[test]
-fn worker_panic_surfaces_as_error_not_hang() {
-    // An empty tuple entering at the reduce makes the engine index out
-    // of bounds — a genuine panic, not a StreamError. The worker must
-    // contain it and keep serving.
-    let q = q1();
-    let qid = q.id;
-    with_deadline(30, move || {
-        let handle = spawn_worker(vec![q], 4);
-        let mut poison = WindowBatch::new();
-        poison.push_left(2, vec![Tuple::new(vec![])]);
-        handle
-            .input
-            .send(WorkItem {
-                window: 0,
-                query: qid,
-                batch: poison,
-            })
-            .unwrap();
-        handle
-            .input
-            .send(WorkItem {
-                window: 1,
-                query: qid,
-                batch: shunt_batch(0..3),
-            })
-            .unwrap();
-        let first = handle.output.recv().unwrap();
-        assert!(
-            matches!(first.result, Err(StreamError::Panic(_))),
-            "{:?}",
-            first.result
-        );
-        let second = handle.output.recv().unwrap();
-        assert_eq!(second.result.unwrap().output.len(), 3);
-        handle.finish();
-    });
+fn a_panicking_job_surfaces_as_an_error_and_the_pool_keeps_serving() {
+    for workers in [1usize, 4] {
+        with_deadline(30, move || {
+            let (mut engine, q, d) = pool(workers);
+            // The poisoned job runs beside a healthy one over the floor,
+            // so at four workers the two land on different threads.
+            let results = engine.submit_window(vec![(q, poison_batch()), (d, bulk_batch())]);
+            assert!(
+                matches!(results[0].1, Err(StreamError::Panic(_))),
+                "{workers} workers: {:?}",
+                results[0].1
+            );
+            assert!(results[1].1.is_ok(), "{workers} workers");
+            assert_eq!(engine.recover_workers(), 1);
+            // Counters don't advance on failure, and the pool still
+            // works — for the recovered job and inline.
+            let r = engine.submit(q, &shunt_batch(0..5)).unwrap();
+            assert_eq!(r.output.len(), 5);
+            let again = engine.submit_window(vec![(q, shunt_batch(0..3)), (d, bulk_batch())]);
+            assert_eq!(again[0].1.as_ref().unwrap().output.len(), 3);
+            let c = engine.finish();
+            assert_eq!(c.windows, 4, "{workers} workers");
+            assert_eq!(
+                c.tuples_in,
+                (5 + 3 + 2 * PARALLEL_FLOOR_TUPLES) as u64,
+                "{workers} workers"
+            );
+        });
+    }
 }
 
 #[test]
-fn pool_panic_surfaces_as_error_and_pool_keeps_serving() {
-    let q = q1();
-    let qid = q.id;
+fn dropping_an_engine_with_helpers_does_not_hang() {
     with_deadline(30, move || {
-        let mut engine = ShardedEngine::new(4);
-        engine.register(q);
-        let mut poison = WindowBatch::new();
-        poison.push_left(2, vec![Tuple::new(vec![])]);
-        let err = engine.submit(qid, &poison).unwrap_err();
-        assert!(matches!(err, StreamError::Panic(_)), "{err:?}");
-        // Counters don't advance on failure, and the pool still works.
-        let r = engine.submit(qid, &shunt_batch(0..5)).unwrap();
-        assert_eq!(r.output.len(), 5);
-        let c = engine.finish();
-        assert_eq!(c.windows, 1);
-        assert_eq!(c.tuples_in, 5);
+        let (mut engine, q, d) = pool(3);
+        engine.submit_window(vec![(q, shunt_batch(0..3)), (d, bulk_batch())]);
+        drop(engine);
     });
 }

@@ -127,13 +127,11 @@ fn disabled_faults_are_bit_identical_to_the_seed_runtime() {
         assert_eq!(clean.windows, default.windows, "seed {seed}");
         assert!(clean.windows.iter().all(|w| w.degraded.is_none()));
     }
-    // Differential guard at the engine layer: the sharded engine the
-    // runtime sits on still matches the single-threaded engine and the
-    // reference interpreter on the same seeded traffic.
+    // Differential guard at the engine layer: the job pool the runtime
+    // sits on still matches the inline engine and the reference
+    // interpreter on the same seeded traffic.
     let pkts = seeded_packets(chaos_seeds()[0], 400);
-    for q in chaos_queries() {
-        assert_differential(&q, &pkts, &[1, 2, 4]);
-    }
+    assert_differential(&chaos_queries(), &pkts, &[1, 2, 4]);
 }
 
 #[test]
@@ -248,7 +246,7 @@ fn repeated_worker_crashes_fall_back_to_single_mode() {
     };
     let faulted = run(&plan, &tr, faults, 4);
     // The single-mode fallback engine produced the same outputs the
-    // sharded engine would have (the differential guarantee).
+    // job pool would have (the differential guarantee).
     assert_outputs_match(&clean, &faulted, "single-mode fallback");
     let fallbacks: u64 = faulted
         .windows

@@ -140,10 +140,9 @@ fn fast_path_matches_reference_on_refined_plans_across_seeds() {
     }
 }
 
-/// Every shard count funnels windows through per-shard engine
-/// replicas; the force flag must reach each replica (including
-/// respawned ones), and sharded fast output must equal the sharded
-/// reference output at every width.
+/// Every worker count runs the jobs on the job pool; the force flag
+/// must reach each job's executor (including respawned ones), and fast
+/// output must equal reference output at every width.
 #[test]
 fn fast_path_matches_reference_at_every_shard_count() {
     let seed = seeds()[0];
@@ -170,6 +169,46 @@ fn fast_path_matches_reference_at_every_shard_count() {
             "{workers} workers: fast path diverged from reference"
         );
     }
+}
+
+/// All-SP top-8 windows send the stream processor eleven rows per
+/// packet, well over the job pool's fan-out floor, so this sweep runs
+/// a window's jobs side by side — the sonata_engine_parallel_windows_total
+/// counter proves it — and every width must equal the reference.
+#[test]
+fn fast_path_matches_reference_when_windows_fan_out() {
+    let tr = EvaluationTrace::generate(11, 2, 3_000, 0.01).trace;
+    let queries = catalog::top8(&Thresholds::default());
+    let plan = plan_for(PlanMode::AllSp, &queries, &tr);
+    let loopback = |reference, workers| {
+        config(
+            reference,
+            TransportKind::Loopback,
+            workers,
+            FaultPlan::none(),
+        )
+    };
+    let reference = run(&plan, &tr, loopback(true, 1));
+    for workers in [1usize, 2, 4, 8] {
+        let fast = run(&plan, &tr, loopback(false, workers));
+        assert_eq!(
+            fast.windows, reference.windows,
+            "{workers} workers: fanned-out fast path diverged from reference"
+        );
+    }
+    let obs = ObsHandle::enabled();
+    let traced = run(
+        &plan,
+        &tr,
+        RuntimeConfig {
+            obs,
+            ..loopback(false, 2)
+        },
+    );
+    let fanned = traced
+        .metrics
+        .counter("sonata_engine_parallel_windows_total");
+    assert!(fanned.unwrap_or(0) > 0, "no window fanned out: {fanned:?}");
 }
 
 /// The wire must not care which execution engine feeds it: a TCP run

@@ -11,10 +11,10 @@
 //! things: no field outside the mask is ever read (the packet block
 //! debug-asserts it on every read, and these tests build with debug
 //! assertions), and the job's results are those of the same rows
-//! carrying every field. Jobs run sharded, so the shard-key reads are
-//! covered too, and after each level's `InSet` refinement filter has
-//! been opened to the keys the window holds — the rewrite the runtime
-//! feeds forward — so the operators behind it see rows.
+//! carrying every field. Jobs run after each level's `InSet`
+//! refinement filter has been opened to the keys the window holds —
+//! the rewrite the runtime feeds forward — so the operators behind it
+//! see rows.
 
 use sonata::core::driver::{branch_pipeline, deploy, Deployment};
 use sonata::packet::wire::{ALL_FIELDS, LAZY_FIELDS};
@@ -116,7 +116,7 @@ fn every_field_a_packet_job_reads_is_in_the_deployed_mask() {
                     assert!(d.resume_op <= ops.len());
                 }
                 let query = opened(&inst.refined, windows[2]);
-                let mut engine = ShardedEngine::new(2);
+                let mut engine = ShardedEngine::new(1);
                 engine.register(query);
                 let got = engine.submit(inst.job, &batch_of(&deps, &shipped));
                 let want = engine.submit(inst.job, &batch_of(&deps, &full));

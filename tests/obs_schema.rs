@@ -46,7 +46,7 @@ fn run_with_obs() -> (TelemetryReport, ObsHandle) {
 }
 
 /// The golden-snapshot fixture: the same workload as [`run_with_obs`]
-/// but sharded over two workers and under a deterministic fault plan
+/// but on two stream workers and under a deterministic fault plan
 /// that exercises every degradation path, so the fault-layer metric
 /// series and event types appear in the exports.
 fn run_faulted_with_obs() -> (TelemetryReport, ObsHandle) {

@@ -48,7 +48,7 @@ fn bench_runtime_window(c: &mut Criterion) {
 criterion_group!(benches, bench_runtime_window);
 
 /// Machine-readable baseline: the full runtime window on the compiled
-/// fast paths vs. `force_reference_path` (the before-optimization
+/// fast paths vs. `RuntimeConfig::oracle` (the before-optimization
 /// baseline), per plan mode, written as `results/end_to_end.json`.
 /// `x` is packets/second through the whole window loop.
 fn emit_json() {
@@ -84,7 +84,7 @@ fn emit_json() {
                     Runtime::new(
                         &plan,
                         RuntimeConfig {
-                            force_reference_path: force,
+                            oracle: force,
                             ..RuntimeConfig::default()
                         },
                     )

@@ -45,6 +45,10 @@ pub struct DriftConfig {
     /// query predicted at ~0 tuples doesn't turn a handful of stray
     /// tuples into infinite divergence.
     pub floor: f64,
+    /// Shunted packets as a fraction of a window's packets that scores
+    /// divergence 1.0 (Section 5: "when it detects too many hash
+    /// collisions, the runtime triggers the query planner").
+    pub shunt_replan_fraction: f64,
 }
 
 impl Default for DriftConfig {
@@ -53,6 +57,7 @@ impl Default for DriftConfig {
             threshold: 1.0,
             sustain: 2,
             floor: 32.0,
+            shunt_replan_fraction: 0.05,
         }
     }
 }
@@ -117,7 +122,6 @@ impl DriftMonitor {
         tuples_per_query: &[(QueryId, u64)],
         packets: u64,
         shunts: u64,
-        shunt_replan_fraction: f64,
     ) -> f64 {
         let mut worst = 0.0f64;
         for (query, predicted) in &self.budget.per_query {
@@ -137,9 +141,9 @@ impl DriftMonitor {
                 worst = worst.max(*observed as f64 / self.cfg.floor);
             }
         }
-        if packets > 0 && shunt_replan_fraction > 0.0 {
-            let shunt_fraction = shunts as f64 / packets as f64;
-            worst = worst.max(shunt_fraction / shunt_replan_fraction);
+        let fraction = self.cfg.shunt_replan_fraction;
+        if packets > 0 && fraction > 0.0 {
+            worst = worst.max(shunts as f64 / packets as f64 / fraction);
         }
         worst
     }
@@ -151,9 +155,8 @@ impl DriftMonitor {
         tuples_per_query: &[(QueryId, u64)],
         packets: u64,
         shunts: u64,
-        shunt_replan_fraction: f64,
     ) -> WindowDrift {
-        let divergence = self.divergence(tuples_per_query, packets, shunts, shunt_replan_fraction);
+        let divergence = self.divergence(tuples_per_query, packets, shunts);
         self.gauge.set((divergence * 1000.0) as u64);
         let mut replan = false;
         if divergence > self.cfg.threshold {
@@ -188,7 +191,7 @@ mod tests {
     #[test]
     fn on_budget_window_has_low_divergence() {
         let m = monitor(DriftConfig::default());
-        let d = m.divergence(&[(QueryId(1), 100), (QueryId(2), 10)], 1_000, 0, 0.05);
+        let d = m.divergence(&[(QueryId(1), 100), (QueryId(2), 10)], 1_000, 0);
         assert_eq!(d, 0.0);
     }
 
@@ -196,7 +199,7 @@ mod tests {
     fn missing_query_counts_as_full_shortfall() {
         let m = monitor(DriftConfig::default());
         // Query 1 predicted 100, observed 0: |0-100|/100 = 1.0.
-        let d = m.divergence(&[(QueryId(2), 10)], 1_000, 0, 0.05);
+        let d = m.divergence(&[(QueryId(2), 10)], 1_000, 0);
         assert_eq!(d, 1.0);
     }
 
@@ -205,14 +208,14 @@ mod tests {
         let m = monitor(DriftConfig::default());
         // Query 2 predicted 10 (< floor 32), observed 20: 10/32, not
         // 10/10.
-        let d = m.divergence(&[(QueryId(1), 100), (QueryId(2), 20)], 1_000, 0, 0.05);
+        let d = m.divergence(&[(QueryId(1), 100), (QueryId(2), 20)], 1_000, 0);
         assert!((d - 10.0 / 32.0).abs() < 1e-9);
     }
 
     #[test]
     fn shunt_pressure_reaches_one_at_the_replan_fraction() {
         let m = monitor(DriftConfig::default());
-        let d = m.divergence(&[(QueryId(1), 100), (QueryId(2), 10)], 1_000, 50, 0.05);
+        let d = m.divergence(&[(QueryId(1), 100), (QueryId(2), 10)], 1_000, 50);
         assert!((d - 1.0).abs() < 1e-9);
     }
 
@@ -221,22 +224,22 @@ mod tests {
         let mut m = monitor(DriftConfig {
             threshold: 1.0,
             sustain: 2,
-            floor: 32.0,
+            ..DriftConfig::default()
         });
         let drifted = [(QueryId(1), 300u64)]; // |300-100|/100 = 2.0
         let calm = [(QueryId(1), 100u64), (QueryId(2), 10u64)];
         // First breaching window: streak 1, no fire.
-        assert!(!m.observe(&drifted, 1_000, 0, 0.05).replan);
+        assert!(!m.observe(&drifted, 1_000, 0).replan);
         // Second: sustained, fires exactly once.
-        assert!(m.observe(&drifted, 1_000, 0, 0.05).replan);
+        assert!(m.observe(&drifted, 1_000, 0).replan);
         // Continued breach: still disarmed, silent.
-        assert!(!m.observe(&drifted, 1_000, 0, 0.05).replan);
-        assert!(!m.observe(&drifted, 1_000, 0, 0.05).replan);
+        assert!(!m.observe(&drifted, 1_000, 0).replan);
+        assert!(!m.observe(&drifted, 1_000, 0).replan);
         // Recovery re-arms…
-        assert!(!m.observe(&calm, 1_000, 0, 0.05).replan);
+        assert!(!m.observe(&calm, 1_000, 0).replan);
         // …and a new sustained breach fires again.
-        assert!(!m.observe(&drifted, 1_000, 0, 0.05).replan);
-        assert!(m.observe(&drifted, 1_000, 0, 0.05).replan);
+        assert!(!m.observe(&drifted, 1_000, 0).replan);
+        assert!(m.observe(&drifted, 1_000, 0).replan);
     }
 
     #[test]
@@ -244,12 +247,12 @@ mod tests {
         let mut m = monitor(DriftConfig {
             threshold: 1.0,
             sustain: 1,
-            floor: 32.0,
+            ..DriftConfig::default()
         });
         // Shunts over the replan fraction: the legacy trigger.
         let on_budget = [(QueryId(1), 100u64), (QueryId(2), 10u64)];
-        assert!(m.observe(&on_budget, 1_000, 200, 0.05).replan);
-        assert!(!m.observe(&on_budget, 1_000, 200, 0.05).replan);
+        assert!(m.observe(&on_budget, 1_000, 200).replan);
+        assert!(!m.observe(&on_budget, 1_000, 200).replan);
     }
 
     #[test]
@@ -257,11 +260,11 @@ mod tests {
         let mut m = monitor(DriftConfig {
             threshold: 1.0,
             sustain: 2,
-            floor: 32.0,
+            ..DriftConfig::default()
         });
         let drifted = [(QueryId(1), 300u64)];
-        assert!(!m.observe(&drifted, 1_000, 0, 0.05).replan);
-        assert!(m.observe(&drifted, 1_000, 0, 0.05).replan);
+        assert!(!m.observe(&drifted, 1_000, 0).replan);
+        assert!(m.observe(&drifted, 1_000, 0).replan);
         // The swap re-bases the monitor on the new plan's budget: the
         // same traffic is now on-budget, the streak clears, and the
         // monitor is armed for the *next* genuine drift.
@@ -269,17 +272,17 @@ mod tests {
             per_query: vec![(QueryId(1), 300.0)],
             total: 300.0,
         });
-        assert_eq!(m.observe(&drifted, 1_000, 0, 0.05).divergence, 0.0);
+        assert_eq!(m.observe(&drifted, 1_000, 0).divergence, 0.0);
         let next_drift = [(QueryId(1), 900u64)];
-        assert!(!m.observe(&next_drift, 1_000, 0, 0.05).replan);
-        assert!(m.observe(&next_drift, 1_000, 0, 0.05).replan);
+        assert!(!m.observe(&next_drift, 1_000, 0).replan);
+        assert!(m.observe(&next_drift, 1_000, 0).replan);
     }
 
     #[test]
     fn gauge_exports_divergence_in_per_mille() {
         let obs = ObsHandle::with_capacity(16);
         let mut m = DriftMonitor::new(budget(), DriftConfig::default(), &obs);
-        m.observe(&[(QueryId(1), 250), (QueryId(2), 10)], 1_000, 0, 0.05);
+        m.observe(&[(QueryId(1), 250), (QueryId(2), 10)], 1_000, 0);
         // |250-100|/100 = 1.5 → 1500 per-mille.
         assert_eq!(obs.snapshot().gauge("sonata_plan_divergence"), Some(1500));
     }

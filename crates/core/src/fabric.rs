@@ -1,14 +1,15 @@
-//! The window loop: N switch instances feeding M collector shards.
+//! The window loop: N switch instances feeding one collector.
 //!
 //! A [`TopologyConfig`] drives N independent [`Switch`] instances —
 //! each with its own deployed program, fault domain, and `sonata-net`
 //! transport (Loopback or Tcp, reusing the `Hello` plan-digest
 //! handshake per peer) — whose mirrored reports are demultiplexed per
-//! switch and merged per window into one global result processed by M
-//! collector shards. Every driver runs this one loop: the
-//! single-switch [`Runtime`] is a fabric of one switch, and
-//! `Fabric::run_window` is the only code that turns a window's
-//! packets into a [`WindowReport`].
+//! switch and merged per window into one global result. The stream
+//! processor is one job pool ([`ShardedEngine`]): each query-window is
+//! a job, and a window's jobs go to it in one submit. Every driver
+//! runs this one loop: the single-switch [`Runtime`] is a fabric of
+//! one switch, and `Fabric::run_window` is the only code that turns a
+//! window's packets into a [`WindowReport`].
 //!
 //! **Merge soundness.** Per-packet reports union trivially: the trace
 //! partitioner is exhaustive and flow-sticky, so each packet's reports
@@ -26,9 +27,9 @@
 //! its own dumps, and the replay covers only the tasks that shunted.
 //!
 //! **Window alignment.** Windows ride the credit/lockstep protocol:
-//! each collector shard drains its assigned switches to `WindowClose`
-//! before the merge, and the fabric closes window *w* only after every
-//! live switch closed it. A switch that fails to close (mid-window
+//! the collector drains every live switch to `WindowClose`, in switch
+//! order, before the merge, and the fabric closes window *w* only
+//! after every live switch closed it. A switch that fails to close (mid-window
 //! loss, scheduled via [`SwitchOutage`]) is a *straggler*: its partial
 //! is discarded wholesale — bounded staleness, never a stall — and the
 //! window is marked degraded with the switch's bit set in
@@ -64,8 +65,7 @@ use sonata_pisa::{
 use sonata_planner::{GlobalPlan, ReplanOutcome, Replanner, SolveOptions};
 use sonata_query::{ColName, Heap, Operator, Query, QueryId, RowRun, RowSource, Tuple};
 use sonata_stream::{
-    merge_window_batches, BoundEntries, JobResult, ShardedEngine, StreamError, SwitchPartial,
-    WindowBatch,
+    merge_window_batches, BoundEntries, JobResult, ShardedEngine, SwitchPartial, WindowBatch,
 };
 use sonata_traffic::{Trace, TracePartitioner};
 use std::collections::btree_map::Entry;
@@ -78,50 +78,36 @@ use std::time::Duration;
 /// doubling backoff (1 ms, 2 ms, ...) to the window's update latency.
 const MAX_BOUNDARY_ATTEMPTS: u64 = 3;
 
-/// Shape of a telemetry fabric: how many switches split the tap, how
-/// many collector shards process the merged stream, and how the two
-/// tiers map onto each other.
+/// Shape of a telemetry fabric: how many switches split the tap, and
+/// with what traffic shares.
 #[derive(Debug, Clone)]
 pub struct TopologyConfig {
     /// Switch instances the trace is split across (1–64; the
     /// straggler bitmask in [`DegradedWindow`] is a `u64`).
     pub switches: usize,
-    /// Collector shards. Stream jobs are owned by *source* query
-    /// (`source % shards`), keeping each refinement chain — and its
-    /// feed-forward state — shard-local.
+    /// Collector shards, a metric label: `sonata_fabric_shard_jobs`
+    /// counts each stream job under `source % shards`
+    /// ([`Self::shard_for_query`]). Every job runs on the fabric's one
+    /// job pool.
     pub shards: usize,
     /// Relative traffic share per switch (empty = uniform). Lets a
     /// topology model skew: one big border switch, small leaf
     /// switches.
     pub shares: Vec<f64>,
-    /// Switch → shard window-alignment assignment (empty = round-robin
-    /// `switch % shards`): the shard responsible for draining that
-    /// switch's frames to `WindowClose` each window.
-    pub assignment: Vec<usize>,
 }
 
 impl TopologyConfig {
-    /// An `switches × shards` fabric with uniform shares and
-    /// round-robin assignment.
+    /// An `switches × shards` fabric with uniform shares.
     pub fn new(switches: usize, shards: usize) -> Self {
         TopologyConfig {
             switches: switches.max(1),
             shards: shards.max(1),
             shares: Vec::new(),
-            assignment: Vec::new(),
         }
     }
 
-    /// The shard that tracks `switch`'s window alignment.
-    pub fn shard_for(&self, switch: usize) -> usize {
-        self.assignment
-            .get(switch)
-            .copied()
-            .unwrap_or(switch % self.shards)
-    }
-
-    /// The shard that owns a source query's stream jobs (its whole
-    /// refinement chain).
+    /// The shard label a source query's stream jobs (its whole
+    /// refinement chain) are counted under.
     pub fn shard_for_query(&self, source: QueryId) -> usize {
         source.0 as usize % self.shards
     }
@@ -153,21 +139,6 @@ impl TopologyConfig {
                 self.shares.len(),
                 self.switches
             ));
-        }
-        if !self.assignment.is_empty() {
-            if self.assignment.len() != self.switches {
-                return Err(format!(
-                    "topology: {} assignments for {} switches",
-                    self.assignment.len(),
-                    self.switches
-                ));
-            }
-            if let Some(bad) = self.assignment.iter().find(|&&a| a >= self.shards) {
-                return Err(format!(
-                    "topology: assignment to shard {bad} but only {} shards",
-                    self.shards
-                ));
-            }
         }
         Ok(())
     }
@@ -223,7 +194,7 @@ struct FabricSwitch {
 /// How a switch takes in a window. The window's packets are laid into
 /// the packet arena once; then the whole window runs as one
 /// [`Switch::process_batch`] and ships as report blocks, or, under
-/// [`RuntimeConfig::force_reference_path`], each packet runs through
+/// [`RuntimeConfig::oracle`], each packet runs through
 /// [`Switch::process_reference`] and ships its reports one frame each.
 struct Ingest {
     /// Window packet arena, rebuilt in place per window (allocations
@@ -232,16 +203,16 @@ struct Ingest {
     /// Report arena filled by [`Switch::process_batch`], reused across
     /// windows.
     reports: ReportBatch,
-    /// [`RuntimeConfig::force_reference_path`].
-    reference: bool,
+    /// [`RuntimeConfig::oracle`].
+    oracle: bool,
 }
 
 impl Ingest {
-    fn new(reference: bool) -> Self {
+    fn new(oracle: bool) -> Self {
         Ingest {
             arena: PacketArena::new(),
             reports: ReportBatch::new(),
-            reference,
+            oracle,
         }
     }
 
@@ -258,7 +229,7 @@ impl Ingest {
     ) -> Result<(), RuntimeError> {
         self.arena.rebuild_from_packets(packets);
         let batch = self.arena.batch();
-        if self.reference {
+        if self.oracle {
             for view in batch.iter() {
                 link.send_packet_reports(switch.process_reference(view))?;
                 pump()?;
@@ -273,8 +244,6 @@ impl Ingest {
 /// The collector side of one switch's wire: endpoint plus the
 /// per-switch emitter that demultiplexes its reports.
 struct FabricLink {
-    /// The shard responsible for draining this switch each window.
-    shard: usize,
     link: CollectorEndpoint,
     emitter: Emitter,
 }
@@ -316,27 +285,6 @@ impl WindowRx {
     }
 }
 
-/// One collector shard: a stream engine owning a subset of the
-/// queries, plus its crash-fallback twin when faults are enabled.
-struct Shard {
-    engine: ShardedEngine,
-    /// Safe single-mode engine (one worker, no injector) a job falls
-    /// back to when it keeps crashing after a respawn-and-retry; kept
-    /// registration-synchronised with the engine. Only built when
-    /// faults are enabled — the fault-free path never pays for it.
-    fallback: Option<ShardedEngine>,
-}
-
-impl Shard {
-    /// (Re-)register a refined query on the engine and its fallback.
-    fn register(&mut self, refined: &Query) {
-        self.engine.register(refined.clone());
-        if let Some(fb) = &mut self.fallback {
-            fb.register(refined.clone());
-        }
-    }
-}
-
 /// Pre-resolved metric handles: the per-window path only touches
 /// atomics, never the registry lock.
 struct FabricObs {
@@ -363,7 +311,8 @@ struct FabricObs {
     switch_tuples: Vec<Counter>,
     /// `sonata_fabric_stragglers{switch=...}`.
     switch_stragglers: Vec<Counter>,
-    /// `sonata_fabric_shard_jobs{shard=...}`.
+    /// `sonata_fabric_shard_jobs{shard=...}`, by
+    /// [`TopologyConfig::shard_for_query`].
     shard_jobs: Vec<Counter>,
 }
 
@@ -514,7 +463,8 @@ pub struct Fabric {
     defers: bool,
     switches: Vec<FabricSwitch>,
     links: Vec<FabricLink>,
-    shards: Vec<Shard>,
+    /// The stream processor: every instance's job, on one pool.
+    engine: ShardedEngine,
     /// Each task's deployment and its local merge, run once per window
     /// over the union of every switch's local store.
     by_task: BTreeMap<TaskId, (Deployment, BoundEntries)>,
@@ -591,12 +541,11 @@ impl Fabric {
                 switch,
                 name,
                 cost_model: cfg.cost_model,
-                ingest: Ingest::new(cfg.force_reference_path),
+                ingest: Ingest::new(cfg.oracle),
                 faults: inj.clone(),
                 link,
             });
             links.push(FabricLink {
-                shard: topo.shard_for(s),
                 link: CollectorEndpoint::new(sp_t, metrics, digest, plan.epoch),
                 emitter: Emitter::with_faults(&deployments, &inj),
             });
@@ -611,7 +560,7 @@ impl Fabric {
             defers,
             switches,
             links,
-            shards: build_shards(&cfg, &topo, &faults, &instances),
+            engine: build_engine(&cfg, &faults, &instances),
             by_task: bind_tasks(&deployments),
             feed_forward: build_feed_forward(&deployments, &instances),
             instances,
@@ -764,7 +713,7 @@ impl Fabric {
     }
 
     /// The window turn every driver runs: per-switch data planes, the
-    /// cross-switch merge, the stream jobs on each shard's job pool, one
+    /// cross-switch merge, the stream jobs on the job pool, one
     /// refinement feed-forward, and the broadcast control turn.
     pub(crate) fn run_window(
         &mut self,
@@ -858,18 +807,16 @@ impl Fabric {
             sw.link
                 .close_window(window, loop_ns[s], dump_ns, transport_ns)?;
         }
-        // Window alignment: each collector shard drains its assigned
-        // switches to `WindowClose` before the fabric merges. The
-        // drain span's parent is learned from the drained frames
-        // themselves, so it is reported after the fact.
+        // Window alignment: the collector drains every live switch to
+        // `WindowClose` before the fabric merges. The drain span's
+        // parent is learned from the drained frames themselves, so it
+        // is reported after the fact.
         let drain_started = handle.now_ns();
-        for shard in 0..self.topo.shards {
-            for &s in &live_ids {
-                let link = &mut self.links[s];
-                while link.shard == shard && !rxs[s].closed {
-                    let frame = link.link.recv_frame()?;
-                    absorb_frame(link, &mut rxs[s], frame, &handle)?;
-                }
+        for &s in &live_ids {
+            let link = &mut self.links[s];
+            while !rxs[s].closed {
+                let frame = link.link.recv_frame()?;
+                absorb_frame(link, &mut rxs[s], frame, &handle)?;
             }
         }
         let collector_drain_ns = handle.now_ns().saturating_sub(drain_started);
@@ -1003,68 +950,33 @@ impl Fabric {
             (batches.iter()).map(|(job, b)| (*job, b.tuple_count() as u64)),
         );
 
-        // Stream processing: each shard runs its jobs as one window on
-        // its job pool. Fault verdicts are rolled per job in the engine,
-        // so the records do not depend on dispatch. Then, in job order,
-        // an injected worker crash degrades through a recovery ladder —
-        // respawn the dead job and retry once, then run it on the
-        // shard's safe single-mode fallback engine — and any other
-        // error fails the window: the first in job order, at every
-        // worker count.
-        let mut worker_retries = 0u64;
-        let mut single_mode_fallbacks = 0u64;
+        // Stream processing: the window's jobs, in job order, as one
+        // submit to the job pool. Fault verdicts are rolled per job in
+        // the engine, and an injected worker crash climbs the engine's
+        // recovery ladder there, so the records do not depend on
+        // dispatch. Any other error fails the window: the first in job
+        // order, at every worker count.
         let mut outputs: HashMap<QueryId, JobResult> = HashMap::new();
-        let shard_execute_ns;
-        {
-            let t = handle.trace_span(Stage::ShardExecute, window, collector_parent, "collector");
-            // The ladder retries a crashed job on its batch.
-            let spare: Option<HashMap<QueryId, WindowBatch>> = self
-                .faults
-                .is_enabled()
-                .then(|| batches.iter().cloned().collect());
-            let mut per_shard: Vec<Vec<(QueryId, WindowBatch)>> =
-                self.shards.iter().map(|_| Vec::new()).collect();
-            for (job, batch) in batches {
-                let j = self.topo.shard_for_query(source_of(&self.instances, job));
-                per_shard[j].push((job, batch));
-            }
-            let mut results = BTreeMap::new();
-            for (j, jobs) in per_shard.into_iter().enumerate() {
-                if !jobs.is_empty() {
-                    let done = self.shards[j].engine.submit_window(jobs);
-                    results.extend(done.into_iter().map(|(job, r)| (job, (j, r))));
-                }
-            }
-            for (job, (j, result)) in results {
-                let result = match (result, &spare) {
-                    (Err(StreamError::Panic(_)), Some(spare)) => recover_job(
-                        &mut self.shards[j],
-                        job,
-                        &spare[&job],
-                        &mut worker_retries,
-                        &mut single_mode_fallbacks,
-                    )?,
-                    (result, _) => result?,
-                };
-                self.obs.shard_jobs[j].inc();
-                outputs.insert(job, result);
-            }
-            shard_execute_ns = t.finish();
+        let t = handle.trace_span(Stage::ShardExecute, window, collector_parent, "collector");
+        let run = self.engine.submit_window(batches);
+        let shard_execute_ns = t.finish();
+        for (job, result) in run.results {
+            outputs.insert(job, result?);
+            let j = self.topo.shard_for_query(source_of(&self.instances, job));
+            self.obs.shard_jobs[j].inc();
         }
 
         // Alerts: finest-level outputs, in query order.
         let alerts = collect_alerts(&self.instances, &outputs);
 
         // Refinement feed-forward: rewritten SP-side queries
-        // re-register on their owning shard (and its fallback twin, or
-        // a post-rewrite fallback would filter with a stale key set).
-        let shards = &mut self.shards;
-        let topo = &self.topo;
+        // re-register on the job pool.
+        let engine = &mut self.engine;
         let mut control_ops = feed_forward_control(
             &self.feed_forward,
             &mut self.instances,
             &outputs,
-            |source, refined| shards[topo.shard_for_query(source)].register(refined),
+            |refined| engine.register(refined.clone()),
         );
         control_ops.push(ControlOp::ResetRegisters);
 
@@ -1122,12 +1034,7 @@ impl Fabric {
         // Reconcile the merged window against the plan's committed
         // tuple budget; the sustained-threshold rule decides
         // re-planning.
-        let drift = self.drift.observe(
-            &tuples_per_query,
-            packets,
-            shunts,
-            self.cfg.shunt_replan_fraction,
-        );
+        let drift = self.drift.observe(&tuples_per_query, packets, shunts);
         let replan_triggered = drift.replan;
 
         // Metrics and events.
@@ -1170,8 +1077,8 @@ impl Fabric {
             let marker = DegradedWindow {
                 injected,
                 duplicates_suppressed,
-                worker_retries,
-                single_mode_fallbacks,
+                worker_retries: run.retries,
+                reference_fallbacks: run.reference_fallbacks,
                 boundary_retries,
                 boundary_update_skipped: boundary_skipped,
                 straggler_switches: straggler_mask,
@@ -1269,8 +1176,8 @@ impl Fabric {
     /// Swap a re-solved plan across the whole fabric at one window
     /// boundary. Every switch — live or dark — is reprogrammed and
     /// re-keyed to the new digest/epoch, every collector link commits
-    /// the epoch *before* its switch's fresh `Hello` goes out, every
-    /// shard re-registers the new instances, and the drift monitor
+    /// the epoch *before* its switch's fresh `Hello` goes out, the job
+    /// pool is rebuilt for the new instances, and the drift monitor
     /// re-bases on the new budget. `window` is the first window the
     /// whole fabric executes under the new plan.
     fn apply_swap(
@@ -1299,7 +1206,7 @@ impl Fabric {
         for sw in &mut self.switches {
             sw.link.set_plan(digest, plan.epoch)?;
         }
-        self.shards = build_shards(&self.cfg, &self.topo, &self.faults, &instances);
+        self.engine = build_engine(&self.cfg, &self.faults, &instances);
         self.feed_forward = build_feed_forward(&deployments, &instances);
         self.by_task = bind_tasks(&deployments);
         self.instances = instances;
@@ -1352,28 +1259,17 @@ fn load_switch(
     Ok(switch)
 }
 
-/// One collector shard per topology shard, each registering the
-/// instances whose source query it owns.
-fn build_shards(
+/// The job pool, with every instance's refined query registered.
+fn build_engine(
     cfg: &RuntimeConfig,
-    topo: &TopologyConfig,
     faults: &FaultInjector,
     instances: &[QueryInstance],
-) -> Vec<Shard> {
-    let reference = cfg.force_reference_path;
-    let mut shards: Vec<Shard> = (0..topo.shards)
-        .map(|_| Shard {
-            engine: ShardedEngine::with_config(cfg.workers, &cfg.obs, faults, reference),
-            fallback: faults.is_enabled().then(|| {
-                let none = FaultInjector::disabled();
-                ShardedEngine::with_config(1, &ObsHandle::disabled(), &none, reference)
-            }),
-        })
-        .collect();
+) -> ShardedEngine {
+    let mut engine = ShardedEngine::with_config(cfg.workers, &cfg.obs, faults, cfg.oracle);
     for inst in instances {
-        shards[topo.shard_for_query(inst.source)].register(&inst.refined);
+        engine.register(inst.refined.clone());
     }
-    shards
+    engine
 }
 
 /// Each deployed task with its local merge bound.
@@ -1457,34 +1353,6 @@ fn absorb_frame(
         }
     }
     Ok(())
-}
-
-/// Take one crashed job through the rest of the recovery ladder:
-/// respawn its executor and retry once; if the job crashes again,
-/// respawn and run it on the shard's safe single-mode fallback engine
-/// (which carries no injector and therefore cannot crash). Non-crash
-/// errors propagate unchanged.
-fn recover_job(
-    shard: &mut Shard,
-    job: QueryId,
-    batch: &WindowBatch,
-    retries: &mut u64,
-    fallbacks: &mut u64,
-) -> Result<JobResult, RuntimeError> {
-    let engine = &mut shard.engine;
-    engine.recover_workers();
-    *retries += 1;
-    match engine.submit(job, batch) {
-        Ok(r) => Ok(r),
-        Err(StreamError::Panic(_)) => {
-            engine.recover_workers();
-            *fallbacks += 1;
-            let fallback =
-                (shard.fallback.as_mut()).expect("fallback engine exists when faults are enabled");
-            Ok(fallback.submit(job, batch)?)
-        }
-        Err(e) => Err(e.into()),
-    }
 }
 
 /// Boundary-write retry loop under injected write failures: returns
@@ -1680,13 +1548,12 @@ fn build_feed_forward(deployments: &[Deployment], instances: &[QueryInstance]) -
 /// Dynamic refinement: turn level-r outputs into the control ops that
 /// install level-r+1 dynamic filters for the next window, rewriting
 /// SP-side `InSet` branches in place. `reregister` is called with each
-/// rewritten refined query and its source query, so the caller can
-/// update the engine that owns the job.
+/// rewritten refined query, so the caller can update its job.
 fn feed_forward_control(
     feed_forward: &[FeedForward],
     instances: &mut [QueryInstance],
     outputs: &HashMap<QueryId, JobResult>,
-    mut reregister: impl FnMut(QueryId, &Query),
+    mut reregister: impl FnMut(&Query),
 ) -> Vec<ControlOp> {
     let mut control_ops = Vec::new();
     for link in feed_forward {
@@ -1716,7 +1583,7 @@ fn feed_forward_control(
                 for &b in &link.sp_branches {
                     rewrite_inset(&mut inst.refined, b, keys.clone());
                 }
-                reregister(inst.source, &inst.refined);
+                reregister(&inst.refined);
             }
         }
     }
@@ -1799,23 +1666,9 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(TopologyConfig {
-            assignment: vec![0, 2],
-            ..TopologyConfig::new(2, 2)
-        }
-        .validate()
-        .is_err());
         let t = TopologyConfig::new(4, 2);
-        assert_eq!(t.shard_for(0), 0);
-        assert_eq!(t.shard_for(3), 1);
+        assert_eq!(t.shard_for_query(QueryId(3)), 1);
         assert_eq!(t.partitioner().switches(), 4);
-        let custom = TopologyConfig {
-            assignment: vec![1, 1, 0, 0],
-            ..TopologyConfig::new(4, 2)
-        };
-        assert!(custom.validate().is_ok());
-        assert_eq!(custom.shard_for(0), 1);
-        assert_eq!(custom.shard_for(3), 0);
     }
 
     fn syn(src: u32, dst: u32, ts_ms: u64) -> Packet {
@@ -1960,6 +1813,33 @@ mod tests {
         // Refusing touched nothing: the right split still runs.
         let report = fab.process_window(0, &parts).unwrap();
         assert_eq!(report.packets, packets.len() as u64);
+    }
+
+    #[test]
+    fn a_window_fans_out_once_whatever_the_shard_count() {
+        use sonata_traffic::trace::EvaluationTrace;
+        // All-SP top-8 on a 2×2 fabric: 25–34 k tuples per window, so
+        // each shard label's half clears the fan-out floor too, and all
+        // of them go to the one job pool as one submit.
+        let tr = EvaluationTrace::generate(11, 3, 3_000, 0.01).trace;
+        let plan = plan_for(PlanMode::AllSp, &catalog::top8(&Thresholds::default()), &tr);
+        let obs = ObsHandle::enabled();
+        let cfg = RuntimeConfig {
+            obs: obs.clone(),
+            workers: 2,
+            topology: Some(TopologyConfig::new(2, 2)),
+            ..RuntimeConfig::default()
+        };
+        let report = Fabric::new(&plan, cfg).unwrap().process_trace(&tr).unwrap();
+        assert_eq!(report.windows.len(), 3);
+        for w in &report.windows {
+            let tuples = w.tuples_to_sp;
+            assert!((25_000..34_000).contains(&tuples), "{}: {tuples}", w.window);
+        }
+        let fanned = obs
+            .snapshot()
+            .counter("sonata_engine_parallel_windows_total");
+        assert_eq!(fanned, Some(3));
     }
 
     #[test]

@@ -33,15 +33,9 @@ pub struct RuntimeConfig {
     pub cost_model: UpdateCostModel,
     /// Window size in milliseconds (defaults to the first query's).
     pub window_ms: Option<u64>,
-    /// Re-planning trigger: when shunted packets exceed this fraction
-    /// of a window's packets, the window counts as diverged
-    /// (Section 5: "when it detects too many hash collisions, the
-    /// runtime triggers the query planner"). Folded — together with
-    /// the per-query budget reconciliation — into the plan-drift
-    /// monitor's divergence scale; see [`DriftConfig`].
-    pub shunt_replan_fraction: f64,
-    /// Sustained-threshold rule turning plan divergence into the
-    /// re-plan trigger ([`crate::drift::DriftMonitor`]).
+    /// Sustained-threshold rule turning plan divergence — per-query
+    /// budget drift and collision shunts — into the re-plan trigger
+    /// ([`crate::drift::DriftMonitor`]).
     pub drift: DriftConfig,
     /// Threads that run a window's stream jobs, one whole job per
     /// thread: the window loop's own thread plus `workers − 1`
@@ -73,8 +67,9 @@ pub struct RuntimeConfig {
     /// pre-wire runtime; [`TransportKind::Tcp`] sends every frame
     /// through the versioned binary codec over localhost sockets.
     pub transport: TransportKind,
-    /// Debug knob: force the tree-walking reference interpreters on
-    /// both sides of the wire instead of the compiled fast paths. The
+    /// Debug knob: run the oracle — the tree-walking reference
+    /// interpreters on both sides of the wire — instead of the
+    /// compiled fast paths. The
     /// switch then runs each packet through
     /// [`Switch::process_reference`] and ships its reports one frame
     /// each, instead of one [`Switch::process_batch`] per window
@@ -83,11 +78,12 @@ pub struct RuntimeConfig {
     /// the reference (asserted by the differential suite in
     /// `tests/differential_fastpath.rs`); this flag exists to verify
     /// exactly that claim and to bisect any future divergence.
-    pub force_reference_path: bool,
+    pub oracle: bool,
     /// Fabric topology. `None` (the default) is one switch feeding one
     /// collector, the [`Runtime`] shape. A [`Fabric`] splits the trace
     /// across N switch instances and merges their per-window partials
-    /// across M collector shards; a [`Runtime`] refuses N > 1.
+    /// into one window for its one job pool (M collector shards are a
+    /// metric label); a [`Runtime`] refuses N > 1.
     pub topology: Option<TopologyConfig>,
     /// Closed-loop replanning: what the runtime *does* when the drift
     /// monitor fires. Disabled by default — triggers are still
@@ -112,13 +108,12 @@ impl Default for RuntimeConfig {
             constraints: SwitchConstraints::default(),
             cost_model: UpdateCostModel::default(),
             window_ms: None,
-            shunt_replan_fraction: 0.05,
             drift: DriftConfig::default(),
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             obs: ObsHandle::disabled(),
             faults: FaultPlan::none(),
             transport: TransportKind::Loopback,
-            force_reference_path: false,
+            oracle: false,
             topology: None,
             replan: ReplanConfig::default(),
             sketch: SketchConfig::default(),
@@ -188,9 +183,9 @@ pub struct DegradedWindow {
     /// Stream jobs retried after an injected worker crash (the dead
     /// worker was respawned first).
     pub worker_retries: u64,
-    /// Stream jobs that crashed again on retry and ran on the safe
-    /// single-mode fallback engine instead.
-    pub single_mode_fallbacks: u64,
+    /// Stream jobs that crashed again on retry and were evaluated on
+    /// the reference interpreter instead (respawned once more first).
+    pub reference_fallbacks: u64,
     /// Boundary-write attempts that failed and were retried with
     /// backoff.
     pub boundary_retries: u64,
@@ -211,7 +206,7 @@ impl DegradedWindow {
         self.injected.is_empty()
             && self.duplicates_suppressed == 0
             && self.worker_retries == 0
-            && self.single_mode_fallbacks == 0
+            && self.reference_fallbacks == 0
             && self.boundary_retries == 0
             && !self.boundary_update_skipped
             && self.straggler_switches == 0
@@ -717,9 +712,9 @@ mod tests {
         let mut rt = Runtime::new(
             &plan,
             RuntimeConfig {
-                shunt_replan_fraction: 0.01,
                 // Single-window breach must fire: legacy trigger shape.
                 drift: DriftConfig {
+                    shunt_replan_fraction: 0.01,
                     sustain: 1,
                     ..DriftConfig::default()
                 },
@@ -922,6 +917,59 @@ mod tests {
         }
         // Exports stay well-formed end to end.
         sonata_obs::validate_snapshot_json(&m.to_json()).unwrap();
+    }
+
+    #[test]
+    fn engine_counters_reconcile_when_every_job_crashes_twice() {
+        use sonata_faults::WorkerFaults;
+        use sonata_stream::testsupport::{low_thresholds, seeded_packets};
+        // `chaos_recovery`'s two-window trace, queries and plan, seed 7:
+        // every job crashes on its attempt and its retry, so each
+        // result comes from the ladder's reference rung.
+        let mut pkts = Vec::new();
+        for w in 0..2u64 {
+            let mut chunk = seeded_packets(7 + w, 300);
+            chunk
+                .iter_mut()
+                .for_each(|p| p.ts_nanos += w * 3_000_000_000);
+            pkts.extend(chunk);
+        }
+        let tr = Trace::new(pkts);
+        let t = low_thresholds();
+        let queries = [
+            catalog::newly_opened_tcp_conns(&t),
+            catalog::superspreader(&t),
+        ];
+        let plan = plan_for(PlanMode::Sonata, &queries, &tr);
+        let obs = ObsHandle::enabled();
+        let faults = FaultPlan {
+            seed: 7,
+            worker: WorkerFaults {
+                crash_per_mille: 1000,
+                consecutive_crashes: 2,
+                ..WorkerFaults::default()
+            },
+            ..FaultPlan::default()
+        };
+        let cfg = RuntimeConfig {
+            obs: obs.clone(),
+            faults,
+            ..RuntimeConfig::default()
+        };
+        let report = Runtime::new(&plan, cfg)
+            .unwrap()
+            .process_trace(&tr)
+            .unwrap();
+        let fallbacks: u64 = (report.windows.iter())
+            .filter_map(|w| w.degraded.map(|d| d.reference_fallbacks))
+            .sum();
+        let m = &report.metrics;
+        assert!(report.total_tuples() > 0);
+        assert_eq!(
+            m.counter("sonata_engine_tuples_total"),
+            Some(report.total_tuples())
+        );
+        assert_eq!(m.counter("sonata_engine_windows_total"), Some(fallbacks));
     }
 
     #[test]

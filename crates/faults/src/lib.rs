@@ -165,8 +165,9 @@ impl ReportFaults {
 /// Job-level faults in the stream engine. Crash selection
 /// is per `(window, job)`; a selected job crashes on its first
 /// [`Self::consecutive_crashes`] submit attempts and runs on the next,
-/// so `1` is recovered by respawn-and-retry and `2` forces the
-/// runtime's single-mode fallback.
+/// so `1` is recovered by respawn-and-retry and `2` forces the job
+/// pool's last rung, the reference interpreter, which asks for no
+/// verdict.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkerFaults {
     /// ‰ chance per `(window, job)` that the job crashes.
@@ -492,8 +493,9 @@ impl FaultInjector {
 
     /// Decide the fate of one engine submit attempt for `job`: a pure
     /// function of `(seed, window, job, attempt)`, where each call
-    /// advances the job's per-window attempt counter. The runtime's
-    /// retry discipline (attempt, retry, fall back) so maps onto
+    /// advances the job's per-window attempt counter. The job pool's
+    /// crash ladder (attempt, retry, then the reference interpreter,
+    /// which asks for no verdict) so maps onto
     /// [`WorkerFaults::consecutive_crashes`] deterministically, and the
     /// order in which a window's jobs are asked does not matter.
     pub fn worker_verdict(&self, job: u32) -> WorkerVerdict {

@@ -38,4 +38,4 @@ pub mod worker;
 pub use engine::{execute_window, BoundEntries, EngineCounters, JobResult, StreamError};
 pub use merge::{canonicalize_batch, canonicalize_batches, merge_window_batches, SwitchPartial};
 pub use window::{codegen_stream_plan, stream_loc, WindowBatch};
-pub use worker::{ShardedEngine, PARALLEL_FLOOR_TUPLES};
+pub use worker::{ShardedEngine, WindowRun, PARALLEL_FLOOR_TUPLES};

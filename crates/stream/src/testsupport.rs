@@ -218,7 +218,7 @@ pub fn assert_pool_matches_inline(
     let run = |w: usize| {
         let mut engine = ShardedEngine::new(w);
         queries.iter().for_each(|q| engine.register(q.clone()));
-        let results = engine.submit_window(jobs.to_vec());
+        let results = engine.submit_window(jobs.to_vec()).results;
         (results, engine.finish())
     };
     let (inline, inline_counters) = run(1);

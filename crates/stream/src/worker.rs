@@ -9,9 +9,11 @@
 //! A job's result depends only on its own batch and executor state, so
 //! results are bit-identical at every worker count. A panicking job is
 //! contained and surfaces as [`StreamError::Panic`]; the pool keeps
-//! serving.
+//! serving. Under an enabled [`FaultInjector`] a panicked job instead
+//! climbs the crash ladder: respawn and retry once, then respawn and
+//! evaluate on the reference interpreter.
 
-use crate::engine::{EngineCounters, JobResult, MicroBatchEngine, StreamError};
+use crate::engine::{execute_window, EngineCounters, JobResult, MicroBatchEngine, StreamError};
 use crate::window::WindowBatch;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use sonata_faults::{FaultInjector, WorkerVerdict};
@@ -37,23 +39,26 @@ pub const INJECTED_CRASH_MSG: &str = "injected fault: worker crash";
 /// perfect balance, and later when one job dominates. The floor sits
 /// 1.5× above that. On seeds 11–20 it keeps every Max-DP top-8 window
 /// inline (≈ 3.7 k tuples, at most 4.0 k, right at break-even), and
-/// fans out every All-SP top-8 window (≈ 41 k) and ≈ 94 % of a 2×2
-/// fabric's Filter-DP shard windows (≈ 7.5 k each).
+/// fans out every All-SP top-8 window (≈ 41 k) and a 2×2 fabric's
+/// Filter-DP windows (≈ 15 k, both shard labels' jobs in one submit).
 pub const PARALLEL_FLOOR_TUPLES: usize = 6_144;
 
 /// A job's expected cost per tuple, in picoseconds, before it has run:
 /// the ≈ 9 ns per tuple above.
 const FIRST_COST_PS_PER_TUPLE: u64 = 9_000;
 
-/// Render a panic payload for [`StreamError::Panic`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
+/// Run `job`, containing a panic as [`StreamError::Panic`].
+fn contain(job: impl FnOnce() -> Result<JobResult, StreamError>) -> Result<JobResult, StreamError> {
+    catch_unwind(AssertUnwindSafe(job)).unwrap_or_else(|payload| {
+        let message = if let Some(s) = payload.downcast_ref::<&str>() {
+            (*s).to_string()
+        } else if let Some(s) = payload.downcast_ref::<String>() {
+            s.clone()
+        } else {
+            "non-string panic payload".to_string()
+        };
+        Err(StreamError::Panic(message))
+    })
 }
 
 /// A registered job's executor. A window locks it once, on the one
@@ -72,7 +77,7 @@ struct Task {
 }
 
 /// A finished task. The batch rides back so it is dropped on the
-/// caller, where it was built.
+/// caller, where it was built, or kept there for the crash ladder.
 struct Done {
     slot: usize,
     result: Result<JobResult, StreamError>,
@@ -103,8 +108,7 @@ fn execute(
         std::thread::sleep(Duration::from_millis(ms));
     }
     let mut exec = exec.lock().expect("job executor lock");
-    catch_unwind(AssertUnwindSafe(|| exec.execute(batch)))
-        .unwrap_or_else(|payload| Err(StreamError::Panic(panic_message(payload))))
+    contain(|| exec.execute(batch))
 }
 
 /// A persistent helper thread, parked on its work channel between
@@ -160,6 +164,19 @@ impl EngineObs {
     }
 }
 
+/// One window's results from [`ShardedEngine::submit_window`], with
+/// what the crash ladder did to get them.
+#[derive(Debug)]
+pub struct WindowRun {
+    /// Every job's result, in job order, as submitted.
+    pub results: Vec<(QueryId, Result<JobResult, StreamError>)>,
+    /// Jobs retried on a respawned executor after a panicked attempt.
+    pub retries: u64,
+    /// Jobs whose retry panicked too, evaluated on the reference
+    /// interpreter instead.
+    pub reference_fallbacks: u64,
+}
+
 /// The stream engine: one executor per registered query, and a pool
 /// that runs a window's jobs side by side.
 pub struct ShardedEngine {
@@ -172,7 +189,7 @@ pub struct ShardedEngine {
     /// `workers − 1` helpers, spawned on the first fan-out.
     helpers: Vec<Helper>,
     workers: usize,
-    force_reference: bool,
+    oracle: bool,
     counters: EngineCounters,
     obs: EngineObs,
     faults: FaultInjector,
@@ -191,20 +208,20 @@ impl ShardedEngine {
         Self::with_config(workers, obs, &FaultInjector::disabled(), false)
     }
 
-    /// [`Self::with_obs`] with a fault injector and the
-    /// `force_reference_path` debug knob. Every job attempt asks the
-    /// injector for a verdict on the caller, in job order: a `Crash`
-    /// fails the attempt with [`StreamError::Panic`] without running
-    /// the job and queues its executor for [`Self::recover_workers`];
-    /// a `Stall` delays the execution. Verdicts, and so degraded-window
-    /// markers, do not depend on the worker count. With
-    /// `force_reference` every job runs on the tree-walking reference
-    /// interpreter instead of the compiled fast path.
+    /// [`Self::with_obs`] with a fault injector and the `oracle` debug
+    /// knob. Every job attempt asks the injector for a verdict on the
+    /// caller, in job order: a `Crash` fails the attempt with
+    /// [`StreamError::Panic`] without running the job and queues its
+    /// executor for [`Self::recover_workers`]; a `Stall` delays the
+    /// execution. Verdicts, and so degraded-window markers, do not
+    /// depend on the worker count. With `oracle` every job runs on the
+    /// tree-walking reference interpreter instead of the compiled fast
+    /// path.
     pub fn with_config(
         workers: usize,
         obs: &ObsHandle,
         faults: &FaultInjector,
-        force_reference: bool,
+        oracle: bool,
     ) -> Self {
         ShardedEngine {
             jobs: HashMap::new(),
@@ -212,7 +229,7 @@ impl ShardedEngine {
             dead: Vec::new(),
             helpers: Vec::new(),
             workers: workers.max(1),
-            force_reference,
+            oracle,
             counters: EngineCounters::default(),
             obs: EngineObs::new(obs),
             faults: faults.clone(),
@@ -223,58 +240,45 @@ impl ShardedEngine {
     /// the `plan_bind` stage.
     pub fn register(&mut self, query: Query) {
         let _t = self.obs.handle.stage(Stage::PlanBind, 0);
-        let exec = MicroBatchEngine::new(query, self.force_reference);
+        let exec = MicroBatchEngine::new(query, self.oracle);
         self.jobs
             .insert(exec.query().id, Arc::new(Mutex::new(exec)));
     }
 
-    /// Deregister a query.
-    pub fn deregister(&mut self, id: QueryId) -> bool {
-        self.cost.remove(&id);
-        self.jobs.remove(&id).is_some()
-    }
-
-    /// Registered query ids.
-    pub fn queries(&self) -> Vec<QueryId> {
-        let mut q: Vec<QueryId> = self.jobs.keys().copied().collect();
-        q.sort();
-        q
-    }
-
     /// Execute one window for one query, inline.
     pub fn submit(&mut self, id: QueryId, batch: &WindowBatch) -> Result<JobResult, StreamError> {
-        let result = match self.task(id) {
-            Err(e) => Err(e),
-            Ok((exec, fault)) => execute(&exec, batch, fault),
-        };
+        let result = (self.task(id)).and_then(|(exec, fault)| execute(&exec, batch, fault));
         self.account(id, &result);
         result
-    }
-
-    /// [`Self::submit`] of a batch the caller is done with.
-    pub fn submit_owned(
-        &mut self,
-        id: QueryId,
-        batch: WindowBatch,
-    ) -> Result<JobResult, StreamError> {
-        self.submit(id, &batch)
     }
 
     /// Execute every job of one window and return the results in job
     /// order. When the jobs carry at least [`PARALLEL_FLOOR_TUPLES`]
     /// tuples and `workers > 1`, they run side by side, each whole on
     /// one thread.
-    pub fn submit_window(
-        &mut self,
-        jobs: Vec<(QueryId, WindowBatch)>,
-    ) -> Vec<(QueryId, Result<JobResult, StreamError>)> {
+    ///
+    /// Under an enabled injector a job whose attempt panics then climbs
+    /// the crash ladder, in job order: its executor is respawned and
+    /// the job retried once; if the retry panics too, it is respawned
+    /// again and the window evaluated by [`execute_window`], which asks
+    /// for no verdict. The reference's result is the fast path's (the
+    /// differential suites pin that), so the ladder changes no report.
+    pub fn submit_window(&mut self, jobs: Vec<(QueryId, WindowBatch)>) -> WindowRun {
+        let ladder = self.faults.is_enabled();
         let ids: Vec<QueryId> = jobs.iter().map(|(id, _)| *id).collect();
         let mut results: Vec<Option<Result<JobResult, StreamError>>> = Vec::new();
         results.resize_with(jobs.len(), || None);
+        // The batches of panicked jobs, kept for the ladder.
+        let mut crashed: Vec<(usize, WindowBatch)> = Vec::new();
         let mut tasks = Vec::with_capacity(jobs.len());
         for (slot, (id, batch)) in jobs.into_iter().enumerate() {
             match self.task(id) {
-                Err(e) => results[slot] = Some(Err(e)),
+                Err(e) => {
+                    if ladder && matches!(e, StreamError::Panic(_)) {
+                        crashed.push((slot, batch));
+                    }
+                    results[slot] = Some(Err(e));
+                }
                 Ok((exec, fault)) => tasks.push(Task {
                     slot,
                     id,
@@ -297,16 +301,41 @@ impl ShardedEngine {
             if n > 0 && d.result.is_ok() {
                 self.cost.insert(ids[d.slot], d.ns * 1_000 / n);
             }
+            if ladder && matches!(d.result, Err(StreamError::Panic(_))) {
+                crashed.push((d.slot, d.batch));
+            }
             results[d.slot] = Some(d.result);
-            drop(d.batch);
         }
-        (ids.into_iter().zip(results))
+        let mut results: Vec<_> = (ids.into_iter().zip(results))
             .map(|(id, result)| {
                 let result = result.expect("every job of the window ran");
                 self.account(id, &result);
                 (id, result)
             })
-            .collect()
+            .collect();
+        crashed.sort_unstable_by_key(|&(slot, _)| slot);
+        let (mut retries, mut reference_fallbacks) = (0, 0);
+        for (slot, batch) in crashed {
+            let id = results[slot].0;
+            self.recover_workers();
+            retries += 1;
+            let mut result = self.submit(id, &batch);
+            if matches!(result, Err(StreamError::Panic(_))) {
+                // The last rung, accounted like any attempt.
+                self.recover_workers();
+                reference_fallbacks += 1;
+                let exec = self.jobs[&id].lock().expect("job executor lock");
+                result = contain(|| execute_window(exec.query(), &batch));
+                drop(exec);
+                self.account(id, &result);
+            }
+            results[slot].1 = result;
+        }
+        WindowRun {
+            results,
+            retries,
+            reference_fallbacks,
+        }
     }
 
     /// Look a job up and roll its fault verdict; an injected crash
@@ -410,10 +439,7 @@ impl ShardedEngine {
                 continue;
             };
             let query = exec.lock().expect("job executor lock").query().clone();
-            *exec = Arc::new(Mutex::new(MicroBatchEngine::new(
-                query,
-                self.force_reference,
-            )));
+            *exec = Arc::new(Mutex::new(MicroBatchEngine::new(query, self.oracle)));
             respawned += 1;
             if self.obs.handle.is_enabled() {
                 (self.obs.handle).event(EventKind::WorkerRespawn { job: id.0 });
@@ -436,12 +462,6 @@ impl ShardedEngine {
             let _ = helper.join.join();
         }
         self.counters
-    }
-}
-
-impl Default for ShardedEngine {
-    fn default() -> Self {
-        ShardedEngine::new(1)
     }
 }
 
@@ -525,12 +545,38 @@ mod tests {
         eng.register(q2);
         inj.begin_window(0);
         let batch = syn_batch(4);
-        let first = eng.submit_window(vec![(id1, batch.clone()), (id2, batch.clone())]);
-        assert!(first.iter().all(|(_, r)| r.is_err()));
-        assert_eq!(eng.recover_workers(), 2);
+        let first = eng.submit(id1, &batch);
+        assert!(matches!(first, Err(StreamError::Panic(_))));
+        assert_eq!(eng.recover_workers(), 1);
         assert!(eng.submit(id1, &batch).is_ok());
-        assert!(eng.submit(id2, &batch).is_ok());
-        assert_eq!(eng.queries(), vec![id1, id2]);
+        // The window's other job climbs the ladder inside the submit.
+        let run = eng.submit_window(vec![(id2, batch)]);
+        assert!(run.results[0].1.is_ok());
+        assert_eq!((run.retries, run.reference_fallbacks), (1, 0));
+    }
+
+    #[test]
+    fn a_job_crashing_twice_is_evaluated_on_the_reference() {
+        for workers in [1usize, 4] {
+            let inj = crash_injector(2);
+            let obs = ObsHandle::enabled();
+            let mut eng = ShardedEngine::with_config(workers, &obs, &inj, false);
+            let q2 = catalog::superspreader(&Thresholds::default());
+            let (id1, id2) = (q1().id, q2.id);
+            eng.register(q1());
+            eng.register(q2);
+            inj.begin_window(0);
+            let run = eng.submit_window(vec![(id1, syn_batch(3)), (id2, syn_batch(4))]);
+            assert_eq!((run.retries, run.reference_fallbacks), (2, 2));
+            let r = run.results[0].1.as_ref().unwrap();
+            assert_eq!((r.output.len(), r.tuples_in), (1, 3), "workers={workers}");
+            // The last rung's results count like any other success.
+            assert_eq!(eng.counters().tuples_in, 7, "workers={workers}");
+            let snap = obs.snapshot();
+            assert_eq!(snap.counter("sonata_engine_windows_total"), Some(2));
+            assert_eq!(snap.counter("sonata_engine_worker_panics_total"), Some(4));
+            assert_eq!(snap.counter("sonata_engine_worker_respawns_total"), Some(4));
+        }
     }
 
     #[test]
@@ -565,10 +611,10 @@ mod tests {
         eng.register(q1());
         eng.register(q2);
         let small = syn_batch(8);
-        let results = eng.submit_window(vec![(id2, small.clone()), (id1, small)]);
+        let run = eng.submit_window(vec![(id2, small.clone()), (id1, small)]);
         // Results come back in job order, as submitted.
         assert_eq!(
-            results.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            run.results.iter().map(|(id, _)| *id).collect::<Vec<_>>(),
             [id2, id1]
         );
         assert!(eng.helpers.is_empty(), "no helper spawned below the floor");

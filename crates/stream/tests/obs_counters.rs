@@ -40,7 +40,7 @@ fn sharded_obs_counters_match_serial_reference() {
         let jobs = (queries.iter())
             .map(|q| (q.id, batch_for(q, &pkts)))
             .collect();
-        for (q, (_, result)) in queries.iter().zip(engine.submit_window(jobs)) {
+        for (q, (_, result)) in queries.iter().zip(engine.submit_window(jobs).results) {
             let serial = execute_window(q, &batch_for(q, &pkts)).unwrap();
             assert_eq!(
                 result.expect("pooled execution").output,

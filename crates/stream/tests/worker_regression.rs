@@ -77,7 +77,8 @@ fn sustained_load_through_the_helpers_never_deadlocks() {
         let bulk = bulk_batch();
         for w in 0..200u64 {
             let keys = w % 17 + 1;
-            let results = engine.submit_window(vec![(q, shunt_batch(0..keys)), (d, bulk.clone())]);
+            let jobs = vec![(q, shunt_batch(0..keys)), (d, bulk.clone())];
+            let results = engine.submit_window(jobs).results;
             let r = results[0].1.as_ref().unwrap();
             assert_eq!(r.tuples_in, keys as usize);
             assert!(results[1].1.is_ok());
@@ -94,7 +95,9 @@ fn a_panicking_job_surfaces_as_an_error_and_the_pool_keeps_serving() {
             let (mut engine, q, d) = pool(workers);
             // The poisoned job runs beside a healthy one over the floor,
             // so at four workers the two land on different threads.
-            let results = engine.submit_window(vec![(q, poison_batch()), (d, bulk_batch())]);
+            let results = engine
+                .submit_window(vec![(q, poison_batch()), (d, bulk_batch())])
+                .results;
             assert!(
                 matches!(results[0].1, Err(StreamError::Panic(_))),
                 "{workers} workers: {:?}",
@@ -107,7 +110,7 @@ fn a_panicking_job_surfaces_as_an_error_and_the_pool_keeps_serving() {
             let r = engine.submit(q, &shunt_batch(0..5)).unwrap();
             assert_eq!(r.output.len(), 5);
             let again = engine.submit_window(vec![(q, shunt_batch(0..3)), (d, bulk_batch())]);
-            assert_eq!(again[0].1.as_ref().unwrap().output.len(), 3);
+            assert_eq!(again.results[0].1.as_ref().unwrap().output.len(), 3);
             let c = engine.finish();
             assert_eq!(c.windows, 4, "{workers} workers");
             assert_eq!(

@@ -10,7 +10,7 @@
 //!    `target_query` produce byte-identical alerts and tuple counts;
 //! 3. **graceful degradation**: each injected fault is visible in the
 //!    window's [`DegradedWindow`] marker, and the paired recovery path
-//!    (duplicate suppression, worker respawn + retry, single-mode
+//!    (duplicate suppression, worker respawn + retry, the reference
 //!    fallback, boundary retry-with-backoff) brings the observable
 //!    outputs back to the clean run wherever the paper's semantics
 //!    allow it.
@@ -212,14 +212,14 @@ fn worker_crash_respawns_and_recovers_to_baseline() {
         for workers in [1usize, 4] {
             let faulted = run(&plan, &tr, faults, workers);
             // Every job crashed once and the respawn-and-retry path
-            // absorbed it without reaching the single-mode fallback.
+            // absorbed it without reaching the reference fallback.
             assert_outputs_match(&clean, &faulted, &format!("seed {seed}, {workers} workers"));
             let (retries, fallbacks) = faulted
                 .windows
                 .iter()
                 .filter_map(|w| w.degraded.as_ref())
                 .fold((0u64, 0u64), |(r, f), d| {
-                    (r + d.worker_retries, f + d.single_mode_fallbacks)
+                    (r + d.worker_retries, f + d.reference_fallbacks)
                 });
             assert!(retries > 0, "seed {seed}: retry path never fired");
             assert_eq!(fallbacks, 0, "seed {seed}: fallback should be unreachable");
@@ -229,7 +229,7 @@ fn worker_crash_respawns_and_recovers_to_baseline() {
 }
 
 #[test]
-fn repeated_worker_crashes_fall_back_to_single_mode() {
+fn repeated_worker_crashes_fall_back_to_the_reference() {
     let seed = chaos_seeds()[0];
     let tr = chaos_trace(2, seed);
     let queries = chaos_queries();
@@ -245,14 +245,14 @@ fn repeated_worker_crashes_fall_back_to_single_mode() {
         ..FaultPlan::default()
     };
     let faulted = run(&plan, &tr, faults, 4);
-    // The single-mode fallback engine produced the same outputs the
-    // job pool would have (the differential guarantee).
-    assert_outputs_match(&clean, &faulted, "single-mode fallback");
+    // The reference interpreter produced the same outputs the job
+    // pool would have (the differential guarantee).
+    assert_outputs_match(&clean, &faulted, "reference fallback");
     let fallbacks: u64 = faulted
         .windows
         .iter()
         .filter_map(|w| w.degraded.as_ref())
-        .map(|d| d.single_mode_fallbacks)
+        .map(|d| d.reference_fallbacks)
         .sum();
     assert!(fallbacks > 0, "fallback path never fired");
 }

@@ -230,7 +230,7 @@ fn tcp_fabric_ships_lazy_fields_like_loopback_and_the_reference() {
         &plan,
         &tr,
         RuntimeConfig {
-            force_reference_path: true,
+            oracle: true,
             ..config(None, TransportKind::Loopback, FaultPlan::none())
         },
     );
@@ -249,12 +249,12 @@ fn tcp_fabric_ships_lazy_fields_like_loopback_and_the_reference() {
     assert_eq!(loopback.windows, tcp.windows, "2x2: TCP fabric diverged");
 }
 
-/// One switch over two collector shards dispatches each job to the
-/// shard that owns its query, where the runtime has one shard: even
-/// under full fault injection (egress, worker, boundary seams) the two
-/// must produce bit-identical reports — including the degraded markers
-/// — because the per-switch and fabric-level injectors replay the same
-/// seeded verdict sequences per domain, whichever shard runs a job.
+/// One switch labelled with two collector shards runs the same one job
+/// pool as the runtime: even under full fault injection (egress,
+/// worker, boundary seams) the two must produce bit-identical reports
+/// — including the degraded markers, at both rungs of the crash
+/// ladder — because the per-switch and fabric-level injectors replay
+/// the same seeded verdict sequences per domain.
 #[test]
 fn one_switch_two_shard_fabric_matches_runtime_under_faults() {
     for seed in fabric_seeds() {
@@ -270,31 +270,44 @@ fn one_switch_two_shard_fabric_matches_runtime_under_faults() {
                 reorder_per_mille: 100,
                 delay_packets: 6,
             },
-            worker: WorkerFaults {
-                crash_per_mille: 200,
-                consecutive_crashes: 1,
-                ..WorkerFaults::default()
-            },
             boundary: BoundaryFaults {
                 fail_per_mille: 200,
                 consecutive: 1,
             },
             ..FaultPlan::default()
         };
-        let single = run_single(&plan, &tr, config(None, TransportKind::Loopback, faults));
-        let fabric = run_fabric(
-            &plan,
-            &tr,
-            config(Some((1, 2)), TransportKind::Loopback, faults),
-        );
-        assert!(
-            single.total_faults().get(FaultKind::ReportDrop) > 0,
-            "seed {seed}: the plan must actually inject"
-        );
-        assert_eq!(
-            single.windows, fabric.windows,
-            "seed {seed}: faulted 1x2 fabric diverged from runtime"
-        );
+        // At 2 the retry crashes too and the reference rung runs.
+        for consecutive_crashes in [1, 2] {
+            let faults = FaultPlan {
+                worker: WorkerFaults {
+                    crash_per_mille: 200,
+                    consecutive_crashes,
+                    ..WorkerFaults::default()
+                },
+                ..faults
+            };
+            let single = run_single(&plan, &tr, config(None, TransportKind::Loopback, faults));
+            let fabric = run_fabric(
+                &plan,
+                &tr,
+                config(Some((1, 2)), TransportKind::Loopback, faults),
+            );
+            assert!(
+                single.total_faults().get(FaultKind::ReportDrop) > 0,
+                "seed {seed}: the plan must actually inject"
+            );
+            assert_eq!(
+                single.windows, fabric.windows,
+                "seed {seed}, {consecutive_crashes} crashes: faulted 1x2 fabric diverged from runtime"
+            );
+            let rung = |d: &DegradedWindow| d.reference_fallbacks > 0;
+            let reached = fabric
+                .windows
+                .iter()
+                .filter_map(|w| w.degraded.as_ref())
+                .any(rung);
+            assert_eq!(reached, consecutive_crashes == 2, "seed {seed}");
+        }
     }
 }
 

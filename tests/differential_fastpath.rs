@@ -6,7 +6,7 @@
 //! binds each registered query into a fused `BoundPipeline`. Both are
 //! pure performance work — the contract is that a default run (fast
 //! paths on) produces *bit-identical* `WindowReport`s to a run with
-//! `force_reference_path: true` (the tree-walking interpreters, the
+//! `oracle: true` (the tree-walking interpreters, the
 //! switch's fed one packet at a time and shipping one report frame per
 //! report instead of report blocks), across the query catalog, across
 //! plan modes, across seeds, across shard counts, over TCP, under
@@ -62,13 +62,13 @@ fn plan_for(mode: PlanMode, queries: &[Query], tr: &Trace) -> GlobalPlan {
 }
 
 fn config(
-    force_reference_path: bool,
+    oracle: bool,
     transport: TransportKind,
     workers: usize,
     faults: FaultPlan,
 ) -> RuntimeConfig {
     RuntimeConfig {
-        force_reference_path,
+        oracle,
         transport,
         workers,
         faults,
@@ -327,17 +327,12 @@ fn sketched_runs_are_identical_on_both_paths() {
         catalog::superspreader(&t),
     ];
     let plan = plan_for(PlanMode::Sonata, &queries, &tr);
-    let sketched = |force_reference_path| RuntimeConfig {
+    let sketched = |oracle| RuntimeConfig {
         sketch: SketchConfig {
             layout: StateLayout::CountMin,
             ..SketchConfig::default()
         },
-        ..config(
-            force_reference_path,
-            TransportKind::Loopback,
-            1,
-            FaultPlan::none(),
-        )
+        ..config(oracle, TransportKind::Loopback, 1, FaultPlan::none())
     };
     let fast = run(&plan, &tr, sketched(false));
     let reference = run(&plan, &tr, sketched(true));

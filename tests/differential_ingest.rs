@@ -9,7 +9,7 @@
 //! (the default) produces *bit-identical* `WindowReport`s to the
 //! per-packet ("owned") oracle, across the query catalog, across plan
 //! modes, across seeds, across shard counts, over TCP, and under
-//! fault injection. The oracle is `force_reference_path: true`: each
+//! fault injection. The oracle is `RuntimeConfig::oracle`: each
 //! packet runs alone through `Switch::process_reference` and ships one
 //! `Frame::Report` per report. The sketched case lives in
 //! `differential_fastpath.rs`.
@@ -76,9 +76,9 @@ fn refined_queries() -> Vec<Query> {
 /// Run `tr` under `plan` twice with `cfg` — arena ingest, then the
 /// owned per-packet oracle — and return `(arena, owned)`.
 fn both(plan: &GlobalPlan, tr: &Trace, cfg: RuntimeConfig) -> (TelemetryReport, TelemetryReport) {
-    let run = |force_reference_path| {
+    let run = |oracle| {
         let cfg = RuntimeConfig {
-            force_reference_path,
+            oracle,
             ..cfg.clone()
         };
         Runtime::new(plan, cfg).unwrap().process_trace(tr).unwrap()

@@ -216,7 +216,7 @@ fn tcp_ships_lazy_fields_bit_identically_to_loopback_and_the_reference() {
             &plan,
             &tr,
             RuntimeConfig {
-                force_reference_path: true,
+                oracle: true,
                 ..config(TransportKind::Loopback, 1, FaultPlan::none())
             },
         );
@@ -264,7 +264,7 @@ fn an_oversized_window_ships_several_block_frames_and_the_same_report() {
         &plan,
         &tr,
         RuntimeConfig {
-            force_reference_path: true,
+            oracle: true,
             ..config(TransportKind::Loopback, 1, FaultPlan::none())
         },
     );
@@ -310,9 +310,9 @@ fn block_frames_ship_at_most_64_bytes_per_mirrored_packet() {
     // the column names and the whole packet once per report.
     let tr = net_trace(3, net_seeds()[0]);
     let plan = net_plan_mode(&catalog::top8(&low_thresholds()), &tr, PlanMode::FilterDp);
-    let traced = |force_reference_path: bool| {
+    let traced = |oracle: bool| {
         let cfg = RuntimeConfig {
-            force_reference_path,
+            oracle,
             obs: ObsHandle::enabled(),
             ..config(TransportKind::Tcp, 1, FaultPlan::none())
         };

@@ -13,7 +13,7 @@
 //!    per-window update overhead more often (Section 6.1's W = 3 s
 //!    balance).
 
-use sonata_bench::{estimate_all, measure, write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{estimate_all, measure, write_csv, ExperimentCtx};
 use sonata_core::{Runtime, RuntimeConfig};
 use sonata_packet::Packet;
 use sonata_planner::costs::CostConfig;
@@ -24,11 +24,6 @@ fn main() {
     let ctx = ExperimentCtx::default();
     let trace = ctx.evaluation_trace();
     let queries = catalog::top8(&Thresholds::default());
-    let mut json = BenchJson::new("ablations");
-    json.config_num("scale", ctx.scale)
-        .config_num("windows", ctx.windows as f64)
-        .config_num("seed", ctx.seed as f64)
-        .config_str("queries", "top8");
 
     // ---- 1. d sweep -------------------------------------------------
     println!("# Ablation 1: register arrays d (8 queries, Sonata plan)");
@@ -61,9 +56,6 @@ fn main() {
             .sum();
         println!("{d:>2} | {:>10} | {:>8} | {:>12}", run.tuples, shunts, bits);
         rows.push(format!("{d},{},{shunts},{bits}", run.tuples));
-        json.point("d_tuples", d as f64, run.tuples as f64)
-            .point("d_shunts", d as f64, shunts as f64)
-            .point("d_reg_bits", d as f64, bits as f64);
     }
     write_csv("ablation_d.csv", "d,tuples,shunts,reg_bits", &rows);
 
@@ -89,11 +81,6 @@ fn main() {
         let report = rt.process_trace(&trace).unwrap();
         println!("{:>9} | {:>10}", relax, report.total_tuples());
         rows.push(format!("{relax},{}", report.total_tuples()));
-        json.point(
-            "relaxation_tuples",
-            if relax { 1.0 } else { 0.0 },
-            report.total_tuples() as f64,
-        );
         measured.push(report.total_tuples());
     }
     write_csv("ablation_relaxation.csv", "relax,tuples", &rows);
@@ -126,8 +113,6 @@ fn main() {
         let run = measure(&queries, &costs, &trace, PlanMode::Sonata, &cfg);
         println!("{:<22} | {:>10} | {:>6}", name, run.tuples, run.delay);
         rows.push(format!("\"{name}\",{},{}", run.tuples, run.delay));
-        json.point("levels_tuples", set.len() as f64, run.tuples as f64)
-            .point("levels_delay", set.len() as f64, run.delay as f64);
         by_set.push(run.tuples);
     }
     write_csv("ablation_levels.csv", "levels,tuples,delay", &rows);
@@ -176,14 +161,11 @@ fn main() {
             "{window_ms},{per_win:.1},{:.3},{frac:.3}",
             upd * 1000.0
         ));
-        json.point("window_tuples_per_window", window_ms as f64, per_win)
-            .point("window_update_pct", window_ms as f64, frac);
     }
     write_csv(
         "ablation_window.csv",
         "window_ms,tuples_per_window,update_ms,update_pct",
         &rows,
     );
-    json.write();
     println!("\nablation checks passed");
 }

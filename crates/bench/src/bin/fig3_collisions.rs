@@ -6,7 +6,7 @@
 //! k/n ≲ 0.5 collisions are negligible for d ≥ 2, and by k/n = 2 the
 //! d = 1 curve is far above the d = 4 curve.
 
-use sonata_bench::{write_csv, BenchJson};
+use sonata_bench::write_csv;
 use sonata_pisa::registers::collision_rate;
 
 fn main() {
@@ -18,9 +18,6 @@ fn main() {
         "{:>5} | {:>8} {:>8} {:>8} {:>8}",
         "k/n", "d=1", "d=2", "d=3", "d=4"
     );
-    let mut json = BenchJson::new("fig3_collisions");
-    json.config_num("n", n as f64)
-        .config_num("trials", trials as f64);
     let mut rows = Vec::new();
     let mut curve: Vec<Vec<f64>> = vec![Vec::new(); ds.len()];
     for step in 0..=20 {
@@ -32,7 +29,6 @@ fn main() {
                 .map(|t| collision_rate(n, d, keys, 1000 + t))
                 .sum::<f64>()
                 / trials as f64;
-            json.point(&format!("d{d}"), ratio, rate);
             curve[di].push(rate);
             cells.push(rate);
         }
@@ -46,7 +42,6 @@ fn main() {
         ));
     }
     write_csv("fig3_collisions.csv", "k_over_n,d1,d2,d3,d4", &rows);
-    json.write();
 
     // Shape assertions matching the paper's figure.
     for c in &curve {

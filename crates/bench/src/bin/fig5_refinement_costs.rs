@@ -10,7 +10,7 @@
 //! is exactly why the planner's chosen chain (*→8→32 in the paper)
 //! beats both no-refinement and fixed one-level-at-a-time zooming.
 
-use sonata_bench::{write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{write_csv, ExperimentCtx};
 use sonata_packet::Packet;
 use sonata_planner::costs::{estimate_costs, CostConfig};
 use sonata_query::catalog::{self, Thresholds};
@@ -32,10 +32,6 @@ fn main() {
         "r_i→r_i+1", "N1 (pkts)", "N2", "B (Kb)"
     );
     println!("----------+------------+----------+-----------");
-    let mut json = BenchJson::new("fig5_refinement_costs");
-    json.config_num("scale", ctx.scale)
-        .config_num("seed", ctx.seed as f64)
-        .config_str("query", "newly_opened_tcp_conns");
     let mut rows = Vec::new();
     let mut table = std::collections::BTreeMap::new();
     for (&(prev, level), t) in &costs.transitions {
@@ -58,15 +54,6 @@ fn main() {
             b_bits as f64 / 1000.0
         );
         rows.push(format!("{label},{n1:.0},{n2:.0},{}", b_bits));
-        // x = target level; transitions from * are one series, the
-        // coarse-to-fine hops another.
-        let series = match prev {
-            None => "from_star",
-            Some(_) => "from_coarse",
-        };
-        json.point(&format!("{series}_n1"), level as f64, n1)
-            .point(&format!("{series}_n2"), level as f64, n2)
-            .point(&format!("{series}_b_bits"), level as f64, b_bits as f64);
         table.insert((prev, level), (n1, n2, b_bits));
     }
     write_csv(
@@ -74,7 +61,6 @@ fn main() {
         "transition,n1,n2,b_bits",
         &rows,
     );
-    json.write();
 
     // Shape assertions against the paper's Figure 5 relationships.
     let star32 = table[&(None, 32u8)];

@@ -8,7 +8,7 @@
 //! Sonata's tuple counts for most queries but pays extra windows of
 //! delay.
 
-use sonata_bench::{estimate_all, fmt_tuples, measure, write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{estimate_all, fmt_tuples, measure, write_csv, ExperimentCtx};
 use sonata_planner::costs::CostConfig;
 use sonata_planner::{PlanMode, PlannerConfig};
 use sonata_query::catalog::{self, Thresholds};
@@ -37,13 +37,8 @@ fn main() {
         "{:<22} | {:>9} {:>9} {:>9} {:>9} {:>9} | delay(F/S)",
         "query", "All-SP", "Filter-DP", "Max-DP", "Fix-REF", "Sonata"
     );
-    let mut json = BenchJson::new("fig7a_single_query");
-    json.config_num("scale", ctx.scale)
-        .config_num("windows", ctx.windows as f64)
-        .config_num("seed", ctx.seed as f64)
-        .config_str("queries", "top8");
     let mut rows = Vec::new();
-    for (qi, q) in queries.iter().enumerate() {
+    for q in &queries {
         let qs = vec![q.clone()];
         let costs = estimate_all(&qs, &trace, &levels);
         let mut cells = Vec::new();
@@ -56,7 +51,6 @@ fn main() {
             if mode == PlanMode::Sonata {
                 delays.1 = run.delay;
             }
-            json.point(mode.label(), qi as f64, run.tuples as f64);
             cells.push(run.tuples);
         }
         println!(
@@ -84,7 +78,6 @@ fn main() {
         "query,all_sp,filter_dp,max_dp,fix_ref,sonata,fixref_delay,sonata_delay",
         &rows,
     );
-    json.write();
 
     // Aggregate shape: Sonata buys orders of magnitude over All-SP.
     let parse = |r: &String, i: usize| r.split(',').nth(i).unwrap().parse::<u64>().unwrap();

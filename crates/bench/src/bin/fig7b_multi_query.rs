@@ -5,7 +5,7 @@
 //! but Sonata stays orders of magnitude below All-SP/Filter-DP; Fix-REF
 //! degrades fastest as the fixed chains exhaust switch resources.
 
-use sonata_bench::{estimate_all, fmt_tuples, measure, write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{estimate_all, fmt_tuples, measure, write_csv, ExperimentCtx};
 use sonata_planner::costs::CostConfig;
 use sonata_planner::{PlanMode, PlannerConfig};
 use sonata_query::catalog::{self, Thresholds};
@@ -30,11 +30,6 @@ fn main() {
         "{:>3} | {:>9} {:>9} {:>9} {:>9} {:>9}",
         "n", "All-SP", "Filter-DP", "Max-DP", "Fix-REF", "Sonata"
     );
-    let mut json = BenchJson::new("fig7b_multi_query");
-    json.config_num("scale", ctx.scale)
-        .config_num("windows", ctx.windows as f64)
-        .config_num("seed", ctx.seed as f64)
-        .config_str("queries", "top8");
     let mut rows = Vec::new();
     let mut series: Vec<Vec<u64>> = vec![Vec::new(); PlanMode::ALL.len()];
     for n in 1..=queries.len() {
@@ -43,7 +38,6 @@ fn main() {
         let mut cells = Vec::new();
         for (mi, &mode) in PlanMode::ALL.iter().enumerate() {
             let run = measure(qs, costs, &trace, mode, &planner_cfg);
-            json.point(mode.label(), n as f64, run.tuples as f64);
             series[mi].push(run.tuples);
             cells.push(run.tuples);
         }
@@ -66,7 +60,6 @@ fn main() {
         "queries,all_sp,filter_dp,max_dp,fix_ref,sonata",
         &rows,
     );
-    json.write();
 
     // Shape checks.
     let last = series

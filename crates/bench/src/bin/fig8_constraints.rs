@@ -11,7 +11,7 @@
 //! reduces the load; Sonata ≤ Fix-REF everywhere; tight constraints
 //! push every plan toward the All-SP ceiling.
 
-use sonata_bench::{estimate_all, fmt_tuples, measure, write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{estimate_all, fmt_tuples, measure, write_csv, ExperimentCtx};
 use sonata_pisa::SwitchConstraints;
 use sonata_planner::costs::{CostConfig, SketchPolicy};
 use sonata_planner::{PlanMode, PlannerConfig};
@@ -28,7 +28,6 @@ fn sweep<F>(
     costs: &[sonata_planner::costs::QueryCosts],
     trace: &sonata_traffic::Trace,
     base_cfg: &PlannerConfig,
-    json: &mut BenchJson,
 ) -> Vec<(f64, Vec<u64>)>
 where
     F: Fn(f64) -> SwitchConstraints,
@@ -50,7 +49,6 @@ where
                 ..base_cfg.clone()
             };
             let run = measure(queries, costs, trace, mode, &cfg);
-            json.point(&format!("{name}_{}", mode.label()), p, run.tuples as f64);
             cells.push(run.tuples);
         }
         println!(
@@ -82,7 +80,6 @@ fn sweep_memory(
     costs: &[sonata_planner::costs::QueryCosts],
     trace: &sonata_traffic::Trace,
     base_cfg: &PlannerConfig,
-    json: &mut BenchJson,
 ) -> Vec<(f64, Vec<u64>)> {
     let name = "c_memory_mb";
     let d = SwitchConstraints::default();
@@ -107,7 +104,6 @@ fn sweep_memory(
                 ..base_cfg.clone()
             };
             let run = measure(queries, costs, trace, mode, &cfg);
-            json.point(&format!("{name}_{}", mode.label()), mb, run.tuples as f64);
             cells.push(run.tuples);
         }
         let sketch_cfg = PlannerConfig {
@@ -124,7 +120,6 @@ fn sweep_memory(
             ..base_cfg.clone()
         };
         let run = measure(queries, costs, trace, PlanMode::Sonata, &sketch_cfg);
-        json.point(&format!("{name}_sonata_sketch"), mb, run.tuples as f64);
         cells.push(run.tuples);
         println!(
             "{:>8} | {:>10} {:>10} {:>10} {:>10}",
@@ -162,11 +157,6 @@ fn main() {
     };
     let costs = estimate_all(&queries, &trace, &levels);
     let d = SwitchConstraints::default();
-    let mut json = BenchJson::new("fig8_constraints");
-    json.config_num("scale", ctx.scale)
-        .config_num("windows", ctx.windows as f64)
-        .config_num("seed", ctx.seed as f64)
-        .config_str("queries", "top8");
 
     let a = sweep(
         "a_stages",
@@ -179,7 +169,6 @@ fn main() {
         &costs,
         &trace,
         &base_cfg,
-        &mut json,
     );
     let b = sweep(
         "b_actions",
@@ -192,7 +181,6 @@ fn main() {
         &costs,
         &trace,
         &base_cfg,
-        &mut json,
     );
     let c = sweep_memory(
         &[0.5, 1.0, 2.0, 4.0, 8.0, 12.0, 16.0, 32.0],
@@ -200,7 +188,6 @@ fn main() {
         &costs,
         &trace,
         &base_cfg,
-        &mut json,
     );
     let m = sweep(
         "d_metadata_kb",
@@ -213,10 +200,7 @@ fn main() {
         &costs,
         &trace,
         &base_cfg,
-        &mut json,
     );
-
-    json.write();
 
     // Shape checks: relaxing a constraint never hurts much, and at the
     // loosest point Sonata beats its tightest point by a wide margin.

@@ -10,7 +10,7 @@
 //! shell access at t = 20 s emits the "zorro" keyword and the attack
 //! is confirmed at t = 21 s.
 
-use sonata_bench::{write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{write_csv, ExperimentCtx};
 use sonata_core::{Runtime, RuntimeConfig};
 use sonata_packet::{format_ipv4, Packet};
 use sonata_planner::costs::CostConfig;
@@ -73,11 +73,6 @@ fn main() {
         "{:>5} | {:>10} | {:>9} | events",
         "t(s)", "rx switch", "to SP"
     );
-    let mut json = BenchJson::new("fig9_case_study");
-    json.config_num("scale", ctx.scale)
-        .config_num("seed", ctx.seed as f64)
-        .config_str("query", "zorro")
-        .config_str("chain", "24,32");
     let mut rows = Vec::new();
     let mut victim_identified = None;
     let mut attack_confirmed = None;
@@ -111,11 +106,8 @@ fn main() {
             w.tuples_to_sp,
             events.join(";")
         ));
-        json.point("rx_switch", t_end as f64, w.packets as f64)
-            .point("to_sp", t_end as f64, w.tuples_to_sp as f64);
     }
     write_csv("fig9_case_study.csv", "t_s,rx_switch,to_sp,events", &rows);
-    json.write();
 
     let _ = victim_identified; // coarse prefixes (incl. benign telnet servers) flow every window
     let ac = attack_confirmed.expect("attack confirmed");

@@ -9,7 +9,7 @@
 //! on growing instances, and shows plan quality under shrinking node
 //! budgets.
 
-use sonata_bench::{write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{write_csv, ExperimentCtx};
 use sonata_ilp::SolveOptions;
 use sonata_packet::Packet;
 use sonata_planner::costs::{estimate_costs, CostConfig};
@@ -37,10 +37,6 @@ fn main() {
         "{:>7} | {:>6} | {:>10} | {:>10} | {:>8} | {:>8} | {:>6}",
         "queries", "vars", "ilp N/win", "greedy N", "ilp ms", "greedy µs", "nodes"
     );
-    let mut json = BenchJson::new("solver_behavior");
-    json.config_num("scale", ctx.scale)
-        .config_num("seed", ctx.seed as f64)
-        .config_num("max_nodes", 50_000.0);
     let mut rows = Vec::new();
     for n in 1..=4usize {
         let qs = &queries[..n];
@@ -80,11 +76,6 @@ fn main() {
             ilp_time.as_secs_f64() * 1000.0,
             greedy_time.as_secs_f64() * 1000.0
         ));
-        json.point("vars", n as f64, vars as f64)
-            .point("ilp_tuples", n as f64, ilp.predicted_tuples)
-            .point("greedy_tuples", n as f64, greedy.predicted_tuples)
-            .point("ilp_ms", n as f64, ilp_time.as_secs_f64() * 1000.0)
-            .point("greedy_ms", n as f64, greedy_time.as_secs_f64() * 1000.0);
         // The exact ILP can never be worse than the greedy heuristic.
         assert!(
             ilp.predicted_tuples <= greedy.predicted_tuples + 1e-6,
@@ -117,7 +108,6 @@ fn main() {
         match plan_ilp(qs, &costs, &cfg, &opts) {
             Ok(plan) => {
                 println!("{nodes:>11} | {:.0}", plan.predicted_tuples);
-                json.point("budget_tuples", nodes as f64, plan.predicted_tuples);
                 assert!(
                     plan.predicted_tuples <= prev + 1e-6 || nodes <= 200,
                     "bigger budgets must not hurt"
@@ -130,7 +120,6 @@ fn main() {
 
     // The greedy planner must track the ILP closely (it is the default
     // for the large instances the ILP cannot chew).
-    json.write();
     let greedy = plan_with_costs(qs, &costs, &cfg).expect("greedy");
     println!(
         "\n2-query optimum gap: greedy {:.0} vs ILP {:.0}",

@@ -7,7 +7,7 @@
 //! comparison target is the *shape*: every task fits in ≤ 20 lines of
 //! Sonata while the per-target programs are one to two orders larger.
 
-use sonata_bench::{write_csv, BenchJson};
+use sonata_bench::write_csv;
 use sonata_pisa::codegen::p4_loc;
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::{PisaProgram, TaskId};
@@ -22,8 +22,6 @@ fn main() {
         "#", "query", "Sonata", "P4", "Stream"
     );
     println!("---+------------------------+--------+------+-------");
-    let mut json = BenchJson::new("table3_queries");
-    json.config_str("thresholds", "default");
     let mut rows = Vec::new();
     for (i, q) in queries.iter().enumerate() {
         // Compile every branch at its maximum partition into one
@@ -74,9 +72,6 @@ fn main() {
             stream
         );
         rows.push(format!("{},{},{},{},{}", i + 1, q.name, sonata, p4, stream));
-        json.point("sonata_loc", (i + 1) as f64, sonata as f64)
-            .point("p4_loc", (i + 1) as f64, p4 as f64)
-            .point("stream_loc", (i + 1) as f64, stream as f64);
         assert!(sonata <= 20, "paper: every task under 20 Sonata lines");
         assert!(p4 > sonata * 3, "P4 must dwarf the Sonata source");
     }
@@ -85,5 +80,4 @@ fn main() {
         "num,query,sonata_loc,p4_loc,stream_loc",
         &rows,
     );
-    json.write();
 }

@@ -6,7 +6,7 @@
 //! This binary reproduces the numbers from the calibrated cost model
 //! and then measures the update sizes an actual 8-query run generates.
 
-use sonata_bench::{estimate_all, measure, write_csv, BenchJson, ExperimentCtx};
+use sonata_bench::{estimate_all, measure, write_csv, ExperimentCtx};
 use sonata_pisa::control::{ControlOp, UpdateCostModel};
 use sonata_planner::costs::CostConfig;
 use sonata_planner::{PlanMode, PlannerConfig};
@@ -20,8 +20,6 @@ fn main() {
         "{:>8} | {:>12} | {:>10}",
         "entries", "latency (ms)", "% of W=3s"
     );
-    let mut json = BenchJson::new("update_overhead");
-    json.config_str("model", "tofino-calibrated");
     let mut rows = Vec::new();
     for entries in [0usize, 25, 50, 100, 200, 400] {
         let set: BTreeSet<u64> = (0..entries as u64).collect();
@@ -42,11 +40,6 @@ fn main() {
             latency.as_secs_f64() * 1000.0,
             frac
         ));
-        json.point(
-            "model_latency_ms",
-            entries as f64,
-            latency.as_secs_f64() * 1000.0,
-        );
     }
     write_csv(
         "update_overhead_model.csv",
@@ -95,16 +88,6 @@ fn main() {
             w.filter_entries_written,
             w.update_latency.as_secs_f64() * 1000.0
         ));
-        json.point(
-            "measured_entries",
-            w.window as f64,
-            w.filter_entries_written as f64,
-        )
-        .point(
-            "measured_latency_ms",
-            w.window as f64,
-            w.update_latency.as_secs_f64() * 1000.0,
-        );
         // Updates must stay well under the window (no missed windows).
         assert!(w.update_latency.as_secs_f64() < 0.5 * 3.0);
     }
@@ -113,7 +96,6 @@ fn main() {
         "window,entries,latency_ms",
         &rows,
     );
-    json.write();
     println!(
         "\ntotal update latency across run: {:?}",
         run.report.total_update_latency()

@@ -1,7 +1,8 @@
 //! # sonata-bench
 //!
 //! Experiment harnesses that regenerate every table and figure of the
-//! paper's evaluation (Section 6), plus Criterion micro-benchmarks.
+//! paper's evaluation (Section 6), plus `bench_suite`, the one
+//! performance harness (its own README describes it).
 //!
 //! One binary per artifact (`cargo run --release -p sonata-bench --bin <name>`):
 //!
@@ -16,12 +17,13 @@
 //! | `fig9_case_study` | Figure 9 — the Zorro end-to-end detection timeline |
 //! | `update_overhead` | Section 6.2 — dynamic-refinement update latency |
 //! | `solver_behavior` | Section 6.1 — ILP solver behavior vs. the greedy planner |
+//! | `ablations` | sweeps of d, refinement levels, relaxation and window size |
 //!
-//! Each binary prints the series to stdout and writes a CSV under
-//! `results/`. Scale factors keep laptop runtimes in seconds-to-
-//! minutes; the *shape* of every series (who wins, by what factor,
-//! where crossovers fall) is the reproduction target, per
-//! EXPERIMENTS.md.
+//! Each binary asserts the paper's shape, prints the series to stdout
+//! and writes it as CSV under `results/`. Scale factors keep laptop
+//! runtimes in seconds-to-minutes; the *shape* of every series (who
+//! wins, by what factor, where crossovers fall) is the reproduction
+//! target, per EXPERIMENTS.md.
 
 use sonata_core::{Runtime, RuntimeConfig, TelemetryReport};
 use sonata_packet::Packet;
@@ -31,7 +33,6 @@ use sonata_query::Query;
 use sonata_traffic::Trace;
 use std::io::Write;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
 
 /// Common experiment knobs, overridable via env vars
 /// (`SONATA_SCALE`, `SONATA_WINDOWS`, `SONATA_SEED`).
@@ -144,163 +145,6 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) -> PathBuf {
     path
 }
 
-/// Machine-readable results writer: every experiment binary emits one
-/// `results/<bench>.json` with the uniform schema
-/// `{"bench": ..., "config": {...}, "series": [{"name", "points": [[x, y], ...]}]}`
-/// alongside its CSV, so plotting scripts and CI diffing need no
-/// per-binary parsing.
-#[derive(Debug, Clone)]
-pub struct BenchJson {
-    bench: String,
-    config: Vec<(String, ConfigValue)>,
-    series: Vec<Series>,
-}
-
-#[derive(Debug, Clone)]
-enum ConfigValue {
-    Num(f64),
-    Str(String),
-}
-
-#[derive(Debug, Clone)]
-struct Series {
-    name: String,
-    points: Vec<(f64, f64)>,
-}
-
-impl BenchJson {
-    /// Start a result set for `bench` (also the output file stem).
-    pub fn new(bench: &str) -> Self {
-        BenchJson {
-            bench: bench.to_string(),
-            config: Vec::new(),
-            series: Vec::new(),
-        }
-    }
-
-    /// Record a numeric configuration knob (scale, windows, seed, ...).
-    pub fn config_num(&mut self, key: &str, value: f64) -> &mut Self {
-        self.config.push((key.to_string(), ConfigValue::Num(value)));
-        self
-    }
-
-    /// Record a textual configuration knob (mode names, query sets).
-    pub fn config_str(&mut self, key: &str, value: &str) -> &mut Self {
-        self.config
-            .push((key.to_string(), ConfigValue::Str(value.to_string())));
-        self
-    }
-
-    /// Append one `(x, y)` point to `series`, creating it on first use.
-    pub fn point(&mut self, series: &str, x: f64, y: f64) -> &mut Self {
-        match self.series.iter_mut().find(|s| s.name == series) {
-            Some(s) => s.points.push((x, y)),
-            None => self.series.push(Series {
-                name: series.to_string(),
-                points: vec![(x, y)],
-            }),
-        }
-        self
-    }
-
-    /// Render the uniform schema.
-    pub fn to_json(&self) -> String {
-        let mut w = sonata_obs::json::JsonWriter::new();
-        w.begin_object();
-        w.key("bench");
-        w.value_str(&self.bench);
-        w.key("config");
-        w.begin_object();
-        for (k, v) in &self.config {
-            w.key(k);
-            match v {
-                ConfigValue::Num(n) => w.value_f64(*n),
-                ConfigValue::Str(s) => w.value_str(s),
-            }
-        }
-        w.end_object();
-        w.key("series");
-        w.begin_array();
-        for s in &self.series {
-            w.begin_object();
-            w.key("name");
-            w.value_str(&s.name);
-            w.key("points");
-            w.begin_array();
-            for &(x, y) in &s.points {
-                w.begin_array();
-                w.value_f64(x);
-                w.value_f64(y);
-                w.end_array();
-            }
-            w.end_array();
-            w.end_object();
-        }
-        w.end_array();
-        w.end_object();
-        w.finish()
-    }
-
-    /// Write `results/<bench>.json` (same directory rules as
-    /// [`write_csv`]); returns the path.
-    pub fn write(&self) -> PathBuf {
-        let dir = PathBuf::from(
-            std::env::var("SONATA_RESULTS").unwrap_or_else(|_| "results".to_string()),
-        );
-        std::fs::create_dir_all(&dir).expect("create results dir");
-        let path = dir.join(format!("{}.json", self.bench));
-        std::fs::write(&path, self.to_json()).expect("write json");
-        eprintln!("wrote {}", path.display());
-        path
-    }
-}
-
-/// Manual time-boxed measurement (~50 ms warmup, ~300 ms measured),
-/// matching the vendored criterion harness's regime: returns seconds
-/// per iteration. Bench binaries use it to produce the numbers they
-/// emit as machine-readable [`BenchJson`] series alongside criterion's
-/// console output (the vendored harness does not expose its
-/// measurements to the caller).
-pub fn time_per_iter<R>(mut routine: impl FnMut() -> R) -> f64 {
-    let warm = Instant::now() + Duration::from_millis(50);
-    while Instant::now() < warm {
-        std::hint::black_box(routine());
-    }
-    let start = Instant::now();
-    let deadline = start + Duration::from_millis(300);
-    let mut iters = 0u64;
-    loop {
-        std::hint::black_box(routine());
-        iters += 1;
-        if Instant::now() >= deadline {
-            break;
-        }
-    }
-    start.elapsed().as_secs_f64() / iters as f64
-}
-
-/// [`time_per_iter`] with a per-iteration setup excluded from the
-/// measurement, mirroring criterion's `iter_batched`.
-pub fn time_per_iter_batched<I, R>(
-    mut setup: impl FnMut() -> I,
-    mut routine: impl FnMut(I) -> R,
-) -> f64 {
-    let warm = Instant::now() + Duration::from_millis(50);
-    while Instant::now() < warm {
-        std::hint::black_box(routine(setup()));
-    }
-    let mut total = Duration::ZERO;
-    let mut iters = 0u64;
-    while total < Duration::from_millis(300) {
-        let input = setup();
-        let start = Instant::now();
-        std::hint::black_box(routine(input));
-        total += start.elapsed();
-        iters += 1;
-    }
-    total.as_secs_f64() / iters as f64
-}
-
 /// Format a tuple count the way the paper's log-scale plots read.
 pub fn fmt_tuples(n: u64) -> String {
     if n >= 10_000_000 {
@@ -309,41 +153,5 @@ pub fn fmt_tuples(n: u64) -> String {
         format!("{:.0}k", n as f64 / 1e3)
     } else {
         n.to_string()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sonata_obs::json::{parse, JsonValue};
-
-    #[test]
-    fn bench_json_schema_round_trips() {
-        let mut b = BenchJson::new("fig_test");
-        b.config_num("scale", 0.3)
-            .config_str("queries", "q1,q5")
-            .point("sonata", 1.0, 120.0)
-            .point("sonata", 2.0, 90.0)
-            .point("all_sp", 1.0, 1000.0);
-        let v = parse(&b.to_json()).expect("valid json");
-        assert_eq!(v.get("bench").and_then(JsonValue::as_str), Some("fig_test"));
-        assert_eq!(
-            v.get("config")
-                .and_then(|c| c.get("scale"))
-                .and_then(JsonValue::as_f64),
-            Some(0.3)
-        );
-        let series = v.get("series").and_then(JsonValue::as_array).unwrap();
-        assert_eq!(series.len(), 2);
-        assert_eq!(
-            series[0].get("name").and_then(JsonValue::as_str),
-            Some("sonata")
-        );
-        let pts = series[0]
-            .get("points")
-            .and_then(JsonValue::as_array)
-            .unwrap();
-        assert_eq!(pts.len(), 2);
-        assert_eq!(pts[1].as_array().unwrap()[1].as_f64(), Some(90.0));
     }
 }

@@ -266,20 +266,26 @@ fn faulted_runs_are_identical_on_both_paths() {
             },
             ..FaultPlan::default()
         };
-        let fast = run(
-            &plan,
-            &tr,
-            config(false, TransportKind::Loopback, 1, faults),
-        );
-        let reference = run(&plan, &tr, config(true, TransportKind::Loopback, 1, faults));
-        assert!(
-            fast.total_faults().get(FaultKind::ReportDrop) > 0,
-            "seed {seed}: the plan must actually inject"
-        );
-        assert_eq!(
-            fast.windows, reference.windows,
-            "seed {seed}: faulted fast path diverged from faulted reference"
-        );
+        for workers in [1usize, 2] {
+            let fast = run(
+                &plan,
+                &tr,
+                config(false, TransportKind::Loopback, workers, faults),
+            );
+            let reference = run(
+                &plan,
+                &tr,
+                config(true, TransportKind::Loopback, workers, faults),
+            );
+            assert!(
+                fast.total_faults().get(FaultKind::ReportDrop) > 0,
+                "seed {seed}: the plan must actually inject"
+            );
+            assert_eq!(
+                fast.windows, reference.windows,
+                "seed {seed}, {workers} workers: faulted fast path diverged from faulted reference"
+            );
+        }
     }
 }
 

@@ -16,12 +16,19 @@
 //!   run's, and spurious alerts can only sit within one slack of the
 //!   threshold.
 //!
+//! A third check sizes the catalog's switch state both ways: at ε = 5 %
+//! the sketch layouts pack at least twice as many queries into a fixed
+//! register budget as exact sizing does (the memory wall of the paper's
+//! Figure 8c, measured on the planner's estimates).
+//!
 //! Seeds come from `SONATA_SKETCH_SEEDS` (comma-separated, default
 //! `7,23,101`).
 
+use sonata::planner::costs::estimate_costs;
 use sonata::prelude::*;
 use sonata::query::Query;
 use sonata::stream::testsupport::{low_thresholds, seeded_packets};
+use sonata::traffic::trace::EvaluationTrace;
 use std::collections::BTreeMap;
 
 const WINDOW_NS: u64 = 3_000_000_000;
@@ -414,4 +421,69 @@ fn fabric_folds_bounds_across_switches() {
             }
         }
     }
+}
+
+/// Register-budget packing: size every catalog query's finest-level
+/// switch state from its trace-estimated key counts (headroom 1.5,
+/// d = 2), exactly and under the ε = δ = 5 % sketch policy, then pack
+/// queries greedily, in catalog order, into 300 Kb of register SRAM.
+/// The sketch layouts must fit at least twice as many. The input is
+/// the evaluation trace at scale 0.3; on this trace exact sizing fits
+/// 2 queries and sketches fit 5 (at scale 0.05 the exact sizes shrink
+/// and exact sizing fits 5 against the sketches' 9).
+#[test]
+fn sketch_layouts_pack_twice_the_queries_into_a_register_budget() {
+    let tr = EvaluationTrace::generate(1, 3, 3_000, 0.3).trace;
+    let windows: Vec<&[sonata::packet::Packet]> = tr.windows(3_000).map(|(_, p)| p).collect();
+    let cfg = CostConfig {
+        levels: Some(vec![32]),
+        ..Default::default()
+    };
+    let costs: Vec<_> = catalog::all(&Thresholds::default())
+        .iter()
+        .map(|q| estimate_costs(q, &windows, &cfg).unwrap())
+        .collect();
+    let query_bits = |policy: &SketchPolicy| -> Vec<u64> {
+        costs
+            .iter()
+            .map(|qc| {
+                let t = qc
+                    .transitions
+                    .get(&(None, qc.finest))
+                    .or_else(|| qc.transitions.values().next())
+                    .expect("estimated transition");
+                t.branches
+                    .iter()
+                    .flat_map(|bc| {
+                        (0..bc.keys.len()).map(|i| bc.register_bits_with(i, 1.5, 2, policy))
+                    })
+                    .sum()
+            })
+            .collect()
+    };
+    let budget = 300_000u64;
+    // Queries without stateful switch state fit any budget vacuously;
+    // leave them out so the packing counts real state.
+    let pack = |bits: Vec<u64>| {
+        let (mut used, mut fit) = (0u64, 0usize);
+        for b in bits.into_iter().filter(|&b| b > 0) {
+            if used + b <= budget {
+                used += b;
+                fit += 1;
+            }
+        }
+        fit
+    };
+    let fit_exact = pack(query_bits(&SketchPolicy::default()));
+    let fit_sketch = pack(query_bits(&SketchPolicy {
+        enabled: true,
+        epsilon: 0.05,
+        delta: 0.05,
+    }));
+    assert!(fit_exact >= 1, "the budget must admit an exact query");
+    assert!(
+        fit_sketch >= 2 * fit_exact,
+        "sketch layouts must fit ≥ 2× the queries of exact sizing \
+         (exact {fit_exact}, sketch {fit_sketch})"
+    );
 }

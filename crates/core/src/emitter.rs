@@ -16,9 +16,9 @@
 //! tuples to the stream processor."
 //!
 //! Everything is per-task state built once from the deployed plan.
-//! Mirrored reports and the register dump both arrive as column
-//! blocks; a block — or a single report, a block of one row — is
-//! resolved once: one task lookup, one column permutation, one
+//! Mirrored reports and the register dump both arrive as
+//! [`ReportBlock`]s; a block — or a single report, a block of one row —
+//! is resolved once: one task lookup, one column permutation, one
 //! destination, then a loop over its rows, which go through the
 //! permutation as `u64`s and stay `u64`s. A task whose rows are the
 //! packets themselves gets no rows built at all: the chunk's packets
@@ -27,7 +27,7 @@
 
 use crate::driver::Deployment;
 use sonata_faults::FaultInjector;
-use sonata_pisa::{Report, ReportChunk, ReportKind, TaskId, WindowDump};
+use sonata_pisa::{Report, ReportBlock, ReportChunk, ReportKind, TaskId, WindowDump};
 use sonata_query::{ColName, Entries, PacketBlock, QueryId, RowRun, Rows, Schema};
 use sonata_stream::{BoundEntries, StreamError, WindowBatch};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -165,51 +165,51 @@ impl Emitter {
     /// [`ReportChunk::reports`], placed as [`Self::ingest`] places
     /// them one by one. The chunk's packets are one shared block of
     /// columns, taken as they came; a packet-report task keeps its
-    /// block's packet numbers and nothing else. A block whose cells or
-    /// packet indices are not whole rows is dropped as one malformed
-    /// report; a packet-report task's row whose packet index is absent,
-    /// past the chunk's packets or undecodable, or whose packet lacks a
-    /// field the task reads, as one each.
+    /// block's packet numbers and nothing else.
     pub fn ingest_blocks(&mut self, chunk: ReportChunk) {
         let packets = Arc::new(chunk.packets);
         for mut b in chunk.blocks {
-            if !b.is_well_formed() {
-                self.received.window += 1;
-                self.malformed.window += 1;
-                continue;
-            }
-            let pkts = std::mem::take(&mut b.pkts);
-            let width = b.width();
-            self.place(
-                (b.task, b.kind, b.entry_op, b.first_seq),
-                (b.rows, width),
-                |j| &b.names[j],
-                |r, j| b.cells[r * width + j],
-                || Some((Arc::clone(&packets), pkts)),
-            );
+            let pkts = b.is_well_formed().then(|| std::mem::take(&mut b.pkts));
+            self.ingest_block(&b, pkts, &packets);
         }
     }
 
-    /// Ingest the end-of-window register dump, block by block. A block
-    /// whose cells are not whole rows is dropped as one malformed
-    /// report; one that cannot be placed (blocks carry no packets), as
-    /// one per row.
+    /// Ingest the end-of-window register dump: its chunk's blocks, as
+    /// [`Self::ingest_blocks`] places them (a dump's rows carry no
+    /// packets, so a packet-report task's are malformed).
     pub fn ingest_dump(&mut self, dump: &WindowDump) {
-        for b in dump.tuples.blocks() {
-            let width = b.width();
-            if !b.is_well_formed() {
-                self.received.window += 1;
-                self.malformed.window += 1;
-                continue;
-            }
-            self.place(
-                (b.task, b.kind, b.entry_op, b.first_seq),
-                (b.rows(), width),
-                |j| &b.names[j],
-                |r, j| b.cells[r * width + j],
-                || None,
-            );
+        let packets = Arc::new(dump.tuples.packets.clone());
+        for b in &dump.tuples.blocks {
+            self.ingest_block(b, b.is_well_formed().then(|| b.pkts.clone()), &packets);
         }
+    }
+
+    /// Place one block's rows over the chunk's `packets`; `pkts` is the
+    /// block's packet numbers, moved or copied out of it by the caller,
+    /// or `None` if its cells or packet indices are not whole rows —
+    /// then it is dropped as one malformed report. A packet-report
+    /// task's row whose packet index is absent, past the chunk's
+    /// packets or undecodable, or whose packet lacks a field the task
+    /// reads, is dropped as one each.
+    fn ingest_block(
+        &mut self,
+        b: &ReportBlock,
+        pkts: Option<Vec<u32>>,
+        packets: &Arc<PacketBlock>,
+    ) {
+        let Some(pkts) = pkts else {
+            self.received.window += 1;
+            self.malformed.window += 1;
+            return;
+        };
+        let width = b.width();
+        self.place(
+            (b.task, b.kind, b.entry_op, b.first_seq),
+            (b.rows, width),
+            |j| &b.names[j],
+            |r, j| b.cells[r * width + j],
+            || Some((Arc::clone(packets), pkts)),
+        );
     }
 
     /// Place `rows` reports that share a header `(task, kind, entry op,
@@ -359,7 +359,6 @@ mod tests {
     use super::*;
     use sonata_packet::wire::ALL_FIELDS;
     use sonata_packet::{Field, PacketBuilder, Value};
-    use sonata_pisa::DumpBlock;
     use sonata_query::expr::{col, field, lit};
     use sonata_query::{Agg, QueryId, Tuple};
 
@@ -716,25 +715,36 @@ mod tests {
             // A packet-report task's report without its packet.
             report(task(2, 0), ReportKind::Tuple, cols(), None),
         ];
-        let block = |task, kind, entry_op, cells| DumpBlock {
+        let block = |task, kind, entry_op, rows, cells| ReportBlock {
             task,
             kind,
             entry_op,
             first_seq: 0,
             names: ["dIP".into(), "count".into()].into(),
+            rows,
             cells,
+            pkts: Vec::new(),
         };
-        let blocks = [
-            // Three cells are not rows of two.
-            block(task(1, 0), ReportKind::WindowDump, None, vec![1, 2, 3]),
+        let blocks = vec![
+            // Three cells are not two rows of two.
+            block(task(1, 0), ReportKind::WindowDump, None, 2, vec![1, 2, 3]),
             // Two rows at an unknown entry op, one with none.
-            block(task(1, 0), ReportKind::WindowDumpRaw, Some(9), vec![1; 4]),
-            block(task(1, 0), ReportKind::WindowDumpRaw, None, vec![1; 2]),
+            block(
+                task(1, 0),
+                ReportKind::WindowDumpRaw,
+                Some(9),
+                2,
+                vec![1; 4],
+            ),
+            block(task(1, 0), ReportKind::WindowDumpRaw, None, 1, vec![1; 2]),
             // Two rows for a task whose tuples are packets.
-            block(task(2, 0), ReportKind::WindowDump, None, vec![1; 4]),
+            block(task(2, 0), ReportKind::WindowDump, None, 2, vec![1; 4]),
         ];
         let dump = WindowDump {
-            tuples: blocks.into_iter().collect(),
+            tuples: ReportChunk {
+                blocks,
+                ..ReportChunk::default()
+            },
             ..WindowDump::default()
         };
         (reports, dump)
@@ -762,14 +772,16 @@ mod tests {
         ]);
         // The ill-formed block cannot be encoded (the codec writes
         // whole rows); it reaches an emitter only in process.
-        let wire_dump = WindowDump {
-            tuples: dump.tuples.blocks()[1..].iter().cloned().collect(),
+        let (ill_formed, well_formed) = dump.tuples.blocks.split_at(1);
+        let only = |blocks: &[ReportBlock]| WindowDump {
+            tuples: ReportChunk {
+                blocks: blocks.to_vec(),
+                ..ReportChunk::default()
+            },
             ..WindowDump::default()
         };
-        e.ingest_dump(&WindowDump {
-            tuples: dump.tuples.blocks()[..1].iter().cloned().collect(),
-            ..WindowDump::default()
-        });
+        let wire_dump = only(well_formed);
+        e.ingest_dump(&only(ill_formed));
         let frames = (reports.into_iter().map(Frame::Report)).chain([Frame::WindowDump {
             window: 0,
             dump: wire_dump,

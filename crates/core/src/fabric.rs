@@ -521,10 +521,7 @@ impl Fabric {
                     (Box::new(a), Box::new(b))
                 }
                 TransportKind::Tcp => {
-                    let opts = TcpOptions {
-                        switch_id: sid,
-                        ..TcpOptions::default()
-                    };
+                    let opts = TcpOptions { switch_id: sid };
                     let (client, collector) = tcp_pair(&metrics, opts)?;
                     (Box::new(client), Box::new(collector))
                 }

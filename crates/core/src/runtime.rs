@@ -941,7 +941,6 @@ mod tests {
             catalog::superspreader(&t),
         ];
         let plan = plan_for(PlanMode::Sonata, &queries, &tr);
-        let obs = ObsHandle::enabled();
         let faults = FaultPlan {
             seed: 7,
             worker: WorkerFaults {
@@ -952,7 +951,7 @@ mod tests {
             ..FaultPlan::default()
         };
         let cfg = RuntimeConfig {
-            obs: obs.clone(),
+            obs: ObsHandle::enabled(),
             faults,
             ..RuntimeConfig::default()
         };

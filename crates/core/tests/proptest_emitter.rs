@@ -30,12 +30,12 @@ use sonata_core::Emitter;
 use sonata_faults::{FaultInjector, FaultPlan, ReportFaults};
 use sonata_packet::wire::{ALL_FIELDS, LAZY_FIELDS};
 use sonata_packet::{Field, PacketArena, PacketBuilder, Value};
-use sonata_pisa::{DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, TaskId, WindowDump};
+use sonata_pisa::{Report, ReportBlock, ReportChunk, ReportKind, TaskId, WindowDump};
 use sonata_query::expr::{col, field, lit};
+use sonata_query::interpret::run_entries_owned;
 use sonata_query::{
     Agg, ColName, Entries, Operator, PacketBlock, Query, QueryId, RowRun, Schema, Tuple,
 };
-use sonata_stream::testsupport::run_entries_owned;
 use sonata_stream::{BoundEntries, WindowBatch};
 use std::collections::{BTreeMap, HashSet};
 
@@ -224,16 +224,25 @@ fn report_of(deps: &[(u8, Deployment)], (task_pick, pick, seq, has_packet, vals)
     }
 }
 
-fn block_of(deps: &[(u8, Deployment)], (task_pick, pick, seq, _, vals): &Draw) -> DumpBlock {
+/// The block a [`Draw`] of up to five rows stands for, each row
+/// carrying the packet `pkts` names for it (none when `pkts` is empty).
+fn block_of(
+    deps: &[(u8, Deployment)],
+    (task_pick, pick, seq, _, vals): &Draw,
+    mut pkts: Vec<u32>,
+) -> ReportBlock {
     let (task, kind, entry_op, names) = header(deps, *task_pick, *pick);
-    let rows = vals.len() / 3 * usize::from(*seq % 4 != 0);
-    DumpBlock {
+    let rows = (vals.len() / 3).min(5) * usize::from(*seq % 4 != 0);
+    pkts.truncate(rows);
+    ReportBlock {
         task,
         kind,
         entry_op,
         first_seq: *seq as u64,
-        cells: vals[..rows.min(5) * names.len()].to_vec(),
+        rows,
+        cells: vals[..rows * names.len()].to_vec(),
         names: names.into(),
+        pkts,
     }
 }
 
@@ -269,24 +278,11 @@ fn chunk_of(deps: &[(u8, Deployment)], (records, every, blocks): &ChunkDraw) -> 
             None => packets.push_record(i as u64, &[0xff; 7]),
         }
     }
-    let block = |((task_pick, pick, seq, _, vals), with_packets, picks): &(Draw, bool, Vec<u8>)| {
-        let (task, kind, entry_op, names) = header(deps, *task_pick, *pick);
-        let rows = (vals.len() / 3).min(5) * usize::from(*seq % 4 != 0);
+    let block = |(draw, with_packets, picks): &(Draw, bool, Vec<u8>)| {
         // One index in `records.len() + 1` points past the packets.
         let pkt = |p: &u8| *p as u32 % (records.len() as u32 + 1);
-        ReportBlock {
-            task,
-            kind,
-            entry_op,
-            first_seq: *seq as u64,
-            rows,
-            cells: vals[..rows * names.len()].to_vec(),
-            names: names.into(),
-            pkts: match with_packets {
-                true => picks[..rows].iter().map(pkt).collect(),
-                false => Vec::new(),
-            },
-        }
+        let pkts = picks.iter().map(pkt).filter(|_| *with_packets);
+        block_of(deps, draw, pkts.collect())
     };
     let mask = if *every {
         ALL_FIELDS
@@ -462,10 +458,13 @@ proptest! {
         let reports: Vec<Report> = reports.iter().map(|d| report_of(&deps, d)).collect();
         let chunks: Vec<ReportChunk> = chunks.iter().map(|d| chunk_of(&deps, d)).collect();
         let dump = WindowDump {
-            tuples: blocks.iter().map(|d| block_of(&deps, d)).collect(),
+            tuples: ReportChunk {
+                blocks: blocks.iter().map(|d| block_of(&deps, d, Vec::new())).collect(),
+                ..ReportChunk::default()
+            },
             ..WindowDump::default()
         };
-        let rows: Vec<Report> = dump.tuples.iter().collect();
+        let rows: Vec<Report> = dump.tuples.reports().collect();
         prop_assert_eq!(rows.len(), dump.tuples.len());
 
         let mut by_block = Emitter::with_faults(&plain, &faults);

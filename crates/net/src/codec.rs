@@ -36,28 +36,28 @@
 //!
 //! All integers are little-endian. Strings are `u16` length-prefixed
 //! UTF-8; vectors are `u32` count-prefixed; options are a one-byte
-//! presence tag. A window dump's rows ride as column blocks (v6): per
-//! block the task, kind, entry op and first `seq`, a `u16`-counted name
-//! list, then `rows: u32`, `width: u16` and `rows × width` bare `u64`
-//! cells — `width` must equal the name count, and `rows × width × 8`
-//! is checked against the bytes left in the frame before the cells are
-//! touched, so a header can never size an allocation. A batch's
-//! mirrored reports ride the same way (`ReportBlocks`): first the
-//! packets some row carries, once each, as the columns the deployed
-//! queries read (v8) — `npackets: u32`, the field `mask: u32`, a
-//! validity bitmap of `⌈npackets / 64⌉` `u64` words (bit `p` set when
-//! packet `p` decodes), then one column of `npackets` `u32`s per
-//! scalar field of the mask, field-major, then `nbytes: u32` and, only
-//! when the mask names a lazy field (a DNS name, the payload), `npackets
-//! × (ts: u64, len: u32)` and the `nbytes` of wire bytes back to back —
-//! then per block the head and names as above, `rows: u32`, `width:
-//! u16`, `rows × width` cells, a flag byte and, when it says the rows
-//! carry packets, `rows` frame-local `u32` packet indices. The bitmap,
-//! `npackets × columns × 4`, `npackets × 12`, `nbytes`, `rows × width
-//! × 8` and `rows × 4` are each checked against the bytes left before
-//! anything is sized; a mask bit past the fields, a bitmap bit past the
-//! packets, bytes without a lazy field and lengths that do not sum to
-//! `nbytes` are malformed, and every index must be below `npackets`.
+//! presence tag. Rows ride as column blocks in a chunk, one layout for
+//! a batch's mirrored reports (`ReportBlocks`) and a window's register
+//! dump (`WindowDump`, v9): first the packets some row carries, once
+//! each, as the columns the deployed queries read (v8) — `npackets:
+//! u32`, the field `mask: u32`, a validity bitmap of `⌈npackets / 64⌉`
+//! `u64` words (bit `p` set when packet `p` decodes), then one column
+//! of `npackets` `u32`s per scalar field of the mask, field-major, then
+//! `nbytes: u32` and, only when the mask names a lazy field (a DNS
+//! name, the payload), `npackets × (ts: u64, len: u32)` and the
+//! `nbytes` of wire bytes back to back — then per block the task, kind,
+//! entry op and first `seq`, a `u16`-counted name list, `rows: u32`,
+//! `width: u16`, `rows × width` bare `u64` cells, a flag byte and, when
+//! it says the rows carry packets, `rows` frame-local `u32` packet
+//! indices. `width` must equal the name count. The bitmap, `npackets ×
+//! columns × 4`, `npackets × 12`, `nbytes`, `rows × width × 8` and
+//! `rows × 4` are each checked against the bytes left before anything
+//! is sized, so a header can never size an allocation; a mask bit past
+//! the fields, a bitmap bit past the packets, bytes without a lazy
+//! field and lengths that do not sum to `nbytes` are malformed, and
+//! every index must be below `npackets`. A `ReportBlocks` frame holds
+//! only tuple and shunt blocks; a `WindowDump` frame only dump blocks,
+//! and no packets.
 //! In a single `Report` frame — the one-row form oracles use — the
 //! whole packet rides as its own wire encoding
 //! ([`sonata_packet::Packet::encode`]) plus the capture timestamp and
@@ -72,8 +72,8 @@ use sonata_obs::TraceContext;
 use sonata_packet::wire::LAZY_FIELDS;
 use sonata_packet::{ArenaIndex, Packet, PacketArena};
 use sonata_pisa::{
-    ControlOp, DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout,
-    TaskId, WindowDump,
+    ControlOp, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout, TaskId,
+    WindowDump,
 };
 use sonata_query::{ColName, PacketBlock, QueryId};
 use std::collections::BTreeSet;
@@ -88,8 +88,9 @@ pub const MAGIC: u32 = u32::from_le_bytes(*b"SNTA");
 /// as column blocks — names once per block, not once per cell; v7 adds
 /// the `ReportBlocks` frame, the same for mirrored reports; v8 carries
 /// a mirrored packet as the fields the deployed queries read, not its
-/// bytes).
-pub const VERSION: u16 = 8;
+/// bytes; v9 ships the dump's blocks as a `ReportBlocks` chunk without
+/// packets, so one block codec serves both frames).
+pub const VERSION: u16 = 9;
 /// Fixed header size (magic + version + type + flags + switch +
 /// trace + span + epoch + len).
 pub const HEADER_LEN: usize = 38;
@@ -294,8 +295,8 @@ impl<'a> Reader<'a> {
 
 // ------------------------------------------------------ field codecs
 
-/// What a report and a dump block both lead with: task, kind, (first)
-/// `seq`, entry op.
+/// What a report and a report block both lead with: task, kind,
+/// (first) `seq`, entry op.
 fn write_report_head(
     w: &mut Writer<'_>,
     task: &TaskId,
@@ -409,47 +410,6 @@ fn read_report(r: &mut Reader<'_>) -> Result<Report, CodecError> {
     })
 }
 
-/// What a dump block and a report block both hold after the head: the
-/// names, `rows`, `width`, the cells.
-fn write_block_body(w: &mut Writer<'_>, names: &[ColName], rows: usize, cells: &[u64]) {
-    debug_assert!(names.len() <= u16::MAX as usize && rows * names.len() == cells.len());
-    w.u16(names.len() as u16);
-    for name in names {
-        w.str(name);
-    }
-    w.u32(rows as u32);
-    w.u16(names.len() as u16);
-    w.buf.reserve(cells.len() * 8);
-    for v in cells {
-        w.u64(*v);
-    }
-}
-
-/// The names, `rows` and `width` of a block, with the byte length of
-/// its cells. Every count is checked against the bytes the frame still
-/// holds before it sizes anything, so allocations are bounded by the
-/// frame, never by a header's claim.
-fn read_block_shape(r: &mut Reader<'_>) -> Result<(Arc<[ColName]>, usize, usize), CodecError> {
-    let ncols = r.u16()? as usize;
-    if ncols > r.remaining() / 2 {
-        return Err(CodecError::Malformed("block name count"));
-    }
-    let names = (0..ncols)
-        .map(|_| r.str().map(Into::into))
-        .collect::<Result<_, _>>()?;
-    let rows = r.u32()? as usize;
-    if r.u16()? as usize != ncols {
-        return Err(CodecError::Malformed(
-            "block width differs from its name count",
-        ));
-    }
-    let bytes = rows
-        .checked_mul(ncols * 8)
-        .filter(|&b| b <= r.remaining())
-        .ok_or(CodecError::Malformed("block rows exceed the frame"))?;
-    Ok((names, rows, bytes))
-}
-
 fn read_cells(r: &mut Reader<'_>, bytes: usize) -> Result<Vec<u64>, CodecError> {
     Ok((r.take(bytes)?.chunks_exact(8))
         .map(|c| u64::from_le_bytes(c.try_into().expect("chunks of 8")))
@@ -457,11 +417,7 @@ fn read_cells(r: &mut Reader<'_>, bytes: usize) -> Result<Vec<u64>, CodecError> 
 }
 
 fn write_dump(w: &mut Writer<'_>, dump: &WindowDump) {
-    w.u32(dump.tuples.blocks().len() as u32);
-    for b in dump.tuples.blocks() {
-        write_report_head(w, &b.task, b.kind, b.first_seq, b.entry_op);
-        write_block_body(w, &b.names, b.rows(), &b.cells);
-    }
+    write_chunk(w, &dump.tuples);
     w.u64(dump.suppressed);
     w.u64(dump.occupancy as u64);
     w.u64(dump.shunted_packets);
@@ -481,32 +437,16 @@ fn write_dump(w: &mut Writer<'_>, dump: &WindowDump) {
     }
 }
 
-/// Bytes of a dump block with no names and no rows: the report head
-/// without an entry op (6 + 1 + 8 + 1), the name count, rows, width.
-const DUMP_BLOCK_MIN_LEN: usize = 16 + 2 + 4 + 2;
+/// Bytes of a report block with no names and no rows: the report head
+/// without an entry op (6 + 1 + 8 + 1), the name count, rows, width and
+/// the flag byte.
+const REPORT_BLOCK_MIN_LEN: usize = 16 + 2 + 4 + 2 + 1;
 
-fn read_dump_block(r: &mut Reader<'_>) -> Result<DumpBlock, CodecError> {
-    let (task, kind, first_seq, entry_op) = read_report_head(r)?;
-    if !matches!(kind, ReportKind::WindowDump | ReportKind::WindowDumpRaw) {
-        return Err(CodecError::Malformed("dump block kind"));
-    }
-    let (names, rows, bytes) = read_block_shape(r)?;
-    if names.is_empty() && rows != 0 {
-        return Err(CodecError::Malformed("dump block rows without columns"));
-    }
-    Ok(DumpBlock {
-        task,
-        kind,
-        entry_op,
-        first_seq,
-        names,
-        cells: read_cells(r, bytes)?,
-    })
-}
-
-/// Bytes of a report block with no names and no rows: a dump block's,
-/// plus the flag byte.
-const REPORT_BLOCK_MIN_LEN: usize = DUMP_BLOCK_MIN_LEN + 1;
+/// The block kinds a `ReportBlocks` frame carries: a batch's mirrors
+/// and shunts.
+const MIRROR_KINDS: [ReportKind; 2] = [ReportKind::Tuple, ReportKind::Shunt];
+/// The block kinds a `WindowDump` frame carries: register dump rows.
+const DUMP_KINDS: [ReportKind; 2] = [ReportKind::WindowDump, ReportKind::WindowDumpRaw];
 
 fn write_chunk(w: &mut Writer<'_>, chunk: &ReportChunk) {
     let (block, packets) = (&chunk.packets, chunk.packets.packets());
@@ -533,9 +473,13 @@ fn write_chunk(w: &mut Writer<'_>, chunk: &ReportChunk) {
     }
     w.u32(chunk.blocks.len() as u32);
     for b in &chunk.blocks {
-        debug_assert!(b.is_well_formed());
+        debug_assert!(b.is_well_formed() && b.width() <= u16::MAX as usize);
         write_report_head(w, &b.task, b.kind, b.first_seq, b.entry_op);
-        write_block_body(w, &b.names, b.rows, &b.cells);
+        w.u16(b.width() as u16);
+        b.names.iter().for_each(|name| w.str(name));
+        w.u32(b.rows as u32);
+        w.u16(b.width() as u16);
+        b.cells.iter().for_each(|v| w.u64(*v));
         w.u8(u8::from(!b.pkts.is_empty()));
         b.pkts.iter().for_each(|p| w.u32(*p));
     }
@@ -593,24 +537,49 @@ fn read_packet_block(r: &mut Reader<'_>) -> Result<PacketBlock, CodecError> {
     PacketBlock::from_parts(mask, npackets, cols, valid, packets).map_err(CodecError::Malformed)
 }
 
-fn read_chunk(r: &mut Reader<'_>) -> Result<ReportChunk, CodecError> {
+/// A chunk whose blocks are all of `kinds`.
+fn read_chunk(r: &mut Reader<'_>, kinds: [ReportKind; 2]) -> Result<ReportChunk, CodecError> {
     let packets = read_packet_block(r)?;
     let nblocks = r.u32()? as usize;
     if nblocks > r.remaining() / REPORT_BLOCK_MIN_LEN {
         return Err(CodecError::Malformed("report block count"));
     }
     let blocks = (0..nblocks)
-        .map(|_| read_report_block(r, packets.len()))
+        .map(|_| read_report_block(r, packets.len(), kinds))
         .collect::<Result<_, _>>()?;
     Ok(ReportChunk { packets, blocks })
 }
 
-fn read_report_block(r: &mut Reader<'_>, npackets: usize) -> Result<ReportBlock, CodecError> {
+/// One block of `kinds` whose rows index `npackets` packets. Every count
+/// is checked against the bytes the frame still holds before it sizes
+/// anything, so allocations are bounded by the frame, never by a
+/// header's claim.
+fn read_report_block(
+    r: &mut Reader<'_>,
+    npackets: usize,
+    kinds: [ReportKind; 2],
+) -> Result<ReportBlock, CodecError> {
     let (task, kind, first_seq, entry_op) = read_report_head(r)?;
-    if !matches!(kind, ReportKind::Tuple | ReportKind::Shunt) {
+    if !kinds.contains(&kind) {
         return Err(CodecError::Malformed("report block kind"));
     }
-    let (names, rows, bytes) = read_block_shape(r)?;
+    let ncols = r.u16()? as usize;
+    if ncols > r.remaining() / 2 {
+        return Err(CodecError::Malformed("block name count"));
+    }
+    let names: Arc<[ColName]> = (0..ncols)
+        .map(|_| r.str().map(Into::into))
+        .collect::<Result<_, _>>()?;
+    let rows = r.u32()? as usize;
+    if r.u16()? as usize != ncols {
+        return Err(CodecError::Malformed(
+            "block width differs from its name count",
+        ));
+    }
+    let bytes = rows
+        .checked_mul(ncols * 8)
+        .filter(|&b| b <= r.remaining())
+        .ok_or(CodecError::Malformed("block rows exceed the frame"))?;
     let cells = read_cells(r, bytes)?;
     let with_packets = match r.u8()? {
         0 => false,
@@ -645,13 +614,10 @@ fn read_report_block(r: &mut Reader<'_>, npackets: usize) -> Result<ReportBlock,
 }
 
 fn read_dump(r: &mut Reader<'_>) -> Result<WindowDump, CodecError> {
-    let n = r.u32()? as usize;
-    if n > r.remaining() / DUMP_BLOCK_MIN_LEN {
-        return Err(CodecError::Malformed("dump block count"));
+    let tuples = read_chunk(r, DUMP_KINDS)?;
+    if !tuples.packets.is_empty() {
+        return Err(CodecError::Malformed("dump rows carry packets"));
     }
-    let tuples = (0..n)
-        .map(|_| read_dump_block(r))
-        .collect::<Result<_, _>>()?;
     let suppressed = r.u64()?;
     let occupancy = r.u64()? as usize;
     let shunted_packets = r.u64()?;
@@ -917,7 +883,7 @@ pub fn decode_frame_tagged(
             latency_ns: r.u64()?,
         },
         8 => Frame::Credit { window: r.u64()? },
-        9 => Frame::ReportBlocks(read_chunk(&mut r)?),
+        9 => Frame::ReportBlocks(read_chunk(&mut r, MIRROR_KINDS)?),
         other => return Err(CodecError::UnknownFrameType(other)),
     };
     if !r.done() {

@@ -25,33 +25,22 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Tunables for the TCP backend.
-#[derive(Debug, Clone, Copy)]
+/// Per-connection settings of the TCP backend.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct TcpOptions {
-    /// Bounded frames buffered per connection before the reader
-    /// blocks (the high watermark).
-    pub per_conn_capacity: usize,
-    /// Re-dial attempts before a send reports the peer unreachable.
-    pub max_reconnect_attempts: u32,
-    /// First re-dial backoff; doubles per failed attempt, capped at
-    /// 100 ms.
-    pub base_backoff: Duration,
     /// Fabric switch id stamped into every frame header this client
     /// sends; the collector keys per-peer routing and `Hello` replay
     /// state by it. Single-switch deployments use 0.
     pub switch_id: u16,
 }
 
-impl Default for TcpOptions {
-    fn default() -> Self {
-        TcpOptions {
-            per_conn_capacity: 8_192,
-            max_reconnect_attempts: 8,
-            base_backoff: Duration::from_millis(1),
-            switch_id: 0,
-        }
-    }
-}
+/// Bounded frames buffered per connection before the reader blocks
+/// (the high watermark).
+const CONN_QUEUE_FRAMES: usize = 8_192;
+/// Re-dial attempts before a send reports the peer unreachable.
+const MAX_RECONNECT_ATTEMPTS: u32 = 8;
+/// First re-dial backoff; doubles per failed attempt, capped at 100 ms.
+const BASE_BACKOFF: Duration = Duration::from_millis(1);
 
 // ------------------------------------------------------- receive buffer
 
@@ -59,7 +48,7 @@ impl Default for TcpOptions {
 const READ_CHUNK: usize = 64 * 1024;
 
 /// Encoded bytes a connection's queue may hold before its reader parks.
-/// `TcpOptions::per_conn_capacity` bounds the queue in frames, and a
+/// [`CONN_QUEUE_FRAMES`] bounds the queue in frames, and a
 /// frame is anything up to [`MAX_FRAME_LEN`]; this bounds it in bytes.
 /// An empty queue admits a frame of any size, so no frame the codec
 /// accepts can wedge the reader.
@@ -164,8 +153,8 @@ impl TcpClientTransport {
     /// Re-dial with exponential backoff, replaying the session
     /// `Hello` on success.
     fn reconnect(&mut self) -> Result<(), NetError> {
-        let mut backoff = self.opts.base_backoff;
-        for attempt in 1..=self.opts.max_reconnect_attempts {
+        let mut backoff = BASE_BACKOFF;
+        for attempt in 1..=MAX_RECONNECT_ATTEMPTS {
             std::thread::sleep(backoff);
             match TcpStream::connect(self.addr) {
                 Ok(stream) => {
@@ -254,7 +243,7 @@ impl TcpClientTransport {
                 Err(e) => {
                     self.stream = None;
                     attempts += 1;
-                    if attempts > self.opts.max_reconnect_attempts {
+                    if attempts > MAX_RECONNECT_ATTEMPTS {
                         return Err(NetError::Io(e.to_string()));
                     }
                 }
@@ -336,7 +325,6 @@ struct CollShared {
     not_empty: Condvar,
     not_full: Condvar,
     open: AtomicBool,
-    opts: TcpOptions,
     metrics: NetMetrics,
 }
 
@@ -356,7 +344,7 @@ pub struct TcpCollectorTransport {
 
 impl TcpCollectorTransport {
     /// Bind `127.0.0.1:0` and start accepting switch connections.
-    pub fn bind(metrics: NetMetrics, opts: TcpOptions) -> Result<Self, NetError> {
+    pub fn bind(metrics: NetMetrics) -> Result<Self, NetError> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(CollShared {
@@ -364,7 +352,6 @@ impl TcpCollectorTransport {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             open: AtomicBool::new(true),
-            opts,
             metrics,
         });
         let accept_shared = Arc::clone(&shared);
@@ -567,7 +554,7 @@ fn reader_loop(mut stream: TcpStream, id: usize, shared: Arc<CollShared>) {
                 Ok(Some(received)) => {
                     let mut st = shared.state.lock().unwrap();
                     let full = |c: &ConnBuf| {
-                        c.frames.len() >= shared.opts.per_conn_capacity
+                        c.frames.len() >= CONN_QUEUE_FRAMES
                             || (c.queued_bytes >= CONN_QUEUE_BYTES && !c.frames.is_empty())
                     };
                     while full(&st.conns[id]) && shared.open.load(Ordering::SeqCst) {
@@ -600,7 +587,7 @@ pub fn tcp_pair(
     metrics: &NetMetrics,
     opts: TcpOptions,
 ) -> Result<(TcpClientTransport, TcpCollectorTransport), NetError> {
-    let collector = TcpCollectorTransport::bind(metrics.clone(), opts)?;
+    let collector = TcpCollectorTransport::bind(metrics.clone())?;
     let client = TcpClientTransport::connect(collector.addr(), metrics.clone(), opts)?;
     Ok((client, collector))
 }
@@ -741,7 +728,7 @@ mod tests {
     fn a_connection_queue_is_bounded_in_bytes_and_drains_in_order() {
         const FRAMES: u64 = 96;
         let metrics = NetMetrics::new(&ObsHandle::enabled());
-        let mut coll = TcpCollectorTransport::bind(metrics, TcpOptions::default()).unwrap();
+        let mut coll = TcpCollectorTransport::bind(metrics).unwrap();
         let numbered = |i: u64| {
             // ~1 MiB on the wire, told apart by its first row's number.
             let Frame::ReportBlocks(mut chunk) = block_frame(128 * 1024) else {
@@ -920,18 +907,10 @@ mod tests {
         // reply routing must be keyed by switch_id, not "newest
         // connection wins".
         let metrics = NetMetrics::new(&ObsHandle::enabled());
-        let mut coll = TcpCollectorTransport::bind(metrics.clone(), TcpOptions::default()).unwrap();
+        let mut coll = TcpCollectorTransport::bind(metrics.clone()).unwrap();
         let addr = coll.addr();
         let client = |switch_id: u16| {
-            TcpClientTransport::connect(
-                addr,
-                metrics.clone(),
-                TcpOptions {
-                    switch_id,
-                    ..TcpOptions::default()
-                },
-            )
-            .unwrap()
+            TcpClientTransport::connect(addr, metrics.clone(), TcpOptions { switch_id }).unwrap()
         };
         let mut a = client(1);
         let mut b = client(2);

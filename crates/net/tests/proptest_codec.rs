@@ -13,8 +13,8 @@ use sonata_obs::TraceContext;
 use sonata_packet::wire::{field_mask, ALL_FIELDS, LAZY_FIELDS};
 use sonata_packet::{Field, Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_pisa::{
-    ControlOp, DumpBlock, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout,
-    TaskId, WindowDump,
+    ControlOp, Report, ReportBlock, ReportChunk, ReportKind, SketchBound, StateLayout, TaskId,
+    WindowDump,
 };
 use sonata_query::{PacketBlock, QueryId};
 use std::collections::BTreeSet;
@@ -131,60 +131,14 @@ fn arb_bound() -> impl Strategy<Value = SketchBound> {
         )
 }
 
-/// One column block: up to four names (a zero-width block holds no
-/// rows), up to five rows.
-fn arb_block() -> impl Strategy<Value = DumpBlock> {
-    (
-        (any::<u32>(), any::<u8>(), any::<u8>(), any::<bool>()),
-        any::<u64>(),
-        arb_entry_op(),
-        proptest::collection::vec(arb_name(), 0..5),
-        0usize..6,
-        proptest::collection::vec(any::<u64>(), 20),
-    )
-        .prop_map(
-            |((q, level, branch, raw), first_seq, entry_op, names, rows, vals)| DumpBlock {
-                task: TaskId {
-                    query: QueryId(q),
-                    level,
-                    branch,
-                },
-                kind: if raw {
-                    ReportKind::WindowDumpRaw
-                } else {
-                    ReportKind::WindowDump
-                },
-                entry_op,
-                first_seq,
-                cells: vals[..rows * names.len()].to_vec(),
-                names: names.into_iter().map(Into::into).collect(),
-            },
-        )
-}
+/// The block kinds of a batch's chunks and of a window dump's.
+const MIRROR_KINDS: [ReportKind; 2] = [ReportKind::Tuple, ReportKind::Shunt];
+const DUMP_KINDS: [ReportKind; 2] = [ReportKind::WindowDump, ReportKind::WindowDumpRaw];
 
-fn arb_dump() -> impl Strategy<Value = WindowDump> {
-    (
-        proptest::collection::vec(arb_block(), 0..4),
-        any::<u64>(),
-        0usize..1_000_000,
-        any::<u64>(),
-        proptest::collection::vec(arb_bound(), 0..3),
-    )
-        .prop_map(
-            |(blocks, suppressed, occupancy, shunted_packets, bounds)| WindowDump {
-                tuples: blocks.into_iter().collect(),
-                suppressed,
-                occupancy,
-                shunted_packets,
-                bounds,
-            },
-        )
-}
-
-/// One report block: up to four names and five rows, with or without
-/// a packet index per row ([`arb_report_blocks`] brings the indices in
-/// range of its packets).
-fn arb_report_block() -> impl Strategy<Value = ReportBlock> {
+/// One report block of either of `kinds`: up to four names and five
+/// rows, with or without a packet index per row ([`chunk_of`] brings
+/// the indices in range of its packets).
+fn arb_report_block(kinds: [ReportKind; 2]) -> impl Strategy<Value = ReportBlock> {
     (
         (any::<u32>(), any::<u8>(), any::<u8>(), any::<bool>()),
         any::<u64>(),
@@ -195,18 +149,14 @@ fn arb_report_block() -> impl Strategy<Value = ReportBlock> {
         (any::<bool>(), proptest::collection::vec(any::<u32>(), 5)),
     )
         .prop_map(
-            |((q, level, branch, shunt), first_seq, entry_op, names, rows, vals, pkts)| {
+            move |((q, level, branch, second), first_seq, entry_op, names, rows, vals, pkts)| {
                 ReportBlock {
                     task: TaskId {
                         query: QueryId(q),
                         level,
                         branch,
                     },
-                    kind: if shunt {
-                        ReportKind::Shunt
-                    } else {
-                        ReportKind::Tuple
-                    },
+                    kind: kinds[usize::from(second)],
                     entry_op,
                     first_seq,
                     rows,
@@ -217,6 +167,41 @@ fn arb_report_block() -> impl Strategy<Value = ReportBlock> {
                         false => Vec::new(),
                     },
                 }
+            },
+        )
+}
+
+/// `blocks` over `packets`: with no packet to index, no block carries
+/// any; and no block has rows with neither columns nor packets, which
+/// take no bytes on the wire.
+fn chunk_of(packets: PacketBlock, mut blocks: Vec<ReportBlock>) -> ReportChunk {
+    for b in &mut blocks {
+        match packets.len() as u32 {
+            0 => b.pkts.clear(),
+            n => b.pkts.iter_mut().for_each(|p| *p %= n),
+        }
+        if b.names.is_empty() && b.pkts.is_empty() {
+            b.rows = 0;
+        }
+    }
+    ReportChunk { packets, blocks }
+}
+
+fn arb_dump() -> impl Strategy<Value = WindowDump> {
+    (
+        proptest::collection::vec(arb_report_block(DUMP_KINDS), 0..4),
+        any::<u64>(),
+        0usize..1_000_000,
+        any::<u64>(),
+        proptest::collection::vec(arb_bound(), 0..3),
+    )
+        .prop_map(
+            |(blocks, suppressed, occupancy, shunted_packets, bounds)| WindowDump {
+                tuples: chunk_of(PacketBlock::default(), blocks),
+                suppressed,
+                occupancy,
+                shunted_packets,
+                bounds,
             },
         )
 }
@@ -252,26 +237,13 @@ fn arb_packet_block() -> impl Strategy<Value = PacketBlock> {
 }
 
 /// A chunk of mirrored reports: its carried packets and up to three
-/// blocks indexing them. With no packet to index, no block carries
-/// any; and no block has rows with neither columns nor packets, which
-/// take no bytes on the wire.
+/// blocks indexing them.
 fn arb_report_blocks() -> impl Strategy<Value = ReportChunk> {
     (
         arb_packet_block(),
-        proptest::collection::vec(arb_report_block(), 0..4),
+        proptest::collection::vec(arb_report_block(MIRROR_KINDS), 0..4),
     )
-        .prop_map(|(packets, mut blocks)| {
-            for b in &mut blocks {
-                match packets.len() as u32 {
-                    0 => b.pkts.clear(),
-                    n => b.pkts.iter_mut().for_each(|p| *p %= n),
-                }
-                if b.names.is_empty() && b.pkts.is_empty() {
-                    b.rows = 0;
-                }
-            }
-            ReportChunk { packets, blocks }
-        })
+        .prop_map(|(packets, blocks)| chunk_of(packets, blocks))
 }
 
 /// Every frame type in the protocol vocabulary.
@@ -304,28 +276,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
-/// The bytes of a `WindowDump` frame whose payload is one block,
-/// written by hand so the header can claim any `rows` × `width` over
-/// any cells, wrapped in a valid frame header and CRC.
-fn hand_framed_block(names: &[String], rows: u32, width: u16, cell_bytes: &[u8]) -> Vec<u8> {
-    let mut p = Vec::new();
-    p.extend_from_slice(&7u64.to_le_bytes()); // window
-    p.extend_from_slice(&1u32.to_le_bytes()); // one block
-    p.extend_from_slice(&[1, 0, 0, 0, 32, 0, 3]); // task q1/32/0, raw kind
-    p.extend_from_slice(&0u64.to_le_bytes()); // first seq
-    p.push(0); // no entry op
-    p.extend_from_slice(&(names.len() as u16).to_le_bytes());
-    for n in names {
-        p.extend_from_slice(&(n.len() as u16).to_le_bytes());
-        p.extend_from_slice(n.as_bytes());
-    }
-    p.extend_from_slice(&rows.to_le_bytes());
-    p.extend_from_slice(&width.to_le_bytes());
-    p.extend_from_slice(cell_bytes);
-    p.extend_from_slice(&[0; 28]); // suppressed, occupancy, shunted, no bounds
-    hand_framed(4, &p) // WindowDump
-}
-
 /// `payload` as the payload of a frame of type `type_byte`, under a
 /// valid header and CRC.
 fn hand_framed(type_byte: u8, payload: &[u8]) -> Vec<u8> {
@@ -338,10 +288,12 @@ fn hand_framed(type_byte: u8, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Everything a `ReportBlocks` payload of one block claims, each claim
-/// separately settable.
+/// Everything a `ReportBlocks` or `WindowDump` payload of one block
+/// claims, each claim separately settable.
 #[derive(Debug, Clone)]
 struct ChunkClaims {
+    /// The frame type byte: 9 `ReportBlocks`, 4 `WindowDump`.
+    frame: u8,
     npackets: u32,
     mask: u32,
     bitmap: Vec<u8>,
@@ -369,6 +321,7 @@ impl ChunkClaims {
     /// over `names`, every row carrying packet `r % 2`.
     fn honest(names: &[String], rows: u32, vals: &[u64]) -> Self {
         ChunkClaims {
+            frame: 9,
             npackets: 2,
             mask: honest_mask(),
             bitmap: 1u64.to_le_bytes().to_vec(),
@@ -397,8 +350,32 @@ impl ChunkClaims {
         }
     }
 
+    /// A window dump of one raw block of `rows` rows over `names` (none
+    /// when there are no names), carrying no packets.
+    fn dump(names: &[String], rows: u32, vals: &[u64]) -> Self {
+        let rows = if names.is_empty() { 0 } else { rows };
+        ChunkClaims {
+            frame: 4,
+            npackets: 0,
+            mask: 0,
+            bitmap: Vec::new(),
+            columns: Vec::new(),
+            nbytes: 0,
+            lens: Vec::new(),
+            wire: Vec::new(),
+            kind: 3,
+            rows,
+            flag: 0,
+            pkts: Vec::new(),
+            ..ChunkClaims::honest(names, rows, vals)
+        }
+    }
+
     fn payload(&self) -> Vec<u8> {
         let mut p = Vec::new();
+        if self.frame == 4 {
+            p.extend_from_slice(&7u64.to_le_bytes()); // window
+        }
         p.extend_from_slice(&self.npackets.to_le_bytes());
         p.extend_from_slice(&self.mask.to_le_bytes());
         p.extend_from_slice(&self.bitmap);
@@ -429,11 +406,14 @@ impl ChunkClaims {
         for i in &self.pkts {
             p.extend_from_slice(&i.to_le_bytes());
         }
+        if self.frame == 4 {
+            p.extend_from_slice(&[0; 28]); // suppressed, occupancy, shunted, no bounds
+        }
         p
     }
 
     fn decode(&self) -> Result<(Frame, usize), CodecError> {
-        decode_frame(&hand_framed(9, &self.payload()))
+        decode_frame(&hand_framed(self.frame, &self.payload()))
     }
 }
 
@@ -478,7 +458,7 @@ fn sliced_crc_is_the_bitwise_crc_at_every_short_length_and_offset() {
 
 /// One fixed frame per [`Frame`] variant under a non-trivial header —
 /// two `ReportBlocks`, with and without a byte section — by name.
-/// `golden_v8.hex` holds each as the v8 encoder first wrote it.
+/// `golden_v9.hex` holds each as the v9 encoder first wrote it.
 fn golden_frames() -> Vec<(&'static str, u16, TraceContext, u64, Frame)> {
     let task = |q: u32, level: u8, branch: u8| TaskId {
         query: QueryId(q),
@@ -530,26 +510,31 @@ fn golden_frames() -> Vec<(&'static str, u16, TraceContext, u64, Frame)> {
         ],
     };
     let dump = WindowDump {
-        tuples: [
-            DumpBlock {
-                task: task(3, 24, 0),
-                kind: ReportKind::WindowDump,
-                entry_op: Some(4),
-                first_seq: 12,
-                names: ["ipv4.dst".into(), "sum".into()].into(),
-                cells: vec![0x0a00_0000, 41, 0x0b00_0000, 7],
-            },
-            DumpBlock {
-                task: task(3, 24, 1),
-                kind: ReportKind::WindowDumpRaw,
-                entry_op: None,
-                first_seq: 0,
-                names: ["key".into()].into(),
-                cells: vec![9, 8, 7],
-            },
-        ]
-        .into_iter()
-        .collect(),
+        tuples: ReportChunk {
+            packets: PacketBlock::default(),
+            blocks: vec![
+                ReportBlock {
+                    task: task(3, 24, 0),
+                    kind: ReportKind::WindowDump,
+                    entry_op: Some(4),
+                    first_seq: 12,
+                    names: ["ipv4.dst".into(), "sum".into()].into(),
+                    rows: 2,
+                    cells: vec![0x0a00_0000, 41, 0x0b00_0000, 7],
+                    pkts: Vec::new(),
+                },
+                ReportBlock {
+                    task: task(3, 24, 1),
+                    kind: ReportKind::WindowDumpRaw,
+                    entry_op: None,
+                    first_seq: 0,
+                    names: ["key".into()].into(),
+                    rows: 3,
+                    cells: vec![9, 8, 7],
+                    pkts: Vec::new(),
+                },
+            ],
+        },
         suppressed: 5,
         occupancy: 1_234,
         shunted_packets: 17,
@@ -666,8 +651,8 @@ fn hex(bytes: &[u8]) -> String {
 }
 
 #[test]
-fn golden_v8_frames_encode_byte_for_byte_and_decode_equal() {
-    let fixture = include_str!("golden_v8.hex");
+fn golden_v9_frames_encode_byte_for_byte_and_decode_equal() {
+    let fixture = include_str!("golden_v9.hex");
     let mut lines = fixture.lines();
     for (name, switch, ctx, epoch, frame) in golden_frames() {
         let (got_name, want) = (lines.next().and_then(|l| l.split_once(' '))).expect("a line");
@@ -711,42 +696,6 @@ proptest! {
     }
 
     #[test]
-    fn dump_block_claims_are_checked_against_the_frame(
-        names in proptest::collection::vec(arb_name(), 1..5),
-        rows in 0u32..6,
-        vals in proptest::collection::vec(any::<u64>(), 20),
-        over in 1u32..,
-        skew in 1u16..,
-        short in 1usize..8,
-    ) {
-        let width = names.len() as u16;
-        let cells = &vals[..rows as usize * names.len()];
-        let bytes: Vec<u8> = cells.iter().flat_map(|v| v.to_le_bytes()).collect();
-        // The honest header decodes to exactly the block.
-        let (frame, _) = decode_frame(&hand_framed_block(&names, rows, width, &bytes)).unwrap();
-        let Frame::WindowDump { window: 7, dump } = frame else {
-            panic!("decoded as {frame:?}");
-        };
-        prop_assert_eq!(dump.tuples.len(), rows as usize);
-        prop_assert_eq!(&dump.tuples.blocks()[0].cells, cells);
-        let malformed = |r: Result<(Frame, usize), CodecError>| {
-            matches!(r, Err(CodecError::Malformed(_)))
-        };
-        // More rows than the frame holds — up to 2^32 × width cells —
-        // is an error, not an allocation.
-        let claim = rows.saturating_add(over.max(4));
-        prop_assert!(malformed(decode_frame(&hand_framed_block(&names, claim, width, &bytes))));
-        // A width that is not the name count.
-        let skewed = width.wrapping_add(skew);
-        prop_assert!(malformed(decode_frame(&hand_framed_block(&names, rows, skewed, &bytes))));
-        // A last row cut short.
-        if !bytes.is_empty() {
-            let cut = &bytes[..bytes.len() - short];
-            prop_assert!(malformed(decode_frame(&hand_framed_block(&names, rows, width, cut))));
-        }
-    }
-
-    #[test]
     fn report_block_claims_are_checked_against_the_frame(
         names in proptest::collection::vec(arb_name(), 0..5),
         rows in 0u32..6,
@@ -757,20 +706,23 @@ proptest! {
         past in 21u32..32,
         extra in 0usize..21,
     ) {
-        // The honest payloads decode to exactly the chunk, with and
-        // without a byte section.
+        // The honest payloads decode to exactly the chunk: mirrors with
+        // and without a byte section, and a window dump.
         for honest in [
             ChunkClaims::honest(&names, rows, &vals),
             ChunkClaims::columns_only(&names, rows, &vals),
+            ChunkClaims::dump(&names, rows, &vals),
         ] {
-            let (frame, _) = honest.decode().unwrap();
-            let Frame::ReportBlocks(chunk) = frame else {
-                panic!("decoded as {frame:?}");
+            let chunk = match honest.decode().unwrap().0 {
+                Frame::ReportBlocks(chunk) if honest.frame == 9 => chunk,
+                Frame::WindowDump { window: 7, dump } if honest.frame == 4 => dump.tuples,
+                frame => panic!("decoded as {frame:?}"),
             };
             let packets = &chunk.packets;
-            prop_assert_eq!((packets.len(), packets.mask()), (2, honest.mask));
+            prop_assert_eq!((packets.len(), packets.mask()), (honest.npackets as usize, honest.mask));
             prop_assert_eq!(packets.columns(), &honest.columns[..]);
-            prop_assert!(packets.is_valid(0) && !packets.is_valid(1));
+            let bitmap: Vec<u8> = packets.validity().iter().flat_map(|w| w.to_le_bytes()).collect();
+            prop_assert_eq!(bitmap, honest.bitmap.clone());
             let bytes = packets.packets();
             if honest.mask & LAZY_FIELDS == 0 {
                 prop_assert!(bytes.is_empty());
@@ -780,25 +732,67 @@ proptest! {
             }
             let block = &chunk.blocks[0];
             prop_assert!(block.is_well_formed());
-            prop_assert_eq!((block.rows, block.first_seq), (rows as usize, 5));
+            prop_assert_eq!((block.rows, block.first_seq), (honest.rows as usize, 5));
             prop_assert_eq!((&block.cells, &block.pkts), (&honest.cells, &honest.pkts));
         }
-        let honest = ChunkClaims::honest(&names, rows, &vals);
         let malformed = |c: ChunkClaims| matches!(c.decode(), Err(CodecError::Malformed(_)));
+        // What every block states, in either frame, with or without a
+        // byte section.
+        for honest in [
+            ChunkClaims::honest(&names, rows, &vals),
+            ChunkClaims::columns_only(&names, rows, &vals),
+            ChunkClaims::dump(&names, rows, &vals),
+        ] {
+            let h = || honest.clone();
+            // A row count past what the frame holds — up to 2^32 — is
+            // an error, not an allocation.
+            let bad_rows = ChunkClaims { rows: honest.rows.saturating_add(over.max(64)), ..h() };
+            prop_assert!(malformed(bad_rows));
+            // A width that is not the name count; an unknown flag.
+            let bad_width = ChunkClaims { width: honest.width.wrapping_add(skew), ..h() };
+            let bad_flag = ChunkClaims { flag: 2, ..h() };
+            prop_assert!(malformed(bad_width));
+            prop_assert!(malformed(bad_flag));
+            // A kind the frame does not carry: a dump kind among
+            // mirrors, a tuple or shunt among dump rows.
+            let foreign = if honest.frame == 9 { [2, 3] } else { [0, 1] };
+            for kind in foreign {
+                let foreign_kind = ChunkClaims { kind, ..h() };
+                prop_assert!(malformed(foreign_kind));
+            }
+            // Rows that claim neither columns nor packets.
+            let bare = ChunkClaims {
+                names: Vec::new(),
+                rows: over,
+                width: 0,
+                cells: Vec::new(),
+                flag: 0,
+                pkts: Vec::new(),
+                ..h()
+            };
+            prop_assert!(malformed(bare));
+            // Cut anywhere, the payload is malformed — never a shorter
+            // chunk.
+            let payload = honest.payload();
+            for cut in 0..payload.len() {
+                let r = decode_frame(&hand_framed(honest.frame, &payload[..cut]));
+                let is_malformed = matches!(r, Err(CodecError::Malformed(_)));
+                prop_assert!(is_malformed, "cut at {}: {:?}", cut, r);
+            }
+        }
+        let honest = ChunkClaims::honest(&names, rows, &vals);
         let h = || honest.clone();
-        // A packet count, a byte count or a row count past what the
-        // frame holds — up to 2^32 of each — is an error, not an
-        // allocation: whether the bitmap, the columns or the index is
-        // the first thing it would size.
+        // A packet count or a byte count past what the frame holds — up
+        // to 2^32 of each — is an error, not an allocation: whether the
+        // bitmap, the columns or the index is the first thing it would
+        // size.
         let claim = |n: u32| n.saturating_add(over.max(64));
         for npackets in [claim(2), 40, 9] {
             let bad_npackets = ChunkClaims { npackets, ..h() };
             prop_assert!(malformed(bad_npackets));
         }
         let bad_nbytes = ChunkClaims { nbytes: claim(8), ..h() };
-        let bad_rows = ChunkClaims { rows: claim(rows), ..h() };
         prop_assert!(malformed(bad_nbytes));
-        prop_assert!(malformed(bad_rows));
         // A mask bit at or past the field count; a mask naming a field
         // more than the columns hold.
         let past_fields = ChunkClaims { mask: honest.mask | 1 << past, ..h() };
@@ -821,47 +815,39 @@ proptest! {
         let long_lens = ChunkClaims { lens: vec![4, 5], ..h() };
         prop_assert!(malformed(short_lens));
         prop_assert!(malformed(long_lens));
-        // A width that is not the name count.
-        let bad_width = ChunkClaims { width: honest.width.wrapping_add(skew), ..h() };
-        prop_assert!(malformed(bad_width));
-        // A window-dump kind, an unknown flag.
-        let dump_kind = ChunkClaims { kind: 2, ..h() };
-        let raw_kind = ChunkClaims { kind: 3, ..h() };
-        let bad_flag = ChunkClaims { flag: 2, ..h() };
-        prop_assert!(malformed(dump_kind));
-        prop_assert!(malformed(raw_kind));
-        prop_assert!(malformed(bad_flag));
         if rows > 0 {
             // A packet index at or past the packet count.
             let mut bad_index = h();
             bad_index.pkts[rows as usize / 2] = stray;
             prop_assert!(malformed(bad_index));
         }
-        // Rows that claim neither columns nor packets.
-        let bare = ChunkClaims { rows: over, flag: 0, ..ChunkClaims::honest(&[], 0, &vals) };
-        prop_assert!(malformed(bare));
-        // Cut anywhere, either payload is malformed — never a shorter
-        // chunk.
-        for claims in [h(), ChunkClaims::columns_only(&names, rows, &vals)] {
-            let payload = claims.payload();
-            for cut in 0..payload.len() {
-                let r = decode_frame(&hand_framed(9, &payload[..cut]));
-                let is_malformed = matches!(r, Err(CodecError::Malformed(_)));
-                prop_assert!(is_malformed, "cut at {}: {:?}", cut, r);
+        // A window dump whose rows carry packets: the packets, with or
+        // without their bytes, whether or not a row names one.
+        let dump = ChunkClaims::dump(&names, rows, &vals);
+        for carried in [h(), ChunkClaims::columns_only(&names, rows, &vals)] {
+            let unnamed = ChunkClaims { flag: 0, pkts: Vec::new(), ..carried.clone() };
+            for packets in [carried, unnamed] {
+                let dumped = ChunkClaims { frame: 4, kind: 3, ..packets };
+                prop_assert!(malformed(dumped));
             }
+        }
+        // A window dump's row naming a packet it cannot carry.
+        if dump.rows > 0 {
+            let indexed = (0..dump.rows).map(|r| r % 2).collect();
+            let indexed = ChunkClaims { flag: 1, pkts: indexed, ..dump };
+            prop_assert!(malformed(indexed));
         }
     }
 
     #[test]
-    fn a_v7_peer_is_turned_away(chunk in arb_report_blocks()) {
+    fn a_v8_peer_is_turned_away(chunk in arb_report_blocks()) {
         let mut bytes = encode_frame(&Frame::ReportBlocks(chunk));
-        bytes[4..6].copy_from_slice(&7u16.to_le_bytes());
+        bytes[4..6].copy_from_slice(&8u16.to_le_bytes());
         prop_assert_eq!(
             decode_frame(&bytes).unwrap_err(),
-            CodecError::VersionMismatch { found: 7 }
+            CodecError::VersionMismatch { found: 8 }
         );
     }
-
     #[test]
     fn every_frame_type_round_trips(frame in arb_frame()) {
         let bytes = encode_frame(&frame);

@@ -32,11 +32,13 @@ use std::sync::Arc;
 pub struct ReportBlock {
     /// The reporting task.
     pub task: TaskId,
-    /// [`ReportKind::Tuple`] or [`ReportKind::Shunt`] (window dumps
-    /// travel as [`DumpBlock`](crate::switch::DumpBlock)s).
+    /// [`ReportKind::Tuple`] or [`ReportKind::Shunt`] in a batch's
+    /// chunks; [`ReportKind::WindowDump`] (thresholded on the switch) or
+    /// [`ReportKind::WindowDumpRaw`] (the emitter merges and
+    /// thresholds) in a [`WindowDump`](crate::switch::WindowDump)'s.
     pub kind: ReportKind,
-    /// Residual-pipeline operator the rows enter at (shunts); `None`
-    /// is the task's default resume point.
+    /// Residual-pipeline operator the rows enter at (shunts and raw
+    /// dumps); `None` is the task's default resume point.
     pub entry_op: Option<usize>,
     /// Report sequence number of row 0; rows number consecutively.
     pub first_seq: u64,
@@ -85,7 +87,8 @@ impl ReportBlock {
 
 /// A self-contained slice of a batch's reports: every packet some row
 /// carries, once, as the columns of the fields its mask names, and the
-/// blocks, whose `pkts` index into `packets`.
+/// blocks, whose `pkts` index into `packets`. A window dump is a chunk
+/// whose rows carry no packets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ReportChunk {
     /// The carried packets, in batch order.
@@ -95,6 +98,16 @@ pub struct ReportChunk {
 }
 
 impl ReportChunk {
+    /// Rows across all blocks.
+    pub fn len(&self) -> usize {
+        self.blocks.iter().map(|b| b.rows).sum()
+    }
+
+    /// Whether no block holds a row.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Materialize every row of every well-formed block as an owned
     /// [`Report`], block by block — for tests and oracles; the emitter
     /// reads the cells in place. A row's packet materializes only where
@@ -422,7 +435,7 @@ impl ReportBatch {
 pub struct ReportRef<'b, 'a> {
     /// Originating task.
     pub task: TaskId,
-    /// Tuple or shunt (window dumps never pass through the batch).
+    /// Tuple or shunt from a batch; a dump kind from a window dump.
     pub kind: ReportKind,
     /// Column names in program order.
     pub names: &'b [ColName],
@@ -431,7 +444,7 @@ pub struct ReportRef<'b, 'a> {
     /// Borrowed view of the mirrored packet, when the query asked for
     /// packet payloads.
     pub packet: Option<PacketView<'a>>,
-    /// Shunt entry op, `None` for tuples.
+    /// Entry op of a shunt or raw dump row, `None` otherwise.
     pub entry_op: Option<usize>,
     /// Per-task window sequence number.
     pub seq: u64,

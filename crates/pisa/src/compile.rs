@@ -19,8 +19,8 @@
 //! loadable program fragment for a chosen partition.
 
 use crate::ir::{
-    MatchRel, MatchSpec, MetaField, PhvExpr, PisaProgram, RegId, RegisterDecl, ReportMode,
-    ReportSpec, ShuntSpec, Table, TableKind, TaskId,
+    MatchSpec, MetaField, PhvExpr, PisaProgram, RegId, RegisterDecl, ReportMode, ReportSpec,
+    ShuntSpec, Table, TableKind, TaskId,
 };
 use crate::phv::MetaRef;
 use sonata_packet::wire::ALL_FIELDS;
@@ -773,7 +773,7 @@ fn compile_pred(
         Pred::Cmp { lhs, op, rhs } => Ok(vec![MatchSpec {
             clauses: vec![(
                 compile_expr_rec(lhs, binding)?,
-                compile_rel(*op),
+                *op,
                 compile_expr_rec(rhs, binding)?,
             )],
         }]),
@@ -813,17 +813,6 @@ fn compile_pred(
             op: 0,
             reason: "set membership compiles to a dynamic filter table, not a static rule".into(),
         }),
-    }
-}
-
-fn compile_rel(op: CmpOp) -> MatchRel {
-    match op {
-        CmpOp::Eq => MatchRel::Eq,
-        CmpOp::Ne => MatchRel::Ne,
-        CmpOp::Gt => MatchRel::Gt,
-        CmpOp::Ge => MatchRel::Ge,
-        CmpOp::Lt => MatchRel::Lt,
-        CmpOp::Le => MatchRel::Le,
     }
 }
 

@@ -58,11 +58,12 @@
 //! the differential suites assert bit-identical outputs.
 
 use crate::batch::BlockShape;
-use crate::ir::{MatchRel, PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
+use crate::ir::{PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
 use crate::phv::FIELD_SLOTS;
 use crate::registers::StateLayout;
 use crate::switch::ReportKind;
 use sonata_packet::Field;
+use sonata_query::expr::CmpOp;
 use sonata_query::{Agg, ColName};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -113,7 +114,7 @@ impl Lane<'_> {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FlatClause {
     pub a: ExprRef,
-    pub rel: MatchRel,
+    pub rel: CmpOp,
     pub b: ExprRef,
 }
 
@@ -743,7 +744,7 @@ impl ExecPlan {
         rules.iter().any(|clauses| {
             clauses.iter().all(|c| {
                 c.rel
-                    .eval(self.eval(c.a, lane, stack), self.eval(c.b, lane, stack))
+                    .eval_u64(self.eval(c.a, lane, stack), self.eval(c.b, lane, stack))
             })
         })
     }
@@ -791,14 +792,26 @@ impl ExecPlan {
     ) {
         self.fill(c.a, cols, n, 0..n, xs, stack);
         self.fill(c.b, cols, n, 0..n, ys, stack);
-        for (w, word) in out.iter_mut().enumerate() {
-            let lo = w * 64;
-            let hi = n.min(lo + 64);
-            *word = (xs[lo..hi].iter().zip(&ys[lo..hi]).enumerate())
-                .fold(0, |bits, (j, (&x, &y))| {
-                    bits | (c.rel.eval(x, y) as u64) << j
-                });
+        // The operator is matched once, here; each arm's pass is a
+        // branch-free compare per lane.
+        let (xs, ys) = (&xs[..n], &ys[..n]);
+        match c.rel {
+            CmpOp::Eq => compare_bits(xs, ys, out, |x, y| CmpOp::Eq.eval_u64(x, y)),
+            CmpOp::Ne => compare_bits(xs, ys, out, |x, y| CmpOp::Ne.eval_u64(x, y)),
+            CmpOp::Gt => compare_bits(xs, ys, out, |x, y| CmpOp::Gt.eval_u64(x, y)),
+            CmpOp::Ge => compare_bits(xs, ys, out, |x, y| CmpOp::Ge.eval_u64(x, y)),
+            CmpOp::Lt => compare_bits(xs, ys, out, |x, y| CmpOp::Lt.eval_u64(x, y)),
+            CmpOp::Le => compare_bits(xs, ys, out, |x, y| CmpOp::Le.eval_u64(x, y)),
         }
+    }
+}
+
+/// Bit `i` of `out` (64 lanes a word) = `holds(xs[i], ys[i])`.
+#[inline(always)]
+fn compare_bits(xs: &[u64], ys: &[u64], out: &mut [u64], holds: impl Fn(u64, u64) -> bool) {
+    for (word, (xs, ys)) in out.iter_mut().zip(xs.chunks(64).zip(ys.chunks(64))) {
+        *word = (xs.iter().zip(ys).enumerate())
+            .fold(0, |bits, (j, (&x, &y))| bits | (holds(x, y) as u64) << j);
     }
 }
 

@@ -4,6 +4,7 @@
 
 use crate::phv::{MetaRef, Phv};
 use sonata_packet::Field;
+use sonata_query::expr::CmpOp;
 use sonata_query::{Agg, ColName, QueryId};
 use sonata_sketch::StateLayout;
 use std::collections::BTreeSet;
@@ -97,42 +98,11 @@ impl fmt::Display for PhvExpr {
     }
 }
 
-/// Comparison relation in a filter table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MatchRel {
-    /// Equality (exact match).
-    Eq,
-    /// Inequality.
-    Ne,
-    /// Greater than (range match).
-    Gt,
-    /// Greater or equal.
-    Ge,
-    /// Less than.
-    Lt,
-    /// Less or equal.
-    Le,
-}
-
-impl MatchRel {
-    /// Evaluate the relation.
-    pub fn eval(self, a: u64, b: u64) -> bool {
-        match self {
-            MatchRel::Eq => a == b,
-            MatchRel::Ne => a != b,
-            MatchRel::Gt => a > b,
-            MatchRel::Ge => a >= b,
-            MatchRel::Lt => a < b,
-            MatchRel::Le => a <= b,
-        }
-    }
-}
-
 /// A static filter condition: conjunction of comparisons.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MatchSpec {
     /// All clauses must hold (one rule row with multiple columns).
-    pub clauses: Vec<(PhvExpr, MatchRel, PhvExpr)>,
+    pub clauses: Vec<(PhvExpr, CmpOp, PhvExpr)>,
 }
 
 impl MatchSpec {
@@ -140,7 +110,7 @@ impl MatchSpec {
     pub fn matches(&self, phv: &Phv) -> bool {
         self.clauses
             .iter()
-            .all(|(a, rel, b)| rel.eval(a.eval(phv), b.eval(phv)))
+            .all(|(a, rel, b)| rel.eval_u64(a.eval(phv), b.eval(phv)))
     }
 }
 
@@ -479,12 +449,12 @@ mod tests {
             clauses: vec![
                 (
                     PhvExpr::Field(Field::TcpFlags),
-                    MatchRel::Eq,
+                    CmpOp::Eq,
                     PhvExpr::Const(2),
                 ),
                 (
                     PhvExpr::Field(Field::TcpDstPort),
-                    MatchRel::Eq,
+                    CmpOp::Eq,
                     PhvExpr::Const(80),
                 ),
             ],
@@ -494,17 +464,6 @@ mod tests {
         assert!(!spec.matches(&phv));
         // Empty spec matches everything.
         assert!(MatchSpec::default().matches(&phv));
-    }
-
-    #[test]
-    fn match_rel_relations() {
-        assert!(MatchRel::Gt.eval(3, 2));
-        assert!(!MatchRel::Gt.eval(2, 2));
-        assert!(MatchRel::Ge.eval(2, 2));
-        assert!(MatchRel::Lt.eval(1, 2));
-        assert!(MatchRel::Le.eval(2, 2));
-        assert!(MatchRel::Ne.eval(1, 2));
-        assert!(MatchRel::Eq.eval(2, 2));
     }
 
     #[test]

@@ -56,6 +56,4 @@ pub use registers::{
     StateLayout,
 };
 pub use resources::{ResourceError, ResourceUsage, SwitchConstraints};
-pub use switch::{
-    DumpBlock, DumpColumns, Report, ReportKind, SketchBound, Switch, SwitchCounters, WindowDump,
-};
+pub use switch::{Report, ReportKind, SketchBound, Switch, SwitchCounters, WindowDump};

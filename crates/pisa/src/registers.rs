@@ -226,44 +226,26 @@ impl HashRegisters {
 /// `RuntimeConfig::sketch` field threads this down to every switch).
 ///
 /// `layout` names the *family*; the loader maps it per register by
-/// operator kind — see [`SketchConfig::effective_layout`]. All other
-/// fields are `0` ("derive from the register declaration") by
-/// default, so the knob's off-path (`StateLayout::Exact`) is a
-/// byte-for-byte no-op against the pre-sketch code.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// operator kind — see [`SketchConfig::effective_layout`] — and sizes
+/// each sketch from the register declaration. The default
+/// (`StateLayout::Exact`) is a byte-for-byte no-op against the
+/// pre-sketch code.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SketchConfig {
     /// Layout family to apply where the declaration doesn't already
     /// pin one (the planner stamps `RegisterDecl::layout` when its
     /// sketch cost model is on; a stamped non-exact layout wins).
     pub layout: StateLayout,
-    /// Hash-family seed; each register derives its own sub-seed so
-    /// rows are independent across registers.
-    pub seed: u64,
-    /// Count-min width override (`0` = the declaration's `slots`).
-    pub cm_width: usize,
-    /// Count-min depth override (`0` = the declaration's `arrays`).
-    pub cm_depth: usize,
-    /// Bloom admission bits override (`0` = size for the
-    /// declaration's expected key capacity).
-    pub bloom_bits: usize,
-    /// Bloom hash count override (`0` = [`BLOOM_HASHES`]).
-    pub bloom_hashes: usize,
-    /// HyperLogLog precision for the `Hll` family.
-    pub hll_precision: u8,
 }
 
-impl Default for SketchConfig {
-    fn default() -> Self {
-        SketchConfig {
-            layout: StateLayout::Exact,
-            seed: 0x534f_4e41_5441_534b, // "SONATASK"
-            cm_width: 0,
-            cm_depth: 0,
-            bloom_bits: 0,
-            bloom_hashes: 0,
-            hll_precision: HLL_PRECISION,
-        }
-    }
+/// Hash-family seed ("SONATASK"); each register derives its own
+/// sub-seed from it ([`reg_seed`]).
+const SKETCH_SEED: u64 = 0x534f_4e41_5441_534b;
+
+/// Per-register sub-seed, mixing the register index in so no two
+/// registers share hash rows.
+pub(crate) fn reg_seed(reg_idx: usize) -> u64 {
+    mix64(SKETCH_SEED ^ (reg_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5354)
 }
 
 impl SketchConfig {
@@ -317,12 +299,6 @@ impl SketchConfig {
             }
         }
     }
-
-    /// Per-register sub-seed, mixing the register index in so no two
-    /// registers share hash rows.
-    pub fn reg_seed(&self, reg_idx: usize) -> u64 {
-        mix64(self.seed ^ (reg_idx as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5354)
-    }
 }
 
 /// Count-min backed `reduce` state: a sketch for the aggregates plus
@@ -347,26 +323,8 @@ pub struct CmRegisters {
 impl CmRegisters {
     /// Build for `width × depth` counters with admission state sized
     /// for `capacity` expected keys.
-    pub fn new(
-        width: usize,
-        depth: usize,
-        capacity: usize,
-        bloom_bits: usize,
-        bloom_hashes: usize,
-        value_bits: u32,
-        seed: u64,
-    ) -> Self {
+    pub fn new(width: usize, depth: usize, capacity: usize, value_bits: u32, seed: u64) -> Self {
         let capacity = capacity.max(16);
-        let m_bits = if bloom_bits > 0 {
-            bloom_bits
-        } else {
-            bloom_bits_for(capacity)
-        };
-        let k = if bloom_hashes > 0 {
-            bloom_hashes
-        } else {
-            BLOOM_HASHES
-        };
         let value_mask = if value_bits >= 64 {
             u64::MAX
         } else {
@@ -374,7 +332,11 @@ impl CmRegisters {
         };
         CmRegisters {
             cm: CountMinSketch::new(width, depth.clamp(1, 16), seed, CmOp::Add),
-            admission: BloomFilter::new(m_bits, k, mix64(seed ^ 0xB100)),
+            admission: BloomFilter::new(
+                bloom_bits_for(capacity),
+                BLOOM_HASHES,
+                mix64(seed ^ 0xB100),
+            ),
             keys: Vec::new(),
             capacity,
             value_mask,
@@ -507,28 +469,11 @@ pub struct BloomRegisters {
 impl BloomRegisters {
     /// Build for `capacity` expected keys; `with_hll` adds the
     /// cardinality estimator (the `Hll` family).
-    pub fn new(
-        capacity: usize,
-        bloom_bits: usize,
-        bloom_hashes: usize,
-        with_hll: bool,
-        hll_precision: u8,
-        seed: u64,
-    ) -> Self {
+    pub fn new(capacity: usize, with_hll: bool, seed: u64) -> Self {
         let capacity = capacity.max(16);
-        let m_bits = if bloom_bits > 0 {
-            bloom_bits
-        } else {
-            bloom_bits_for(capacity)
-        };
-        let k = if bloom_hashes > 0 {
-            bloom_hashes
-        } else {
-            BLOOM_HASHES
-        };
         BloomRegisters {
-            bloom: BloomFilter::new(m_bits, k, seed),
-            hll: with_hll.then(|| HyperLogLog::new(hll_precision, mix64(seed ^ 0x4811))),
+            bloom: BloomFilter::new(bloom_bits_for(capacity), BLOOM_HASHES, seed),
+            hll: with_hll.then(|| HyperLogLog::new(HLL_PRECISION, mix64(seed ^ 0x4811))),
             keys: Vec::new(),
             capacity,
         }

@@ -20,13 +20,13 @@
 //! * register collisions that exhaust all `d` arrays shunt the packet
 //!   to the stream processor, which finishes the aggregation.
 
-use crate::batch::ReportBatch;
+use crate::batch::{ReportBatch, ReportBlock, ReportChunk};
 use crate::exec::{DynSet, ExecPlan, FlatReport, Lane, LeadFilter, StepKind};
 use crate::ir::{PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
 use crate::parser;
 use crate::phv::Phv;
 use crate::registers::{
-    for_each_bit, BloomRegisters, CmRegisters, HashRegisters, RegOutcome, RegisterState,
+    for_each_bit, reg_seed, BloomRegisters, CmRegisters, HashRegisters, RegOutcome, RegisterState,
     SketchConfig, StateLayout,
 };
 use crate::resources::{ResourceError, ResourceUsage, SwitchConstraints};
@@ -218,111 +218,13 @@ pub struct SketchBound {
     pub saturated: bool,
 }
 
-/// One run of end-of-window dump rows that share everything but their
-/// values: the header is stated once, the rows are flat `u64` cells.
-/// Row `r` is the report `(task, kind, entry_op, seq = first_seq + r)`
-/// whose columns pair `names` with `cells[r * width..][..width]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DumpBlock {
-    /// The dumping task.
-    pub task: TaskId,
-    /// [`ReportKind::WindowDump`] (thresholded on the switch) or
-    /// [`ReportKind::WindowDumpRaw`] (the emitter merges and
-    /// thresholds).
-    pub kind: ReportKind,
-    /// Residual-pipeline operator the rows enter at (raw blocks);
-    /// `None` is the task's default resume point.
-    pub entry_op: Option<usize>,
-    /// Report sequence number of row 0; rows number consecutively.
-    pub first_seq: u64,
-    /// Column names, bound once at load and shared by every block the
-    /// dump spec ever emits.
-    pub names: Arc<[ColName]>,
-    /// `rows × names.len()` values, row-major.
-    pub cells: Vec<u64>,
-}
-
-impl DumpBlock {
-    /// Values per row.
-    pub fn width(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whole rows held (a zero-width block holds none).
-    pub fn rows(&self) -> usize {
-        self.cells.len().checked_div(self.width()).unwrap_or(0)
-    }
-
-    /// Whether `cells` is a whole number of rows. Blocks the switch
-    /// builds always are; one decoded from a peer or built by hand may
-    /// not be, and the emitter drops it.
-    pub fn is_well_formed(&self) -> bool {
-        self.rows() * self.width() == self.cells.len()
-    }
-
-    /// Materialize the rows as owned [`Report`]s — for tests and
-    /// oracles; the emitter reads the cells in place.
-    pub fn reports(&self) -> impl Iterator<Item = Report> + '_ {
-        let rows = self.cells.chunks_exact(self.width().max(1));
-        rows.take(self.rows()).zip(0u64..).map(|(row, r)| Report {
-            task: self.task,
-            kind: self.kind,
-            columns: (self.names.iter().cloned().zip(row.iter().copied())).collect(),
-            packet: None,
-            entry_op: self.entry_op,
-            seq: self.first_seq.wrapping_add(r),
-        })
-    }
-}
-
-/// A window dump's rows, as column blocks in dump-spec order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DumpColumns {
-    blocks: Vec<DumpBlock>,
-}
-
-impl DumpColumns {
-    /// Append a block (after every block already held).
-    pub fn push(&mut self, block: DumpBlock) {
-        self.blocks.push(block);
-    }
-
-    /// The blocks, in dump order.
-    pub fn blocks(&self) -> &[DumpBlock] {
-        &self.blocks
-    }
-
-    /// Dump rows across all blocks.
-    pub fn len(&self) -> usize {
-        self.blocks.iter().map(DumpBlock::rows).sum()
-    }
-
-    /// Whether no block holds a row.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Every row as an owned [`Report`], in dump order (see
-    /// [`DumpBlock::reports`]).
-    pub fn iter(&self) -> impl Iterator<Item = Report> + '_ {
-        self.blocks.iter().flat_map(DumpBlock::reports)
-    }
-}
-
-impl FromIterator<DumpBlock> for DumpColumns {
-    fn from_iter<I: IntoIterator<Item = DumpBlock>>(blocks: I) -> Self {
-        DumpColumns {
-            blocks: blocks.into_iter().collect(),
-        }
-    }
-}
-
 /// The end-of-window register dump: one row per stored key for every
 /// `WindowDump` task (thresholded), in deterministic order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WindowDump {
-    /// Dump rows, one column block per dump spec that produced any.
-    pub tuples: DumpColumns,
+    /// Dump rows, one [`ReportBlock`] per dump spec that produced any,
+    /// in a chunk that carries no packets.
+    pub tuples: ReportChunk,
     /// Keys whose aggregate was dropped by a merged threshold (counted
     /// for diagnostics; not delivered).
     pub suppressed: u64,
@@ -478,44 +380,26 @@ impl Switch {
                 .copied()
                 .unwrap_or((sonata_query::Agg::Sum, false));
             let layout = sketch.effective_layout(r.layout, distinct, agg);
-            let seed = sketch.reg_seed(idx);
-            let state = match layout {
-                StateLayout::Exact => RegisterState::Exact(HashRegisters::new(
-                    r.slots,
-                    r.arrays,
-                    r.value_bits,
-                    reg_keys.get(&r.id).map_or(0, Vec::len),
-                )),
-                StateLayout::CountMin => {
-                    let width = if sketch.cm_width > 0 {
-                        sketch.cm_width
-                    } else {
-                        r.slots
-                    };
-                    let depth = if sketch.cm_depth > 0 {
-                        sketch.cm_depth
-                    } else {
-                        r.arrays.max(2)
-                    };
-                    RegisterState::CountMin(CmRegisters::new(
-                        width,
-                        depth,
+            let seed = reg_seed(idx);
+            let state =
+                match layout {
+                    StateLayout::Exact => RegisterState::Exact(HashRegisters::new(
+                        r.slots,
+                        r.arrays,
+                        r.value_bits,
+                        reg_keys.get(&r.id).map_or(0, Vec::len),
+                    )),
+                    StateLayout::CountMin => RegisterState::CountMin(CmRegisters::new(
+                        r.slots,
+                        r.arrays.max(2),
                         r.capacity_keys(),
-                        sketch.bloom_bits,
-                        sketch.bloom_hashes,
                         r.value_bits,
                         seed,
-                    ))
-                }
-                StateLayout::Bloom | StateLayout::Hll => RegisterState::Bloom(BloomRegisters::new(
-                    r.capacity_keys(),
-                    sketch.bloom_bits,
-                    sketch.bloom_hashes,
-                    layout == StateLayout::Hll,
-                    sketch.hll_precision,
-                    seed,
-                )),
-            };
+                    )),
+                    StateLayout::Bloom | StateLayout::Hll => RegisterState::Bloom(
+                        BloomRegisters::new(r.capacity_keys(), layout == StateLayout::Hll, seed),
+                    ),
+                };
             let err_gauge = (layout != StateLayout::Exact)
                 .then(|| obs_handle.register_sketch(&format!("r{}", r.id.0), &r.task, &state));
             obs_handle.sketch_error.push(err_gauge);
@@ -1012,7 +896,7 @@ impl Switch {
         out.carry(batch);
     }
 
-    /// End the window: dump `WindowDump` registers into column blocks
+    /// End the window: dump `WindowDump` registers into `ReportBlock`s
     /// (register cells copied straight into each block's flat rows),
     /// apply merged thresholds, and reset all register state.
     ///
@@ -1049,7 +933,7 @@ impl Switch {
             };
             let threshold = d.threshold.filter(|_| !raw);
             let key_width = names.len() - usize::from(has_value);
-            let mut block = DumpBlock {
+            let mut block = ReportBlock {
                 task: d.task,
                 kind: if raw {
                     ReportKind::WindowDumpRaw
@@ -1059,7 +943,9 @@ impl Switch {
                 entry_op,
                 first_seq: d.task_idx.map_or(0, |i| self.task_seq[i]),
                 names: Arc::clone(names),
+                rows: 0,
                 cells: Vec::with_capacity(regs.occupancy() * names.len()),
+                pkts: Vec::new(),
             };
             regs.for_each(|key, value| {
                 if threshold.is_some_and(|th| value <= th) {
@@ -1075,8 +961,9 @@ impl Switch {
                 if has_value {
                     block.cells.push(value);
                 }
+                block.rows += 1;
             });
-            let rows = block.rows() as u64;
+            let rows = block.rows as u64;
             if let Some(i) = d.task_idx {
                 self.task_seq[i] += rows;
             }
@@ -1088,7 +975,7 @@ impl Switch {
                 }
             }
             if rows > 0 {
-                dump.tuples.push(block);
+                dump.tuples.blocks.push(block);
             }
         }
         dump.occupancy = self.registers.iter().map(|r| r.occupancy()).sum();
@@ -1357,10 +1244,11 @@ mod tests {
         let want = sw.peek_dump_reference();
         let before = sw.counters().clone();
         let dump = sw.end_window();
-        let got: Vec<Report> = dump.tuples.iter().collect();
+        let got: Vec<Report> = dump.tuples.reports().collect();
         assert_eq!(got, want);
         assert_eq!(dump.tuples.len(), want.len());
-        assert!(dump.tuples.blocks().iter().all(DumpBlock::is_well_formed));
+        assert!(dump.tuples.blocks.iter().all(ReportBlock::is_well_formed));
+        assert!(dump.tuples.packets.is_empty());
         let finalized = |of: &dyn Fn(TaskId) -> bool| {
             want.iter()
                 .filter(|r| r.kind == ReportKind::WindowDump && of(r.task))
@@ -1431,7 +1319,7 @@ mod tests {
         run_batch(&mut sw, &pkts);
         let (dump, reports) = end_window_checked(&mut sw);
         assert_eq!((dump.suppressed, reports.len()), (0, 2));
-        assert_eq!(dump.tuples.blocks().len(), 1);
+        assert_eq!(dump.tuples.blocks.len(), 1);
         for r in &reports {
             assert_eq!((r.kind, r.entry_op), (ReportKind::WindowDumpRaw, Some(2)));
         }
@@ -1453,8 +1341,8 @@ mod tests {
             &[(1, 10), (1, 11), (1, 10), (2, 10)].map(|(s, d)| syn(s, d)),
         );
         let (dump, reports) = end_window_checked(&mut sw);
-        assert_eq!(dump.tuples.blocks().len(), 1);
-        let block = &dump.tuples.blocks()[0];
+        assert_eq!(dump.tuples.blocks.len(), 1);
+        let block = &dump.tuples.blocks[0];
         assert_eq!(block.entry_op, Some(1));
         assert_eq!(
             block.names.iter().map(|n| &**n).collect::<Vec<_>>(),

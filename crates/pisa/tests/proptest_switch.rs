@@ -374,7 +374,7 @@ proptest! {
             // reference: same reports, order, `seq`, `entry_op`, kind.
             let want = batched.peek_dump_reference();
             let dump = batched.end_window();
-            prop_assert_eq!(dump.tuples.iter().collect::<Vec<Report>>(), want);
+            prop_assert_eq!(dump.tuples.reports().collect::<Vec<Report>>(), want);
             prop_assert_eq!(&dump, &oracle.end_window());
             prop_assert_eq!(batched.counters().dump_tuples, oracle.counters().dump_tuples);
             prop_assert_eq!(&batched.counters().per_task, &oracle.counters().per_task);

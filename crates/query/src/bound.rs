@@ -863,7 +863,7 @@ mod tests {
 
     #[test]
     fn entry_merge_order_matches_reference() {
-        use crate::interpret::run_operator;
+        use crate::interpret::run_entries_owned;
         // Mid-pipeline entries (shunts at the reduce, dumps at the
         // end) must merge exactly as the reference loop does.
         let ops = q1_ops(0);
@@ -878,21 +878,7 @@ mod tests {
                 .collect(),
         );
         entries.insert(4, vec![Tuple::new(vec![Value::U64(0xdd), Value::U64(9)])]);
-        // Reference: replicate run_entries_owned inline.
-        let mut schema = packet;
-        let mut tuples: Vec<Tuple> = Vec::new();
-        let mut ref_entries = entries.clone();
-        for i in 0..=ops.len() {
-            if let Some(inc) = ref_entries.remove(&i) {
-                tuples.extend(inc);
-            }
-            if i == ops.len() {
-                break;
-            }
-            let (s, t) = run_operator(&ops[i], &schema, tuples).unwrap();
-            schema = s;
-            tuples = t;
-        }
+        let (schema, tuples) = run_entries_owned(&ops, entries.clone()).unwrap();
         let (bschema, bout) = bound.run_entries(entries).unwrap();
         assert_eq!(bschema, schema);
         assert_eq!(bout, tuples);

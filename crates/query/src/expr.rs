@@ -81,6 +81,21 @@ impl CmpOp {
         }
     }
 
+    /// The comparison on plain `u64`s, as the switch's match tables
+    /// apply it. A loop over many lanes should match on the operator
+    /// once, outside the loop, and call this in each arm.
+    #[inline(always)]
+    pub fn eval_u64(self, a: u64, b: u64) -> bool {
+        match self {
+            CmpOp::Eq => a == b,
+            CmpOp::Ne => a != b,
+            CmpOp::Gt => a > b,
+            CmpOp::Ge => a >= b,
+            CmpOp::Lt => a < b,
+            CmpOp::Le => a <= b,
+        }
+    }
+
     /// [`Self::eval`] on two cells of `heap`.
     #[inline]
     pub(crate) fn eval_cells(self, a: u64, b: u64, heap: &Heap) -> bool {
@@ -721,6 +736,17 @@ pub(crate) fn contains_subslice(haystack: &[u8], needle: &[u8]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn u64_comparisons() {
+        assert!(CmpOp::Gt.eval_u64(3, 2));
+        assert!(!CmpOp::Gt.eval_u64(2, 2));
+        assert!(CmpOp::Ge.eval_u64(2, 2));
+        assert!(CmpOp::Lt.eval_u64(1, 2));
+        assert!(CmpOp::Le.eval_u64(2, 2));
+        assert!(CmpOp::Ne.eval_u64(1, 2));
+        assert!(CmpOp::Eq.eval_u64(2, 2));
+    }
 
     fn schema() -> Schema {
         Schema::new(["a", "b", "payload"])

@@ -9,7 +9,7 @@
 
 use crate::expr::{BindError, BoundExpr, BoundPred};
 use crate::ops::Operator;
-use crate::query::{joined_schema, Query, QueryError};
+use crate::query::{joined_schema, Join, Query, QueryError};
 use crate::tuple::{Schema, Tuple};
 use sonata_packet::{Packet, Value};
 use std::collections::BTreeMap;
@@ -22,6 +22,13 @@ pub enum InterpretError {
     Bind(BindError),
     /// The query failed validation.
     Query(QueryError),
+    /// Tuples entered past the end of the pipeline.
+    BadEntry {
+        /// The offending op index.
+        op: usize,
+        /// Ops in the pipeline.
+        len: usize,
+    },
 }
 
 impl From<BindError> for InterpretError {
@@ -41,6 +48,9 @@ impl std::fmt::Display for InterpretError {
         match self {
             InterpretError::Bind(e) => write!(f, "bind error: {e}"),
             InterpretError::Query(e) => write!(f, "query error: {e}"),
+            InterpretError::BadEntry { op, len } => {
+                write!(f, "batch entry at op {op} but pipeline has {len} ops")
+            }
         }
     }
 }
@@ -161,8 +171,20 @@ pub fn run_query_with_schema(
         return Ok((left_schema, out));
     };
     let (right_schema, right) = run_pipeline(&join.right.ops, &packet_schema, input)?;
+    let (post_schema, mut out) = run_join(join, (&left_schema, &left), (&right_schema, &right))?;
+    out.sort();
+    Ok((post_schema, out))
+}
 
-    // Hash join: index right tuples by key, probe with left tuples.
+/// Join two branch outputs on `join`'s keys — a hash join: index the
+/// right tuples by key, probe with the left ones — and run the
+/// post-join pipeline over the result, unsorted. A key the right
+/// schema lacks fails before a left key that does not bind.
+pub fn run_join(
+    join: &Join,
+    (left_schema, left): (&Schema, &[Tuple]),
+    (right_schema, right): (&Schema, &[Tuple]),
+) -> Result<(Schema, Vec<Tuple>), InterpretError> {
     let right_key_idx: Vec<usize> = join
         .keys
         .iter()
@@ -175,10 +197,10 @@ pub fn run_query_with_schema(
     let left_key_exprs: Vec<BoundExpr> = join
         .left_keys
         .iter()
-        .map(|e| e.bind(&left_schema))
+        .map(|e| e.bind(left_schema))
         .collect::<Result<_, _>>()?;
     let mut right_index: BTreeMap<Tuple, Vec<&Tuple>> = BTreeMap::new();
-    for t in &right {
+    for t in right {
         right_index
             .entry(t.project(&right_key_idx))
             .or_default()
@@ -193,9 +215,9 @@ pub fn run_query_with_schema(
         .filter(|(_, c)| !left_schema.contains(c))
         .map(|(i, _)| i)
         .collect();
-    let joined_schema = joined_schema(&left_schema, &right_schema, &join.keys);
+    let joined_schema = joined_schema(left_schema, right_schema, &join.keys);
     let mut joined: Vec<Tuple> = Vec::new();
-    for lt in &left {
+    for lt in left {
         let key = Tuple::new(left_key_exprs.iter().map(|e| e.eval(lt)).collect());
         if let Some(matches) = right_index.get(&key) {
             for rt in matches {
@@ -203,9 +225,51 @@ pub fn run_query_with_schema(
             }
         }
     }
-    let (post_schema, mut out) = run_pipeline(&join.post.ops, &joined_schema, joined)?;
-    out.sort();
-    Ok((post_schema, out))
+    run_pipeline(&join.post.ops, &joined_schema, joined)
+}
+
+/// Run a pipeline whose input is [`Schema::packet`] over tuples
+/// injected at arbitrary operator indices (`entries`: op index → the
+/// tuples entering there), each index's tuples after the stream
+/// arriving from upstream — the reference the bound pipelines' entry
+/// merge and the stream engine's fallback are held to.
+pub fn run_entries_owned(
+    ops: &[Operator],
+    mut entries: BTreeMap<usize, Vec<Tuple>>,
+) -> Result<(Schema, Vec<Tuple>), InterpretError> {
+    for &op in entries.keys() {
+        if op > ops.len() {
+            return Err(InterpretError::BadEntry { op, len: ops.len() });
+        }
+    }
+    let first = entries.keys().next().copied().unwrap_or(ops.len());
+    // Schema at the first entry point.
+    let mut schema = Schema::packet();
+    for op in &ops[..first] {
+        schema = op.output_schema(&schema).map_err(|c| {
+            InterpretError::Bind(BindError::UnknownColumn {
+                column: c,
+                schema: schema.clone(),
+            })
+        })?;
+    }
+    let mut tuples: Vec<Tuple> = Vec::new();
+    for i in first..=ops.len() {
+        if let Some(incoming) = entries.remove(&i) {
+            if tuples.is_empty() {
+                tuples = incoming;
+            } else {
+                tuples.extend(incoming);
+            }
+        }
+        if i == ops.len() {
+            break;
+        }
+        let (s, t) = run_operator(&ops[i], &schema, tuples)?;
+        schema = s;
+        tuples = t;
+    }
+    Ok((schema, tuples))
 }
 
 /// Split packets into tumbling windows of `window_ms` by timestamp and

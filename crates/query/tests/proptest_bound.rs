@@ -197,7 +197,7 @@ fn build_ops(sh: &Shape) -> Vec<Operator> {
 
 /// The reference entry-merge: walk every operator index, splicing in
 /// that index's injected tuples *after* the stream arriving from
-/// upstream, exactly as the engine's `run_entries_owned` does.
+/// upstream, exactly as `interpret::run_entries_owned` does.
 fn reference_entries(
     ops: &[Operator],
     input: &Schema,

@@ -6,12 +6,9 @@
 //! ([`crate::worker::ShardedEngine`]) runs: one registered query with
 //! its compiled fast path.
 
-use crate::testsupport::run_entries_owned;
 use crate::window::WindowBatch;
 use sonata_query::bound::{BoundError, BoundJoin, BoundPipeline};
-use sonata_query::expr::BoundExpr;
-use sonata_query::interpret::{run_operator, InterpretError};
-use sonata_query::query::joined_schema;
+use sonata_query::interpret::{run_entries_owned, run_join, InterpretError};
 use sonata_query::{Entries, Query, QueryId, RowRun, Rows, Schema, Tuple};
 use std::collections::{BTreeMap, HashMap};
 
@@ -39,7 +36,10 @@ pub enum StreamError {
 
 impl From<InterpretError> for StreamError {
     fn from(e: InterpretError) -> Self {
-        StreamError::Interpret(e)
+        match e {
+            InterpretError::BadEntry { op, len } => StreamError::BadEntry { op, len },
+            e => StreamError::Interpret(e),
+        }
     }
 }
 
@@ -102,57 +102,9 @@ pub fn execute_window(query: &Query, batch: &WindowBatch) -> Result<JobResult, S
         Some(join) => {
             let (right_schema, right) =
                 run_entries_owned(&join.right.ops, tuples_of(&batch.right))?;
-            // Hash join, mirroring the reference interpreter.
-            let right_key_idx: Vec<usize> = join
-                .keys
-                .iter()
-                .map(|k| {
-                    right_schema.index_of(k).ok_or_else(|| {
-                        StreamError::Interpret(InterpretError::Query(
-                            sonata_query::QueryError::JoinKeyMissing { key: k.clone() },
-                        ))
-                    })
-                })
-                .collect::<Result<_, _>>()?;
-            let left_key_exprs: Vec<BoundExpr> = join
-                .left_keys
-                .iter()
-                .map(|e| {
-                    e.bind(&left_schema)
-                        .map_err(InterpretError::Bind)
-                        .map_err(StreamError::from)
-                })
-                .collect::<Result<_, _>>()?;
-            let mut index: BTreeMap<Tuple, Vec<&Tuple>> = BTreeMap::new();
-            for t in &right {
-                index.entry(t.project(&right_key_idx)).or_default().push(t);
-            }
-            let append_idx: Vec<usize> = right_schema
-                .columns()
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| !left_schema.contains(c))
-                .map(|(i, _)| i)
-                .collect();
-            let joined_schema = joined_schema(&left_schema, &right_schema, &join.keys);
-            let mut joined = Vec::new();
-            for lt in &left {
-                let key = Tuple::new(left_key_exprs.iter().map(|e| e.eval(lt)).collect());
-                if let Some(matches) = index.get(&key) {
-                    for rt in matches {
-                        joined.push(lt.concat(&rt.project(&append_idx)));
-                    }
-                }
-            }
-            let mut schema = joined_schema;
-            let mut tuples = joined;
-            for op in &join.post.ops {
-                let (s, t) = run_operator(op, &schema, tuples)?;
-                schema = s;
-                tuples = t;
-            }
+            let (_, joined) = run_join(join, (&left_schema, &left), (&right_schema, &right))?;
             branch_outputs = vec![(left_schema, left), (right_schema, right)];
-            tuples
+            joined
         }
     };
     output.sort();

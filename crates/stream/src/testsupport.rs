@@ -1,5 +1,4 @@
-//! Shared fixtures for the differential job-pool harness, and the
-//! reference interpreter's entry-point fold.
+//! Shared fixtures for the differential job-pool harness.
 //!
 //! Lives in `src/` (not `tests/`) so the crate's unit tests, the
 //! integration suites under `crates/stream/tests/`, and the bench
@@ -16,9 +15,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sonata_packet::{DnsHeader, DnsQType, DnsRecord, Packet, PacketArena, PacketBuilder, TcpFlags};
 use sonata_query::catalog::Thresholds;
-use sonata_query::interpret::{run_operator, run_query, InterpretError};
-use sonata_query::{PacketBlock, Query, QueryId, RowRun, Schema, Tuple};
-use std::collections::BTreeMap;
+use sonata_query::interpret::run_query;
+use sonata_query::{PacketBlock, Query, QueryId, RowRun};
 use std::sync::Arc;
 
 /// Thresholds low enough that seeded traces trip every catalog query,
@@ -163,48 +161,6 @@ pub fn batch_for(query: &Query, pkts: &[Packet]) -> WindowBatch {
     }
     batch.left.insert(0, vec![every_packet]);
     batch
-}
-
-/// Run a pipeline with tuples injected at arbitrary operator indices
-/// and fold the remaining operators over them, through the reference
-/// interpreter — the oracle [`crate::BoundEntries`] is checked against.
-pub fn run_entries_owned(
-    ops: &[sonata_query::Operator],
-    mut entries: BTreeMap<usize, Vec<Tuple>>,
-) -> Result<(Schema, Vec<Tuple>), StreamError> {
-    for &op in entries.keys() {
-        if op > ops.len() {
-            return Err(StreamError::BadEntry { op, len: ops.len() });
-        }
-    }
-    let first = entries.keys().next().copied().unwrap_or(ops.len());
-    // Schema at the first entry point.
-    let mut schema = Schema::packet();
-    for op in &ops[..first] {
-        schema = op.output_schema(&schema).map_err(|c| {
-            InterpretError::Bind(sonata_query::expr::BindError::UnknownColumn {
-                column: c,
-                schema: schema.clone(),
-            })
-        })?;
-    }
-    let mut tuples: Vec<Tuple> = Vec::new();
-    for i in first..=ops.len() {
-        if let Some(incoming) = entries.remove(&i) {
-            if tuples.is_empty() {
-                tuples = incoming;
-            } else {
-                tuples.extend(incoming);
-            }
-        }
-        if i == ops.len() {
-            break;
-        }
-        let (s, t) = run_operator(&ops[i], &schema, tuples)?;
-        schema = s;
-        tuples = t;
-    }
-    Ok((schema, tuples))
 }
 
 /// Every job of one window on the inline engine and on the job pool at

@@ -244,10 +244,7 @@ fn main() {
         topology: fabric.clone(),
         replan,
         sketch: sketch
-            .map(|layout| SketchConfig {
-                layout,
-                ..SketchConfig::default()
-            })
+            .map(|layout| SketchConfig { layout })
             .unwrap_or_default(),
         ..RuntimeConfig::default()
     };

@@ -336,7 +336,6 @@ fn sketched_runs_are_identical_on_both_paths() {
     let sketched = |oracle| RuntimeConfig {
         sketch: SketchConfig {
             layout: StateLayout::CountMin,
-            ..SketchConfig::default()
         },
         ..config(oracle, TransportKind::Loopback, 1, FaultPlan::none())
     };

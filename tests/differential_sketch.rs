@@ -4,8 +4,7 @@
 //! Two contracts:
 //!
 //! * **The knob is off-path.** `RuntimeConfig::sketch` with
-//!   `StateLayout::Exact` — even with every other sketch parameter set
-//!   to something exotic — produces *bit-identical* `WindowReport`s to
+//!   `StateLayout::Exact` produces *bit-identical* `WindowReport`s to
 //!   a default run, across the catalog, seeds, shard counts, and
 //!   transports. Exact runs carry no error bounds at all.
 //! * **Approximation stays inside its advertised bound.** Under
@@ -72,17 +71,10 @@ fn plan_for(mode: PlanMode, queries: &[Query], tr: &Trace) -> GlobalPlan {
     plan_queries(queries, &windows, &cfg).unwrap()
 }
 
-/// An aggressively non-default sketch config whose layout family is
-/// still `Exact`: every other field must be dead weight.
-fn exotic_exact() -> SketchConfig {
+/// The sketch knob with its layout family named `Exact` explicitly.
+fn explicit_exact() -> SketchConfig {
     SketchConfig {
         layout: StateLayout::Exact,
-        seed: 0xDEAD_BEEF_0BAD_F00D,
-        cm_width: 977,
-        cm_depth: 7,
-        bloom_bits: 12_345,
-        bloom_hashes: 9,
-        hll_precision: 14,
     }
 }
 
@@ -118,10 +110,9 @@ fn alert_map(report: &WindowReport, q: QueryId) -> BTreeMap<Vec<sonata::packet::
     out
 }
 
-/// The off-path contract: an explicit `Exact` sketch config — exotic
-/// parameters and all — is a byte-level no-op across the catalog,
-/// seeds, worker counts, and both transports, and no window carries
-/// error bounds.
+/// The off-path contract: an explicit `Exact` sketch config is a
+/// byte-level no-op across the catalog, seeds, worker counts, and both
+/// transports, and no window carries error bounds.
 #[test]
 fn exact_layout_knob_is_bit_identical() {
     let t = low_thresholds();
@@ -146,7 +137,7 @@ fn exact_layout_knob_is_bit_identical() {
                 &tr,
                 RuntimeConfig {
                     workers,
-                    sketch: exotic_exact(),
+                    sketch: explicit_exact(),
                     ..RuntimeConfig::default()
                 },
             );
@@ -172,7 +163,7 @@ fn exact_layout_knob_is_bit_identical() {
             &tr,
             RuntimeConfig {
                 transport: TransportKind::Tcp,
-                sketch: exotic_exact(),
+                sketch: explicit_exact(),
                 ..RuntimeConfig::default()
             },
         );
@@ -197,10 +188,7 @@ fn every_family_runs_the_catalog() {
             &plan,
             &tr,
             RuntimeConfig {
-                sketch: SketchConfig {
-                    layout,
-                    ..SketchConfig::default()
-                },
+                sketch: SketchConfig { layout },
                 ..RuntimeConfig::default()
             },
         );
@@ -239,7 +227,6 @@ fn count_min_alerts_overestimate_within_declared_bound() {
             RuntimeConfig {
                 sketch: SketchConfig {
                     layout: StateLayout::CountMin,
-                    ..SketchConfig::default()
                 },
                 ..RuntimeConfig::default()
             },
@@ -318,7 +305,6 @@ fn bloom_distinct_never_overcounts() {
             RuntimeConfig {
                 sketch: SketchConfig {
                     layout: StateLayout::Bloom,
-                    ..SketchConfig::default()
                 },
                 ..RuntimeConfig::default()
             },
@@ -369,7 +355,7 @@ fn fabric_folds_bounds_across_switches() {
             &tr,
             RuntimeConfig {
                 topology: Some(TopologyConfig::new(n, m)),
-                sketch: exotic_exact(),
+                sketch: explicit_exact(),
                 ..RuntimeConfig::default()
             },
         );
@@ -383,7 +369,6 @@ fn fabric_folds_bounds_across_switches() {
             RuntimeConfig {
                 sketch: SketchConfig {
                     layout: StateLayout::CountMin,
-                    ..SketchConfig::default()
                 },
                 ..RuntimeConfig::default()
             },
@@ -395,7 +380,6 @@ fn fabric_folds_bounds_across_switches() {
                 topology: Some(TopologyConfig::new(n, m)),
                 sketch: SketchConfig {
                     layout: StateLayout::CountMin,
-                    ..SketchConfig::default()
                 },
                 ..RuntimeConfig::default()
             },

@@ -62,7 +62,7 @@ use sonata_pisa::{
     ControlOp, PisaProgram, ReportBatch, ReportKind, SketchBound, Switch, TaskId, UpdateCostModel,
     WindowDump,
 };
-use sonata_planner::{GlobalPlan, ReplanOutcome, Replanner, SolveOptions};
+use sonata_planner::{GlobalPlan, ReplanOutcome, Replanner};
 use sonata_query::{ColName, Heap, Operator, Query, QueryId, RowRun, RowSource, Tuple};
 use sonata_stream::{
     merge_window_batches, BoundEntries, JobResult, ShardedEngine, SwitchPartial, WindowBatch,
@@ -347,14 +347,12 @@ impl FabricObs {
 }
 
 /// Live state of the closed replanning loop: the re-solver with its
-/// observation ring, the currently committed plan (warm-start base for
-/// the next re-solve), and the in-flight planner thread, if any.
+/// observation ring, the currently committed plan (the base the next
+/// re-solve re-costs against), and the in-flight planner thread, if any.
 struct ReplanState {
     replanner: Replanner,
     committed: GlobalPlan,
     swap_delay: u64,
-    use_ilp: bool,
-    delta: Option<usize>,
     pending: Option<PendingReplan>,
 }
 
@@ -371,8 +369,6 @@ impl ReplanState {
             replanner,
             committed: plan.clone(),
             swap_delay: cfg.swap_delay.max(1),
-            use_ilp: cfg.use_ilp,
-            delta: cfg.delta,
             pending: None,
         })
     }
@@ -398,18 +394,12 @@ impl ReplanState {
         if report.replan_triggered && self.pending.is_none() {
             let replanner = self.replanner.clone();
             let committed = self.committed.clone();
-            let use_ilp = self.use_ilp;
-            let delta = self.delta;
             let handle = std::thread::spawn(move || {
                 let started = std::time::Instant::now();
-                let out = if use_ilp {
-                    replanner
-                        .replan_ilp(&committed, &SolveOptions::default(), delta)
-                        .map_err(|e| e.to_string())
-                } else {
-                    replanner.replan(&committed).map_err(|e| e.to_string())
-                };
-                out.map(|o| (o, started.elapsed().as_nanos() as u64))
+                replanner
+                    .replan(&committed)
+                    .map(|o| (o, started.elapsed().as_nanos() as u64))
+                    .map_err(|e| e.to_string())
             });
             self.pending = Some(PendingReplan {
                 due_window: report.window + self.swap_delay,
@@ -1183,7 +1173,6 @@ impl Fabric {
         outcome: ReplanOutcome,
         solve_wall_ns: u64,
     ) -> Result<(), RuntimeError> {
-        let warm = outcome.solution.as_ref().map(|s| s.warm).unwrap_or(false);
         let plan = outcome.plan;
         let DeployedPlan {
             program,
@@ -1217,7 +1206,6 @@ impl Fabric {
             window,
             epoch: plan.epoch,
             plan_digest: digest,
-            warm,
             solve_wall_ns,
         });
         if let Some(rs) = &mut self.replan {

@@ -126,7 +126,7 @@ impl Default for RuntimeConfig {
 ///
 /// With a [`Replanner`] installed, a sustained drift breach enqueues
 /// an incremental re-solve on a planner thread (re-cost from observed
-/// loads, warm-start from the committed plan), and the epoch-bumped
+/// loads, re-plan with the DP planner), and the epoch-bumped
 /// result is swapped in atomically at the first window boundary at
 /// least [`ReplanConfig::swap_delay`] windows after the trigger. The
 /// swap commits the collector endpoint first, replays the switch
@@ -144,12 +144,6 @@ pub struct ReplanConfig {
     /// path before the boundary poll joins it. Clamped to ≥ 1: a swap
     /// can never land on the window that triggered it.
     pub swap_delay: u64,
-    /// Re-solve with the warm-started MILP ([`Replanner::replan_ilp`])
-    /// instead of the greedy combinatorial planner.
-    pub use_ilp: bool,
-    /// Churn bound for the warm-started MILP: at most this many
-    /// partition/refinement decision flips from the committed plan.
-    pub delta: Option<usize>,
 }
 
 impl Default for ReplanConfig {
@@ -157,8 +151,6 @@ impl Default for ReplanConfig {
         ReplanConfig {
             replanner: None,
             swap_delay: 2,
-            use_ilp: false,
-            delta: None,
         }
     }
 }

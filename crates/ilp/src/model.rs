@@ -27,14 +27,6 @@ pub enum ConSense {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(pub(crate) usize);
 
-impl VarId {
-    /// Position of this variable in [`Solution::values`] and in a
-    /// [`SolveOptions::warm_start`] point.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
 #[derive(Debug, Clone)]
 pub(crate) struct Var {
     pub name: String,
@@ -106,10 +98,6 @@ pub struct Solution {
     pub pivots: u64,
     /// Wall-clock time of the whole solve.
     pub wall: Duration,
-    /// Whether a warm-start point ([`SolveOptions::warm_start`]) was
-    /// accepted as the initial incumbent — the warm-vs-cold solver
-    /// stat an incremental re-solve reads alongside `pivots`/`wall`.
-    pub warm: bool,
 }
 
 impl Solution {
@@ -133,13 +121,6 @@ pub struct SolveOptions {
     pub time_limit: Duration,
     /// Integrality tolerance.
     pub int_tol: f64,
-    /// Optional warm-start point (one value per variable, indexed by
-    /// `VarId.0`). If it is feasible for the model it seeds the
-    /// incumbent before the root solve, so branch-and-bound starts
-    /// with a bound to prune against instead of a cold search —
-    /// the committed plan of an incremental re-solve. An infeasible
-    /// or mis-sized point is silently ignored (cold solve).
-    pub warm_start: Option<Vec<f64>>,
 }
 
 impl Default for SolveOptions {
@@ -148,7 +129,6 @@ impl Default for SolveOptions {
             max_nodes: 200_000,
             time_limit: Duration::from_secs(60),
             int_tol: 1e-6,
-            warm_start: None,
         }
     }
 }
@@ -219,16 +199,6 @@ impl Model {
         });
     }
 
-    /// Number of variables.
-    pub fn num_vars(&self) -> usize {
-        self.vars.len()
-    }
-
-    /// Number of constraints.
-    pub fn num_cons(&self) -> usize {
-        self.cons.len()
-    }
-
     /// Solve with default options.
     pub fn solve(&self) -> Result<Solution, SolveError> {
         self.solve_with(&SolveOptions::default())
@@ -237,11 +207,6 @@ impl Model {
     /// Solve with explicit budgets.
     pub fn solve_with(&self, opts: &SolveOptions) -> Result<Solution, SolveError> {
         crate::solver::branch_and_bound(self, opts)
-    }
-
-    /// Evaluate the objective at a point (in the model's sense).
-    pub fn objective_at(&self, values: &[f64]) -> f64 {
-        self.vars.iter().zip(values).map(|(v, x)| v.obj * x).sum()
     }
 
     /// Whether a point satisfies all constraints and bounds to `tol`.
@@ -280,9 +245,9 @@ mod tests {
         let b = m.bin_var("b", 2.0);
         let c = m.int_var("c", 0.0, 5.0, 3.0);
         assert_eq!((a.0, b.0, c.0), (0, 1, 2));
-        assert_eq!(m.num_vars(), 3);
+        assert_eq!(m.vars.len(), 3);
         m.add_le(&[(a, 1.0), (c, 2.0)], 4.0);
-        assert_eq!(m.num_cons(), 1);
+        assert_eq!(m.cons.len(), 1);
     }
 
     #[test]
@@ -294,14 +259,5 @@ mod tests {
         assert!(!m.is_feasible(&[2.0], 1e-9)); // violates constraint
         assert!(!m.is_feasible(&[3.5], 1e-9)); // fractional integer
         assert!(!m.is_feasible(&[11.0], 1e-9)); // above ub
-    }
-
-    #[test]
-    fn objective_eval() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.var("x", 0.0, 1.0, 3.0);
-        let y = m.var("y", 0.0, 1.0, -1.0);
-        let _ = (x, y);
-        assert_eq!(m.objective_at(&[2.0, 4.0]), 2.0);
     }
 }

@@ -109,26 +109,6 @@ pub fn branch_and_bound(model: &Model, opts: &SolveOptions) -> Result<Solution, 
     let mut nodes = 0usize;
     let mut pivots = 0u64;
     let mut exhausted = true;
-    let mut warm = false;
-
-    // Warm start: a feasible point (the committed solution of an
-    // incremental re-solve) becomes the initial incumbent, so every
-    // node whose LP bound can't beat it is pruned from the first
-    // iteration on. An infeasible or mis-sized point is ignored —
-    // the solve degrades to a cold one, never to an error.
-    if let Some(ws) = &opts.warm_start {
-        if ws.len() == n && model.is_feasible(ws, opts.int_tol) {
-            let snapped: Vec<f64> = model
-                .vars
-                .iter()
-                .zip(ws)
-                .map(|(v, &xv)| if v.integer { xv.round() } else { xv })
-                .collect();
-            let obj_min: f64 = c.iter().zip(&snapped).map(|(ci, xi)| ci * xi).sum();
-            incumbent = Some((obj_min, snapped));
-            warm = true;
-        }
-    }
 
     // Root solve.
     let (root_result, root_pivots) = solve_node(&root);
@@ -138,7 +118,7 @@ pub fn branch_and_bound(model: &Model, opts: &SolveOptions) -> Result<Solution, 
         LpResult::Unbounded => return Err(SolveError::Unbounded),
         LpResult::Stalled => return Err(SolveError::NoIncumbent),
         LpResult::Optimal { x, obj } => {
-            process(model, opts, &c, obj, x, &root, &mut heap, &mut incumbent);
+            process(model, opts, obj, x, &root, &mut heap, &mut incumbent);
         }
     }
     nodes += 1;
@@ -169,7 +149,7 @@ pub fn branch_and_bound(model: &Model, opts: &SolveOptions) -> Result<Solution, 
                         continue;
                     }
                 }
-                process(model, opts, &c, obj, x, &node, &mut heap, &mut incumbent);
+                process(model, opts, obj, x, &node, &mut heap, &mut incumbent);
             }
         }
     }
@@ -191,7 +171,6 @@ pub fn branch_and_bound(model: &Model, opts: &SolveOptions) -> Result<Solution, 
                 nodes,
                 pivots,
                 wall: started.elapsed(),
-                warm,
             })
         }
         None => {
@@ -206,11 +185,9 @@ pub fn branch_and_bound(model: &Model, opts: &SolveOptions) -> Result<Solution, 
 
 /// Handle an LP-optimal node: either record an integer-feasible
 /// incumbent or branch on the most fractional integer variable.
-#[allow(clippy::too_many_arguments)]
 fn process(
     model: &Model,
     opts: &SolveOptions,
-    _c: &[f64],
     obj: f64,
     x: Vec<f64>,
     node: &Node,
@@ -370,59 +347,6 @@ mod tests {
             Err(SolveError::NoIncumbent) => {} // acceptable under tiny budget
             Err(e) => panic!("{e}"),
         }
-    }
-
-    #[test]
-    fn warm_start_is_accepted_and_matches_cold_objective() {
-        // Same knapsack as above; warm-start with the known optimum.
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.bin_var("a", 10.0);
-        let b = m.bin_var("b", 13.0);
-        let c = m.bin_var("c", 7.0);
-        m.add_le(&[(a, 3.0), (b, 4.0), (c, 2.0)], 6.0);
-        let cold = m.solve().unwrap();
-        assert!(!cold.warm);
-        let opts = SolveOptions {
-            warm_start: Some(vec![0.0, 1.0, 1.0]),
-            ..Default::default()
-        };
-        let sol = m.solve_with(&opts).unwrap();
-        assert!(sol.warm, "feasible warm point must seed the incumbent");
-        assert_eq!(sol.objective.round() as i64, cold.objective.round() as i64);
-        assert!(m.is_feasible(&sol.values, 1e-6));
-    }
-
-    #[test]
-    fn infeasible_warm_start_degrades_to_cold_solve() {
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.bin_var("a", 10.0);
-        let b = m.bin_var("b", 13.0);
-        m.add_le(&[(a, 3.0), (b, 4.0)], 6.0);
-        // Violates the knapsack: both picked.
-        let opts = SolveOptions {
-            warm_start: Some(vec![1.0, 1.0]),
-            ..Default::default()
-        };
-        let sol = m.solve_with(&opts).unwrap();
-        assert!(!sol.warm, "infeasible warm point is ignored");
-        assert_eq!(sol.objective.round() as i64, 13);
-    }
-
-    #[test]
-    fn suboptimal_warm_start_is_improved_on() {
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.bin_var("a", 10.0);
-        let b = m.bin_var("b", 13.0);
-        let c = m.bin_var("c", 7.0);
-        m.add_le(&[(a, 3.0), (b, 4.0), (c, 2.0)], 6.0);
-        // Feasible but suboptimal: a alone (10 < 20).
-        let opts = SolveOptions {
-            warm_start: Some(vec![1.0, 0.0, 0.0]),
-            ..Default::default()
-        };
-        let sol = m.solve_with(&opts).unwrap();
-        assert!(sol.warm);
-        assert_eq!(sol.objective.round() as i64, 20, "b&b beats the seed");
     }
 
     #[test]

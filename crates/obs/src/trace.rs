@@ -79,9 +79,6 @@ pub enum EventKind {
         epoch: u64,
         /// Digest of the swapped-in plan's deployment.
         plan_digest: u64,
-        /// Whether the MILP re-solve was warm-started from the
-        /// committed plan (false for the greedy path or a cold solve).
-        warm: bool,
         /// Re-solve wall time (planner thread, off the window path).
         solve_wall_ns: u64,
     },
@@ -305,7 +302,6 @@ impl EventKind {
                 window,
                 epoch,
                 plan_digest,
-                warm,
                 solve_wall_ns,
             } => {
                 w.key("window");
@@ -314,8 +310,6 @@ impl EventKind {
                 w.value_u64(*epoch);
                 w.key("plan_digest");
                 w.value_u64(*plan_digest);
-                w.key("warm");
-                w.value_bool(*warm);
                 w.key("solve_wall_ns");
                 w.value_u64(*solve_wall_ns);
             }
@@ -805,7 +799,6 @@ mod tests {
                 window: 4,
                 epoch: 1,
                 plan_digest: 0xFEED,
-                warm: true,
                 solve_wall_ns: 1_250_000,
             },
             EventKind::WorkerPanic {

@@ -27,7 +27,7 @@ use crate::strategies::PlannerConfig;
 use sonata_ilp::{Model, Sense, Solution, SolveError, SolveOptions, VarId};
 use sonata_obs::{EventKind, Stage};
 use sonata_pisa::compile::RegisterSizing;
-use sonata_query::{Pipeline, Query};
+use sonata_query::Query;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// ILP planning failure.
@@ -66,108 +66,18 @@ pub fn plan_ilp(
 ) -> Result<GlobalPlan, IlpPlanError> {
     let _compile = cfg.obs.stage(Stage::PlanCompile, 0);
     let (model, vars) = build_model(queries, all_costs, cfg);
-    let (plan, _) = solve_and_extract(queries, all_costs, cfg, &model, &vars, opts)?;
-    Ok(plan)
-}
-
-/// Warm-started, churn-bounded re-solve of the same ILP from a
-/// committed plan (the online replanning path).
-///
-/// The committed plan's `F`/`P`/`X` assignment seeds the solver's
-/// incumbent ([`SolveOptions::warm_start`]) so branch-and-bound opens
-/// with a bound to prune against instead of a cold search; `delta`,
-/// when set, adds a Hamming-distance constraint over the `F`/`P`
-/// decision binaries — the re-solve may flip at most `delta` of them,
-/// bounding plan churn per epoch (`delta = 0` pins the committed
-/// plan; a slack delta leaves the optimum untouched). Returns the
-/// plan (epoch = committed epoch + 1) together with the full
-/// [`Solution`] so callers can read the warm-vs-cold solver stats
-/// (`warm`, `pivots`, `wall`).
-pub fn plan_ilp_warm(
-    queries: &[Query],
-    all_costs: &[QueryCosts],
-    cfg: &PlannerConfig,
-    opts: &SolveOptions,
-    committed: &GlobalPlan,
-    delta: Option<usize>,
-) -> Result<(GlobalPlan, Solution), IlpPlanError> {
-    let _compile = cfg.obs.stage(Stage::PlanCompile, 0);
-    let (mut model, vars) = build_model(queries, all_costs, cfg);
-    let point = committed_point(&model, &vars, committed);
-    if let Some(d) = delta {
-        // Σ_{committed=0} v − Σ_{committed=1} v ≤ delta − |committed=1|
-        // ⇔ Hamming distance from the committed F/P assignment ≤ delta.
-        let mut terms: Vec<(VarId, f64)> = Vec::new();
-        let mut ones = 0usize;
-        for per_trans in &vars {
-            for tv in per_trans.values() {
-                let mut bins = vec![tv.f];
-                for p_b in &tv.p {
-                    bins.extend(p_b.iter().map(|(_, v)| *v));
-                }
-                for v in bins {
-                    if point[v.index()] > 0.5 {
-                        ones += 1;
-                        terms.push((v, -1.0));
-                    } else {
-                        terms.push((v, 1.0));
-                    }
-                }
-            }
-        }
-        model.add_le(&terms, d as f64 - ones as f64);
+    let solve_timer = cfg.obs.stage(Stage::IlpSolve, 0);
+    let solution = model.solve_with(opts).map_err(IlpPlanError::Solve)?;
+    drop(solve_timer);
+    if cfg.obs.is_enabled() {
+        cfg.obs.event(EventKind::IlpSolve {
+            nodes: solution.nodes as u64,
+            pivots: solution.pivots,
+            wall_ns: solution.wall.as_nanos() as u64,
+            objective: solution.objective,
+        });
     }
-    let mut warm_opts = opts.clone();
-    warm_opts.warm_start = Some(point);
-    let (mut plan, solution) =
-        solve_and_extract(queries, all_costs, cfg, &model, &vars, &warm_opts)?;
-    plan.epoch = committed.epoch + 1;
-    Ok((plan, solution))
-}
-
-/// The committed plan's variable assignment in this model's space
-/// (zeros everywhere the committed plan selects nothing). Chain edges,
-/// partition choices, and stage placements are looked up by value;
-/// selections the rebuilt model no longer offers (e.g. a partition
-/// pruned by a tighter register cap after re-costing) are left unset —
-/// such a point fails the solver's feasibility screen and the solve
-/// silently falls back to cold.
-fn committed_point(
-    model: &Model,
-    vars: &[BTreeMap<TransKey, TransVars>],
-    committed: &GlobalPlan,
-) -> Vec<f64> {
-    let mut point = vec![0.0; model.num_vars()];
-    for (qi, qp) in committed.queries.iter().enumerate() {
-        let Some(per_trans) = vars.get(qi) else {
-            continue;
-        };
-        for lp in &qp.levels {
-            let Some(tv) = per_trans.get(&(lp.prev, lp.level)) else {
-                continue;
-            };
-            point[tv.f.index()] = 1.0;
-            for bp in &lp.branches {
-                let b = bp.branch as usize;
-                if let Some((_, v)) =
-                    tv.p.get(b)
-                        .and_then(|p_b| p_b.iter().find(|(k, _)| *k == bp.units))
-                {
-                    point[v.index()] = 1.0;
-                }
-                for (u, &s) in bp.stages.iter().enumerate() {
-                    if let Some((_, v)) =
-                        tv.x.get(b)
-                            .and_then(|x_b| x_b.get(u))
-                            .and_then(|x_u| x_u.iter().find(|(xs, _)| *xs == s))
-                    {
-                        point[v.index()] = 1.0;
-                    }
-                }
-            }
-        }
-    }
-    point
+    Ok(extract_plan(queries, all_costs, cfg, &vars, &solution))
 }
 
 /// Build the ILP instance — variables and constraints C1–C5 — for the
@@ -184,11 +94,7 @@ fn build_model(
     // Pre-compute meta bits per (query, transition, branch, k).
     let meta_of = |q: &Query, costs: &QueryCosts, key: TransKey, b: usize, k: usize| -> u64 {
         let refined = costs.refined_with_thresholds(q, key.1, key.0.map(|p| (p, BTreeSet::new())));
-        let pipeline: &Pipeline = if b == 0 {
-            &refined.pipeline
-        } else {
-            &refined.join.as_ref().expect("branch 1 implies join").right
-        };
+        let pipeline = crate::strategies::branch_pipeline(&refined, b);
         let units = sonata_pisa::compile::table_specs(pipeline);
         crate::strategies::meta_bits_for(pipeline, &units, k)
     };
@@ -392,28 +298,14 @@ fn build_model(
     (model, vars)
 }
 
-/// Solve a built instance and read the plan out of the solution.
-fn solve_and_extract(
+/// Read the plan out of a solved instance.
+fn extract_plan(
     queries: &[Query],
     all_costs: &[QueryCosts],
     cfg: &PlannerConfig,
-    model: &Model,
     vars: &[BTreeMap<TransKey, TransVars>],
-    opts: &SolveOptions,
-) -> Result<(GlobalPlan, Solution), IlpPlanError> {
-    let solve_timer = cfg.obs.stage(Stage::IlpSolve, 0);
-    let solution = model.solve_with(opts).map_err(IlpPlanError::Solve)?;
-    drop(solve_timer);
-    if cfg.obs.is_enabled() {
-        cfg.obs.event(EventKind::IlpSolve {
-            nodes: solution.nodes as u64,
-            pivots: solution.pivots,
-            wall_ns: solution.wall.as_nanos() as u64,
-            objective: solution.objective,
-        });
-    }
-
-    // Extract the plan.
+    solution: &Solution,
+) -> GlobalPlan {
     let mut plans = Vec::with_capacity(queries.len());
     for (qi, (q, costs)) in queries.iter().zip(all_costs).enumerate() {
         let per_trans = &vars[qi];
@@ -497,15 +389,12 @@ fn solve_and_extract(
             predicted_tuples: predicted,
         });
     }
-    Ok((
-        GlobalPlan {
-            mode: PlanMode::Sonata,
-            queries: plans,
-            predicted_tuples: predicted,
-            epoch: 0,
-        },
-        solution,
-    ))
+    GlobalPlan {
+        mode: PlanMode::Sonata,
+        queries: plans,
+        predicted_tuples: predicted,
+        epoch: 0,
+    }
 }
 
 /// Convenience: model size diagnostics for an instance (used by the

@@ -22,13 +22,12 @@
 //!   four baseline planners the paper compares against (Table 4):
 //!   All-SP, Filter-DP, Max-DP, Fix-REF;
 //! * [`ilp_planner`] — the paper's ILP formulation built on
-//!   `sonata-ilp`, used to cross-check the combinatorial planner on
-//!   small instances and to reproduce the solver-behavior notes of
-//!   Section 6.1;
+//!   `sonata-ilp`: the oracle the combinatorial planner is tested
+//!   against on small instances (`tests/proptest_replan.rs`), and the
+//!   solver-behavior notes of Section 6.1;
 //! * [`replan`] — online incremental replanning: re-cost the catalog
-//!   from observed per-query loads and re-solve (greedy, or MILP
-//!   warm-started from the committed plan with a churn bound),
-//!   producing an epoch-bumped plan for a mid-run swap.
+//!   from observed per-query loads and re-run the combinatorial
+//!   planner, producing an epoch-bumped plan for a mid-run swap.
 
 pub mod costs;
 pub mod ilp_planner;
@@ -39,11 +38,8 @@ pub mod replan;
 pub mod strategies;
 
 pub use costs::{estimate_costs, BranchCost, QueryCosts, TransitionCost};
-pub use ilp_planner::{plan_ilp, plan_ilp_warm};
+pub use ilp_planner::plan_ilp;
 pub use plan::{BranchPlan, GlobalPlan, LevelPlan, PlanBudget, PlanMode, QueryPlan};
 pub use refine::{refine_query, refinement_levels};
 pub use replan::{ReplanOutcome, Replanner};
 pub use strategies::{plan_queries, plan_with_costs, PlannerConfig};
-// Solver surface the runtime needs to drive a warm-started re-solve
-// without depending on `sonata-ilp` directly.
-pub use sonata_ilp::{Solution, SolveOptions};

@@ -3,7 +3,7 @@
 //! The initial plan is solved once against a training trace; when live
 //! traffic drifts, the committed per-query tuple budget goes stale and
 //! the drift monitor fires a re-plan trigger. The [`Replanner`] closes
-//! that loop without a cold solve:
+//! that loop without touching packets again:
 //!
 //! 1. **Re-cost** — the last `W` windows of *observed* per-query tuple
 //!    loads (reconciled by the obs layer) are reduced by median and
@@ -11,18 +11,16 @@
 //!    `N(k)` vector and distinct-key estimates are scaled by the
 //!    observed/predicted ratio, so the catalog prices the traffic that
 //!    is actually on the wire, not the training trace.
-//! 2. **Re-solve** — by default the combinatorial planner re-runs
-//!    against the scaled catalog (milliseconds); optionally the MILP
-//!    re-solves warm-started from the committed assignment with a
-//!    churn bound ([`plan_ilp_warm`]).
+//! 2. **Re-solve** — the DP planner ([`plan_with_costs`]) re-runs
+//!    against the scaled catalog (milliseconds); the MILP
+//!    ([`plan_ilp`](crate::plan_ilp)) is its test oracle, not a
+//!    second re-solver.
 //! 3. The resulting [`GlobalPlan`] carries `epoch = committed + 1`;
 //!    the runtime swaps it in atomically at a window boundary.
 
 use crate::costs::{estimate_costs, QueryCosts};
-use crate::ilp_planner::{plan_ilp_warm, IlpPlanError};
 use crate::plan::GlobalPlan;
 use crate::strategies::{plan_with_costs, PlanError, PlannerConfig};
-use sonata_ilp::{Solution, SolveOptions};
 use sonata_packet::Packet;
 use sonata_query::interpret::InterpretError;
 use sonata_query::{Query, QueryId};
@@ -60,9 +58,6 @@ pub struct ReplanOutcome {
     pub plan: GlobalPlan,
     /// Observed/predicted load ratio applied per query, input order.
     pub ratios: Vec<(QueryId, f64)>,
-    /// Solver stats when the MILP path ran (`None` for the greedy
-    /// path, which has no branch-and-bound to report).
-    pub solution: Option<Solution>,
 }
 
 impl Replanner {
@@ -175,38 +170,14 @@ impl Replanner {
             .collect()
     }
 
-    /// Incremental re-solve via the combinatorial planner: re-cost,
-    /// re-plan, bump the epoch. Milliseconds, no MILP.
+    /// Incremental re-solve: re-cost, re-plan with the DP planner,
+    /// bump the epoch. Milliseconds, no MILP.
     pub fn replan(&self, committed: &GlobalPlan) -> Result<ReplanOutcome, PlanError> {
         let ratios = self.load_ratios(committed);
         let scaled = self.recost(&ratios);
         let mut plan = plan_with_costs(&self.queries, &scaled, &self.cfg)?;
         plan.epoch = committed.epoch + 1;
-        Ok(ReplanOutcome {
-            plan,
-            ratios,
-            solution: None,
-        })
-    }
-
-    /// Incremental re-solve via the MILP, warm-started from the
-    /// committed assignment with an optional churn bound `delta`
-    /// (maximum `F`/`P` decision flips from the committed plan).
-    pub fn replan_ilp(
-        &self,
-        committed: &GlobalPlan,
-        opts: &SolveOptions,
-        delta: Option<usize>,
-    ) -> Result<ReplanOutcome, IlpPlanError> {
-        let ratios = self.load_ratios(committed);
-        let scaled = self.recost(&ratios);
-        let (plan, solution) =
-            plan_ilp_warm(&self.queries, &scaled, &self.cfg, opts, committed, delta)?;
-        Ok(ReplanOutcome {
-            plan,
-            ratios,
-            solution: Some(solution),
-        })
+        Ok(ReplanOutcome { plan, ratios })
     }
 }
 
@@ -321,19 +292,5 @@ mod tests {
         // The re-plan still succeeds and stays structurally valid.
         let out = rp.replan(&committed).unwrap();
         assert_eq!(out.plan.queries[0].levels.last().unwrap().level, 32);
-    }
-
-    #[test]
-    fn warm_ilp_replan_reports_solver_stats() {
-        let (queries, costs, committed) = fixture();
-        let q = queries[0].id;
-        let mut rp = Replanner::new(&queries, costs, cfg(), 4);
-        rp.observe_window(&[(q, 50)]);
-        let out = rp
-            .replan_ilp(&committed, &SolveOptions::default(), None)
-            .unwrap();
-        assert_eq!(out.plan.epoch, committed.epoch + 1);
-        let sol = out.solution.expect("MILP path carries a Solution");
-        assert!(sol.nodes >= 1);
     }
 }

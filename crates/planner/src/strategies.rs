@@ -10,7 +10,7 @@
 //! re-pricing the plan as it goes — the same behavior the paper's ILP
 //! exhibits as constraints tighten (Figure 8).
 
-use crate::costs::{estimate_costs, CostConfig, QueryCosts};
+use crate::costs::{estimate_costs, BranchCost, CostConfig, QueryCosts};
 use crate::placement::{PlacementRequest, StageAllocator};
 use crate::plan::{BranchPlan, GlobalPlan, LevelPlan, PlanMode, QueryPlan};
 use sonata_obs::{EventKind, ObsHandle, Stage};
@@ -19,7 +19,7 @@ use sonata_pisa::compile::{compile_pipeline, RegisterSizing, TableSpec};
 use sonata_pisa::{SwitchConstraints, TaskId};
 use sonata_query::interpret::InterpretError;
 use sonata_query::{Pipeline, Query};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Planner configuration.
 #[derive(Debug, Clone)]
@@ -103,8 +103,8 @@ pub fn plan_with_costs(
     let mut allocator = StageAllocator::new(cfg.constraints);
     let mut plans = Vec::with_capacity(queries.len());
     for (q, costs) in queries.iter().zip(all_costs) {
-        let path = choose_path(q, costs, cfg);
-        let levels = build_levels(q, costs, &path, cfg, &mut allocator);
+        let (path, caps) = choose_path(q, costs, cfg);
+        let levels = build_levels(q, costs, &path, caps.as_deref(), cfg, &mut allocator);
         plans.push(QueryPlan {
             query: q.clone(),
             levels,
@@ -132,15 +132,19 @@ pub fn plan_with_costs(
     })
 }
 
-/// Choose the refinement chain for one query.
-fn choose_path(q: &Query, costs: &QueryCosts, cfg: &PlannerConfig) -> Vec<u8> {
+/// Per level of a chain, the units each branch may take at most.
+type Caps = Vec<Vec<usize>>;
+
+/// Choose the refinement chain for one query, with per-level partition
+/// caps when the chain's levels had to share the metadata budget.
+fn choose_path(q: &Query, costs: &QueryCosts, cfg: &PlannerConfig) -> (Vec<u8>, Option<Caps>) {
     let finest = costs.finest;
     if costs.field.is_none() {
-        return vec![finest];
+        return (vec![finest], None);
     }
     let delay = q.delay_budget.unwrap_or(cfg.max_delay).max(1);
     match cfg.mode {
-        PlanMode::AllSp | PlanMode::FilterDp | PlanMode::MaxDp => vec![finest],
+        PlanMode::AllSp | PlanMode::FilterDp | PlanMode::MaxDp => (vec![finest], None),
         PlanMode::FixRef => {
             // All candidate levels, coarsest-first (the paper's DREAM
             // emulation zooms one level at a time); truncate to the
@@ -149,104 +153,191 @@ fn choose_path(q: &Query, costs: &QueryCosts, cfg: &PlannerConfig) -> Vec<u8> {
             if levels.len() > delay {
                 levels = levels.split_off(levels.len() - delay);
             }
-            levels
+            (levels, None)
         }
-        PlanMode::Sonata => shortest_path(costs, delay, cfg),
+        PlanMode::Sonata => shortest_path(q, costs, delay, cfg),
     }
 }
 
-/// The cheapest tuple count a transition can achieve with a partition
-/// that actually fits an *empty* switch — resource-aware edge weights
-/// for the chain search. (Cross-query contention is handled later by
-/// degradation during placement.)
-fn best_feasible_n(t: &crate::costs::TransitionCost, cfg: &PlannerConfig) -> f64 {
-    let mut total = 0.0;
-    for bc in &t.branches {
-        let mut chosen = bc.n[0];
-        for k in (1..=bc.max_units).rev() {
-            let reg_bits: Vec<u64> = bc
-                .units
-                .iter()
-                .take(k)
-                .filter(|u| u.stateful)
-                .enumerate()
-                .map(|(i, _)| bc.register_bits_with(i, cfg.cost.headroom, cfg.d, &cfg.cost.sketch))
-                .collect();
-            let req = PlacementRequest {
-                units: bc.units[..k].to_vec(),
-                reg_bits,
-                meta_bits: 0,
-            };
-            let mut probe = StageAllocator::new(cfg.constraints);
-            if probe.place(&req).is_some() {
-                chosen = bc.n[k];
-                break;
-            }
-        }
-        total += chosen;
+/// A switch request for branch partition `k` (no metadata charged).
+fn request(bc: &BranchCost, k: usize, cfg: &PlannerConfig) -> PlacementRequest {
+    let reg_bits = (bc.units.iter().take(k).filter(|u| u.stateful).enumerate())
+        .map(|(i, _)| bc.register_bits_with(i, cfg.cost.headroom, cfg.d, &cfg.cost.sketch))
+        .collect();
+    PlacementRequest {
+        units: bc.units[..k].to_vec(),
+        reg_bits,
+        meta_bits: 0,
     }
-    total
+}
+
+/// Per branch of a transition, the partitions `(k, metadata bits)`
+/// that fit an *empty* switch, largest first — every one, or (`all`
+/// false) only the largest. `k = 0` always fits.
+fn empty_fits(
+    q: &Query,
+    costs: &QueryCosts,
+    (prev, level): (Option<u8>, u8),
+    cfg: &PlannerConfig,
+    all: bool,
+) -> Vec<Vec<(usize, u64)>> {
+    let t = &costs.transitions[&(prev, level)];
+    let refined = costs.refined_with_thresholds(q, level, prev.map(|p| (p, BTreeSet::new())));
+    let fits = |req: &PlacementRequest| StageAllocator::new(cfg.constraints).place(req).is_some();
+    let branch = |(bi, bc): (usize, &BranchCost)| {
+        let pipeline = branch_pipeline(&refined, bi);
+        let fitting = (0..=bc.max_units).rev().filter_map(|k| {
+            let mut req = request(bc, k, cfg);
+            // Metadata costs a trial compile: price it only for a
+            // partition that fits without it.
+            if !fits(&req) {
+                return None;
+            }
+            req.meta_bits = meta_bits_for(pipeline, &bc.units, k);
+            fits(&req).then_some((k, req.meta_bits))
+        });
+        fitting.take(if all { usize::MAX } else { 1 }).collect()
+    };
+    t.branches.iter().enumerate().map(branch).collect()
+}
+
+/// Branch `bi`'s pipeline of a refined query: 0 is the main pipeline,
+/// 1 a join's right-hand side.
+pub(crate) fn branch_pipeline(refined: &Query, bi: usize) -> &Pipeline {
+    match (bi, &refined.join) {
+        (0, _) => &refined.pipeline,
+        (_, Some(j)) => &j.right,
+        (_, None) => panic!("branch {bi} of a query without a join"),
+    }
 }
 
 /// Shortest path `* → … → finest` in the transition DAG, bounded by
-/// `delay` hops; edge weight = the cheapest *feasible* partition's
-/// tuples per window.
-fn shortest_path(costs: &QueryCosts, delay: usize, cfg: &PlannerConfig) -> Vec<u8> {
-    let levels = &costs.levels;
-    let finest = costs.finest;
-    let n = levels.len();
-    let idx_of = |l: u8| levels.iter().position(|&x| x == l).expect("level known");
-    // dist[hops][i] = best cost to reach level i with `hops` levels used.
-    let inf = f64::INFINITY;
-    let max_hops = delay.min(n);
-    let mut dist = vec![vec![inf; n]; max_hops + 1];
-    let mut parent: Vec<Vec<Option<(usize, usize)>>> = vec![vec![None; n]; max_hops + 1];
-    for (&(prev, r), t) in &costs.transitions {
-        if prev.is_none() {
-            let i = idx_of(r);
-            let c = best_feasible_n(t, cfg);
-            if c < dist[1][i] {
-                dist[1][i] = c;
-                parent[1][i] = None;
-            }
-        }
+/// `delay` levels. Each edge is first priced at the largest partition
+/// that fits an *empty* switch, metadata included. (Cross-query
+/// contention is handled later by degradation during placement.) When
+/// that chain's partitions overflow the metadata budget together,
+/// placement would degrade its later levels, so the search reruns with
+/// every fitting partition as an edge option and the budget enforced
+/// along the chain.
+fn shortest_path(
+    q: &Query,
+    costs: &QueryCosts,
+    delay: usize,
+    cfg: &PlannerConfig,
+) -> (Vec<u8>, Option<Caps>) {
+    let max_hops = delay.min(costs.levels.len());
+    let (path, _, meta) = cheapest_chain(q, costs, max_hops, cfg, false, u64::MAX);
+    let budget = cfg.constraints.metadata_bits;
+    if meta <= budget {
+        return (path, None);
     }
-    for hops in 1..max_hops {
-        for i in 0..n {
-            if dist[hops][i].is_infinite() {
-                continue;
+    let (path, caps, _) = cheapest_chain(q, costs, max_hops, cfg, true, budget);
+    (path, Some(caps))
+}
+
+/// The chain with the fewest tuples whose partitions spend at most
+/// `budget` metadata bits together, with its per-level units and
+/// metadata. A label-setting search: a label is a chain prefix with its
+/// tuples and metadata, and one that is no cheaper and no leaner than
+/// another at the same level and length is dropped. Ties go to the
+/// shorter chain, then to the coarser predecessor.
+fn cheapest_chain(
+    q: &Query,
+    costs: &QueryCosts,
+    max_hops: usize,
+    cfg: &PlannerConfig,
+    all: bool,
+    budget: u64,
+) -> (Vec<u8>, Caps, u64) {
+    struct Label {
+        n: f64,
+        meta: u64,
+        units: Vec<usize>,
+        parent: Option<(usize, usize)>,
+    }
+    let levels = &costs.levels;
+    // Each edge is priced once: every combination of its branches'
+    // fitting partitions, as (tuples, metadata, units per branch).
+    let options: BTreeMap<_, Vec<(f64, u64, Vec<usize>)>> = (costs.transitions)
+        .iter()
+        .map(|(&key, t)| {
+            let mut combos = vec![(0.0, 0, Vec::new())];
+            for (bc, fits) in t.branches.iter().zip(empty_fits(q, costs, key, cfg, all)) {
+                combos = (combos.iter())
+                    .flat_map(|(n, m, ks)| {
+                        fits.iter().map(move |&(k, mk)| {
+                            let ks = ks.iter().copied().chain([k]).collect();
+                            (n + bc.n[k], m + mk, ks)
+                        })
+                    })
+                    .collect();
             }
-            for j in i + 1..n {
-                if let Some(t) = costs.transitions.get(&(Some(levels[i]), levels[j])) {
-                    let c = dist[hops][i] + best_feasible_n(t, cfg);
-                    if c < dist[hops + 1][j] {
-                        dist[hops + 1][j] = c;
-                        parent[hops + 1][j] = Some((hops, i));
-                    }
+            (key, combos)
+        })
+        .collect();
+    // labels[hops - 1][level index]: chains of `hops` levels ending there.
+    let mut labels: Vec<Vec<Vec<Label>>> = Vec::with_capacity(max_hops);
+    let offer = |at: &mut Vec<Label>, label: Label| {
+        let dominated = (at.iter()).any(|o| o.n <= label.n && o.meta <= label.meta);
+        if label.meta <= budget && !dominated {
+            at.push(label);
+        }
+    };
+    for _ in 0..max_hops {
+        let mut next: Vec<Vec<Label>> = levels.iter().map(|_| Vec::new()).collect();
+        // Extend the empty chain on the first pass, then every chain
+        // the previous pass built.
+        let sources: Vec<_> = match labels.last() {
+            None => vec![(None, 0.0, 0)],
+            Some(last) => (last.iter().enumerate())
+                .flat_map(|(i, at)| {
+                    (at.iter().enumerate()).map(move |(li, l)| (Some((i, li)), l.n, l.meta))
+                })
+                .collect(),
+        };
+        for (parent, n0, m0) in sources {
+            let from = parent.map(|(i, _)| i);
+            for j in from.map_or(0, |i| i + 1)..levels.len() {
+                let key = (from.map(|i| levels[i]), levels[j]);
+                for (n, meta, units) in options.get(&key).into_iter().flatten() {
+                    let (n, meta, units) = (n0 + n, m0 + meta, units.clone());
+                    offer(
+                        &mut next[j],
+                        Label {
+                            n,
+                            meta,
+                            units,
+                            parent,
+                        },
+                    );
                 }
             }
         }
+        labels.push(next);
     }
-    // Best chain ending at the finest level.
-    let fi = idx_of(finest);
-    let mut best: Option<(usize, f64)> = None;
-    for (hops, d) in dist.iter().enumerate().skip(1) {
-        if d[fi] < best.map(|(_, c)| c).unwrap_or(inf) {
-            best = Some((hops, d[fi]));
+    // The cheapest chain ending at the finest level.
+    let fi = levels.len() - 1;
+    let mut best: Option<(usize, usize)> = None;
+    for (h, at) in labels.iter().enumerate() {
+        for (li, label) in at[fi].iter().enumerate() {
+            if best.is_none_or(|(bh, bl)| label.n < labels[bh][fi][bl].n) {
+                best = Some((h, li));
+            }
         }
     }
-    let Some((mut hops, _)) = best else {
-        return vec![finest];
-    };
-    let mut path = vec![finest];
-    let mut i = fi;
-    while let Some((ph, pi)) = parent[hops][i] {
-        path.push(levels[pi]);
-        hops = ph;
-        i = pi;
+    let (mut h, mut li) = best.expect("partition 0 everywhere fits any budget");
+    let meta = labels[h][fi][li].meta;
+    let (mut path, mut caps, mut at) = (Vec::new(), Vec::new(), fi);
+    loop {
+        let label = &labels[h][at][li];
+        path.push(levels[at]);
+        caps.push(label.units.clone());
+        let Some((i, pl)) = label.parent else { break };
+        (h, at, li) = (h - 1, i, pl);
     }
     path.reverse();
-    path
+    caps.reverse();
+    (path, caps, meta)
 }
 
 /// Metadata bits a branch partition consumes (via a trial compile).
@@ -296,26 +387,23 @@ fn build_levels(
     q: &Query,
     costs: &QueryCosts,
     path: &[u8],
+    caps: Option<&[Vec<usize>]>,
     cfg: &PlannerConfig,
     allocator: &mut StageAllocator,
 ) -> Vec<LevelPlan> {
     let mut levels = Vec::with_capacity(path.len());
     let mut prev: Option<u8> = None;
-    for &level in path {
+    for (li, &level) in path.iter().enumerate() {
         let key = (prev, level);
         let t = costs
             .transitions
             .get(&key)
             .unwrap_or_else(|| panic!("transition {key:?} estimated"));
         let refined = costs.refined_with_thresholds(q, level, prev.map(|p| (p, BTreeSet::new())));
-        let mut branch_pipelines: Vec<&Pipeline> = vec![&refined.pipeline];
-        if let Some(j) = &refined.join {
-            branch_pipelines.push(&j.right);
-        }
         let mut branches = Vec::new();
         let mut level_n = 0.0;
         for (bi, bc) in t.branches.iter().enumerate() {
-            let pipeline = branch_pipelines[bi];
+            let pipeline = branch_pipeline(&refined, bi);
             let desired = match cfg.mode {
                 PlanMode::AllSp => 0,
                 PlanMode::FilterDp => bc
@@ -324,7 +412,9 @@ fn build_levels(
                     .take(bc.max_units)
                     .take_while(|u| u.kind == "filter")
                     .count(),
-                PlanMode::MaxDp | PlanMode::FixRef | PlanMode::Sonata => bc.max_units,
+                PlanMode::MaxDp | PlanMode::FixRef | PlanMode::Sonata => {
+                    caps.map_or(bc.max_units, |c| c[li][bi])
+                }
             };
             // Degrade the partition until placement succeeds (k = 0
             // always fits: no switch resources consumed).
@@ -335,20 +425,9 @@ fn build_levels(
                 if k == 0 {
                     break;
                 }
-                let reg_bits: Vec<u64> = bc
-                    .units
-                    .iter()
-                    .take(k)
-                    .filter(|u| u.stateful)
-                    .enumerate()
-                    .map(|(i, _)| {
-                        bc.register_bits_with(i, cfg.cost.headroom, cfg.d, &cfg.cost.sketch)
-                    })
-                    .collect();
                 let req = PlacementRequest {
-                    units: bc.units[..k].to_vec(),
-                    reg_bits,
                     meta_bits: meta_bits_for(pipeline, &bc.units, k),
+                    ..request(bc, k, cfg)
                 };
                 if let Some(s) = allocator.place(&req) {
                     chosen = k;

@@ -54,10 +54,11 @@
 //! runs a [`DriftWorkload`] whose distribution shifts mid-run
 //! (`diurnal` ramp, `flash` crowd, `attack` onset; `quiet` arms the
 //! loop on undrifted traffic to show it stays inert). The drift
-//! monitor fires a trigger, a warm-started re-solve runs off the hot
-//! path, and the epoch-bumped plan swaps in at a window boundary —
-//! the run prints the trigger, the swap, the per-window epoch, and
-//! the recovered divergence. Composes with `--fabric`:
+//! monitor fires a trigger, the DP planner re-plans the re-costed
+//! catalog off the hot path, and the epoch-bumped plan swaps in at a
+//! window boundary — the run prints the trigger, the swap, the
+//! per-window epoch, and the recovered divergence. Composes with
+//! `--fabric`:
 //!
 //! ```sh
 //! cargo run --release --example quickstart -- --fabric 2x2 --drift attack
@@ -212,7 +213,6 @@ fn main() {
                     .expect("replanner from training"),
             ),
             swap_delay: 2,
-            ..ReplanConfig::default()
         }
     } else {
         ReplanConfig::default()

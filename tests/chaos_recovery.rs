@@ -495,7 +495,6 @@ fn drift_replan(rp: Replanner) -> ReplanConfig {
     ReplanConfig {
         replanner: Some(rp),
         swap_delay: DRIFT_SWAP_DELAY,
-        ..ReplanConfig::default()
     }
 }
 

@@ -816,15 +816,19 @@ fn compile_pred(
     }
 }
 
-/// Natural bit width of an expression's result.
+/// Declared bit width of an expression's result: an upper bound on
+/// the bits any value it evaluates to occupies (a register stores a key
+/// part at this width). A literal is at least 32 bits, a sum carries
+/// one bit, a product the sum of its operands', all capped at 64.
 fn expr_bits(e: &Expr, binding: &HashMap<ColName, Binding>) -> u32 {
+    let bits = |e| expr_bits(e, binding);
     match e {
         Expr::Col(c) => binding.get(c).map(|b| b.bits()).unwrap_or(32),
-        Expr::Lit(_) => 32,
-        Expr::Mask(inner, _) => expr_bits(inner, binding),
-        Expr::Add(a, b) | Expr::Sub(a, b) | Expr::Mul(a, b) | Expr::Div(a, b) => {
-            expr_bits(a, binding).max(expr_bits(b, binding))
-        }
+        Expr::Lit(v) => v.as_u64().map_or(32, |n| (64 - n.leading_zeros()).max(32)),
+        Expr::Mask(inner, _) => bits(inner),
+        Expr::Add(a, b) => (bits(a).max(bits(b)) + 1).min(64),
+        Expr::Mul(a, b) => (bits(a) + bits(b)).min(64),
+        Expr::Sub(a, b) | Expr::Div(a, b) => bits(a).max(bits(b)),
     }
 }
 
@@ -899,6 +903,26 @@ mod tests {
         let post_specs = table_specs(post);
         assert!(!post_specs[0].switch_ok);
         assert_eq!(max_switch_units(&post_specs), 0);
+    }
+
+    #[test]
+    fn declared_widths_bound_arithmetic() {
+        use sonata_query::{col, lit};
+        let binding: HashMap<ColName, Binding> = [
+            ("sIP", Field::Ipv4Src),
+            ("dIP", Field::Ipv4Dst),
+            ("len", Field::PktLen),
+        ]
+        .into_iter()
+        .map(|(c, f)| (ColName::from(c), Binding::Field(f)))
+        .collect();
+        // A sum of two 32-bit fields needs 33 bits, a 16 × 32-bit
+        // product 48, a literal its bit length (at least 32).
+        assert_eq!(expr_bits(&col("sIP").add(col("dIP")), &binding), 33);
+        assert_eq!(expr_bits(&col("len").mul(col("sIP")), &binding), 48);
+        assert_eq!(expr_bits(&lit(1u64 << 40), &binding), 41);
+        assert_eq!(expr_bits(&lit(7), &binding), 32);
+        assert_eq!(expr_bits(&col("sIP").mul(lit(u64::MAX)), &binding), 64);
     }
 
     #[test]

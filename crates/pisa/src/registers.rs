@@ -50,14 +50,14 @@ pub(crate) fn for_each_bit(bits: &[u64], mut f: impl FnMut(usize)) {
     }
 }
 
-/// A sequence of `d` hash-indexed register arrays.
-///
-/// Storage is flat and fixed at load: every slot is a record of
-/// `key_parts + 1` words (the stored key, then the value) in one
-/// `cells` vector, with occupancy in a bitmap beside it. Updating a
-/// key therefore allocates nothing, compares keys inline instead of
-/// through a heap pointer, and the end-of-window reset is one `fill`
-/// of the bitmap (stale cells are unreachable behind a clear bit).
+/// A sequence of `d` hash-indexed register arrays at the widths the
+/// program declares: each slot is a record of 32-bit words — one per
+/// key part declared ≤ 32 bits, two (low first) per wider part, then
+/// the value's, which a `distinct` [set](Self::set) does without (its
+/// occupancy bit is its value). Occupancy is a bitmap beside `cells`,
+/// so the end-of-window reset is one `fill`. Keys hash as their
+/// logical `u64` parts: slots, shunts and dump order do not depend on
+/// the layout.
 #[derive(Debug, Clone)]
 pub struct HashRegisters {
     slots_per_array: usize,
@@ -65,8 +65,13 @@ pub struct HashRegisters {
     value_mask: u64,
     /// Key arity every update must carry (the Hash table's key list).
     key_parts: usize,
-    /// `arrays × slots` records of `key_parts + 1` words.
-    cells: Vec<u64>,
+    /// Bit `p` set: key part `p` is wider than 32 bits (two words).
+    wide: u64,
+    /// Words per slot; a key-only `set` has no value word.
+    stride: usize,
+    set: bool,
+    /// `arrays × slots` records of `stride` words.
+    cells: Vec<u32>,
     /// One bit per slot, array-major like `cells`.
     occupied_bits: Vec<u64>,
     shunted_packets: u64,
@@ -77,25 +82,39 @@ pub struct HashRegisters {
 
 impl HashRegisters {
     /// Create with `slots_per_array` slots (`n`), `arrays` arrays
-    /// (`d`), values truncated to `value_bits`, and keys of
-    /// `key_parts` scalars.
-    pub fn new(slots_per_array: usize, arrays: usize, value_bits: u32, key_parts: usize) -> Self {
-        assert!(slots_per_array >= 1, "register needs at least one slot");
+    /// (`d`), values truncated to `value_bits` (≤ 32), and one key part
+    /// per entry of `key_widths`, each that many bits wide.
+    pub fn new(slots_per_array: usize, arrays: usize, value_bits: u32, key_widths: &[u32]) -> Self {
+        assert!(value_bits <= 32, "a register value is at most 32 bits");
+        Self::build(slots_per_array, arrays, value_bits, key_widths, false)
+    }
+
+    /// A `distinct` register (a 1-bit `BitOr` of the constant 1): a
+    /// set of keys, with no value word.
+    pub fn set(slots_per_array: usize, arrays: usize, key_widths: &[u32]) -> Self {
+        Self::build(slots_per_array, arrays, 1, key_widths, true)
+    }
+
+    fn build(slots: usize, arrays: usize, value_bits: u32, key_widths: &[u32], set: bool) -> Self {
+        assert!((1..1 << 32).contains(&slots), "1 ≤ n < 2³²");
         assert!((1..=8).contains(&arrays), "d must be in 1..=8");
-        let value_mask = if value_bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << value_bits) - 1
-        };
-        let total = slots_per_array * arrays;
+        assert!(key_widths.len() <= 64, "at most 64 key parts");
+        let wide = (key_widths.iter().enumerate())
+            .filter(|(_, &w)| w > 32)
+            .fold(0u64, |m, (p, _)| m | 1 << p);
+        let stride = key_widths.len() + wide.count_ones() as usize + !set as usize;
+        let total = slots * arrays;
         HashRegisters {
-            slots_per_array,
+            slots_per_array: slots,
             seeds: (0..arrays as u64)
                 .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i * 2 + 1))
                 .collect(),
-            value_mask,
-            key_parts,
-            cells: vec![0; total * (key_parts + 1)],
+            value_mask: (1u64 << value_bits) - 1,
+            key_parts: key_widths.len(),
+            wide,
+            stride,
+            set,
+            cells: vec![0; total * stride],
             occupied_bits: vec![0; total.div_ceil(64)],
             shunted_packets: 0,
             occupied: 0,
@@ -110,6 +129,16 @@ impl HashRegisters {
     /// Slots per array (`n`).
     pub fn slots_per_array(&self) -> usize {
         self.slots_per_array
+    }
+
+    /// Key parts every update carries.
+    pub(crate) fn key_parts(&self) -> usize {
+        self.key_parts
+    }
+
+    /// Bits of register memory simulated: cells plus occupancy bitmap.
+    pub fn bits(&self) -> u64 {
+        32 * self.cells.len() as u64 + 64 * self.occupied_bits.len() as u64
     }
 
     #[inline]
@@ -128,42 +157,90 @@ impl HashRegisters {
         self.occupied_bits[idx / 64] >> (idx % 64) & 1 != 0
     }
 
+    #[inline(always)]
+    fn holds(&self, idx: usize, key: &[u64]) -> bool {
+        let rec = &self.cells[idx * self.stride..(idx + 1) * self.stride];
+        key_words(self.wide, key, |w, word| rec[w] as u64 == word)
+    }
+
+    /// Slot `idx`'s key, widened into `key`, and its value.
+    fn unpack(&self, idx: usize, key: &mut [u64]) -> u64 {
+        let rec = &self.cells[idx * self.stride..(idx + 1) * self.stride];
+        let mut w = 0;
+        for (p, part) in key.iter_mut().enumerate() {
+            let two = self.wide >> p & 1 != 0;
+            *part = rec[w] as u64 | if two { (rec[w + 1] as u64) << 32 } else { 0 };
+            w += 1 + two as usize;
+        }
+        if self.set {
+            1
+        } else {
+            rec[self.stride - 1] as u64
+        }
+    }
+
+    /// The slot `key` probes first. The batch kernel hashes every lane
+    /// before it probes any ([`Self::update_at`]).
+    #[inline(always)]
+    pub fn slot(&self, key: &[u64]) -> usize {
+        self.index(0, key)
+    }
+
     /// Apply `agg` with `operand` for `key`, probing the arrays in
     /// order. Mirrors a per-packet read-modify-write action.
-    ///
-    /// Always inlined: a caller that passes a fixed-size array (the
-    /// batch kernels dispatch on key width once per batch) gets the
-    /// hash rounds and the stored-key compare unrolled for that width.
     #[inline(always)]
     pub fn update(&mut self, key: &[u64], agg: Agg, operand: u64) -> RegOutcome {
         assert_eq!(key.len(), self.key_parts, "register key arity");
-        let stride = key.len() + 1;
+        self.update_at(self.slot(key), key, agg, operand)
+    }
+
+    /// [`Self::update`] for a key of the register's arity whose array-0
+    /// slot is `slot`: only a key that collides there hashes again.
+    ///
+    /// Always inlined: a caller that passes a fixed-size array (the
+    /// batch kernels dispatch on key arity once per step) gets the
+    /// hash rounds and the stored-key compare unrolled for that arity.
+    #[inline(always)]
+    pub fn update_at(&mut self, slot: usize, key: &[u64], agg: Agg, operand: u64) -> RegOutcome {
+        debug_assert_eq!(key.len(), self.key_parts, "register key arity");
+        debug_assert_eq!(slot, self.slot(key), "slot of another key");
+        let mut idx = slot;
         for array in 0..self.seeds.len() {
-            let idx = self.index(array, key);
-            let vacant = !self.is_occupied(idx);
-            let cell = &mut self.cells[idx * stride..(idx + 1) * stride];
-            let (stored, value) = cell.split_at_mut(key.len());
-            if vacant {
-                let v = agg.init(operand) & self.value_mask;
-                stored.copy_from_slice(key);
-                value[0] = v;
+            if array > 0 {
+                idx = self.index(array, key);
+            }
+            let end = (idx + 1) * self.stride;
+            let first_touch = !self.is_occupied(idx);
+            if first_touch {
+                let rec = &mut self.cells[idx * self.stride..end];
+                key_words(self.wide, key, |w, word| {
+                    rec[w] = u32::try_from(word).expect("key part wider than declared");
+                    true
+                });
                 self.occupied_bits[idx / 64] |= 1 << (idx % 64);
                 self.occupied += 1;
-                return RegOutcome::Updated {
-                    first_touch: true,
-                    new_value: v,
-                    old_value: 0,
-                };
+            } else if !self.holds(idx, key) {
+                continue;
             }
-            if stored == key {
-                let old = value[0];
-                value[0] = agg.fold(old, operand) & self.value_mask;
-                return RegOutcome::Updated {
-                    first_touch: false,
-                    new_value: value[0],
-                    old_value: old,
-                };
+            let old = match (first_touch, self.set) {
+                (true, _) => 0,
+                (false, true) => 1,
+                (false, false) => self.cells[end - 1] as u64,
+            };
+            let new = if first_touch {
+                agg.init(operand)
+            } else {
+                agg.fold(old, operand)
+            } & self.value_mask;
+            debug_assert!(!self.set || new == 1, "a set holds the constant 1");
+            if !self.set {
+                self.cells[end - 1] = new as u32;
             }
+            return RegOutcome::Updated {
+                first_touch,
+                new_value: new,
+                old_value: old,
+            };
         }
         self.shunted_packets += 1;
         RegOutcome::Shunted
@@ -171,33 +248,26 @@ impl HashRegisters {
 
     /// Read a key's current value without modifying it.
     pub fn read(&self, key: &[u64]) -> Option<u64> {
-        let stride = self.key_parts + 1;
-        for array in 0..self.arrays() {
-            let idx = self.index(array, key);
-            if !self.is_occupied(idx) {
-                return None;
-            }
-            let cell = &self.cells[idx * stride..(idx + 1) * stride];
-            if &cell[..self.key_parts] == key {
-                return Some(cell[self.key_parts]);
-            }
-        }
-        None
+        let idx = (0..self.arrays())
+            .filter(|_| key.len() == self.key_parts)
+            .map(|array| self.index(array, key))
+            .take_while(|&idx| self.is_occupied(idx))
+            .find(|&idx| self.holds(idx, key))?;
+        Some(self.unpack(idx, &mut vec![0; key.len()]))
     }
 
     /// Visit every stored `(key, value)` pair in deterministic slot
-    /// order (array-major) without materializing owned keys.
+    /// order (array-major), each key widened back to `u64` parts in
+    /// one buffer per call.
     pub fn for_each(&self, mut f: impl FnMut(&[u64], u64)) {
-        let stride = self.key_parts + 1;
+        let mut key = vec![0; self.key_parts];
         for_each_bit(&self.occupied_bits, |idx| {
-            let cell = &self.cells[idx * stride..(idx + 1) * stride];
-            f(&cell[..self.key_parts], cell[self.key_parts]);
+            let value = self.unpack(idx, &mut key);
+            f(&key, value);
         });
     }
 
-    /// Dump all stored `(key, value)` pairs — the end-of-window
-    /// register poll, in deterministic slot order. Pre-sized from the
-    /// tracked occupancy so the poll allocates exactly once.
+    /// Every stored `(key, value)` pair, owned, in slot order.
     pub fn dump(&self) -> Vec<(RegKey, u64)> {
         let mut out = Vec::with_capacity(self.occupied);
         self.for_each(|k, v| out.push((k.to_vec(), v)));
@@ -220,6 +290,24 @@ impl HashRegisters {
         self.shunted_packets = 0;
         self.occupied = 0;
     }
+}
+
+/// Call `f(word, value)` for each stored word of `key` in record order
+/// while it returns true. A wide part gives its low word, then its high
+/// word; a part declared ≤ 32 bits is given whole, so a wider value
+/// matches no stored word, and storing one panics instead of aliasing.
+#[inline(always)]
+fn key_words(wide: u64, key: &[u64], mut f: impl FnMut(usize, u64) -> bool) -> bool {
+    let mut w = 0;
+    for (p, &part) in key.iter().enumerate() {
+        let two = wide >> p & 1 != 0;
+        let low = if two { part & 0xFFFF_FFFF } else { part };
+        if !f(w, low) || two && !f(w + 1, part >> 32) {
+            return false;
+        }
+        w += 1 + two as usize;
+    }
+    true
 }
 
 /// Runtime knob selecting approximate register layouts (the
@@ -390,13 +478,6 @@ impl CmRegisters {
 
     /// End-of-window poll: admitted keys in first-touch order with
     /// their (over-)estimates.
-    pub fn dump(&self) -> Vec<(RegKey, u64)> {
-        let mut out = Vec::with_capacity(self.keys.len());
-        self.for_each(|k, v| out.push((k.to_vec(), v)));
-        out
-    }
-
-    /// Visit the pairs [`Self::dump`] returns, borrowed.
     pub fn for_each(&self, mut f: impl FnMut(&[u64], u64)) {
         for k in &self.keys {
             f(k, self.cm.estimate(k) & self.value_mask);
@@ -503,11 +584,6 @@ impl BloomRegisters {
 
     /// End-of-window poll: the admitted key set, in first-touch
     /// order (the same shape the exact `distinct` dump has).
-    pub fn dump(&self) -> Vec<(RegKey, u64)> {
-        self.keys.iter().map(|k| (k.clone(), 1)).collect()
-    }
-
-    /// Visit the pairs [`Self::dump`] returns, borrowed.
     pub fn for_each(&self, mut f: impl FnMut(&[u64], u64)) {
         for k in &self.keys {
             f(k, 1);
@@ -617,17 +693,8 @@ impl RegisterState {
         }
     }
 
-    /// End-of-window register poll.
-    pub fn dump(&self) -> Vec<(RegKey, u64)> {
-        match self {
-            RegisterState::Exact(r) => r.dump(),
-            RegisterState::CountMin(r) => r.dump(),
-            RegisterState::Bloom(r) => r.dump(),
-        }
-    }
-
-    /// Visit the end-of-window poll's `(key, value)` pairs in
-    /// [`Self::dump`] order without materializing owned keys.
+    /// The end-of-window register poll: visit every `(key, value)`
+    /// pair without materializing owned keys.
     pub fn for_each(&self, f: impl FnMut(&[u64], u64)) {
         match self {
             RegisterState::Exact(r) => r.for_each(f),
@@ -729,7 +796,7 @@ pub fn collision_rate(n: usize, d: usize, keys: usize, seed: u64) -> f64 {
     if keys == 0 {
         return 0.0;
     }
-    let mut regs = HashRegisters::new(n.max(1), d, 32, 1);
+    let mut regs = HashRegisters::new(n.max(1), d, 32, &[64]);
     let mut shunted = 0usize;
     // Distinct synthetic keys; mix the seed in so repeated runs vary.
     for i in 0..keys {
@@ -748,7 +815,7 @@ mod tests {
 
     #[test]
     fn sum_aggregation_per_key() {
-        let mut r = HashRegisters::new(64, 2, 32, 1);
+        let mut r = HashRegisters::new(64, 2, 32, &[32]);
         let k1 = vec![1u64];
         let k2 = vec![2u64];
         assert_eq!(
@@ -776,7 +843,7 @@ mod tests {
 
     #[test]
     fn value_width_truncates() {
-        let mut r = HashRegisters::new(4, 1, 8, 1);
+        let mut r = HashRegisters::new(4, 1, 8, &[32]);
         let k = vec![1u64];
         r.update(&k, Agg::Sum, 250);
         let out = r.update(&k, Agg::Sum, 10);
@@ -796,7 +863,7 @@ mod tests {
         // One slot per array: the second distinct key must cascade,
         // the (d+1)-th must shunt.
         for d in 1..=4usize {
-            let mut r = HashRegisters::new(1, d, 32, 1);
+            let mut r = HashRegisters::new(1, d, 32, &[32]);
             let mut shunts = 0;
             for key in 0..(d as u64 + 1) {
                 if r.update(&[key], Agg::Count, 1) == RegOutcome::Shunted {
@@ -811,7 +878,7 @@ mod tests {
 
     #[test]
     fn shunted_key_stays_shunted_within_window() {
-        let mut r = HashRegisters::new(1, 1, 32, 1);
+        let mut r = HashRegisters::new(1, 1, 32, &[32]);
         assert!(matches!(
             r.update(&[1], Agg::Count, 1),
             RegOutcome::Updated { .. }
@@ -834,7 +901,7 @@ mod tests {
 
     #[test]
     fn dump_returns_all_pairs() {
-        let mut r = HashRegisters::new(128, 2, 32, 1);
+        let mut r = HashRegisters::new(128, 2, 32, &[32]);
         for k in 0..50u64 {
             r.update(&[k], Agg::Sum, k);
         }
@@ -848,7 +915,7 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let mut r = HashRegisters::new(1, 1, 32, 1);
+        let mut r = HashRegisters::new(1, 1, 32, &[32]);
         r.update(&[1], Agg::Count, 1);
         r.update(&[2], Agg::Count, 1); // shunt
         r.reset();
@@ -865,7 +932,7 @@ mod tests {
 
     #[test]
     fn distinct_via_bitor() {
-        let mut r = HashRegisters::new(64, 1, 1, 1);
+        let mut r = HashRegisters::set(64, 1, &[32]);
         let out1 = r.update(&[7], Agg::BitOr, 1);
         let out2 = r.update(&[7], Agg::BitOr, 1);
         assert!(matches!(
@@ -884,16 +951,27 @@ mod tests {
                 ..
             }
         ));
+        assert_eq!(r.dump(), vec![(vec![7], 1)]);
+        // One word per slot: the key, no value.
+        assert_eq!(r.bits(), 64 * 32 + 64);
     }
 
     #[test]
     fn multipart_keys_are_distinguished() {
-        let mut r = HashRegisters::new(256, 2, 32, 2);
+        // A 40-bit part takes two words: keys equal in their low 32
+        // bits stay apart.
+        let mut r = HashRegisters::new(256, 2, 32, &[32, 40]);
         r.update(&[1, 2], Agg::Count, 1);
         r.update(&[2, 1], Agg::Count, 1);
         r.update(&[1, 2], Agg::Count, 1);
+        r.update(&[1, 2 | 1 << 39], Agg::Count, 1);
         assert_eq!(r.read(&[1, 2]), Some(2));
         assert_eq!(r.read(&[2, 1]), Some(1));
+        assert_eq!(r.read(&[1, 2 | 1 << 39]), Some(1));
+        assert_eq!(r.bits(), 512 * 4 * 32 + 512);
+        // A 32-bit part holding a wider value is refused, not truncated.
+        let wider = std::panic::catch_unwind(move || r.update(&[1 << 32, 0], Agg::Count, 1));
+        assert!(wider.is_err());
     }
 
     #[test]

@@ -267,6 +267,9 @@ struct BatchScratch {
     /// selected lane.
     key_lanes: Vec<Vec<u64>>,
     operand_lanes: Vec<u64>,
+    /// Array-0 slot of each selected lane's key, hashed before the
+    /// exact register's probe loop.
+    slots: Vec<u32>,
     /// Operand staging for clauses that are not a bare column.
     bufs: [Vec<u64>; 2],
     /// Expression evaluation stack.
@@ -351,44 +354,78 @@ impl Switch {
         let mut order: Vec<usize> = (0..program.tables.len()).collect();
         order.sort_by_key(|&i| (program.tables[i].stage, i));
         // Which aggregation / distinct mode drives each register —
-        // count-min only fits monotone aggs, Bloom only distinct.
-        let mut reg_mode: HashMap<RegId, (sonata_query::Agg, bool)> = HashMap::new();
+        // count-min only fits monotone aggs, Bloom only distinct, and
+        // an exact `distinct` of the constant 1 is a key-only set.
+        let mut reg_mode: HashMap<RegId, (sonata_query::Agg, bool, bool)> = HashMap::new();
         for t in &program.tables {
             if let TableKind::Update {
-                reg, agg, distinct, ..
+                reg,
+                agg,
+                distinct,
+                operand,
+                ..
             } = &t.kind
             {
-                reg_mode.insert(*reg, (*agg, *distinct));
+                let set = *distinct && *agg == Agg::BitOr && *operand == PhvExpr::Const(1);
+                reg_mode.insert(*reg, (*agg, *distinct, set));
             }
         }
-        // Key arity per register, from its Hash table: exact registers
-        // lay their slots out flat at load.
+        // Key expressions per register, from its Hash table. Exact
+        // registers lay their slots out at the parts' declared widths:
+        // a field's fixed width, a metadata slot's declared bits.
         let mut reg_keys = HashMap::new();
         for t in &program.tables {
             if let TableKind::Hash { reg, key } = &t.kind {
                 reg_keys.insert(*reg, key.clone());
             }
         }
+        let meta_bits: HashMap<_, _> = (program.meta_fields.iter())
+            .flat_map(|(_, fields)| fields.iter().map(|f| (f.slot, f.bits)))
+            .collect();
+        let part_bits = |e: &PhvExpr| match e {
+            PhvExpr::Field(f) => f.width().fixed().unwrap_or(64),
+            PhvExpr::Meta(m) => meta_bits.get(m).copied().unwrap_or(64),
+            _ => 64,
+        };
         let mut registers = Vec::with_capacity(program.registers.len());
         let mut reg_index = HashMap::new();
         let mut obs_handle = SwitchObs::new(obs.clone(), &program.tasks);
         for r in &program.registers {
             let idx = registers.len();
             reg_index.insert(r.id, idx);
-            let (agg, distinct) = reg_mode
-                .get(&r.id)
-                .copied()
-                .unwrap_or((sonata_query::Agg::Sum, false));
+            let (agg, distinct, set) =
+                reg_mode
+                    .get(&r.id)
+                    .copied()
+                    .unwrap_or((sonata_query::Agg::Sum, false, false));
             let layout = sketch.effective_layout(r.layout, distinct, agg);
             let seed = reg_seed(idx);
+            // From the register's own task's Hash table, not `reg_keys`:
+            // where two tasks share a register (a merge the lowering
+            // rejects with its own message), that holds the other's key.
+            let widths: Vec<u32> = (program.tables.iter())
+                .find_map(|t| match &t.kind {
+                    TableKind::Hash { reg, key } if *reg == r.id && t.task == r.task => {
+                        Some(key.iter().map(part_bits).collect())
+                    }
+                    _ => None,
+                })
+                .unwrap_or_default();
             let state =
                 match layout {
-                    StateLayout::Exact => RegisterState::Exact(HashRegisters::new(
-                        r.slots,
-                        r.arrays,
-                        r.value_bits,
-                        reg_keys.get(&r.id).map_or(0, Vec::len),
-                    )),
+                    StateLayout::Exact => {
+                        debug_assert_eq!(
+                            widths.iter().sum::<u32>(),
+                            r.key_bits,
+                            "register r{} key widths",
+                            r.id.0
+                        );
+                        RegisterState::Exact(if set && r.value_bits == 1 {
+                            HashRegisters::set(r.slots, r.arrays, &widths)
+                        } else {
+                            HashRegisters::new(r.slots, r.arrays, r.value_bits, &widths)
+                        })
+                    }
                     StateLayout::CountMin => RegisterState::CountMin(CmRegisters::new(
                         r.slots,
                         r.arrays.max(2),
@@ -822,20 +859,20 @@ impl Switch {
                             );
                             shunts.push((pkt, s as u32));
                         };
-                        let sel = &mut sc.sel;
+                        let (sel, slots) = (&mut sc.sel, &mut sc.slots);
                         match (&mut registers[*reg_idx], keys.len()) {
-                            (RegisterState::Exact(r), 1) => {
-                                exact_lanes::<1>(r, parts, op, *agg, sel, *distinct, on_shunt)
-                            }
-                            (RegisterState::Exact(r), 2) => {
-                                exact_lanes::<2>(r, parts, op, *agg, sel, *distinct, on_shunt)
-                            }
-                            (RegisterState::Exact(r), 3) => {
-                                exact_lanes::<3>(r, parts, op, *agg, sel, *distinct, on_shunt)
-                            }
-                            (RegisterState::Exact(r), 4) => {
-                                exact_lanes::<4>(r, parts, op, *agg, sel, *distinct, on_shunt)
-                            }
+                            (RegisterState::Exact(r), 1) => exact_lanes::<1>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
+                            (RegisterState::Exact(r), 2) => exact_lanes::<2>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
+                            (RegisterState::Exact(r), 3) => exact_lanes::<3>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
+                            (RegisterState::Exact(r), 4) => exact_lanes::<4>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
                             (state, _) => {
                                 let key = &mut sc.key;
                                 update_lanes(
@@ -952,11 +989,13 @@ impl Switch {
                     dump.suppressed += 1;
                     return;
                 }
-                // A key narrower than its names reads as zero.
+                // A key narrower than its names reads as zero. Parts are
+                // pushed one by one: a block copy of the key buffer
+                // `for_each` has just written stalls on store forwarding.
                 let row = block.cells.len();
-                block
-                    .cells
-                    .extend_from_slice(&key[..key.len().min(key_width)]);
+                for &part in key.iter().take(key_width) {
+                    block.cells.push(part);
+                }
                 block.cells.resize(row + key_width, 0);
                 if has_value {
                     block.cells.push(value);
@@ -1184,22 +1223,31 @@ fn update_lanes(
     sel.truncate(kept);
 }
 
-/// [`update_lanes`] against an exact register whose key width `K` is
-/// a compile-time constant: hashing and the stored-key compare unroll.
+/// [`update_lanes`] against an exact register whose key arity `K` is
+/// a compile-time constant, in two passes: every lane's array-0 slot
+/// is hashed into `slots` first, so the probe loop carries no hash
+/// arithmetic unless a key collides in array 0.
+#[allow(clippy::too_many_arguments)]
 fn exact_lanes<const K: usize>(
     r: &mut HashRegisters,
     parts: &[Vec<u64>],
     op: &[u64],
     agg: Agg,
     sel: &mut Vec<u32>,
+    slots: &mut Vec<u32>,
     distinct: bool,
     on_shunt: impl FnMut(u32),
 ) {
-    let parts: [&[u64]; K] = std::array::from_fn(|p| parts[p].as_slice());
+    assert_eq!(r.key_parts(), K, "register key arity");
+    let parts: [&[u64]; K] = std::array::from_fn(|p| &parts[p][..sel.len()]);
+    let key = |k: usize| std::array::from_fn::<_, K, _>(|p| parts[p][k]);
+    slots.clear();
+    slots.extend((0..sel.len()).map(|k| r.slot(&key(k)) as u32));
+    let op = &op[..sel.len()];
     update_lanes(
         sel,
         distinct,
-        |k| r.update(&std::array::from_fn::<_, K, _>(|p| parts[p][k]), agg, op[k]),
+        |k| r.update_at(slots[k] as usize, &key(k), agg, op[k]),
         on_shunt,
     );
 }
@@ -2117,5 +2165,55 @@ mod tests {
                 assert_eq!(snap.counter(&key), Some(want), "{key}");
             }
         }
+    }
+
+    /// The resource model describes the simulation: every exact
+    /// register of the top-8 queries, refined to each level and
+    /// unrefined, holds per slot less than one 32-bit word per stored
+    /// word more than the `key_bits + value_bits` it is charged.
+    #[test]
+    fn registers_hold_the_bits_the_resource_model_charges() {
+        use crate::compile::{max_switch_units, table_specs};
+        use sonata_planner::refine::refine_query;
+        let sizing = RegisterSizing {
+            slots: 4096,
+            arrays: 2,
+            ..Default::default()
+        };
+        let (mut simulated, mut charged) = (0u64, 0u64);
+        for q in catalog::top8(&Thresholds::default()) {
+            let refined = [8, 16, 24, 32].map(|l| refine_query(&q, l, None));
+            for q in refined.iter().chain([&q]) {
+                let right = q.join.as_ref().map(|j| &j.right);
+                for pipeline in std::iter::once(&q.pipeline).chain(right) {
+                    let specs = table_specs(pipeline);
+                    let k = max_switch_units(&specs);
+                    let stages: Vec<usize> = (specs.iter().take(k))
+                        .scan(0, |at, s| Some(std::mem::replace(at, *at + s.stage_cost)))
+                        .collect();
+                    let stateful = specs.iter().take(k).filter(|s| s.stateful).count();
+                    let cp =
+                        compile_pipeline(pipeline, t(1), &stages, &vec![sizing; stateful], 0, 0)
+                            .unwrap();
+                    let sw = Switch::load(cp.fragment, &SwitchConstraints::default()).unwrap();
+                    for (decl, state) in sw.program.registers.iter().zip(&sw.registers) {
+                        let RegisterState::Exact(r) = state else {
+                            unreachable!("the default layout is exact")
+                        };
+                        let slots = (decl.slots * decl.arrays) as u64;
+                        let want = (decl.key_bits + decl.value_bits) as u64;
+                        let (bits, words) = (r.bits(), r.bits() / slots / 32);
+                        assert!(bits < slots * (want + 32 * words), "{} {decl:?}", q.name);
+                        assert!(bits * 100 <= slots * want * 135, "{} {decl:?}", q.name);
+                        (simulated, charged) = (simulated + bits, charged + slots * want);
+                    }
+                }
+            }
+        }
+        let ratio = simulated as f64 / charged as f64;
+        assert!(
+            (1.0..1.10).contains(&ratio),
+            "simulated / charged = {ratio:.3}"
+        );
     }
 }

@@ -383,56 +383,97 @@ proptest! {
 
     #[test]
     fn flat_registers_replay_the_slot_map_model(
-        (width, d, slots) in (1usize..5, 1usize..9, 1usize..24),
-        ops in proptest::collection::vec((proptest::collection::vec(0u64..6, 4), 0u64..9), 0..300),
+        (widths, d, slots) in (proptest::collection::vec(1u32..=64, 1..5), 1usize..9, 1usize..24),
+        (shape, agg, batch, pairs) in (0usize..4, 0usize..5, 1usize..12, 1usize..=64),
+        raw in proptest::collection::vec(any::<u64>(), 64 * 4),
+        ops in proptest::collection::vec((0usize..1 << 16, any::<u64>()), 0..300),
     ) {
         // Model: slot index → (key, value), probed through the same
-        // hash in array order. Every outcome, the dump order (slot
-        // order) and the occupancy must match.
-        let mut regs = HashRegisters::new(slots, d, 8, width);
+        // hash in array order. Keys span each part's declared width
+        // (1..=64 bits); an odd pool key differs from the one before it
+        // only in its parts' top declared bit, so a part stored
+        // narrower than declared aliases two keys. The pool holds up
+        // to 128 keys against at most 23 × 8 slots, so tables fill and
+        // keys shunt at every `d`. Shape 0 is a `distinct` set, shapes
+        // 1–3 hold 1-, 8- and 32-bit values.
+        let (value_bits, set) = [(1, true), (1, false), (8, false), (32, false)][shape];
+        let agg = if set {
+            Agg::BitOr
+        } else {
+            [Agg::Sum, Agg::Count, Agg::Max, Agg::Min, Agg::BitOr][agg]
+        };
+        let mask = |bits: u32| u64::MAX >> (64 - bits);
+        let pool: Vec<Vec<u64>> = (0..2 * pairs)
+            .map(|i| {
+                (widths.iter().enumerate())
+                    .map(|(p, &w)| {
+                        let even = raw[i / 2 * 4 + p] & mask(w);
+                        if i % 2 == 1 { even ^ 1 << (w - 1) } else { even }
+                    })
+                    .collect()
+            })
+            .collect();
+        let build = || if set {
+            HashRegisters::set(slots, d, &widths)
+        } else {
+            HashRegisters::new(slots, d, value_bits, &widths)
+        };
+        // `update` one op at a time; the batch kernel's two passes
+        // (every lane's array-0 slot, then the probes) per batch.
+        let (mut one, mut two) = (build(), build());
         let mut model: HashMap<usize, (Vec<u64>, u64)> = HashMap::new();
         let mut shunted = 0u64;
-        for (parts, operand) in &ops {
-            let key = &parts[..width];
-            let mut want = RegOutcome::Shunted;
-            for a in 0..d {
-                let slot = hash_slot(a, key, slots);
-                match model.get_mut(&slot) {
-                    None => {
-                        model.insert(slot, (key.to_vec(), *operand));
-                        want = RegOutcome::Updated {
-                            first_touch: true,
-                            new_value: *operand,
-                            old_value: 0,
-                        };
-                        break;
+        let key_of = |i: usize| &pool[i % pool.len()][..];
+        for batch in ops.chunks(batch) {
+            let slots_of: Vec<usize> = batch.iter().map(|(i, _)| two.slot(key_of(*i))).collect();
+            for ((i, operand), &slot) in batch.iter().zip(&slots_of) {
+                let (key, operand) = (key_of(*i), if set { 1 } else { *operand });
+                let mut want = RegOutcome::Shunted;
+                for a in 0..d {
+                    let slot = hash_slot(a, key, slots);
+                    match model.get_mut(&slot) {
+                        None => {
+                            let v = agg.init(operand) & mask(value_bits);
+                            model.insert(slot, (key.to_vec(), v));
+                            want = RegOutcome::Updated {
+                                first_touch: true,
+                                new_value: v,
+                                old_value: 0,
+                            };
+                            break;
+                        }
+                        Some((k, v)) if k == key => {
+                            let old = *v;
+                            *v = agg.fold(old, operand) & mask(value_bits);
+                            want = RegOutcome::Updated {
+                                first_touch: false,
+                                new_value: *v,
+                                old_value: old,
+                            };
+                            break;
+                        }
+                        Some(_) => {}
                     }
-                    Some((k, v)) if k == key => {
-                        let old = *v;
-                        *v = old.wrapping_add(*operand) & 0xff;
-                        want = RegOutcome::Updated {
-                            first_touch: false,
-                            new_value: *v,
-                            old_value: old,
-                        };
-                        break;
-                    }
-                    Some(_) => {}
                 }
+                shunted += (want == RegOutcome::Shunted) as u64;
+                prop_assert_eq!(one.update(key, agg, operand), want);
+                prop_assert_eq!(two.update_at(slot, key, agg, operand), want);
+                let value = model.values().find(|(k, _)| k == key).map(|e| e.1);
+                prop_assert_eq!(one.read(key), value);
+                prop_assert_eq!(two.read(key), value);
             }
-            shunted += (want == RegOutcome::Shunted) as u64;
-            prop_assert_eq!(regs.update(key, Agg::Sum, *operand), want);
-            prop_assert_eq!(regs.read(key), model.values().find(|(k, _)| k == key).map(|e| e.1));
         }
         let mut want: Vec<(usize, (Vec<u64>, u64))> = model.into_iter().collect();
         want.sort();
         let want: Vec<(Vec<u64>, u64)> = want.into_iter().map(|(_, e)| e).collect();
-        prop_assert_eq!(regs.occupancy(), want.len());
-        prop_assert_eq!(regs.dump(), want);
-        prop_assert_eq!(regs.shunted_packets(), shunted);
-        regs.reset();
-        prop_assert_eq!(regs.occupancy(), 0);
-        prop_assert!(regs.dump().is_empty());
+        for regs in [&mut one, &mut two] {
+            prop_assert_eq!(regs.occupancy(), want.len());
+            prop_assert_eq!(&regs.dump(), &want);
+            prop_assert_eq!(regs.shunted_packets(), shunted);
+            regs.reset();
+            prop_assert_eq!(regs.occupancy(), 0);
+            prop_assert!(regs.dump().is_empty());
+        }
     }
 
 }
@@ -475,7 +516,7 @@ proptest! {
     ) {
         // Model check: for every key, register count + shunt count
         // equals its true frequency.
-        let mut regs = HashRegisters::new(slots, d, 32, 1);
+        let mut regs = HashRegisters::new(slots, d, 32, &[32]);
         let mut truth: std::collections::HashMap<u64, u64> = Default::default();
         let mut shunted: std::collections::HashMap<u64, u64> = Default::default();
         for &k in &keys {

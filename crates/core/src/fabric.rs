@@ -57,7 +57,7 @@ use sonata_obs::{
     Counter, EventKind, FabricSnapshot, Gauge, Histogram, ObsHandle, Stage, StageTimer,
     TraceContext,
 };
-use sonata_packet::{Packet, PacketArena, Value};
+use sonata_packet::{ArenaBatch, Packet, Value};
 use sonata_pisa::{
     ControlOp, PisaProgram, ReportBatch, ReportKind, SketchBound, Switch, TaskId, UpdateCostModel,
     WindowDump,
@@ -191,15 +191,13 @@ struct FabricSwitch {
     link: SwitchEndpoint,
 }
 
-/// How a switch takes in a window. The window's packets are laid into
-/// the packet arena once; then the whole window runs as one
+/// How a switch takes in a window. The switch reads the window's
+/// packets where they lie, each through its cached encoding
+/// ([`ArenaBatch::of_packets`]): the whole window runs as one
 /// [`Switch::process_batch`] and ships as report blocks, or, under
 /// [`RuntimeConfig::oracle`], each packet runs through
 /// [`Switch::process_reference`] and ships its reports one frame each.
 struct Ingest {
-    /// Window packet arena, rebuilt in place per window (allocations
-    /// retained across windows).
-    arena: PacketArena,
     /// Report arena filled by [`Switch::process_batch`], reused across
     /// windows.
     reports: ReportBatch,
@@ -210,7 +208,6 @@ struct Ingest {
 impl Ingest {
     fn new(oracle: bool) -> Self {
         Ingest {
-            arena: PacketArena::new(),
             reports: ReportBatch::new(),
             oracle,
         }
@@ -227,8 +224,7 @@ impl Ingest {
         packets: &[Packet],
         mut pump: impl FnMut() -> Result<(), RuntimeError>,
     ) -> Result<(), RuntimeError> {
-        self.arena.rebuild_from_packets(packets);
-        let batch = self.arena.batch();
+        let batch = ArenaBatch::of_packets(packets);
         if self.oracle {
             for view in batch.iter() {
                 link.send_packet_reports(switch.process_reference(view))?;

@@ -186,7 +186,7 @@ impl SwitchEndpoint {
     }
 
     /// Ship a whole batch's reports, straight from the report batch
-    /// and the packet arena it was produced from, calling `pump` after
+    /// and the packet batch it was produced from, calling `pump` after
     /// every send so a single-threaded driver's collector keeps
     /// draining. Fault-free windows ship [`Frame::ReportBlocks`] chunks
     /// of [`CHUNK_BYTES`]; with the fault seam on, every packet — even
@@ -196,19 +196,19 @@ impl SwitchEndpoint {
     pub fn send_batch_reports<E: From<NetError>>(
         &mut self,
         reports: &ReportBatch,
-        arena: ArenaBatch<'_>,
+        batch: ArenaBatch<'_>,
         mut pump: impl FnMut() -> Result<(), E>,
     ) -> Result<(), E> {
         if self.faults.is_enabled() {
             for i in 0..reports.packets() {
-                let fresh = reports.packet_reports(i, arena);
+                let fresh = reports.packet_reports(i, batch);
                 self.send_packet_reports(fresh.map(|r| r.to_report()).collect())?;
                 pump()?;
             }
             return Ok(());
         }
         let mut next = 0;
-        while let Some((chunk, after)) = reports.chunk(next, arena, CHUNK_BYTES) {
+        while let Some((chunk, after)) = reports.chunk(next, batch, CHUNK_BYTES) {
             self.send(Frame::ReportBlocks(chunk))?;
             pump()?;
             next = after;

@@ -8,8 +8,13 @@
 //! be built either from owned [`Packet`]s or decoded straight out of
 //! the binary trace-file format without materializing owned packets.
 //!
+//! An [`ArenaBatch`] is one window of packets as the switch reads
+//! them: a range of an arena, or a window of owned packets viewed in
+//! place through their cached encodings ([`ArenaBatch::of_packets`],
+//! the drivers' form — no per-window copy).
+//!
 //! [`PacketView`] is the borrowed counterpart of [`Packet`]: a slice
-//! into the arena plus a timestamp. It parses headers *lazily* through
+//! of wire bytes plus a timestamp. It parses headers *lazily* through
 //! the [`crate::wire`] views — no `Bytes` clone, no header enum
 //! materialization until a field is actually read. The PISA switch
 //! parses these slices with its reconfigurable parser — into a column
@@ -88,7 +93,10 @@ impl PacketArena {
     }
 
     /// Rebuild this arena in place from `packets`, reusing the buffer
-    /// and index allocations from a previous window.
+    /// and index allocations from a previous window. The drivers no
+    /// longer copy a window into an arena — they read it in place
+    /// through [`ArenaBatch::of_packets`]; this remains for the bench
+    /// harness's staged shadow, which times that copy.
     pub fn rebuild_from_packets(&mut self, packets: &[Packet]) {
         self.bytes.clear();
         self.index.clear();
@@ -140,18 +148,12 @@ impl PacketArena {
 
     /// A batch spanning the whole arena.
     pub fn batch(&self) -> ArenaBatch<'_> {
-        ArenaBatch {
-            bytes: &self.bytes,
-            index: &self.index,
-        }
+        self.range_batch(0, self.len())
     }
 
     /// A batch spanning packets `[lo, hi)`.
     pub fn range_batch(&self, lo: usize, hi: usize) -> ArenaBatch<'_> {
-        ArenaBatch {
-            bytes: &self.bytes,
-            index: &self.index[lo..hi],
-        }
+        ArenaBatch(Source::Arena(&self.bytes, &self.index[lo..hi]))
     }
 
     /// Iterate non-empty tumbling windows of `window_ms` milliseconds,
@@ -177,52 +179,62 @@ impl PacketArena {
     }
 }
 
-/// A borrowed slice of a [`PacketArena`]: the shared byte buffer plus
-/// a sub-range of the index table. This is the unit the batch executor
-/// consumes — one window's packets, no copies.
+/// One window's packets as the batch executor consumes them: a
+/// sub-range of a [`PacketArena`], or owned [`Packet`]s read in place
+/// through their cached encodings ([`Self::of_packets`]). Either way a
+/// view is the packet's wire bytes where they already lie — no copies.
 #[derive(Debug, Clone, Copy)]
-pub struct ArenaBatch<'a> {
-    bytes: &'a [u8],
-    index: &'a [ArenaIndex],
+pub struct ArenaBatch<'a>(Source<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum Source<'a> {
+    /// The arena buffer plus a sub-range of its index table.
+    Arena(&'a [u8], &'a [ArenaIndex]),
+    /// Owned packets, each viewed as its cached encoding.
+    Packets(&'a [Packet]),
 }
 
 impl<'a> ArenaBatch<'a> {
-    /// Assemble a batch from raw parts (the buffer and an index slice
-    /// whose entries must lie within it).
-    pub fn from_parts(bytes: &'a [u8], index: &'a [ArenaIndex]) -> Self {
-        ArenaBatch { bytes, index }
+    /// A batch over `packets`, read in place: packet `i`'s view is its
+    /// cached encoding (encoded on first read where cold) and its
+    /// timestamp — the very bytes [`PacketArena::from_packets`] would
+    /// copy. Debug builds check the framing and re-check bytes that
+    /// packets share ([`Packet::share`]) against their fields here,
+    /// once per packet, rather than at every view.
+    pub fn of_packets(packets: &'a [Packet]) -> Self {
+        if cfg!(debug_assertions) {
+            for p in packets {
+                debug_assert!(p.eth.is_none(), "arena ingest requires IPv4-first framing");
+                p.encode_cached();
+            }
+        }
+        ArenaBatch(Source::Packets(packets))
     }
 
     /// Number of packets in the batch.
     #[inline]
     pub fn len(&self) -> usize {
-        self.index.len()
+        match self.0 {
+            Source::Arena(_, index) => index.len(),
+            Source::Packets(packets) => packets.len(),
+        }
     }
 
     /// True when the batch holds no packets.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The shared arena buffer (offsets in the index are relative to
-    /// this slice).
-    #[inline]
-    pub fn bytes(&self) -> &'a [u8] {
-        self.bytes
-    }
-
-    /// The index entries of this batch.
-    pub fn index(&self) -> &'a [ArenaIndex] {
-        self.index
+        self.len() == 0
     }
 
     /// Borrowed view of packet `i` within the batch.
     #[inline]
     pub fn view(&self, i: usize) -> PacketView<'a> {
-        let e = &self.index[i];
-        PacketView {
-            bytes: &self.bytes[e.offset as usize..e.offset as usize + e.len as usize],
-            ts_nanos: e.ts_nanos,
+        match self.0 {
+            Source::Arena(bytes, index) => {
+                let e = &index[i];
+                let at = e.offset as usize;
+                PacketView::new(&bytes[at..at + e.len as usize], e.ts_nanos)
+            }
+            Source::Packets(packets) => PacketView::new(packets[i].cached(), packets[i].ts_nanos),
         }
     }
 
@@ -247,6 +259,7 @@ pub struct PacketView<'a> {
 
 impl<'a> PacketView<'a> {
     /// Wrap `bytes` (IPv4-first wire bytes) captured at `ts_nanos`.
+    #[inline]
     pub fn new(bytes: &'a [u8], ts_nanos: u64) -> Self {
         PacketView { bytes, ts_nanos }
     }
@@ -430,6 +443,22 @@ mod tests {
         assert_eq!(arena.len(), 2);
         assert!(arena.bytes.capacity() >= cap_bytes.min(arena.total_bytes()));
         assert_eq!(arena.view(0).bytes(), pkts[0].encode().as_slice());
+    }
+
+    #[test]
+    fn packet_batches_view_what_the_arena_copies() {
+        let pkts = sample_packets();
+        for window in [&pkts[..], &pkts[1..], &pkts[..0]] {
+            let arena = PacketArena::from_packets(window);
+            let (copied, in_place) = (arena.batch(), ArenaBatch::of_packets(window));
+            assert_eq!(in_place.len(), copied.len());
+            assert_eq!(in_place.is_empty(), window.is_empty());
+            for (a, b) in in_place.iter().zip(copied.iter()) {
+                assert_eq!(a.bytes(), b.bytes());
+                assert_eq!(a.ts_nanos(), b.ts_nanos());
+                assert_eq!(a.wire_len(), b.wire_len());
+            }
+        }
     }
 
     #[test]

@@ -58,15 +58,16 @@ pub struct Packet {
 
 /// Lazily-populated cache of a packet's encoded wire bytes.
 ///
-/// Several call sites re-encode the same packet (every replay's arena
-/// build, the fabric's partition, tests); the cache makes the second and
+/// Several call sites re-encode the same packet (every replay's window
+/// batch, the fabric's partition, tests); the cache makes the second and
 /// later encodes free. It is deliberately *not* part of the packet's
 /// identity: clones start cold (a clone may be mutated before its next
 /// encode), equality ignores it, and it is only ever populated through
-/// [`Packet::encode_cached`], which callers use solely on packets that
-/// are no longer mutated. [`Packet::share`] is the one clone that
-/// carries the bytes along, on the caller's word that it will not
-/// mutate the copy.
+/// [`Packet::encode_cached`] and the views of
+/// [`crate::ArenaBatch::of_packets`], which callers use solely on
+/// packets that are no longer mutated. [`Packet::share`] is the one
+/// clone that carries the bytes along, on the caller's word that it
+/// will not mutate the copy.
 #[derive(Default)]
 struct EncodedCache(std::sync::OnceLock<Arc<[u8]>>);
 
@@ -139,7 +140,7 @@ impl Packet {
     /// never invalidated in place. Clones start cold, so the usual
     /// clone-then-tweak patterns stay safe.
     pub fn encode_cached(&self) -> &[u8] {
-        let bytes = self.encoded.0.get_or_init(|| self.encode().into());
+        let bytes = self.cached();
         // Bytes two packets hold ([`Packet::share`]) are re-checked
         // against the fields at every use.
         debug_assert!(
@@ -147,6 +148,15 @@ impl Packet {
             "a packet sharing its encoded bytes was mutated before it was encoded"
         );
         bytes
+    }
+
+    /// The cached wire bytes, encoded on first use, without
+    /// [`Self::encode_cached`]'s debug re-check of shared bytes: for
+    /// [`crate::ArenaBatch::of_packets`], which runs that check once per
+    /// packet and then reads each packet several times.
+    #[inline]
+    pub(crate) fn cached(&self) -> &Arc<[u8]> {
+        self.encoded.0.get_or_init(|| self.encode().into())
     }
 
     /// A clone that shares this packet's encoded bytes (encoding them

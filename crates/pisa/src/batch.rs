@@ -287,7 +287,7 @@ impl ReportBatch {
         let (bytes_ride, mut cost) = (u64::from(self.mask & LAZY_FIELDS != 0), 0);
         let columns = 4 * (self.mask & !LAZY_FIELDS).count_ones() as u64;
         for_each_bit(&self.carried_bits, |i| {
-            cost += columns + bytes_ride * (batch.index()[i].len as u64 + 12);
+            cost += columns + bytes_ride * (batch.view(i).wire_len() as u64 + 12);
             self.carried.push(i as u32);
             self.carried_cost.push(cost);
         });

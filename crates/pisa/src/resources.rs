@@ -241,6 +241,14 @@ pub enum ResourceError {
         /// The `M` limit.
         limit: u64,
     },
+    /// An exact register declares values wider than the 32-bit word
+    /// its slots hold them in.
+    RegisterValueWidth {
+        /// Register id.
+        register: u32,
+        /// Its declared value width in bits.
+        bits: u32,
+    },
     /// A task's tables are not in strictly increasing stages.
     StageOrder {
         /// The offending table.
@@ -285,6 +293,9 @@ impl fmt::Display for ResourceError {
             }
             ResourceError::Metadata { used, limit } => {
                 write!(f, "metadata uses {used} bits, PHV budget {limit}")
+            }
+            ResourceError::RegisterValueWidth { register, bits } => {
+                write!(f, "register {register} has {bits}-bit values, max 32")
             }
             ResourceError::StageOrder {
                 table,
@@ -502,6 +513,25 @@ mod tests {
             SwitchConstraints::default().check(&p),
             Err(ResourceError::StageOrder { .. })
         ));
+    }
+
+    #[test]
+    fn over_wide_exact_register_is_refused_at_load() {
+        let mut wide = register(0, 0, 10);
+        wide.value_bits = 40;
+        let p = PisaProgram {
+            registers: vec![wide],
+            tasks: vec![task()],
+            ..Default::default()
+        };
+        let err = crate::switch::Switch::load(p, &SwitchConstraints::default()).err();
+        assert_eq!(
+            err,
+            Some(ResourceError::RegisterValueWidth {
+                register: 0,
+                bits: 40
+            })
+        );
     }
 
     #[test]

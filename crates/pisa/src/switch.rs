@@ -22,7 +22,7 @@
 
 use crate::batch::{ReportBatch, ReportBlock, ReportChunk};
 use crate::exec::{DynSet, ExecPlan, FlatReport, Lane, LeadFilter, StepKind};
-use crate::ir::{PhvExpr, PisaProgram, RegId, ReportMode, Table, TableKind, TaskId};
+use crate::ir::{PhvExpr, PisaProgram, RegId, RegisterDecl, ReportMode, Table, TableKind, TaskId};
 use crate::parser;
 use crate::phv::Phv;
 use crate::registers::{
@@ -370,6 +370,17 @@ impl Switch {
                 reg_mode.insert(*reg, (*agg, *distinct, set));
             }
         }
+        let mode = |r: &RegId| (reg_mode.get(r).copied()).unwrap_or((Agg::Sum, false, false));
+        let layout_of = |r: &RegisterDecl| {
+            let (agg, distinct, _) = mode(&r.id);
+            sketch.effective_layout(r.layout, distinct, agg)
+        };
+        // Exact cells hold a value in one 32-bit word.
+        let wide = |r: &&RegisterDecl| r.value_bits > 32 && layout_of(r) == StateLayout::Exact;
+        if let Some(r) = program.registers.iter().find(wide) {
+            let (register, bits) = (r.id.0, r.value_bits);
+            return Err(ResourceError::RegisterValueWidth { register, bits });
+        }
         // Key expressions per register, from its Hash table. Exact
         // registers lay their slots out at the parts' declared widths:
         // a field's fixed width, a metadata slot's declared bits.
@@ -393,12 +404,7 @@ impl Switch {
         for r in &program.registers {
             let idx = registers.len();
             reg_index.insert(r.id, idx);
-            let (agg, distinct, set) =
-                reg_mode
-                    .get(&r.id)
-                    .copied()
-                    .unwrap_or((sonata_query::Agg::Sum, false, false));
-            let layout = sketch.effective_layout(r.layout, distinct, agg);
+            let (set, layout) = (mode(&r.id).2, layout_of(r));
             let seed = reg_seed(idx);
             // From the register's own task's Hash table, not `reg_keys`:
             // where two tasks share a register (a merge the lowering

@@ -5,18 +5,21 @@
 //!   tree-walking reference run packet by packet, and its chunks carry
 //!   each mirrored packet as exactly the fields of the program's mirror
 //!   mask;
+//! * the same window's well-formed records, as owned packets read in
+//!   place, give the blocks, reports and chunks of the arena copied
+//!   from them;
 //! * garbage bytes never panic either entry;
 //! * register invariants hold under arbitrary key streams, and the
 //!   flat register layout replays a slot-map model step for step.
 
 use proptest::prelude::*;
 use sonata_packet::wire::ALL_FIELDS;
-use sonata_packet::{Field, PacketArena, PacketBuilder, TcpFlags, Value};
+use sonata_packet::{ArenaBatch, Field, Packet, PacketArena, PacketBuilder, TcpFlags, Value};
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::registers::{HashRegisters, RegOutcome};
 use sonata_pisa::{
-    PisaProgram, Report, ReportBatch, ReportBlock, ReportKind, Switch, SwitchConstraints,
-    TableKind, TaskId,
+    PisaProgram, Report, ReportBatch, ReportBlock, ReportChunk, ReportKind, Switch,
+    SwitchConstraints, TableKind, TaskId,
 };
 use sonata_planner::refine::refine_query;
 use sonata_query::catalog::{self, Thresholds};
@@ -232,6 +235,50 @@ fn shipped_rows(chunk: &sonata_pisa::ReportChunk) -> Vec<Shipped> {
     rows.collect()
 }
 
+fn chunks(out: &ReportBatch, batch: ArenaBatch<'_>, budget: usize) -> Vec<ReportChunk> {
+    let mut at = 0;
+    std::iter::from_fn(|| {
+        let (chunk, next) = out.chunk(at, batch, budget)?;
+        at = next;
+        Some(chunk)
+    })
+    .collect()
+}
+
+/// Run a window's well-formed records as owned packets (a malformed
+/// record has no owned form) through `copied` over an arena built from
+/// them, and — shared, as a fabric deals them out — through `in_place`
+/// over the packets themselves. The two must agree on blocks,
+/// per-packet reports, chunks and the window's dump.
+fn in_place_matches_arena(
+    (copied, in_place): (&mut Switch, &mut Switch),
+    records: &[Vec<u8>],
+    budget: usize,
+) -> Result<(), TestCaseError> {
+    let pkts: Vec<Packet> = (records.iter().enumerate())
+        .filter_map(|(i, r)| {
+            let mut p = Packet::decode(r).ok()?;
+            p.ts_nanos = i as u64;
+            Some(p)
+        })
+        .collect();
+    let shared: Vec<Packet> = pkts.iter().map(Packet::share).collect();
+    let arena = PacketArena::from_packets(&pkts);
+    let (a, b) = (arena.batch(), ArenaBatch::of_packets(&shared));
+    let (mut out_a, mut out_b) = (ReportBatch::new(), ReportBatch::new());
+    copied.process_batch(&a, &mut out_a);
+    in_place.process_batch(&b, &mut out_b);
+    prop_assert_eq!(out_a.blocks(), out_b.blocks());
+    for i in 0..pkts.len() {
+        let got = out_b.packet_reports(i, b).map(|r| r.to_report());
+        let want = out_a.packet_reports(i, a).map(|r| r.to_report());
+        prop_assert_eq!(got.collect::<Vec<_>>(), want.collect::<Vec<_>>());
+    }
+    prop_assert_eq!(chunks(&out_b, b, budget), chunks(&out_a, a, budget));
+    prop_assert_eq!(in_place.end_window(), copied.end_window());
+    Ok(())
+}
+
 fn hash_slot(seed_idx: usize, key: &[u64], slots: usize) -> usize {
     // The register hash as documented in `registers.rs`, with the
     // slot picked by a plain remainder.
@@ -270,10 +317,13 @@ proptest! {
             ..SwitchConstraints::default()
         };
         let mut oracle = Switch::load(program.clone(), &constraints).unwrap();
-        let mut batched = Switch::load(program, &constraints).unwrap();
+        let mut batched = Switch::load(program.clone(), &constraints).unwrap();
+        let mut copied = Switch::load(program.clone(), &constraints).unwrap();
+        let mut in_place = Switch::load(program, &constraints).unwrap();
         // A fabric switch defers every threshold to the collector.
-        oracle.set_defer_dump_thresholds(defer);
-        batched.set_defer_dump_thresholds(defer);
+        for sw in [&mut oracle, &mut batched, &mut copied, &mut in_place] {
+            sw.set_defer_dump_thresholds(defer);
+        }
         let mut out = ReportBatch::new();
         let queries = catalog::top8(&Thresholds::default());
         for (w, records) in windows.iter().enumerate() {
@@ -294,10 +344,12 @@ proptest! {
                         .iter()
                         .map(|&d| (DSTS[d] & (u32::MAX << (32 - prev))) as u64)
                         .collect();
-                    oracle.set_dyn_filter(&table, entries.clone()).unwrap();
-                    batched.set_dyn_filter(&table, entries).unwrap();
+                    for sw in [&mut oracle, &mut batched, &mut copied, &mut in_place] {
+                        sw.set_dyn_filter(&table, entries.clone()).unwrap();
+                    }
                 }
             }
+            in_place_matches_arena((&mut copied, &mut in_place), records, chunk_budget)?;
             let mut arena = PacketArena::new();
             for (i, r) in records.iter().enumerate() {
                 arena.push_record(i as u64, r);

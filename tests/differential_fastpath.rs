@@ -2,7 +2,7 @@
 //!
 //! Each side of the wire has one compile-once/execute-many layer: the
 //! switch lowers its loaded IR into task-major batch kernels, run over
-//! each window laid out in a packet arena, and the stream processor
+//! each window's packets read in place, and the stream processor
 //! binds each registered query into a fused `BoundPipeline`. Both are
 //! pure performance work — the contract is that a default run (fast
 //! paths on) produces *bit-identical* `WindowReport`s to a run with

@@ -12,7 +12,6 @@ use sonata_packet::wire::ALL_FIELDS;
 use sonata_pisa::compile::{compile_pipeline, CompileError};
 use sonata_pisa::{PisaProgram, TaskId};
 use sonata_planner::GlobalPlan;
-use sonata_query::query::PipelineRef;
 use sonata_query::{ColName, Operator, Pipeline, Query, QueryId, Schema};
 use std::collections::BTreeMap;
 
@@ -243,15 +242,6 @@ pub fn branch_pipeline(q: &Query, branch: u8) -> &Pipeline {
     match branch {
         0 => &q.pipeline,
         _ => &q.join.as_ref().expect("branch 1 implies join").right,
-    }
-}
-
-/// Which [`PipelineRef`] a branch index denotes.
-pub fn branch_ref(branch: u8) -> PipelineRef {
-    if branch == 0 {
-        PipelineRef::Left
-    } else {
-        PipelineRef::Right
     }
 }
 

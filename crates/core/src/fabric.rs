@@ -54,8 +54,7 @@ use sonata_net::{
     CollectorEndpoint, Frame, NetError, NetMetrics, SwitchEndpoint, Transport, TransportKind,
 };
 use sonata_obs::{
-    Counter, EventKind, FabricSnapshot, Gauge, Histogram, ObsHandle, Stage, StageTimer,
-    TraceContext,
+    Counter, EventKind, Gauge, Histogram, ObsHandle, Stage, StageTimer, TraceContext,
 };
 use sonata_packet::{ArenaBatch, Packet, Value};
 use sonata_pisa::{
@@ -1208,16 +1207,6 @@ impl Fabric {
             rs.committed = plan;
         }
         Ok(())
-    }
-
-    /// Fabric-wide metrics snapshot: the shared registry decomposed
-    /// into per-source parts (`switch-N` / `shard-N` / `collector`)
-    /// by each series' identifying label. Join snapshots from several
-    /// fabrics (or export one run) with [`FabricSnapshot::merge`] —
-    /// the join is commutative, associative, and idempotent, so
-    /// export order never changes the fabric-wide document.
-    pub fn fabric_snapshot(&self) -> FabricSnapshot {
-        FabricSnapshot::from_labeled(&self.cfg.obs.snapshot())
     }
 
     /// The observability handle this fabric reports into (the one

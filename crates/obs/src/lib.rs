@@ -8,10 +8,11 @@
 //!
 //! 1. a **metrics registry** ([`metrics`]) — counters, gauges, and
 //!    fixed-bucket latency histograms addressed as `name{label=value}`,
-//!    exportable as Prometheus text or JSON;
+//!    exported as one JSON document ([`MetricsSnapshot::to_json`],
+//!    checked by [`validate_snapshot_json`]);
 //! 2. a **structured event trace** ([`trace`]) — a bounded ring of
-//!    typed, nanosecond-stamped events, exportable as JSONL or a
-//!    `chrome://tracing` document;
+//!    typed, nanosecond-stamped events, exported as JSONL
+//!    ([`ObsHandle::events_jsonl`]);
 //! 3. a **per-window profiler** ([`profile`], [`StageTimer`]) — a
 //!    drop-guard that times each pipeline stage and folds the result
 //!    into the `sonata_stage_ns{stage=...}` histograms.
@@ -33,9 +34,7 @@ pub mod profile;
 pub mod span;
 pub mod trace;
 
-pub use metrics::{
-    Counter, FabricSnapshot, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use profile::Stage;
 pub use span::TraceContext;
 pub use trace::{EventKind, EventRing, TracedEvent};
@@ -290,14 +289,6 @@ impl ObsHandle {
         }
     }
 
-    /// Events evicted from the ring so far.
-    pub fn dropped_events(&self) -> u64 {
-        match &self.inner {
-            Some(inner) => inner.ring.dropped(),
-            None => 0,
-        }
-    }
-
     /// Render the retained events as JSONL. The document ends with a
     /// `ring_status` trailer line carrying the drop counter and ring
     /// capacity, so consumers can tell whether the trace is complete.
@@ -319,11 +310,6 @@ impl ObsHandle {
             out.push('\n');
         }
         out
-    }
-
-    /// Render the retained events as a `chrome://tracing` document.
-    pub fn chrome_trace(&self) -> String {
-        trace::to_chrome_trace(&self.events())
     }
 }
 
@@ -449,25 +435,6 @@ impl Drop for StageTimer {
 /// equal `count`.
 pub fn validate_snapshot_json(text: &str) -> Result<(), String> {
     let doc = json::parse(text)?;
-    validate_snapshot_value(&doc)
-}
-
-/// Validate a [`FabricSnapshot::to_json`] document: a `parts` object
-/// mapping each source name to a snapshot matching the
-/// [`validate_snapshot_json`] schema.
-pub fn validate_fabric_snapshot_json(text: &str) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    let parts = doc
-        .get("parts")
-        .and_then(json::JsonValue::as_object)
-        .ok_or("missing `parts` object")?;
-    for (source, part) in parts {
-        validate_snapshot_value(part).map_err(|e| format!("part `{source}`: {e}"))?;
-    }
-    Ok(())
-}
-
-fn validate_snapshot_value(doc: &json::JsonValue) -> Result<(), String> {
     let counters = doc
         .get("counters")
         .and_then(json::JsonValue::as_object)
@@ -696,22 +663,6 @@ mod tests {
             doc.get("capacity").and_then(json::JsonValue::as_u64),
             Some(2)
         );
-    }
-
-    #[test]
-    fn fabric_snapshot_json_validates() {
-        let a = ObsHandle::enabled();
-        a.counter("sonata_switch_packets_total", &[("switch", "0")])
-            .add(10);
-        a.histogram("sonata_stage_ns", &[("stage", "packet_loop")])
-            .observe(500);
-        let mut fab = FabricSnapshot::default();
-        fab.insert("switch-0", a.snapshot());
-        fab.insert("collector", a.snapshot());
-        let json = fab.to_json();
-        validate_fabric_snapshot_json(&json).expect("fabric schema valid");
-        assert!(validate_fabric_snapshot_json("{}").is_err());
-        assert!(validate_fabric_snapshot_json(r#"{"parts":{"x":{}}}"#).is_err());
     }
 
     #[test]

@@ -75,7 +75,7 @@ impl Gauge {
 }
 
 /// Default latency buckets in nanoseconds: 1 µs → ~10 s, one decade
-/// split 1/2.5/5 (the classic Prometheus log-linear ladder).
+/// split 1/2.5/5 (a log-linear ladder).
 pub const LATENCY_BUCKETS_NS: &[u64] = &[
     1_000,
     2_500,
@@ -275,8 +275,7 @@ impl Registry {
 }
 
 /// A point-in-time copy of every metric, sorted by key — the
-/// machine-readable face of a run ([`Self::to_json`],
-/// [`Self::to_prometheus`]).
+/// machine-readable face of a run ([`Self::to_json`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// `(key, value)` per counter, sorted by key.
@@ -319,77 +318,10 @@ impl MetricsSnapshot {
             .sum()
     }
 
-    /// Render in the Prometheus text exposition format (histogram
-    /// values are nanoseconds; bounds are emitted in seconds, as the
-    /// `_seconds` convention expects).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (key, v) in &self.counters {
-            out.push_str(key);
-            out.push(' ');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        for (key, v) in &self.gauges {
-            out.push_str(key);
-            out.push(' ');
-            out.push_str(&v.to_string());
-            out.push('\n');
-        }
-        for h in &self.histograms {
-            let (name, labels) = split_key(&h.name);
-            for (bound, count) in &h.buckets {
-                let le = match bound {
-                    Some(b) => format!("{}", *b as f64 / 1e9),
-                    None => "+Inf".to_string(),
-                };
-                out.push_str(&with_extra_label(name, labels, "le", &le));
-                out.push(' ');
-                out.push_str(&count.to_string());
-                out.push('\n');
-            }
-            out.push_str(&format!(
-                "{name}_sum{labels} {}\n{name}_count{labels} {}\n",
-                h.sum as f64 / 1e9,
-                h.count
-            ));
-        }
-        out
-    }
-
-    /// Pointwise least-upper-bound join with `other`: counters and
-    /// gauges take the max per key, histograms the pointwise max of
-    /// cumulative buckets (and max count/sum). Because two snapshots
-    /// of one monotone source always relate pointwise, joining an
-    /// older snapshot into a newer one is a no-op — the operation is
-    /// commutative, associative, and idempotent, which is what lets
-    /// [`FabricSnapshot::merge`] absorb duplicate or out-of-order
-    /// exports from fabric peers.
-    pub fn join(&mut self, other: &MetricsSnapshot) {
-        join_sorted(&mut self.counters, &other.counters);
-        join_sorted(&mut self.gauges, &other.gauges);
-        for h in &other.histograms {
-            match self.histograms.iter_mut().find(|m| m.name == h.name) {
-                Some(mine) => join_histogram(mine, h),
-                None => {
-                    let at = self
-                        .histograms
-                        .partition_point(|m| m.name.as_str() < h.name.as_str());
-                    self.histograms.insert(at, h.clone());
-                }
-            }
-        }
-    }
-
     /// Render as JSON (the schema `validate_snapshot_json` documents
     /// and checks).
     pub fn to_json(&self) -> String {
         let mut w = JsonWriter::new();
-        self.write_json(&mut w);
-        w.finish()
-    }
-
-    fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.key("counters");
         w.begin_object();
@@ -433,226 +365,7 @@ impl MetricsSnapshot {
         }
         w.end_array();
         w.end_object();
-    }
-}
-
-/// Join two sorted `(key, value)` vectors pointwise by max.
-fn join_sorted(mine: &mut Vec<(String, u64)>, theirs: &[(String, u64)]) {
-    for (k, v) in theirs {
-        match mine.binary_search_by(|(mk, _)| mk.as_str().cmp(k.as_str())) {
-            Ok(i) => mine[i].1 = mine[i].1.max(*v),
-            Err(i) => mine.insert(i, (k.clone(), *v)),
-        }
-    }
-}
-
-/// Pointwise max of two same-named histogram snapshots. Cumulative
-/// buckets stay cumulative under pointwise max (max of two
-/// non-decreasing sequences is non-decreasing), and the +Inf bucket
-/// still equals `count` because both inputs satisfy that invariant.
-/// Differently-bucketed snapshots (never produced by one fabric) fall
-/// back to keeping whichever saw more observations.
-fn join_histogram(mine: &mut HistogramSnapshot, theirs: &HistogramSnapshot) {
-    let same_bounds = mine.buckets.len() == theirs.buckets.len()
-        && mine
-            .buckets
-            .iter()
-            .zip(&theirs.buckets)
-            .all(|((a, _), (b, _))| a == b);
-    if !same_bounds {
-        if theirs.count > mine.count {
-            *mine = theirs.clone();
-        }
-        return;
-    }
-    for ((_, c), (_, t)) in mine.buckets.iter_mut().zip(&theirs.buckets) {
-        *c = (*c).max(*t);
-    }
-    mine.count = mine.count.max(theirs.count);
-    mine.sum = mine.sum.max(theirs.sum);
-}
-
-/// Pointwise sum of two same-named histogram snapshots (cumulative
-/// buckets add; counts and sums add). Used by
-/// [`FabricSnapshot::flatten`], where parts are distinct sources.
-fn add_histogram(mine: &mut HistogramSnapshot, theirs: &HistogramSnapshot) {
-    let same_bounds = mine.buckets.len() == theirs.buckets.len()
-        && mine
-            .buckets
-            .iter()
-            .zip(&theirs.buckets)
-            .all(|((a, _), (b, _))| a == b);
-    if !same_bounds {
-        return;
-    }
-    for ((_, c), (_, t)) in mine.buckets.iter_mut().zip(&theirs.buckets) {
-        *c += *t;
-    }
-    mine.count += theirs.count;
-    mine.sum += theirs.sum;
-}
-
-/// Extract the value of `label` from a `name{k="v",...}` key.
-fn label_value<'a>(key: &'a str, label: &str) -> Option<&'a str> {
-    let open = key.find('{')?;
-    let inner = &key[open + 1..key.len().checked_sub(1)?];
-    for part in inner.split(',') {
-        let (k, v) = part.split_once("=\"")?;
-        if k == label {
-            return Some(v.strip_suffix('"').unwrap_or(v));
-        }
-    }
-    None
-}
-
-/// A fabric-wide metrics snapshot: one [`MetricsSnapshot`] per source
-/// component (`switch-3`, `shard-1`, `collector`), merged with a
-/// join that is **commutative, associative, and idempotent** — peers
-/// can gossip, duplicate, or reorder their exports and every node
-/// still converges on the same fabric view.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FabricSnapshot {
-    /// `(source, snapshot)` per component, sorted by source.
-    pub parts: Vec<(String, MetricsSnapshot)>,
-}
-
-impl FabricSnapshot {
-    /// Absorb one component's snapshot. A repeated source joins
-    /// pointwise (max) rather than double-counting.
-    pub fn insert(&mut self, source: &str, snap: MetricsSnapshot) {
-        match self.parts.binary_search_by(|(s, _)| s.as_str().cmp(source)) {
-            Ok(i) => self.parts[i].1.join(&snap),
-            Err(i) => self.parts.insert(i, (source.to_string(), snap)),
-        }
-    }
-
-    /// Merge another fabric view into this one (the CRDT join).
-    pub fn merge(&mut self, other: &FabricSnapshot) {
-        for (source, snap) in &other.parts {
-            self.insert(source, snap.clone());
-        }
-    }
-
-    /// Look one component's snapshot up by source name.
-    pub fn part(&self, source: &str) -> Option<&MetricsSnapshot> {
-        self.parts
-            .binary_search_by(|(s, _)| s.as_str().cmp(source))
-            .ok()
-            .map(|i| &self.parts[i].1)
-    }
-
-    /// Decompose one shared-registry snapshot into per-component
-    /// parts by routing each series on its identifying label:
-    /// `switch="N"` → `switch-N`, `shard="N"` → `shard-N`,
-    /// `peer="X"` → `X`; everything unlabeled lands in `collector`.
-    pub fn from_labeled(snap: &MetricsSnapshot) -> FabricSnapshot {
-        let mut out = FabricSnapshot::default();
-        let source_of = |key: &str| -> String {
-            if let Some(s) = label_value(key, "switch") {
-                format!("switch-{s}")
-            } else if let Some(s) = label_value(key, "shard") {
-                format!("shard-{s}")
-            } else if let Some(p) = label_value(key, "peer") {
-                p.to_string()
-            } else {
-                "collector".to_string()
-            }
-        };
-        fn route(
-            parts: &mut Vec<(String, MetricsSnapshot)>,
-            source: String,
-        ) -> &mut MetricsSnapshot {
-            let i = match parts.binary_search_by(|(s, _)| s.as_str().cmp(&source)) {
-                Ok(i) => i,
-                Err(i) => {
-                    parts.insert(i, (source, MetricsSnapshot::default()));
-                    i
-                }
-            };
-            &mut parts[i].1
-        }
-        for (k, v) in &snap.counters {
-            route(&mut out.parts, source_of(k))
-                .counters
-                .push((k.clone(), *v));
-        }
-        for (k, v) in &snap.gauges {
-            route(&mut out.parts, source_of(k))
-                .gauges
-                .push((k.clone(), *v));
-        }
-        for h in &snap.histograms {
-            route(&mut out.parts, source_of(&h.name))
-                .histograms
-                .push(h.clone());
-        }
-        out
-    }
-
-    /// Collapse the fabric view into one snapshot: counters and
-    /// histograms sum across sources, gauges take the max (a depth
-    /// gauge summed across peers would be meaningless).
-    pub fn flatten(&self) -> MetricsSnapshot {
-        let mut out = MetricsSnapshot::default();
-        for (_, part) in &self.parts {
-            for (k, v) in &part.counters {
-                match out.counters.binary_search_by(|(mk, _)| mk.cmp(k)) {
-                    Ok(i) => out.counters[i].1 += *v,
-                    Err(i) => out.counters.insert(i, (k.clone(), *v)),
-                }
-            }
-            join_sorted(&mut out.gauges, &part.gauges);
-            for h in &part.histograms {
-                match out.histograms.iter_mut().find(|m| m.name == h.name) {
-                    Some(mine) => add_histogram(mine, h),
-                    None => {
-                        let at = out
-                            .histograms
-                            .partition_point(|m| m.name.as_str() < h.name.as_str());
-                        out.histograms.insert(at, h.clone());
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Render as JSON: `{"parts": {"<source>": <snapshot>, ...}}`
-    /// where each snapshot follows the `validate_snapshot_json`
-    /// schema (checked end to end by
-    /// [`crate::validate_fabric_snapshot_json`]).
-    pub fn to_json(&self) -> String {
-        let mut w = JsonWriter::new();
-        w.begin_object();
-        w.key("parts");
-        w.begin_object();
-        for (source, snap) in &self.parts {
-            w.key(source);
-            snap.write_json(&mut w);
-        }
-        w.end_object();
-        w.end_object();
         w.finish()
-    }
-}
-
-/// Split `name{labels}` into `(name, "{labels}")` (labels part may be
-/// empty).
-fn split_key(key: &str) -> (&str, &str) {
-    match key.find('{') {
-        Some(i) => (&key[..i], &key[i..]),
-        None => (key, ""),
-    }
-}
-
-/// `name_bucket{labels,extra="v"}` — append one label to a possibly
-/// empty label set for the Prometheus histogram bucket lines.
-fn with_extra_label(name: &str, labels: &str, extra_key: &str, extra_val: &str) -> String {
-    if labels.is_empty() {
-        format!("{name}_bucket{{{extra_key}=\"{extra_val}\"}}")
-    } else {
-        let inner = &labels[1..labels.len() - 1];
-        format!("{name}_bucket{{{inner},{extra_key}=\"{extra_val}\"}}")
     }
 }
 
@@ -716,85 +429,6 @@ mod tests {
         r.counter("x_extra", &[]).add(10);
         r.counter("x", &[("l", "v")]).add(2);
         assert_eq!(r.snapshot().counter_sum("x"), 3);
-    }
-
-    #[test]
-    fn prometheus_text_renders_all_kinds() {
-        let r = Registry::default();
-        r.counter("c_total", &[("q", "1")]).add(2);
-        r.gauge("g", &[]).set(9);
-        r.histogram_with("h_ns", &[("s", "x")], &[1_000_000_000])
-            .observe(500_000_000);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("c_total{q=\"1\"} 2"), "{text}");
-        assert!(text.contains("g 9"), "{text}");
-        assert!(text.contains("h_ns_bucket{s=\"x\",le=\"1\"} 1"), "{text}");
-        assert!(
-            text.contains("h_ns_bucket{s=\"x\",le=\"+Inf\"} 1"),
-            "{text}"
-        );
-        assert!(text.contains("h_ns_count{s=\"x\"} 1"), "{text}");
-    }
-
-    fn snap(counter: u64, gauge: u64, obs_ns: &[u64]) -> MetricsSnapshot {
-        let r = Registry::default();
-        r.counter("c_total", &[]).add(counter);
-        r.gauge("g", &[]).set(gauge);
-        let h = r.histogram_with("h_ns", &[], &[10, 100]);
-        for &v in obs_ns {
-            h.observe(v);
-        }
-        r.snapshot()
-    }
-
-    #[test]
-    fn snapshot_join_is_pointwise_max() {
-        let mut a = snap(5, 3, &[5, 50]);
-        let b = snap(9, 1, &[5]);
-        a.join(&b);
-        assert_eq!(a.counter("c_total"), Some(9));
-        assert_eq!(a.gauge("g"), Some(3));
-        let h = a.histogram("h_ns").unwrap();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.buckets.last().unwrap().1, h.count);
-        // Idempotent: joining the same snapshot again changes nothing.
-        let before = a.clone();
-        a.join(&b);
-        assert_eq!(a, before);
-    }
-
-    #[test]
-    fn fabric_merge_converges_regardless_of_order() {
-        let mut ab = FabricSnapshot::default();
-        ab.insert("switch-0", snap(1, 1, &[5]));
-        ab.insert("switch-1", snap(2, 2, &[50]));
-        let mut ba = FabricSnapshot::default();
-        ba.insert("switch-1", snap(2, 2, &[50]));
-        ba.insert("switch-0", snap(1, 1, &[5]));
-        assert_eq!(ab, ba);
-        let mut dup = ab.clone();
-        dup.merge(&ba);
-        assert_eq!(dup, ab, "merge is idempotent");
-        let flat = ab.flatten();
-        assert_eq!(flat.counter("c_total"), Some(3));
-        assert_eq!(flat.gauge("g"), Some(2));
-        assert_eq!(flat.histogram("h_ns").unwrap().count, 2);
-    }
-
-    #[test]
-    fn from_labeled_routes_by_component_label() {
-        let r = Registry::default();
-        r.counter("pkts_total", &[("switch", "2")]).add(7);
-        r.counter("jobs_total", &[("shard", "1")]).add(3);
-        r.counter("net_total", &[("peer", "switch-2"), ("dir", "tx")])
-            .add(4);
-        r.counter("plain_total", &[]).add(9);
-        let fab = FabricSnapshot::from_labeled(&r.snapshot());
-        assert_eq!(fab.part("switch-2").unwrap().counter_sum("pkts_total"), 7);
-        assert_eq!(fab.part("shard-1").unwrap().counter_sum("jobs_total"), 3);
-        assert_eq!(fab.part("switch-2").unwrap().counter_sum("net_total"), 4);
-        assert_eq!(fab.part("collector").unwrap().counter_sum("plain_total"), 9);
-        assert_eq!(fab.flatten().counter_sum("pkts_total"), 7);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl Stage {
         }
     }
 
-    /// Look a stage up by its [`Stage::name`] label.
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|s| s.name() == name)
-    }
-
     /// All stages, in [`Stage::index`] order.
     pub const ALL: [Stage; 11] = [
         Stage::PacketLoop,

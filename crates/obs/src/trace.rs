@@ -1,6 +1,5 @@
 //! Structured event tracing: a bounded ring of typed, timestamped
-//! events, exportable as JSONL (one object per line) or as a
-//! `chrome://tracing` / Perfetto-compatible trace document.
+//! events, exported as JSONL (one object per line).
 
 use crate::json::JsonWriter;
 use crate::profile::Stage;
@@ -209,16 +208,6 @@ impl EventKind {
             EventKind::Span { .. } => "span",
             EventKind::SketchSaturated { .. } => "sketch_saturated",
             EventKind::FabricMerge { .. } => "fabric_merge",
-        }
-    }
-
-    /// Duration for span-shaped events, if any.
-    fn span_ns(&self) -> Option<u64> {
-        match self {
-            EventKind::StageSpan { wall_ns, .. }
-            | EventKind::IlpSolve { wall_ns, .. }
-            | EventKind::Span { wall_ns, .. } => Some(*wall_ns),
-            _ => None,
         }
     }
 
@@ -513,105 +502,6 @@ pub fn to_jsonl(events: &[TracedEvent]) -> String {
     out
 }
 
-/// Render events as a `chrome://tracing` JSON document (the "JSON
-/// array format"): span-shaped events become complete (`"ph":"X"`)
-/// slices, everything else instant (`"ph":"i"`) marks. Timestamps are
-/// microseconds, as the format requires.
-///
-/// Processes map to chrome pids: distributed-trace [`EventKind::Span`]
-/// events carry a `process` name (`switch-0`, `shard-1`, `collector`)
-/// and each distinct name gets its own pid lane (announced via `"M"`
-/// `process_name` metadata events); everything else lands in the
-/// `runtime` process. Within a process, tid is the stage lane
-/// (`Stage::index() + 1`; window-root spans and untyped events use
-/// tid 0), so the flamegraph reads switch/shard per row group and
-/// stage per row.
-pub fn to_chrome_trace(events: &[TracedEvent]) -> String {
-    // First-seen process-name → pid assignment. Pid 1 is always the
-    // host `runtime` process for instants and untraced stage spans.
-    let mut procs: Vec<&str> = vec!["runtime"];
-    for e in events {
-        if let EventKind::Span { process, .. } = &e.kind {
-            if !procs.iter().any(|p| p == process) {
-                procs.push(process.as_str());
-            }
-        }
-    }
-    let pid_of =
-        |name: &str| -> u64 { procs.iter().position(|p| *p == name).unwrap_or(0) as u64 + 1 };
-    let mut w = JsonWriter::new();
-    w.begin_object();
-    w.key("traceEvents");
-    w.begin_array();
-    for (i, p) in procs.iter().enumerate() {
-        w.begin_object();
-        w.key("name");
-        w.value_str("process_name");
-        w.key("ph");
-        w.value_str("M");
-        w.key("pid");
-        w.value_u64(i as u64 + 1);
-        w.key("args");
-        w.begin_object();
-        w.key("name");
-        w.value_str(p);
-        w.end_object();
-        w.end_object();
-    }
-    for e in events {
-        w.begin_object();
-        w.key("name");
-        match &e.kind {
-            EventKind::StageSpan { stage, .. } => w.value_str(stage.name()),
-            EventKind::Span { name, .. } => w.value_str(name),
-            other => w.value_str(other.tag()),
-        }
-        w.key("cat");
-        w.value_str("sonata");
-        w.key("pid");
-        match &e.kind {
-            EventKind::Span { process, .. } => w.value_u64(pid_of(process)),
-            _ => w.value_u64(1),
-        }
-        w.key("tid");
-        let tid = match &e.kind {
-            EventKind::StageSpan { stage, .. } => stage.index() as u64 + 1,
-            EventKind::Span { name, .. } => Stage::from_name(name)
-                .map(|s| s.index() as u64 + 1)
-                .unwrap_or(0),
-            _ => 0,
-        };
-        w.value_u64(tid);
-        match e.kind.span_ns() {
-            Some(dur) => {
-                w.key("ph");
-                w.value_str("X");
-                // Spans are recorded at completion; start = ts - dur.
-                w.key("ts");
-                w.value_f64(e.ts_ns.saturating_sub(dur) as f64 / 1e3);
-                w.key("dur");
-                w.value_f64(dur as f64 / 1e3);
-            }
-            None => {
-                w.key("ph");
-                w.value_str("i");
-                w.key("s");
-                w.value_str("g");
-                w.key("ts");
-                w.value_f64(e.ts_ns as f64 / 1e3);
-            }
-        }
-        w.key("args");
-        w.begin_object();
-        e.kind.write_fields(&mut w);
-        w.end_object();
-        w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-    w.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,101 +555,6 @@ mod tests {
         assert_eq!(
             second.get("stage").and_then(json::JsonValue::as_str),
             Some("packet_loop")
-        );
-    }
-
-    #[test]
-    fn chrome_trace_is_valid_json_with_spans_and_instants() {
-        let events = vec![
-            ev(1_000, 0),
-            TracedEvent {
-                ts_ns: 10_000,
-                kind: EventKind::StageSpan {
-                    stage: Stage::Merge,
-                    window: 3,
-                    wall_ns: 4_000,
-                },
-            },
-        ];
-        let doc = json::parse(&to_chrome_trace(&events)).unwrap();
-        let traced = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-        // One `M` process_name metadata event for the runtime pid,
-        // then the two payload events.
-        assert_eq!(traced.len(), 3);
-        assert_eq!(
-            traced[0].get("ph").and_then(json::JsonValue::as_str),
-            Some("M")
-        );
-        assert_eq!(
-            traced[1].get("ph").and_then(json::JsonValue::as_str),
-            Some("i")
-        );
-        assert_eq!(
-            traced[2].get("ph").and_then(json::JsonValue::as_str),
-            Some("X")
-        );
-        // Span start = (10_000 - 4_000) ns = 6 µs.
-        assert_eq!(
-            traced[2].get("ts").and_then(json::JsonValue::as_f64),
-            Some(6.0)
-        );
-        assert_eq!(
-            traced[2].get("dur").and_then(json::JsonValue::as_f64),
-            Some(4.0)
-        );
-        // StageSpan lands in the runtime process on the stage's lane.
-        assert_eq!(
-            traced[2].get("pid").and_then(json::JsonValue::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            traced[2].get("tid").and_then(json::JsonValue::as_u64),
-            Some(Stage::Merge.index() as u64 + 1)
-        );
-    }
-
-    #[test]
-    fn chrome_trace_assigns_pids_per_process_and_tids_per_stage() {
-        let span = |process: &str, name: &'static str| TracedEvent {
-            ts_ns: 10_000,
-            kind: EventKind::Span {
-                trace: 11,
-                span: 22,
-                parent: 0,
-                name,
-                process: process.to_string(),
-                window: 0,
-                wall_ns: 1_000,
-            },
-        };
-        let events = vec![
-            span("switch-0", "packet_loop"),
-            span("shard-1", "shard_execute"),
-            span("switch-0", "window"),
-        ];
-        let doc = json::parse(&to_chrome_trace(&events)).unwrap();
-        let traced = doc.get("traceEvents").and_then(|v| v.as_array()).unwrap();
-        // 3 metadata events (runtime, switch-0, shard-1) + 3 spans.
-        assert_eq!(traced.len(), 6);
-        let pid = |i: usize| traced[i].get("pid").and_then(json::JsonValue::as_u64);
-        let tid = |i: usize| traced[i].get("tid").and_then(json::JsonValue::as_u64);
-        // switch-0 is pid 2 (after runtime), shard-1 pid 3.
-        assert_eq!(pid(3), Some(2));
-        assert_eq!(pid(4), Some(3));
-        assert_eq!(pid(5), Some(2));
-        assert_eq!(tid(3), Some(Stage::PacketLoop.index() as u64 + 1));
-        assert_eq!(tid(4), Some(Stage::ShardExecute.index() as u64 + 1));
-        // Window roots get the tid-0 lane.
-        assert_eq!(tid(5), Some(0));
-        // Span identity rides in args for the stitching checker.
-        let args = traced[3].get("args").unwrap();
-        assert_eq!(
-            args.get("trace").and_then(json::JsonValue::as_u64),
-            Some(11)
-        );
-        assert_eq!(
-            args.get("parent").and_then(json::JsonValue::as_u64),
-            Some(0)
         );
     }
 

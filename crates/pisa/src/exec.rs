@@ -241,10 +241,6 @@ pub(crate) struct ExecPlan {
     flat: Vec<FlatOp>,
     /// Window-dump specs in program order.
     pub dumps: Vec<FlatDump>,
-    /// Resolved [`StateLayout`] per dense register index. Sketch
-    /// layouts never produce `RegOutcome::Shunted`, which the kernels'
-    /// update step relies on (debug-asserted).
-    pub reg_layouts: Vec<StateLayout>,
     /// `program.tables` index of each `DynFilter`, dense (`dyn_idx`).
     pub dyn_tables: Vec<usize>,
     /// Column layout and shared leading-predicate cache of the batch
@@ -332,10 +328,7 @@ impl ExecPlan {
         reg_index: &HashMap<RegId, usize>,
         reg_layouts: &[StateLayout],
     ) -> ExecPlan {
-        let mut plan = ExecPlan {
-            reg_layouts: reg_layouts.to_vec(),
-            ..ExecPlan::default()
-        };
+        let mut plan = ExecPlan::default();
         let task_index =
             |t: TaskId| -> Option<usize> { program.tasks.iter().position(|x| *x == t) };
         let mut cx = Lowering {

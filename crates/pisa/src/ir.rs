@@ -177,17 +177,6 @@ impl TableKind {
     pub fn is_stateful(&self) -> bool {
         matches!(self, TableKind::Update { .. })
     }
-
-    /// Short kind label for codegen and diagnostics.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            TableKind::Filter { .. } => "filter",
-            TableKind::DynFilter { .. } => "dyn_filter",
-            TableKind::Map { .. } => "map",
-            TableKind::Hash { .. } => "hash",
-            TableKind::Update { .. } => "update",
-        }
-    }
 }
 
 /// A match-action table assigned to a stage.

@@ -595,12 +595,6 @@ impl BloomRegisters {
         self.keys.len()
     }
 
-    /// The HyperLogLog cardinality estimate, when the `Hll` family
-    /// is active.
-    pub fn cardinality_estimate(&self) -> Option<u64> {
-        self.hll.as_ref().map(|h| h.estimate())
-    }
-
     /// The declared `(ε, δ)` contract at the current load.
     pub fn bound(&self) -> ErrorBound {
         match &self.hll {

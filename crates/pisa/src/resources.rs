@@ -46,19 +46,6 @@ impl Default for SwitchConstraints {
 }
 
 impl SwitchConstraints {
-    /// The strict example configuration from Section 3.3 (S = 4,
-    /// B = 3,000 Kb, A = 4).
-    pub fn strict_example() -> Self {
-        SwitchConstraints {
-            stages: 4,
-            stateful_per_stage: 4,
-            register_bits_per_stage: 3_000_000,
-            max_bits_per_register: 3_000_000,
-            metadata_bits: 8 * 8192,
-            stateless_per_stage: 128,
-        }
-    }
-
     /// Compute a program's usage and validate it against the limits.
     pub fn check(&self, program: &PisaProgram) -> Result<ResourceUsage, ResourceError> {
         let usage = ResourceUsage::of(program, self.stages);

@@ -1184,21 +1184,10 @@ impl Switch {
             .collect()
     }
 
-    /// The layout each register resolved to at load, dense, as the
-    /// compiled plan recorded it (quickstart and tests surface this).
-    pub fn register_layouts(&self) -> &[StateLayout] {
-        &self.plan.reg_layouts
-    }
-
     /// Register occupancy across all registers (for collision-pressure
     /// monitoring: the runtime re-plans when shunts spike).
     pub fn register_occupancy(&self) -> usize {
         self.registers.iter().map(|r| r.occupancy()).sum()
-    }
-
-    /// Shunted packets in the current window across registers.
-    pub fn current_shunted(&self) -> u64 {
-        self.registers.iter().map(|r| r.shunted_packets()).sum()
     }
 }
 

@@ -47,11 +47,6 @@ impl Pipeline {
         Ok(schema)
     }
 
-    /// Whether any operator is stateful.
-    pub fn has_stateful(&self) -> bool {
-        self.ops.iter().any(Operator::is_stateful)
-    }
-
     /// Whether the pipeline ends with a threshold filter
     /// (`col > lit` / `col >= lit`) — i.e. its output is already a
     /// thresholded aggregate. Dynamic refinement treats such a branch
@@ -309,15 +304,6 @@ impl Query {
                 delay_budget: None,
             },
             in_post: false,
-        }
-    }
-
-    /// Access a pipeline by reference id.
-    pub fn pipeline_ref(&self, r: PipelineRef) -> Option<&Pipeline> {
-        match r {
-            PipelineRef::Left => Some(&self.pipeline),
-            PipelineRef::Right => self.join.as_ref().map(|j| &j.right),
-            PipelineRef::Post => self.join.as_ref().map(|j| &j.post),
         }
     }
 

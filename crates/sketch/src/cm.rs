@@ -127,12 +127,6 @@ impl CountMinSketch {
         ErrorBound::new(cm_epsilon(self.width), cm_delta(self.depth))
     }
 
-    /// The absolute slack the bound permits at the current mass:
-    /// ⌈ε · mass⌉.
-    pub fn absolute_slack(&self) -> u64 {
-        (self.bound().epsilon * self.mass as f64).ceil() as u64
-    }
-
     /// Fold `other` in pointwise. Returns `false` (leaving `self`
     /// untouched) when shapes, seeds, or ops differ — merging
     /// differently-hashed sketches would be silently wrong.

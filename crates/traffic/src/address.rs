@@ -131,11 +131,6 @@ impl AddressSpace {
         self.hosts[self.popularity.sample(rng)]
     }
 
-    /// Sample an address uniformly (for spoofed attack sources).
-    pub fn sample_uniform<R: Rng + ?Sized>(&self, rng: &mut R) -> u32 {
-        self.hosts[rng.gen_range(0..self.hosts.len())]
-    }
-
     /// A fixed, deterministic pick: the host at `rank` in popularity
     /// order. Useful for choosing stable attack victims.
     pub fn nth(&self, rank: usize) -> u32 {

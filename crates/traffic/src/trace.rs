@@ -267,12 +267,6 @@ impl Trace {
         }
         Ok(arena)
     }
-
-    /// Read a file straight into a [`PacketArena`].
-    pub fn load_arena(path: impl AsRef<Path>) -> io::Result<PacketArena> {
-        let mut f = io::BufReader::new(std::fs::File::open(path)?);
-        Self::read_arena_from(&mut f)
-    }
 }
 
 /// Summary statistics of a trace.

@@ -10,12 +10,10 @@
 //! ```
 //!
 //! Set `SONATA_OBS_DIR=<dir>` to also run with observability enabled
-//! and export the collected metrics and traces there:
-//! `metrics.prom` (Prometheus text), `metrics.json`, `events.jsonl`
-//! (structured event log), and `trace.json` (load in chrome://tracing
-//! or Perfetto). Fabric runs additionally write `fabric.json`, the
-//! fabric-wide snapshot with one part per component
-//! (`switch-N` / `shard-N` / `collector`).
+//! and export what it collected there as two files: `metrics.json`
+//! (every counter, gauge and histogram, keyed `name{labels}`; fabric
+//! runs carry `switch=`/`shard=`/`peer=` labels) and `events.jsonl`
+//! (the structured event log, distributed-trace spans included).
 //!
 //! Pass `--net` to run the deployment topology instead of the
 //! in-process default: the switch and the stream processor talk only
@@ -248,7 +246,6 @@ fn main() {
             .unwrap_or_default(),
         ..RuntimeConfig::default()
     };
-    let mut fabric_snapshot = None;
     let report = if let Some(topo) = &fabric {
         // Multi-switch fabric: N flow-sticky partitions, M shards,
         // partial window states merged at the collector.
@@ -257,11 +254,7 @@ fn main() {
             topo.switches, topo.shards
         );
         let mut fab = Fabric::new(&plan, config).expect("deployable plan");
-        let report = fab.process_trace(&trace).expect("clean run");
-        // One fabric-wide snapshot: the shared registry routed into
-        // per-component parts (switch-N / shard-N / collector).
-        fabric_snapshot = Some(fab.fabric_snapshot());
-        report
+        fab.process_trace(&trace).expect("clean run")
     } else {
         if net {
             println!("\ntransport: tcp (switch and stream processor at either end of a socket)");
@@ -389,7 +382,7 @@ fn main() {
     if obs.is_enabled() {
         // The window latency waterfall: every number below is the
         // same one the sonata_stage_ns histograms observed, and the
-        // same spans land in trace.json for chrome://tracing.
+        // same spans land in events.jsonl.
         let lat = report.window_latency();
         println!("\nlatency waterfall (run totals):");
         for (stage, ns) in [
@@ -429,17 +422,12 @@ fn main() {
     if let Some(dir) = obs_dir {
         std::fs::create_dir_all(&dir).expect("create obs dir");
         let snapshot = &report.metrics;
-        // Validate with the in-tree schema checkers before writing,
-        // so a CI artifact is a checked artifact.
-        sonata::obs::validate_snapshot_json(&snapshot.to_json()).expect("snapshot JSON schema");
-        std::fs::write(dir.join("metrics.prom"), snapshot.to_prometheus()).unwrap();
-        std::fs::write(dir.join("metrics.json"), snapshot.to_json()).unwrap();
+        // Validate with the in-tree schema checker before writing, so
+        // a CI artifact is a checked artifact.
+        let metrics = snapshot.to_json();
+        sonata::obs::validate_snapshot_json(&metrics).expect("snapshot JSON schema");
+        std::fs::write(dir.join("metrics.json"), metrics).unwrap();
         std::fs::write(dir.join("events.jsonl"), obs.events_jsonl()).unwrap();
-        std::fs::write(dir.join("trace.json"), obs.chrome_trace()).unwrap();
-        if let Some(fab) = &fabric_snapshot {
-            sonata::obs::validate_fabric_snapshot_json(&fab.to_json()).expect("fabric JSON schema");
-            std::fs::write(dir.join("fabric.json"), fab.to_json()).unwrap();
-        }
         println!(
             "\nobservability: {} counters, {} events → {}",
             snapshot.counters.len(),

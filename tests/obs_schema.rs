@@ -1,16 +1,21 @@
 //! Schema validation for the observability exports: run a real
-//! multi-query workload with the `ObsHandle` enabled and check every
-//! export format with the crate's own validators/parsers — the same
-//! check CI runs against the quickstart example's artifacts, kept
-//! in-tree so no external tooling (jq, promtool) is needed.
+//! multi-query workload with the `ObsHandle` enabled and check both
+//! export documents — the metrics JSON and the JSONL event log — with
+//! the crate's own validator and parser: the same check CI runs
+//! against the quickstart example's artifacts, kept in-tree so no
+//! external tooling (jq) is needed.
 
+mod series;
+
+use series::{assert_matches_snapshot, metric_series};
 use sonata::obs::json::{parse, JsonValue};
 use sonata::obs::{validate_snapshot_json, ObsHandle};
 use sonata::prelude::*;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
 
-fn run_with_obs() -> (TelemetryReport, ObsHandle) {
+/// Run the two-query workload over a small trace with a SYN flood,
+/// observability on, under `config` (its `obs` field is replaced).
+fn run(config: RuntimeConfig) -> (TelemetryReport, ObsHandle) {
     let thresholds = Thresholds::default();
     let queries = vec![
         catalog::newly_opened_tcp_conns(&thresholds),
@@ -33,16 +38,19 @@ fn run_with_obs() -> (TelemetryReport, ObsHandle) {
     let windows: Vec<&[sonata::packet::Packet]> = trace.windows(3_000).map(|(_, p)| p).collect();
     let plan = plan_queries(&queries, &windows, &PlannerConfig::default()).unwrap();
     let obs = ObsHandle::enabled();
-    let mut rt = Runtime::new(
-        &plan,
-        RuntimeConfig {
-            obs: obs.clone(),
-            ..RuntimeConfig::default()
-        },
-    )
-    .unwrap();
-    let report = rt.process_trace(&trace).unwrap();
+    let config = RuntimeConfig {
+        obs: obs.clone(),
+        ..config
+    };
+    let report = Runtime::new(&plan, config)
+        .unwrap()
+        .process_trace(&trace)
+        .unwrap();
     (report, obs)
+}
+
+fn run_with_obs() -> (TelemetryReport, ObsHandle) {
+    run(RuntimeConfig::default())
 }
 
 /// The golden-snapshot fixture: the same workload as [`run_with_obs`]
@@ -50,75 +58,31 @@ fn run_with_obs() -> (TelemetryReport, ObsHandle) {
 /// that exercises every degradation path, so the fault-layer metric
 /// series and event types appear in the exports.
 fn run_faulted_with_obs() -> (TelemetryReport, ObsHandle) {
-    let thresholds = Thresholds::default();
-    let queries = vec![
-        catalog::newly_opened_tcp_conns(&thresholds),
-        catalog::superspreader(&thresholds),
-    ];
-    let mut trace = Trace::background(&BackgroundConfig::small(), 11);
-    trace.inject(
-        &Attack::SynFlood {
-            victim: 0x63070019,
-            port: 80,
-            packets: 800,
-            sources: 400,
-            ack_fraction: 0.05,
-            fin_fraction: 0.02,
-            start_ms: 0,
-            duration_ms: 2_500,
-        },
-        11,
-    );
-    let windows: Vec<&[sonata::packet::Packet]> = trace.windows(3_000).map(|(_, p)| p).collect();
-    let plan = plan_queries(&queries, &windows, &PlannerConfig::default()).unwrap();
-    let obs = ObsHandle::enabled();
-    let mut rt = Runtime::new(
-        &plan,
-        RuntimeConfig {
-            obs: obs.clone(),
-            workers: 2,
-            faults: FaultPlan {
-                seed: 7,
-                report: ReportFaults {
-                    drop_per_mille: 100,
-                    duplicate_per_mille: 100,
-                    delay_per_mille: 100,
-                    reorder_per_mille: 50,
-                    delay_packets: 4,
-                },
-                worker: WorkerFaults {
-                    crash_per_mille: 500,
-                    consecutive_crashes: 2,
-                    stall_per_mille: 300,
-                    stall_ms: 1,
-                },
-                boundary: BoundaryFaults {
-                    fail_per_mille: 500,
-                    consecutive: 1,
-                },
-                ..FaultPlan::default()
+    run(RuntimeConfig {
+        workers: 2,
+        faults: FaultPlan {
+            seed: 7,
+            report: ReportFaults {
+                drop_per_mille: 100,
+                duplicate_per_mille: 100,
+                delay_per_mille: 100,
+                reorder_per_mille: 50,
+                delay_packets: 4,
             },
-            ..RuntimeConfig::default()
+            worker: WorkerFaults {
+                crash_per_mille: 500,
+                consecutive_crashes: 2,
+                stall_per_mille: 300,
+                stall_ms: 1,
+            },
+            boundary: BoundaryFaults {
+                fail_per_mille: 500,
+                consecutive: 1,
+            },
+            ..FaultPlan::default()
         },
-    )
-    .unwrap();
-    let report = rt.process_trace(&trace).unwrap();
-    (report, obs)
-}
-
-/// Sorted, deduplicated series identifiers (`name{labels}`) of a
-/// Prometheus text export — the *schema* of the export, stable across
-/// runs even though the sampled values (timings) are not.
-fn prometheus_series(prom: &str) -> Vec<String> {
-    let mut series = BTreeSet::new();
-    for line in prom.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (name, _value) = line.rsplit_once(' ').expect("sample line");
-        series.insert(name.to_string());
-    }
-    series.into_iter().collect()
+        ..RuntimeConfig::default()
+    })
 }
 
 /// Sorted, deduplicated `type` tags of a JSONL event export.
@@ -132,34 +96,11 @@ fn event_types(jsonl: &str) -> Vec<String> {
     types.into_iter().collect()
 }
 
-/// Compare `actual` against the committed snapshot `name`, or rewrite
-/// the snapshot when `UPDATE_SNAPSHOTS` is set in the environment.
-fn assert_matches_snapshot(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/snapshots")
-        .join(name);
-    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing snapshot {name} ({e}); regenerate with UPDATE_SNAPSHOTS=1")
-    });
-    assert_eq!(
-        expected.trim(),
-        actual.trim(),
-        "{name} drifted from the committed snapshot; if the change is \
-         intentional, regenerate with UPDATE_SNAPSHOTS=1 and commit"
-    );
-}
-
 #[test]
-fn prometheus_series_schema_matches_golden_snapshot() {
+fn metric_series_schema_matches_golden_snapshot() {
     let (report, _obs) = run_faulted_with_obs();
-    let mut out = prometheus_series(&report.metrics.to_prometheus()).join("\n");
-    out.push('\n');
-    assert_matches_snapshot("prometheus_series.snap", &out);
+    let series = metric_series(&report.metrics.to_json());
+    assert_matches_snapshot("metric_series.snap", &series);
 }
 
 #[test]
@@ -219,27 +160,6 @@ fn snapshot_json_passes_schema_validation() {
 }
 
 #[test]
-fn prometheus_export_is_well_formed() {
-    let (report, _obs) = run_with_obs();
-    let prom = report.metrics.to_prometheus();
-    let mut saw_bucket = false;
-    for line in prom.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        // Every sample line is `name[{labels}] value`.
-        let (series, value) = line.rsplit_once(' ').expect("sample line");
-        assert!(!series.is_empty(), "{line}");
-        assert!(value.parse::<f64>().is_ok(), "unparseable value: {line}");
-        if series.contains("_bucket{") {
-            saw_bucket = true;
-            assert!(series.contains("le="), "{line}");
-        }
-    }
-    assert!(saw_bucket, "histograms must export buckets");
-}
-
-#[test]
 fn event_exports_parse_and_cover_the_run() {
     let (report, obs) = run_with_obs();
     // JSONL: one valid JSON object per line, each with ts_ns + type.
@@ -254,25 +174,4 @@ fn event_exports_parse_and_cover_the_run() {
         }
     }
     assert_eq!(window_closes, report.windows.len());
-    // chrome://tracing export: a traceEvents array whose entries all
-    // carry the required ph/ts fields.
-    let trace = parse(&obs.chrome_trace()).expect("valid chrome trace");
-    let events = trace
-        .get("traceEvents")
-        .and_then(JsonValue::as_array)
-        .expect("traceEvents array");
-    assert!(!events.is_empty());
-    for e in events {
-        let ph = e.get("ph").and_then(JsonValue::as_str).unwrap();
-        assert!(ph == "X" || ph == "i" || ph == "M", "unexpected phase {ph}");
-        if ph == "M" {
-            // Process-name metadata: announces a pid lane, no timestamp.
-            assert!(e.get("pid").and_then(JsonValue::as_u64).is_some());
-            continue;
-        }
-        assert!(e.get("ts").and_then(JsonValue::as_f64).is_some());
-        if ph == "X" {
-            assert!(e.get("dur").and_then(JsonValue::as_f64).is_some());
-        }
-    }
 }

@@ -15,14 +15,17 @@
 //!
 //! Golden snapshots (regenerate with `UPDATE_SNAPSHOTS=1`) pin the
 //! span schema — which (process, span-name) lanes exist — and the
-//! fabric-snapshot schema — which per-part metric series exist — on a
-//! deterministic faulted 2×2 fabric fixture.
+//! metric series schema — which `switch=`/`shard=`/`peer=`-labelled
+//! series the metrics JSON carries — on a deterministic faulted 2×2
+//! fabric fixture.
 
+mod series;
+
+use series::{assert_matches_snapshot, metric_series};
 use sonata::obs::{EventKind, ObsHandle, TracedEvent};
 use sonata::prelude::*;
 use sonata::stream::testsupport::{low_thresholds, seeded_packets};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 
 const WINDOW_NS: u64 = 3_000_000_000;
 
@@ -277,26 +280,6 @@ fn faulted_fixture() -> (TelemetryReport, ObsHandle) {
     )
 }
 
-fn assert_matches_snapshot(name: &str, actual: &str) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/snapshots")
-        .join(name);
-    if std::env::var_os("UPDATE_SNAPSHOTS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!("missing snapshot {name} ({e}); regenerate with UPDATE_SNAPSHOTS=1")
-    });
-    assert_eq!(
-        expected.trim(),
-        actual.trim(),
-        "{name} drifted from the committed snapshot; if the change is \
-         intentional, regenerate with UPDATE_SNAPSHOTS=1 and commit"
-    );
-}
-
 /// Span schema: the sorted set of `process name` lanes the faulted
 /// fixture traces — which components emit which spans.
 #[test]
@@ -313,27 +296,55 @@ fn span_schema_matches_golden_snapshot() {
     assert_matches_snapshot("trace_spans.snap", &out);
 }
 
-/// Fabric-snapshot schema: the per-part series names after routing
-/// the shared registry by `switch=`/`shard=`/`peer=` labels. Also
-/// checks the JSON export against the in-tree schema validator.
+/// Metric series schema of the fabric fixture: one line per key of
+/// the metrics JSON. The per-component view is in the keys themselves
+/// — every switch, shard and peer series carries its label.
 #[test]
-fn fabric_snapshot_schema_matches_golden_snapshot() {
+fn fabric_series_schema_matches_golden_snapshot() {
     let (_report, obs) = faulted_fixture();
-    let fab = sonata::obs::FabricSnapshot::from_labeled(&obs.snapshot());
-    sonata::obs::validate_fabric_snapshot_json(&fab.to_json()).expect("fabric JSON schema");
-    let mut lines = BTreeSet::new();
-    for (source, part) in &fab.parts {
-        for (key, _) in &part.counters {
-            lines.insert(format!("{source} counter {key}"));
+    let json = obs.snapshot().to_json();
+    sonata::obs::validate_snapshot_json(&json).expect("snapshot JSON schema");
+    assert_matches_snapshot("fabric_series.snap", &metric_series(&json));
+}
+
+/// The per-switch packet counters reconcile with the partition and
+/// with the report: on a fault-free 2×2 fabric, each
+/// `sonata_fabric_switch_packets{switch="s"}` is the number of packets
+/// `partition_window` handed switch s over the trace, and the
+/// counters sum to the report's packet total.
+#[test]
+fn per_switch_packet_counters_reconcile_with_the_report() {
+    let tr = fabric_trace(3, 7);
+    let plan = plan_for(&tr);
+    let mut fab = Fabric::new(
+        &plan,
+        RuntimeConfig {
+            obs: ObsHandle::enabled(),
+            topology: Some(TopologyConfig::new(2, 2)),
+            ..RuntimeConfig::default()
+        },
+    )
+    .unwrap();
+    let report = fab.process_trace(&tr).unwrap();
+    let mut partitioned = [0u64; 2];
+    let mut windows = 0;
+    for (_, packets) in tr.windows(3_000) {
+        for (s, part) in fab.partition_window(packets).iter().enumerate() {
+            partitioned[s] += part.len() as u64;
         }
-        for (key, _) in &part.gauges {
-            lines.insert(format!("{source} gauge {key}"));
-        }
-        for h in &part.histograms {
-            lines.insert(format!("{source} histogram {}", h.name));
-        }
+        windows += 1;
     }
-    let mut out = lines.into_iter().collect::<Vec<_>>().join("\n");
-    out.push('\n');
-    assert_matches_snapshot("fabric_snapshot_schema.snap", &out);
+    assert_eq!(windows, report.windows.len(), "same windowing as the run");
+    let mut sum = 0;
+    for (s, &expected) in partitioned.iter().enumerate() {
+        let key = format!("sonata_fabric_switch_packets{{switch=\"{s}\"}}");
+        let counted = report.metrics.counter(&key).expect(&key);
+        assert_eq!(counted, expected, "{key}");
+        sum += counted;
+    }
+    assert!(
+        partitioned.iter().all(|&n| n > 0),
+        "both switches see traffic"
+    );
+    assert_eq!(sum, report.total_packets());
 }

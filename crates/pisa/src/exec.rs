@@ -258,21 +258,15 @@ pub(crate) struct GatePlan {
     /// Header field of each column of the block.
     pub fields: Vec<Field>,
     /// Column of each field, indexed by `Field as usize` (only read
-    /// for fields in one of the masks below).
+    /// for fields in `parse_mask`).
     pub col_of: [u8; FIELD_SLOTS],
-    /// [`crate::parser::field_mask`] of the fields the leading filters
-    /// read, extracted for every packet (all fields when `all_pass`).
-    pub lead_mask: u32,
-    /// The remaining fields, gathered only for packets that survive
-    /// some task's leading filters.
-    pub rest_mask: u32,
+    /// [`crate::parser::field_mask`] of every field in `fields`: the
+    /// one parse walk of a batch extracts all of them for every packet.
+    pub parse_mask: u32,
     /// Distinct leading static clauses (the predicate cache's keys).
     pub clauses: Vec<FlatClause>,
     /// Distinct leading dyn-filter key expressions.
     pub dyn_keys: Vec<ExprRef>,
-    /// True when some task has no leading filter: every packet then
-    /// survives, so nothing is gathered lazily.
-    pub all_pass: bool,
 }
 
 impl GatePlan {
@@ -479,26 +473,12 @@ impl ExecPlan {
                 }
             }
         }
-        // Split the columns: what the predicate cache reads is loaded
-        // for every packet, the rest only for survivors.
-        let gates = &plan.gates;
-        let lead_cols: BTreeSet<usize> = (gates.clauses.iter().flat_map(|c| [c.a, c.b]))
-            .chain(gates.dyn_keys.iter().copied())
-            .flat_map(|e| plan.ops(e))
-            .filter_map(|op| match op {
-                FlatOp::Field(c) => Some(*c),
-                _ => None,
-            })
-            .collect();
+        // One parse walk per packet extracts every column any kernel
+        // reads.
         let g = &mut plan.gates;
-        g.all_pass = plan.kernels.iter().any(|k| k.lead.is_empty());
         for (c, &f) in g.fields.iter().enumerate() {
             g.col_of[f as usize] = c as u8;
-            if g.all_pass || lead_cols.contains(&c) {
-                g.lead_mask |= 1 << f as u32;
-            } else {
-                g.rest_mask |= 1 << f as u32;
-            }
+            g.parse_mask |= 1 << f as u32;
         }
         plan
     }
@@ -678,7 +658,7 @@ impl ExecPlan {
         }
     }
 
-    fn ops(&self, e: ExprRef) -> &[FlatOp] {
+    pub(crate) fn ops(&self, e: ExprRef) -> &[FlatOp] {
         &self.flat[e.start as usize..(e.start + e.len) as usize]
     }
 

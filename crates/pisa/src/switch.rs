@@ -253,8 +253,7 @@ struct BatchScratch {
     dyn_keys: Vec<Vec<u64>>,
     /// One `words`-long survivor bitmap per task.
     task_bits: Vec<u64>,
-    /// Bitmap accumulators (one rule's AND; one filter's OR, then the
-    /// union of all tasks' survivors).
+    /// Bitmap accumulators (one rule's AND; one filter's OR).
     rule_bits: Vec<u64>,
     any_bits: Vec<u64>,
     /// Selection vector of the task being run: batch indices of its
@@ -684,19 +683,17 @@ impl Switch {
     /// Execution is **task-major over one shared column block** (the
     /// soundness argument is in [`crate::exec`]'s module docs):
     ///
-    /// 1. **Columns** — every header field a leading filter reads is
-    ///    extracted once per packet into a struct-of-arrays block.
+    /// 1. **Columns** — one parse walk per packet extracts every header
+    ///    field any kernel reads into a struct-of-arrays block.
     /// 2. **Predicate cache** — each *distinct* leading clause and
     ///    dyn-filter key is evaluated once over the block, however
     ///    many tasks filter on it; a task's survivors are the AND of
     ///    its filters' cached bitmaps.
-    /// 3. **Lazy gather** — the remaining fields are extracted only
-    ///    for packets some task still wants.
-    /// 4. **Kernels** — each task runs its stateful steps as tight
+    /// 3. **Kernels** — each task runs its stateful steps as tight
     ///    loops over its own selection vector, one register hot in
     ///    cache at a time, with key-width and operand-shape dispatch
     ///    outside the lane loop. Shunts are noted by packet and step.
-    /// 5. **Emission** — right after its kernel, a task's survivors
+    /// 4. **Emission** — right after its kernel, a task's survivors
     ///    become the rows of its mirror's
     ///    [`ReportBlock`](crate::batch::ReportBlock) in one pass,
     ///    merged by packet with its shunts if it had any, and numbered
@@ -721,19 +718,18 @@ impl Switch {
         let words = n.div_ceil(64);
         let stack = &mut sc.stack;
 
-        // 1. Leading-filter columns for every packet. The block starts
-        // zeroed: a layer that fails to parse leaves its lanes at the
-        // zero an unset PHV slot reads.
+        // 1. Every column, in one parse walk per packet. A lane no task
+        // keeps is never read past step 2. The block starts zeroed: a
+        // layer that fails to parse leaves its lanes at the zero an
+        // unset PHV slot reads.
         sc.cols.clear();
         sc.cols.resize(gates.fields.len() * n, 0);
-        let load = |cols: &mut [u64], i: usize, want: u32| {
-            parser::extract_fields(batch.view(i).bytes(), want, |f, v| {
-                cols[gates.col_of[f as usize] as usize * n + i] = v;
-            });
-        };
-        if gates.lead_mask != 0 {
+        if gates.parse_mask != 0 {
+            let cols = &mut sc.cols;
             for i in 0..n {
-                load(&mut sc.cols, i, gates.lead_mask);
+                parser::extract_fields(batch.view(i).bytes(), gates.parse_mask, |f, v| {
+                    cols[gates.col_of[f as usize] as usize * n + i] = v;
+                });
             }
         }
 
@@ -799,18 +795,7 @@ impl Switch {
             }
         }
 
-        // 3. Everything else, only for packets some task still wants.
-        if gates.rest_mask != 0 {
-            sc.any_bits.fill(0);
-            for mask in sc.task_bits.chunks(words.max(1)) {
-                for (a, &m) in sc.any_bits.iter_mut().zip(mask) {
-                    *a |= m;
-                }
-            }
-            for_each_bit(&sc.any_bits, |i| load(&mut sc.cols, i, gates.rest_mask));
-        }
-
-        // 4. Task-major kernels, each task's reports emitted (5.) as
+        // 3. Task-major kernels, each task's reports emitted (4.) as
         // soon as its kernel is done.
         let cols = sc.cols.as_slice();
         let lane = |i: u32| Lane {
@@ -901,7 +886,7 @@ impl Switch {
                 }
             }
 
-            // 5. The task's reports in packet order: its mirrors in runs
+            // 4. The task's reports in packet order: its mirrors in runs
             // between its shunts, each row numbered as it lands.
             let seq = &mut task_seq[t];
             let mut emit = |report: &FlatReport, pkts: &[u32]| {
@@ -1250,7 +1235,8 @@ fn exact_lanes<const K: usize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compile::{compile_pipeline, RegisterSizing};
+    use crate::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
+    use crate::exec::{ExprRef, FlatOp};
     use sonata_packet::{PacketArena, PacketBuilder, TcpFlags};
     use sonata_query::catalog::{self, Thresholds};
     use sonata_query::QueryId;
@@ -1837,7 +1823,10 @@ mod tests {
                 })
                 .collect();
             assert!(
-                !batched.plan.gates.all_pass,
+                matches!(
+                    batched.plan.kernels[0].lead[..],
+                    [LeadFilter::Static { .. }]
+                ),
                 "leading SYN filter must be hoisted"
             );
             let arena = PacketArena::from_packets(&pkts);
@@ -1904,7 +1893,10 @@ mod tests {
         };
         let mut reference = load();
         let mut batched = load();
-        assert!(!batched.plan.gates.all_pass);
+        assert!(
+            matches!(batched.plan.kernels[0].lead[..], [LeadFilter::Dyn { .. }]),
+            "the leading dyn filter must be hoisted"
+        );
         let pkts = vec![syn(1, 0x0a000001), syn(1, 0x0b000001)];
         let arena = PacketArena::from_packets(&pkts);
         let mut out = ReportBatch::new();
@@ -2013,8 +2005,8 @@ mod tests {
         let mut reference = load();
         let mut batched = load();
         assert!(
-            batched.plan.gates.all_pass,
-            "q5 leads with a Map, so gating must disable itself"
+            batched.plan.kernels.iter().any(|k| k.lead.is_empty()),
+            "q5 leads with a Map, so its task has no leading filter"
         );
         let pkts: Vec<Packet> = (0..8).map(|i| syn(100 + i, 0xaa)).collect();
         let arena = PacketArena::from_packets(&pkts);
@@ -2168,7 +2160,6 @@ mod tests {
     /// word more than the `key_bits + value_bits` it is charged.
     #[test]
     fn registers_hold_the_bits_the_resource_model_charges() {
-        use crate::compile::{max_switch_units, table_specs};
         use sonata_planner::refine::refine_query;
         let sizing = RegisterSizing {
             slots: 4096,
@@ -2210,5 +2201,93 @@ mod tests {
             (1.0..1.10).contains(&ratio),
             "simulated / charged = {ratio:.3}"
         );
+    }
+
+    /// The field mask of every header field `sw`'s batch plan reads
+    /// (leading clauses and dyn keys, step and report expressions),
+    /// and of those the leading filters read alone.
+    fn fields_read(sw: &Switch) -> (u32, u32) {
+        let (plan, g) = (&sw.plan, &sw.plan.gates);
+        let mut lead: Vec<ExprRef> = g.clauses.iter().flat_map(|c| [c.a, c.b]).collect();
+        lead.extend(&g.dyn_keys);
+        let mut all = lead.clone();
+        for k in &plan.kernels {
+            for step in &k.steps {
+                match step {
+                    StepKind::Filter { rules } => {
+                        all.extend(rules.iter().flatten().flat_map(|c| [c.a, c.b]))
+                    }
+                    StepKind::DynFilter { key, .. } => all.push(*key),
+                    StepKind::Update {
+                        operand,
+                        keys,
+                        shunt,
+                        ..
+                    } => {
+                        all.push(*operand);
+                        all.extend(keys.iter().chain(&shunt.exprs));
+                    }
+                }
+            }
+            all.extend(k.mirror.iter().flat_map(|m| &m.exprs));
+        }
+        let mask = |es: &[ExprRef]| {
+            (es.iter().flat_map(|&e| plan.ops(e))).fold(0u32, |m, op| match op {
+                FlatOp::Field(c) => m | 1 << g.fields[*c] as u32,
+                _ => m,
+            })
+        };
+        (mask(&all), mask(&lead))
+    }
+
+    /// One parse walk extracts every field the plan reads: what a task
+    /// reads after its gate is in the parse mask too, so no second,
+    /// per-survivor gather is needed — for a SYN-gated query whose key
+    /// is read only after the gate, and for the merged top-8 queries at
+    /// a dyn-filtered refinement level.
+    #[test]
+    fn the_parse_mask_holds_every_field_the_plan_reads() {
+        use sonata_planner::refine::refine_query;
+        let q1 = catalog::newly_opened_tcp_conns(&Thresholds::default());
+        let cp = compile_pipeline(&q1.pipeline, t(1), &[0, 1, 2], &[Default::default()], 0, 0);
+        let sw = Switch::load(cp.unwrap().fragment, &SwitchConstraints::default()).unwrap();
+        let (read, lead) = fields_read(&sw);
+        assert_ne!(read, lead, "q1 reads dIP only past its SYN gate");
+        assert_eq!(sw.plan.gates.parse_mask, read);
+
+        let mut program = PisaProgram::default();
+        let (mut meta_base, mut reg_base) = (0, 0);
+        for (i, q) in catalog::top8(&Thresholds::default()).iter().enumerate() {
+            let q = refine_query(q, 16, Some((8, Default::default())));
+            let right = q.join.as_ref().map(|j| &j.right);
+            for (branch, pipeline) in std::iter::once(&q.pipeline).chain(right).enumerate() {
+                let specs = table_specs(pipeline);
+                let k = max_switch_units(&specs);
+                let stages: Vec<usize> = (specs.iter().take(k))
+                    .scan(0, |at, s| Some(std::mem::replace(at, *at + s.stage_cost)))
+                    .collect();
+                let stateful = specs.iter().take(k).filter(|s| s.stateful).count();
+                let task = TaskId {
+                    query: QueryId(i as u32),
+                    level: 16,
+                    branch: branch as u8,
+                };
+                let sizings = vec![RegisterSizing::default(); stateful];
+                let cp = compile_pipeline(pipeline, task, &stages, &sizings, meta_base, reg_base)
+                    .unwrap();
+                meta_base = cp.fragment.meta_slots.max(meta_base);
+                reg_base += cp.fragment.registers.len() as u32;
+                program.merge(cp.fragment);
+            }
+        }
+        let roomy = SwitchConstraints {
+            stateful_per_stage: 64,
+            ..Default::default()
+        };
+        let sw = Switch::load(program, &roomy).unwrap();
+        assert!(sw.plan.kernels.len() > 8, "every top-8 branch is a task");
+        let (read, lead) = fields_read(&sw);
+        assert!(!sw.plan.gates.dyn_keys.is_empty() && read != lead);
+        assert_eq!(sw.plan.gates.parse_mask, read);
     }
 }

@@ -310,6 +310,12 @@ impl Emitter {
         self.forwarded.window += if local { 0 } else { pushed as u64 };
     }
 
+    /// The job batches of the window in flight, as placed so far: the
+    /// rows the job pool can take before close.
+    pub(crate) fn in_flight(&mut self) -> impl Iterator<Item = (QueryId, &mut WindowBatch)> {
+        self.batches.iter_mut().map(|(job, batch)| (*job, batch))
+    }
+
     /// Close the window: merge the local store (replaying each task's
     /// switch-side operators over shunts + raw dumps, which applies
     /// the thresholds the switch had to skip), forward survivors, and

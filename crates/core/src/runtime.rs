@@ -37,14 +37,16 @@ pub struct RuntimeConfig {
     /// budget drift and collision shunts — into the re-plan trigger
     /// ([`crate::drift::DriftMonitor`]).
     pub drift: DriftConfig,
-    /// Threads that run a window's stream jobs, one whole job per
-    /// thread: the window loop's own thread plus `workers − 1`
-    /// persistent helpers. A window fans out only when its jobs carry
-    /// at least [`sonata_stream::PARALLEL_FLOOR_TUPLES`] tuples;
-    /// smaller windows, and every window at `workers: 1`, run inline.
-    /// Reports are byte-identical at every count (the differential
-    /// suites sweep 1/2/4/8). Defaults to
-    /// [`std::thread::available_parallelism`].
+    /// Threads that run a window's stream jobs, one home thread per
+    /// job: the window loop's own thread plus `workers − 1` persistent
+    /// helpers. A job homed on a helper takes in its rows while the
+    /// switch is still running, and finishes there at close. A window
+    /// fans out only when its jobs carry at least
+    /// [`sonata_stream::PARALLEL_FLOOR_TUPLES`] tuples, and streams
+    /// only when the last window's did; smaller windows, and every
+    /// window at `workers: 1`, run inline at close. Reports are
+    /// byte-identical at every count (the differential suites sweep
+    /// 1/2/4/8). Defaults to [`std::thread::available_parallelism`].
     pub workers: usize,
     /// Observability sink threaded through the switch, planner, and
     /// stream engine. Disabled (near-zero overhead) by default; enable

@@ -189,10 +189,14 @@ impl SwitchEndpoint {
     /// and the packet batch it was produced from, calling `pump` after
     /// every send so a single-threaded driver's collector keeps
     /// draining. Fault-free windows ship [`Frame::ReportBlocks`] chunks
-    /// of [`CHUNK_BYTES`]; with the fault seam on, every packet — even
-    /// one that reported nothing, because delay verdicts are measured
-    /// in packets — goes through [`Self::send_packet_reports`] as
-    /// owned reports, the identical per-packet verdict sequence.
+    /// of [`CHUNK_BYTES`]. The runtime's 1 024-packet slices ship one
+    /// frame each; but a slice bounds packets, not bytes (a packet
+    /// carries a row per task that mirrors it), so the budget is what
+    /// keeps any batch under the codec's frame limit. With the fault
+    /// seam on, every packet — even one that reported nothing, because
+    /// delay verdicts are measured in packets — goes through
+    /// [`Self::send_packet_reports`] as owned reports, the identical
+    /// per-packet verdict sequence.
     pub fn send_batch_reports<E: From<NetError>>(
         &mut self,
         reports: &ReportBatch,

@@ -28,8 +28,10 @@ pub enum Transport {
 /// Application-layer content recognized by the stack.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AppLayer {
-    /// A DNS message (parsed when the UDP port is 53).
-    Dns(DnsHeader),
+    /// A DNS message (parsed when the UDP port is 53), shared: a
+    /// packet's clones (and [`Packet::share`]) point at one message
+    /// rather than copying its names and records.
+    Dns(Arc<DnsHeader>),
     /// No recognized application layer.
     None,
 }
@@ -248,7 +250,7 @@ impl Packet {
         let app = match &transport {
             Transport::Udp(u) if (u.dst_port == 53 || u.src_port == 53) && !payload.is_empty() => {
                 match DnsHeader::decode(&payload) {
-                    Ok(dns) => AppLayer::Dns(dns),
+                    Ok(dns) => AppLayer::Dns(Arc::new(dns)),
                     Err(_) => AppLayer::None,
                 }
             }
@@ -430,7 +432,7 @@ impl PacketBuilder {
                 eth: None,
                 ipv4: Ipv4Header::new(src_ip, dst_ip, IpProtocol::Udp),
                 transport: Transport::Udp(UdpHeader { src_port, dst_port }),
-                app: AppLayer::Dns(msg),
+                app: AppLayer::Dns(Arc::new(msg)),
                 payload: payload.into(),
                 encoded: EncodedCache::default(),
             },
@@ -531,7 +533,7 @@ mod tests {
         let bytes = pkt.encode();
         let back = Packet::decode(&bytes).unwrap();
         match &back.app {
-            AppLayer::Dns(d) => assert_eq!(d, &msg),
+            AppLayer::Dns(d) => assert_eq!(**d, msg),
             other => panic!("expected DNS app layer, got {other:?}"),
         }
         assert_eq!(
@@ -539,6 +541,18 @@ mod tests {
             Some(Value::Text("tunnel.evil.example".into()))
         );
         assert_eq!(back.get(Field::DnsQType), Some(Value::U64(16)));
+    }
+
+    #[test]
+    fn a_dns_clone_shares_its_message() {
+        let msg = DnsHeader::query(7, "a.example", DnsQType::A);
+        let pkt = PacketBuilder::dns(1, 2, msg).build();
+        let (AppLayer::Dns(a), AppLayer::Dns(b)) = (&pkt.app, &pkt.clone().app) else {
+            panic!("expected DNS app layers");
+        };
+        assert!(Arc::ptr_eq(a, b));
+        // An inline `DnsHeader` made every packet 160 bytes.
+        assert!(std::mem::size_of::<Packet>() <= 112);
     }
 
     #[test]

@@ -39,6 +39,18 @@
 //! Within a segment the sources are drained in entry-index order — the
 //! previous sink's output first, then each entry run.
 //!
+//! ## A window in three steps
+//!
+//! A window runs as [`BoundPipeline::begin`], which clears every
+//! table; [`BoundPipeline::feed`], any number of times, which runs rows
+//! entering at or before the first stateful op into that op's table
+//! (into the output, if the pipeline has none); and
+//! [`BoundPipeline::finish`], which runs the window's other entries,
+//! drains each sink into the next segment and emits. The job pool
+//! feeds a job's rows as the switch reports them and finishes it at
+//! window close; [`BoundPipeline::run_rows`] is `begin` then `finish`,
+//! whose first segment goes through the same code as `feed`.
+//!
 //! ## Order
 //!
 //! Every [`Agg`] is commutative and associative and a `distinct` is a
@@ -474,6 +486,33 @@ struct Segment<'a> {
 }
 
 impl Segment<'_> {
+    /// Take the rows of `entries`, entering where `run` starts, a chunk
+    /// of them at a time through `sel`.
+    fn enter(&mut self, run: &Run, entries: &[RowRun], sel: &mut Vec<u32>) {
+        for entry in entries {
+            match entry {
+                RowRun::Packets { block, sel: picked } => {
+                    for picked in picked.chunks(CHUNK) {
+                        sel.clear();
+                        sel.extend_from_slice(picked);
+                        retain(sel, |p| block.is_valid(p));
+                        run.narrow(&**block, sel, &mut self.out.heap);
+                        self.take(run, &**block, sel);
+                    }
+                }
+                RowRun::Cells(rows) => {
+                    let len = rows.len() as u32;
+                    for first in (0..len).step_by(CHUNK) {
+                        sel.clear();
+                        sel.extend(first..len.min(first + CHUNK as u32));
+                        run.narrow(rows, sel, &mut self.out.heap);
+                        self.take(run, rows, sel);
+                    }
+                }
+            }
+        }
+    }
+
     /// Take the rows of `src` in `sel` as `run` projects them.
     fn take<S: Columns>(&mut self, run: &Run, src: &S, sel: &[u32]) {
         let (proj, rows) = (&run.proj[..], (src, sel));
@@ -516,6 +555,11 @@ pub struct BoundPipeline {
     /// The selection vector and the gather scratch, kept between runs.
     sel: Vec<u32>,
     cells: Vec<u64>,
+    /// The window's output so far; its heap holds the boxed cells of
+    /// every table's keys.
+    out: Rows,
+    /// The lowest op [`Self::feed`] took rows at since [`Self::begin`].
+    fed_from: Option<usize>,
 }
 
 impl BoundPipeline {
@@ -570,10 +614,12 @@ impl BoundPipeline {
         };
         Ok(BoundPipeline {
             runs: (0..=ops.len()).map(lower).collect(),
+            out: Rows::new(schemas[ops.len()].len()),
             schemas,
             sinks,
             sel: Vec::new(),
             cells: Vec::new(),
+            fed_from: None,
         })
     }
 
@@ -605,6 +651,7 @@ impl BoundPipeline {
 
     /// Run the whole pipeline over a batch entering at op 0.
     pub fn run(&mut self, tuples: Vec<Tuple>) -> Vec<Tuple> {
+        self.begin();
         let runs = runs_of(&tuples);
         self.run_from(0, |at| if at == 0 { &runs } else { &[] })
             .tuples()
@@ -623,38 +670,84 @@ impl BoundPipeline {
     }
 
     /// Run with rows injected at arbitrary operator indices,
-    /// reproducing the reference `run_entries` merge semantics.
+    /// reproducing the reference `run_entries` merge semantics: a
+    /// whole window, [`Self::begin`] then [`Self::finish`].
     pub fn run_rows(&mut self, entries: &Entries) -> Result<Rows, BoundError> {
+        self.begin();
+        self.finish(entries)
+    }
+
+    /// Start a window: empty every stateful op's table and the output.
+    pub fn begin(&mut self) {
+        self.sinks.iter_mut().for_each(|sink| sink.table.clear());
+        self.out = Rows::new(self.output_schema().len());
+        self.fed_from = None;
+    }
+
+    /// The last op [`Self::feed`] takes rows at: the first stateful
+    /// one, or the pipeline's end if it has none.
+    pub fn feed_limit(&self) -> usize {
+        self.sinks
+            .first()
+            .map_or(self.runs.len() - 1, |sink| sink.at)
+    }
+
+    /// Run `rows` entering at op `at`, at most [`Self::feed_limit`],
+    /// into the first stateful op's table — or, in a pipeline with
+    /// none, into the output — ahead of [`Self::finish`].
+    pub fn feed(&mut self, at: usize, rows: &[RowRun]) {
+        assert!(
+            at <= self.feed_limit(),
+            "feed at op {at} past the first sink"
+        );
+        self.fed_from = Some(self.fed_from.map_or(at, |from| from.min(at)));
+        let BoundPipeline {
+            runs,
+            sinks,
+            sel,
+            cells,
+            out,
+            ..
+        } = self;
+        let mut segment = Segment {
+            sink: sinks.first_mut(),
+            out,
+            cells,
+        };
+        segment.enter(&runs[at], rows, sel);
+    }
+
+    /// End the window: run `entries` as [`Self::run_rows`] runs them,
+    /// on top of what was fed since [`Self::begin`], and emit.
+    pub fn finish(&mut self, entries: &Entries) -> Result<Rows, BoundError> {
         let len = self.runs.len() - 1;
         if let Some(&op) = entries.keys().find(|&&op| op > len) {
             return Err(BoundError::BadEntry { op, len });
         }
         let first = entries.keys().next().copied().unwrap_or(len);
+        let first = self.fed_from.map_or(first, |fed| fed.min(first));
         Ok(self.run_from(first, |at| entries.get(&at).map_or(&[], Vec::as_slice)))
     }
 
     /// Segment-by-segment execution from op `start`, over the runs
-    /// `entering` at each op.
+    /// `entering` at each op, into the tables [`Self::begin`] cleared.
     fn run_from<'a>(&mut self, start: usize, entering: impl Fn(usize) -> &'a [RowRun]) -> Rows {
         let BoundPipeline {
-            schemas,
             runs,
             sinks,
             sel,
             cells,
+            out,
+            ..
         } = self;
         let (len, last) = (runs.len() - 1, sinks.len());
-        let mut out = Rows::new(schemas[len].len());
         let first = sinks.iter().take_while(|sink| sink.at < start).count();
         let mut lo = start;
         for seg in first..=last {
             let (done, rest) = sinks.split_at_mut(seg);
-            let mut sink = rest.first_mut();
-            if let Some(sink) = &mut sink {
-                sink.table.clear();
-            }
+            let sink = rest.first_mut();
             let hi = sink.as_ref().map_or(len, |sink| sink.at);
-            let (out, cells) = (&mut out, &mut *cells);
+            let (out, cells) = (&mut *out, &mut *cells);
             let mut segment = Segment { sink, out, cells };
             // Drain this segment's sources in entry order: the groups
             // of the sink before it — those its run's steps keep, which
@@ -673,32 +766,12 @@ impl BoundPipeline {
                 segment.take(&runs[at + 1], table, sel);
             }
             for (at, run) in (lo..).zip(&runs[lo..=hi]) {
-                for entry in entering(at) {
-                    match entry {
-                        RowRun::Packets { block, sel: picked } => {
-                            for picked in picked.chunks(CHUNK) {
-                                sel.clear();
-                                sel.extend_from_slice(picked);
-                                retain(sel, |p| block.is_valid(p));
-                                run.narrow(&**block, sel, &mut segment.out.heap);
-                                segment.take(run, &**block, sel);
-                            }
-                        }
-                        RowRun::Cells(rows) => {
-                            let len = rows.len() as u32;
-                            for first in (0..len).step_by(CHUNK) {
-                                sel.clear();
-                                sel.extend(first..len.min(first + CHUNK as u32));
-                                run.narrow(rows, sel, &mut segment.out.heap);
-                                segment.take(run, rows, sel);
-                            }
-                        }
-                    }
-                }
+                segment.enter(run, entering(at), sel);
             }
             lo = hi + 1;
         }
-        out
+        let width = out.width();
+        std::mem::replace(out, Rows::new(width))
     }
 }
 
@@ -812,6 +885,7 @@ impl BoundJoin {
         };
         project(&self.left_keys, (left, sel), (cells, &mut heap), matched);
         let entering = RowRun::Cells(std::mem::take(joined));
+        post.begin();
         let out = post.run_from(0, |at| match at {
             0 => std::slice::from_ref(&entering),
             _ => &[],

@@ -11,6 +11,7 @@ use sonata_query::bound::{BoundError, BoundJoin, BoundPipeline};
 use sonata_query::interpret::{run_entries_owned, run_join, InterpretError};
 use sonata_query::{Entries, Query, QueryId, RowRun, Rows, Schema, Tuple};
 use std::collections::{BTreeMap, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Errors from window execution.
 #[derive(Debug)]
@@ -189,49 +190,66 @@ fn bind_query(q: &Query) -> Option<BoundQuery> {
     Some(BoundQuery { left, join })
 }
 
-/// [`execute_window`] on the compiled fast path, over the batch's
-/// rows where they are. Bit-identical to the reference: same per-key
-/// folds, same sorted emission, same error precedence (left entries
-/// validate before the right branch is considered). Tuples are built
-/// of what comes out.
-fn execute_window_bound(
-    bound: &mut BoundQuery,
-    batch: &WindowBatch,
-) -> Result<JobResult, StreamError> {
-    let sorted = |rows: &Rows| {
-        let mut tuples: Vec<Tuple> = rows.tuples().collect();
-        tuples.sort();
-        tuples
-    };
-    let left = bound.left.run_rows(&batch.left)?;
-    let (output, branch_outputs) = match &mut bound.join {
-        None => {
-            if !batch.right.is_empty() {
-                return Err(StreamError::NoRightBranch);
+impl BoundQuery {
+    fn begin(&mut self) {
+        self.left.begin();
+        if let Some((right, _)) = &mut self.join {
+            right.begin();
+        }
+    }
+
+    /// The branch pipeline `branch` names, if the query has it.
+    fn branch(&mut self, branch: u8) -> Option<&mut BoundPipeline> {
+        match (branch, &mut self.join) {
+            (0, _) => Some(&mut self.left),
+            (_, Some((right, _))) => Some(right),
+            (_, None) => None,
+        }
+    }
+
+    /// [`execute_window`] on the compiled fast path, over the batch's
+    /// rows where they are, on top of the rows fed since
+    /// [`Self::begin`]. Bit-identical to the reference: same per-key
+    /// folds, same sorted emission, same error precedence (left
+    /// entries validate before the right branch is considered). Tuples
+    /// are built of what comes out.
+    fn finish(&mut self, batch: &WindowBatch) -> Result<(Vec<Tuple>, BranchOutputs), StreamError> {
+        let sorted = |rows: &Rows| {
+            let mut tuples: Vec<Tuple> = rows.tuples().collect();
+            tuples.sort();
+            tuples
+        };
+        let left = self.left.finish(&batch.left)?;
+        Ok(match &mut self.join {
+            None => {
+                if !batch.right.is_empty() {
+                    return Err(StreamError::NoRightBranch);
+                }
+                (sorted(&left), Vec::new())
             }
-            (sorted(&left), Vec::new())
-        }
-        Some((right_branch, join)) => {
-            let right = right_branch.run_rows(&batch.right)?;
-            let branches = vec![
-                (bound.left.output_schema().clone(), sorted(&left)),
-                (right_branch.output_schema().clone(), sorted(&right)),
-            ];
-            (sorted(&join.run_rows(&left, &right)), branches)
-        }
-    };
-    Ok(JobResult {
-        output,
-        tuples_in: batch.tuple_count(),
-        branch_outputs,
-    })
+            Some((right_branch, join)) => {
+                let right = right_branch.finish(&batch.right)?;
+                let branches = vec![
+                    (self.left.output_schema().clone(), sorted(&left)),
+                    (right_branch.output_schema().clone(), sorted(&right)),
+                ];
+                (sorted(&join.run_rows(&left, &right)), branches)
+            }
+        })
+    }
 }
+
+/// [`JobResult::branch_outputs`].
+type BranchOutputs = Vec<(Schema, Vec<Tuple>)>;
 
 /// Cumulative engine counters.
 #[derive(Debug, Clone, Default)]
 pub struct EngineCounters {
     /// Total tuples received across all queries and windows.
     pub tuples_in: u64,
+    /// Of those, the tuples handed to a job's home thread while the
+    /// switch was still running ([`crate::ShardedEngine::hand_off`]).
+    pub tuples_fed_mid_window: u64,
     /// Total result tuples emitted.
     pub results_out: u64,
     /// Windows executed.
@@ -242,9 +260,20 @@ pub struct EngineCounters {
 
 /// The per-job executor: one registered query with its compiled fast
 /// path (`None` on the reference interpreter).
+///
+/// A window runs as [`Self::begin`], any number of [`Self::feed`]s —
+/// the rows the job pool hands the job while the switch is still
+/// running — and [`Self::finish`] over the rest of the window's batch.
+/// [`Self::execute`] is a window with nothing fed.
 pub(crate) struct MicroBatchEngine {
     query: Query,
     bound: Option<BoundQuery>,
+    /// Rows fed since [`Self::begin`].
+    fed: usize,
+    /// Wall time the feeds since [`Self::begin`] took.
+    pub(crate) fed_ns: u64,
+    /// A feed that panicked, surfaced by [`Self::finish`].
+    failed: Option<StreamError>,
 }
 
 impl MicroBatchEngine {
@@ -252,7 +281,13 @@ impl MicroBatchEngine {
     /// interpreter when `oracle` is set.
     pub(crate) fn new(query: Query, oracle: bool) -> Self {
         let bound = if oracle { None } else { bind_query(&query) };
-        MicroBatchEngine { query, bound }
+        MicroBatchEngine {
+            query,
+            bound,
+            fed: 0,
+            fed_ns: 0,
+            failed: None,
+        }
     }
 
     /// The registered query.
@@ -260,12 +295,79 @@ impl MicroBatchEngine {
         &self.query
     }
 
-    /// Execute one window.
-    pub(crate) fn execute(&mut self, batch: &WindowBatch) -> Result<JobResult, StreamError> {
-        match &mut self.bound {
-            Some(bound) => execute_window_bound(bound, batch),
-            None => execute_window(&self.query, batch),
+    /// Per branch (left, right), the last op [`Self::feed`] takes rows
+    /// at; `None` where the branch is absent or the job runs on the
+    /// reference interpreter, which is never fed.
+    pub(crate) fn feed_limits(&self) -> [Option<usize>; 2] {
+        let Some(bound) = &self.bound else {
+            return [None, None];
+        };
+        let right = bound.join.as_ref().map(|(right, _)| right.feed_limit());
+        [Some(bound.left.feed_limit()), right]
+    }
+
+    /// Start a window: empty every table, forget the last window's
+    /// feeds.
+    pub(crate) fn begin(&mut self) {
+        if let Some(bound) = &mut self.bound {
+            bound.begin();
         }
+        (self.fed, self.fed_ns, self.failed) = (0, 0, None);
+    }
+
+    /// Fold `rows` entering `branch` at `op` — within
+    /// [`Self::feed_limits`] — into the window. A panic is contained
+    /// and fails the window at [`Self::finish`]; rows fed after it are
+    /// counted and dropped.
+    pub(crate) fn feed(&mut self, branch: u8, op: usize, rows: &[RowRun]) {
+        self.fed += rows.iter().map(RowRun::len).sum::<usize>();
+        if self.failed.is_some() {
+            return;
+        }
+        let Some(pipeline) = self.bound.as_mut().and_then(|b| b.branch(branch)) else {
+            unreachable!("rows fed to a branch that does not feed");
+        };
+        let fed = catch_unwind(AssertUnwindSafe(|| pipeline.feed(op, rows)));
+        self.failed = fed
+            .err()
+            .map(|payload| StreamError::Panic(panic_message(&*payload)));
+    }
+
+    /// End the window: run `batch` on top of what was fed since
+    /// [`Self::begin`].
+    pub(crate) fn finish(&mut self, batch: &WindowBatch) -> Result<JobResult, StreamError> {
+        if let Some(failed) = self.failed.take() {
+            return Err(failed);
+        }
+        let (output, branch_outputs) = match &mut self.bound {
+            Some(bound) => bound.finish(batch)?,
+            None => {
+                let r = execute_window(&self.query, batch)?;
+                (r.output, r.branch_outputs)
+            }
+        };
+        Ok(JobResult {
+            output,
+            tuples_in: self.fed + batch.tuple_count(),
+            branch_outputs,
+        })
+    }
+
+    /// Execute one whole window.
+    pub(crate) fn execute(&mut self, batch: &WindowBatch) -> Result<JobResult, StreamError> {
+        self.begin();
+        self.finish(batch)
+    }
+}
+
+/// A panic payload as text.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

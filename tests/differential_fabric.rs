@@ -94,8 +94,15 @@ fn run_single(plan: &GlobalPlan, tr: &Trace, cfg: RuntimeConfig) -> TelemetryRep
 }
 
 fn run_fabric(plan: &GlobalPlan, tr: &Trace, cfg: RuntimeConfig) -> TelemetryReport {
+    run_fabric_fed(plan, tr, cfg).0
+}
+
+/// [`run_fabric`], and how many tuples its jobs were fed before their
+/// window closed.
+fn run_fabric_fed(plan: &GlobalPlan, tr: &Trace, cfg: RuntimeConfig) -> (TelemetryReport, u64) {
     let mut fab = Fabric::new(plan, cfg).unwrap();
-    fab.process_trace(tr).unwrap()
+    let report = fab.process_trace(tr).unwrap();
+    (report, fab.engine_counters().tuples_fed_mid_window)
 }
 
 /// The fabric equivalence contract. Every *result* field is
@@ -235,11 +242,17 @@ fn tcp_fabric_ships_lazy_fields_like_loopback_and_the_reference() {
         },
     );
     let (n, m) = (2, 2);
-    let loopback = run_fabric(
+    // Two workers: every window past the first carries more tuples than
+    // the job pool's floor, so jobs take in rows while the switches run.
+    let (loopback, fed) = run_fabric_fed(
         &plan,
         &tr,
-        config(Some((n, m)), TransportKind::Loopback, FaultPlan::none()),
+        RuntimeConfig {
+            workers: 2,
+            ..config(Some((n, m)), TransportKind::Loopback, FaultPlan::none())
+        },
     );
+    assert!(fed > 0, "no tuple reached a job before its window closed");
     let tcp = run_fabric(
         &plan,
         &tr,
@@ -247,6 +260,113 @@ fn tcp_fabric_ships_lazy_fields_like_loopback_and_the_reference() {
     );
     assert_equivalent(&reference, &tcp, n, "2x2 TCP vs reference");
     assert_eq!(loopback.windows, tcp.windows, "2x2: TCP fabric diverged");
+}
+
+/// A partition that ends at a `distinct` reports each key the first
+/// time its switch sees it. The partitioner is flow-sticky on the
+/// 5-tuple, so the flows of one (sIP, dIP) pair land on either switch
+/// of a 2×1 fabric, and both report the pair: the fabric must drop the
+/// repeat before the stream processor counts distinct pairs, and must
+/// not hand the job any row before that dedup — its windows are past
+/// the job pool's floor, and at eight workers every job is homed on a
+/// helper. The plan is Max-DP cut back to the `distinct`: the planner
+/// places the whole superspreader query on the switch when it fits.
+#[test]
+fn a_partition_ending_at_distinct_is_deduped_across_switches() {
+    let mut pkts = Vec::new();
+    for w in 0..3u64 {
+        for (i, (src, dst)) in (0..40u32)
+            .flat_map(|s| (0..200u32).map(move |d| (s, d)))
+            .enumerate()
+        {
+            // Two flows per pair, a source port apart.
+            for sport in [1_000, 1_001] {
+                let mut p = PacketBuilder::tcp_raw(0x0a00_0000 + src, sport, 0xc0a8_0000 + dst, 80)
+                    .flags(TcpFlags::SYN)
+                    .build();
+                p.ts_nanos = w * WINDOW_NS + i as u64 * 100;
+                pkts.push(p);
+            }
+        }
+    }
+    let tr = Trace::new(pkts);
+    let pairs = 40 * 200;
+    let queries = [catalog::superspreader(&Thresholds {
+        superspreader: 150,
+        ..Thresholds::default()
+    })];
+    let windows: Vec<&[sonata::packet::Packet]> = tr.windows(3_000).map(|(_, p)| p).collect();
+    let cfg = PlannerConfig {
+        mode: PlanMode::MaxDp,
+        cost: sonata::planner::costs::CostConfig {
+            levels: Some(vec![32]),
+            ..Default::default()
+        },
+        ..PlannerConfig::default()
+    };
+    let mut plan = plan_queries(&queries, &windows, &cfg).unwrap();
+    // Keep the map and the distinct (the first stateful unit) on the
+    // switch; the stream processor resumes after the distinct.
+    for level in &mut plan.queries[0].levels {
+        for branch in &mut level.branches {
+            assert!(branch.units > 2, "Max-DP keeps the query on the switch");
+            branch.units = 2;
+            branch.stages.truncate(2);
+            branch.sizings.truncate(1);
+        }
+    }
+    let eight = |topology| RuntimeConfig {
+        workers: 8,
+        ..config(topology, TransportKind::Loopback, FaultPlan::none())
+    };
+    let baseline = run_single(&plan, &tr, eight(None));
+    for w in &baseline.windows {
+        // One row per pair reaches the stream processor: the partition
+        // ends at the distinct.
+        assert_eq!(w.tuples_to_sp, pairs, "window {}", w.window);
+        assert_eq!(w.alerts.iter().map(|(_, a)| a.len()).sum::<usize>(), 40);
+    }
+    let (fabric, fed) = run_fabric_fed(&plan, &tr, eight(Some((2, 1))));
+    assert_equivalent(&baseline, &fabric, 2, "2x1 distinct partition");
+    assert_eq!(
+        fed, 0,
+        "the deduped job took in rows before its window closed"
+    );
+}
+
+/// A switch cut mid-window is a straggler: the fabric discards what it
+/// reported that window. With windows past the job pool's floor and
+/// every job but one homed on a helper, the jobs take in rows while the
+/// switches run — but never the cut switch's, so the run reads the
+/// same as with one worker, where nothing is handed off before close.
+#[test]
+fn a_cut_switchs_rows_never_reach_a_job() {
+    let tr = EvaluationTrace::generate(7, 4, 3_000, 0.02).trace;
+    let plan = plan_for(PlanMode::AllSp, &catalog::top8(&Thresholds::default()), &tr);
+    let run = |workers| {
+        let cfg = RuntimeConfig {
+            workers,
+            ..config(Some((2, 1)), TransportKind::Loopback, FaultPlan::none())
+        };
+        let mut fab = Fabric::new(&plan, cfg).unwrap();
+        fab.set_outage(SwitchOutage {
+            switch: 1,
+            from_window: 2,
+            cut_after: 1_000,
+            rejoin_window: 3,
+        })
+        .unwrap();
+        let report = fab.process_trace(&tr).unwrap();
+        (report, fab.engine_counters().tuples_fed_mid_window)
+    };
+    let (inline, fed) = run(1);
+    assert_eq!(fed, 0);
+    let cut = &inline.windows[2];
+    assert_eq!(cut.degraded.map(|d| d.straggler_switches), Some(0b10));
+    assert!(cut.tuples_to_sp > 6_144, "{} tuples", cut.tuples_to_sp);
+    let (streamed, fed) = run(8);
+    assert!(fed > 0, "no tuple reached a job before its window closed");
+    assert_eq!(streamed.windows, inline.windows);
 }
 
 /// One switch labelled with two collector shards runs the same one job

@@ -174,7 +174,9 @@ fn fast_path_matches_reference_at_every_shard_count() {
 /// All-SP top-8 windows send the stream processor eleven rows per
 /// packet, well over the job pool's fan-out floor, so this sweep runs
 /// a window's jobs side by side — the sonata_engine_parallel_windows_total
-/// counter proves it — and every width must equal the reference.
+/// counter proves it — and every width must equal the reference. From
+/// two workers on, jobs homed on a helper take in their rows while the
+/// switch is still running, and the engine counts them.
 #[test]
 fn fast_path_matches_reference_when_windows_fan_out() {
     let tr = EvaluationTrace::generate(11, 2, 3_000, 0.01).trace;
@@ -190,11 +192,14 @@ fn fast_path_matches_reference_when_windows_fan_out() {
     };
     let reference = run(&plan, &tr, loopback(true, 1));
     for workers in [1usize, 2, 4, 8] {
-        let fast = run(&plan, &tr, loopback(false, workers));
+        let mut rt = Runtime::new(&plan, loopback(false, workers)).unwrap();
+        let fast = rt.process_trace(&tr).unwrap();
         assert_eq!(
             fast.windows, reference.windows,
             "{workers} workers: fanned-out fast path diverged from reference"
         );
+        let fed = rt.engine_counters().tuples_fed_mid_window;
+        assert_eq!(fed > 0, workers > 1, "{workers} workers: {fed} tuples fed");
     }
     let obs = ObsHandle::enabled();
     let traced = run(

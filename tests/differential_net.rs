@@ -256,9 +256,13 @@ fn rx_frames(rt: &Runtime) -> Vec<(String, u64)> {
 fn an_oversized_window_ships_several_block_frames_and_the_same_report() {
     // All-SP mirrors every packet for both queries: 60 k packets, each
     // ~16 bytes of columns plus two rows' indices, is past the 1 MiB
-    // chunk budget.
+    // chunk budget. The switch runs the window a slice at a time, and
+    // each slice's reports are far under the budget, so each slice
+    // ships as one frame (the budget's own split is
+    // `one_over_budget_batch_ships_budget_sized_block_frames`).
     let tr = wide_window(200);
     assert_eq!(tr.windows(3_000).count(), 1);
+    let slices = tr.packets().len().div_ceil(sonata::core::SLICE_PACKETS);
     let plan = net_plan_mode(&net_queries(), &tr, PlanMode::AllSp);
     let one_by_one = run(
         &plan,
@@ -284,21 +288,81 @@ fn an_oversized_window_ships_several_block_frames_and_the_same_report() {
             .filter(|(kind, _)| kind == "report_blocks")
             .map(|(_, bytes)| *bytes)
             .collect();
-        assert!(blocks.len() >= 2, "{transport:?}: {frames:?}");
+        assert!(slices >= 2);
+        assert_eq!(blocks.len(), slices, "{transport:?}: {frames:?}");
         // What the transport saw on the wire: nothing on Loopback; on
-        // TCP every chunk but the last is just past the budget.
+        // TCP one frame per slice, each under the budget.
         let budget = sonata::pisa::CHUNK_BYTES as u64;
         match transport {
             TransportKind::Loopback => assert!(frames.iter().all(|(_, bytes)| *bytes == 0)),
-            TransportKind::Tcp => {
-                let (last, full) = blocks.split_last().unwrap();
-                assert!(full
-                    .iter()
-                    .all(|b| (budget..budget + budget / 8).contains(b)));
-                assert!(*last > 0 && *last < budget + budget / 8);
-            }
+            TransportKind::Tcp => assert!(blocks.iter().all(|&b| b > 0 && b < budget)),
         }
     }
+}
+
+#[test]
+fn one_over_budget_batch_ships_budget_sized_block_frames() {
+    // The same 60 k-packet All-SP window as one `process_batch`: its
+    // reports are past the 1 MiB chunk budget, so `send_batch_reports`
+    // cuts them into several frames, the bound that keeps any batch
+    // under the codec's frame limit however many rows a packet carries.
+    use sonata::net::{tcp_pair, CollectorEndpoint, Frame, NetMetrics, SwitchEndpoint};
+    let tr = wide_window(200);
+    let plan = net_plan_mode(&net_queries(), &tr, PlanMode::AllSp);
+    let deployed = deploy(&plan).unwrap();
+    let mut switch = Switch::load(deployed.program, &SwitchConstraints::default()).unwrap();
+    let arena = sonata::packet::PacketArena::from_packets(tr.packets());
+    let mut out = ReportBatch::new();
+    switch.process_batch(&arena.batch(), &mut out);
+
+    let obs = ObsHandle::enabled();
+    let metrics = NetMetrics::new(&obs);
+    let (sw_t, sp_t) = tcp_pair(&metrics, Default::default()).unwrap();
+    let faults = sonata::faults::FaultInjector::disabled();
+    let mut sw = SwitchEndpoint::new(Box::new(sw_t), faults, metrics.clone(), "sw", 7, 0).unwrap();
+    let mut sp = CollectorEndpoint::new(Box::new(sp_t), metrics, 7, 0);
+    sw.open_window(0, tr.packets().len() as u64).unwrap();
+    sw.send_batch_reports(&out, arena.batch(), || Ok::<_, sonata::net::NetError>(()))
+        .unwrap();
+    sw.close_window(0, 0, 0, 0).unwrap();
+    let mut shipped = Vec::new();
+    loop {
+        match sp.recv_frame().unwrap() {
+            Frame::ReportBlocks(chunk) => shipped.extend(chunk.reports()),
+            Frame::WindowClose { .. } => break,
+            _ => {}
+        }
+    }
+    let blocks: Vec<u64> = (obs.events().into_iter())
+        .filter_map(|e| match e.kind {
+            sonata::obs::EventKind::NetFrame { kind, bytes, .. } if kind == "report_blocks" => {
+                Some(bytes)
+            }
+            _ => None,
+        })
+        .collect();
+    assert!(blocks.len() >= 2, "{blocks:?}");
+    // On TCP every chunk but the last is just past the budget.
+    let budget = sonata::pisa::CHUNK_BYTES as u64;
+    let (last, full) = blocks.split_last().unwrap();
+    assert!(full
+        .iter()
+        .all(|b| (budget..budget + budget / 8).contains(b)));
+    assert!(*last > 0 && *last < budget + budget / 8);
+    // The same reports: every row's task, seq, entry and cells (the
+    // mirror mask names no lazy field, so no packet rides).
+    let key = |r: &sonata::pisa::Report| (r.task, r.seq, r.kind, r.entry_op, r.columns.clone());
+    let mut sent: Vec<_> = (0..out.packets())
+        .flat_map(|i| {
+            out.packet_reports(i, arena.batch())
+                .map(|r| key(&r.to_report()))
+        })
+        .collect();
+    let mut shipped: Vec<_> = shipped.iter().map(key).collect();
+    assert_eq!(sent.len(), out.total_reports());
+    sent.sort_by_key(|k| (k.0, k.1));
+    shipped.sort_by_key(|k| (k.0, k.1));
+    assert!(sent == shipped);
 }
 
 #[test]

@@ -6,9 +6,10 @@
 //! therefore a matter of blocks and groups, not of tuples: the bound
 //! here is **0.455 allocations per packet** for the whole window turn
 //! (arena build, switch, emitter, eight stream jobs at eleven rows a
-//! packet, boundary update) — the reading, 0.414, plus a tenth —
-//! where building a `Tuple` per packet and a `Tuple` per `map` took
-//! about fifteen.
+//! packet, boundary update) — the reading when it was set, 0.414,
+//! plus a tenth; 0.443 since the switch runs a window in 1 024-packet
+//! slices, each shipping its own report chunk — where building a
+//! `Tuple` per packet and a `Tuple` per `map` took about fifteen.
 
 mod common;
 

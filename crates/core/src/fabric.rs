@@ -58,8 +58,8 @@ use sonata_obs::{
 };
 use sonata_packet::{ArenaBatch, Packet, Value};
 use sonata_pisa::{
-    ControlOp, PisaProgram, ReportBatch, ReportKind, SketchBound, Switch, TaskId, UpdateCostModel,
-    WindowDump,
+    ControlOp, Gated, PisaProgram, ReportBatch, ReportKind, SketchBound, Switch, TaskId,
+    UpdateCostModel, WindowDump,
 };
 use sonata_planner::{GlobalPlan, ReplanOutcome, Replanner};
 use sonata_query::{ColName, Heap, Operator, Query, QueryId, RowRun, RowSource, Tuple};
@@ -70,6 +70,8 @@ use sonata_stream::{
 use sonata_traffic::{Trace, TracePartitioner};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// How many times a boundary write may fail (first attempt plus
@@ -191,11 +193,12 @@ struct FabricSwitch {
     link: SwitchEndpoint,
 }
 
-/// Packets of a switch's share that run as one [`Switch::process_batch`]
-/// and ship before the next slice starts, so that the collector can
-/// hand their rows to the job pool while the switch runs on. Registers
-/// and report seqs carry from slice to slice, so slicing changes no
-/// report. Measured with `bench_suite` on the 2-core box, seed 1: on
+/// Packets of a switch's share that run as one [`Switch::gate`] and
+/// [`Switch::run_gated`] and ship before the next slice starts, so
+/// that the collector can hand their rows to the job pool while the
+/// switch runs on. Registers and report seqs carry from slice to
+/// slice, so slicing changes no report. Measured with `bench_suite` on
+/// the 2-core box, seed 1: on
 /// `rt_allsp_top8` (≈ 3.7 k packets a window) the first rows reach the
 /// helper ≈ 75 µs into a ≈ 250 µs packet loop, and 512- or 2 048-packet
 /// slices read 2–5 % fewer packets/s; a first slice of 128–256 packets
@@ -204,38 +207,121 @@ struct FabricSwitch {
 /// read ≈ 5 % more packets/s than one batch per window.
 pub const SLICE_PACKETS: usize = 1_024;
 
+/// Gate time of a switch's share, summed over its slices, from which
+/// the next share gates its slices on a second thread while the caller
+/// runs the kernels ([`Ingest`]). A scoped `spawn` + `join` costs
+/// 38–46 µs on the 2-core bench box (best to p90 of 200), and the
+/// overlap saves at most the gate time the caller does not do itself,
+/// so the floor sits 2× above the spawn. Sonata top-8 shares (seed 1:
+/// ≈ 1 ms of gate a window) clear it many times over; All-SP parses
+/// nothing (≈ 2 µs a window) and stays on the caller. The gate must
+/// also have taken at most [`GATE_AHEAD_PER_KERNEL`] times the
+/// kernels' time ([`Ingest`] says why).
+const GATE_AHEAD_FLOOR_NS: u64 = 100_000;
+
+/// How many times its kernels' time a share's gate may take for the
+/// next share to be gated ahead. Seed 1, on one thread, the kernels
+/// take ≈ 1.9× the gate on Sonata top-8, ≈ 2.2× on Max-DP top-8 and
+/// ≈ 0.06× (at most 0.11×) on `rt_sonata_q1`. A split share's gate,
+/// summed over both threads, reads longer than on one: top-8 and
+/// Max-DP split shares read ≈ 1.1× at p10 and 0.3× at least, so the
+/// bound sits at 0.5×, twice q1's worst on the other side.
+const GATE_AHEAD_PER_KERNEL: u64 = 2;
+
+/// How often switches gated their shares ahead of the kernels, on a
+/// second thread ([`Fabric::gate_ahead`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GateAhead {
+    /// Shares gated on a second thread: one scoped spawn each.
+    pub shares: u64,
+    /// Slices that thread gated, off the caller's.
+    pub slices: u64,
+}
+
+/// One slice's gate, as either thread of a split share leaves it.
+#[derive(Default)]
+struct GateSlot {
+    gated: Mutex<Gated>,
+    /// Set once `gated` holds this window's slice: stored `Release`
+    /// after the gate's lock is dropped, loaded `Acquire` before the
+    /// kernels take the lock.
+    ready: AtomicBool,
+}
+
 /// How a switch takes in a window. The switch reads the window's
 /// packets where they lie, each through its cached encoding
-/// ([`ArenaBatch::of_packets`]): the window runs as one
-/// [`Switch::process_batch`] per [`SLICE_PACKETS`] and ships as report
-/// blocks, or, under [`RuntimeConfig::oracle`], each packet runs
-/// through [`Switch::process_reference`] and ships its reports one
-/// frame each.
+/// ([`ArenaBatch::of_packets`]): the window runs one
+/// [`Switch::gate`] and [`Switch::run_gated`] per [`SLICE_PACKETS`]
+/// and ships as report blocks, or, under [`RuntimeConfig::oracle`],
+/// each packet runs through [`Switch::process_reference`] and ships
+/// its reports one frame each.
+///
+/// From `workers: 2` on, a share whose gate took at least
+/// [`GATE_AHEAD_FLOOR_NS`] last window, and at most
+/// [`GATE_AHEAD_PER_KERNEL`] times its kernels' time, in a window
+/// where the job pool streams nothing, is split across two threads the
+/// way a PISA pipeline overlaps its parser and its stages: a scoped
+/// thread gates the slices front to back while the caller runs each
+/// slice's kernels and ships it in order. Waiting on a slice, the
+/// caller gates it itself if the thread has not reached it, and the
+/// back slice otherwise; the last slice is always the thread's. A gate is a pure
+/// function of the slice, the plan and the dynamic filters, which the
+/// control turn changes only between windows, so no report depends on
+/// which thread gated a slice.
+///
+/// The kernels must be a good part of the share, so that the thread
+/// keeps ahead of the caller and the window takes about the kernels'
+/// time. Where the gate is nearly all of the work (the one-query
+/// `rt_sonata_q1`), the caller would wait on the thread and both would
+/// parse at once, and the window would take the second core's time.
+/// On the 2-core bench box that time drifts: split q1 windows read
+/// 0.94–1.42 ms p10–p90 against the one-thread 1.5–1.6 ms, their
+/// summed gate time 1.6–2.5 ms against 1.5 ms on one thread, and the
+/// benchmark's `pps` on q1 spread past its bound from run to run.
 struct Ingest {
-    /// Report arena filled by [`Switch::process_batch`], reused across
+    /// Report arena filled by [`Switch::run_gated`], reused across
     /// windows.
     reports: ReportBatch,
     /// [`RuntimeConfig::oracle`].
     oracle: bool,
+    /// Whether a share may be gated on a second thread
+    /// (`workers` ≥ 2).
+    ahead: bool,
+    /// One slot per slice of the largest share split yet (at least
+    /// one), sized on the caller and kept across windows, so that the
+    /// gate thread never allocates.
+    slots: Vec<GateSlot>,
+    /// Gate time of the last share, summed over its slices.
+    gate_ns: u64,
+    /// The caller's time in the last share's kernels and ships.
+    kernel_ns: u64,
+    counts: GateAhead,
 }
 
 impl Ingest {
-    fn new(oracle: bool) -> Self {
+    fn new(oracle: bool, workers: usize) -> Self {
         Ingest {
             reports: ReportBatch::new(),
             oracle,
+            ahead: workers > 1,
+            slots: vec![GateSlot::default()],
+            gate_ns: 0,
+            kernel_ns: 0,
+            counts: GateAhead::default(),
         }
     }
 
     /// Run `packets` through `switch` a slice at a time and ship their
     /// reports over `link`, `pump`ing after every send (see
     /// [`SwitchEndpoint::send_batch_reports`]) — on the reference
-    /// path, after every packet.
+    /// path, after every packet. `pool_streams`: the job pool takes
+    /// rows on a helper this window, so the share stays on the caller.
     fn feed(
         &mut self,
         switch: &mut Switch,
         link: &mut SwitchEndpoint,
         packets: &[Packet],
+        pool_streams: bool,
         mut pump: impl FnMut() -> Result<(), RuntimeError>,
     ) -> Result<(), RuntimeError> {
         if self.oracle {
@@ -245,14 +331,155 @@ impl Ingest {
             }
             return Ok(());
         }
+        if self.ahead
+            && !pool_streams
+            && packets.len() > SLICE_PACKETS
+            && self.gate_ns >= GATE_AHEAD_FLOOR_NS
+            && self.gate_ns <= GATE_AHEAD_PER_KERNEL * self.kernel_ns
+        {
+            return self.feed_ahead(switch, link, packets, pump);
+        }
+        // The gate's time is what the split is decided on, not the
+        // encoding of a share read for the first time.
+        encode_cold(packets);
+        (self.gate_ns, self.kernel_ns) = (0, 0);
+        let gated = self.slots[0]
+            .gated
+            .get_mut()
+            .expect("gate slot poisoned: a gate panicked");
         // An empty share still runs one (empty) batch.
         for from in (0..packets.len().max(1)).step_by(SLICE_PACKETS) {
             let slice = &packets[from..packets.len().min(from + SLICE_PACKETS)];
             let batch = ArenaBatch::of_packets(slice);
-            switch.process_batch(&batch, &mut self.reports);
+            let started = Instant::now();
+            switch.gate(&batch, gated);
+            let gated_at = Instant::now();
+            self.gate_ns += gated_at.duration_since(started).as_nanos() as u64;
+            switch.run_gated(&batch, gated, &mut self.reports);
             link.send_batch_reports(&self.reports, batch, &mut pump)?;
+            self.kernel_ns += gated_at.elapsed().as_nanos() as u64;
         }
         Ok(())
+    }
+
+    /// [`Self::feed`] with the share's slices gated ahead on a scoped
+    /// thread, front to back, and from the back by the caller while it
+    /// waits; each slice's kernels run, and it ships, in order on the
+    /// caller.
+    fn feed_ahead(
+        &mut self,
+        switch: &mut Switch,
+        link: &mut SwitchEndpoint,
+        packets: &[Packet],
+        mut pump: impl FnMut() -> Result<(), RuntimeError>,
+    ) -> Result<(), RuntimeError> {
+        let n = packets.len().div_ceil(SLICE_PACKETS);
+        let slice = |k: usize| {
+            let from = k * SLICE_PACKETS;
+            ArenaBatch::of_packets(&packets[from..packets.len().min(from + SLICE_PACKETS)])
+        };
+        // A packet is encoded, and so allocates, on the thread that
+        // reads it first: here, so that the gate thread never
+        // allocates.
+        encode_cold(packets);
+        let (gate, mut kernels) = switch.halves();
+        if self.slots.len() < n {
+            self.slots.resize_with(n, GateSlot::default);
+        }
+        for (k, slot) in self.slots[..n].iter_mut().enumerate() {
+            gate.reserve(
+                slot.gated
+                    .get_mut()
+                    .expect("gate slot poisoned: a gate panicked"),
+                slice(k).len(),
+            );
+            *slot.ready.get_mut() = false;
+        }
+        let (slots, reports) = (&self.slots[..n], &mut self.reports);
+        // The slices nobody has taken yet. The thread takes them front
+        // to back; the caller, waiting for slice `k`, takes `k` itself
+        // if the thread has not reached it (the thread is still
+        // starting), and the back one otherwise. The last slice, which
+        // the caller needs last, is always the thread's, so that every
+        // spawn gates at least one slice off the caller.
+        let unclaimed = Mutex::new(0..n - 1);
+        let claim = |waiting: Option<usize>| {
+            let mut left = unclaimed
+                .lock()
+                .expect("gate claims poisoned: a gate thread panicked");
+            match waiting {
+                Some(k) if left.start != k => left.next_back(),
+                _ => left.next(),
+            }
+        };
+        let gate_slice = |k: usize| {
+            let started = Instant::now();
+            gate.gate(
+                &slice(k),
+                &mut slots[k]
+                    .gated
+                    .lock()
+                    .expect("gate slot poisoned: a gate panicked"),
+            );
+            slots[k].ready.store(true, Ordering::Release);
+            started.elapsed().as_nanos() as u64
+        };
+        let (shipped, times, gated_ahead) = std::thread::scope(|s| {
+            let ahead = s.spawn(|| {
+                let (mut ns, mut slices) = (0, 0);
+                while let Some(k) = claim(None) {
+                    ns += gate_slice(k);
+                    slices += 1;
+                }
+                (ns + gate_slice(n - 1), slices + 1)
+            });
+            let (mut ns, mut kernel_ns) = (0, 0);
+            let shipped = (0..n).try_for_each(|k| {
+                while !slots[k].ready.load(Ordering::Acquire) {
+                    match claim(Some(k)) {
+                        Some(j) => ns += gate_slice(j),
+                        None => {
+                            // Slice `k` is the thread's: it finishes it
+                            // unless it died.
+                            let died =
+                                ahead.is_finished() && !slots[k].ready.load(Ordering::Acquire);
+                            assert!(!died, "the gate thread stopped short of slice {k}");
+                            std::thread::yield_now();
+                        }
+                    }
+                }
+                let batch = slice(k);
+                let gated = slots[k]
+                    .gated
+                    .lock()
+                    .expect("gate slot poisoned: a gate panicked");
+                let started = Instant::now();
+                kernels.run_gated(&batch, &gated, reports);
+                let sent = link.send_batch_reports(reports, batch, &mut pump);
+                kernel_ns += started.elapsed().as_nanos() as u64;
+                sent
+            });
+            let joined = ahead.join();
+            let (ahead_ns, slices) =
+                joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (shipped, (ns + ahead_ns, kernel_ns), slices)
+        });
+        (self.gate_ns, self.kernel_ns) = times;
+        self.counts.shares += 1;
+        self.counts.slices += gated_ahead;
+        shipped
+    }
+}
+
+/// Encode `packets` unless they are encoded already. A share is
+/// encoded whole or not at all (a trace replayed, a partition shared
+/// out), so its ends tell.
+fn encode_cold(packets: &[Packet]) {
+    let warm = |p: Option<&Packet>| p.is_some_and(Packet::is_encoded);
+    if !warm(packets.first()) || !warm(packets.last()) {
+        for p in packets {
+            p.encode_cached();
+        }
     }
 }
 
@@ -548,7 +775,7 @@ impl Fabric {
                 switch,
                 name,
                 cost_model: cfg.cost_model,
-                ingest: Ingest::new(cfg.oracle),
+                ingest: Ingest::new(cfg.oracle, cfg.workers),
                 faults: inj.clone(),
                 link,
             });
@@ -774,6 +1001,7 @@ impl Fabric {
         // stateful op, and no feed takes rows past it.
         let handle = self.obs.handle.clone();
         self.engine.open_window(self.last_loop_ns);
+        let pool_streams = self.engine.streams();
         let mut streamed: BTreeMap<QueryId, u64> = BTreeMap::new();
         let mut streamed_from = vec![0u64; n];
         let mut first_pump: Option<Instant> = None;
@@ -797,7 +1025,8 @@ impl Fabric {
             let live = roles[s] == Role::Live;
             let (engine, from) = (&mut self.engine, &mut streamed_from[s]);
             let t = handle.trace_span(Stage::PacketLoop, window, root.ctx(), &sw.name);
-            (sw.ingest).feed(&mut sw.switch, &mut sw.link, &parts[s][..limit], || {
+            let share = &parts[s][..limit];
+            (sw.ingest).feed(&mut sw.switch, &mut sw.link, share, pool_streams, || {
                 first_pump.get_or_insert_with(Instant::now);
                 pump_link(link, rx, &handle)?;
                 if live {
@@ -1283,6 +1512,17 @@ impl Fabric {
     /// and how many tuples were fed to jobs before their window closed.
     pub fn engine_counters(&self) -> &EngineCounters {
         self.engine.counters()
+    }
+
+    /// How often, summed over the switches, a share was gated ahead of
+    /// its kernels on a second thread, and how many slices that thread
+    /// gated.
+    pub fn gate_ahead(&self) -> GateAhead {
+        let counts = self.switches.iter().map(|sw| sw.ingest.counts);
+        counts.fold(GateAhead::default(), |a, b| GateAhead {
+            shares: a.shares + b.shares,
+            slices: a.slices + b.slices,
+        })
     }
 }
 

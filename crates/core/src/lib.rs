@@ -43,7 +43,7 @@ pub mod runtime;
 pub use drift::{DriftConfig, DriftMonitor, WindowDrift};
 pub use driver::{DeployError, DeployedPlan, Deployment, QueryInstance};
 pub use emitter::Emitter;
-pub use fabric::{Fabric, SwitchOutage, TopologyConfig, SLICE_PACKETS};
+pub use fabric::{Fabric, GateAhead, SwitchOutage, TopologyConfig, SLICE_PACKETS};
 pub use runtime::{
     DegradedWindow, ErrorBoundReport, ReplanConfig, Runtime, RuntimeConfig, SwitchArrival,
     TelemetryReport, WindowLatency, WindowReport,

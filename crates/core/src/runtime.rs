@@ -44,7 +44,12 @@ pub struct RuntimeConfig {
     /// fans out only when its jobs carry at least
     /// [`sonata_stream::PARALLEL_FLOOR_TUPLES`] tuples, and streams
     /// only when the last window's did; smaller windows, and every
-    /// window at `workers: 1`, run inline at close. Reports are
+    /// window at `workers: 1`, run inline at close. From two on, a
+    /// window that streams nothing lends the second core to the
+    /// switch instead: a share whose gate took long enough last window,
+    /// and not much longer than its kernels, is gated on a scoped
+    /// thread ahead of the kernels
+    /// ([`crate::Fabric::gate_ahead`] counts it). Reports are
     /// byte-identical at every count (the differential suites sweep
     /// 1/2/4/8). Defaults to [`std::thread::available_parallelism`].
     pub workers: usize,

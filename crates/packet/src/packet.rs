@@ -152,6 +152,13 @@ impl Packet {
         bytes
     }
 
+    /// Whether the wire bytes are cached already: reading them through
+    /// [`Self::encode_cached`] or an [`crate::ArenaBatch`] allocates
+    /// nothing.
+    pub fn is_encoded(&self) -> bool {
+        self.encoded.0.get().is_some()
+    }
+
     /// The cached wire bytes, encoded on first use, without
     /// [`Self::encode_cached`]'s debug re-check of shared bytes: for
     /// [`crate::ArenaBatch::of_packets`], which runs that check once per

@@ -658,6 +658,11 @@ impl ExecPlan {
         }
     }
 
+    /// Length of the shared op pool.
+    pub(crate) fn ops_len(&self) -> usize {
+        self.flat.len()
+    }
+
     pub(crate) fn ops(&self, e: ExprRef) -> &[FlatOp] {
         &self.flat[e.start as usize..(e.start + e.len) as usize]
     }

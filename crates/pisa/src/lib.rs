@@ -56,4 +56,6 @@ pub use registers::{
     StateLayout,
 };
 pub use resources::{ResourceError, ResourceUsage, SwitchConstraints};
-pub use switch::{Report, ReportKind, SketchBound, Switch, SwitchCounters, WindowDump};
+pub use switch::{
+    Gate, Gated, Kernels, Report, ReportKind, SketchBound, Switch, SwitchCounters, WindowDump,
+};

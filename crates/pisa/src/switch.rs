@@ -238,24 +238,11 @@ pub struct WindowDump {
     pub bounds: Vec<SketchBound>,
 }
 
-/// Reusable batch-execution scratch. All buffers are retained across
-/// windows, so the steady-state batch loop performs no heap
-/// allocation.
+/// Reusable kernel scratch (steps 3–4 of [`Switch::process_batch`]).
+/// All buffers are retained across windows, so the steady-state batch
+/// loop performs no heap allocation.
 #[derive(Debug, Default)]
 struct BatchScratch {
-    /// The shared column block: `cols[c * n + i]` is header field
-    /// `plan.gates.fields[c]` of packet `i`.
-    cols: Vec<u64>,
-    /// The predicate cache: one `words`-long bitmap per distinct
-    /// leading clause, bit `i` = packet `i` satisfies it.
-    clause_bits: Vec<u64>,
-    /// One `n`-long column per distinct leading dyn-filter key.
-    dyn_keys: Vec<Vec<u64>>,
-    /// One `words`-long survivor bitmap per task.
-    task_bits: Vec<u64>,
-    /// Bitmap accumulators (one rule's AND; one filter's OR).
-    rule_bits: Vec<u64>,
-    any_bits: Vec<u64>,
     /// Selection vector of the task being run: batch indices of its
     /// live packets, ascending.
     sel: Vec<u32>,
@@ -269,12 +256,64 @@ struct BatchScratch {
     /// Array-0 slot of each selected lane's key, hashed before the
     /// exact register's probe loop.
     slots: Vec<u32>,
-    /// Operand staging for clauses that are not a bare column.
-    bufs: [Vec<u64>; 2],
     /// Expression evaluation stack.
     stack: Vec<u64>,
     /// Register key staging for layouts without a fixed-width kernel.
     key: Vec<u64>,
+}
+
+/// One batch after the switch's parse-and-filter half (steps 1–2 of
+/// [`Switch::process_batch`]): the column block and every task's
+/// survivor bits, what [`Switch::run_gated`] reads. A pure function of
+/// the batch's bytes, the lowered plan and the dynamic filters' entries,
+/// so it does not matter which thread gated it. The buffers are kept
+/// from batch to batch; once [`Gate::reserve`]d for a batch's size,
+/// gating allocates nothing.
+#[derive(Debug, Default)]
+pub struct Gated {
+    /// Packets of the batch gated last.
+    n: usize,
+    /// The shared column block: `cols[c * n + i]` is header field
+    /// `plan.gates.fields[c]` of packet `i`.
+    cols: Vec<u64>,
+    /// The predicate cache: one `words`-long bitmap per distinct
+    /// leading clause, bit `i` = packet `i` satisfies it.
+    clause_bits: Vec<u64>,
+    /// One `n`-long column per distinct leading dyn-filter key.
+    dyn_keys: Vec<Vec<u64>>,
+    /// One `words`-long survivor bitmap per task.
+    task_bits: Vec<u64>,
+    /// Bitmap accumulators (one rule's AND; one filter's OR).
+    rule_bits: Vec<u64>,
+    any_bits: Vec<u64>,
+    /// Operand staging for clauses that are not a bare column.
+    bufs: [Vec<u64>; 2],
+    /// Expression evaluation stack.
+    stack: Vec<u64>,
+}
+
+/// The switch's parse-and-filter half: a shared borrow of the lowered
+/// plan and the dynamic filters' entries, which change only at the
+/// window boundary. It may gate a window's batches on any thread while
+/// the [`Kernels`] half runs earlier ones ([`Switch::halves`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Gate<'a> {
+    plan: &'a ExecPlan,
+    dyn_sets: &'a [DynSet],
+}
+
+/// The switch's stateful half (steps 3–4 of [`Switch::process_batch`]):
+/// registers, report seqs and counters, borrowed beside a [`Gate`].
+#[derive(Debug)]
+pub struct Kernels<'a> {
+    plan: &'a ExecPlan,
+    dyn_sets: &'a [DynSet],
+    mirror_mask: u32,
+    registers: &'a mut [RegisterState],
+    sc: &'a mut BatchScratch,
+    counters: &'a mut SwitchCounters,
+    obs: &'a SwitchObs,
+    task_seq: &'a mut [u64],
 }
 
 /// The behavioral model.
@@ -301,9 +340,10 @@ pub struct Switch {
     /// Lowered entry set per `DynFilter` table (`plan.dyn_tables`
     /// order), rebuilt by [`Self::set_dyn_filter`].
     dyn_sets: Vec<DynSet>,
-    /// Reusable batch-execution scratch (column block, predicate
-    /// cache, selection vector).
+    /// Reusable kernel scratch (selection vector, key lanes).
     batch: BatchScratch,
+    /// What [`Self::process_batch`] gates its batch into.
+    gated: Gated,
     /// When set, every window dump is emitted raw (un-thresholded,
     /// value-input column, entry-op tagged) even without shunts: in a
     /// multi-switch fabric a key's count is split across switches, so
@@ -491,6 +531,7 @@ impl Switch {
             plan,
             dyn_sets,
             batch: BatchScratch::default(),
+            gated: Gated::default(),
             defer_dump_thresholds: false,
             counters,
             obs,
@@ -678,10 +719,14 @@ impl Switch {
     }
 
     /// Process a whole batch of arena packets through the compiled
-    /// plan, collecting reports into `out` (reset in place).
+    /// plan, collecting reports into `out` (reset in place): the
+    /// batch's [`Self::gate`], then [`Self::run_gated`] on it.
     ///
     /// Execution is **task-major over one shared column block** (the
-    /// soundness argument is in [`crate::exec`]'s module docs):
+    /// soundness argument is in [`crate::exec`]'s module docs). Steps
+    /// 1–2 are the parse-and-filter half, [`Gate`]; they read no state
+    /// but the plan and the dynamic filters' entries. Steps 3–4 are the
+    /// stateful half, [`Kernels`]:
     ///
     /// 1. **Columns** — one parse walk per packet extracts every header
     ///    field any kernel reads into a struct-of-arrays block.
@@ -700,228 +745,58 @@ impl Switch {
     ///    in that order: each task's reports, and their `seq`s, are
     ///    those of [`Self::process_reference`] packet by packet.
     pub fn process_batch(&mut self, batch: &ArenaBatch<'_>, out: &mut ReportBatch) {
-        let n = batch.len();
-        out.reset(n, self.program.mirror_mask());
-        self.counters.packets_in += n as u64;
-        self.obs.packets_in.add(n as u64);
+        let (gate, mut kernels, gated) = self.parts();
+        gate.gate(batch, gated);
+        kernels.run_gated(batch, gated, out);
+    }
+
+    /// Steps 1–2 of [`Self::process_batch`] over `batch`, into `gated`.
+    pub fn gate(&self, batch: &ArenaBatch<'_>, gated: &mut Gated) {
+        let (plan, dyn_sets) = (&self.plan, self.dyn_sets.as_slice());
+        Gate { plan, dyn_sets }.gate(batch, gated)
+    }
+
+    /// Steps 3–4 of [`Self::process_batch`]: run `batch`, which
+    /// `gated` holds gated under the switch's current dynamic filters,
+    /// through the kernels, collecting its reports into `out`.
+    pub fn run_gated(&mut self, batch: &ArenaBatch<'_>, gated: &Gated, out: &mut ReportBatch) {
+        self.halves().1.run_gated(batch, gated, out)
+    }
+
+    /// The switch split into its two pipeline halves, for a caller that
+    /// gates batches on one thread while it runs the kernels on
+    /// another. Dynamic filters cannot change while the halves live.
+    pub fn halves(&mut self) -> (Gate<'_>, Kernels<'_>) {
+        let (gate, kernels, _) = self.parts();
+        (gate, kernels)
+    }
+
+    /// The two halves, and the switch's own [`Gated`].
+    fn parts(&mut self) -> (Gate<'_>, Kernels<'_>, &mut Gated) {
+        let mirror_mask = self.program.mirror_mask();
         let Switch {
             plan,
             dyn_sets,
             registers,
-            batch: sc,
+            batch,
+            gated,
             counters,
             obs,
             task_seq,
             ..
         } = self;
-        let gates = &plan.gates;
-        let words = n.div_ceil(64);
-        let stack = &mut sc.stack;
-
-        // 1. Every column, in one parse walk per packet. A lane no task
-        // keeps is never read past step 2. The block starts zeroed: a
-        // layer that fails to parse leaves its lanes at the zero an
-        // unset PHV slot reads.
-        sc.cols.clear();
-        sc.cols.resize(gates.fields.len() * n, 0);
-        if gates.parse_mask != 0 {
-            let cols = &mut sc.cols;
-            for i in 0..n {
-                parser::extract_fields(batch.view(i).bytes(), gates.parse_mask, |f, v| {
-                    cols[gates.col_of[f as usize] as usize * n + i] = v;
-                });
-            }
-        }
-
-        // 2. The predicate cache.
-        sc.clause_bits.resize(gates.clauses.len() * words, 0);
-        for (c, clause) in gates.clauses.iter().enumerate() {
-            let bits = &mut sc.clause_bits[c * words..(c + 1) * words];
-            plan.clause_bits(clause, &sc.cols, n, bits, &mut sc.bufs, stack);
-        }
-        sc.dyn_keys.resize_with(gates.dyn_keys.len(), Vec::new);
-        for (key, col) in gates.dyn_keys.iter().zip(&mut sc.dyn_keys) {
-            plan.fill(*key, &sc.cols, n, 0..n, col, stack);
-        }
-        sc.task_bits.clear();
-        sc.task_bits.resize(plan.kernels.len() * words, !0);
-        sc.rule_bits.resize(words, 0);
-        sc.any_bits.resize(words, 0);
-        for (kernel, mask) in plan
-            .kernels
-            .iter()
-            .zip(sc.task_bits.chunks_mut(words.max(1)))
-        {
-            // Lanes past `n` in the last word are nobody's packet.
-            let tail = n % 64;
-            if tail != 0 {
-                mask[words - 1] = (1 << tail) - 1;
-            }
-            // Static filters first: they are word-wise ANDs, and every
-            // lane they clear is a dyn-filter probe saved.
-            for f in &kernel.lead {
-                let LeadFilter::Static { rules } = f else {
-                    continue;
-                };
-                sc.any_bits.fill(0);
-                for rule in rules {
-                    sc.rule_bits.fill(!0);
-                    for &c in rule {
-                        let clause = &sc.clause_bits[c * words..(c + 1) * words];
-                        for (r, &b) in sc.rule_bits.iter_mut().zip(clause) {
-                            *r &= b;
-                        }
-                    }
-                    for (a, &r) in sc.any_bits.iter_mut().zip(&sc.rule_bits) {
-                        *a |= r;
-                    }
-                }
-                for (m, &a) in mask.iter_mut().zip(&sc.any_bits) {
-                    *m &= a;
-                }
-            }
-            for f in &kernel.lead {
-                let LeadFilter::Dyn { dyn_idx, key } = f else {
-                    continue;
-                };
-                let (set, keys) = (&dyn_sets[*dyn_idx], &sc.dyn_keys[*key]);
-                for (w, word) in mask.iter_mut().enumerate() {
-                    for_each_bit(&[*word], |bit| {
-                        if !set.admits(keys[w * 64 + bit]) {
-                            *word &= !(1 << bit);
-                        }
-                    });
-                }
-            }
-        }
-
-        // 3. Task-major kernels, each task's reports emitted (4.) as
-        // soon as its kernel is done.
-        let cols = sc.cols.as_slice();
-        let lane = |i: u32| Lane {
-            cols,
-            n,
-            i: i as usize,
+        let (plan, dyn_sets) = (&*plan, dyn_sets.as_slice());
+        let kernels = Kernels {
+            plan,
+            dyn_sets,
+            mirror_mask,
+            registers,
+            sc: batch,
+            counters,
+            obs,
+            task_seq,
         };
-        for (kernel, mask) in plan.kernels.iter().zip(sc.task_bits.chunks(words.max(1))) {
-            if kernel.steps.is_empty() && kernel.mirror.is_none() {
-                continue;
-            }
-            let t = kernel.task_idx;
-            sc.sel.clear();
-            for_each_bit(mask, |i| sc.sel.push(i as u32));
-            sc.shunts.clear();
-            for (s, step) in kernel.steps.iter().enumerate() {
-                if sc.sel.is_empty() {
-                    break;
-                }
-                match step {
-                    StepKind::Filter { rules } => {
-                        sc.sel.retain(|&i| plan.rules_match(rules, &lane(i), stack))
-                    }
-                    StepKind::DynFilter { dyn_idx, key } => sc
-                        .sel
-                        .retain(|&i| dyn_sets[*dyn_idx].admits(plan.eval(*key, &lane(i), stack))),
-                    StepKind::Update {
-                        reg_idx,
-                        layout,
-                        agg,
-                        operand,
-                        distinct,
-                        keys,
-                        ..
-                    } => {
-                        if sc.key_lanes.len() < keys.len() {
-                            sc.key_lanes.resize_with(keys.len(), Vec::new);
-                        }
-                        let sel = sc.sel.iter().map(|&i| i as usize);
-                        for (k, lanes) in keys.iter().zip(&mut sc.key_lanes) {
-                            plan.fill(*k, cols, n, sel.clone(), lanes, stack);
-                        }
-                        plan.fill(*operand, cols, n, sel, &mut sc.operand_lanes, stack);
-                        let (parts, op) = (&sc.key_lanes[..keys.len()], &sc.operand_lanes[..]);
-                        let before = sc.shunts.len();
-                        let shunts = &mut sc.shunts;
-                        let on_shunt = |pkt: u32| {
-                            debug_assert_eq!(
-                                *layout,
-                                StateLayout::Exact,
-                                "sketch layouts never shunt"
-                            );
-                            shunts.push((pkt, s as u32));
-                        };
-                        let (sel, slots) = (&mut sc.sel, &mut sc.slots);
-                        match (&mut registers[*reg_idx], keys.len()) {
-                            (RegisterState::Exact(r), 1) => exact_lanes::<1>(
-                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
-                            ),
-                            (RegisterState::Exact(r), 2) => exact_lanes::<2>(
-                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
-                            ),
-                            (RegisterState::Exact(r), 3) => exact_lanes::<3>(
-                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
-                            ),
-                            (RegisterState::Exact(r), 4) => exact_lanes::<4>(
-                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
-                            ),
-                            (state, _) => {
-                                let key = &mut sc.key;
-                                update_lanes(
-                                    sel,
-                                    *distinct,
-                                    |k| {
-                                        key.clear();
-                                        key.extend(parts.iter().map(|p| p[k]));
-                                        state.update(key, *agg, op[k])
-                                    },
-                                    on_shunt,
-                                )
-                            }
-                        }
-                        let shunted = (sc.shunts.len() - before) as u64;
-                        counters.shunt_reports += shunted;
-                        counters.per_task[t].1.shunt_reports += shunted;
-                        obs.per_task[t][1].add(shunted);
-                    }
-                }
-            }
-
-            // 4. The task's reports in packet order: its mirrors in runs
-            // between its shunts, each row numbered as it lands.
-            let seq = &mut task_seq[t];
-            let mut emit = |report: &FlatReport, pkts: &[u32]| {
-                if pkts.is_empty() {
-                    return;
-                }
-                out.rows_of(&report.shape, *seq).extend(pkts, |p, cells| {
-                    let lane = lane(p);
-                    cells.extend(report.exprs.iter().map(|e| plan.eval(*e, &lane, stack)))
-                });
-                *seq += pkts.len() as u64;
-            };
-            sc.shunts.sort_unstable();
-            let mut left = &sc.sel[..];
-            for &(pkt, step) in &sc.shunts {
-                let StepKind::Update { shunt, .. } = &kernel.steps[step as usize] else {
-                    unreachable!("only an update shunts")
-                };
-                let (before, after) = left.split_at(left.partition_point(|&i| i < pkt));
-                if let Some(mirror) = &kernel.mirror {
-                    emit(mirror, before);
-                }
-                emit(shunt, &[pkt]);
-                left = after;
-            }
-            let Some(mirror) = &kernel.mirror else {
-                continue;
-            };
-            emit(mirror, left);
-            let mirrored = sc.sel.len() as u64;
-            counters.tuple_reports += mirrored;
-            counters.per_task[t].1.tuple_reports += mirrored;
-            obs.per_task[t][0].add(mirrored);
-        }
-        out.carry(batch);
+        (Gate { plan, dyn_sets }, kernels, gated)
     }
 
     /// End the window: dump `WindowDump` registers into `ReportBlock`s
@@ -1173,6 +1048,276 @@ impl Switch {
     /// monitoring: the runtime re-plans when shunts spike).
     pub fn register_occupancy(&self) -> usize {
         self.registers.iter().map(|r| r.occupancy()).sum()
+    }
+}
+
+impl Gate<'_> {
+    /// Grow `gated`'s buffers to what gating an `n`-packet batch
+    /// needs, so that [`Self::gate`] allocates nothing.
+    pub fn reserve(&self, gated: &mut Gated, n: usize) {
+        let gates = &self.plan.gates;
+        let words = n.div_ceil(64);
+        let grow = |v: &mut Vec<u64>, len: usize| v.reserve(len.saturating_sub(v.len()));
+        grow(&mut gated.cols, gates.fields.len() * n);
+        grow(&mut gated.clause_bits, gates.clauses.len() * words);
+        gated.dyn_keys.resize_with(gates.dyn_keys.len(), Vec::new);
+        for col in &mut gated.dyn_keys {
+            grow(col, n);
+        }
+        grow(&mut gated.task_bits, self.plan.kernels.len() * words);
+        grow(&mut gated.rule_bits, words);
+        grow(&mut gated.any_bits, words);
+        for buf in &mut gated.bufs {
+            grow(buf, n);
+        }
+        // No expression is deeper than the op pool is long.
+        grow(&mut gated.stack, self.plan.ops_len());
+    }
+
+    /// Steps 1–2 of [`Switch::process_batch`] over `batch`, into
+    /// `gated`.
+    pub fn gate(&self, batch: &ArenaBatch<'_>, gated: &mut Gated) {
+        let Gate { plan, dyn_sets } = *self;
+        let n = batch.len();
+        let gates = &plan.gates;
+        let words = n.div_ceil(64);
+        let sc = gated;
+        sc.n = n;
+        let stack = &mut sc.stack;
+
+        // 1. Every column, in one parse walk per packet. A lane no task
+        // keeps is never read past step 2. The block starts zeroed: a
+        // layer that fails to parse leaves its lanes at the zero an
+        // unset PHV slot reads.
+        sc.cols.clear();
+        sc.cols.resize(gates.fields.len() * n, 0);
+        if gates.parse_mask != 0 {
+            let cols = &mut sc.cols;
+            for i in 0..n {
+                parser::extract_fields(batch.view(i).bytes(), gates.parse_mask, |f, v| {
+                    cols[gates.col_of[f as usize] as usize * n + i] = v;
+                });
+            }
+        }
+
+        // 2. The predicate cache.
+        sc.clause_bits.resize(gates.clauses.len() * words, 0);
+        for (c, clause) in gates.clauses.iter().enumerate() {
+            let bits = &mut sc.clause_bits[c * words..(c + 1) * words];
+            plan.clause_bits(clause, &sc.cols, n, bits, &mut sc.bufs, stack);
+        }
+        sc.dyn_keys.resize_with(gates.dyn_keys.len(), Vec::new);
+        for (key, col) in gates.dyn_keys.iter().zip(&mut sc.dyn_keys) {
+            plan.fill(*key, &sc.cols, n, 0..n, col, stack);
+        }
+        sc.task_bits.clear();
+        sc.task_bits.resize(plan.kernels.len() * words, !0);
+        sc.rule_bits.resize(words, 0);
+        sc.any_bits.resize(words, 0);
+        for (kernel, mask) in plan
+            .kernels
+            .iter()
+            .zip(sc.task_bits.chunks_mut(words.max(1)))
+        {
+            // Lanes past `n` in the last word are nobody's packet.
+            let tail = n % 64;
+            if tail != 0 {
+                mask[words - 1] = (1 << tail) - 1;
+            }
+            // Static filters first: they are word-wise ANDs, and every
+            // lane they clear is a dyn-filter probe saved.
+            for f in &kernel.lead {
+                let LeadFilter::Static { rules } = f else {
+                    continue;
+                };
+                sc.any_bits.fill(0);
+                for rule in rules {
+                    sc.rule_bits.fill(!0);
+                    for &c in rule {
+                        let clause = &sc.clause_bits[c * words..(c + 1) * words];
+                        for (r, &b) in sc.rule_bits.iter_mut().zip(clause) {
+                            *r &= b;
+                        }
+                    }
+                    for (a, &r) in sc.any_bits.iter_mut().zip(&sc.rule_bits) {
+                        *a |= r;
+                    }
+                }
+                for (m, &a) in mask.iter_mut().zip(&sc.any_bits) {
+                    *m &= a;
+                }
+            }
+            for f in &kernel.lead {
+                let LeadFilter::Dyn { dyn_idx, key } = f else {
+                    continue;
+                };
+                let (set, keys) = (&dyn_sets[*dyn_idx], &sc.dyn_keys[*key]);
+                for (w, word) in mask.iter_mut().enumerate() {
+                    for_each_bit(&[*word], |bit| {
+                        if !set.admits(keys[w * 64 + bit]) {
+                            *word &= !(1 << bit);
+                        }
+                    });
+                }
+            }
+        }
+    }
+}
+
+impl Kernels<'_> {
+    /// Steps 3–4 of [`Switch::process_batch`]: run `batch`, gated into
+    /// `gated` by this switch's [`Gate`], through the task kernels,
+    /// collecting its reports into `out` (reset in place).
+    pub fn run_gated(&mut self, batch: &ArenaBatch<'_>, gated: &Gated, out: &mut ReportBatch) {
+        let n = batch.len();
+        assert_eq!(gated.n, n, "a batch runs on its own gate");
+        out.reset(n, self.mirror_mask);
+        self.counters.packets_in += n as u64;
+        self.obs.packets_in.add(n as u64);
+        let Kernels {
+            plan,
+            dyn_sets,
+            registers,
+            sc,
+            counters,
+            obs,
+            task_seq,
+            ..
+        } = self;
+        let words = n.div_ceil(64);
+        let stack = &mut sc.stack;
+
+        // 3. Task-major kernels, each task's reports emitted (4.) as
+        // soon as its kernel is done.
+        let cols = gated.cols.as_slice();
+        let lane = |i: u32| Lane {
+            cols,
+            n,
+            i: i as usize,
+        };
+        for (kernel, mask) in plan
+            .kernels
+            .iter()
+            .zip(gated.task_bits.chunks(words.max(1)))
+        {
+            if kernel.steps.is_empty() && kernel.mirror.is_none() {
+                continue;
+            }
+            let t = kernel.task_idx;
+            sc.sel.clear();
+            for_each_bit(mask, |i| sc.sel.push(i as u32));
+            sc.shunts.clear();
+            for (s, step) in kernel.steps.iter().enumerate() {
+                if sc.sel.is_empty() {
+                    break;
+                }
+                match step {
+                    StepKind::Filter { rules } => {
+                        sc.sel.retain(|&i| plan.rules_match(rules, &lane(i), stack))
+                    }
+                    StepKind::DynFilter { dyn_idx, key } => sc
+                        .sel
+                        .retain(|&i| dyn_sets[*dyn_idx].admits(plan.eval(*key, &lane(i), stack))),
+                    StepKind::Update {
+                        reg_idx,
+                        layout,
+                        agg,
+                        operand,
+                        distinct,
+                        keys,
+                        ..
+                    } => {
+                        if sc.key_lanes.len() < keys.len() {
+                            sc.key_lanes.resize_with(keys.len(), Vec::new);
+                        }
+                        let sel = sc.sel.iter().map(|&i| i as usize);
+                        for (k, lanes) in keys.iter().zip(&mut sc.key_lanes) {
+                            plan.fill(*k, cols, n, sel.clone(), lanes, stack);
+                        }
+                        plan.fill(*operand, cols, n, sel, &mut sc.operand_lanes, stack);
+                        let (parts, op) = (&sc.key_lanes[..keys.len()], &sc.operand_lanes[..]);
+                        let before = sc.shunts.len();
+                        let shunts = &mut sc.shunts;
+                        let on_shunt = |pkt: u32| {
+                            debug_assert_eq!(
+                                *layout,
+                                StateLayout::Exact,
+                                "sketch layouts never shunt"
+                            );
+                            shunts.push((pkt, s as u32));
+                        };
+                        let (sel, slots) = (&mut sc.sel, &mut sc.slots);
+                        match (&mut registers[*reg_idx], keys.len()) {
+                            (RegisterState::Exact(r), 1) => exact_lanes::<1>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
+                            (RegisterState::Exact(r), 2) => exact_lanes::<2>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
+                            (RegisterState::Exact(r), 3) => exact_lanes::<3>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
+                            (RegisterState::Exact(r), 4) => exact_lanes::<4>(
+                                r, parts, op, *agg, sel, slots, *distinct, on_shunt,
+                            ),
+                            (state, _) => {
+                                let key = &mut sc.key;
+                                update_lanes(
+                                    sel,
+                                    *distinct,
+                                    |k| {
+                                        key.clear();
+                                        key.extend(parts.iter().map(|p| p[k]));
+                                        state.update(key, *agg, op[k])
+                                    },
+                                    on_shunt,
+                                )
+                            }
+                        }
+                        let shunted = (sc.shunts.len() - before) as u64;
+                        counters.shunt_reports += shunted;
+                        counters.per_task[t].1.shunt_reports += shunted;
+                        obs.per_task[t][1].add(shunted);
+                    }
+                }
+            }
+
+            // 4. The task's reports in packet order: its mirrors in runs
+            // between its shunts, each row numbered as it lands.
+            let seq = &mut task_seq[t];
+            let mut emit = |report: &FlatReport, pkts: &[u32]| {
+                if pkts.is_empty() {
+                    return;
+                }
+                out.rows_of(&report.shape, *seq).extend(pkts, |p, cells| {
+                    let lane = lane(p);
+                    cells.extend(report.exprs.iter().map(|e| plan.eval(*e, &lane, stack)))
+                });
+                *seq += pkts.len() as u64;
+            };
+            sc.shunts.sort_unstable();
+            let mut left = &sc.sel[..];
+            for &(pkt, step) in &sc.shunts {
+                let StepKind::Update { shunt, .. } = &kernel.steps[step as usize] else {
+                    unreachable!("only an update shunts")
+                };
+                let (before, after) = left.split_at(left.partition_point(|&i| i < pkt));
+                if let Some(mirror) = &kernel.mirror {
+                    emit(mirror, before);
+                }
+                emit(shunt, &[pkt]);
+                left = after;
+            }
+            let Some(mirror) = &kernel.mirror else {
+                continue;
+            };
+            emit(mirror, left);
+            let mirrored = sc.sel.len() as u64;
+            counters.tuple_reports += mirrored;
+            counters.per_task[t].1.tuple_reports += mirrored;
+            obs.per_task[t][0].add(mirrored);
+        }
+        out.carry(batch);
     }
 }
 

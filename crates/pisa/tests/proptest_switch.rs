@@ -18,7 +18,7 @@ use sonata_packet::{ArenaBatch, Field, Packet, PacketArena, PacketBuilder, TcpFl
 use sonata_pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
 use sonata_pisa::registers::{HashRegisters, RegOutcome};
 use sonata_pisa::{
-    PisaProgram, Report, ReportBatch, ReportBlock, ReportChunk, ReportKind, Switch,
+    Gated, PisaProgram, Report, ReportBatch, ReportBlock, ReportChunk, ReportKind, Switch,
     SwitchConstraints, TableKind, TaskId,
 };
 use sonata_planner::refine::refine_query;
@@ -279,6 +279,52 @@ fn in_place_matches_arena(
     Ok(())
 }
 
+/// Run a window's records through `sw` the way a split share does:
+/// cut into `slice_len`-record slices, every slice gated on a second
+/// thread in an order `shuffle` picks, then each slice's kernels run
+/// in order. Returns each packet's reports.
+fn gated_ahead(
+    sw: &mut Switch,
+    records: &[Vec<u8>],
+    slice_len: usize,
+    shuffle: u64,
+) -> Vec<Vec<Report>> {
+    let arenas: Vec<PacketArena> = (records.chunks(slice_len).enumerate())
+        .map(|(k, slice)| {
+            let mut arena = PacketArena::new();
+            for (i, r) in slice.iter().enumerate() {
+                arena.push_record((k * slice_len + i) as u64, r);
+            }
+            arena
+        })
+        .collect();
+    let mut order: Vec<usize> = (0..arenas.len()).collect();
+    order.sort_by_key(|&k| (k as u64 ^ shuffle).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let mut gated: Vec<(usize, Gated)> = (order.iter()).map(|&k| (k, Gated::default())).collect();
+    let (gate, mut kernels) = sw.halves();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for (k, g) in &mut gated {
+                gate.gate(&arenas[*k].batch(), g);
+            }
+        });
+    });
+    gated.sort_by_key(|&(k, _)| k);
+    let mut out = ReportBatch::new();
+    let mut reports = Vec::new();
+    for (arena, (_, g)) in arenas.iter().zip(&gated) {
+        kernels.run_gated(&arena.batch(), g, &mut out);
+        for i in 0..arena.len() {
+            reports.push(
+                out.packet_reports(i, arena.batch())
+                    .map(|r| r.to_report())
+                    .collect(),
+            );
+        }
+    }
+    reports
+}
+
 fn hash_slot(seed_idx: usize, key: &[u64], slots: usize) -> usize {
     // The register hash as documented in `registers.rs`, with the
     // slot picked by a plain remainder.
@@ -305,6 +351,7 @@ proptest! {
         defer in any::<bool>(),
         chunk_budget in 0usize..4_000,
         mask in prop_oneof![Just(ALL_FIELDS), any::<u32>().prop_map(|m| m & ALL_FIELDS | 1)],
+        (slice_len, shuffle) in (1usize..48, any::<u64>()),
     ) {
         let mut program = merged_program(&picks, slots, arrays);
         // What a deploy leaves in every mirroring spec.
@@ -319,9 +366,10 @@ proptest! {
         let mut oracle = Switch::load(program.clone(), &constraints).unwrap();
         let mut batched = Switch::load(program.clone(), &constraints).unwrap();
         let mut copied = Switch::load(program.clone(), &constraints).unwrap();
+        let mut split = Switch::load(program.clone(), &constraints).unwrap();
         let mut in_place = Switch::load(program, &constraints).unwrap();
         // A fabric switch defers every threshold to the collector.
-        for sw in [&mut oracle, &mut batched, &mut copied, &mut in_place] {
+        for sw in [&mut oracle, &mut batched, &mut copied, &mut split, &mut in_place] {
             sw.set_defer_dump_thresholds(defer);
         }
         let mut out = ReportBatch::new();
@@ -344,7 +392,7 @@ proptest! {
                         .iter()
                         .map(|&d| (DSTS[d] & (u32::MAX << (32 - prev))) as u64)
                         .collect();
-                    for sw in [&mut oracle, &mut batched, &mut copied, &mut in_place] {
+                    for sw in [&mut oracle, &mut batched, &mut copied, &mut split, &mut in_place] {
                         sw.set_dyn_filter(&table, entries.clone()).unwrap();
                     }
                 }
@@ -354,10 +402,12 @@ proptest! {
             for (i, r) in records.iter().enumerate() {
                 arena.push_record(i as u64, r);
             }
+            let sliced = gated_ahead(&mut split, records, slice_len, shuffle);
             batched.process_batch(&arena.batch(), &mut out);
             prop_assert_eq!(out.packets(), arena.len());
             let mut looped: Vec<Report> = Vec::new();
-            for i in 0..arena.len() {
+            prop_assert_eq!(sliced.len(), arena.len());
+            for (i, sliced) in sliced.iter().enumerate() {
                 let want = oracle.process_reference(arena.view(i));
                 let got: Vec<Report> = out
                     .packet_reports(i, arena.batch())
@@ -366,6 +416,10 @@ proptest! {
                 prop_assert!(
                     got == want,
                     "window {w} packet {i}\n batch: {got:?}\n loop: {want:?}"
+                );
+                prop_assert!(
+                    *sliced == want,
+                    "window {w} packet {i}\n gated ahead: {sliced:?}\n loop: {want:?}"
                 );
                 looped.extend(want);
             }
@@ -422,12 +476,15 @@ proptest! {
                 (b.packets_in, b.tuple_reports, b.shunt_reports, &b.per_task)
             );
             prop_assert_eq!(batched.register_occupancy(), oracle.register_occupancy());
+            prop_assert_eq!(&split.counters().per_task, &oracle.counters().per_task);
+            prop_assert_eq!(split.counters().packets_in, oracle.counters().packets_in);
             // The dump's column blocks materialize to the row-by-row
             // reference: same reports, order, `seq`, `entry_op`, kind.
             let want = batched.peek_dump_reference();
             let dump = batched.end_window();
             prop_assert_eq!(dump.tuples.reports().collect::<Vec<Report>>(), want);
             prop_assert_eq!(&dump, &oracle.end_window());
+            prop_assert_eq!(&dump, &split.end_window());
             prop_assert_eq!(batched.counters().dump_tuples, oracle.counters().dump_tuples);
             prop_assert_eq!(&batched.counters().per_task, &oracle.counters().per_task);
         }

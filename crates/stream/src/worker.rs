@@ -427,6 +427,12 @@ impl ShardedEngine {
         self.feeds.resize_with(self.helpers.len(), Vec::new);
     }
 
+    /// Whether some job streams in the window in flight: whether
+    /// [`Self::open_window`] homed any on a helper.
+    pub fn streams(&self) -> bool {
+        !self.homes.is_empty()
+    }
+
     /// Hand every row `batches` hold for a job that streams, where
     /// that job can fold it before close, to the job's home helper.
     /// The rows leave their batch; `handed` is told how many of each

@@ -4,6 +4,7 @@
 //! thread while the counter is armed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Pass-through `System` wrapper that counts allocation events, and
@@ -18,10 +19,23 @@ pub static ALLOCS: AtomicU64 = AtomicU64::new(0);
 #[allow(dead_code)] // not every test binary bounds bytes
 pub static BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// The allocation events of [`ALLOCS`] made on a thread other than
+/// the one that set [`CALLER`].
+#[allow(dead_code)] // not every test binary splits by thread
+pub static OFF_CALLER: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Set on the thread whose allocations are the caller's.
+    pub static CALLER: Cell<bool> = const { Cell::new(false) };
+}
+
 fn note(size: usize) {
     if ARMED.load(Ordering::Relaxed) {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(size as u64, Ordering::Relaxed);
+        if !CALLER.try_with(Cell::get).unwrap_or(false) {
+            OFF_CALLER.fetch_add(1, Ordering::Relaxed);
+        }
     }
 }
 

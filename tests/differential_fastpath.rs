@@ -15,6 +15,7 @@
 //! Seeds come from `SONATA_FASTPATH_SEEDS` (comma-separated, default
 //! `7,23,101`).
 
+use sonata::core::{GateAhead, SLICE_PACKETS};
 use sonata::prelude::*;
 use sonata::query::Query;
 use sonata::stream::testsupport::{low_thresholds, seeded_packets};
@@ -214,6 +215,55 @@ fn fast_path_matches_reference_when_windows_fan_out() {
         .metrics
         .counter("sonata_engine_parallel_windows_total");
     assert!(fanned.unwrap_or(0) > 0, "no window fanned out: {fanned:?}");
+}
+
+/// Sonata and Max-DP top-8 windows carry thousands of packets and too
+/// few tuples for the job pool to stream, so from two workers on a
+/// switch gates its share's slices on a second thread, ahead of the
+/// kernels it runs on its own (`Fabric::gate_ahead` counts the slices
+/// that thread gated). Every width must equal the reference, and at
+/// `workers: 1` no gate thread is spawned.
+#[test]
+fn fast_path_matches_reference_when_slices_are_gated_ahead() {
+    let tr = EvaluationTrace::generate(11, 3, 3_000, 0.05).trace;
+    let sizes: Vec<usize> = tr.windows(3_000).map(|(_, p)| p.len()).collect();
+    // Two slices a window at least, past the first window, whose gate
+    // time the split is decided on.
+    assert!(
+        sizes[1..].iter().all(|&n| n > 2 * SLICE_PACKETS),
+        "{sizes:?}"
+    );
+    let queries = catalog::top8(&Thresholds::default());
+    let loopback = |reference, workers| {
+        config(
+            reference,
+            TransportKind::Loopback,
+            workers,
+            FaultPlan::none(),
+        )
+    };
+    for mode in [PlanMode::Sonata, PlanMode::MaxDp] {
+        let plan = plan_for(mode, &queries, &tr);
+        let reference = run(&plan, &tr, loopback(true, 1));
+        for workers in [1usize, 2, 4, 8] {
+            let mut rt = Runtime::new(&plan, loopback(false, workers)).unwrap();
+            let fast = rt.process_trace(&tr).unwrap();
+            assert_eq!(
+                fast.windows, reference.windows,
+                "{mode:?}, {workers} workers: gated-ahead fast path diverged from reference"
+            );
+            let ahead = rt.gate_ahead();
+            if workers == 1 {
+                assert_eq!(
+                    ahead,
+                    GateAhead::default(),
+                    "{mode:?}: a gate thread at 1 worker"
+                );
+            } else {
+                assert!(ahead.slices > 0, "{mode:?}, {workers} workers: {ahead:?}");
+            }
+        }
+    }
 }
 
 /// The wire must not care which execution engine feeds it: a TCP run

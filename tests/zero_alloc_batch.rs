@@ -3,21 +3,26 @@
 //! columns sized), `Switch::process_batch` performs **zero** heap
 //! allocations per packet — the whole point of the arena +
 //! borrowed-view redesign. Register state is laid out flat at load,
-//! so that holds even for a window whose every key is new.
+//! so that holds even for a window whose every key is new. So do its
+//! two halves, `Switch::gate` and `Switch::run_gated`, and a runtime
+//! that gates a window's slices on a second thread sizes that thread's
+//! buffers itself: the thread allocates nothing, and so never opens a
+//! malloc arena of its own.
 //!
 //! The file holds exactly one `#[test]` so no sibling test allocates
 //! on another thread while the counter is armed.
 
 mod common;
 
-use common::{CountingAlloc, ALLOCS, ARMED};
+use common::{CountingAlloc, ALLOCS, ARMED, CALLER, OFF_CALLER};
 use std::sync::atomic::Ordering;
 
 use sonata::packet::PacketArena;
 use sonata::pisa::compile::{compile_pipeline, max_switch_units, table_specs, RegisterSizing};
-use sonata::pisa::{PisaProgram, ReportBatch, Switch, SwitchConstraints, TaskId};
+use sonata::pisa::{Gated, PisaProgram, ReportBatch, Switch, SwitchConstraints, TaskId};
 use sonata::prelude::*;
 use sonata::stream::testsupport::seeded_packets;
+use sonata::traffic::trace::EvaluationTrace;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -111,6 +116,18 @@ fn process_batch_is_allocation_free_once_warm() {
         arena.len()
     );
 
+    // The same pass as its two halves, into a gate of the caller's.
+    let mut gated = Gated::default();
+    sw.gate(&arena.batch(), &mut gated);
+    sw.run_gated(&arena.batch(), &gated, &mut out);
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    sw.gate(&arena.batch(), &mut gated);
+    sw.run_gated(&arena.batch(), &gated, &mut out);
+    ARMED.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    assert_eq!(allocs, 0, "gate + run_gated allocated {allocs} times");
+
     // Max-DP shape: all eight queries with every stateful operator in
     // a roomy register, so nearly every packet updates several keys
     // and almost nothing shunts. Closing the window empties the
@@ -136,4 +153,34 @@ fn process_batch_is_allocation_free_once_warm() {
         allocs, 0,
         "process_batch allocated {allocs} times re-keying {resident} register slots"
     );
+
+    // A Sonata top-8 runtime at two workers gates its windows' slices
+    // on a second thread; once warm, that thread allocates nothing.
+    let trace = EvaluationTrace::generate(7, 6, 3_000, 0.05).trace;
+    let windows: Vec<(u64, &[sonata::packet::Packet])> = trace.windows(3_000).collect();
+    let queries = catalog::top8(&Thresholds::default());
+    let training: Vec<&[sonata::packet::Packet]> = windows.iter().take(2).map(|w| w.1).collect();
+    let plan = plan_queries(&queries, &training, &PlannerConfig::default()).unwrap();
+    let cfg = RuntimeConfig {
+        workers: 2,
+        ..RuntimeConfig::default()
+    };
+    let mut rt = Runtime::new(&plan, cfg).unwrap();
+    for (w, packets) in &windows[..3] {
+        rt.process_window(*w, packets).unwrap();
+    }
+    let before = rt.gate_ahead();
+    CALLER.with(|c| c.set(true));
+    OFF_CALLER.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    for (w, packets) in &windows[3..] {
+        rt.process_window(*w, packets).unwrap();
+    }
+    ARMED.store(false, Ordering::SeqCst);
+    let (off, ahead) = (OFF_CALLER.load(Ordering::SeqCst), rt.gate_ahead());
+    assert!(
+        ahead.slices > before.slices,
+        "no slice gated ahead: {ahead:?}"
+    );
+    assert_eq!(off, 0, "the gate thread allocated {off} times ({ahead:?})");
 }
